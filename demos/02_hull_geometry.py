@@ -8,6 +8,7 @@ swept line {x + y q : q a unit imaginary quaternion} stays inside U.  Run with
 import numpy as np
 
 from fueter import (
+    Ball,
     BiquaternionPoint,
     ImUnitSphereSampler,
     NotInHullError,
@@ -37,13 +38,24 @@ for label, x, y in cases:
 
 print()
 print("=" * 72)
-print("2. The band shrinks with the sampling density")
+print("2. Built-in domains are exact; other domains get a lattice band")
 print("=" * 72)
+
+
+class LatticeBall(Ball):
+    """The unit ball as a user domain would see it: no closed-form sweep."""
+
+    sweep_inf = None
+
+
 sigma = BiquaternionPoint(np.array([0.78, 0.0, 0.0, 0.0]),
                           np.array([0.0, 0.2, 0.0, 0.0]))
+q = hull_contains(sigma, ball)
+print(f"  built-in ball (closed form): inf={q.inf_value:.5f} "
+      f"band={q.band:.5f} indeterminate={q.indeterminate}")
 for count in (64, 512, 4096):
-    q = hull_contains(sigma, ball, sampler=ImUnitSphereSampler(count),
-                      refine="never")
+    q = hull_contains(sigma, LatticeBall(1, 1.0),
+                      sampler=ImUnitSphereSampler(count), refine="never")
     print(f"  lattice size {count:5d}: inf={q.inf_value:.5f} "
           f"band={q.band:.5f} indeterminate={q.indeterminate}")
 print("  (the local refinement pass settles such borderline queries)")

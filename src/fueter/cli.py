@@ -367,7 +367,9 @@ def _build_parser():
         hp.add_argument("--domain", required=True)
         hp.add_argument("--sigma", required=True)
         hp.add_argument("--count", type=int, default=None,
-                        help="imaginary-sphere sample count")
+                        help="imaginary-sphere sample count; used only by "
+                             "domains without a closed-form sweep (the "
+                             "built-ins are exact)")
         common(hp)
         hp.set_defaults(func=_cmd_hull)
 
@@ -384,7 +386,9 @@ def _build_parser():
     hl = tw.add_parser("hull-lines", help="hull membership via line containment")
     hl.add_argument("--domain", required=True)
     hl.add_argument("--sigma", required=True)
-    hl.add_argument("--count", type=int, default=None)
+    hl.add_argument("--count", type=int, default=None,
+                    help="sets the Hopf sweep grid size (about count nodes) "
+                         "and the refinement sampler")
     common(hl)
     hl.set_defaults(func=_cmd_twistor)
 

@@ -1,4 +1,4 @@
-"""Line bundles Q_k over CP^1 and the plane quadrature used throughout.
+r"""Line bundles Q_k over CP^1 and the plane quadrature used throughout.
 
 The bundle Q_k glues chart functions by f1(1/z) = z^{-k} f0(z); its
 (0,1)-forms (written h0 dconj(z) on chart 0, h1 dconj(w) on chart 1) glue by
@@ -84,7 +84,7 @@ def quadrature_nodes(cfg=None):
 
 
 def quadrature_C(g, cfg=None, check=False):
-    """(1/2 pi i) \int_C g(z) dconj(z)^dz for decaying integrands.
+    r"""(1/2 pi i) \int_C g(z) dconj(z)^dz for decaying integrands.
 
     check=True re-evaluates on a doubled rule and raises QuadratureError if
     the two disagree by more than 10x the configured target tolerance.

@@ -10,6 +10,31 @@ A DomainSpec knows three things about an open set U:
 All oracles are vectorized: they accept flat real points of shape (..., 4n) and
 return shape (...).  ``ext_distance`` is 1-Lipschitz and positive exactly on U.
 
+A fourth, optional oracle gives the hull sweep in closed form:
+
+* ``sweep_inf(x, y)`` -- ``(inf_value, q_star)``, the minimum of
+  ``ext_distance(x + y q)`` over unit imaginary quaternions q and a q
+  attaining it, batched over leading axes: x, y of shape (..., 4n) give
+  shapes (...) and (..., 4).
+
+Right multiplication by a unit q is an isometry of H^n, so for any w
+
+    ||w + y q||^2 = ||w||^2 + ||y||^2 - 2 v.u,   v = sum_l Vec(conj(w_l) y_l),
+
+with q = (0, u), and <w, y q> = -v.u is linear in u on the unit sphere.  Its
+extremes sit at u = -+v/|v| (any u when v = 0), which settles balls (w = x minus
+the centre, largest norm), point complements (w = x minus the point, smallest
+norm) and half-spaces (w = the normal, largest <normal, y q>).  The value is
+``ext_distance`` evaluated at that arg-min, never the expanded square root,
+whose cancellation near a zero minimum (the hull boundary of H*) leaves
+~1e-8 of rounding noise.  Intersections take the minimum over their parts;
+the whole space and the empty set are constant.
+
+``DomainSpec.sweep_inf`` is ``None``: no closed form, and the hull falls back
+to a lattice scan with a covering band.  A user domain opts in by defining a
+``sweep_inf(x, y)`` method with the contract above; it must return the exact
+minimum, since the hull then reports no uncertainty band.
+
 Built-ins: balls, complements of a point, half-spaces, finite intersections,
 the whole space and the empty set.  ``parse_domain`` builds these from JSON
 dicts or from shorthand strings such as ``"H*:n=1"`` (punctured H^n).
@@ -19,7 +44,7 @@ import json
 
 import numpy as np
 
-from .quat import qnorm
+from .quat import qconj, qmul, qmul_right, qnorm
 
 __all__ = [
     "DomainSpec", "Ball", "PointComplement", "HalfSpace", "Intersection",
@@ -29,6 +54,9 @@ __all__ = [
 
 class DomainSpec:
     """Base class; subclasses fill in ext_distance (and usually nearest_boundary)."""
+
+    # closed-form hull sweep minimum (see the module docstring); None: none
+    sweep_inf = None
 
     def __init__(self, n):
         self.n = int(n)
@@ -55,6 +83,11 @@ class DomainSpec:
     def nearest_boundary(self, p):
         raise NotImplementedError(
             "%s has no nearest_boundary oracle" % type(self).__name__)
+
+    def _sweep_at(self, x, y, u):
+        """(ext_distance(x + y q), q) at q = (0, u), batched over leading axes."""
+        q = np.concatenate([np.zeros(u.shape[:-1] + (1,)), u], axis=-1)
+        return self.ext_distance(x + qmul_right(y, q)), q
 
     def to_json(self):
         raise NotImplementedError
@@ -94,6 +127,11 @@ class Ball(DomainSpec):
             r = qnorm(d)
         return self.center + d * (self.radius / r)[..., None]
 
+    def sweep_inf(self, x, y):
+        # farthest swept point from the centre
+        x, y = self._check(x), self._check(y)
+        return self._sweep_at(x, y, _unit(-_sweep_vec(x - self.center, y)))
+
     def to_json(self):
         return {"type": "ball", "n": self.n, "radius": self.radius,
                 "center": self.center.tolist()}
@@ -114,6 +152,11 @@ class PointComplement(DomainSpec):
     def nearest_boundary(self, p):
         p = self._check(p)
         return np.broadcast_to(self.point, p.shape).copy()
+
+    def sweep_inf(self, x, y):
+        # nearest swept point to the removed point
+        x, y = self._check(x), self._check(y)
+        return self._sweep_at(x, y, _unit(_sweep_vec(x - self.point, y)))
 
     def to_json(self):
         return {"type": "point_complement", "n": self.n,
@@ -140,6 +183,11 @@ class HalfSpace(DomainSpec):
         p = self._check(p)
         gap = (self.offset - p @ self.normal)[..., None]
         return p + gap * self.normal
+
+    def sweep_inf(self, x, y):
+        # swept point deepest along the normal
+        x, y = self._check(x), self._check(y)
+        return self._sweep_at(x, y, _unit(-_sweep_vec(self.normal, y)))
 
     def to_json(self):
         return {"type": "halfspace", "n": self.n,
@@ -169,6 +217,20 @@ class Intersection(DomainSpec):
         cands = np.stack([d.nearest_boundary(p) for d in self.parts], axis=0)
         return np.take_along_axis(cands, which[None, ..., None], axis=0)[0]
 
+    @property
+    def sweep_inf(self):
+        # inf commutes with min, so the parts' closed forms combine
+        if any(d.sweep_inf is None for d in self.parts):
+            return None
+        return self._sweep_inf_parts
+
+    def _sweep_inf_parts(self, x, y):
+        x, y = self._check(x), self._check(y)
+        vals, qs = zip(*(d.sweep_inf(x, y) for d in self.parts))
+        which = np.argmin(np.stack(vals), axis=0)
+        q = np.take_along_axis(np.stack(qs), which[None, ..., None], axis=0)[0]
+        return self._sweep_at(x, y, q[..., 1:])
+
     def to_json(self):
         return {"type": "intersection", "n": self.n,
                 "parts": [d.to_json() for d in self.parts]}
@@ -181,6 +243,11 @@ class WholeSpace(DomainSpec):
         p = self._check(p)
         return np.full(p.shape[:-1], np.inf)
 
+    def sweep_inf(self, x, y):
+        # constant: any q attains it
+        x, y = self._check(x), self._check(y)
+        return self._sweep_at(x, y, _axis_dir(3, y.shape))
+
     def to_json(self):
         return {"type": "whole_space", "n": self.n}
 
@@ -192,6 +259,8 @@ class EmptySet(DomainSpec):
         p = self._check(p)
         return np.zeros(p.shape[:-1])
 
+    sweep_inf = WholeSpace.sweep_inf  # constant as well
+
     def to_json(self):
         return {"type": "empty", "n": self.n}
 
@@ -200,6 +269,19 @@ def _axis_dir(dim, shape):
     e = np.zeros(shape[:-1] + (dim,))
     e[..., 0] = 1.0
     return e
+
+
+def _sweep_vec(w, y):
+    """v = sum_l Vec(conj(w_l) y_l), so that <w, y*(0, u)> = -v.u; (..., 3)."""
+    w, y = np.broadcast_arrays(w, y)
+    shape = y.shape[:-1] + (-1, 4)
+    return qmul(qconj(w.reshape(shape)), y.reshape(shape)).sum(axis=-2)[..., 1:]
+
+
+def _unit(v):
+    """v/|v| over the last axis; the i axis where v = 0 (any unit u is a minimizer)."""
+    r = np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.where(r > 0, v / np.where(r > 0, r, 1.0), _axis_dir(3, v.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,24 @@ The hull of an open U in H^n is
 
     H(U) = {(x, y) : x + y*q in U for every q in Sp(1) with Re q = 0},
 
-an open subset of M_{2n x 2}(C).  Membership is decided by minimizing
-g(q) = ext_distance(x + y*q) over the unit imaginary sphere: a Fibonacci
-lattice scan followed by Nelder-Mead refinement in a 2D tangent chart.
+an open subset of M_{2n x 2}(C).  Membership is decided by the minimum of
+g(q) = ext_distance(x + y*q) over the unit imaginary sphere.
 
-g is Lipschitz in q with constant exactly ||y|| (chord metric), and the
-lattice's covering chord is <= COV_CONST/sqrt(count) (measured constant), so
+Every built-in domain knows that minimum in closed form
+(``DomainSpec.sweep_inf``, see ``fueter.domains``), so for them the query is
+exact: band 0, never indeterminate, no lattice (``count`` 0).
+
+A domain without a closed form (a user-defined DomainSpec) falls back to a
+Fibonacci lattice scan followed by Nelder-Mead refinement in a 2D tangent
+chart.  g is Lipschitz in q with constant exactly ||y|| (chord metric), and
+the lattice's covering chord is <= COV_CONST/sqrt(count) (measured
+constant), so
 
     true min >= grid min - ||y|| * COV_CONST/sqrt(count).
 
-Verdicts within twice that bound of zero are flagged indeterminate rather
-than trusted.  Points with y = 0 short-circuit to plain membership of x
-(the infimand is constant), which keeps the real slice exact.
+Verdicts with 0 < inf_value <= twice that bound are flagged indeterminate
+rather than trusted.  Points with y = 0 short-circuit to plain membership of
+x (the infimand is constant), which keeps the real slice exact.
 
 The distance of an interior point to the hull boundary is
 
@@ -26,6 +32,8 @@ boundary point of U seen from x + y*q*, and w = x0 - x - y*q*, the point
 (x + w/2, y - w*q*/2) lies on the hull boundary at exactly that distance
 (note q*^2 = -1 makes its swept line pass through x0).
 """
+
+import functools
 
 import numpy as np
 from scipy.optimize import minimize
@@ -53,7 +61,15 @@ class NotInHullError(ValueError):
 
 
 def fibonacci_imaginary_sphere(count):
-    """count unit imaginary quaternions (0, u) from the golden-angle lattice."""
+    """count unit imaginary quaternions (0, u) from the golden-angle lattice.
+
+    Cached per count; the returned (count, 4) array is read-only.
+    """
+    return _fibonacci_lattice(int(count))
+
+
+@functools.lru_cache(maxsize=32)
+def _fibonacci_lattice(count):
     i = np.arange(count)
     golden = (1 + np.sqrt(5.0)) / 2
     z = 1 - 2 * (i + 0.5) / count
@@ -63,6 +79,7 @@ def fibonacci_imaginary_sphere(count):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     q = np.zeros((count, 4))
     q[:, 1:] = u
+    q.flags.writeable = False
     return q
 
 
@@ -156,21 +173,25 @@ def _as_point(sigma, n=None):
 
 def _line_points(x, y, qs):
     """x + y*q for a batch of quaternions qs (K, 4) -> (K, 4n)."""
-    n = x.size // 4
-    yq = quat.qmul(y.reshape(1, n, 4), qs[:, None, :])
-    return x[None, :] + yq.reshape(len(qs), 4 * n)
+    return x + quat.qmul_right(y, qs)
 
 
 def hull_contains(sigma, U, sampler=None, refine="auto"):
     """Decide sigma in H(U); returns a HullQuery.
 
-    refine: "auto" runs the local search only when the grid result is inside
-    the indeterminate band; "always"/"never" force the obvious behaviors.
+    Exact when U has a closed-form ``sweep_inf``; sampler and refine are then
+    unused.  Otherwise the sampler's lattice is scanned and refine says when
+    to run the local search: "auto" only when the grid result is inside the
+    indeterminate band, "always"/"never" force the obvious behaviors.
     """
-    sampler = sampler or ImUnitSphereSampler()
     pt = _as_point(sigma, getattr(U, "n", None))
     if pt.n != U.n:
         raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
+    sweep_inf = U.sweep_inf
+    count = 0
+    if sweep_inf is None:
+        sampler = sampler or ImUnitSphereSampler()
+        count = sampler.count
     x = pt.x.arr
     y = pt.y.arr
     ynorm = float(quat.qnorm(y))
@@ -180,18 +201,30 @@ def hull_contains(sigma, U, sampler=None, refine="auto"):
         # the swept set is {x}: membership is exact
         inf_value = float(U.ext_distance(x))
         return HullQuery(pt, bool(U.contains(x)), inf_value,
-                         np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False,
-                         sampler.count)
+                         np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, count)
 
+    if sweep_inf is not None:
+        inf_value, argmin = sweep_inf(x, y)
+        band = 0.0
+    else:
+        inf_value, argmin, band = _lattice_inf(x, y, ynorm, U, sampler, refine)
+
+    verdict = inf_value > _TINY * scale
+    return HullQuery(pt, verdict, inf_value, argmin, band,
+                     0.0 < inf_value <= band, count)
+
+
+def _lattice_inf(x, y, ynorm, U, sampler, refine):
+    """Lattice scan (+ local refinement): (inf_value, argmin_q, band)."""
     qs = sampler.lattice
     vals = U.ext_distance(_line_points(x, y, qs))
     i0 = int(np.argmin(vals))
     inf_value = float(vals[i0])
+    argmin = qs[i0]
     band = 2.0 * ynorm * sampler.covering_chord
 
     do_refine = (refine == "always" or
-                 (refine == "auto" and np.isfinite(inf_value)
-                  and 0.0 < inf_value <= band))
+                 (refine == "auto" and 0.0 < inf_value <= band))
     if do_refine and np.isfinite(inf_value):
         def g_of_u(u):
             q = np.concatenate([[0.0], u])
@@ -201,20 +234,11 @@ def hull_contains(sigma, U, sampler=None, refine="auto"):
         if fval < inf_value:
             inf_value = fval
             argmin = np.concatenate([[0.0], u_best])
-        else:
-            argmin = qs[i0]
-    else:
-        argmin = qs[i0]
-
-    verdict = inf_value > _TINY * scale
-    indeterminate = band > 0 and inf_value <= band
-    return HullQuery(pt, verdict, inf_value, argmin, band, indeterminate,
-                     sampler.count)
+    return inf_value, argmin, band
 
 
 def hull_distance(sigma, U, sampler=None):
     """Distance (1/sqrt 2) * inf_q ext_distance(x + y q) to the hull boundary."""
-    sampler = sampler or ImUnitSphereSampler()
     query = hull_contains(sigma, U, sampler, refine="always")
     if not query.verdict:
         raise NotInHullError("sigma is not in the monogenic hull of the domain")
@@ -224,12 +248,11 @@ def hull_distance(sigma, U, sampler=None):
 def hull_witness(sigma, U, sampler=None):
     """A hull-boundary point realizing hull_distance(sigma).
 
-    Returns (witness, query): with q* the refined arg-min, p = x + y q*, and
+    Returns (witness, query): with q* the query's arg-min, p = x + y q*, and
     x0 = U.nearest_boundary(p), the witness is (x + w/2, y - w q*/2) where
     w = x0 - p.  Its own swept line passes through x0, so it lies outside the
     (open) hull, at C-distance ||w||/sqrt(2) = hull_distance(sigma).
     """
-    sampler = sampler or ImUnitSphereSampler()
     query = hull_contains(sigma, U, sampler, refine="always")
     if not query.verdict:
         raise NotInHullError("sigma is not in the monogenic hull of the domain")

@@ -1,4 +1,4 @@
-"""The twistor integral transform and its contour back to the operator.
+r"""The twistor integral transform and its contour back to the operator.
 
 Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
 

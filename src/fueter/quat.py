@@ -22,7 +22,7 @@ for API and CLI use.
 import numpy as np
 
 __all__ = [
-    "qmul", "qconj", "qnorm", "qinner",
+    "qmul", "qmul_right", "qconj", "qnorm", "qinner",
     "real_to_ab", "ab_to_real", "kappa", "embed_M", "matrix_point",
     "decompose_matrix", "det_biquat", "norm_C",
     "Quaternion", "QuaternionVector", "BiquaternionPoint",
@@ -45,6 +45,13 @@ def qmul(p, q):
         p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
         p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
     ], axis=-1)
+
+
+def qmul_right(x, q):
+    """x*q for flat points x (..., 4n) and quaternions q (..., 4) -> (..., 4n)."""
+    x = np.asarray(x, dtype=float)
+    xq = qmul(x.reshape(x.shape[:-1] + (-1, 4)), np.asarray(q)[..., None, :])
+    return xq.reshape(xq.shape[:-2] + (-1,))
 
 
 def qconj(q):

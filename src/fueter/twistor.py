@@ -35,10 +35,12 @@ pair (a, b) with |a|^2 + |b|^2 = 1:
 covered by the Hopf-style grid a = sqrt(t), b = sqrt(1-t) e^{i theta}.
 """
 
+import functools
+
 import numpy as np
 
 from . import quat
-from .hull import ImUnitSphereSampler, _TINY, _as_point, _line_points
+from .hull import HullQuery, ImUnitSphereSampler, _TINY, _as_point, _line_points
 
 __all__ = [
     "TwistorPoint", "FiberPoint", "TwistorLine", "OutsideChartsError",
@@ -308,20 +310,19 @@ def hull_contains_via_lines(sigma, U, pairs=None, sampler=None,
     if ynorm == 0.0:
         verdict = bool(U.contains(x))
         if return_query:
-            from .hull import HullQuery
             return HullQuery(pt, verdict, float(U.ext_distance(x)),
                              np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, 0)
         return verdict
 
     if pairs is None:
-        count = sampler.count
-        n_t = max(4, int(np.sqrt(count)))
-        pairs = hopf_grid(n_t, max(4, count // n_t))
-    qs = sweep_quaternions(pairs)
+        qs, cover = _default_sweep(sampler.count)
+    else:
+        qs = sweep_quaternions(pairs)
+        cover = _grid_covering(qs)
     vals = U.ext_distance(_line_points(x, y, qs))
     i0 = int(np.argmin(vals))
     inf_value = float(vals[i0])
-    band = 2.0 * ynorm * _grid_covering(qs)
+    band = 2.0 * ynorm * cover
 
     if np.isfinite(inf_value) and 0.0 < inf_value <= band:
         def g_of_u(u):
@@ -334,7 +335,15 @@ def hull_contains_via_lines(sigma, U, pairs=None, sampler=None,
 
     verdict = inf_value > _TINY * scale
     if return_query:
-        from .hull import HullQuery
         return HullQuery(pt, verdict, inf_value, qs[i0], band,
-                         band > 0 and inf_value <= band, len(qs))
+                         0.0 < inf_value <= band, len(qs))
     return verdict
+
+
+@functools.lru_cache(maxsize=32)
+def _default_sweep(count):
+    """Hopf-grid sweep quaternions for a sampler count and their covering chord."""
+    n_t = max(4, int(np.sqrt(count)))
+    qs = sweep_quaternions(hopf_grid(n_t, max(4, count // n_t)))
+    qs.flags.writeable = False
+    return qs, _grid_covering(qs)

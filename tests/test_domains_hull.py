@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fueter import domains, hull, quat
+from fueter import domains, hull, quat, twistor
 
 
 def _pt(x, y):
@@ -175,8 +178,15 @@ def test_sampler_lattice_and_covering_budget():
         assert gaps.max() < sampler.covering_chord
 
 
+class _LatticeBall(domains.Ball):
+    """Ball's oracles without the closed-form sweep: forces the lattice path."""
+
+    sweep_inf = None
+
+
 def test_near_boundary_query_is_flagged_indeterminate():
-    ball = domains.parse_domain("ball:r=1")
+    # the lattice band only exists for domains without a closed-form sweep
+    ball = _LatticeBall(1, 1.0)
     sigma = _pt([0.78, 0, 0, 0], [0.0, 0.2, 0, 0])
     coarse = hull.hull_contains(sigma, ball,
                                 sampler=hull.ImUnitSphereSampler(64),
@@ -188,3 +198,177 @@ def test_near_boundary_query_is_flagged_indeterminate():
                               sampler=hull.ImUnitSphereSampler(8192))
     assert fine.band < coarse.band
     assert fine.verdict is True
+    # the built-in ball decides the same query exactly
+    exact = hull.hull_contains(sigma, domains.parse_domain("ball:r=1"))
+    assert exact.band == 0.0 and exact.indeterminate is False
+    assert exact.verdict is True
+
+
+def test_certain_outside_verdict_is_not_indeterminate():
+    # the swept line leaves the ball, so lattice nodes land outside U and
+    # the grid minimum is exactly 0: a certain False, not an undecided one
+    sigma = _pt([0.9, 0, 0, 0], [0.0, 0.5, 0, 0])
+    lattice = hull.hull_contains(sigma, _LatticeBall(1, 1.0))
+    lines = twistor.hull_contains_via_lines(sigma, domains.Ball(1, 1.0),
+                                            return_query=True)
+    for query in (lattice, lines):
+        assert query.band > 0.0 and query.inf_value == 0.0
+        assert query.verdict is False and query.indeterminate is False
+
+
+def test_sampler_lattice_is_cached_and_read_only():
+    a = hull.fibonacci_imaginary_sphere(512)
+    assert hull.fibonacci_imaginary_sphere(512) is a
+    assert hull.ImUnitSphereSampler(512).lattice is a
+    with pytest.raises(ValueError):
+        a[0, 1] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# closed-form sweep minimum (DomainSpec.sweep_inf)
+# ---------------------------------------------------------------------------
+
+_DENSE = hull.ImUnitSphereSampler(20000)
+
+
+def _vec(n, lo=-1.0, hi=1.0):
+    return hnp.arrays(np.float64, 4 * n, elements=st.floats(
+        lo, hi, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def _simple_domain(draw, n):
+    kind = draw(st.sampled_from(["ball", "point", "halfspace"]))
+    if kind == "ball":
+        return domains.Ball(n, draw(st.floats(0.2, 2.0)),
+                            center=draw(_vec(n, -0.5, 0.5)))
+    if kind == "point":
+        return domains.PointComplement(n, point=draw(_vec(n, -0.5, 0.5)))
+    normal = draw(_vec(n).filter(lambda v: np.linalg.norm(v) > 1e-3))
+    return domains.HalfSpace(n, normal, draw(st.floats(-1.0, 1.0)))
+
+
+@st.composite
+def _closed_form_domain(draw, n):
+    if draw(st.booleans()):
+        return draw(_simple_domain(n))
+    return domains.Intersection(draw(st.lists(_simple_domain(n), min_size=2,
+                                              max_size=3)))
+
+
+@st.composite
+def _sweep_case(draw):
+    n = draw(st.sampled_from([1, 2]))
+    return draw(_closed_form_domain(n)), draw(_vec(n)), draw(_vec(n, -0.6, 0.6))
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@_PROPERTY
+@given(_sweep_case())
+def test_sweep_inf_is_the_minimum_over_the_imaginary_sphere(case):
+    U, x, y = case
+    inf_value, q = U.sweep_inf(x, y)
+    assert q.shape == (4,) and q[0] == 0.0
+    assert abs(np.linalg.norm(q) - 1.0) < 1e-12
+    # ext_distance at the returned arg-min is the returned value
+    at_q = U.ext_distance(hull._line_points(x, y, q[None, :])[0])
+    assert at_q == pytest.approx(float(inf_value), rel=0, abs=1e-15)
+    # below every node of a dense lattice, and within its Lipschitz band
+    grid = U.ext_distance(hull._line_points(x, y, _DENSE.lattice))
+    assert inf_value <= grid.min() + 1e-12
+    ynorm = np.linalg.norm(y)
+    assert grid.min() - inf_value <= ynorm * _DENSE.covering_chord + 1e-12
+
+
+@_PROPERTY
+@given(_sweep_case())
+def test_sweep_inf_is_batched_over_leading_axes(case):
+    U, x, y = case
+    xs = np.stack([x, 0.5 * x, -y])
+    ys = np.stack([y, 2.0 * y, x])
+    vals, qs = U.sweep_inf(xs, ys)
+    assert vals.shape == (3,) and qs.shape == (3, 4)
+    for k in range(3):
+        v, q = U.sweep_inf(xs[k], ys[k])
+        assert abs(vals[k] - v) <= 1e-15
+        np.testing.assert_allclose(qs[k], q, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sweep_inf_without_a_preferred_direction(n):
+    # v = 0: from the centre of a ball (or the removed point) every swept
+    # point is at distance ||y||, so any unit q is a minimizer
+    rng = np.random.default_rng(30 + n)
+    c = 0.3 * rng.normal(size=4 * n)
+    y = 0.2 * rng.normal(size=4 * n)
+    ynorm = np.linalg.norm(y)
+    val, q = domains.Ball(n, 1.0, center=c).sweep_inf(c, y)
+    assert abs(val - (1.0 - ynorm)) < 1e-15
+    np.testing.assert_array_equal(q, [0.0, 1.0, 0.0, 0.0])
+    val, q = domains.PointComplement(n, point=c).sweep_inf(c, y)
+    assert abs(val - ynorm) < 1e-15
+    # a half-space whose normal is a real multiple of y: <normal, y q> = 0
+    hs = domains.HalfSpace(n, y, 0.5)
+    val, _ = hs.sweep_inf(c, -3.0 * y)
+    assert abs(val - hs.ext_distance(c)) < 1e-15
+
+
+def test_constant_domains_have_constant_sweeps():
+    x, y = np.ones(8), np.arange(8.0)
+    assert domains.WholeSpace(2).sweep_inf(x, y)[0] == np.inf
+    assert domains.EmptySet(2).sweep_inf(x, y)[0] == 0.0
+    sigma = _pt(x, y)
+    assert hull.hull_contains(sigma, domains.WholeSpace(2)).verdict is True
+    assert hull.hull_contains(sigma, domains.EmptySet(2)).verdict is False
+
+
+def test_exact_query_reports_no_band_and_no_lattice():
+    ball = domains.parse_domain("ball:r=1")
+    sigma = _pt([0.3, 0.1, 0, 0], [0.0, 0.2, 0.1, 0])
+    query = hull.hull_contains(sigma, ball,
+                               sampler=hull.ImUnitSphereSampler(64))
+    assert query.verdict is True and query.indeterminate is False
+    assert query.band == 0.0 and query.count == 0
+
+
+def test_real_slice_stays_exact_membership_with_a_closed_form():
+    # y = 0 is decided by U.contains(x), so a clearance below the verdict
+    # threshold of the sweep still counts as inside
+    ball = domains.parse_domain("ball:r=1")
+    x = np.array([1.0 - 1e-13, 0, 0, 0])
+    assert 0.0 < ball.ext_distance(x) < 1e-12
+    query = hull.hull_contains(_pt(x, np.zeros(4)), ball)
+    assert query.verdict is True
+    assert query.band == 0.0 and query.indeterminate is False
+    np.testing.assert_array_equal(query.argmin_q, [0.0, 1.0, 0.0, 0.0])
+
+
+def test_intersection_with_a_lattice_part_falls_back_to_the_lattice():
+    mixed = domains.Intersection([domains.Ball(1, 1.0), _LatticeBall(1, 0.9)])
+    assert mixed.sweep_inf is None
+    exact = domains.Intersection([domains.Ball(1, 1.0), domains.Ball(1, 0.9)])
+    assert exact.sweep_inf is not None
+    sigma = _pt([0.2, 0, 0.1, 0], [0.0, 0.1, 0, 0.05])
+    sampler = hull.ImUnitSphereSampler(256)
+    lattice = hull.hull_contains(sigma, mixed, sampler)
+    assert lattice.count == 256 and lattice.band > 0.0
+    closed = hull.hull_contains(sigma, exact, sampler)
+    assert closed.count == 0 and closed.band == 0.0
+    assert lattice.verdict is closed.verdict is True
+    assert closed.inf_value <= lattice.inf_value <= closed.inf_value + lattice.band
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2]), st.data())
+def test_punctured_space_witness_is_outside_the_hull(n, data):
+    # the witness's swept line passes through the removed point; the exact
+    # sweep must see a zero minimum there, not rounding noise above _TINY
+    star = domains.PointComplement(n)
+    sigma = _pt(data.draw(_vec(n)), data.draw(_vec(n, -0.6, 0.6)))
+    assume(hull.hull_contains(sigma, star).verdict)
+    d = hull.hull_distance(sigma, star)
+    witness, _ = hull.hull_witness(sigma, star)
+    assert abs((sigma - witness).norm_C() - d) <= 1e-9 * max(d, 1.0)
+    assert hull.hull_contains(witness, star).verdict is False
