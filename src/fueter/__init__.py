@@ -48,7 +48,6 @@ from .cf import (
     cf_residual_complex,
     cf_residual_field,
     dC_apply,
-    dbar_q,
     is_monogenic,
     residual_norm,
 )
@@ -124,7 +123,7 @@ __all__ = [
     "PointComplement", "WholeSpace", "parse_domain",
     # cf
     "DomainError", "FDConfig", "cf_apply", "cf_residual_complex",
-    "cf_residual_field", "dC_apply", "dbar_q", "is_monogenic",
+    "cf_residual_field", "dC_apply", "is_monogenic",
     "residual_norm",
     # fields
     "ComplexField", "ScalarField", "field_names", "get_field", "make_pair",

@@ -391,11 +391,7 @@ def criterion_8_complex_transform(seed=7):
     def component(A):
         def f(batch):
             S = np.asarray(batch, dtype=complex)
-            lead = S.shape[:-2]
-            flat = S.reshape((-1, 2, 2))
-            vals = np.array([_fiber_moments(
-                lambda z, m=m: form.wz_matrix(z, m), 2)[A] for m in flat])
-            return vals.reshape(lead)
+            return _fiber_moments(form.wz_matrix, S, 2, point_ndim=2)[..., A]
         return f
 
     quad_field = ComplexField(component(0), component(1), n=1,

@@ -28,16 +28,13 @@ coordinate axes.
 All derivative routines vectorize over a leading batch of points.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import quat
 from .domains import WholeSpace
 
 __all__ = [
-    "FDConfig", "DomainError", "dbar_q", "cf_apply", "cf_residual_complex",
+    "FDConfig", "DomainError", "cf_apply", "cf_residual_complex",
     "dC_apply", "is_monogenic", "residual_norm",
 ]
 
@@ -155,12 +152,6 @@ def cf_apply(psi, p, cfg=None):
     return out
 
 
-def dbar_q(psi, ell, p, cfg=None):
-    """Single-block operator dbar_{q_ell} psi at p -> (..., 4)."""
-    res = cf_apply(psi, p, cfg)
-    return res[..., ell, :]
-
-
 def residual_norm(res):
     """Flat Euclidean norm of a (..., n, 4) residual -> (...)."""
     res = np.asarray(res)
@@ -193,16 +184,24 @@ def cf_residual_complex(psi0, psi1, p, cfg=None, domain=None):
     psi0, psi1: callables on interleaved complex points (..., 2n), or pass a
     ScalarField's pair0/pair1.  p is flat real (..., 4n).
     """
-    cfg = cfg or FDConfig()
-    p = np.asarray(p, dtype=float)
-    _check_domain(domain, p, cfg)
-
-    def fn(pts):
+    def pair(pts):
         v = quat.real_to_ab(pts)
         return np.stack([np.asarray(psi0(v), dtype=complex),
                          np.asarray(psi1(v), dtype=complex)], axis=-1)
 
-    d = _partials(fn, p, cfg)  # (..., 4n, 2)
+    return _residual_of_pair(pair, p, cfg, domain)
+
+
+def _residual_of_pair(pair, p, cfg=None, domain=None):
+    """cf_residual_complex for one callable giving the stacked pair.
+
+    pair maps flat real points (..., 4n) to (psi0, psi1) stacked as (..., 2),
+    so each stencil point is evaluated once for both components.
+    """
+    cfg = cfg or FDConfig()
+    p = np.asarray(p, dtype=float)
+    _check_domain(domain, p, cfg)
+    d = _partials(pair, p, cfg)  # (..., 4n, 2)
     da, dab, db, dbb = _wirtinger(np.moveaxis(d, -1, 0))  # each (2, ..., n)
     r1 = db[1] - dab[0]
     r2 = da[1] + dbb[0]
@@ -260,45 +259,24 @@ def dC_apply(psiC, sigma, cfg=None):
 # monogenicity report
 # ---------------------------------------------------------------------------
 
-def default_threads():
-    try:
-        return max(1, int(os.environ.get("FUETER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def is_monogenic(psi, points, tol=1e-5, cfg=None, threads=None):
+def is_monogenic(psi, points, tol=1e-5, cfg=None):
     """Max-residual certification of D psi = 0 over sample points.
 
     points: (N, 4n) interior samples with stencil margin.  Returns the report
     dict {field, n, samples, tol, max_residual, worst_point, verdict}.
-    Fan-out across threads uses a deterministic max-reduction.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
         raise ValueError("empty sample set")
-    threads = threads if threads is not None else default_threads()
-
-    def chunk_max(chunk):
-        res = residual_norm(cf_apply(psi, chunk, cfg))
-        i = int(np.argmax(res))
-        return float(res[i]), chunk[i]
-
-    if threads > 1 and points.shape[0] >= 2 * threads:
-        chunks = np.array_split(points, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(chunk_max, chunks))
-    else:
-        results = [chunk_max(points)]
-
-    best = max(range(len(results)), key=lambda i: results[i][0])
-    max_res, worst = results[best]
+    res = residual_norm(cf_apply(psi, points, cfg))
+    i = int(np.argmax(res))
+    max_res = float(res[i])
     return {
         "field": psi.name,
         "n": psi.n,
         "samples": int(points.shape[0]),
         "tol": float(tol),
         "max_residual": max_res,
-        "worst_point": np.asarray(worst).tolist(),
+        "worst_point": points[i].tolist(),
         "verdict": bool(max_res <= tol),
     }

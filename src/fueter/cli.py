@@ -6,14 +6,10 @@ schemas/report.json), sorted keys, no timestamps — fixed inputs give
 byte-identical reports.  Exit codes: 0 all checks within tolerance (queries
 always exit 0, a negative verdict is a valid answer), 1 a tolerance check
 failed (the failing assertion is named on stderr), 2 configuration error.
-
-Worker caps: --threads, falling back to the FUETER_THREADS environment
-variable.
 """
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -135,7 +131,7 @@ def _cmd_cf_check(args):
     rng = np.random.default_rng(args.seed)
     pts = _shell_points(rng, args.points, args.rmin, args.rmax, n=args.n)
     cfg = FDConfig(step=args.step, scheme=args.scheme)
-    rep = is_monogenic(field, pts, tol=args.tol, cfg=cfg, threads=args.threads)
+    rep = is_monogenic(field, pts, tol=args.tol, cfg=cfg)
     _emit(args, "cf check",
           {"field": args.field, "n": args.n, "points": args.points,
            "seed": args.seed, "tol": args.tol, "rmin": args.rmin,
@@ -334,8 +330,6 @@ def _build_parser():
         description="Quaternionic-analysis toolkit: operator checks, monogenic "
                     "hulls, twistor lines, sphere-bundle cohomology, and the "
                     "integral transform.")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap worker threads (falls back to FUETER_THREADS)")
     sub = p.add_subparsers(dest="group", required=True)
 
     def common(sp):
@@ -449,11 +443,6 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("config error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        os.environ["FUETER_THREADS"] = str(args.threads)
     try:
         return args.func(args)
     except CheckFailure as e:

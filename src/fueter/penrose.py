@@ -23,7 +23,9 @@ Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
     (``calibrate_kappa`` re-derives this numerically).
   * ``penrose_transform`` certifies tau-level closedness (the moments of the
     (0,2)-part vanish; the pointwise components need not) and then returns
-    the pushed-down pair, which the diagram guarantees to be monogenic.
+    the pushed-down pair, which the diagram guarantees to be monogenic.  Its
+    monogenic check differences the quadrature-backed output pair once per
+    stencil point, both components from one fiber pass.
   * ``penrose_transform_complex`` evaluates the same moments at a matrix
     point of the monogenic hull.  The integrand is the form's holomorphic
     matrix extension: the line over a hull point has constant base-point
@@ -31,6 +33,13 @@ Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
     the fiber integral simply carries the extended coefficients.  On the
     real slice (y = 0) it delegates to ``tau_push_01`` — the identical code
     path, not merely an equal value.
+
+Batches: every fiber profile takes a whole batch of base points at once.
+``wz(z, x)`` with x of shape (..., 4n) returns x.shape[:-1] + z.shape; a
+profile that ignores x and returns z.shape is broadcast over the batch.  The
+pushforwards, ``penrose_transform`` and ``diagram_check`` evaluate one node
+set for all their base points, in chunks of at most ``_CHUNK_ELEMENTS``
+profile values so memory stays bounded for large batches.
 
 Numerical notes: output values are quadrature sums over the fixed node set
 of ``cp1.quadrature_nodes``; closedness certificates and diagram residuals
@@ -42,7 +51,7 @@ import numpy as np
 
 from . import quat
 from .cf import (FDConfig, _partials, _wirtinger, cf_residual_complex,
-                 _check_domain)
+                 _check_domain, _residual_of_pair)
 from .cp1 import QuadratureConfig, quadrature_nodes, validate_form, Form01, decay_check
 from .domains import WholeSpace
 from .fields import ScalarField
@@ -60,6 +69,10 @@ __all__ = [
 # Frozen from calibrate_kappa(); the diagram tests re-derive it.
 KAPPA = -1.0
 
+# Most fiber-profile values (complex) evaluated in one pass over a chunk of
+# base points; keeps batched transforms at the memory of small ones.
+_CHUNK_ELEMENTS = 1 << 15
+
 
 class ClosednessError(RuntimeError):
     """The tau-level closedness certificate failed."""
@@ -69,14 +82,18 @@ class TwistorFormL:
     """A (0,1)-form on the twistor space over U, valued in the degree-k bundle.
 
     Chart-0 data:
-      wz(z, x)        coefficient of dconj(z); z complex scalar/array, x a
-                      single flat real base point (4n,)
+      wz(z, x)        coefficient of dconj(z); z a complex array of fiber
+                      points, x flat real base points (..., 4n); returns
+                      x.shape[:-1] + z.shape
       K_parts         list of 2n callables (z, x) -> complex for the base
-                      coframe directions, or None for identically zero
-    Optional chart-1 data (used by validate): wz_chart1(w, x), and
-    K_parts_chart1.  Optional holomorphic extension wz_matrix(z, sigma) with
-    sigma a (2n, 2) complex matrix, required by the complexified transform
-    off the real slice.
+                      coframe directions, same shapes as wz, or None for
+                      identically zero
+    A callable that ignores x and returns z.shape (a base-independent
+    profile) is broadcast over the base batch.  Optional chart-1 data (used
+    by validate): wz_chart1(w, x), and K_parts_chart1.  Optional holomorphic
+    extension wz_matrix(z, sigma) with sigma complex matrices (..., 2n, 2),
+    returning sigma.shape[:-2] + z.shape, required by the complexified
+    transform off the real slice.
     """
 
     def __init__(self, n, wz, K_parts=None, k=-3, wz_chart1=None,
@@ -150,29 +167,29 @@ def sharp(field, psi1=None, n=None, domain=None, name=None):
         field = ScalarField(field, psi1, n=(n or 1), domain=domain, name=name)
     n = field.n
 
-    def wz(z, x):
-        v = quat.real_to_ab(np.asarray(x, dtype=float))
-        p0 = complex(field.pair0(v))
-        p1 = complex(field.pair1(v))
+    def profile(p0, p1, z):
+        # the harmonic representative 2 (p0 + p1 conj(z)) / (1+|z|^2)^3 at
+        # every base point; the real weight is shared by the whole batch
         z = np.asarray(z, dtype=complex)
-        return 2.0 * (p0 + p1 * np.conj(z)) / (1.0 + z * np.conj(z)) ** 3
+        weight = 2.0 / (1.0 + (z.real ** 2 + z.imag ** 2)) ** 3
+        tail = (1,) * z.ndim
+        p0 = np.asarray(p0, dtype=complex).reshape(np.shape(p0) + tail)
+        p1 = np.asarray(p1, dtype=complex).reshape(np.shape(p1) + tail)
+        return (p0 + p1 * np.conj(z)) * weight
+
+    def wz(z, x):
+        return profile(*field.pair(x), z)
 
     def wz_chart1(w, x):
-        v = quat.real_to_ab(np.asarray(x, dtype=float))
-        p0 = complex(field.pair0(v))
-        p1 = complex(field.pair1(v))
-        w = np.asarray(w, dtype=complex)
-        return 2.0 * (-p0 * np.conj(w) - p1) / (1.0 + w * np.conj(w)) ** 3
+        # 2 (-p0 conj(w) - p1) / (1+|w|^2)^3 is the profile of (-p1, -p0)
+        p0, p1 = field.pair(x)
+        return profile(-np.asarray(p1), -np.asarray(p0), w)
 
     wz_matrix = None
     ext = getattr(field, "extension", None)
     if ext is not None:
         def wz_matrix(z, sigma):
-            sigma = np.asarray(sigma, dtype=complex)
-            p0c, p1c = ext.pair(sigma)
-            z = np.asarray(z, dtype=complex)
-            return 2.0 * (complex(p0c) + complex(p1c) * np.conj(z)) \
-                / (1.0 + z * np.conj(z)) ** 3
+            return profile(*ext.pair(np.asarray(sigma, dtype=complex)), z)
 
     form = TwistorFormL(n, wz, K_parts=None, k=-3, wz_chart1=wz_chart1,
                         wz_matrix=wz_matrix, domain=field.domain,
@@ -185,41 +202,67 @@ def sharp(field, psi1=None, n=None, domain=None, name=None):
 # pushforwards
 # ---------------------------------------------------------------------------
 
-def _fiber_moments(fn_of_z, count, quad=None):
+def _on_batch(fn, z, base, point_ndim=1):
+    """fn(z, base) as base.shape[:-point_ndim] + z.shape.
+
+    A base-independent profile returning z.shape is broadcast over the batch.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.asarray(fn(z, base), dtype=complex)
+    return np.broadcast_to(out, base.shape[:base.ndim - point_ndim] + z.shape)
+
+
+def _chunked(fn, base, per_point, point_ndim=1):
+    """fn over consecutive slices of the flattened base batch, restacked.
+
+    Each slice holds at most _CHUNK_ELEMENTS // per_point base points (at
+    least one); fn maps a slice (m,) + point shape to (m, ...).
+    """
+    lead = base.shape[:base.ndim - point_ndim]
+    flat = base.reshape((-1,) + base.shape[base.ndim - point_ndim:])
+    step = max(1, _CHUNK_ELEMENTS // per_point)
+    out = np.concatenate([fn(flat[s:s + step])
+                          for s in range(0, max(1, len(flat)), step)])
+    return out.reshape(lead + out.shape[1:])
+
+
+def _fiber_moments(fn, base, count, quad=None, point_ndim=1):
+    """Moments sum_j W_j Z_j^ell fn(Z_j, b) for ell < count at every base point b.
+
+    base is (..., 4n) real points, or (..., 2n, 2) matrices with
+    point_ndim=2; returns base.shape[:-point_ndim] + (count,).
+    """
     Z, W = quadrature_nodes(quad)
-    h = np.asarray(fn_of_z(Z), dtype=complex)
-    return np.array([np.sum(W * Z ** ell * h) for ell in range(count)])
+    V = (W * Z ** np.arange(count)[:, None]).T  # (nodes, count)
+    return _chunked(lambda b: _on_batch(fn, Z, b, point_ndim) @ V,
+                    base, Z.size, point_ndim)
 
 
 def tau_push_01(form, x, quad=None):
-    """Push a form down to the pair at x: A-th moment of the dconj(z)-part."""
+    """Push a form down to the pair: A-th moment of the dconj(z)-part.
+
+    x (..., 4n) -> (..., -k-1), one fiber quadrature for the whole batch.
+    """
     if form.k > -2:
         raise ValueError("degree %d has no pushforward coefficients" % form.k)
     x = np.asarray(x, dtype=float)
-    return _fiber_moments(lambda z: form.wz(z, x), -form.k - 1, quad)
-
-
-def _eval_over_points(fn, z, pts):
-    """Stack fn(z, p) over the leading axes of pts (..., 4n)."""
-    z = np.asarray(z, dtype=complex)
-    flat = pts.reshape(-1, pts.shape[-1])
-    vals = np.stack([np.asarray(fn(z, p), dtype=complex) for p in flat])
-    return vals.reshape(pts.shape[:-1] + z.shape)
+    return _fiber_moments(form.wz, x, -form.k - 1, quad)
 
 
 def frame_apply(fn, z, x, cfg=None):
     """Apply the 2n antiholomorphic base frame fields to fn(z, x) at fixed z.
 
-    Returns an array of shape (2n,) + shape(z): row 2i-2 is
-    (z d_beta_i - d_conj(alpha_i)) fn, row 2i-1 is (z d_alpha_i + d_conj(beta_i)) fn.
+    x is (..., 4n).  Returns an array of shape (2n,) + x.shape[:-1] +
+    shape(z): row 2i-2 is (z d_beta_i - d_conj(alpha_i)) fn, row 2i-1 is
+    (z d_alpha_i + d_conj(beta_i)) fn.
     """
     cfg = cfg or FDConfig()
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=complex)
-    d = _partials(lambda pts: _eval_over_points(fn, z, pts), x, cfg)
-    da, dab, db, dbb = _wirtinger(np.moveaxis(d, 0, -1))
+    d = _partials(lambda pts: _on_batch(fn, z, pts), x, cfg)
+    da, dab, db, dbb = _wirtinger(np.moveaxis(d, x.ndim - 1, -1))
     n = x.shape[-1] // 4
-    out = np.empty((2 * n,) + z.shape, dtype=complex)
+    out = np.empty((2 * n,) + x.shape[:-1] + z.shape, dtype=complex)
     for i in range(n):
         out[2 * i] = z * db[..., i] - dab[..., i]
         out[2 * i + 1] = z * da[..., i] + dbb[..., i]
@@ -232,10 +275,10 @@ def _dbar_fiber(fn, z, x, cfg):
     h = cfg.resolve_step(np.maximum(1.0, np.abs(z)))
 
     def deriv(step):
-        du = (np.asarray(fn(z + step, x), dtype=complex)
-              - np.asarray(fn(z - step, x), dtype=complex)) / (2.0 * step)
-        dv = (np.asarray(fn(z + 1j * step, x), dtype=complex)
-              - np.asarray(fn(z - 1j * step, x), dtype=complex)) / (2.0 * step)
+        du = (_on_batch(fn, z + step, x)
+              - _on_batch(fn, z - step, x)) / (2.0 * step)
+        dv = (_on_batch(fn, z + 1j * step, x)
+              - _on_batch(fn, z - 1j * step, x)) / (2.0 * step)
         return (du + 1j * dv) / 2.0
 
     if cfg.scheme == "central":
@@ -246,9 +289,10 @@ def _dbar_fiber(fn, z, x, cfg):
 def dbar_chart0(form, z, x, cfg=None):
     """(0,2)-components of the antiholomorphic derivative at (z, x).
 
-    Returns {"C_zi": (2n,) + shape(z), "C_ij": (2n, 2n) + shape(z)} with
-    C_zi[A] = d_conj(z) K_A - X^{A+1} wz and C_ij[A, B] = X^{A+1} K_B -
-    X^{B+1} K_A (antisymmetric).  Vectorized over an array of fiber points.
+    Returns {"C_zi": (2n,) + B + shape(z), "C_ij": (2n, 2n) + B + shape(z)}
+    for base points x of shape B + (4n,), with C_zi[A] = d_conj(z) K_A -
+    X^{A+1} wz and C_ij[A, B] = X^{A+1} K_B - X^{B+1} K_A (antisymmetric).
+    Vectorized over an array of fiber points and a batch of base points.
     """
     cfg = cfg or FDConfig()
     x = np.asarray(x, dtype=float)
@@ -257,9 +301,9 @@ def dbar_chart0(form, z, x, cfg=None):
     m = 2 * form.n
     Xw = frame_apply(form.wz, z, x, cfg)
     C_zi = -Xw
-    C_ij = np.zeros((m, m) + z.shape, dtype=complex)
+    C_ij = np.zeros((m,) + Xw.shape, dtype=complex)
     if form.has_K:
-        XK = np.zeros((m, m) + z.shape, dtype=complex)  # XK[A, B] = X^{A+1} K_B
+        XK = np.zeros((m,) + Xw.shape, dtype=complex)  # XK[A, B] = X^{A+1} K_B
         for B, kb in enumerate(form.K_parts):
             if kb is None:
                 continue
@@ -270,14 +314,18 @@ def dbar_chart0(form, z, x, cfg=None):
 
 
 def tau_push_02(form, x, cfg=None, quad=None):
-    """Push the (0,2)-part down: one moment per base direction, shape (2n,).
+    """Push the (0,2)-part down: one moment per base direction.
 
-    This is the tau-level closedness obstruction; on lifts of pairs it equals
-    KAPPA times the interleaved Cauchy-Fueter residual.
+    x (..., 4n) -> (..., 2n).  This is the tau-level closedness obstruction;
+    on lifts of pairs it equals KAPPA times the interleaved Cauchy-Fueter
+    residual.
     """
     Z, W = quadrature_nodes(quad)
-    C = dbar_chart0(form, Z, x, cfg)["C_zi"]
-    return C @ W.astype(complex)
+    W = W.astype(complex)
+    x = np.asarray(x, dtype=float)
+    # one stencil pass evaluates the profile at 2 * 4n points per base point
+    return _chunked(lambda b: (dbar_chart0(form, Z, b, cfg)["C_zi"] @ W).T,
+                    x, Z.size * 2 * x.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +360,8 @@ def transform_pair_field(form, quad=None, name=None):
 
     def component(A):
         def f(v):
-            v = np.asarray(v, dtype=complex)
-            pts = quat.ab_to_real(v.reshape(-1, v.shape[-1]))
-            vals = np.array([tau_push_01(form, p, quad)[A] for p in pts])
-            return vals.reshape(v.shape[:-1])
+            pts = quat.ab_to_real(np.asarray(v, dtype=complex))
+            return tau_push_01(form, pts, quad)[..., A]
         return f
 
     return ScalarField(component(0), component(1), n=form.n, domain=form.domain,
@@ -330,16 +376,16 @@ def penrose_transform(form, points, cfg=None, quad=None, closed_tol=1e-4,
     of the given points and requires every component below
     closed_tol * max(1, output scale); otherwise ClosednessError.  With
     ``check_monogenic`` the Cauchy-Fueter residual of the quadrature-backed
-    output is differenced at every point and the maximum reported.
+    output is differenced at every point and the maximum reported; each
+    stencil point costs one fiber pass for both components.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.stack([tau_push_01(form, p, quad) for p in points])
+    values = tau_push_01(form, points, quad)
     scale = max(1.0, float(np.max(np.abs(values))))
 
     stride = max(1, len(points) // max_certificate_points)
     cert_pts = points[::stride][:max_certificate_points]
-    cert = max(float(np.max(np.abs(tau_push_02(form, p, cfg, quad))))
-               for p in cert_pts)
+    cert = float(np.max(np.abs(tau_push_02(form, cert_pts, cfg, quad))))
     if cert > closed_tol * scale:
         raise ClosednessError(
             "tau-level closedness certificate %.3e exceeds %.3e"
@@ -347,9 +393,8 @@ def penrose_transform(form, points, cfg=None, quad=None, closed_tol=1e-4,
 
     cf_max = None
     if check_monogenic:
-        out_field = transform_pair_field(form, quad)
-        res = cf_residual_complex(out_field.pair0, out_field.pair1, points,
-                                  cfg, domain=form.domain)
+        res = _residual_of_pair(lambda pts: tau_push_01(form, pts, quad)[..., :2],
+                                points, cfg, domain=form.domain)
         cf_max = float(np.max(np.abs(res)))
     return PenroseResult(points, values, cert, closed_tol, cf_max)
 
@@ -381,7 +426,7 @@ def penrose_transform_complex(form, sigma, cfg=None, quad=None,
         raise ValueError(
             "form has no holomorphic matrix extension; the complexified "
             "transform off the real slice requires wz_matrix")
-    return _fiber_moments(lambda z: form.wz_matrix(z, mat), -form.k - 1, quad)
+    return _fiber_moments(form.wz_matrix, mat, -form.k - 1, quad, point_ndim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +441,7 @@ def diagram_check(field, points, cfg=None, quad=None, kappa=KAPPA):
     """
     form = sharp(field)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    lhs = np.stack([tau_push_02(form, p, cfg, quad) for p in points])
+    lhs = tau_push_02(form, points, cfg, quad)
     rhs = cf_residual_complex(field.pair0, field.pair1, points, cfg,
                               domain=field.domain)
     disc = np.abs(lhs - kappa * rhs)
@@ -424,7 +469,7 @@ def calibrate_kappa(n=1, count=5, seed=11, cfg=None, quad=None):
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(count, 4 * n))
     form = sharp(field)
-    lhs = np.stack([tau_push_02(form, p, cfg, quad) for p in points])
+    lhs = tau_push_02(form, points, cfg, quad)
     rhs = cf_residual_complex(field.pair0, field.pair1, points, cfg,
                               domain=field.domain)
     denom = np.sum(np.abs(rhs) ** 2)

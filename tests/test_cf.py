@@ -136,15 +136,6 @@ def test_is_monogenic_report_and_verdicts():
     assert loose["verdict"] is True
 
 
-def test_is_monogenic_thread_option_is_deterministic():
-    rng = np.random.default_rng(16)
-    pts = _shell(rng, 12)
-    field = fields.get_field("nonmonogenic_quadratic")
-    a = cf.is_monogenic(field, pts, threads=1)
-    b = cf.is_monogenic(field, pts, threads=2)
-    assert a["max_residual"] == b["max_residual"]
-
-
 def test_complexified_operator_annihilates_extended_fundamental_solution():
     ext = fields.get_field("E_ext")
     rng = np.random.default_rng(17)

@@ -156,16 +156,3 @@ def test_report_envelope_goes_to_stdout_without_a_path(capsys):
     assert abs(coeffs[0][0] - 1.0) < 1e-10 and abs(coeffs[0][1]) < 1e-10
     assert abs(coeffs[1][0]) < 1e-10 and abs(coeffs[1][1] + 0.5) < 1e-10
 
-
-def test_threads_flag_sets_the_environment(capsys):
-    before = os.environ.get("FUETER_THREADS")
-    try:
-        code = cli.main(["--threads", "2", "cp1", "dim", "--k", "-4"])
-        assert code == 0
-        assert os.environ.get("FUETER_THREADS") == "2"
-    finally:
-        if before is None:
-            os.environ.pop("FUETER_THREADS", None)
-        else:
-            os.environ["FUETER_THREADS"] = before
-        capsys.readouterr()

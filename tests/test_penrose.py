@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fueter import cf, cp1, fields, penrose, quat
+from fueter import acceptance, cf, cp1, fields, penrose, quat
 
 
 def _shell(rng, count, rmin=0.6, rmax=2.2):
@@ -55,7 +57,8 @@ def test_frame_fields_differentiate_the_coordinates():
     # f = z*beta + conj(alpha) is built so the first frame field returns
     # z^2 - 1 and the second returns 0
     def f(zs, p):
-        return (p[..., 3] + 1j * p[..., 2]) * zs + (p[..., 0] - 1j * p[..., 1])
+        return (p[..., 3, None] + 1j * p[..., 2, None]) * zs \
+            + (p[..., 0, None] - 1j * p[..., 1, None])
 
     zs = np.array([0.5 + 0.5j, 1.0 - 2.0j, -0.3j])
     x = np.array([0.8, -0.3, 0.5, 0.4])
@@ -215,3 +218,99 @@ def test_two_variable_splitting_identity():
     got = penrose.tau_push_01(form, x)
     expected = np.asarray(field.pair(x))
     np.testing.assert_allclose(got, expected, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# batched base points: one fiber pass per batch equals stacked single points
+# ---------------------------------------------------------------------------
+
+_BATCHED = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+@st.composite
+def _base_batch(draw):
+    n = draw(st.sampled_from([1, 2]))
+    lead = draw(st.sampled_from([(3,), (2, 2)]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return n, _shell(np.random.default_rng(seed), int(np.prod(lead)) * n,
+                     0.6, 2.0).reshape(lead + (4 * n,))
+
+
+def _stacked(fn, x):
+    """fn at every single point of the batch x (..., 4n), stacked on the lead."""
+    flat = x.reshape(-1, x.shape[-1])
+    out = np.stack([fn(p) for p in flat])
+    return out.reshape(x.shape[:-1] + out.shape[1:])
+
+
+def _assert_rel(got, expected, rtol=1e-13):
+    np.testing.assert_allclose(got, expected, rtol=0,
+                               atol=rtol * max(1.0, np.abs(expected).max()))
+
+
+@_BATCHED
+@given(_base_batch())
+def test_batched_pushforwards_match_single_points(case):
+    n, x = case
+    form = penrose.sharp(fields.get_field("nonmonogenic_quadratic", n))
+    one = penrose.tau_push_01(form, x)
+    assert one.shape == x.shape[:-1] + (2,)
+    _assert_rel(one, _stacked(lambda p: penrose.tau_push_01(form, p), x))
+    two = penrose.tau_push_02(form, x)
+    assert two.shape == x.shape[:-1] + (2 * n,)
+    assert np.abs(two).max() > 1e-2  # a non-closed form: nothing cancels
+    _assert_rel(two, _stacked(lambda p: penrose.tau_push_02(form, p), x))
+
+
+@_BATCHED
+@given(_base_batch())
+def test_batched_frame_fields_match_single_points(case):
+    n, x = case
+    form = penrose.sharp(fields.get_field("nonmonogenic_quadratic", n))
+    zs = np.array([0.5 + 0.5j, 1.0 - 2.0j, -0.3j])
+    rows = penrose.frame_apply(form.wz, zs, x)
+    assert rows.shape == (2 * n,) + x.shape[:-1] + zs.shape
+    each = _stacked(lambda p: penrose.frame_apply(form.wz, zs, p), x)
+    _assert_rel(np.moveaxis(rows, 0, x.ndim - 1), each)
+
+
+@_BATCHED
+@given(_base_batch())
+def test_base_independent_profiles_broadcast_over_the_batch(case):
+    n, x = case
+    a0, a1 = 0.7 - 0.3j, -1.1 + 0.25j
+    w = cp1.harmonic_representative(a0, a1)
+    form = penrose.TwistorFormL(
+        n, lambda z, p: w.h0(z) * np.ones(np.shape(z), dtype=complex))
+    got = penrose.tau_push_01(form, x)
+    assert got.shape == x.shape[:-1] + (2,)
+    np.testing.assert_allclose(got, np.broadcast_to([a0, a1], got.shape),
+                               atol=1e-10)
+    closed = penrose.tau_push_02(form, x)
+    assert closed.shape == x.shape[:-1] + (2 * n,)
+    assert np.abs(closed).max() < 1e-12
+
+
+@_BATCHED
+@given(st.sampled_from([1, 2]), st.integers(1, 25), st.integers(0, 2 ** 32 - 1))
+def test_transform_batches_across_chunks_match_single_points(n, extra, seed):
+    # more base points than one chunk holds, so the batch is split and
+    # restacked; every row must still be its own point's value
+    Z, _ = cp1.quadrature_nodes()
+    count = penrose._CHUNK_ELEMENTS // Z.size + extra
+    field = fields.get_field("linear_monogenic", n)
+    form = penrose.sharp(field)
+    points = _shell(np.random.default_rng(seed), count * n,
+                    0.6, 2.0).reshape(count, 4 * n)
+    result = penrose.penrose_transform(form, points)
+    assert result.values.shape == (count, 2)
+    _assert_rel(result.values,
+                np.stack([penrose.tau_push_01(form, p) for p in points]))
+    assert result.cf_residual_max < 1e-4
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 16))
+def test_complex_transform_real_slice_stays_bitwise(seed):
+    record = acceptance.criterion_8_complex_transform(seed=seed)
+    assert record["details"]["real_slice_bitwise"] is True
