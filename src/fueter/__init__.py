@@ -53,7 +53,6 @@ from .cf import (
 )
 from .fields import ComplexField, ScalarField, field_names, get_field, make_pair
 from .hull import (
-    COV_CONST,
     HullQuery,
     ImUnitSphereSampler,
     NotInHullError,
@@ -128,7 +127,7 @@ __all__ = [
     # fields
     "ComplexField", "ScalarField", "field_names", "get_field", "make_pair",
     # hull
-    "COV_CONST", "HullQuery", "ImUnitSphereSampler", "NotInHullError",
+    "HullQuery", "ImUnitSphereSampler", "NotInHullError",
     "fibonacci_imaginary_sphere", "hull_contains", "hull_distance",
     "hull_witness",
     # twistor

@@ -230,24 +230,23 @@ def dC_apply(psiC, sigma, cfg=None):
     """
     cfg = cfg or FDConfig(scheme="richardson")
     z = np.asarray(getattr(sigma, "matrix", sigma), dtype=complex)
-    if z.ndim < 2 or z.shape[-1] != 2:
-        raise ValueError("sigma must be a (..., 2n, 2) matrix")
-    rows = z.shape[-2]
+    rows = 2 * psiC.n
+    if z.shape[-2:] != (rows, 2):
+        raise ValueError("sigma must be a (..., %d, 2) matrix" % rows)
     scale = np.sqrt(np.sum(np.abs(z) ** 2, axis=(-2, -1)))
     h = cfg.resolve_step(scale, factor=1e-4)
 
-    def partial(which, A, col, step):
+    def partial(component, A, col, step):
         e = np.zeros((rows, 2))
         e[A, col] = 1.0
         sp = step[..., None, None] * e if np.ndim(step) else step * e
-        fp = psiC.pair(z + sp)[which]
-        fm = psiC.pair(z - sp)[which]
-        return (fp - fm) / (2.0 * step)
+        return (component(z + sp) - component(z - sp)) / (2.0 * step)
 
     def all_components(step):
         out = np.empty(z.shape[:-2] + (rows,), dtype=complex)
         for A in range(rows):
-            out[..., A] = partial(1, A, 0, step) - partial(0, A, 1, step)
+            out[..., A] = (partial(psiC.pair1, A, 0, step)
+                           - partial(psiC.pair0, A, 1, step))
         return out
 
     if cfg.scheme == "central":

@@ -14,14 +14,20 @@ exact: band 0, never indeterminate, no lattice (``count`` 0).
 A domain without a closed form (a user-defined DomainSpec) falls back to a
 Fibonacci lattice scan followed by Nelder-Mead refinement in a 2D tangent
 chart.  g is Lipschitz in q with constant exactly ||y|| (chord metric), and
-the lattice's covering chord is <= COV_CONST/sqrt(count) (measured
-constant), so
+every point of the sphere lies within the lattice's covering chord c of a
+node, so
 
-    true min >= grid min - ||y|| * COV_CONST/sqrt(count).
+    true min >= grid min - ||y|| * c.
 
-Verdicts with 0 < inf_value <= twice that bound are flagged indeterminate
-rather than trusted.  Points with y = 0 short-circuit to plain membership of
-x (the infimand is constant), which keeps the real slice exact.
+c is exact, not measured: ``covering_chord`` reads it off the convex hull of
+the nodes (the spherical Delaunay triangulation), whose outward facet normals
+are the spherical-Voronoi vertices.  Verdicts with 0 < inf_value <= twice
+that bound are flagged indeterminate rather than trusted.  Points with y = 0
+short-circuit to plain membership of x (the infimand is constant), which
+keeps the real slice exact.
+
+The twistor-line test (``fueter.twistor.hull_contains_via_lines``) runs the
+same sweep core on its Hopf grid.
 
 The distance of an interior point to the hull boundary is
 
@@ -37,20 +43,16 @@ import functools
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import ConvexHull
 
 from . import quat
 from .quat import BiquaternionPoint
 
 __all__ = [
-    "ImUnitSphereSampler", "HullQuery", "NotInHullError",
+    "ImUnitSphereSampler", "HullQuery", "NotInHullError", "covering_chord",
     "fibonacci_imaginary_sphere", "hull_contains", "hull_distance",
     "hull_witness",
 ]
-
-# Measured covering constant of the Fibonacci lattice on S^2: the maximal
-# chord distance to the nearest node stays below 2.8/sqrt(count) for all
-# counts >= 12 (empirically ~2.7/sqrt(count)).
-COV_CONST = 2.8
 
 # inf_value must exceed this (times the point's scale) for a True verdict
 _TINY = 1e-12
@@ -83,15 +85,33 @@ def _fibonacci_lattice(count):
     return q
 
 
-class ImUnitSphereSampler:
-    """Fibonacci lattice on the unit imaginary sphere + local-search config."""
+@functools.lru_cache(maxsize=32)
+def _lattice_covering(count):
+    return covering_chord(_fibonacci_lattice(count))
 
-    def __init__(self, count=512, nm_maxiter=200, nm_tol=1e-12):
+
+def covering_chord(qs):
+    """Covering radius (chord metric) of unit imaginary quaternions qs (K, 4).
+
+    The largest distance from a point of S^2 to its nearest node.  It is
+    attained at a spherical-Voronoi vertex, which is the outward normal of a
+    facet of the nodes' convex hull; the chord from it to the facet's
+    vertices is the radius of the facet's empty cap.  The nodes must not all
+    lie in one closed hemisphere.
+    """
+    u = np.asarray(qs, dtype=float)[:, 1:]
+    facets = ConvexHull(u)
+    normals = facets.equations[:, None, :3]
+    return float(np.linalg.norm(normals - u[facets.simplices], axis=-1).max())
+
+
+class ImUnitSphereSampler:
+    """Fibonacci lattice on the unit imaginary sphere + local search."""
+
+    def __init__(self, count=512):
         if count < 12:
             raise ValueError("sampler count must be >= 12")
         self.count = int(count)
-        self.nm_maxiter = int(nm_maxiter)
-        self.nm_tol = float(nm_tol)
         self._lattice = fibonacci_imaginary_sphere(self.count)
 
     @property
@@ -100,7 +120,8 @@ class ImUnitSphereSampler:
 
     @property
     def covering_chord(self):
-        return COV_CONST / np.sqrt(self.count)
+        """Exact covering chord of the lattice (computed once per count)."""
+        return _lattice_covering(self.count)
 
     def refine(self, g_of_u, u0):
         """Nelder-Mead for min of g over S^2 in a tangent chart at u0.
@@ -120,14 +141,14 @@ class ImUnitSphereSampler:
 
         def chart(st):
             v = u0 + st[0] * e1 + st[1] * e2
-            return v / np.linalg.norm(v)
+            return v / np.sqrt(v.dot(v))
 
         s = self.covering_chord
         res = minimize(lambda st: g_of_u(chart(st)), x0=[0.0, 0.0],
                        method="Nelder-Mead",
                        options={"initial_simplex": [[0.0, 0.0], [s, 0.0], [0.0, s]],
-                                "maxiter": self.nm_maxiter,
-                                "xatol": self.nm_tol, "fatol": self.nm_tol})
+                                "maxiter": 200, "xatol": 1e-12,
+                                "fatol": 1e-12})
         return float(res.fun), chart(res.x)
 
 
@@ -176,6 +197,30 @@ def _line_points(x, y, qs):
     return x + quat.qmul_right(y, qs)
 
 
+def _line_point_of_u(x, y):
+    """u -> x + y*(0, u) for one unit 3-vector u, as _line_points gives it.
+
+    The local search evaluates one point at a time, where qmul's per-call
+    overhead dominates.  With q0 = 0 each component of y_l * q is a sum of
+    three products; their coefficients and the order in which qmul adds them
+    are fixed here once, so a call is one gather, one product and two sums,
+    and its result equals _line_points(x, y, [(0, u)])[0] bit for bit (up to
+    the sign of a zero).
+    """
+    p0, p1, p2, p3 = np.asarray(y, dtype=float).reshape(-1, 4).T
+    # terms t = 0, 1, 2 of components 0..3, in qmul's order of summation
+    coef = np.stack([np.stack([-p1, p0, p0, p0], axis=-1),
+                     np.stack([-p2, p2, -p1, p1], axis=-1),
+                     np.stack([-p3, -p3, p3, -p2], axis=-1)]).reshape(3, -1)
+    idx = np.tile([[0, 0, 1, 2], [1, 2, 2, 1], [2, 1, 0, 0]], (1, len(p0)))
+
+    def line_point(u):
+        w = coef * np.asarray(u)[idx]
+        return x + ((w[0] + w[1]) + w[2])
+
+    return line_point
+
+
 def hull_contains(sigma, U, sampler=None, refine="auto"):
     """Decide sigma in H(U); returns a HullQuery.
 
@@ -184,57 +229,60 @@ def hull_contains(sigma, U, sampler=None, refine="auto"):
     to run the local search: "auto" only when the grid result is inside the
     indeterminate band, "always"/"never" force the obvious behaviors.
     """
-    pt = _as_point(sigma, getattr(U, "n", None))
+    pt = _as_point(sigma)
+    if U.sweep_inf is not None:
+        return _sweep(pt, U, None, 0.0, None, refine)
+    sampler = sampler or ImUnitSphereSampler()
+    return _sweep(pt, U, sampler.lattice, sampler.covering_chord, sampler,
+                  refine)
+
+
+def _sweep(pt, U, qs, cover, sampler, refine):
+    """Minimum of ext_distance over the swept set of pt, as a HullQuery.
+
+    qs None: the exact ``U.sweep_inf`` (band 0, count 0).  Otherwise the
+    grid qs (K, 4) of unit imaginary quaternions, whose covering chord is
+    cover, is scanned and ``sampler.refine`` runs as refine says (see
+    hull_contains).  With y = 0 nothing is scanned (count 0).
+    """
     if pt.n != U.n:
         raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
-    sweep_inf = U.sweep_inf
-    count = 0
-    if sweep_inf is None:
-        sampler = sampler or ImUnitSphereSampler()
-        count = sampler.count
     x = pt.x.arr
     y = pt.y.arr
     ynorm = float(quat.qnorm(y))
-    scale = max(1.0, pt.norm_C())
 
     if ynorm == 0.0:
         # the swept set is {x}: membership is exact
-        inf_value = float(U.ext_distance(x))
-        return HullQuery(pt, bool(U.contains(x)), inf_value,
-                         np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, count)
+        return HullQuery(pt, bool(U.contains(x)), float(U.ext_distance(x)),
+                         np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, 0)
 
-    if sweep_inf is not None:
-        inf_value, argmin = sweep_inf(x, y)
+    if qs is None:
+        inf_value, argmin = U.sweep_inf(x, y)
         band = 0.0
+        count = 0
     else:
-        inf_value, argmin, band = _lattice_inf(x, y, ynorm, U, sampler, refine)
+        vals = U.ext_distance(_line_points(x, y, qs))
+        i0 = int(np.argmin(vals))
+        inf_value = float(vals[i0])
+        argmin = qs[i0]
+        band = 2.0 * ynorm * cover
+        count = len(qs)
+        do_refine = (refine == "always" or
+                     (refine == "auto" and 0.0 < inf_value <= band))
+        if do_refine and np.isfinite(inf_value):
+            line_point = _line_point_of_u(x, y)
 
-    verdict = inf_value > _TINY * scale
+            def g_of_u(u):
+                return float(U.ext_distance(line_point(u)))
+
+            fval, u_best = sampler.refine(g_of_u, qs[i0, 1:])
+            if fval < inf_value:
+                inf_value = fval
+                argmin = np.concatenate([[0.0], u_best])
+
+    verdict = inf_value > _TINY * max(1.0, pt.norm_C())
     return HullQuery(pt, verdict, inf_value, argmin, band,
                      0.0 < inf_value <= band, count)
-
-
-def _lattice_inf(x, y, ynorm, U, sampler, refine):
-    """Lattice scan (+ local refinement): (inf_value, argmin_q, band)."""
-    qs = sampler.lattice
-    vals = U.ext_distance(_line_points(x, y, qs))
-    i0 = int(np.argmin(vals))
-    inf_value = float(vals[i0])
-    argmin = qs[i0]
-    band = 2.0 * ynorm * sampler.covering_chord
-
-    do_refine = (refine == "always" or
-                 (refine == "auto" and 0.0 < inf_value <= band))
-    if do_refine and np.isfinite(inf_value):
-        def g_of_u(u):
-            q = np.concatenate([[0.0], u])
-            return float(U.ext_distance(_line_points(x, y, q[None, :])[0]))
-
-        fval, u_best = sampler.refine(g_of_u, qs[i0, 1:])
-        if fval < inf_value:
-            inf_value = fval
-            argmin = np.concatenate([[0.0], u_best])
-    return inf_value, argmin, band
 
 
 def hull_distance(sigma, U, sampler=None):

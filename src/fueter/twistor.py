@@ -33,6 +33,9 @@ pair (a, b) with |a|^2 + |b|^2 = 1:
     q(a, b) = (|a|^2 - |b|^2) i + 2 j conj(a) b,
 
 covered by the Hopf-style grid a = sqrt(t), b = sqrt(1-t) e^{i theta}.
+hull_contains_via_lines scans that grid with the sweep core of
+``fueter.hull`` (band from the grid's exact covering chord, then local
+refinement), so it decides the same infimum as hull_contains on another grid.
 """
 
 import functools
@@ -40,7 +43,8 @@ import functools
 import numpy as np
 
 from . import quat
-from .hull import HullQuery, ImUnitSphereSampler, _TINY, _as_point, _line_points
+from .hull import (ImUnitSphereSampler, _as_point, _line_points, _sweep,
+                   covering_chord)
 
 __all__ = [
     "TwistorPoint", "FiberPoint", "TwistorLine", "OutsideChartsError",
@@ -235,29 +239,6 @@ def line_base_points(sigma, zs):
 # quaternionic line sweeps
 # ---------------------------------------------------------------------------
 
-_covering_cache = {}
-
-
-def _grid_covering(qs):
-    """Measured covering chord of a quaternion grid on the unit sphere.
-
-    The Hopf product grid is not quasi-uniform (polar caps dominate), so the
-    covering radius is estimated against a fixed dense probe set, padded by
-    15%, and cached per grid.  Deterministic: the probe seed is fixed.
-    """
-    key = qs.tobytes()
-    if key not in _covering_cache:
-        probe = np.random.default_rng(902).normal(size=(20000, 3))
-        probe /= np.linalg.norm(probe, axis=1, keepdims=True)
-        best = np.full(len(probe), -1.0)
-        u = qs[:, 1:]
-        for i in range(0, len(probe), 4096):
-            best[i:i + 4096] = (probe[i:i + 4096] @ u.T).max(axis=1)
-        cov = float(np.sqrt(max(0.0, 2.0 - 2.0 * best.min())))
-        _covering_cache[key] = 1.15 * cov
-    return _covering_cache[key]
-
-
 def hopf_grid(n_t=24, n_theta=24):
     """Complex pairs (a, b), |a|^2+|b|^2 = 1, covering the unit sphere fiber."""
     t = (np.arange(n_t) + 0.5) / n_t
@@ -290,54 +271,19 @@ def line_sweep(sigma, pairs=None):
     return _line_points(pt.x.arr, pt.y.arr, qs)
 
 
-def hull_contains_via_lines(sigma, U, pairs=None, sampler=None,
-                            return_query=False):
-    """Line-containment test of hull membership (grid + local refinement).
+def hull_contains_via_lines(sigma, U, sampler=None, return_query=False):
+    """Line-containment test of hull membership (Hopf grid + local refinement).
 
-    True iff every swept base point lies in U, certified with the same
-    band policy as hull_contains: the sweep is the same set {x + y q}, so the
-    covering bound of the refinement sampler applies unchanged.
+    True iff every swept base point lies in U.  The grid is the Hopf grid
+    sized from the sampler's count, and the scan, band, refinement and
+    verdict are those of hull_contains (the sweep is the same set {x + y q}),
+    with the grid's own exact covering chord.  Returns the HullQuery when
+    return_query is set, else the verdict.
     """
-    pt = _as_point(sigma)
-    if pt.n != U.n:
-        raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
-    x = pt.x.arr
-    y = pt.y.arr
-    ynorm = float(quat.qnorm(y))
-    scale = max(1.0, pt.norm_C())
     sampler = sampler or ImUnitSphereSampler()
-
-    if ynorm == 0.0:
-        verdict = bool(U.contains(x))
-        if return_query:
-            return HullQuery(pt, verdict, float(U.ext_distance(x)),
-                             np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, 0)
-        return verdict
-
-    if pairs is None:
-        qs, cover = _default_sweep(sampler.count)
-    else:
-        qs = sweep_quaternions(pairs)
-        cover = _grid_covering(qs)
-    vals = U.ext_distance(_line_points(x, y, qs))
-    i0 = int(np.argmin(vals))
-    inf_value = float(vals[i0])
-    band = 2.0 * ynorm * cover
-
-    if np.isfinite(inf_value) and 0.0 < inf_value <= band:
-        def g_of_u(u):
-            q = np.concatenate([[0.0], u])
-            return float(U.ext_distance(_line_points(x, y, q[None, :])[0]))
-
-        fval, u_best = sampler.refine(g_of_u, qs[i0, 1:])
-        if fval < inf_value:
-            inf_value = fval
-
-    verdict = inf_value > _TINY * scale
-    if return_query:
-        return HullQuery(pt, verdict, inf_value, qs[i0], band,
-                         0.0 < inf_value <= band, len(qs))
-    return verdict
+    qs, cover = _default_sweep(sampler.count)
+    query = _sweep(_as_point(sigma), U, qs, cover, sampler, "auto")
+    return query if return_query else query.verdict
 
 
 @functools.lru_cache(maxsize=32)
@@ -346,4 +292,4 @@ def _default_sweep(count):
     n_t = max(4, int(np.sqrt(count)))
     qs = sweep_quaternions(hopf_grid(n_t, max(4, count // n_t)))
     qs.flags.writeable = False
-    return qs, _grid_covering(qs)
+    return qs, covering_chord(qs)

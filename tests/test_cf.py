@@ -150,6 +150,51 @@ def test_complexified_operator_annihilates_extended_fundamental_solution():
         checked += 1
 
 
+def _dC_apply_via_pair(psiC, z, cfg):
+    """Reference D^C: every derivative differences the stacked pair."""
+    rows = z.shape[-2]
+    h = cfg.resolve_step(np.sqrt(np.sum(np.abs(z) ** 2, axis=(-2, -1))),
+                         factor=1e-4)
+
+    def partial(which, A, col, step):
+        e = np.zeros((rows, 2))
+        e[A, col] = 1.0
+        sp = step[..., None, None] * e
+        return (psiC.pair(z + sp)[which] - psiC.pair(z - sp)[which]) / (2.0 * step)
+
+    def all_components(step):
+        out = np.empty(z.shape[:-2] + (rows,), dtype=complex)
+        for A in range(rows):
+            out[..., A] = partial(1, A, 0, step) - partial(0, A, 1, step)
+        return out
+
+    return (4.0 * all_components(h / 2) - all_components(h)) / 3.0
+
+
+def test_complexified_operator_evaluates_each_component_once_per_stencil_point():
+    ext = fields.get_field("E_ext")
+    calls = {"pair0": 0, "pair1": 0}
+
+    def counted(name, fn):
+        def wrapped(z):
+            calls[name] += 1
+            return fn(z)
+        return wrapped
+
+    probe = fields.ComplexField(counted("pair0", ext.pair0),
+                                counted("pair1", ext.pair1), n=1)
+    rng = np.random.default_rng(19)
+    Z = np.stack([quat.matrix_point(rng.normal(size=4), 0.2 * rng.normal(size=4))
+                  for _ in range(5)])
+    out = cf.dC_apply(probe, Z)
+    # Richardson: 2 step sizes x 2 rows x (+/-) per component
+    assert calls == {"pair0": 8, "pair1": 8}
+    ref = _dC_apply_via_pair(ext, Z, cf.FDConfig(scheme="richardson"))
+    np.testing.assert_array_equal(out, ref)
+    with pytest.raises(ValueError):
+        cf.dC_apply(probe, np.zeros((5, 4, 2), dtype=complex))
+
+
 def test_complexified_operator_detects_non_holomorphic_dependence():
     # conjugating one matrix entry breaks holomorphy, so the residual of the
     # anti-holomorphic derivative probe is far from zero

@@ -372,3 +372,137 @@ def test_punctured_space_witness_is_outside_the_hull(n, data):
     witness, _ = hull.hull_witness(sigma, star)
     assert abs((sigma - witness).norm_C() - d) <= 1e-9 * max(d, 1.0)
     assert hull.hull_contains(witness, star).verdict is False
+
+
+# ---------------------------------------------------------------------------
+# exact covering chords and the bands of both sampled sweep paths
+# ---------------------------------------------------------------------------
+
+def test_covering_chord_of_the_octahedron():
+    # the empty caps sit over the 8 faces, centred at (+-1, +-1, +-1)/sqrt 3
+    q = np.zeros((6, 4))
+    q[:, 1:] = np.concatenate([np.eye(3), -np.eye(3)])
+    assert hull.covering_chord(q) == pytest.approx(np.sqrt(2 - 2 / np.sqrt(3)),
+                                                   rel=1e-14)
+
+
+@pytest.mark.parametrize("count", [450, 5000])
+def test_covering_chord_is_not_beaten_by_a_dense_probe(count):
+    # counts outside the ranges (12-399, 512-4096) over which the old
+    # measured constant 2.8/sqrt(count) was checked
+    from scipy.spatial import cKDTree
+    sampler = hull.ImUnitSphereSampler(count)
+    probes = np.random.default_rng(24).normal(size=(200000, 3))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    gaps, _ = cKDTree(sampler.lattice[:, 1:]).query(probes)
+    assert gaps.max() <= sampler.covering_chord
+    assert gaps.max() > 0.9 * sampler.covering_chord
+
+
+class _CountingSampler(hull.ImUnitSphereSampler):
+    refined = 0
+
+    def refine(self, g_of_u, u0):
+        self.refined += 1
+        return super().refine(g_of_u, u0)
+
+
+def test_refined_arg_min_attains_the_reported_value():
+    # after a refinement the arg-min is the refined point, not the grid node
+    # the local search started from, on both sampled paths
+    ball = domains.Ball(1, 1.0)
+    sampler = _CountingSampler()
+    paths = (
+        lambda s: hull.hull_contains(s, _LatticeBall(1, 1.0), sampler),
+        lambda s: twistor.hull_contains_via_lines(s, ball, sampler=sampler,
+                                                  return_query=True),
+    )
+    rng = np.random.default_rng(1)
+    checked = [0, 0]
+    for _ in range(200):
+        sigma = _pt(0.3 * rng.normal(size=4), 0.3 * rng.normal(size=4))
+        for k, path in enumerate(paths):
+            before = sampler.refined
+            query = path(sigma)
+            if sampler.refined == before:
+                continue
+            x, y = sigma.x.arr, sigma.y.arr
+            at_q = ball.ext_distance(
+                hull._line_points(x, y, query.argmin_q[None, :])[0])
+            assert at_q == pytest.approx(query.inf_value, rel=0, abs=1e-15)
+            checked[k] += 1
+    assert min(checked) >= 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_local_search_point_equals_the_scanned_point(n):
+    # the one-point evaluation of the local search is the scan's x + y*q,
+    # bit for bit, so refinement and scan never disagree on a value
+    rng = np.random.default_rng(n)
+    for _ in range(300):
+        x = rng.normal(size=4 * n)
+        y = rng.normal(size=4 * n) * 10.0 ** rng.integers(-3, 4)
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        q = np.concatenate([[0.0], u])
+        np.testing.assert_array_equal(hull._line_point_of_u(x, y)(u),
+                                      hull._line_points(x, y, q[None, :])[0])
+
+
+class _Sampled(domains.DomainSpec):
+    """The oracles of a built-in domain without its closed-form sweep."""
+
+    def __init__(self, U):
+        super().__init__(U.n)
+        self.U = U
+
+    def ext_distance(self, p):
+        return self.U.ext_distance(p)
+
+
+@st.composite
+def _near_boundary_case(draw):
+    # scale y to the smallest positive exact sweep minimum along a ray of
+    # scales (the hull boundary for a ball or a half-space), then jitter
+    n = draw(st.sampled_from([1, 2]))
+    U = draw(_simple_domain(n))
+    x = draw(_vec(n))
+    y = draw(_vec(n).filter(lambda v: np.linalg.norm(v) > 1e-2))
+    s = np.linspace(0.0, 3.0, 601)[1:]
+    vals, _ = U.sweep_inf(np.broadcast_to(x, (s.size, x.size)), s[:, None] * y)
+    assume(np.any(vals > 0))
+    s0 = s[np.argmin(np.where(vals > 0, vals, np.inf))]
+    y = s0 * draw(st.floats(0.9, 1.1)) * y
+    return U, x, y, draw(st.integers(12, 5000))
+
+
+_BAND_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@_BAND_PROPERTY
+@given(_near_boundary_case())
+def test_lattice_band_contains_the_exact_sweep_minimum(case):
+    U, x, y, count = case
+    exact, _ = U.sweep_inf(x, y)
+    query = hull.hull_contains(_pt(x, y), _Sampled(U),
+                               hull.ImUnitSphereSampler(count), refine="never")
+    assert query.count == count
+    grid_min = query.inf_value
+    assert grid_min - query.band / 2 <= exact + 1e-12
+    assert exact <= grid_min + 1e-12
+
+
+@_BAND_PROPERTY
+@given(_near_boundary_case())
+def test_hopf_band_contains_the_exact_sweep_minimum(case):
+    U, x, y, count = case
+    exact, _ = U.sweep_inf(x, y)
+    query = twistor.hull_contains_via_lines(
+        _pt(x, y), U, sampler=hull.ImUnitSphereSampler(count),
+        return_query=True)
+    qs, _ = twistor._default_sweep(count)
+    assert query.count == len(qs)
+    grid_min = U.ext_distance(hull._line_points(x, y, qs)).min()
+    assert grid_min - query.band / 2 <= exact + 1e-12
+    assert exact <= query.inf_value + 1e-12
+    assert query.inf_value <= grid_min
