@@ -46,7 +46,6 @@ from .cf import (
     FDConfig,
     cf_apply,
     cf_residual_complex,
-    cf_residual_field,
     dC_apply,
     is_monogenic,
     residual_norm,
@@ -54,7 +53,6 @@ from .cf import (
 from .fields import ComplexField, ScalarField, field_names, get_field, make_pair
 from .hull import (
     HullQuery,
-    ImUnitSphereSampler,
     NotInHullError,
     fibonacci_imaginary_sphere,
     hull_contains,
@@ -105,7 +103,6 @@ from .penrose import (
     sharp,
     tau_push_01,
     tau_push_02,
-    transform_pair_field,
 )
 from .acceptance import CRITERIA, format_line, run_all
 
@@ -122,12 +119,11 @@ __all__ = [
     "PointComplement", "WholeSpace", "parse_domain",
     # cf
     "DomainError", "FDConfig", "cf_apply", "cf_residual_complex",
-    "cf_residual_field", "dC_apply", "is_monogenic",
-    "residual_norm",
+    "dC_apply", "is_monogenic", "residual_norm",
     # fields
     "ComplexField", "ScalarField", "field_names", "get_field", "make_pair",
     # hull
-    "HullQuery", "ImUnitSphereSampler", "NotInHullError",
+    "HullQuery", "NotInHullError",
     "fibonacci_imaginary_sphere", "hull_contains", "hull_distance",
     "hull_witness",
     # twistor
@@ -143,7 +139,7 @@ __all__ = [
     "KAPPA", "ClosednessError", "PenroseResult", "TwistorFormL",
     "calibrate_kappa", "dbar_chart0", "diagram_check", "frame_apply",
     "penrose_transform", "penrose_transform_complex", "sharp",
-    "tau_push_01", "tau_push_02", "transform_pair_field",
+    "tau_push_01", "tau_push_02",
     # acceptance
     "CRITERIA", "format_line", "run_all",
 ]

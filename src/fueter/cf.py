@@ -211,11 +211,6 @@ def _residual_of_pair(pair, p, cfg=None, domain=None):
     return out
 
 
-def cf_residual_field(psi, p, cfg=None):
-    """cf_residual_complex for a ScalarField (uses its own pair and domain)."""
-    return cf_residual_complex(psi.pair0, psi.pair1, p, cfg=cfg, domain=psi.domain)
-
-
 # ---------------------------------------------------------------------------
 # holomorphic operator
 # ---------------------------------------------------------------------------

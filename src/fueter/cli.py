@@ -21,8 +21,7 @@ from .cp1 import (BUMP_GRADE, QuadratureConfig, h1_dimension,
                   harmonic_representative, cohomology_coefficients, exact_form)
 from .domains import parse_domain
 from .fields import get_field, field_names, ScalarField
-from .hull import (hull_contains, hull_distance, hull_witness, NotInHullError,
-                   ImUnitSphereSampler)
+from .hull import hull_contains, hull_distance, hull_witness, NotInHullError
 from .penrose import (sharp, penrose_transform, penrose_transform_complex,
                       diagram_check, ClosednessError)
 from .twistor import line_sweep, hull_contains_via_lines, hopf_grid
@@ -109,11 +108,6 @@ def _parse_kv_spec(s, kind):
     return name, out
 
 
-def _sampler(args):
-    count = getattr(args, "count", None)
-    return ImUnitSphereSampler(count) if count else None
-
-
 # ---------------------------------------------------------------------------
 # handlers (return process exit code)
 # ---------------------------------------------------------------------------
@@ -146,23 +140,22 @@ def _cmd_cf_check(args):
 def _cmd_hull(args):
     U = parse_domain(args.domain)
     pt = _parse_sigma(args.sigma)
-    sampler = _sampler(args)
-    params = {"domain": args.domain, "sigma": pt.tolist(),
-              "count": getattr(args, "count", None)}
+    count_kw = {} if args.count is None else {"count": args.count}
+    params = {"domain": args.domain, "sigma": pt.tolist(), "count": args.count}
     if args.mode == "contains":
-        q = hull_contains(pt, U, sampler=sampler)
+        q = hull_contains(pt, U, **count_kw)
         _emit(args, "hull contains", params, q.to_json(), True)
         return 0
     if args.mode == "distance":
         try:
-            d = hull_distance(pt, U, sampler=sampler)
+            d = hull_distance(pt, U, **count_kw)
         except NotInHullError as e:
             _emit(args, "hull distance", params, {"error": str(e)}, False)
             raise CheckFailure("hull distance: %s" % e)
         _emit(args, "hull distance", params, {"distance": d}, True)
         return 0
     try:
-        w, q = hull_witness(pt, U, sampler=sampler)
+        w, q = hull_witness(pt, U, **count_kw)
     except NotInHullError as e:
         _emit(args, "hull witness", params, {"error": str(e)}, False)
         raise CheckFailure("hull witness: %s" % e)
@@ -190,7 +183,8 @@ def _cmd_twistor(args):
                   {"points": len(pts), "sweep": pts.tolist()}, True)
         return 0
     U = parse_domain(args.domain)
-    q = hull_contains_via_lines(pt, U, sampler=_sampler(args), return_query=True)
+    count_kw = {} if args.count is None else {"count": args.count}
+    q = hull_contains_via_lines(pt, U, return_query=True, **count_kw)
     _emit(args, "twistor hull-lines",
           {"domain": args.domain, "sigma": pt.tolist()}, q.to_json(), True)
     return 0
@@ -361,9 +355,9 @@ def _build_parser():
         hp.add_argument("--domain", required=True)
         hp.add_argument("--sigma", required=True)
         hp.add_argument("--count", type=int, default=None,
-                        help="imaginary-sphere sample count; used only by "
-                             "domains without a closed-form sweep (the "
-                             "built-ins are exact)")
+                        help="imaginary-sphere sample count (at least 12); "
+                             "every domain the CLI parses has a closed-form "
+                             "sweep, so it is only validated")
         common(hp)
         hp.set_defaults(func=_cmd_hull)
 
@@ -381,8 +375,8 @@ def _build_parser():
     hl.add_argument("--domain", required=True)
     hl.add_argument("--sigma", required=True)
     hl.add_argument("--count", type=int, default=None,
-                    help="sets the Hopf sweep grid size (about count nodes) "
-                         "and the refinement sampler")
+                    help="sets the Hopf sweep grid size (about count "
+                         "nodes, at least 12)")
     common(hl)
     hl.set_defaults(func=_cmd_twistor)
 

@@ -12,22 +12,25 @@ Every built-in domain knows that minimum in closed form
 exact: band 0, never indeterminate, no lattice (``count`` 0).
 
 A domain without a closed form (a user-defined DomainSpec) falls back to a
-Fibonacci lattice scan followed by Nelder-Mead refinement in a 2D tangent
-chart.  g is Lipschitz in q with constant exactly ||y|| (chord metric), and
-every point of the sphere lies within the lattice's covering chord c of a
-node, so
+scan of a Fibonacci lattice of ``count`` nodes (default 512, at least 12).
+g is Lipschitz in q with constant exactly ||y|| (chord metric), and every
+point of the sphere lies within the lattice's covering chord c of a node, so
 
     true min >= grid min - ||y|| * c.
 
 c is exact, not measured: ``covering_chord`` reads it off the convex hull of
 the nodes (the spherical Delaunay triangulation), whose outward facet normals
 are the spherical-Voronoi vertices.  Verdicts with 0 < inf_value <= twice
-that bound are flagged indeterminate rather than trusted.  Points with y = 0
-short-circuit to plain membership of x (the infimand is constant), which
-keeps the real slice exact.
+that bound are flagged indeterminate rather than trusted.  A grid minimum in
+that band (and every lattice query of hull_distance and hull_witness) is
+polished by a Nelder-Mead search in a 2D tangent chart at the best node,
+with a simplex edge of one covering chord.  Points with y = 0 short-circuit
+to plain membership of x (the infimand is constant), which keeps the real
+slice exact.
 
 The twistor-line test (``fueter.twistor.hull_contains_via_lines``) runs the
-same sweep core on its Hopf grid.
+same sweep core on its Hopf grid of about ``count`` nodes, with that grid's
+own covering chord.
 
 The distance of an interior point to the hull boundary is
 
@@ -49,13 +52,16 @@ from . import quat
 from .quat import BiquaternionPoint
 
 __all__ = [
-    "ImUnitSphereSampler", "HullQuery", "NotInHullError", "covering_chord",
+    "HullQuery", "NotInHullError", "covering_chord",
     "fibonacci_imaginary_sphere", "hull_contains", "hull_distance",
     "hull_witness",
 ]
 
 # inf_value must exceed this (times the point's scale) for a True verdict
 _TINY = 1e-12
+
+# nodes scanned on the unit imaginary sphere when a domain has no closed form
+_DEFAULT_COUNT = 512
 
 
 class NotInHullError(ValueError):
@@ -85,9 +91,18 @@ def _fibonacci_lattice(count):
     return q
 
 
+def _grid_count(count):
+    """count as an int; every sampled grid needs at least 12 nodes."""
+    if count < 12:
+        raise ValueError("sampler count must be >= 12")
+    return int(count)
+
+
 @functools.lru_cache(maxsize=32)
-def _lattice_covering(count):
-    return covering_chord(_fibonacci_lattice(count))
+def _lattice(count):
+    """Fibonacci lattice nodes for count and their covering chord."""
+    qs = _fibonacci_lattice(count)
+    return qs, covering_chord(qs)
 
 
 def covering_chord(qs):
@@ -103,53 +118,6 @@ def covering_chord(qs):
     facets = ConvexHull(u)
     normals = facets.equations[:, None, :3]
     return float(np.linalg.norm(normals - u[facets.simplices], axis=-1).max())
-
-
-class ImUnitSphereSampler:
-    """Fibonacci lattice on the unit imaginary sphere + local search."""
-
-    def __init__(self, count=512):
-        if count < 12:
-            raise ValueError("sampler count must be >= 12")
-        self.count = int(count)
-        self._lattice = fibonacci_imaginary_sphere(self.count)
-
-    @property
-    def lattice(self):
-        return self._lattice
-
-    @property
-    def covering_chord(self):
-        """Exact covering chord of the lattice (computed once per count)."""
-        return _lattice_covering(self.count)
-
-    def refine(self, g_of_u, u0):
-        """Nelder-Mead for min of g over S^2 in a tangent chart at u0.
-
-        g_of_u takes a unit 3-vector.  scipy's default simplex around the
-        chart origin [0, 0] is degenerate, so an explicit simplex with edge
-        length ~ one lattice spacing is supplied.
-        """
-        u0 = np.asarray(u0, dtype=float)
-        # orthonormal tangent basis at u0
-        a = np.array([1.0, 0.0, 0.0])
-        if abs(u0 @ a) > 0.9:
-            a = np.array([0.0, 1.0, 0.0])
-        e1 = a - (a @ u0) * u0
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(u0, e1)
-
-        def chart(st):
-            v = u0 + st[0] * e1 + st[1] * e2
-            return v / np.sqrt(v.dot(v))
-
-        s = self.covering_chord
-        res = minimize(lambda st: g_of_u(chart(st)), x0=[0.0, 0.0],
-                       method="Nelder-Mead",
-                       options={"initial_simplex": [[0.0, 0.0], [s, 0.0], [0.0, s]],
-                                "maxiter": 200, "xatol": 1e-12,
-                                "fatol": 1e-12})
-        return float(res.fun), chart(res.x)
 
 
 class HullQuery:
@@ -221,29 +189,59 @@ def _line_point_of_u(x, y):
     return line_point
 
 
-def hull_contains(sigma, U, sampler=None, refine="auto"):
+def hull_contains(sigma, U, count=_DEFAULT_COUNT):
     """Decide sigma in H(U); returns a HullQuery.
 
-    Exact when U has a closed-form ``sweep_inf``; sampler and refine are then
-    unused.  Otherwise the sampler's lattice is scanned and refine says when
-    to run the local search: "auto" only when the grid result is inside the
-    indeterminate band, "always"/"never" force the obvious behaviors.
+    Exact when U has a closed-form ``sweep_inf``; count is then only
+    checked.  Otherwise a Fibonacci lattice of count nodes is scanned and the
+    local search runs when the grid minimum is inside the indeterminate band.
     """
-    pt = _as_point(sigma)
-    if U.sweep_inf is not None:
-        return _sweep(pt, U, None, 0.0, None, refine)
-    sampler = sampler or ImUnitSphereSampler()
-    return _sweep(pt, U, sampler.lattice, sampler.covering_chord, sampler,
-                  refine)
+    return _hull_query(sigma, U, count, polish=False)
 
 
-def _sweep(pt, U, qs, cover, sampler, refine):
+def _hull_query(sigma, U, count, polish):
+    count = _grid_count(count)
+    grid = None if U.sweep_inf is not None else _lattice(count)
+    return _sweep(_as_point(sigma), U, grid, polish)
+
+
+def _local_min(g_of_u, u0, step):
+    """Nelder-Mead for min of g over S^2 in a tangent chart at u0.
+
+    g_of_u takes a unit 3-vector.  scipy's default simplex around the
+    chart origin [0, 0] is degenerate, so an explicit simplex with edge
+    length step (the scanned grid's covering chord) is supplied.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    # orthonormal tangent basis at u0
+    a = np.array([1.0, 0.0, 0.0])
+    if abs(u0 @ a) > 0.9:
+        a = np.array([0.0, 1.0, 0.0])
+    e1 = a - (a @ u0) * u0
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(u0, e1)
+
+    def chart(st):
+        v = u0 + st[0] * e1 + st[1] * e2
+        return v / np.sqrt(v.dot(v))
+
+    res = minimize(lambda st: g_of_u(chart(st)), x0=[0.0, 0.0],
+                   method="Nelder-Mead",
+                   options={"initial_simplex": [[0.0, 0.0], [step, 0.0],
+                                                [0.0, step]],
+                            "maxiter": 200, "xatol": 1e-12,
+                            "fatol": 1e-12})
+    return float(res.fun), chart(res.x)
+
+
+def _sweep(pt, U, grid, polish=False):
     """Minimum of ext_distance over the swept set of pt, as a HullQuery.
 
-    qs None: the exact ``U.sweep_inf`` (band 0, count 0).  Otherwise the
-    grid qs (K, 4) of unit imaginary quaternions, whose covering chord is
-    cover, is scanned and ``sampler.refine`` runs as refine says (see
-    hull_contains).  With y = 0 nothing is scanned (count 0).
+    grid None: the exact ``U.sweep_inf`` (band 0, count 0).  Otherwise grid
+    is (qs, cover): unit imaginary quaternions qs (K, 4) and their covering
+    chord.  qs is scanned, and ``_local_min`` runs from the best node when
+    the grid minimum is inside the indeterminate band, or always with
+    polish.  With y = 0 nothing is scanned (count 0).
     """
     if pt.n != U.n:
         raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
@@ -256,26 +254,25 @@ def _sweep(pt, U, qs, cover, sampler, refine):
         return HullQuery(pt, bool(U.contains(x)), float(U.ext_distance(x)),
                          np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, 0)
 
-    if qs is None:
+    if grid is None:
         inf_value, argmin = U.sweep_inf(x, y)
         band = 0.0
         count = 0
     else:
+        qs, cover = grid
         vals = U.ext_distance(_line_points(x, y, qs))
         i0 = int(np.argmin(vals))
         inf_value = float(vals[i0])
         argmin = qs[i0]
         band = 2.0 * ynorm * cover
         count = len(qs)
-        do_refine = (refine == "always" or
-                     (refine == "auto" and 0.0 < inf_value <= band))
-        if do_refine and np.isfinite(inf_value):
+        if (polish or 0.0 < inf_value <= band) and np.isfinite(inf_value):
             line_point = _line_point_of_u(x, y)
 
             def g_of_u(u):
                 return float(U.ext_distance(line_point(u)))
 
-            fval, u_best = sampler.refine(g_of_u, qs[i0, 1:])
+            fval, u_best = _local_min(g_of_u, qs[i0, 1:], cover)
             if fval < inf_value:
                 inf_value = fval
                 argmin = np.concatenate([[0.0], u_best])
@@ -285,15 +282,19 @@ def _sweep(pt, U, qs, cover, sampler, refine):
                      0.0 < inf_value <= band, count)
 
 
-def hull_distance(sigma, U, sampler=None):
-    """Distance (1/sqrt 2) * inf_q ext_distance(x + y q) to the hull boundary."""
-    query = hull_contains(sigma, U, sampler, refine="always")
+def hull_distance(sigma, U, count=_DEFAULT_COUNT):
+    """Distance (1/sqrt 2) * inf_q ext_distance(x + y q) to the hull boundary.
+
+    For a domain without a closed form every lattice query is polished by
+    the local search, since a value is wanted, not just a sign.
+    """
+    query = _hull_query(sigma, U, count, polish=True)
     if not query.verdict:
         raise NotInHullError("sigma is not in the monogenic hull of the domain")
     return query.inf_value / np.sqrt(2.0)
 
 
-def hull_witness(sigma, U, sampler=None):
+def hull_witness(sigma, U, count=_DEFAULT_COUNT):
     """A hull-boundary point realizing hull_distance(sigma).
 
     Returns (witness, query): with q* the query's arg-min, p = x + y q*, and
@@ -301,7 +302,7 @@ def hull_witness(sigma, U, sampler=None):
     w = x0 - p.  Its own swept line passes through x0, so it lies outside the
     (open) hull, at C-distance ||w||/sqrt(2) = hull_distance(sigma).
     """
-    query = hull_contains(sigma, U, sampler, refine="always")
+    query = _hull_query(sigma, U, count, polish=True)
     if not query.verdict:
         raise NotInHullError("sigma is not in the monogenic hull of the domain")
     pt = query.sigma

@@ -355,19 +355,6 @@ class PenroseResult:
         return out
 
 
-def transform_pair_field(form, quad=None, name=None):
-    """The transform as a ScalarField whose pair is evaluated by quadrature."""
-
-    def component(A):
-        def f(v):
-            pts = quat.ab_to_real(np.asarray(v, dtype=complex))
-            return tau_push_01(form, pts, quad)[..., A]
-        return f
-
-    return ScalarField(component(0), component(1), n=form.n, domain=form.domain,
-                       name=name or ("transform(%s)" % form.name))
-
-
 def penrose_transform(form, points, cfg=None, quad=None, closed_tol=1e-4,
                       max_certificate_points=8, check_monogenic=True):
     """Evaluate the transform at base points, certifying closedness first.
@@ -400,7 +387,7 @@ def penrose_transform(form, points, cfg=None, quad=None, closed_tol=1e-4,
 
 
 def penrose_transform_complex(form, sigma, cfg=None, quad=None,
-                              check_hull=True, sampler=None):
+                              check_hull=True):
     """The transform at a matrix point of the monogenic hull.
 
     On the real slice (sigma exactly of the form embed_M(x)) this delegates
@@ -413,7 +400,7 @@ def penrose_transform_complex(form, sigma, cfg=None, quad=None,
     pt = _as_point(sigma, n=form.n)
     if check_hull and form.domain is not None \
             and not isinstance(form.domain, WholeSpace):
-        q = hull_contains(pt, form.domain, sampler=sampler)
+        q = hull_contains(pt, form.domain)
         if not q.verdict:
             raise NotInHullError(
                 "point is not in the monogenic hull of %r (clearance %.3e)"

@@ -33,9 +33,10 @@ pair (a, b) with |a|^2 + |b|^2 = 1:
     q(a, b) = (|a|^2 - |b|^2) i + 2 j conj(a) b,
 
 covered by the Hopf-style grid a = sqrt(t), b = sqrt(1-t) e^{i theta}.
-hull_contains_via_lines scans that grid with the sweep core of
-``fueter.hull`` (band from the grid's exact covering chord, then local
-refinement), so it decides the same infimum as hull_contains on another grid.
+hull_contains_via_lines scans that grid, sized by a node count, with the
+sweep core of ``fueter.hull`` (band and local-search step from the grid's
+own exact covering chord), so it decides the same infimum as hull_contains
+on another grid.
 """
 
 import functools
@@ -43,8 +44,8 @@ import functools
 import numpy as np
 
 from . import quat
-from .hull import (ImUnitSphereSampler, _as_point, _line_points, _sweep,
-                   covering_chord)
+from .hull import (_DEFAULT_COUNT, _as_point, _grid_count, _line_points,
+                   _sweep, covering_chord)
 
 __all__ = [
     "TwistorPoint", "FiberPoint", "TwistorLine", "OutsideChartsError",
@@ -271,24 +272,23 @@ def line_sweep(sigma, pairs=None):
     return _line_points(pt.x.arr, pt.y.arr, qs)
 
 
-def hull_contains_via_lines(sigma, U, sampler=None, return_query=False):
+def hull_contains_via_lines(sigma, U, count=_DEFAULT_COUNT, return_query=False):
     """Line-containment test of hull membership (Hopf grid + local refinement).
 
-    True iff every swept base point lies in U.  The grid is the Hopf grid
-    sized from the sampler's count, and the scan, band, refinement and
+    True iff every swept base point lies in U.  The grid is the Hopf grid of
+    about count nodes (at least 12), and the scan, band, refinement and
     verdict are those of hull_contains (the sweep is the same set {x + y q}),
     with the grid's own exact covering chord.  Returns the HullQuery when
     return_query is set, else the verdict.
     """
-    sampler = sampler or ImUnitSphereSampler()
-    qs, cover = _default_sweep(sampler.count)
-    query = _sweep(_as_point(sigma), U, qs, cover, sampler, "auto")
+    grid = _default_sweep(_grid_count(count))
+    query = _sweep(_as_point(sigma), U, grid)
     return query if return_query else query.verdict
 
 
 @functools.lru_cache(maxsize=32)
 def _default_sweep(count):
-    """Hopf-grid sweep quaternions for a sampler count and their covering chord."""
+    """Hopf-grid sweep quaternions for a node count and their covering chord."""
     n_t = max(4, int(np.sqrt(count)))
     qs = sweep_quaternions(hopf_grid(n_t, max(4, count // n_t)))
     qs.flags.writeable = False

@@ -64,6 +64,19 @@ def test_config_errors_exit_with_two(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("command", [["hull", "contains"],
+                                     ["twistor", "hull-lines"]])
+@pytest.mark.parametrize("count", ["0", "6", "-1"])
+def test_a_count_below_12_is_a_config_error(command, count, capsys):
+    # 0 is a count like any other, not "use the default"
+    assert cli.main(command + ["--domain", "H*", "--count", count,
+                               "--sigma", '{"x": [1, 0, 0, 0], '
+                                          '"y": [0, 0.3, 0, 0]}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: sampler count must be >= 12\n"
+
+
 def test_unknown_field_is_rejected_by_the_parser():
     with pytest.raises(SystemExit) as exc:
         cli.main(["cf", "check", "--field", "not_a_field"])

@@ -65,6 +65,12 @@ def test_whole_and_empty_spaces():
     assert domains.EmptySet(1).ext_distance(np.zeros(4)) == 0.0
 
 
+class _LatticeBall(domains.Ball):
+    """Ball's oracles without the closed-form sweep: forces the lattice path."""
+
+    sweep_inf = None
+
+
 def test_real_slice_membership_is_exact():
     # with y = 0 the swept set is the single point x, so the query reduces
     # to plain domain membership with an empty uncertainty band
@@ -93,13 +99,12 @@ def test_hull_of_intersection_is_intersection_of_hulls():
                               "center": [0.5, 0, 0, 0]})
     both = domains.Intersection([a, b])
     rng = np.random.default_rng(20)
-    sampler = hull.ImUnitSphereSampler(512)
     agree = 0
     for _ in range(40):
         sigma = _pt(0.2 * rng.normal(size=4), 0.08 * rng.normal(size=4))
-        qa = hull.hull_contains(sigma, a, sampler)
-        qb = hull.hull_contains(sigma, b, sampler)
-        qi = hull.hull_contains(sigma, both, sampler)
+        qa = hull.hull_contains(sigma, a, count=512)
+        qb = hull.hull_contains(sigma, b, count=512)
+        qi = hull.hull_contains(sigma, both, count=512)
         if qa.indeterminate or qb.indeterminate or qi.indeterminate:
             continue
         assert qi.verdict == (qa.verdict and qb.verdict)
@@ -161,10 +166,10 @@ def test_query_serialization():
 
 def test_sampler_lattice_and_covering_budget():
     with pytest.raises(ValueError):
-        hull.ImUnitSphereSampler(6)
+        hull.hull_contains(_pt(np.zeros(4), np.ones(4)), _LatticeBall(1, 1.0),
+                           count=6)
     for count in (128, 512):
-        sampler = hull.ImUnitSphereSampler(count)
-        lattice = sampler.lattice
+        lattice = hull.fibonacci_imaginary_sphere(count)
         assert lattice.shape == (count, 4)
         assert np.abs(lattice[:, 0]).max() == 0.0  # purely imaginary units
         assert np.abs(np.linalg.norm(lattice, axis=1) - 1.0).max() < 1e-12
@@ -175,27 +180,21 @@ def test_sampler_lattice_and_covering_budget():
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
         gaps = np.linalg.norm(probes[:, None, :] - lattice[None, :, 1:],
                               axis=2).min(axis=1)
-        assert gaps.max() < sampler.covering_chord
-
-
-class _LatticeBall(domains.Ball):
-    """Ball's oracles without the closed-form sweep: forces the lattice path."""
-
-    sweep_inf = None
+        assert gaps.max() < hull.covering_chord(lattice)
 
 
 def test_near_boundary_query_is_flagged_indeterminate():
     # the lattice band only exists for domains without a closed-form sweep
     ball = _LatticeBall(1, 1.0)
     sigma = _pt([0.78, 0, 0, 0], [0.0, 0.2, 0, 0])
-    coarse = hull.hull_contains(sigma, ball,
-                                sampler=hull.ImUnitSphereSampler(64),
-                                refine="never")
+    coarse = hull.hull_contains(sigma, ball, count=64)
+    qs, _ = hull._lattice(64)
+    grid_min = ball.ext_distance(
+        hull._line_points(sigma.x.arr, sigma.y.arr, qs)).min()
     assert coarse.indeterminate is True
-    assert coarse.inf_value <= coarse.band
+    assert coarse.inf_value <= grid_min <= coarse.band
     # a denser lattice shrinks the band and settles the same query
-    fine = hull.hull_contains(sigma, ball,
-                              sampler=hull.ImUnitSphereSampler(8192))
+    fine = hull.hull_contains(sigma, ball, count=8192)
     assert fine.band < coarse.band
     assert fine.verdict is True
     # the built-in ball decides the same query exactly
@@ -219,7 +218,7 @@ def test_certain_outside_verdict_is_not_indeterminate():
 def test_sampler_lattice_is_cached_and_read_only():
     a = hull.fibonacci_imaginary_sphere(512)
     assert hull.fibonacci_imaginary_sphere(512) is a
-    assert hull.ImUnitSphereSampler(512).lattice is a
+    assert hull._lattice(512)[0] is a
     with pytest.raises(ValueError):
         a[0, 1] = 2.0
 
@@ -228,7 +227,7 @@ def test_sampler_lattice_is_cached_and_read_only():
 # closed-form sweep minimum (DomainSpec.sweep_inf)
 # ---------------------------------------------------------------------------
 
-_DENSE = hull.ImUnitSphereSampler(20000)
+_DENSE, _DENSE_CHORD = hull._lattice(20000)
 
 
 def _vec(n, lo=-1.0, hi=1.0):
@@ -276,10 +275,10 @@ def test_sweep_inf_is_the_minimum_over_the_imaginary_sphere(case):
     at_q = U.ext_distance(hull._line_points(x, y, q[None, :])[0])
     assert at_q == pytest.approx(float(inf_value), rel=0, abs=1e-15)
     # below every node of a dense lattice, and within its Lipschitz band
-    grid = U.ext_distance(hull._line_points(x, y, _DENSE.lattice))
+    grid = U.ext_distance(hull._line_points(x, y, _DENSE))
     assert inf_value <= grid.min() + 1e-12
     ynorm = np.linalg.norm(y)
-    assert grid.min() - inf_value <= ynorm * _DENSE.covering_chord + 1e-12
+    assert grid.min() - inf_value <= ynorm * _DENSE_CHORD + 1e-12
 
 
 @_PROPERTY
@@ -327,8 +326,7 @@ def test_constant_domains_have_constant_sweeps():
 def test_exact_query_reports_no_band_and_no_lattice():
     ball = domains.parse_domain("ball:r=1")
     sigma = _pt([0.3, 0.1, 0, 0], [0.0, 0.2, 0.1, 0])
-    query = hull.hull_contains(sigma, ball,
-                               sampler=hull.ImUnitSphereSampler(64))
+    query = hull.hull_contains(sigma, ball, count=64)
     assert query.verdict is True and query.indeterminate is False
     assert query.band == 0.0 and query.count == 0
 
@@ -351,10 +349,9 @@ def test_intersection_with_a_lattice_part_falls_back_to_the_lattice():
     exact = domains.Intersection([domains.Ball(1, 1.0), domains.Ball(1, 0.9)])
     assert exact.sweep_inf is not None
     sigma = _pt([0.2, 0, 0.1, 0], [0.0, 0.1, 0, 0.05])
-    sampler = hull.ImUnitSphereSampler(256)
-    lattice = hull.hull_contains(sigma, mixed, sampler)
+    lattice = hull.hull_contains(sigma, mixed, count=256)
     assert lattice.count == 256 and lattice.band > 0.0
-    closed = hull.hull_contains(sigma, exact, sampler)
+    closed = hull.hull_contains(sigma, exact, count=256)
     assert closed.count == 0 and closed.band == 0.0
     assert lattice.verdict is closed.verdict is True
     assert closed.inf_value <= lattice.inf_value <= closed.inf_value + lattice.band
@@ -391,40 +388,44 @@ def test_covering_chord_is_not_beaten_by_a_dense_probe(count):
     # counts outside the ranges (12-399, 512-4096) over which the old
     # measured constant 2.8/sqrt(count) was checked
     from scipy.spatial import cKDTree
-    sampler = hull.ImUnitSphereSampler(count)
+    lattice, chord = hull._lattice(count)
     probes = np.random.default_rng(24).normal(size=(200000, 3))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    gaps, _ = cKDTree(sampler.lattice[:, 1:]).query(probes)
-    assert gaps.max() <= sampler.covering_chord
-    assert gaps.max() > 0.9 * sampler.covering_chord
+    gaps, _ = cKDTree(lattice[:, 1:]).query(probes)
+    assert gaps.max() <= chord
+    assert gaps.max() > 0.9 * chord
 
 
-class _CountingSampler(hull.ImUnitSphereSampler):
-    refined = 0
+def _count_local_searches(monkeypatch):
+    """Wrap hull._local_min; returns the list of steps it is called with."""
+    steps = []
+    local_min = hull._local_min
 
-    def refine(self, g_of_u, u0):
-        self.refined += 1
-        return super().refine(g_of_u, u0)
+    def counting(g_of_u, u0, step):
+        steps.append(step)
+        return local_min(g_of_u, u0, step)
+
+    monkeypatch.setattr(hull, "_local_min", counting)
+    return steps
 
 
-def test_refined_arg_min_attains_the_reported_value():
+def test_refined_arg_min_attains_the_reported_value(monkeypatch):
     # after a refinement the arg-min is the refined point, not the grid node
     # the local search started from, on both sampled paths
     ball = domains.Ball(1, 1.0)
-    sampler = _CountingSampler()
+    steps = _count_local_searches(monkeypatch)
     paths = (
-        lambda s: hull.hull_contains(s, _LatticeBall(1, 1.0), sampler),
-        lambda s: twistor.hull_contains_via_lines(s, ball, sampler=sampler,
-                                                  return_query=True),
+        lambda s: hull.hull_contains(s, _LatticeBall(1, 1.0)),
+        lambda s: twistor.hull_contains_via_lines(s, ball, return_query=True),
     )
     rng = np.random.default_rng(1)
     checked = [0, 0]
     for _ in range(200):
         sigma = _pt(0.3 * rng.normal(size=4), 0.3 * rng.normal(size=4))
         for k, path in enumerate(paths):
-            before = sampler.refined
+            before = len(steps)
             query = path(sigma)
-            if sampler.refined == before:
+            if len(steps) == before:
                 continue
             x, y = sigma.x.arr, sigma.y.arr
             at_q = ball.ext_distance(
@@ -484,12 +485,14 @@ _BAND_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 def test_lattice_band_contains_the_exact_sweep_minimum(case):
     U, x, y, count = case
     exact, _ = U.sweep_inf(x, y)
-    query = hull.hull_contains(_pt(x, y), _Sampled(U),
-                               hull.ImUnitSphereSampler(count), refine="never")
+    query = hull.hull_contains(_pt(x, y), _Sampled(U), count=count)
+    qs, _ = hull._lattice(count)
     assert query.count == count
-    grid_min = query.inf_value
+    grid_min = U.ext_distance(hull._line_points(x, y, qs)).min()
     assert grid_min - query.band / 2 <= exact + 1e-12
     assert exact <= grid_min + 1e-12
+    assert exact <= query.inf_value + 1e-12
+    assert query.inf_value <= grid_min
 
 
 @_BAND_PROPERTY
@@ -497,12 +500,49 @@ def test_lattice_band_contains_the_exact_sweep_minimum(case):
 def test_hopf_band_contains_the_exact_sweep_minimum(case):
     U, x, y, count = case
     exact, _ = U.sweep_inf(x, y)
-    query = twistor.hull_contains_via_lines(
-        _pt(x, y), U, sampler=hull.ImUnitSphereSampler(count),
-        return_query=True)
+    query = twistor.hull_contains_via_lines(_pt(x, y), U, count=count,
+                                            return_query=True)
     qs, _ = twistor._default_sweep(count)
     assert query.count == len(qs)
     grid_min = U.ext_distance(hull._line_points(x, y, qs)).min()
     assert grid_min - query.band / 2 <= exact + 1e-12
     assert exact <= query.inf_value + 1e-12
     assert query.inf_value <= grid_min
+
+
+_ENTRY_POINTS = {
+    "hull_contains": hull.hull_contains,
+    "hull_distance": hull.hull_distance,
+    "hull_witness": hull.hull_witness,
+    "hull_contains_via_lines": twistor.hull_contains_via_lines,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("U", [domains.Ball(1, 1.0), _LatticeBall(1, 1.0)],
+                         ids=["built-in", "user"])
+def test_every_entry_point_rejects_a_count_below_12(entry, U):
+    # checked before the exact branch, so a built-in domain rejects it too
+    sigma = _pt([0.3, 0, 0, 0], [0.0, 0.1, 0, 0])
+    for count in (11, 6, 0, -3):
+        with pytest.raises(ValueError, match="sampler count must be >= 12"):
+            _ENTRY_POINTS[entry](sigma, U, count=count)
+    _ENTRY_POINTS[entry](sigma, U, count=12)
+
+
+@pytest.mark.parametrize("count", [200, 512])
+def test_each_path_steps_by_its_own_grid_chord(count, monkeypatch):
+    # the local search starts with a simplex edge of one covering chord of
+    # the grid that was scanned, not of the other path's grid
+    steps = _count_local_searches(monkeypatch)
+    sigma = _pt([0.78, 0, 0, 0], [0.0, 0.2, 0, 0])
+    _, lattice_chord = hull._lattice(count)
+    _, hopf_chord = twistor._default_sweep(count)
+    assert lattice_chord != hopf_chord
+    runs = [(hull.hull_contains, _LatticeBall(1, 1.0), lattice_chord),
+            (hull.hull_distance, _LatticeBall(1, 1.0), lattice_chord),
+            (twistor.hull_contains_via_lines, domains.Ball(1, 1.0), hopf_chord)]
+    for entry, U, chord in runs:
+        steps.clear()
+        entry(sigma, U, count=count)
+        assert steps == [chord]
