@@ -186,7 +186,8 @@ def _cmd_twistor(args):
     count_kw = {} if args.count is None else {"count": args.count}
     q = hull_contains_via_lines(pt, U, return_query=True, **count_kw)
     _emit(args, "twistor hull-lines",
-          {"domain": args.domain, "sigma": pt.tolist()}, q.to_json(), True)
+          {"domain": args.domain, "sigma": pt.tolist(), "count": args.count},
+          q.to_json(), True)
     return 0
 
 

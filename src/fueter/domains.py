@@ -279,7 +279,7 @@ def _sweep_vec(w, y):
 
 
 def _unit(v):
-    """v/|v| over the last axis; the i axis where v = 0 (any unit u is a minimizer)."""
+    """v/|v| over the last axis; the i axis where v = 0 (every unit u is optimal)."""
     r = np.linalg.norm(v, axis=-1, keepdims=True)
     return np.where(r > 0, v / np.where(r > 0, r, 1.0), _axis_dir(3, v.shape))
 

@@ -23,10 +23,12 @@ the nodes (the spherical Delaunay triangulation), whose outward facet normals
 are the spherical-Voronoi vertices.  Verdicts with 0 < inf_value <= twice
 that bound are flagged indeterminate rather than trusted.  A grid minimum in
 that band (and every lattice query of hull_distance and hull_witness) is
-polished by a Nelder-Mead search in a 2D tangent chart at the best node,
-with a simplex edge of one covering chord.  Points with y = 0 short-circuit
-to plain membership of x (the infimand is constant), which keeps the real
-slice exact.
+polished by a pattern search (Hooke & Jeeves 1961; Torczon 1997) in a 2D
+tangent chart at the best node, from a mesh step of one covering chord; each
+round evaluates the 8 mesh neighbours in one batched call of the scan's own
+evaluator, so the reported arg-min attains inf_value bit for bit.  Points
+with y = 0 short-circuit to plain membership of x (the infimand is
+constant), which keeps the real slice exact.
 
 The twistor-line test (``fueter.twistor.hull_contains_via_lines``) runs the
 same sweep core on its Hopf grid of about ``count`` nodes, with that grid's
@@ -45,8 +47,6 @@ boundary point of U seen from x + y*q*, and w = x0 - x - y*q*, the point
 import functools
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import ConvexHull
 
 from . import quat
 from .quat import BiquaternionPoint
@@ -114,6 +114,10 @@ def covering_chord(qs):
     vertices is the radius of the facet's empty cap.  The nodes must not all
     lie in one closed hemisphere.
     """
+    # only the sampled grids get here, once per count: keep scipy off the
+    # import path of the exact queries
+    from scipy.spatial import ConvexHull
+
     u = np.asarray(qs, dtype=float)[:, 1:]
     facets = ConvexHull(u)
     normals = facets.equations[:, None, :3]
@@ -150,43 +154,25 @@ class HullQuery:
 
 
 def _as_point(sigma, n=None):
+    """sigma as a BiquaternionPoint; a given n must equal its n."""
     if isinstance(sigma, BiquaternionPoint):
-        return sigma
-    if isinstance(sigma, (tuple, list)) and len(sigma) == 2:
-        return BiquaternionPoint(sigma[0], sigma[1])
-    z = np.asarray(sigma)
-    if z.ndim == 2 and z.shape[-1] == 2 and np.iscomplexobj(z):
-        return BiquaternionPoint.from_matrix(z)
-    raise ValueError("cannot interpret %r as a biquaternion point" % (sigma,))
+        pt = sigma
+    elif isinstance(sigma, (tuple, list)) and len(sigma) == 2:
+        pt = BiquaternionPoint(sigma[0], sigma[1])
+    else:
+        z = np.asarray(sigma)
+        if not (z.ndim == 2 and z.shape[-1] == 2 and np.iscomplexobj(z)):
+            raise ValueError("cannot interpret %r as a biquaternion point"
+                             % (sigma,))
+        pt = BiquaternionPoint.from_matrix(z)
+    if n is not None and pt.n != n:
+        raise ValueError("sigma has n=%d but n=%d is required" % (pt.n, n))
+    return pt
 
 
 def _line_points(x, y, qs):
     """x + y*q for a batch of quaternions qs (K, 4) -> (K, 4n)."""
     return x + quat.qmul_right(y, qs)
-
-
-def _line_point_of_u(x, y):
-    """u -> x + y*(0, u) for one unit 3-vector u, as _line_points gives it.
-
-    The local search evaluates one point at a time, where qmul's per-call
-    overhead dominates.  With q0 = 0 each component of y_l * q is a sum of
-    three products; their coefficients and the order in which qmul adds them
-    are fixed here once, so a call is one gather, one product and two sums,
-    and its result equals _line_points(x, y, [(0, u)])[0] bit for bit (up to
-    the sign of a zero).
-    """
-    p0, p1, p2, p3 = np.asarray(y, dtype=float).reshape(-1, 4).T
-    # terms t = 0, 1, 2 of components 0..3, in qmul's order of summation
-    coef = np.stack([np.stack([-p1, p0, p0, p0], axis=-1),
-                     np.stack([-p2, p2, -p1, p1], axis=-1),
-                     np.stack([-p3, -p3, p3, -p2], axis=-1)]).reshape(3, -1)
-    idx = np.tile([[0, 0, 1, 2], [1, 2, 2, 1], [2, 1, 0, 0]], (1, len(p0)))
-
-    def line_point(u):
-        w = coef * np.asarray(u)[idx]
-        return x + ((w[0] + w[1]) + w[2])
-
-    return line_point
 
 
 def hull_contains(sigma, U, count=_DEFAULT_COUNT):
@@ -205,33 +191,47 @@ def _hull_query(sigma, U, count, polish):
     return _sweep(_as_point(sigma), U, grid, polish)
 
 
-def _local_min(g_of_u, u0, step):
-    """Nelder-Mead for min of g over S^2 in a tangent chart at u0.
+# pattern-search mesh neighbours in the chart: the axes and the diagonals
+_STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                     [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
-    g_of_u takes a unit 3-vector.  scipy's default simplex around the
-    chart origin [0, 0] is degenerate, so an explicit simplex with edge
-    length step (the scanned grid's covering chord) is supplied.
+
+def _local_min(g, q0, f0, step):
+    """Pattern search for min of g over S^2 in a tangent chart at q0.
+
+    g maps unit imaginary quaternions (K, 4) to values (K,); f0 = g(q0).
+    Each round evaluates the 8 neighbours of the current chart point on the
+    square mesh of spacing h in one call of g, moves to the best one if it
+    is strictly lower and otherwise halves h.  h starts at step (the
+    scanned grid's covering chord); the search stops when h < 1e-12, after
+    200 rounds, or at f == 0 (g is a distance, so 0 is its minimum).
+    Returns (f, q) with q the row g was evaluated at, or (f0, q0).
     """
-    u0 = np.asarray(u0, dtype=float)
+    u0 = np.asarray(q0, dtype=float)[1:]
     # orthonormal tangent basis at u0
     a = np.array([1.0, 0.0, 0.0])
     if abs(u0 @ a) > 0.9:
         a = np.array([0.0, 1.0, 0.0])
     e1 = a - (a @ u0) * u0
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u0, e1)
-
-    def chart(st):
-        v = u0 + st[0] * e1 + st[1] * e2
-        return v / np.sqrt(v.dot(v))
-
-    res = minimize(lambda st: g_of_u(chart(st)), x0=[0.0, 0.0],
-                   method="Nelder-Mead",
-                   options={"initial_simplex": [[0.0, 0.0], [step, 0.0],
-                                                [0.0, step]],
-                            "maxiter": 200, "xatol": 1e-12,
-                            "fatol": 1e-12})
-    return float(res.fun), chart(res.x)
+    basis = np.stack([e1, np.cross(u0, e1)])
+    f, q = f0, q0
+    st = np.zeros(2)
+    h = step
+    qs = np.zeros((len(_STENCIL), 4))
+    for _ in range(200):
+        if h < 1e-12 or f == 0.0:
+            break
+        nbrs = st + h * _STENCIL
+        v = u0 + nbrs @ basis
+        qs[:, 1:] = v / np.linalg.norm(v, axis=1, keepdims=True)
+        vals = g(qs)
+        i = int(np.argmin(vals))
+        if vals[i] < f:
+            f, q, st = vals[i], qs[i].copy(), nbrs[i]
+        else:
+            h /= 2.0
+    return f, q
 
 
 def _sweep(pt, U, grid, polish=False):
@@ -267,15 +267,9 @@ def _sweep(pt, U, grid, polish=False):
         band = 2.0 * ynorm * cover
         count = len(qs)
         if (polish or 0.0 < inf_value <= band) and np.isfinite(inf_value):
-            line_point = _line_point_of_u(x, y)
-
-            def g_of_u(u):
-                return float(U.ext_distance(line_point(u)))
-
-            fval, u_best = _local_min(g_of_u, qs[i0, 1:], cover)
-            if fval < inf_value:
-                inf_value = fval
-                argmin = np.concatenate([[0.0], u_best])
+            inf_value, argmin = _local_min(
+                lambda q: U.ext_distance(_line_points(x, y, q)), argmin,
+                inf_value, cover)
 
     verdict = inf_value > _TINY * max(1.0, pt.norm_C())
     return HullQuery(pt, verdict, inf_value, argmin, band,

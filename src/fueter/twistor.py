@@ -273,12 +273,13 @@ def line_sweep(sigma, pairs=None):
 
 
 def hull_contains_via_lines(sigma, U, count=_DEFAULT_COUNT, return_query=False):
-    """Line-containment test of hull membership (Hopf grid + local refinement).
+    """Line-containment test of hull membership (Hopf grid + pattern search).
 
     True iff every swept base point lies in U.  The grid is the Hopf grid of
     about count nodes (at least 12), and the scan, band, refinement and
     verdict are those of hull_contains (the sweep is the same set {x + y q}),
-    with the grid's own exact covering chord.  Returns the HullQuery when
+    with the grid's own exact covering chord as the band's radius and the
+    pattern search's first mesh step.  Returns the HullQuery when
     return_query is set, else the verdict.
     """
     grid = _default_sweep(_grid_count(count))

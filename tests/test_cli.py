@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -75,6 +77,52 @@ def test_a_count_below_12_is_a_config_error(command, count, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: sampler count must be >= 12\n"
+
+
+def test_penrose_complex_rejects_a_point_of_another_n(capsys):
+    assert cli.main(["penrose", "complex", "--field", "nonmonogenic_linear",
+                     "--n", "1", "--sigma",
+                     "[[1,0],[0,1],[0.5,0],[0,0.5]]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: sigma has n=2")
+
+
+def test_twistor_hull_lines_records_the_count(tmp_path):
+    args = ["twistor", "hull-lines", "--domain", "H*",
+            "--sigma", '{"x": [1, 0, 0, 0], "y": [0, 0.3, 0, 0]}']
+    _, default = _run_json(args, tmp_path, "default.json")
+    _, counted = _run_json(args + ["--count", "64"], tmp_path, "64.json")
+    assert default["params"]["count"] is None
+    assert counted["params"]["count"] == 64
+    jsonschema.validate(counted, _schema())
+
+
+def test_built_in_queries_load_no_scipy():
+    # scipy is needed only to build a sampled grid's covering chord; with it
+    # made unimportable the exact paths must still run
+    script = """
+import sys
+sys.modules["scipy"] = None
+from fueter import cli
+runs = [["hull", mode, "--domain", "ball:r=1",
+         "--sigma", '{"x": [0.3, 0, 0, 0], "y": [0, 0.2, 0, 0]}']
+        for mode in ("contains", "distance", "witness")]
+runs.append(["penrose", "complex", "--field", "E", "--sigma",
+             '{"x": [0.8, 0.1, 0, 0], "y": [0, 0.1, 0, 0]}'])
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                and sys.modules[m] is not None)
+assert not loaded, loaded
+"""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_field_is_rejected_by_the_parser():

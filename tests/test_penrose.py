@@ -183,6 +183,16 @@ def test_complexified_transform_guards_the_hull():
         penrose.penrose_transform_complex(form, singular)
 
 
+def test_complexified_transform_rejects_a_point_of_another_n():
+    # on the real slice an n = 2 point would otherwise reach tau_push_01 of
+    # an n = 1 form and return a value
+    form = penrose.sharp(fields.get_field("nonmonogenic_linear"))
+    sigma = quat.matrix_point(np.array([1.0, 0, 0, 0, 0.5, 0, 0, 0]),
+                              np.zeros(8))
+    with pytest.raises(ValueError, match="n=2 but n=1"):
+        penrose.penrose_transform_complex(form, sigma)
+
+
 def test_complexified_transform_requires_an_extension_off_slice():
     const = fields.make_pair(
         lambda v: np.full(v.shape[:-1], 0.7 + 0.2j),
