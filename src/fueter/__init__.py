@@ -2,7 +2,7 @@
 
 Layers, bottom up:
 
-* quat      -- quaternion/biquaternion arithmetic and matrix embeddings
+* quat      -- array kernels on flat (..., 4n) points and matrix embeddings
 * domains   -- open subsets of H^n with exact exit distances
 * cf        -- the finite-difference operator, residuals, and verdicts
 * fields    -- named field fixtures and their holomorphic extensions
@@ -16,8 +16,6 @@ Layers, bottom up:
 
 from .quat import (
     BiquaternionPoint,
-    Quaternion,
-    QuaternionVector,
     ab_to_real,
     decompose_matrix,
     det_biquat,
@@ -26,7 +24,6 @@ from .quat import (
     matrix_point,
     norm_C,
     qconj,
-    qinner,
     qmul,
     qnorm,
     real_to_ab,
@@ -111,9 +108,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # quat
-    "BiquaternionPoint", "Quaternion", "QuaternionVector", "ab_to_real",
-    "decompose_matrix", "det_biquat", "embed_M", "kappa", "matrix_point",
-    "norm_C", "qconj", "qinner", "qmul", "qnorm", "real_to_ab",
+    "BiquaternionPoint", "ab_to_real", "decompose_matrix", "det_biquat",
+    "embed_M", "kappa", "matrix_point", "norm_C", "qconj", "qmul", "qnorm",
+    "real_to_ab",
     # domains
     "Ball", "DomainSpec", "EmptySet", "HalfSpace", "Intersection",
     "PointComplement", "WholeSpace", "parse_domain",

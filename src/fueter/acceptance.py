@@ -238,7 +238,8 @@ def criterion_4_distance_law(seed=7):
         d = hull_distance(pt, U)
         w, q = hull_witness(pt, U)
         witness_rel_err = max(witness_rel_err, abs((pt - w).norm_C() - d) / d)
-        if hull_contains(w, U).verdict and not hull_contains(w, U).indeterminate:
+        wq = hull_contains(w, U)
+        if wq.verdict and not wq.indeterminate:
             witness_inside += 1
         band_d = q.band / np.sqrt(2.0)
         closest = min((pt - e).norm_C() for e in exterior)

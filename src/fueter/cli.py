@@ -234,7 +234,6 @@ def _cmd_cp1(args):
 
 
 def _cmd_penrose(args):
-    rng = np.random.default_rng(args.seed)
     if args.mode == "complex":
         field = _pair_field(args.field, args.n)
         form = sharp(field)
@@ -263,7 +262,8 @@ def _cmd_penrose(args):
         return 0
 
     field = _pair_field(args.field, args.n)
-    pts = _shell_points(rng, args.points, args.rmin, args.rmax, n=args.n)
+    pts = _shell_points(np.random.default_rng(args.seed), args.points,
+                        args.rmin, args.rmax, n=args.n)
     params = {"field": args.field, "n": args.n, "points": args.points,
               "seed": args.seed, "tol": args.tol, "rmin": args.rmin,
               "rmax": args.rmax}
@@ -404,14 +404,14 @@ def _build_parser():
     # penrose
     pe = sub.add_parser("penrose", help="integral-transform pipeline").add_subparsers(
         dest="mode", required=True)
-    for mode, extras in (("roundtrip", True), ("forward", True),
-                         ("diagram", True), ("complex", False)):
+    for mode, samples in (("roundtrip", True), ("forward", True),
+                          ("diagram", True), ("complex", False)):
         pp = pe.add_parser(mode)
         pp.add_argument("--field", required=True, choices=field_names())
         pp.add_argument("--n", type=int, default=1)
         pp.add_argument("--tol", type=float, default=1e-4)
-        pp.add_argument("--seed", type=int, default=7)
-        if extras:
+        if samples:
+            pp.add_argument("--seed", type=int, default=7)
             pp.add_argument("--points", type=int, default=10)
             pp.add_argument("--rmin", type=float, default=0.6)
             pp.add_argument("--rmax", type=float, default=2.5)

@@ -245,8 +245,8 @@ def _sweep(pt, U, grid, polish=False):
     """
     if pt.n != U.n:
         raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
-    x = pt.x.arr
-    y = pt.y.arr
+    x = pt.x
+    y = pt.y
     ynorm = float(quat.qnorm(y))
 
     if ynorm == 0.0:
@@ -300,8 +300,8 @@ def hull_witness(sigma, U, count=_DEFAULT_COUNT):
     if not query.verdict:
         raise NotInHullError("sigma is not in the monogenic hull of the domain")
     pt = query.sigma
-    x = pt.x.arr
-    y = pt.y.arr
+    x = pt.x
+    y = pt.y
     qstar = query.argmin_q
     p = _line_points(x, y, qstar[None, :])[0]
     x0 = np.asarray(U.nearest_boundary(p), dtype=float)

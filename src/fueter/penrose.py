@@ -73,6 +73,11 @@ KAPPA = -1.0
 # base points; keeps batched transforms at the memory of small ones.
 _CHUNK_ELEMENTS = 1 << 15
 
+# penrose_transform's closedness certificate: tau_push_02 at up to
+# _CERT_POINTS of the given points must stay below _CLOSED_TOL * max(1, scale).
+_CLOSED_TOL = 1e-4
+_CERT_POINTS = 8
+
 
 class ClosednessError(RuntimeError):
     """The tau-level closedness certificate failed."""
@@ -194,7 +199,6 @@ def sharp(field, psi1=None, n=None, domain=None, name=None):
     form = TwistorFormL(n, wz, K_parts=None, k=-3, wz_chart1=wz_chart1,
                         wz_matrix=wz_matrix, domain=field.domain,
                         name="sharp(%s)" % field.name)
-    form.pair_field = field
     return form
 
 
@@ -335,7 +339,7 @@ def tau_push_02(form, x, cfg=None, quad=None):
 class PenroseResult:
     """Transform output: pair values plus the certificates that license them."""
 
-    def __init__(self, points, values, closedness, closed_tol, cf_residual_max=None):
+    def __init__(self, points, values, closedness, closed_tol, cf_residual_max):
         self.points = points
         self.values = values
         self.closedness = closedness
@@ -343,47 +347,42 @@ class PenroseResult:
         self.cf_residual_max = cf_residual_max
 
     def to_json(self):
-        out = {
+        return {
             "points": np.asarray(self.points).tolist(),
             "psi0": [[v[0].real, v[0].imag] for v in self.values],
             "psi1": [[v[1].real, v[1].imag] for v in self.values],
             "closedness": self.closedness,
             "closed_tol": self.closed_tol,
+            "cf_residual_max": self.cf_residual_max,
         }
-        if self.cf_residual_max is not None:
-            out["cf_residual_max"] = self.cf_residual_max
-        return out
 
 
-def penrose_transform(form, points, cfg=None, quad=None, closed_tol=1e-4,
-                      max_certificate_points=8, check_monogenic=True):
+def penrose_transform(form, points, cfg=None, quad=None):
     """Evaluate the transform at base points, certifying closedness first.
 
-    The certificate computes tau_push_02 at up to ``max_certificate_points``
-    of the given points and requires every component below
-    closed_tol * max(1, output scale); otherwise ClosednessError.  With
-    ``check_monogenic`` the Cauchy-Fueter residual of the quadrature-backed
-    output is differenced at every point and the maximum reported; each
-    stencil point costs one fiber pass for both components.
+    The certificate computes tau_push_02 at up to ``_CERT_POINTS`` of the
+    given points and requires every component below
+    ``_CLOSED_TOL`` * max(1, output scale); otherwise ClosednessError.  The
+    Cauchy-Fueter residual of the quadrature-backed output is then
+    differenced at every point and the maximum reported; each stencil point
+    costs one fiber pass for both components.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = tau_push_01(form, points, quad)
     scale = max(1.0, float(np.max(np.abs(values))))
 
-    stride = max(1, len(points) // max_certificate_points)
-    cert_pts = points[::stride][:max_certificate_points]
+    stride = max(1, len(points) // _CERT_POINTS)
+    cert_pts = points[::stride][:_CERT_POINTS]
     cert = float(np.max(np.abs(tau_push_02(form, cert_pts, cfg, quad))))
-    if cert > closed_tol * scale:
+    if cert > _CLOSED_TOL * scale:
         raise ClosednessError(
             "tau-level closedness certificate %.3e exceeds %.3e"
-            % (cert, closed_tol * scale))
+            % (cert, _CLOSED_TOL * scale))
 
-    cf_max = None
-    if check_monogenic:
-        res = _residual_of_pair(lambda pts: tau_push_01(form, pts, quad)[..., :2],
-                                points, cfg, domain=form.domain)
-        cf_max = float(np.max(np.abs(res)))
-    return PenroseResult(points, values, cert, closed_tol, cf_max)
+    res = _residual_of_pair(lambda pts: tau_push_01(form, pts, quad)[..., :2],
+                            points, cfg, domain=form.domain)
+    return PenroseResult(points, values, cert, _CLOSED_TOL,
+                         float(np.max(np.abs(res))))
 
 
 def penrose_transform_complex(form, sigma, cfg=None, quad=None,

@@ -1,4 +1,4 @@
-"""Quaternion and biquaternion linear algebra.
+"""Linear algebra of quaternions and biquaternions.
 
 Conventions used throughout the package:
 
@@ -14,18 +14,17 @@ Conventions used throughout the package:
   "biquaternion point" (x, y) is the matrix embed_M(x) + 1j*embed_M(y).
 
 Array functions operate on trailing axes and broadcast over leading ones, so
-the same code serves scalar points and large sample batches.  The thin
-Quaternion / QuaternionVector / BiquaternionPoint classes wrap these functions
-for API and CLI use.
+the same code serves scalar points and large sample batches.  A point of H^n
+is a flat (..., 4n) real array; BiquaternionPoint only pairs the two flat
+arrays x and y of a point Sigma and checks their shapes.
 """
 
 import numpy as np
 
 __all__ = [
-    "qmul", "qmul_right", "qconj", "qnorm", "qinner",
+    "qmul", "qmul_right", "qconj", "qnorm",
     "real_to_ab", "ab_to_real", "kappa", "embed_M", "matrix_point",
-    "decompose_matrix", "det_biquat", "norm_C",
-    "Quaternion", "QuaternionVector", "BiquaternionPoint",
+    "decompose_matrix", "det_biquat", "norm_C", "BiquaternionPoint",
 ]
 
 
@@ -55,7 +54,7 @@ def qmul_right(x, q):
 
 
 def qconj(q):
-    """Quaternion conjugate on (..., 4) arrays."""
+    """The quaternion conjugate on (..., 4) arrays."""
     q = np.asarray(q, dtype=float)
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -64,17 +63,6 @@ def qnorm(x):
     """Euclidean norm of a flat real point (..., 4n) -> (...)."""
     x = np.asarray(x, dtype=float)
     return np.sqrt(np.sum(x * x, axis=-1))
-
-
-def qinner(x, y):
-    """Real inner product Re(sum_l conj(x_l) y_l) of two (..., 4n) points.
-
-    For quaternion vectors this equals the plain Euclidean dot product of the
-    flat coordinate arrays.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.sum(x * y, axis=-1)
 
 
 def real_to_ab(x):
@@ -180,194 +168,30 @@ def norm_C(x, y):
 
 
 # ---------------------------------------------------------------------------
-# wrapper classes
+# points of M_{2n x 2}(C)
 # ---------------------------------------------------------------------------
 
-class Quaternion:
-    """A single quaternion x0 + i*x1 + j*x2 + k*x3."""
-
-    __slots__ = ("arr",)
-
-    def __init__(self, x0=0.0, x1=0.0, x2=0.0, x3=0.0):
-        self.arr = np.array([x0, x1, x2, x3], dtype=float)
-
-    @classmethod
-    def from_array(cls, a):
-        q = cls.__new__(cls)
-        q.arr = np.asarray(a, dtype=float).reshape(4).copy()
-        return q
-
-    @classmethod
-    def from_complex_pair(cls, alpha, beta=0.0):
-        """Build alpha + k*beta from the complex pair."""
-        alpha = complex(alpha)
-        beta = complex(beta)
-        return cls(alpha.real, alpha.imag, beta.imag, beta.real)
-
-    @property
-    def x0(self):
-        return float(self.arr[0])
-
-    @property
-    def x1(self):
-        return float(self.arr[1])
-
-    @property
-    def x2(self):
-        return float(self.arr[2])
-
-    @property
-    def x3(self):
-        return float(self.arr[3])
-
-    @property
-    def alpha(self):
-        return complex(self.arr[0], self.arr[1])
-
-    @property
-    def beta(self):
-        return complex(self.arr[3], self.arr[2])
-
-    def conj(self):
-        return Quaternion.from_array(qconj(self.arr))
-
-    def __abs__(self):
-        return float(qnorm(self.arr))
-
-    def __add__(self, other):
-        other = _as_quat(other)
-        return Quaternion.from_array(self.arr + other.arr)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Quaternion.from_array(-self.arr)
-
-    def __sub__(self, other):
-        other = _as_quat(other)
-        return Quaternion.from_array(self.arr - other.arr)
-
-    def __rsub__(self, other):
-        return _as_quat(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion.from_array(self.arr * other)
-        other = _as_quat(other)
-        return Quaternion.from_array(qmul(self.arr, other.arr))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion.from_array(self.arr * other)
-        return _as_quat(other) * self
-
-    def __truediv__(self, s):
-        return Quaternion.from_array(self.arr / float(s))
-
-    def __eq__(self, other):
-        try:
-            other = _as_quat(other)
-        except TypeError:
-            return NotImplemented
-        return bool(np.array_equal(self.arr, other.arr))
-
-    def isclose(self, other, tol=1e-10):
-        return bool(np.max(np.abs(self.arr - _as_quat(other).arr)) <= tol)
-
-    def __repr__(self):
-        return "Quaternion(%g, %g, %g, %g)" % tuple(self.arr)
-
-    def tolist(self):
-        return self.arr.tolist()
-
-
-def _as_quat(value):
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, (int, float)):
-        return Quaternion(value)
-    if isinstance(value, complex):
-        return Quaternion(value.real, value.imag)
-    raise TypeError("cannot interpret %r as a quaternion" % (value,))
-
-
-class QuaternionVector:
-    """A point of H^n stored as the flat real vector (x0, x1, x2, x3) per entry."""
-
-    __slots__ = ("arr",)
-
-    def __init__(self, entries):
-        if isinstance(entries, QuaternionVector):
-            self.arr = entries.arr.copy()
-            return
-        entries = list(entries) if not isinstance(entries, np.ndarray) else entries
-        if isinstance(entries, list) and entries and isinstance(entries[0], Quaternion):
-            self.arr = np.concatenate([q.arr for q in entries])
-        else:
-            a = np.asarray(entries, dtype=float).ravel()
-            if a.size % 4:
-                raise ValueError("flat length must be 4n")
-            self.arr = a.copy()
-
-    @property
-    def n(self):
-        return self.arr.size // 4
-
-    def entry(self, ell):
-        return Quaternion.from_array(self.arr[4 * ell:4 * ell + 4])
-
-    @property
-    def entries(self):
-        return [self.entry(ell) for ell in range(self.n)]
-
-    def to_ab(self):
-        return real_to_ab(self.arr)
-
-    @classmethod
-    def from_ab(cls, v):
-        return cls(ab_to_real(v))
-
-    def norm(self):
-        return float(qnorm(self.arr))
-
-    def inner(self, other):
-        return float(qinner(self.arr, QuaternionVector(other).arr))
-
-    def right_mul(self, q):
-        """Right module action (x * q)_l = x_l * q."""
-        q = _as_quat(q)
-        blocks = self.arr.reshape(self.n, 4)
-        return QuaternionVector(qmul(blocks, q.arr).ravel())
-
-    def __add__(self, other):
-        return QuaternionVector(self.arr + QuaternionVector(other).arr)
-
-    def __sub__(self, other):
-        return QuaternionVector(self.arr - QuaternionVector(other).arr)
-
-    def __mul__(self, s):
-        return QuaternionVector(self.arr * float(s))
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return "QuaternionVector(%r)" % (self.arr.tolist(),)
-
-    def tolist(self):
-        return self.arr.tolist()
+def _flat(a):
+    """A read-only float copy of a (4n,) point."""
+    a = np.array(a, dtype=float).ravel()
+    if a.size % 4:
+        raise ValueError("flat length must be 4n")
+    a.flags.writeable = False
+    return a
 
 
 class BiquaternionPoint:
-    """A point Sigma = (x, y) of M_{2n x 2}(C), the ambient space of hulls."""
+    """A point Sigma = (x, y) of M_{2n x 2}(C), the ambient space of hulls.
+
+    x and y are read-only flat (4n,) float copies of the inputs.
+    """
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y=None):
-        self.x = QuaternionVector(x)
-        if y is None:
-            y = np.zeros_like(self.x.arr)
-        self.y = QuaternionVector(y)
-        if self.y.n != self.x.n:
+        self.x = _flat(x)
+        self.y = _flat(np.zeros_like(self.x) if y is None else y)
+        if self.y.size != self.x.size:
             raise ValueError("x and y must have the same number of entries")
 
     @classmethod
@@ -377,11 +201,11 @@ class BiquaternionPoint:
 
     @property
     def n(self):
-        return self.x.n
+        return self.x.size // 4
 
     @property
     def matrix(self):
-        return matrix_point(self.x.arr, self.y.arr)
+        return matrix_point(self.x, self.y)
 
     def det(self):
         if self.n != 1:
@@ -389,13 +213,13 @@ class BiquaternionPoint:
         return complex(det_biquat(self.matrix))
 
     def norm_C(self):
-        return float(norm_C(self.x.arr, self.y.arr))
+        return float(norm_C(self.x, self.y))
 
     def __sub__(self, other):
         return BiquaternionPoint(self.x - other.x, self.y - other.y)
 
     def __repr__(self):
-        return "BiquaternionPoint(x=%r, y=%r)" % (self.x.arr.tolist(), self.y.arr.tolist())
+        return "BiquaternionPoint(x=%r, y=%r)" % (self.x.tolist(), self.y.tolist())
 
     def tolist(self):
-        return {"x": self.x.arr.tolist(), "y": self.y.arr.tolist()}
+        return {"x": self.x.tolist(), "y": self.y.tolist()}

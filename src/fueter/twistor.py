@@ -269,7 +269,7 @@ def line_sweep(sigma, pairs=None):
     if pairs is None:
         pairs = hopf_grid()
     qs = sweep_quaternions(pairs)
-    return _line_points(pt.x.arr, pt.y.arr, qs)
+    return _line_points(pt.x, pt.y, qs)
 
 
 def hull_contains_via_lines(sigma, U, count=_DEFAULT_COUNT, return_query=False):

@@ -88,6 +88,16 @@ def test_penrose_complex_rejects_a_point_of_another_n(capsys):
     assert captured.err.startswith("config error: sigma has n=2")
 
 
+def test_penrose_complex_takes_no_seed(capsys):
+    # complex evaluates one given sigma and samples nothing
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["penrose", "complex", "--field", "E", "--sigma",
+                  '{"x": [0.8, 0.1, 0, 0], "y": [0, 0.1, 0, 0]}',
+                  "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_twistor_hull_lines_records_the_count(tmp_path):
     args = ["twistor", "hull-lines", "--domain", "H*",
             "--sigma", '{"x": [1, 0, 0, 0], "y": [0, 0.3, 0, 0]}']

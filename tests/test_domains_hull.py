@@ -190,7 +190,7 @@ def test_near_boundary_query_is_flagged_indeterminate():
     coarse = hull.hull_contains(sigma, ball, count=64)
     qs, _ = hull._lattice(64)
     grid_min = ball.ext_distance(
-        hull._line_points(sigma.x.arr, sigma.y.arr, qs)).min()
+        hull._line_points(sigma.x, sigma.y, qs)).min()
     assert coarse.indeterminate is True
     assert coarse.inf_value <= grid_min <= coarse.band
     # a denser lattice shrinks the band and settles the same query
@@ -428,7 +428,7 @@ def test_refined_arg_min_attains_the_reported_value(monkeypatch):
             query = path(sigma)
             if len(steps) == before:
                 continue
-            x, y = sigma.x.arr, sigma.y.arr
+            x, y = sigma.x, sigma.y
             at_q = ball.ext_distance(
                 hull._line_points(x, y, query.argmin_q[None, :])[0])
             assert at_q == query.inf_value

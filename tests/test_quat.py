@@ -1,6 +1,7 @@
-"""Quaternion arithmetic, complex coordinates, and matrix embeddings."""
+"""Arithmetic of quaternions, complex coordinates, and matrix embeddings."""
 
 import numpy as np
+import pytest
 
 from fueter import quat
 
@@ -43,11 +44,20 @@ def test_conjugation_reverses_products():
                                [quat.qnorm(p) ** 2, 0, 0, 0], atol=1e-13)
 
 
-def test_qinner_matches_euclidean_inner_product():
+def test_qmul_right_multiplies_every_entry():
     rng = np.random.default_rng(3)
-    p = rng.normal(size=4)
-    q = rng.normal(size=4)
-    assert abs(quat.qinner(p, q) - np.dot(p, q)) < 1e-13
+    for n in (1, 2):
+        x = rng.normal(size=4 * n)
+        q = rng.normal(size=4)
+        expected = np.concatenate(
+            [quat.qmul(x[4 * ell:4 * ell + 4], q) for ell in range(n)])
+        np.testing.assert_array_equal(quat.qmul_right(x, q), expected)
+        # a leading batch axis on both x and q
+        xs = rng.normal(size=(3, 4 * n))
+        qs = rng.normal(size=(3, 4))
+        np.testing.assert_array_equal(
+            quat.qmul_right(xs, qs),
+            [quat.qmul_right(xk, qk) for xk, qk in zip(xs, qs)])
 
 
 def test_complex_coordinate_layout_and_roundtrip():
@@ -125,34 +135,6 @@ def test_norm_C_combines_both_real_parts():
     assert abs(quat.BiquaternionPoint(x, y).norm_C() - 5.0) < 1e-13
 
 
-def test_quaternion_class_arithmetic():
-    a = quat.Quaternion(1, 2, 3, 4)
-    b = quat.Quaternion(0.5, -1, 0.25, 2)
-    np.testing.assert_allclose((a * b).arr, quat.qmul(a.arr, b.arr))
-    np.testing.assert_allclose((a + b).arr, a.arr + b.arr)
-    np.testing.assert_allclose((a - b).arr, a.arr - b.arr)
-    np.testing.assert_allclose(a.conj().arr, quat.qconj(a.arr))
-    assert a.alpha == 1 + 2j
-    assert a.beta == 4 + 3j
-    round_trip = quat.Quaternion.from_complex_pair(a.alpha, a.beta)
-    np.testing.assert_array_equal(round_trip.arr, a.arr)
-    assert a.isclose(quat.Quaternion.from_array(a.arr))
-
-
-def test_quaternion_vector_operations():
-    v = quat.QuaternionVector(np.arange(8.0).reshape(2, 4))
-    a = quat.Quaternion(1, 2, 3, 4)
-    w = v.right_mul(a)
-    for ell in range(2):
-        np.testing.assert_allclose(w.entry(ell).arr,
-                                   quat.qmul(v.entry(ell).arr, a.arr))
-    assert abs(v.norm() - np.linalg.norm(np.arange(8.0))) < 1e-13
-    assert abs(v.inner(v) - v.norm() ** 2) < 1e-12
-    np.testing.assert_array_equal(v.to_ab(), quat.real_to_ab(v.arr))
-    np.testing.assert_array_equal(
-        quat.QuaternionVector.from_ab(v.to_ab()).arr, v.arr)
-
-
 def test_biquaternion_point_roundtrip_and_det():
     rng = np.random.default_rng(9)
     x = rng.normal(size=8)
@@ -160,8 +142,8 @@ def test_biquaternion_point_roundtrip_and_det():
     pt = quat.BiquaternionPoint(x, y)
     assert pt.n == 2
     pt2 = quat.BiquaternionPoint.from_matrix(pt.matrix)
-    np.testing.assert_allclose(pt2.x.arr, x, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(pt2.y.arr, y, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(pt2.x, x, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(pt2.y, y, rtol=0, atol=1e-14)
     diff = pt - quat.BiquaternionPoint(0.5 * x, 0.5 * y)
     expected = 0.5 * np.sqrt(np.dot(x, x) + np.dot(y, y))
     assert abs(diff.norm_C() - expected) < 1e-12
@@ -177,3 +159,19 @@ def test_biquaternion_point_roundtrip_and_det():
         pass
     else:
         raise AssertionError("det() must reject vector-valued points")
+
+
+def test_biquaternion_point_owns_read_only_copies():
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    y = np.array([0.5, 0.0, -0.5, 0.0])
+    pt = quat.BiquaternionPoint(x, y)
+    x[0] = 99.0
+    y[1] = 99.0
+    assert pt.tolist() == {"x": [1.0, 2.0, 3.0, 4.0], "y": [0.5, 0.0, -0.5, 0.0]}
+    for arr in (pt.x, pt.y, quat.BiquaternionPoint(x).y):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    with pytest.raises(ValueError, match="flat length must be 4n"):
+        quat.BiquaternionPoint(np.zeros(3))
+    with pytest.raises(ValueError, match="same number of entries"):
+        quat.BiquaternionPoint(np.zeros(4), np.zeros(8))
