@@ -229,20 +229,21 @@ def criterion_4_distance_law(seed=7):
         x = rng.normal(scale=0.7, size=4)
         y = rng.normal(scale=0.4, size=4)
         if not hull_contains((x, y), U).verdict:
-            exterior.append(quat.BiquaternionPoint(x, y))
+            exterior.append((x, y))
+    ext_x, ext_y = np.array(exterior).transpose(1, 0, 2)
 
     witness_rel_err = 0.0
     witness_inside = 0
     cloud_violations = 0
     for pt in sigmas:
-        d = hull_distance(pt, U)
         w, q = hull_witness(pt, U)
+        d = q.inf_value / np.sqrt(2.0)  # hull_distance(pt, U), same query
         witness_rel_err = max(witness_rel_err, abs((pt - w).norm_C() - d) / d)
         wq = hull_contains(w, U)
         if wq.verdict and not wq.indeterminate:
             witness_inside += 1
         band_d = q.band / np.sqrt(2.0)
-        closest = min((pt - e).norm_C() for e in exterior)
+        closest = quat.norm_C(pt.x - ext_x, pt.y - ext_y).min()
         if closest < d - band_d - 1e-12:
             cloud_violations += 1
 

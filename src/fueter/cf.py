@@ -25,7 +25,9 @@ The holomorphic operator D^C acts on matrix fields: component A is
 d_{z_{A 0'}} psi1^C - d_{z_{A 1'}} psi0^C, differenced along the complex
 coordinate axes.
 
-All derivative routines vectorize over a leading batch of points.
+Every finite difference here and in ``penrose`` goes through ``_central``
+(along the 4n real axes, or one column's matrix units for D^C) and the
+scheme of ``_extrapolate``; all vectorize over a leading batch of points.
 """
 
 import numpy as np
@@ -69,66 +71,58 @@ class FDConfig:
 
     def resolve_step(self, scale, factor=1e-5):
         if self.step is not None:
-            return np.broadcast_to(np.float64(self.step), np.shape(scale)).copy() \
-                if np.ndim(scale) else float(self.step)
+            return self.step
         return factor * np.maximum(1.0, scale)
 
     def __repr__(self):
         return "FDConfig(step=%r, scheme=%r)" % (self.step, self.scheme)
 
 
-def _central(fn, p, h):
-    """All 4n real partial derivatives of fn at p.
+def _shifted(p, dirs, h):
+    """(p + h d, p - h d) for every direction d of dirs, each (..., k) + point."""
+    off = np.reshape(h, np.shape(h) + (1,) * dirs.ndim) * dirs
+    centre = np.expand_dims(p, -dirs.ndim)
+    return centre + off, centre - off
 
-    p: (..., 4n); h: (...) broadcastable step; fn maps (..., 4n) to a complex
-    array with the same leading shape (possibly with extra trailing axes).
-    Returns partials stacked on a new axis: (..., 4n[, extra]).
+
+def _central(fn, p, dirs, h):
+    """(fn(p + h d) - fn(p - h d)) / 2h for every direction d of dirs.
+
+    p: (...,) + point; dirs: (k,) + point; h: (...) or a scalar.  fn maps
+    (..., k) + point to (..., k[, extra]), which is the result's shape.
     """
-    p = np.asarray(p, dtype=float)
-    dim = p.shape[-1]
-    hcol = np.asarray(h)[..., None]
-    plus = p[..., None, :] + hcol[..., None] * np.eye(dim)
-    minus = p[..., None, :] - hcol[..., None] * np.eye(dim)
+    plus, minus = _shifted(p, dirs, h)
     fp = fn(plus)
     fm = fn(minus)
     denom = 2.0 * np.asarray(h)
-    extra = fp.ndim - plus.ndim + 1
-    denom = denom.reshape(denom.shape + (1,) * (extra + 1)) if np.ndim(denom) else denom
-    return (fp - fm) / denom
+    return (fp - fm) / denom.reshape(denom.shape + (1,) * (fp.ndim - denom.ndim))
 
 
-def _partials(fn, p, cfg, factor=1e-5):
+def _extrapolate(diff, h, scheme):
+    """diff(h), or for "richardson" (4 diff(h/2) - diff(h)) / 3."""
+    if scheme == "central":
+        return diff(h)
+    return (4.0 * diff(h / 2) - diff(h)) / 3.0
+
+
+def _partials(fn, p, cfg, domain=None):
+    """All 4n real partials of fn at p, (..., 4n[, extra]), by the cfg scheme.
+
+    With a domain, all stencil points are checked before fn runs; DomainError
+    names the first outside (batch-major; centre, +h, -h, +h/2, -h/2).
+    """
     p = np.asarray(p, dtype=float)
-    h = cfg.resolve_step(quat.qnorm(p), factor=factor)
-    if cfg.scheme == "central":
-        return _central(fn, p, h)
-    d1 = _central(fn, p, h)
-    d2 = _central(fn, p, h / 2)
-    return (4.0 * d2 - d1) / 3.0
-
-
-def _stencil_points(p, cfg, factor=1e-5):
-    """Every point an FD call will evaluate, for domain checking."""
-    p = np.asarray(p, dtype=float)
-    dim = p.shape[-1]
-    h = np.asarray(cfg.resolve_step(quat.qnorm(p), factor=factor))
-    steps = [h, h / 2] if cfg.scheme == "richardson" else [h]
-    pts = [p[..., None, :]]
-    for s in steps:
-        offs = s[..., None, None] * np.eye(dim)
-        pts.append(p[..., None, :] + offs)
-        pts.append(p[..., None, :] - offs)
-    return np.concatenate(pts, axis=-2)
-
-
-def _check_domain(domain, p, cfg, factor=1e-5):
-    if domain is None or isinstance(domain, WholeSpace):
-        return
-    pts = _stencil_points(p, cfg, factor=factor)
-    inside = domain.contains(pts)
-    if not np.all(inside):
-        bad = pts[~inside]
-        raise DomainError(bad.reshape(-1, pts.shape[-1])[0])
+    h = cfg.resolve_step(quat.qnorm(p))
+    axes = np.eye(p.shape[-1])
+    if domain is not None and not isinstance(domain, WholeSpace):
+        pts = [p[..., None, :]]
+        for s in ([h, h / 2] if cfg.scheme == "richardson" else [h]):
+            pts.extend(_shifted(p, axes, s))
+        pts = np.concatenate(pts, axis=-2)
+        inside = domain.contains(pts)
+        if not np.all(inside):
+            raise DomainError(pts[~inside][0])
+    return _extrapolate(lambda s: _central(fn, p, axes, s), h, cfg.scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +134,8 @@ def cf_apply(psi, p, cfg=None):
 
     psi is a ScalarField; p is flat real (..., 4n).
     """
-    cfg = cfg or FDConfig()
     p = np.asarray(p, dtype=float)
-    _check_domain(psi.domain, p, cfg)
-    dq = _partials(psi.eval_quat, p, cfg)  # (..., 4n, 4)
+    dq = _partials(psi.eval_quat, p, cfg or FDConfig(), psi.domain)  # (..., 4n, 4)
     n = p.shape[-1] // 4
     blocks = dq.reshape(dq.shape[:-2] + (n, 4, 4))  # (..., n, coord u, quat comp)
     out = np.zeros_like(blocks[..., 0, :])
@@ -198,10 +190,7 @@ def _residual_of_pair(pair, p, cfg=None, domain=None):
     pair maps flat real points (..., 4n) to (psi0, psi1) stacked as (..., 2),
     so each stencil point is evaluated once for both components.
     """
-    cfg = cfg or FDConfig()
-    p = np.asarray(p, dtype=float)
-    _check_domain(domain, p, cfg)
-    d = _partials(pair, p, cfg)  # (..., 4n, 2)
+    d = _partials(pair, p, cfg or FDConfig(), domain)  # (..., 4n, 2)
     da, dab, db, dbb = _wirtinger(np.moveaxis(d, -1, 0))  # each (2, ..., n)
     r1 = db[1] - dab[0]
     r2 = da[1] + dbb[0]
@@ -228,25 +217,12 @@ def dC_apply(psiC, sigma, cfg=None):
     rows = 2 * psiC.n
     if z.shape[-2:] != (rows, 2):
         raise ValueError("sigma must be a (..., %d, 2) matrix" % rows)
-    scale = np.sqrt(np.sum(np.abs(z) ** 2, axis=(-2, -1)))
-    h = cfg.resolve_step(scale, factor=1e-4)
-
-    def partial(component, A, col, step):
-        e = np.zeros((rows, 2))
-        e[A, col] = 1.0
-        sp = step[..., None, None] * e if np.ndim(step) else step * e
-        return (component(z + sp) - component(z - sp)) / (2.0 * step)
-
-    def all_components(step):
-        out = np.empty(z.shape[:-2] + (rows,), dtype=complex)
-        for A in range(rows):
-            out[..., A] = (partial(psiC.pair1, A, 0, step)
-                           - partial(psiC.pair0, A, 1, step))
-        return out
-
-    if cfg.scheme == "central":
-        return all_components(h)
-    return (4.0 * all_components(h / 2) - all_components(h)) / 3.0
+    h = cfg.resolve_step(np.sqrt(np.sum(np.abs(z) ** 2, axis=(-2, -1))), 1e-4)
+    # the matrix units e_{A,col}, A = 0..2n-1, of each column
+    units = np.eye(2 * rows).reshape(2 * rows, rows, 2)
+    return _extrapolate(lambda s: _central(psiC.pair1, z, units[0::2], s)
+                        - _central(psiC.pair0, z, units[1::2], s),
+                        h, cfg.scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ at 1536).  Do not lower these node counts without rechecking the exactness
 tests.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -61,26 +63,31 @@ class QuadratureConfig:
 # quadrature node/weight grade for bump-function fixtures; see module docstring
 BUMP_GRADE = QuadratureConfig(n_radial=1536, n_angular=96, target_tol=1e-5)
 
-_node_cache = {}
-
 
 def quadrature_nodes(cfg=None):
-    """Complex nodes Z and real weights W with sum(W * g(Z)) ~ (1/pi) int g dA."""
+    """Complex nodes Z and real weights W with sum(W * g(Z)) ~ (1/pi) int g dA.
+
+    The arrays are cached per node count and read-only.
+    """
     cfg = cfg or QuadratureConfig()
-    key = (cfg.n_radial, cfg.n_angular)
-    if key not in _node_cache:
-        t, wt = np.polynomial.legendre.leggauss(cfg.n_radial)
-        rho = (t + 1.0) / 2.0
-        wr = wt / 2.0
-        r = rho / (1.0 - rho)
-        jac = 1.0 / (1.0 - rho) ** 2          # dr = jac * drho
-        phi = 2.0 * np.pi * np.arange(cfg.n_angular) / cfg.n_angular
-        Z = (r[:, None] * np.exp(1j * phi)[None, :]).ravel()
-        # (1/pi) * r dr dphi; trapezoid weight 2*pi/n_angular, over pi -> 2/n
-        W = ((wr * jac * r)[:, None]
-             * np.full(cfg.n_angular, 2.0 / cfg.n_angular)[None, :]).ravel()
-        _node_cache[key] = (Z, W)
-    return _node_cache[key]
+    return _nodes(cfg.n_radial, cfg.n_angular)
+
+
+@functools.lru_cache(maxsize=8)
+def _nodes(n_radial, n_angular):
+    t, wt = np.polynomial.legendre.leggauss(n_radial)
+    rho = (t + 1.0) / 2.0
+    wr = wt / 2.0
+    r = rho / (1.0 - rho)
+    jac = 1.0 / (1.0 - rho) ** 2          # dr = jac * drho
+    phi = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    Z = (r[:, None] * np.exp(1j * phi)[None, :]).ravel()
+    # (1/pi) * r dr dphi; trapezoid weight 2*pi/n_angular, over pi -> 2/n
+    W = ((wr * jac * r)[:, None]
+         * np.full(n_angular, 2.0 / n_angular)[None, :]).ravel()
+    Z.flags.writeable = False
+    W.flags.writeable = False
+    return Z, W
 
 
 def quadrature_C(g, cfg=None, check=False):

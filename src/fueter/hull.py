@@ -279,8 +279,11 @@ def _sweep(pt, U, grid, polish=False):
 def hull_distance(sigma, U, count=_DEFAULT_COUNT):
     """Distance (1/sqrt 2) * inf_q ext_distance(x + y q) to the hull boundary.
 
-    For a domain without a closed form every lattice query is polished by
-    the local search, since a value is wanted, not just a sign.
+    For a domain without a closed form (no ``sweep_inf``) every lattice
+    query is polished by the local search, since a value is wanted, not just
+    a sign.  The value is then a local minimum of the sweep, which can exceed
+    the true one (on an ``Intersection``, say) by up to the query's band; it
+    is certified only when the query of ``hull_witness`` is not indeterminate.
     """
     query = _hull_query(sigma, U, count, polish=True)
     if not query.verdict:
@@ -294,7 +297,8 @@ def hull_witness(sigma, U, count=_DEFAULT_COUNT):
     Returns (witness, query): with q* the query's arg-min, p = x + y q*, and
     x0 = U.nearest_boundary(p), the witness is (x + w/2, y - w q*/2) where
     w = x0 - p.  Its own swept line passes through x0, so it lies outside the
-    (open) hull, at C-distance ||w||/sqrt(2) = hull_distance(sigma).
+    (open) hull, at C-distance ||w||/sqrt(2) = hull_distance(sigma), which
+    without ``sweep_inf`` is a local minimum (see hull_distance).
     """
     query = _hull_query(sigma, U, count, polish=True)
     if not query.verdict:

@@ -41,20 +41,20 @@ pushforwards, ``penrose_transform`` and ``diagram_check`` evaluate one node
 set for all their base points, in chunks of at most ``_CHUNK_ELEMENTS``
 profile values so memory stays bounded for large batches.
 
-Numerical notes: output values are quadrature sums over the fixed node set
-of ``cp1.quadrature_nodes``; closedness certificates and diagram residuals
-inherit the finite-difference error of the base derivatives (~1e-8 at
-default steps), far below the 1e-4 working tolerances.
+Numerical notes: there are no settings.  Output values are quadrature sums
+over the default nodes of ``cp1.quadrature_nodes``; derivatives use the
+finite-difference core of ``cf`` at ``_FD``, whose error (~1e-8) closedness
+certificates and diagram residuals inherit, far below the 1e-4 tolerances.
 """
 
 import numpy as np
 
 from . import quat
-from .cf import (FDConfig, _partials, _wirtinger, cf_residual_complex,
-                 _check_domain, _residual_of_pair)
-from .cp1 import QuadratureConfig, quadrature_nodes, validate_form, Form01, decay_check
+from .cf import (FDConfig, _extrapolate, _partials, _wirtinger,
+                 cf_residual_complex, _residual_of_pair)
+from .cp1 import quadrature_nodes, validate_form, Form01, decay_check
 from .domains import WholeSpace
-from .fields import ScalarField
+from .fields import get_field
 from .hull import hull_contains, NotInHullError, _as_point
 
 __all__ = [
@@ -77,6 +77,7 @@ _CHUNK_ELEMENTS = 1 << 15
 # _CERT_POINTS of the given points must stay below _CLOSED_TOL * max(1, scale).
 _CLOSED_TOL = 1e-4
 _CERT_POINTS = 8
+_FD = FDConfig()  # every base and fiber derivative of the transform
 
 
 class ClosednessError(RuntimeError):
@@ -161,15 +162,12 @@ class TwistorFormL:
         return report
 
 
-def sharp(field, psi1=None, n=None, domain=None, name=None):
-    """Lift a pair to a twistor form of degree -3 with zero K components.
+def sharp(field):
+    """Lift a ScalarField to a twistor form of degree -3 with zero K parts.
 
-    Accepts a ScalarField, or two pair callables (on interleaved complex
-    points).  When the field carries a holomorphic matrix extension the lift
-    also carries ``wz_matrix`` for the complexified transform.
+    When the field carries a holomorphic matrix extension the lift also
+    carries ``wz_matrix`` for the complexified transform.
     """
-    if psi1 is not None:
-        field = ScalarField(field, psi1, n=(n or 1), domain=domain, name=name)
     n = field.n
 
     def profile(p0, p1, z):
@@ -230,19 +228,19 @@ def _chunked(fn, base, per_point, point_ndim=1):
     return out.reshape(lead + out.shape[1:])
 
 
-def _fiber_moments(fn, base, count, quad=None, point_ndim=1):
+def _fiber_moments(fn, base, count, point_ndim=1):
     """Moments sum_j W_j Z_j^ell fn(Z_j, b) for ell < count at every base point b.
 
     base is (..., 4n) real points, or (..., 2n, 2) matrices with
     point_ndim=2; returns base.shape[:-point_ndim] + (count,).
     """
-    Z, W = quadrature_nodes(quad)
+    Z, W = quadrature_nodes()
     V = (W * Z ** np.arange(count)[:, None]).T  # (nodes, count)
     return _chunked(lambda b: _on_batch(fn, Z, b, point_ndim) @ V,
                     base, Z.size, point_ndim)
 
 
-def tau_push_01(form, x, quad=None):
+def tau_push_01(form, x):
     """Push a form down to the pair: A-th moment of the dconj(z)-part.
 
     x (..., 4n) -> (..., -k-1), one fiber quadrature for the whole batch.
@@ -250,20 +248,20 @@ def tau_push_01(form, x, quad=None):
     if form.k > -2:
         raise ValueError("degree %d has no pushforward coefficients" % form.k)
     x = np.asarray(x, dtype=float)
-    return _fiber_moments(form.wz, x, -form.k - 1, quad)
+    return _fiber_moments(form.wz, x, -form.k - 1)
 
 
-def frame_apply(fn, z, x, cfg=None):
+def frame_apply(fn, z, x, domain=None):
     """Apply the 2n antiholomorphic base frame fields to fn(z, x) at fixed z.
 
     x is (..., 4n).  Returns an array of shape (2n,) + x.shape[:-1] +
     shape(z): row 2i-2 is (z d_beta_i - d_conj(alpha_i)) fn, row 2i-1 is
-    (z d_alpha_i + d_conj(beta_i)) fn.
+    (z d_alpha_i + d_conj(beta_i)) fn.  With a domain the base stencil is
+    checked first (cf.DomainError).
     """
-    cfg = cfg or FDConfig()
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=complex)
-    d = _partials(lambda pts: _on_batch(fn, z, pts), x, cfg)
+    d = _partials(lambda pts: _on_batch(fn, z, pts), x, _FD, domain)
     da, dab, db, dbb = _wirtinger(np.moveaxis(d, x.ndim - 1, -1))
     n = x.shape[-1] // 4
     out = np.empty((2 * n,) + x.shape[:-1] + z.shape, dtype=complex)
@@ -273,10 +271,9 @@ def frame_apply(fn, z, x, cfg=None):
     return out
 
 
-def _dbar_fiber(fn, z, x, cfg):
+def _dbar_fiber(fn, z, x):
     """d/dconj(z) of fn(z, x) at fixed x by central differences in the fiber."""
     z = np.asarray(z, dtype=complex)
-    h = cfg.resolve_step(np.maximum(1.0, np.abs(z)))
 
     def deriv(step):
         du = (_on_batch(fn, z + step, x)
@@ -285,25 +282,23 @@ def _dbar_fiber(fn, z, x, cfg):
               - _on_batch(fn, z - 1j * step, x)) / (2.0 * step)
         return (du + 1j * dv) / 2.0
 
-    if cfg.scheme == "central":
-        return deriv(h)
-    return (4.0 * deriv(h / 2) - deriv(h)) / 3.0
+    return _extrapolate(deriv, _FD.resolve_step(np.maximum(1.0, np.abs(z))),
+                        _FD.scheme)
 
 
-def dbar_chart0(form, z, x, cfg=None):
+def dbar_chart0(form, z, x):
     """(0,2)-components of the antiholomorphic derivative at (z, x).
 
     Returns {"C_zi": (2n,) + B + shape(z), "C_ij": (2n, 2n) + B + shape(z)}
     for base points x of shape B + (4n,), with C_zi[A] = d_conj(z) K_A -
     X^{A+1} wz and C_ij[A, B] = X^{A+1} K_B - X^{B+1} K_A (antisymmetric).
-    Vectorized over an array of fiber points and a batch of base points.
+    Vectorized over fiber points and base points; cf.DomainError, before
+    any evaluation, if the base stencil leaves the form's domain.
     """
-    cfg = cfg or FDConfig()
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=complex)
-    _check_domain(form.domain, x, cfg)
     m = 2 * form.n
-    Xw = frame_apply(form.wz, z, x, cfg)
+    Xw = frame_apply(form.wz, z, x, form.domain)
     C_zi = -Xw
     C_ij = np.zeros((m,) + Xw.shape, dtype=complex)
     if form.has_K:
@@ -311,24 +306,24 @@ def dbar_chart0(form, z, x, cfg=None):
         for B, kb in enumerate(form.K_parts):
             if kb is None:
                 continue
-            C_zi[B] = C_zi[B] + _dbar_fiber(kb, z, x, cfg)
-            XK[:, B] = frame_apply(kb, z, x, cfg)
+            C_zi[B] = C_zi[B] + _dbar_fiber(kb, z, x)
+            XK[:, B] = frame_apply(kb, z, x)
         C_ij = XK - np.swapaxes(XK, 0, 1)
     return {"C_zi": C_zi, "C_ij": C_ij}
 
 
-def tau_push_02(form, x, cfg=None, quad=None):
+def tau_push_02(form, x):
     """Push the (0,2)-part down: one moment per base direction.
 
     x (..., 4n) -> (..., 2n).  This is the tau-level closedness obstruction;
     on lifts of pairs it equals KAPPA times the interleaved Cauchy-Fueter
     residual.
     """
-    Z, W = quadrature_nodes(quad)
+    Z, W = quadrature_nodes()
     W = W.astype(complex)
     x = np.asarray(x, dtype=float)
     # one stencil pass evaluates the profile at 2 * 4n points per base point
-    return _chunked(lambda b: (dbar_chart0(form, Z, b, cfg)["C_zi"] @ W).T,
+    return _chunked(lambda b: (dbar_chart0(form, Z, b)["C_zi"] @ W).T,
                     x, Z.size * 2 * x.shape[-1])
 
 
@@ -357,7 +352,7 @@ class PenroseResult:
         }
 
 
-def penrose_transform(form, points, cfg=None, quad=None):
+def penrose_transform(form, points):
     """Evaluate the transform at base points, certifying closedness first.
 
     The certificate computes tau_push_02 at up to ``_CERT_POINTS`` of the
@@ -368,37 +363,35 @@ def penrose_transform(form, points, cfg=None, quad=None):
     costs one fiber pass for both components.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = tau_push_01(form, points, quad)
+    values = tau_push_01(form, points)
     scale = max(1.0, float(np.max(np.abs(values))))
 
     stride = max(1, len(points) // _CERT_POINTS)
     cert_pts = points[::stride][:_CERT_POINTS]
-    cert = float(np.max(np.abs(tau_push_02(form, cert_pts, cfg, quad))))
+    cert = float(np.max(np.abs(tau_push_02(form, cert_pts))))
     if cert > _CLOSED_TOL * scale:
         raise ClosednessError(
             "tau-level closedness certificate %.3e exceeds %.3e"
             % (cert, _CLOSED_TOL * scale))
 
-    res = _residual_of_pair(lambda pts: tau_push_01(form, pts, quad)[..., :2],
-                            points, cfg, domain=form.domain)
+    res = _residual_of_pair(lambda pts: tau_push_01(form, pts)[..., :2],
+                            points, _FD, form.domain)
     return PenroseResult(points, values, cert, _CLOSED_TOL,
                          float(np.max(np.abs(res))))
 
 
-def penrose_transform_complex(form, sigma, cfg=None, quad=None,
-                              check_hull=True):
+def penrose_transform_complex(form, sigma):
     """The transform at a matrix point of the monogenic hull.
 
     On the real slice (sigma exactly of the form embed_M(x)) this delegates
     to tau_push_01 at x — the same code path as the real transform.  Off the
     slice the form must carry a holomorphic matrix extension ``wz_matrix``;
     the fiber moments are then taken of wz_matrix(z, sigma), the line over
-    sigma having constant base matrix sigma.  With ``check_hull`` the point
-    is certified to lie in the hull of the form's domain first.
+    sigma having constant base matrix sigma.  The point is first certified
+    to lie in the hull of the form's domain (NotInHullError otherwise).
     """
     pt = _as_point(sigma, n=form.n)
-    if check_hull and form.domain is not None \
-            and not isinstance(form.domain, WholeSpace):
+    if form.domain is not None and not isinstance(form.domain, WholeSpace):
         q = hull_contains(pt, form.domain)
         if not q.verdict:
             raise NotInHullError(
@@ -407,34 +400,34 @@ def penrose_transform_complex(form, sigma, cfg=None, quad=None,
     mat = pt.matrix
     x = quat.decompose_matrix(mat)[0]
     if np.array_equal(quat.embed_M(x), mat):
-        return tau_push_01(form, x, quad)
+        return tau_push_01(form, x)
     if form.wz_matrix is None:
         raise ValueError(
             "form has no holomorphic matrix extension; the complexified "
             "transform off the real slice requires wz_matrix")
-    return _fiber_moments(form.wz_matrix, mat, -form.k - 1, quad, point_ndim=2)
+    return _fiber_moments(form.wz_matrix, mat, -form.k - 1, point_ndim=2)
 
 
 # ---------------------------------------------------------------------------
 # the commutative diagram
 # ---------------------------------------------------------------------------
 
-def diagram_check(field, points, cfg=None, quad=None, kappa=KAPPA):
-    """Compare tau_push_02 of the lifted pair against kappa * CF residual.
+def diagram_check(field, points):
+    """Compare tau_push_02 of the lifted pair against KAPPA * CF residual.
 
     Returns a report with the two sides' magnitudes and the maximum
     componentwise discrepancy over the sample points.
     """
     form = sharp(field)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    lhs = tau_push_02(form, points, cfg, quad)
-    rhs = cf_residual_complex(field.pair0, field.pair1, points, cfg,
-                              domain=field.domain)
-    disc = np.abs(lhs - kappa * rhs)
+    lhs = tau_push_02(form, points)
+    rhs = cf_residual_complex(field.pair0, field.pair1, points, _FD,
+                              field.domain)
+    disc = np.abs(lhs - KAPPA * rhs)
     return {
         "field": field.name,
         "n": field.n,
-        "kappa": kappa,
+        "kappa": KAPPA,
         "points": len(points),
         "max_discrepancy": float(np.max(disc)),
         "lhs_max": float(np.max(np.abs(lhs))),
@@ -442,22 +435,20 @@ def diagram_check(field, points, cfg=None, quad=None, kappa=KAPPA):
     }
 
 
-def calibrate_kappa(n=1, count=5, seed=11, cfg=None, quad=None):
+def calibrate_kappa():
     """Re-derive the diagram constant from the quadratic non-monogenic fixture.
 
     Fits the single scalar kappa minimizing ||tau02 - kappa * residual|| over
-    ``count`` sample points, and reports the relative misfit and the spread
-    of the componentwise ratios (which certifies that the component mapping
-    is the identity interleaving, with no permutation or extra signs).
+    5 seeded normal points at n = 1, and reports the relative misfit and the
+    spread of the componentwise ratios (which certifies that the component
+    mapping is the identity interleaving, with no permutation or extra signs).
     """
-    from .fields import get_field
-    field = get_field("nonmonogenic_quadratic", n)
-    rng = np.random.default_rng(seed)
-    points = rng.normal(size=(count, 4 * n))
+    field = get_field("nonmonogenic_quadratic", 1)
+    points = np.random.default_rng(11).normal(size=(5, 4))
     form = sharp(field)
-    lhs = tau_push_02(form, points, cfg, quad)
-    rhs = cf_residual_complex(field.pair0, field.pair1, points, cfg,
-                              domain=field.domain)
+    lhs = tau_push_02(form, points)
+    rhs = cf_residual_complex(field.pair0, field.pair1, points, _FD,
+                              field.domain)
     denom = np.sum(np.abs(rhs) ** 2)
     if denom == 0:
         raise ValueError("calibration fixture has vanishing residual")
@@ -472,6 +463,6 @@ def calibrate_kappa(n=1, count=5, seed=11, cfg=None, quad=None):
         "kappa_imag": float(kappa.imag),
         "max_rel_misfit": misfit,
         "ratio_spread": spread,
-        "points": int(count),
+        "points": len(points),
         "pattern": "identity-interleaved",
     }

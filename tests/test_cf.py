@@ -172,11 +172,11 @@ def _dC_apply_via_pair(psiC, z, cfg):
 
 def test_complexified_operator_evaluates_each_component_once_per_stencil_point():
     ext = fields.get_field("E_ext")
-    calls = {"pair0": 0, "pair1": 0}
+    evaluated = {"pair0": 0, "pair1": 0}  # matrices, not calls
 
     def counted(name, fn):
         def wrapped(z):
-            calls[name] += 1
+            evaluated[name] += np.asarray(z)[..., 0, 0].size
             return fn(z)
         return wrapped
 
@@ -186,12 +186,23 @@ def test_complexified_operator_evaluates_each_component_once_per_stencil_point()
     Z = np.stack([quat.matrix_point(rng.normal(size=4), 0.2 * rng.normal(size=4))
                   for _ in range(5)])
     out = cf.dC_apply(probe, Z)
-    # Richardson: 2 step sizes x 2 rows x (+/-) per component
-    assert calls == {"pair0": 8, "pair1": 8}
+    # Richardson: 5 matrices x 2 step sizes x 2 rows x (+/-) per component
+    assert evaluated == {"pair0": 40, "pair1": 40}
     ref = _dC_apply_via_pair(ext, Z, cf.FDConfig(scheme="richardson"))
     np.testing.assert_array_equal(out, ref)
     with pytest.raises(ValueError):
         cf.dC_apply(probe, np.zeros((5, 4, 2), dtype=complex))
+
+
+def test_complexified_operator_on_one_matrix_is_its_batched_row():
+    ext = fields.get_field("E_ext")
+    rng = np.random.default_rng(20)
+    for scheme in ("central", "richardson"):
+        cfg = cf.FDConfig(scheme=scheme)
+        for _ in range(3):
+            S = quat.matrix_point(rng.normal(size=4), 0.2 * rng.normal(size=4))
+            np.testing.assert_array_equal(cf.dC_apply(ext, S, cfg),
+                                          cf.dC_apply(ext, S[None], cfg)[0])
 
 
 def test_complexified_operator_detects_non_holomorphic_dependence():

@@ -30,6 +30,18 @@ def test_quadrature_config_validation():
     assert finer.n_radial > cfg.n_radial and finer.n_angular > cfg.n_angular
 
 
+def test_quadrature_nodes_are_shared_and_read_only():
+    Z, W = cp1.quadrature_nodes()
+    for arr in (Z, W):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # an equal config, default or not, gets the very same arrays
+    again = cp1.quadrature_nodes(cp1.QuadratureConfig(96, 64))
+    assert again[0] is Z and again[1] is W
+    finer = cp1.QuadratureConfig(48, 32).refined()
+    assert cp1.quadrature_nodes(finer)[0] is Z
+
+
 def test_quadrature_against_brute_riemann_sum():
     profiles = [
         lambda z: 2.0 / (1 + z * np.conj(z)) ** 3,

@@ -45,14 +45,6 @@ def test_base_independent_lift_returns_its_own_coefficients():
     np.testing.assert_allclose(got, [a0, a1], atol=1e-10)
 
 
-def test_base_independent_exact_lift_integrates_to_zero():
-    w = cp1.exact_form(-3, p=1, q=0, r_in=0.4, r_out=2.0)
-    form = penrose.TwistorFormL(
-        1, lambda z, x: w.h0(z) * np.ones(np.shape(z), dtype=complex))
-    got = penrose.tau_push_01(form, np.zeros(4), quad=cp1.BUMP_GRADE)
-    assert np.abs(got).max() < 1e-5
-
-
 def test_frame_fields_differentiate_the_coordinates():
     # f = z*beta + conj(alpha) is built so the first frame field returns
     # z^2 - 1 and the second returns 0
@@ -79,6 +71,24 @@ def test_antiholomorphic_fiber_derivative_in_the_k_part():
     np.testing.assert_allclose(out["C_zi"][0], [1.0, 1.0], atol=1e-8)
     np.testing.assert_allclose(out["C_zi"][1], [0.0, 0.0], atol=1e-8)
     assert np.abs(out["C_ij"]).max() < 1e-10
+
+
+def test_closedness_stencil_leaving_the_domain_raises_before_evaluating():
+    E = fields.get_field("E")
+    evaluated = []
+
+    def counted(fn):
+        def wrapped(v):
+            evaluated.append(v.shape)
+            return fn(v)
+        return wrapped
+
+    field = fields.make_pair(counted(E.pair0), counted(E.pair1),
+                             domain=E.domain)
+    # the -h point along x0 is the origin, where E is singular
+    with pytest.raises(cf.DomainError, match=r"\[0\.0, 0\.0, 0\.0, 0\.0\]"):
+        penrose.tau_push_02(penrose.sharp(field), [1e-5, 0.0, 0.0, 0.0])
+    assert evaluated == []
 
 
 def test_closedness_moments_vanish_exactly_for_monogenic_lifts():
@@ -201,11 +211,11 @@ def test_complexified_transform_requires_an_extension_off_slice():
     off_slice = quat.matrix_point(np.array([0.8, -0.3, 0.5, 0.4]),
                                   0.2 * np.ones(4))
     with pytest.raises(ValueError):
-        penrose.penrose_transform_complex(form, off_slice, check_hull=False)
+        penrose.penrose_transform_complex(form, off_slice)
     # on the real slice no extension is needed
     x = np.array([0.8, -0.3, 0.5, 0.4])
     got = penrose.penrose_transform_complex(
-        form, quat.matrix_point(x, np.zeros(4)), check_hull=False)
+        form, quat.matrix_point(x, np.zeros(4)))
     np.testing.assert_allclose(got, [0.7 + 0.2j, -0.1j], atol=1e-12)
 
 
