@@ -56,8 +56,9 @@ for count in (64, 512, 4096):
     q = hull_contains(sigma, LatticeBall(1, 1.0), count=count)
     print(f"  lattice size {count:5d}: inf={q.inf_value:.5f} "
           f"band={q.band:.5f} indeterminate={q.indeterminate}")
-print("  (a local search polishes a grid minimum inside the band; only a")
-print("   denser lattice shrinks the band itself)")
+print("  (a grid minimum inside the scan band goes to a branch-and-bound over")
+print("   the lattice's triangles, which certifies the verdict; the band is")
+print("   then inf minus its certified lower bound)")
 
 print()
 print("=" * 72)

@@ -109,7 +109,8 @@ def _partials(fn, p, cfg, domain=None):
     """All 4n real partials of fn at p, (..., 4n[, extra]), by the cfg scheme.
 
     With a domain, all stencil points are checked before fn runs; DomainError
-    names the first outside (batch-major; centre, +h, -h, +h/2, -h/2).
+    names the first outside (batch-major; centre, +h, -h, +h/2, -h/2), or
+    else the first centre whose ext_distance is not above the step h.
     """
     p = np.asarray(p, dtype=float)
     h = cfg.resolve_step(quat.qnorm(p))
@@ -122,6 +123,11 @@ def _partials(fn, p, cfg, domain=None):
         inside = domain.contains(pts)
         if not np.all(inside):
             raise DomainError(pts[~inside][0])
+        # a stencil can straddle a hole its points miss; ext_distance is
+        # 1-Lipschitz, so a clearance above the step keeps every segment in U
+        clear = np.broadcast_to(domain.ext_distance(p) > h, p.shape[:-1])
+        if not np.all(clear):
+            raise DomainError(p[~clear][0])
     return _extrapolate(lambda s: _central(fn, p, axes, s), h, cfg.scheme)
 
 

@@ -20,19 +20,33 @@ point of the sphere lies within the lattice's covering chord c of a node, so
 
 c is exact, not measured: ``covering_chord`` reads it off the convex hull of
 the nodes (the spherical Delaunay triangulation), whose outward facet normals
-are the spherical-Voronoi vertices.  Verdicts with 0 < inf_value <= twice
-that bound are flagged indeterminate rather than trusted.  A grid minimum in
-that band (and every lattice query of hull_distance and hull_witness) is
-polished by a pattern search (Hooke & Jeeves 1961; Torczon 1997) in a 2D
-tangent chart at the best node, from a mesh step of one covering chord; each
-round evaluates the 8 mesh neighbours in one batched call of the scan's own
-evaluator, so the reported arg-min attains inf_value bit for bit.  Points
-with y = 0 short-circuit to plain membership of x (the infimand is
+are the spherical-Voronoi vertices.  A grid minimum above the band 2||y||c
+is a certain True, and a grid minimum of 0 a certain False.  One inside the
+band goes to a Lipschitz branch-and-bound (Piyavskii 1972; Shubert 1972) over
+the same Delaunay triangles: a triangle's lower bound is its least vertex
+value minus ||y|| times its circumchord; triangles whose bound exceeds the
+verdict threshold are dropped and the others split 4-to-1 at their edge
+midpoints, all evaluated in one batched call per level.  It ends at a
+swept point outside U (certain False), with no triangle left (certain True,
+the least dropped bound lb being a lower bound of the minimum), or at a
+fixed cap on depth and live triangles (indeterminate).
+
+The band of a sampled query is a certified width: the true minimum lies in
+[inf_value - band, inf_value] (band inf_value - lb after a branch-and-bound),
+and the query is indeterminate exactly when 0 < inf_value <= band.  The
+reported arg-min is a row the evaluator was called on, so it attains
+inf_value bit for bit.  hull_distance and hull_witness want a value, so
+their lattice queries are polished by a pattern search (Hooke & Jeeves 1961;
+Torczon 1997) in a 2D tangent chart at the best point, from a mesh step of
+one covering chord, each round evaluating the 8 mesh neighbours in one
+batched call; an in-band query is first run through the branch-and-bound,
+which rules out a point outside the hull and gives the polished value its lb.
+Points with y = 0 short-circuit to plain membership of x (the infimand is
 constant), which keeps the real slice exact.
 
 The twistor-line test (``fueter.twistor.hull_contains_via_lines``) runs the
 same sweep core on its Hopf grid of about ``count`` nodes, with that grid's
-own covering chord.
+own covering chord and triangles.
 
 The distance of an interior point to the hull boundary is
 
@@ -100,9 +114,27 @@ def _grid_count(count):
 
 @functools.lru_cache(maxsize=32)
 def _lattice(count):
-    """Fibonacci lattice nodes for count and their covering chord."""
-    qs = _fibonacci_lattice(count)
-    return qs, covering_chord(qs)
+    """The Fibonacci lattice of count nodes as a sweep grid (see _grid)."""
+    return _grid(_fibonacci_lattice(count))
+
+
+def _grid(qs):
+    """Sweep grid of nodes qs (K, 4): (qs, covering chord, triangles, radii).
+
+    The triangles are the spherical Delaunay triangles, rows of node
+    indices (T, 3), and the radii their circumchords (T,), all from one
+    convex hull (see covering_chord).
+    """
+    # only the sampled grids get here, once per count: keep scipy off the
+    # import path of the exact queries
+    from scipy.spatial import ConvexHull
+
+    u = np.asarray(qs, dtype=float)[:, 1:]
+    facets = ConvexHull(u)
+    normals = facets.equations[:, None, :3]
+    tri = u[facets.simplices]
+    chord = float(np.linalg.norm(normals - tri, axis=-1).max())
+    return qs, chord, facets.simplices, _circumchord(tri)
 
 
 def covering_chord(qs):
@@ -114,18 +146,40 @@ def covering_chord(qs):
     vertices is the radius of the facet's empty cap.  The nodes must not all
     lie in one closed hemisphere.
     """
-    # only the sampled grids get here, once per count: keep scipy off the
-    # import path of the exact queries
-    from scipy.spatial import ConvexHull
+    return _grid(qs)[1]
 
-    u = np.asarray(qs, dtype=float)[:, 1:]
-    facets = ConvexHull(u)
-    normals = facets.equations[:, None, :3]
-    return float(np.linalg.norm(normals - u[facets.simplices], axis=-1).max())
+
+def _circumchord(tri):
+    """Chord radius of the circumcap of spherical triangles tri (..., 3, 3).
+
+    The chord from the unit normal of a triangle's plane (oriented toward
+    it) to its vertices.  Every point of the spherical triangle lies within
+    this chord of one of its vertices.  With R the circumradius of the flat
+    triangle, the chord is R * sqrt(2 / (1 + sqrt(1 - R^2))).  R comes from
+    the edge vectors and their cross product, which stay accurate on tiny
+    triangles, where a normal from differences of nearly equal unit vectors
+    would lose most of its digits.
+    """
+    u = tri[..., 1, :] - tri[..., 0, :]
+    w = tri[..., 2, :] - tri[..., 0, :]
+    area2 = np.linalg.norm(np.cross(u, w), axis=-1)
+    r = (np.linalg.norm(u, axis=-1) * np.linalg.norm(w, axis=-1)
+         * np.linalg.norm(u - w, axis=-1) / (2.0 * area2))
+    # R <= 1 on the unit sphere; rounding can push a flat triangle past it
+    r = np.minimum(r, 1.0)
+    return r * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 - r * r)))
 
 
 class HullQuery:
-    """Result of a hull membership query."""
+    """Result of a hull membership query.
+
+    inf_value is the least swept exterior distance found and argmin_q the
+    unit imaginary quaternion attaining it; the true minimum lies in
+    [inf_value - band, inf_value] (band 0 when exact).  verdict is
+    inf_value > 1e-12 * max(1, ||sigma||_C), and indeterminate is
+    0 < inf_value <= band, the one case the band leaves the verdict open.
+    count is the number of grid nodes scanned (0 when exact or y = 0).
+    """
 
     def __init__(self, sigma, verdict, inf_value, argmin_q, band, indeterminate,
                  count):
@@ -179,8 +233,9 @@ def hull_contains(sigma, U, count=_DEFAULT_COUNT):
     """Decide sigma in H(U); returns a HullQuery.
 
     Exact when U has a closed-form ``sweep_inf``; count is then only
-    checked.  Otherwise a Fibonacci lattice of count nodes is scanned and the
-    local search runs when the grid minimum is inside the indeterminate band.
+    checked.  Otherwise a Fibonacci lattice of count nodes is scanned, and a
+    grid minimum inside the band goes to the branch-and-bound, which
+    certifies the verdict or, at its cap, leaves the query indeterminate.
     """
     return _hull_query(sigma, U, count, polish=False)
 
@@ -234,20 +289,86 @@ def _local_min(g, q0, f0, step):
     return f, q
 
 
+# the branch-and-bound gives up (indeterminate) after this many levels of
+# 4-to-1 splits, or when more triangles than this are live; the second cap
+# bounds each batched evaluation at 3 midpoints per live triangle
+_BB_DEPTH = 32
+_BB_LIVE = 1024
+
+# the 4-to-1 split, as rows of (vertex 0, 1, 2, midpoint opposite 0, 1, 2):
+# each corner keeps its vertex and the midpoints of its two edges, and the
+# middle child is the three midpoints
+_CHILDREN = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2], [3, 4, 5]])
+
+
+def _branch_and_bound(g, grid, vals, ynorm, tau):
+    """Certify min g > tau, or find a value <= tau, by Lipschitz bounds.
+
+    A branch-and-bound over spherical triangles (Piyavskii 1972; Shubert
+    1972).  g maps unit imaginary quaternions (K, 4) to values (K,) and is
+    ynorm-Lipschitz in the chord metric; grid is the scanned grid (see
+    _grid) and vals = g(grid nodes).  Every point of a spherical triangle T
+    lies within its circumchord rho_T of a vertex, so
+
+        min over T of g >= min over T's vertices of g - ynorm * rho_T.
+
+    Each level drops the triangles whose bound exceeds tau, splits each
+    remaining one 4-to-1 at its normalized edge midpoints, and evaluates all
+    the new midpoints in one call of g.  Returns (f, q, lb): the least value
+    found, the row it was evaluated at, and lb, the least bound of the
+    triangles that tile the sphere when it stops, clamped at 0 (g >= 0).  It
+    stops at a value <= tau (outside), with no triangle left (inside: lb,
+    the least dropped bound, is > tau), or at the _BB_DEPTH / _BB_LIVE cap
+    (usually lb = 0: indeterminate).
+    """
+    qs, _, tris, rho = grid
+    i = int(np.argmin(vals))
+    f, q = vals[i], qs[i]
+    tri = qs[tris][..., 1:]
+    tval = vals[tris]
+    lb = np.inf
+    for depth in range(_BB_DEPTH + 1):
+        bound = tval.min(axis=1) - ynorm * rho
+        live = bound <= tau
+        nlive = np.count_nonzero(live)
+        if f <= tau or not nlive or nlive > _BB_LIVE or depth == _BB_DEPTH:
+            lb = min(lb, bound.min())
+            break
+        lb = min(lb, bound[~live].min(initial=np.inf))
+        tri, tval = tri[live], tval[live]
+        # mids[:, k] is the midpoint of the edge opposite vertex k
+        mids = tri[:, [1, 2, 0]] + tri[:, [2, 0, 1]]
+        mids /= np.linalg.norm(mids, axis=-1, keepdims=True)
+        mq = np.zeros((3 * len(tri), 4))
+        mq[:, 1:] = mids.reshape(-1, 3)
+        mval = g(mq)
+        k = int(np.argmin(mval))
+        if mval[k] < f:
+            f, q = mval[k], mq[k]
+        tri = np.concatenate([tri, mids], axis=1)[:, _CHILDREN]
+        tval = np.concatenate([tval, mval.reshape(-1, 3)], axis=1)[:, _CHILDREN]
+        tri, tval = tri.reshape(-1, 3, 3), tval.reshape(-1, 3)
+        rho = _circumchord(tri)
+    return float(f), q, max(0.0, float(lb))
+
+
 def _sweep(pt, U, grid, polish=False):
     """Minimum of ext_distance over the swept set of pt, as a HullQuery.
 
     grid None: the exact ``U.sweep_inf`` (band 0, count 0).  Otherwise grid
-    is (qs, cover): unit imaginary quaternions qs (K, 4) and their covering
-    chord.  qs is scanned, and ``_local_min`` runs from the best node when
-    the grid minimum is inside the indeterminate band, or always with
-    polish.  With y = 0 nothing is scanned (count 0).
+    is a sweep grid (see _grid); its nodes are scanned, and a grid minimum
+    inside the band 2 ||y|| c (c the covering chord) goes to
+    ``_branch_and_bound``, whose lower bound lb sets the band to
+    inf_value - lb.  With polish, a query not found outside is then polished
+    by ``_local_min`` from the best point.  With y = 0 nothing is scanned
+    (count 0).
     """
     if pt.n != U.n:
         raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
     x = pt.x
     y = pt.y
     ynorm = float(quat.qnorm(y))
+    tau = _TINY * max(1.0, pt.norm_C())
 
     if ynorm == 0.0:
         # the swept set is {x}: membership is exact
@@ -259,19 +380,26 @@ def _sweep(pt, U, grid, polish=False):
         band = 0.0
         count = 0
     else:
-        qs, cover = grid
-        vals = U.ext_distance(_line_points(x, y, qs))
+        qs, cover = grid[:2]
+
+        def g(q):
+            return U.ext_distance(_line_points(x, y, q))
+
+        vals = g(qs)
         i0 = int(np.argmin(vals))
         inf_value = float(vals[i0])
         argmin = qs[i0]
         band = 2.0 * ynorm * cover
         count = len(qs)
-        if (polish or 0.0 < inf_value <= band) and np.isfinite(inf_value):
-            inf_value, argmin = _local_min(
-                lambda q: U.ext_distance(_line_points(x, y, q)), argmin,
-                inf_value, cover)
+        lb = None
+        if 0.0 < inf_value <= band:
+            inf_value, argmin, lb = _branch_and_bound(g, grid, vals, ynorm, tau)
+        if polish and tau < inf_value < np.inf:
+            inf_value, argmin = _local_min(g, argmin, inf_value, cover)
+        if lb is not None:
+            band = inf_value - lb
 
-    verdict = inf_value > _TINY * max(1.0, pt.norm_C())
+    verdict = inf_value > tau
     return HullQuery(pt, verdict, inf_value, argmin, band,
                      0.0 < inf_value <= band, count)
 
@@ -281,9 +409,11 @@ def hull_distance(sigma, U, count=_DEFAULT_COUNT):
 
     For a domain without a closed form (no ``sweep_inf``) every lattice
     query is polished by the local search, since a value is wanted, not just
-    a sign.  The value is then a local minimum of the sweep, which can exceed
-    the true one (on an ``Intersection``, say) by up to the query's band; it
-    is certified only when the query of ``hull_witness`` is not indeterminate.
+    a sign; an in-band one first goes through the branch-and-bound, so a
+    sigma with a swept point found outside U raises NotInHullError.  The
+    value is a local minimum of the sweep, which can exceed the true one (on
+    an ``Intersection``, say) by up to the query's band; it is certified
+    only when the query of ``hull_witness`` is not indeterminate.
     """
     query = _hull_query(sigma, U, count, polish=True)
     if not query.verdict:

@@ -34,9 +34,9 @@ pair (a, b) with |a|^2 + |b|^2 = 1:
 
 covered by the Hopf-style grid a = sqrt(t), b = sqrt(1-t) e^{i theta}.
 hull_contains_via_lines scans that grid, sized by a node count, with the
-sweep core of ``fueter.hull`` (band and local-search step from the grid's
-own exact covering chord), so it decides the same infimum as hull_contains
-on another grid.
+sweep core of ``fueter.hull`` (band from the grid's own exact covering
+chord, branch-and-bound over its own Delaunay triangles), so it decides the
+same infimum as hull_contains on another grid.
 """
 
 import functools
@@ -44,8 +44,8 @@ import functools
 import numpy as np
 
 from . import quat
-from .hull import (_DEFAULT_COUNT, _as_point, _grid_count, _line_points,
-                   _sweep, covering_chord)
+from .hull import (_DEFAULT_COUNT, _as_point, _grid, _grid_count,
+                   _line_points, _sweep)
 
 __all__ = [
     "TwistorPoint", "FiberPoint", "TwistorLine", "OutsideChartsError",
@@ -273,14 +273,14 @@ def line_sweep(sigma, pairs=None):
 
 
 def hull_contains_via_lines(sigma, U, count=_DEFAULT_COUNT, return_query=False):
-    """Line-containment test of hull membership (Hopf grid + pattern search).
+    """Line-containment test of hull membership (Hopf grid + branch-and-bound).
 
     True iff every swept base point lies in U.  The grid is the Hopf grid of
-    about count nodes (at least 12), and the scan, band, refinement and
-    verdict are those of hull_contains (the sweep is the same set {x + y q}),
-    with the grid's own exact covering chord as the band's radius and the
-    pattern search's first mesh step.  Returns the HullQuery when
-    return_query is set, else the verdict.
+    about count nodes (at least 12), and the scan, band, branch-and-bound
+    and verdict are those of hull_contains (the sweep is the same set
+    {x + y q}), with the grid's own exact covering chord as the band's
+    radius and its own Delaunay triangles to split.  Returns the HullQuery
+    when return_query is set, else the verdict.
     """
     grid = _default_sweep(_grid_count(count))
     query = _sweep(_as_point(sigma), U, grid)
@@ -289,8 +289,8 @@ def hull_contains_via_lines(sigma, U, count=_DEFAULT_COUNT, return_query=False):
 
 @functools.lru_cache(maxsize=32)
 def _default_sweep(count):
-    """Hopf-grid sweep quaternions for a node count and their covering chord."""
+    """The Hopf grid of about count nodes as a sweep grid (see hull._grid)."""
     n_t = max(4, int(np.sqrt(count)))
     qs = sweep_quaternions(hopf_grid(n_t, max(4, count // n_t)))
     qs.flags.writeable = False
-    return qs, covering_chord(qs)
+    return _grid(qs)

@@ -156,6 +156,16 @@ def test_cf_check_pass_and_fail(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cf_check_rejects_a_stencil_across_the_puncture(capsys):
+    # every point sits closer to the removed origin than the step 1e-5, so
+    # each stencil straddles it although no stencil point is the origin
+    assert cli.main(["cf", "check", "--field", "E", "--rmin", "1e-9",
+                     "--rmax", "2e-9", "--points", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: FD stencil exits the domain")
+
+
 def test_cf_check_rejects_matrix_only_fields(capsys):
     assert cli.main(["cf", "check", "--field", "E_ext"]) == 2
     capsys.readouterr()

@@ -184,23 +184,35 @@ def test_sampler_lattice_and_covering_budget():
 
 
 def test_near_boundary_query_is_flagged_indeterminate():
-    # the lattice band only exists for domains without a closed-form sweep
+    # the lattice band only exists for domains without a closed-form sweep;
+    # along y = s*i from x = 0.78 the exact sweep minimum is 0.22 - s
     ball = _LatticeBall(1, 1.0)
     sigma = _pt([0.78, 0, 0, 0], [0.0, 0.2, 0, 0])
-    coarse = hull.hull_contains(sigma, ball, count=64)
-    qs, _ = hull._lattice(64)
+    qs, chord = hull._lattice(64)[:2]
     grid_min = ball.ext_distance(
         hull._line_points(sigma.x, sigma.y, qs)).min()
-    assert coarse.indeterminate is True
-    assert coarse.inf_value <= grid_min <= coarse.band
-    # a denser lattice shrinks the band and settles the same query
-    fine = hull.hull_contains(sigma, ball, count=8192)
-    assert fine.band < coarse.band
-    assert fine.verdict is True
-    # the built-in ball decides the same query exactly
-    exact = hull.hull_contains(sigma, domains.parse_domain("ball:r=1"))
-    assert exact.band == 0.0 and exact.indeterminate is False
-    assert exact.verdict is True
+    assert 0.0 < grid_min <= 2 * 0.2 * chord
+    # a grid minimum in the band goes to the branch-and-bound, which
+    # certifies this one inside with a band that holds the exact minimum
+    coarse = hull.hull_contains(sigma, ball, count=64)
+    assert coarse.verdict is True and coarse.indeterminate is False
+    assert coarse.inf_value - coarse.band <= 0.02 <= coarse.inf_value
+    assert coarse.inf_value <= grid_min
+    # a minimum far below the finest resolution the search may reach stays
+    # flagged, still with a band that holds it
+    near = _pt([0.78, 0, 0, 0], [0.0, 0.22 - 5e-5, 0, 0])
+    exact, _ = domains.Ball(1, 1.0).sweep_inf(near.x, near.y)
+    assert exact == pytest.approx(5e-5, rel=1e-9)
+    for query in (hull.hull_contains(near, ball, count=64),
+                  twistor.hull_contains_via_lines(near, domains.Ball(1, 1.0),
+                                                  count=64, return_query=True)):
+        assert query.indeterminate is True
+        assert query.inf_value - query.band <= exact <= query.inf_value
+    # the built-in ball decides the same queries exactly
+    for pt in (sigma, near):
+        exact = hull.hull_contains(pt, domains.parse_domain("ball:r=1"))
+        assert exact.band == 0.0 and exact.indeterminate is False
+        assert exact.verdict is True
 
 
 def test_certain_outside_verdict_is_not_indeterminate():
@@ -227,7 +239,7 @@ def test_sampler_lattice_is_cached_and_read_only():
 # closed-form sweep minimum (DomainSpec.sweep_inf)
 # ---------------------------------------------------------------------------
 
-_DENSE, _DENSE_CHORD = hull._lattice(20000)
+_DENSE, _DENSE_CHORD = hull._lattice(20000)[:2]
 
 
 def _vec(n, lo=-1.0, hi=1.0):
@@ -388,7 +400,7 @@ def test_covering_chord_is_not_beaten_by_a_dense_probe(count):
     # counts outside the ranges (12-399, 512-4096) over which the old
     # measured constant 2.8/sqrt(count) was checked
     from scipy.spatial import cKDTree
-    lattice, chord = hull._lattice(count)
+    lattice, chord = hull._lattice(count)[:2]
     probes = np.random.default_rng(24).normal(size=(200000, 3))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     gaps, _ = cKDTree(lattice[:, 1:]).query(probes)
@@ -396,37 +408,42 @@ def test_covering_chord_is_not_beaten_by_a_dense_probe(count):
     assert gaps.max() > 0.9 * chord
 
 
-def _count_local_searches(monkeypatch):
-    """Wrap hull._local_min; returns the list of steps it is called with."""
-    steps = []
-    local_min = hull._local_min
+def _record(monkeypatch, name, arg):
+    """Wrap hull.<name>; returns the list of its argument number arg."""
+    seen = []
+    fn = getattr(hull, name)
 
-    def counting(g, q0, f0, step):
-        steps.append(step)
-        return local_min(g, q0, f0, step)
+    def recording(*args):
+        seen.append(args[arg])
+        return fn(*args)
 
-    monkeypatch.setattr(hull, "_local_min", counting)
-    return steps
+    monkeypatch.setattr(hull, name, recording)
+    return seen
 
 
 def test_refined_arg_min_attains_the_reported_value(monkeypatch):
-    # after a refinement the arg-min is the refined point, not the grid node
-    # the local search started from, on both sampled paths; scan and search
-    # share one evaluator, so it attains the reported value bit for bit
+    # after a branch-and-bound the arg-min is the best point it evaluated,
+    # not the grid node it started from, on both sampled paths and after a
+    # polish; scan, search and polish share one evaluator, so it attains the
+    # reported value bit for bit
     ball = domains.Ball(1, 1.0)
-    steps = _count_local_searches(monkeypatch)
+    searches = _record(monkeypatch, "_branch_and_bound", 3)
     paths = (
         lambda s: hull.hull_contains(s, _LatticeBall(1, 1.0)),
         lambda s: twistor.hull_contains_via_lines(s, ball, return_query=True),
+        lambda s: hull.hull_witness(s, _LatticeBall(1, 1.0))[1],
     )
     rng = np.random.default_rng(1)
-    checked = [0, 0]
+    checked = [0, 0, 0]
     for _ in range(200):
         sigma = _pt(0.3 * rng.normal(size=4), 0.3 * rng.normal(size=4))
         for k, path in enumerate(paths):
-            before = len(steps)
-            query = path(sigma)
-            if len(steps) == before:
+            before = len(searches)
+            try:
+                query = path(sigma)
+            except hull.NotInHullError:
+                continue
+            if len(searches) == before:
                 continue
             x, y = sigma.x, sigma.y
             at_q = ball.ext_distance(
@@ -452,7 +469,7 @@ def _near_boundary_case(draw):
     # scale y to the smallest positive exact sweep minimum along a ray of
     # scales (the hull boundary for a ball or a half-space), then jitter
     n = draw(st.sampled_from([1, 2]))
-    U = draw(_simple_domain(n))
+    U = draw(_closed_form_domain(n))
     x = draw(_vec(n))
     y = draw(_vec(n).filter(lambda v: np.linalg.norm(v) > 1e-2))
     s = np.linspace(0.0, 3.0, 601)[1:]
@@ -466,34 +483,118 @@ def _near_boundary_case(draw):
 _BAND_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
 
+def _check_certified(query, U, x, y):
+    """The band holds the exact minimum; a decided verdict is the exact one."""
+    exact, _ = U.sweep_inf(x, y)
+    assert query.inf_value - query.band <= exact + 1e-12
+    assert exact <= query.inf_value + 1e-12
+    assert query.indeterminate == (0.0 < query.inf_value <= query.band)
+    if not query.indeterminate:
+        tau = hull._TINY * max(1.0, _pt(x, y).norm_C())
+        assert query.verdict == (exact > tau)
+
+
 @_BAND_PROPERTY
 @given(_near_boundary_case())
 def test_lattice_band_contains_the_exact_sweep_minimum(case):
     U, x, y, count = case
-    exact, _ = U.sweep_inf(x, y)
     query = hull.hull_contains(_pt(x, y), _Sampled(U), count=count)
-    qs, _ = hull._lattice(count)
+    qs = hull._lattice(count)[0]
     assert query.count == count
     grid_min = U.ext_distance(hull._line_points(x, y, qs)).min()
-    assert grid_min - query.band / 2 <= exact + 1e-12
-    assert exact <= grid_min + 1e-12
-    assert exact <= query.inf_value + 1e-12
     assert query.inf_value <= grid_min
+    _check_certified(query, U, x, y)
 
 
 @_BAND_PROPERTY
 @given(_near_boundary_case())
 def test_hopf_band_contains_the_exact_sweep_minimum(case):
     U, x, y, count = case
-    exact, _ = U.sweep_inf(x, y)
     query = twistor.hull_contains_via_lines(_pt(x, y), U, count=count,
                                             return_query=True)
-    qs, _ = twistor._default_sweep(count)
+    qs = twistor._default_sweep(count)[0]
     assert query.count == len(qs)
     grid_min = U.ext_distance(hull._line_points(x, y, qs)).min()
-    assert grid_min - query.band / 2 <= exact + 1e-12
-    assert exact <= query.inf_value + 1e-12
     assert query.inf_value <= grid_min
+    _check_certified(query, U, x, y)
+
+
+@st.composite
+def _small_triangle(draw):
+    # three unit vectors near a random centre, at scales 1e-6 to 0.5
+    c = draw(hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.linalg.norm(v) > 0.1))
+    c = c / np.linalg.norm(c)
+    size = 10.0 ** draw(st.floats(-6.0, np.log10(0.5)))
+    offsets = draw(hnp.arrays(np.float64, (3, 3), elements=st.floats(-1, 1)))
+    tri = c + size * (offsets - np.outer(offsets @ c, c))
+    tri /= np.linalg.norm(tri, axis=1, keepdims=True)
+    area = np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
+    assume(area > 1e-3 * size ** 2)
+    return tri
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_sweep_case(), _small_triangle())
+def test_triangle_bound_holds_inside_the_triangle(case, tri):
+    # every point of a spherical triangle is within its circumchord of a
+    # vertex, so g over it stays above the branch-and-bound's vertex bound
+    U, x, y = case
+    rho = hull._circumchord(tri)
+    w = np.random.default_rng(3).dirichlet(np.ones(3), size=500)
+    w = np.concatenate([w, np.eye(3), [[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]]])
+    u = w @ tri
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    gaps = np.linalg.norm(u[:, None, :] - tri[None], axis=-1).min(axis=1)
+    assert gaps.max() <= rho * (1 + 1e-9)
+
+    def g(v):
+        q = np.zeros((len(v), 4))
+        q[:, 1:] = v
+        return U.ext_distance(hull._line_points(x, y, q))
+
+    bound = g(tri).min() - np.linalg.norm(y) * rho
+    assert g(u).min() >= bound - 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       st.sampled_from([12, 64, 512]), st.sampled_from([1e-3, 1e-2]))
+def test_branch_and_bound_finds_a_narrow_cone(centre, count, depth):
+    # g is the chord distance to a random point c shifted by -depth (a hole
+    # of radius depth, clamped at 0) or by +depth (a positive minimum at c);
+    # the search must find the hole and bracket the minimum, wherever c
+    # falls in the grid's triangles
+    c = centre / np.linalg.norm(centre)
+    grid = hull._lattice(count)
+    for shift in (-depth, depth):
+        def g(q):
+            return np.maximum(0.0, np.linalg.norm(q[:, 1:] - c, axis=1) + shift)
+
+        f, q, lb = hull._branch_and_bound(g, grid, g(grid[0]), 1.0, 1e-12)
+        assert g(q[None, :])[0] == f
+        if shift < 0:
+            assert f == 0.0
+        else:
+            assert 1e-12 < lb <= depth <= f
+
+
+def test_distance_of_a_point_outside_the_hull_raises():
+    # the local polish from the best of 12 nodes stops at a positive local
+    # minimum of this intersection's sweep; the exact minimum is 0, and the
+    # branch-and-bound finds a swept point outside U
+    U = domains.Intersection([
+        domains.Ball(1, 1.3),
+        domains.HalfSpace(1, [-0.296, -0.855, 0.007, 0.425], 0.343)])
+    sigma = _pt([-0.046, 0.353, 0.588, 0.177], [0.059, 0.264, -0.39, 0.338])
+    assert U.sweep_inf(sigma.x, sigma.y)[0] == 0.0
+    query = hull.hull_contains(sigma, _Sampled(U), count=12)
+    assert query.verdict is False and query.indeterminate is False
+    with pytest.raises(hull.NotInHullError):
+        hull.hull_distance(sigma, _Sampled(U), count=12)
+    with pytest.raises(hull.NotInHullError):
+        hull.hull_witness(sigma, _Sampled(U), count=12)
 
 
 @st.composite
@@ -540,17 +641,21 @@ def test_every_entry_point_rejects_a_count_below_12(entry, U):
 
 @pytest.mark.parametrize("count", [200, 512])
 def test_each_path_steps_by_its_own_grid_chord(count, monkeypatch):
-    # the local search starts with a simplex edge of one covering chord of
-    # the grid that was scanned, not of the other path's grid
-    steps = _count_local_searches(monkeypatch)
+    # the branch-and-bound splits the triangles of the grid that was
+    # scanned, and the polish of a distance starts with a mesh step of that
+    # grid's covering chord, not of the other path's grid
+    grids = _record(monkeypatch, "_branch_and_bound", 1)
+    steps = _record(monkeypatch, "_local_min", 3)
     sigma = _pt([0.78, 0, 0, 0], [0.0, 0.2, 0, 0])
-    _, lattice_chord = hull._lattice(count)
-    _, hopf_chord = twistor._default_sweep(count)
-    assert lattice_chord != hopf_chord
-    runs = [(hull.hull_contains, _LatticeBall(1, 1.0), lattice_chord),
-            (hull.hull_distance, _LatticeBall(1, 1.0), lattice_chord),
-            (twistor.hull_contains_via_lines, domains.Ball(1, 1.0), hopf_chord)]
-    for entry, U, chord in runs:
+    lattice = hull._lattice(count)
+    hopf = twistor._default_sweep(count)
+    assert lattice[1] != hopf[1]
+    runs = [(hull.hull_contains, _LatticeBall(1, 1.0), lattice, []),
+            (hull.hull_distance, _LatticeBall(1, 1.0), lattice, [lattice[1]]),
+            (twistor.hull_contains_via_lines, domains.Ball(1, 1.0), hopf, [])]
+    for entry, U, grid, polish_steps in runs:
+        grids.clear()
         steps.clear()
         entry(sigma, U, count=count)
-        assert steps == [chord]
+        assert len(grids) == 1 and grids[0] is grid
+        assert steps == polish_steps
