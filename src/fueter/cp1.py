@@ -17,12 +17,15 @@ inverts the coefficient map exactly (the two moments of 2/(1+|z|^2)^3 and
 The quadrature realizes (1/2 pi i) \int g dconj(z)^dz = (1/pi) \int g dA via
 the compactified substitution z = (rho/(1-rho)) e^{i phi}: Gauss-Legendre in
 rho in [0,1), uniform trapezoid in phi (spectrally accurate in the periodic
-angle).  The default 96x64 rule is machine-precision for integrands with
-rational (1+|z|^2)^-3-type profiles; the 1536-radial "bump grade" handles the
-C-infinity-but-non-analytic bump fixtures, whose edge behavior defeats
-Gauss-Legendre at low node counts (errors ~1e-5 at 768 nodes drop below 1e-9
-at 1536).  Do not lower these node counts without rechecking the exactness
-tests.
+angle).  The Gauss-Legendre nodes come from Newton's method on the
+three-term Legendre recurrence, started from Tricomi's asymptotic guess, in
+O(n^2) work and with weights accurate to a few ulps (Glaser, Liu & Rokhlin
+2007; Hale & Townsend 2013).  The default 96x64 rule is machine-precision for
+integrands with rational (1+|z|^2)^-3-type profiles; the 1536-radial "bump
+grade" handles the C-infinity-but-non-analytic bump fixtures, whose edge
+behavior defeats Gauss-Legendre at low node counts (errors ~1e-5 at 768 nodes
+drop below 1e-9 at 1536).  Do not lower these node counts without rechecking
+the exactness tests.
 """
 
 import functools
@@ -31,7 +34,7 @@ import numpy as np
 
 __all__ = [
     "QuadratureConfig", "QuadratureError", "BUMP_GRADE",
-    "quadrature_nodes", "quadrature_C",
+    "quadrature_nodes", "moment_rule", "quadrature_C",
     "BundleSection", "Form01", "validate_section", "validate_form",
     "decay_check", "cohomology_coefficients", "harmonic_representative",
     "h1_dimension", "bump", "bump_section", "exact_form",
@@ -73,9 +76,53 @@ def quadrature_nodes(cfg=None):
     return _nodes(cfg.n_radial, cfg.n_angular)
 
 
+def moment_rule(count, cfg=None):
+    """Nodes Z and the (nodes, count) matrix V = W Z^ell, ell < count.
+
+    h(Z) @ V holds the moments sum_j W_j Z_j^ell h(Z_j) over h's last axis.
+    """
+    Z, W = quadrature_nodes(cfg)
+    V = np.empty((count, Z.size), dtype=complex)
+    V[0] = W
+    for ell in range(1, count):
+        V[ell] = V[ell - 1] * Z
+    return Z, V.T
+
+
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, elementwise."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def _gauss_legendre(n):
+    """Ascending Gauss-Legendre nodes and weights on [-1, 1], any n >= 1."""
+    # Tricomi's guess for the nonnegative nodes, largest first; for odd n the
+    # last one is exactly 0, where P_n vanishes exactly and Newton stays put
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)) \
+        * np.sin(np.pi * (n + 1 - 2 * k) / (2 * n + 1))
+    # a step below 1e-12 leaves an error below C * 1e-24 (C = P_n''/2P_n' is
+    # at most ~n^2), so the next pass only refreshes P_n' for the weights;
+    # from n = 8 to 6144 that takes three steps or fewer
+    step = np.inf
+    for _ in range(10):
+        p, dp = _legendre(n, x)
+        if step < 1e-12:
+            break
+        dx = p / dp
+        x = x - dx
+        step = np.abs(dx).max()
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return (np.concatenate([-x[:n // 2], x[::-1]]),
+            np.concatenate([w[:n // 2], w[::-1]]))
+
+
 @functools.lru_cache(maxsize=8)
 def _nodes(n_radial, n_angular):
-    t, wt = np.polynomial.legendre.leggauss(n_radial)
+    t, wt = _gauss_legendre(n_radial)
     rho = (t + 1.0) / 2.0
     wr = wt / 2.0
     r = rho / (1.0 - rho)
@@ -185,17 +232,19 @@ def decay_check(obj, ell, n_exp=0, tol=1e-6):
 
 
 def cohomology_coefficients(w, cfg=None, check=True):
-    """The H^1 coefficients a_0..a_{-k-2} of a (0,1)-form on Q_k, k <= -2."""
+    """The H^1 coefficients a_0..a_{-k-2} of a (0,1)-form on Q_k, k <= -2.
+
+    Returns shape (-k-1,), or (..., -k-1) when w.h0 maps the nodes to a batch
+    of forms of shape (..., nodes).
+    """
     if w.k > -2:
         raise ValueError("H^1(Q_k) vanishes for k > -2; no coefficients")
     cfg = cfg or QuadratureConfig()
-    Z, W = quadrature_nodes(cfg)
-    h = np.asarray(w.h0(Z), dtype=complex)
-    out = np.array([np.sum(W * Z ** ell * h) for ell in range(-w.k - 1)])
+    Z, V = moment_rule(-w.k - 1, cfg)
+    out = np.asarray(w.h0(Z), dtype=complex) @ V
     if check:
-        Z2, W2 = quadrature_nodes(cfg.refined())
-        h2 = np.asarray(w.h0(Z2), dtype=complex)
-        out2 = np.array([np.sum(W2 * Z2 ** ell * h2) for ell in range(-w.k - 1)])
+        Z2, V2 = moment_rule(-w.k - 1, cfg.refined())
+        out2 = np.asarray(w.h0(Z2), dtype=complex) @ V2
         if np.max(np.abs(out - out2)) > 10 * cfg.target_tol:
             raise QuadratureError("coefficient quadrature not converged: %s vs %s"
                                   % (out, out2))
@@ -204,17 +253,28 @@ def cohomology_coefficients(w, cfg=None, check=True):
 
 
 def harmonic_representative(a0, a1):
-    """The k = -3 form with h0 = 2(a0 + a1 conj z)/(1+|z|^2)^3; inverts the coefficients."""
-    a0 = complex(a0)
-    a1 = complex(a1)
+    """The k = -3 form with h0 = 2(a0 + a1 conj z)/(1+|z|^2)^3; inverts the coefficients.
+
+    a0 and a1 are scalars or equal-shape arrays of pairs; h0 and h1 then map
+    z to a0.shape + z.shape.
+    """
+    a0 = np.asarray(a0, dtype=complex)
+    a1 = np.asarray(a1, dtype=complex)
+    if a0.shape != a1.shape:
+        raise ValueError("a0 and a1 differ in shape: %s vs %s"
+                         % (a0.shape, a1.shape))
 
     def h0(z):
         z = np.asarray(z, dtype=complex)
-        return 2.0 * (a0 + a1 * np.conj(z)) / (1.0 + z * np.conj(z)) ** 3
+        lift = a0.shape + (1,) * z.ndim
+        return 2.0 * (a0.reshape(lift) + a1.reshape(lift) * np.conj(z)) \
+            / (1.0 + z * np.conj(z)) ** 3
 
     def h1(w):
         w = np.asarray(w, dtype=complex)
-        return 2.0 * (-a0 * np.conj(w) - a1) / (1.0 + w * np.conj(w)) ** 3
+        lift = a0.shape + (1,) * w.ndim
+        return 2.0 * (-a0.reshape(lift) * np.conj(w) - a1.reshape(lift)) \
+            / (1.0 + w * np.conj(w)) ** 3
 
     return Form01(-3, h0, h1)
 
@@ -279,7 +339,9 @@ def bump_section(k, p=0, q=0, r_in=0.5, r_out=2.0):
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
         out = np.zeros_like(z)
-        nz = r > 0
+        # both terms vanish off the bump's support r_in < |z| < r_out, so
+        # only the support is evaluated
+        nz = (r > 0) & (np.abs(r - mid) < half)
         zz = z[nz]
         rr = r[nz]
         term = _dbump((rr - mid) / half) / half * zz / (2.0 * rr) \

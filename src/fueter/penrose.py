@@ -52,7 +52,8 @@ import numpy as np
 from . import quat
 from .cf import (FDConfig, _extrapolate, _partials, _wirtinger,
                  cf_residual_complex, _residual_of_pair)
-from .cp1 import quadrature_nodes, validate_form, Form01, decay_check
+from .cp1 import (quadrature_nodes, moment_rule, validate_form, Form01,
+                  decay_check)
 from .domains import WholeSpace
 from .fields import get_field
 from .hull import hull_contains, NotInHullError, _as_point
@@ -234,8 +235,7 @@ def _fiber_moments(fn, base, count, point_ndim=1):
     base is (..., 4n) real points, or (..., 2n, 2) matrices with
     point_ndim=2; returns base.shape[:-point_ndim] + (count,).
     """
-    Z, W = quadrature_nodes()
-    V = (W * Z ** np.arange(count)[:, None]).T  # (nodes, count)
+    Z, V = moment_rule(count)
     return _chunked(lambda b: _on_batch(fn, Z, b, point_ndim) @ V,
                     base, Z.size, point_ndim)
 

@@ -42,6 +42,52 @@ def test_quadrature_nodes_are_shared_and_read_only():
     assert cp1.quadrature_nodes(finer)[0] is Z
 
 
+@pytest.mark.parametrize("n", [9, 96, 1536])
+def test_gauss_legendre_is_exact_on_monomials_below_degree_2n(n):
+    x, w = cp1._gauss_legendre(n)
+    k = np.arange(2 * n)
+    got = np.power(x[None, :], k[:, None]) @ w
+    scale = 2.0 / (k + 1)                     # the integral of |x|^k
+    exact = np.where(k % 2 == 0, scale, 0.0)
+    # rounding a node to double moves x^k by up to k ulps relative, so the
+    # bound grows with k; numpy's eigensolver rule exceeds it 3-fold at n = 96
+    # and 140-fold at n = 1536
+    bound = 4.0 * (k + 1) * np.finfo(float).eps * scale
+    assert np.all(np.abs(got - exact) <= bound)
+
+
+@pytest.mark.parametrize("n", [8, 9, 33, 96, 1536, 3072])
+def test_gauss_legendre_nodes_and_weights_are_well_formed(n):
+    x, w = cp1._gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(w > 0) and abs(w.sum() - 2.0) < 1e-14
+    assert -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+
+
+def test_gauss_legendre_nodes_match_numpy():
+    x, _ = cp1._gauss_legendre(96)
+    ref, _ = np.polynomial.legendre.leggauss(96)
+    assert np.max(np.abs(x - ref)) <= 1e-15
+
+
+def test_gauss_legendre_resolves_an_edge_layer():
+    # exp(50(x-1)) lives within ~0.02 of x = 1; numpy's rule misses the
+    # integral by ~6e-12 relative at this node count
+    x, w = cp1._gauss_legendre(1536)
+    exact = -np.expm1(-100.0) / 50.0
+    assert abs(np.sum(w * np.exp(50.0 * (x - 1.0))) - exact) <= 1e-13 * exact
+
+
+def test_odd_radial_node_count_builds_a_rule():
+    Z, W = cp1.quadrature_nodes(cp1.QuadratureConfig(33, 16))
+    assert Z.shape == W.shape == (33 * 16,)
+    assert np.all(W > 0) and np.all(np.isfinite(Z))
+    g = lambda z: 2.0 / (1 + z * np.conj(z)) ** 3
+    assert abs(cp1.quadrature_C(g, cp1.QuadratureConfig(33, 16)) - 1.0) < 1e-8
+
+
 def test_quadrature_against_brute_riemann_sum():
     profiles = [
         lambda z: 2.0 / (1 + z * np.conj(z)) ** 3,
@@ -81,6 +127,23 @@ def test_harmonic_representative_clutches_and_collapses():
         c0, c1 = cp1.cohomology_coefficients(w)
         assert abs(c0 - a0) < 1e-10 * max(1.0, abs(a0))
         assert abs(c1 - a1) < 1e-10 * max(1.0, abs(a1))
+
+
+def test_batched_harmonic_coefficients_match_the_scalar_ones():
+    rng = np.random.default_rng(43)
+    a = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    w = cp1.harmonic_representative(a[..., 0], a[..., 1])
+    z = np.array([0.3 + 0.1j, -2.0j])
+    assert w.h0(z).shape == w.h1(z).shape == (3, 4, 2)
+    c = cp1.cohomology_coefficients(w)
+    assert c.shape == (3, 4, 2)
+    for i in np.ndindex(3, 4):
+        one = cp1.cohomology_coefficients(cp1.harmonic_representative(*a[i]))
+        assert one.shape == (2,)
+        np.testing.assert_allclose(c[i], one, rtol=0, atol=1e-14)
+    assert cp1.validate_form(w)["ok"] is True
+    with pytest.raises(ValueError):
+        cp1.harmonic_representative(np.ones(3), np.ones(2))
 
 
 def test_coefficients_are_linear():
