@@ -94,7 +94,6 @@ from .penrose import (
     calibrate_kappa,
     dbar_chart0,
     diagram_check,
-    frame_apply,
     penrose_transform,
     penrose_transform_complex,
     sharp,
@@ -134,7 +133,7 @@ __all__ = [
     "quadrature_C", "validate_form", "validate_section",
     # penrose
     "KAPPA", "ClosednessError", "PenroseResult", "TwistorFormL",
-    "calibrate_kappa", "dbar_chart0", "diagram_check", "frame_apply",
+    "calibrate_kappa", "dbar_chart0", "diagram_check",
     "penrose_transform", "penrose_transform_complex", "sharp",
     "tau_push_01", "tau_push_02",
     # acceptance

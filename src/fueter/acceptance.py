@@ -23,7 +23,7 @@ from .fields import get_field, ComplexField
 from .hull import hull_contains, hull_distance, hull_witness
 from .penrose import (sharp, tau_push_01, penrose_transform,
                       penrose_transform_complex, diagram_check,
-                      calibrate_kappa, KAPPA, _fiber_moments)
+                      calibrate_kappa, KAPPA)
 from .twistor import hull_contains_via_lines
 
 __all__ = ["run_all", "format_line", "CRITERIA",
@@ -393,8 +393,7 @@ def criterion_8_complex_transform(seed=7):
 
     def component(A):
         def f(batch):
-            S = np.asarray(batch, dtype=complex)
-            return _fiber_moments(form.wz_matrix, S, 2, point_ndim=2)[..., A]
+            return form.coeffs_matrix(batch) @ form.moments[:, A]
         return f
 
     quad_field = ComplexField(component(0), component(1), n=1,

@@ -66,6 +66,10 @@ class QuadratureConfig:
 # quadrature node/weight grade for bump-function fixtures; see module docstring
 BUMP_GRADE = QuadratureConfig(n_radial=1536, n_angular=96, target_tol=1e-5)
 
+# Most fiber nodes one moment sum evaluates at once (see _moments); the
+# default rule fits in one slice, BUMP_GRADE takes eighteen.
+_CHUNK_NODES = 1 << 13
+
 
 def quadrature_nodes(cfg=None):
     """Complex nodes Z and real weights W with sum(W * g(Z)) ~ (1/pi) int g dA.
@@ -85,8 +89,21 @@ def moment_rule(count, cfg=None):
     V = np.empty((count, Z.size), dtype=complex)
     V[0] = W
     for ell in range(1, count):
-        V[ell] = V[ell - 1] * Z
+        np.multiply(V[ell - 1], Z, out=V[ell])
     return Z, V.T
+
+
+def _moments(h, count, cfg=None):
+    """The moments sum_j W_j Z_j^ell h(Z_j), ell < count, over h's last axis.
+
+    h maps fiber points to (..., points); the sum runs over consecutive
+    slices of at most _CHUNK_NODES nodes, so a batch of forms or a fine rule
+    never holds a (..., nodes) array for all nodes at once.
+    """
+    Z, V = moment_rule(count, cfg)
+    m = _CHUNK_NODES
+    return sum(np.asarray(h(Z[s:s + m]), dtype=complex) @ V[s:s + m]
+               for s in range(0, Z.size, m))
 
 
 def _legendre(n, x):
@@ -240,11 +257,9 @@ def cohomology_coefficients(w, cfg=None, check=True):
     if w.k > -2:
         raise ValueError("H^1(Q_k) vanishes for k > -2; no coefficients")
     cfg = cfg or QuadratureConfig()
-    Z, V = moment_rule(-w.k - 1, cfg)
-    out = np.asarray(w.h0(Z), dtype=complex) @ V
+    out = _moments(w.h0, -w.k - 1, cfg)
     if check:
-        Z2, V2 = moment_rule(-w.k - 1, cfg.refined())
-        out2 = np.asarray(w.h0(Z2), dtype=complex) @ V2
+        out2 = _moments(w.h0, -w.k - 1, cfg.refined())
         if np.max(np.abs(out - out2)) > 10 * cfg.target_tol:
             raise QuadratureError("coefficient quadrature not converged: %s vs %s"
                                   % (out, out2))

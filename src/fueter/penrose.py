@@ -5,41 +5,48 @@ Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
   * ``sharp`` lifts a pair (psi0, psi1) on U to a (0,1)-form on the twistor
     space over U with values in the degree -3 fiber bundle, with vanishing
     base-direction (K) components.  Its fiber profile is the harmonic
-    representative of ``cp1`` with (a0, a1) = (psi0(x), psi1(x)).
+    representative of ``cp1`` with (a0, a1) = (psi0(x), psi1(x)): the base
+    coefficients c(x) = (psi0(x), psi1(x)) times the fixed fiber basis
+    b(z) = (1, conj(z)) 2/(1+|z|^2)^3.
   * ``tau_push_01`` pushes a form down to a pair by the fiber moment
     integrals a_A(x) = (1/2 pi i) \int z^A wz(z, x) dconj(z)^dz, A = 0, 1.
-    Because both moments of the harmonic profile are exactly 1, the
-    composition with ``sharp`` is the identity (a genuine splitting).
+    The integrals are linear, so they are c(x) times the form's moment table
+    M[r, A] = sum_j W_j Z_j^A b_r(Z_j).  Because both moments of the harmonic
+    profile are exactly 1, the composition with ``sharp`` is the identity
+    (a genuine splitting).
   * ``dbar_chart0`` evaluates the antiholomorphic exterior derivative in the
     commuting frame (d/dconj(z), X^1..X^{2n}), where
     X^{2i-1} = z d/d(beta_i) - d/d(conj alpha_i) and
-    X^{2i}   = z d/d(alpha_i) + d/d(conj beta_i); base derivatives are
-    finite differences through the Wirtinger combinations of ``cf``.
+    X^{2i}   = z d/d(alpha_i) + d/d(conj beta_i).  The frame fields act on
+    the coefficients alone, X^{A+1}(c b) = (z P_A + Q_A) b, with P_A and Q_A
+    finite differences of c through the Wirtinger combinations of ``cf``;
+    the d/dconj(z) of a K part differences its fiber basis.
   * ``tau_push_02`` pushes the mixed fiber/base (0,2)-components down by a
     single moment each (they live at degree -2, one coefficient per
-    direction).  On ``sharp`` lifts this reproduces the Cauchy-Fueter
-    residual up to the frozen constant ``KAPPA = -1``: component 2i-2 is
-    minus the first residual of block i, component 2i-1 minus the second
+    direction): the same frame step, contracted with the columns of M.  On
+    ``sharp`` lifts this reproduces the Cauchy-Fueter residual up to the
+    frozen constant ``KAPPA = -1``: component 2i-2 is minus the first
+    residual of block i, component 2i-1 minus the second
     (``calibrate_kappa`` re-derives this numerically).
   * ``penrose_transform`` certifies tau-level closedness (the moments of the
     (0,2)-part vanish; the pointwise components need not) and then returns
     the pushed-down pair, which the diagram guarantees to be monogenic.  Its
-    monogenic check differences the quadrature-backed output pair once per
-    stencil point, both components from one fiber pass.
+    monogenic check differences the output pair once per stencil point,
+    both components from one coefficient evaluation.
   * ``penrose_transform_complex`` evaluates the same moments at a matrix
     point of the monogenic hull.  The integrand is the form's holomorphic
     matrix extension: the line over a hull point has constant base-point
     matrix equal to the point itself (see ``twistor.line_base_points``), so
-    the fiber integral simply carries the extended coefficients.  On the
-    real slice (y = 0) it delegates to ``tau_push_01`` — the identical code
-    path, not merely an equal value.
+    the fiber integral simply carries the extended coefficients, c(sigma)
+    times M.  On the real slice (y = 0) it delegates to ``tau_push_01`` —
+    the identical code path, not merely an equal value.
 
-Batches: every fiber profile takes a whole batch of base points at once.
-``wz(z, x)`` with x of shape (..., 4n) returns x.shape[:-1] + z.shape; a
-profile that ignores x and returns z.shape is broadcast over the batch.  The
-pushforwards, ``penrose_transform`` and ``diagram_check`` evaluate one node
-set for all their base points, in chunks of at most ``_CHUNK_ELEMENTS``
-profile values so memory stays bounded for large batches.
+Batches: a form's coefficients take a whole batch of base points at once,
+x (..., 4n) -> (..., R), and its moment table is built once per form from
+the default nodes of ``cp1.moment_rule``.  The pushforwards,
+``penrose_transform`` and ``diagram_check`` are then products of (..., R)
+coefficient arrays with the (R, moments) table; no array over base points
+and fiber nodes together is formed.
 
 Numerical notes: there are no settings.  Output values are quadrature sums
 over the default nodes of ``cp1.quadrature_nodes``; derivatives use the
@@ -47,20 +54,21 @@ finite-difference core of ``cf`` at ``_FD``, whose error (~1e-8) closedness
 certificates and diagram residuals inherit, far below the 1e-4 tolerances.
 """
 
+import functools
+
 import numpy as np
 
 from . import quat
 from .cf import (FDConfig, _extrapolate, _partials, _wirtinger,
                  cf_residual_complex, _residual_of_pair)
-from .cp1 import (quadrature_nodes, moment_rule, validate_form, Form01,
-                  decay_check)
+from .cp1 import validate_form, Form01, decay_check, _moments
 from .domains import WholeSpace
 from .fields import get_field
 from .hull import hull_contains, NotInHullError, _as_point
 
 __all__ = [
     "KAPPA", "ClosednessError", "TwistorFormL", "sharp",
-    "tau_push_01", "tau_push_02", "dbar_chart0", "frame_apply",
+    "tau_push_01", "tau_push_02", "dbar_chart0",
     "penrose_transform", "penrose_transform_complex", "PenroseResult",
     "diagram_check", "calibrate_kappa",
 ]
@@ -69,10 +77,6 @@ __all__ = [
 # Cauchy-Fueter residual (interleaved order of cf_residual_complex).
 # Frozen from calibrate_kappa(); the diagram tests re-derive it.
 KAPPA = -1.0
-
-# Most fiber-profile values (complex) evaluated in one pass over a chunk of
-# base points; keeps batched transforms at the memory of small ones.
-_CHUNK_ELEMENTS = 1 << 15
 
 # penrose_transform's closedness certificate: tau_push_02 at up to
 # _CERT_POINTS of the given points must stay below _CLOSED_TOL * max(1, scale).
@@ -85,35 +89,48 @@ class ClosednessError(RuntimeError):
     """The tau-level closedness certificate failed."""
 
 
+def _on(coeffs, basis):
+    """sum_r coeffs[..., r] basis[r]: (..., R) with (R,) + S -> ... + S."""
+    return np.tensordot(coeffs, basis, axes=(-1, 0))
+
+
 class TwistorFormL:
     """A (0,1)-form on the twistor space over U, valued in the degree-k bundle.
 
-    Chart-0 data:
-      wz(z, x)        coefficient of dconj(z); z a complex array of fiber
-                      points, x flat real base points (..., 4n); returns
-                      x.shape[:-1] + z.shape
-      K_parts         list of 2n callables (z, x) -> complex for the base
-                      coframe directions, same shapes as wz, or None for
-                      identically zero
-    A callable that ignores x and returns z.shape (a base-independent
-    profile) is broadcast over the base batch.  Optional chart-1 data (used
-    by validate): wz_chart1(w, x), and K_parts_chart1.  Optional holomorphic
-    extension wz_matrix(z, sigma) with sigma complex matrices (..., 2n, 2),
-    returning sigma.shape[:-2] + z.shape, required by the complexified
-    transform off the real slice.
+    Every component is factored as base coefficients times a fixed fiber
+    basis.  Chart-0 data:
+      coeffs(x)       coefficients c of the dconj(z)-part at flat real base
+                      points x (..., 4n); returns x.shape[:-1] + (R,)
+      basis(z)        the fiber basis b at complex fiber points z; returns
+                      (R,) + z.shape.  The dconj(z)-part is
+                      wz(z, x) = sum_r c_r(x) b_r(z).
+      K_parts         list of 2n (coeffs, basis) pairs of the same kind for
+                      the base coframe directions, None for an identically
+                      zero part; or None when every part vanishes
+    Optional chart-1 data (used by validate): basis_chart1(w), the chart-1
+    basis over the same coefficients, and K_parts_chart1, the chart-1 bases
+    of the K parts.  Optional holomorphic extension coeffs_matrix(sigma) of
+    the coefficients to complex matrices sigma (..., 2n, 2), returning
+    sigma.shape[:-2] + (R,), required by the complexified transform off the
+    real slice.
+
+    ``moments`` is the table M[r, a] = sum_j W_j Z_j^a b_r(Z_j) on the
+    default nodes, a < max(2, -k-1), built on first use and kept: every
+    pushforward of the form is a product with it.
     """
 
-    def __init__(self, n, wz, K_parts=None, k=-3, wz_chart1=None,
-                 K_parts_chart1=None, wz_matrix=None, domain=None, name=None):
+    def __init__(self, n, coeffs, basis, K_parts=None, k=-3, basis_chart1=None,
+                 K_parts_chart1=None, coeffs_matrix=None, domain=None, name=None):
         self.n = int(n)
         self.k = int(k)
-        self.wz = wz
+        self.coeffs = coeffs
+        self.basis = basis
         if K_parts is not None and len(K_parts) != 2 * self.n:
-            raise ValueError("need 2n K-part callables (or None)")
+            raise ValueError("need 2n K parts (or None)")
         self.K_parts = K_parts
-        self.wz_chart1 = wz_chart1
+        self.basis_chart1 = basis_chart1
         self.K_parts_chart1 = K_parts_chart1
-        self.wz_matrix = wz_matrix
+        self.coeffs_matrix = coeffs_matrix
         self.domain = domain
         self.name = name or "form"
 
@@ -121,12 +138,23 @@ class TwistorFormL:
     def has_K(self):
         return self.K_parts is not None and any(f is not None for f in self.K_parts)
 
+    @functools.cached_property
+    def moments(self):
+        return _moments(self.basis, max(2, -self.k - 1))
+
+    def wz(self, z, x):
+        """The dconj(z) coefficient at fiber points z over base points x.
+
+        Returns x.shape[:-1] + z.shape.
+        """
+        return _on(self.coeffs(np.asarray(x, dtype=float)), self.basis(z))
+
     def as_fiber_form(self, x):
         """The fixed-x fiber profile as a cp1.Form01 (chart 1 by clutching)."""
         x = np.asarray(x, dtype=float)
-        if self.wz_chart1 is not None:
+        if self.basis_chart1 is not None:
             return Form01(self.k, lambda z: self.wz(z, x),
-                          lambda w: self.wz_chart1(w, x))
+                          lambda w: _on(self.coeffs(x), self.basis_chart1(w)))
 
         def h1(w):
             w = np.asarray(w, dtype=complex)
@@ -144,7 +172,7 @@ class TwistorFormL:
         x = np.asarray(x, dtype=float)
         report = {"n": self.n, "k": self.k}
         fiber = self.as_fiber_form(x)
-        if self.wz_chart1 is not None:
+        if self.basis_chart1 is not None:
             report["clutching"] = validate_form(fiber, tol=tol)
         mref = -self.k - 2  # highest moment order used by the pushforward
         report["decay"] = all(decay_check(fiber, ell) for ell in range(mref + 1))
@@ -154,132 +182,101 @@ class TwistorFormL:
             z = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 40)) \
                 * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
             worst = 0.0
-            for f0, f1 in zip(self.K_parts, self.K_parts_chart1):
-                v0 = 0.0 if f0 is None else np.asarray(f0(z, x), dtype=complex)
-                v1 = 0.0 if f1 is None else np.asarray(f1(1.0 / z, x), dtype=complex)
+            for part, basis1 in zip(self.K_parts, self.K_parts_chart1):
+                if part is None:
+                    continue
+                c = part[0](x)
+                v0 = _on(c, part[1](z))
+                v1 = _on(c, basis1(1.0 / z))
                 worst = max(worst, float(np.max(np.abs(
                     v1 - z ** (-(self.k + 1)) * v0))))
             report["K_transition_violation"] = worst
         return report
 
 
+def _harmonic_basis(z):
+    """(1, conj(z)) 2/(1+|z|^2)^3, the fiber basis of cp1's harmonic forms."""
+    z = np.asarray(z, dtype=complex)
+    weight = 2.0 / (1.0 + (z.real ** 2 + z.imag ** 2)) ** 3
+    return np.stack([weight, np.conj(z) * weight])
+
+
+def _stacked_pair(pair, lead):
+    """The pair (p0, p1) as one coefficient array lead + (2,)."""
+    out = np.empty(lead + (2,), dtype=complex)
+    out[..., 0], out[..., 1] = pair
+    return out
+
+
 def sharp(field):
     """Lift a ScalarField to a twistor form of degree -3 with zero K parts.
 
-    When the field carries a holomorphic matrix extension the lift also
-    carries ``wz_matrix`` for the complexified transform.
+    The coefficients are the field's pair; when the field carries a
+    holomorphic matrix extension the lift also carries ``coeffs_matrix``,
+    the extension's pair, for the complexified transform.
     """
-    n = field.n
+    def coeffs(x):
+        x = np.asarray(x, dtype=float)
+        return _stacked_pair(field.pair(x), x.shape[:-1])
 
-    def profile(p0, p1, z):
-        # the harmonic representative 2 (p0 + p1 conj(z)) / (1+|z|^2)^3 at
-        # every base point; the real weight is shared by the whole batch
-        z = np.asarray(z, dtype=complex)
-        weight = 2.0 / (1.0 + (z.real ** 2 + z.imag ** 2)) ** 3
-        tail = (1,) * z.ndim
-        p0 = np.asarray(p0, dtype=complex).reshape(np.shape(p0) + tail)
-        p1 = np.asarray(p1, dtype=complex).reshape(np.shape(p1) + tail)
-        return (p0 + p1 * np.conj(z)) * weight
-
-    def wz(z, x):
-        return profile(*field.pair(x), z)
-
-    def wz_chart1(w, x):
-        # 2 (-p0 conj(w) - p1) / (1+|w|^2)^3 is the profile of (-p1, -p0)
-        p0, p1 = field.pair(x)
-        return profile(-np.asarray(p1), -np.asarray(p0), w)
-
-    wz_matrix = None
+    coeffs_matrix = None
     ext = getattr(field, "extension", None)
     if ext is not None:
-        def wz_matrix(z, sigma):
-            return profile(*ext.pair(np.asarray(sigma, dtype=complex)), z)
+        def coeffs_matrix(sigma):
+            sigma = np.asarray(sigma, dtype=complex)
+            return _stacked_pair(ext.pair(sigma), sigma.shape[:-2])
 
-    form = TwistorFormL(n, wz, K_parts=None, k=-3, wz_chart1=wz_chart1,
-                        wz_matrix=wz_matrix, domain=field.domain,
+    # 2 (-p0 conj(w) - p1) / (1+|w|^2)^3 is the chart-1 profile of (p0, p1)
+    return TwistorFormL(field.n, coeffs, _harmonic_basis, k=-3,
+                        basis_chart1=lambda w: -_harmonic_basis(w)[::-1],
+                        coeffs_matrix=coeffs_matrix, domain=field.domain,
                         name="sharp(%s)" % field.name)
-    return form
 
 
 # ---------------------------------------------------------------------------
 # pushforwards
 # ---------------------------------------------------------------------------
 
-def _on_batch(fn, z, base, point_ndim=1):
-    """fn(z, base) as base.shape[:-point_ndim] + z.shape.
-
-    A base-independent profile returning z.shape is broadcast over the batch.
-    """
-    z = np.asarray(z, dtype=complex)
-    out = np.asarray(fn(z, base), dtype=complex)
-    return np.broadcast_to(out, base.shape[:base.ndim - point_ndim] + z.shape)
-
-
-def _chunked(fn, base, per_point, point_ndim=1):
-    """fn over consecutive slices of the flattened base batch, restacked.
-
-    Each slice holds at most _CHUNK_ELEMENTS // per_point base points (at
-    least one); fn maps a slice (m,) + point shape to (m, ...).
-    """
-    lead = base.shape[:base.ndim - point_ndim]
-    flat = base.reshape((-1,) + base.shape[base.ndim - point_ndim:])
-    step = max(1, _CHUNK_ELEMENTS // per_point)
-    out = np.concatenate([fn(flat[s:s + step])
-                          for s in range(0, max(1, len(flat)), step)])
-    return out.reshape(lead + out.shape[1:])
-
-
-def _fiber_moments(fn, base, count, point_ndim=1):
-    """Moments sum_j W_j Z_j^ell fn(Z_j, b) for ell < count at every base point b.
-
-    base is (..., 4n) real points, or (..., 2n, 2) matrices with
-    point_ndim=2; returns base.shape[:-point_ndim] + (count,).
-    """
-    Z, V = moment_rule(count)
-    return _chunked(lambda b: _on_batch(fn, Z, b, point_ndim) @ V,
-                    base, Z.size, point_ndim)
-
-
 def tau_push_01(form, x):
     """Push a form down to the pair: A-th moment of the dconj(z)-part.
 
-    x (..., 4n) -> (..., -k-1), one fiber quadrature for the whole batch.
+    x (..., 4n) -> (..., -k-1): the coefficients at x times the moment table.
     """
     if form.k > -2:
         raise ValueError("degree %d has no pushforward coefficients" % form.k)
     x = np.asarray(x, dtype=float)
-    return _fiber_moments(form.wz, x, -form.k - 1)
+    return form.coeffs(x) @ form.moments[:, :-form.k - 1]
 
 
-def frame_apply(fn, z, x, domain=None):
-    """Apply the 2n antiholomorphic base frame fields to fn(z, x) at fixed z.
+def _frame(coeffs, x, domain=None):
+    """The base frame fields on a factored part c(x) b(z), as coefficients.
 
-    x is (..., 4n).  Returns an array of shape (2n,) + x.shape[:-1] +
-    shape(z): row 2i-2 is (z d_beta_i - d_conj(alpha_i)) fn, row 2i-1 is
-    (z d_alpha_i + d_conj(beta_i)) fn.  With a domain the base stencil is
-    checked first (cf.DomainError).
+    X^{A+1}(c b) = (z P_A + Q_A) b, where row 2i-2 of (P, Q) is
+    (d_beta_i c, -d_conj(alpha_i) c) and row 2i-1 is
+    (d_alpha_i c, d_conj(beta_i) c).  Returns (P, Q), each
+    x.shape[:-1] + (2n, R).  With a domain the base stencil is checked
+    before c is evaluated (cf.DomainError).
     """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=complex)
-    d = _partials(lambda pts: _on_batch(fn, z, pts), x, _FD, domain)
-    da, dab, db, dbb = _wirtinger(np.moveaxis(d, x.ndim - 1, -1))
-    n = x.shape[-1] // 4
-    out = np.empty((2 * n,) + x.shape[:-1] + z.shape, dtype=complex)
-    for i in range(n):
-        out[2 * i] = z * db[..., i] - dab[..., i]
-        out[2 * i + 1] = z * da[..., i] + dbb[..., i]
-    return out
+    d = _partials(coeffs, x, _FD, domain)  # (..., 4n, R)
+    da, dab, db, dbb = _wirtinger(np.swapaxes(d, -1, -2))  # each (..., R, n)
+    P = np.empty(da.shape[:-1] + (2 * da.shape[-1],), dtype=complex)
+    Q = np.empty_like(P)
+    P[..., 0::2], P[..., 1::2] = db, da
+    Q[..., 0::2], Q[..., 1::2] = -dab, dbb
+    return np.swapaxes(P, -1, -2), np.swapaxes(Q, -1, -2)
 
 
-def _dbar_fiber(fn, z, x):
-    """d/dconj(z) of fn(z, x) at fixed x by central differences in the fiber."""
-    z = np.asarray(z, dtype=complex)
+def _framed(P, Q, basis, z):
+    """(z P_A + Q_A) b(z) for every frame row A: (2n,) + batch + z.shape."""
+    b = basis(z)
+    return np.moveaxis(z * _on(P, b) + _on(Q, b), P.ndim - 2, 0)
 
+
+def _dbar_fiber(basis, z):
+    """d/dconj(z) of a fiber basis at z, (R,) + z.shape, by central differences."""
     def deriv(step):
-        du = (_on_batch(fn, z + step, x)
-              - _on_batch(fn, z - step, x)) / (2.0 * step)
-        dv = (_on_batch(fn, z + 1j * step, x)
-              - _on_batch(fn, z - 1j * step, x)) / (2.0 * step)
+        du = (basis(z + step) - basis(z - step)) / (2.0 * step)
+        dv = (basis(z + 1j * step) - basis(z - 1j * step)) / (2.0 * step)
         return (du + 1j * dv) / 2.0
 
     return _extrapolate(deriv, _FD.resolve_step(np.maximum(1.0, np.abs(z))),
@@ -297,17 +294,16 @@ def dbar_chart0(form, z, x):
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=complex)
-    m = 2 * form.n
-    Xw = frame_apply(form.wz, z, x, form.domain)
-    C_zi = -Xw
-    C_ij = np.zeros((m,) + Xw.shape, dtype=complex)
+    C_zi = -_framed(*_frame(form.coeffs, x, form.domain), form.basis, z)
+    C_ij = np.zeros((2 * form.n,) + C_zi.shape, dtype=complex)
     if form.has_K:
-        XK = np.zeros((m,) + Xw.shape, dtype=complex)  # XK[A, B] = X^{A+1} K_B
-        for B, kb in enumerate(form.K_parts):
-            if kb is None:
+        XK = np.zeros_like(C_ij)  # XK[A, B] = X^{A+1} K_B
+        for B, part in enumerate(form.K_parts):
+            if part is None:
                 continue
-            C_zi[B] = C_zi[B] + _dbar_fiber(kb, z, x)
-            XK[:, B] = frame_apply(kb, z, x)
+            coeffs, basis = part
+            C_zi[B] += _on(coeffs(x), _dbar_fiber(basis, z))
+            XK[:, B] = _framed(*_frame(coeffs, x, form.domain), basis, z)
         C_ij = XK - np.swapaxes(XK, 0, 1)
     return {"C_zi": C_zi, "C_ij": C_ij}
 
@@ -317,14 +313,14 @@ def tau_push_02(form, x):
 
     x (..., 4n) -> (..., 2n).  This is the tau-level closedness obstruction;
     on lifts of pairs it equals KAPPA times the interleaved Cauchy-Fueter
-    residual.
+    residual.  Of C_zi[A] = d_conj(z) K_A - X^{A+1} wz only the second term
+    has a moment: K_A is a section of the degree k+1 <= -2 bundle, so
+    d_conj(z) K_A is exact on the fiber and its moment vanishes.  The moment
+    of -X^{A+1} wz is -(P_A M[:, 1] + Q_A M[:, 0]).
     """
-    Z, W = quadrature_nodes()
-    W = W.astype(complex)
-    x = np.asarray(x, dtype=float)
-    # one stencil pass evaluates the profile at 2 * 4n points per base point
-    return _chunked(lambda b: (dbar_chart0(form, Z, b)["C_zi"] @ W).T,
-                    x, Z.size * 2 * x.shape[-1])
+    M = form.moments
+    P, Q = _frame(form.coeffs, np.asarray(x, dtype=float), form.domain)
+    return -(P @ M[:, 1] + Q @ M[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +356,7 @@ def penrose_transform(form, points):
     ``_CLOSED_TOL`` * max(1, output scale); otherwise ClosednessError.  The
     Cauchy-Fueter residual of the quadrature-backed output is then
     differenced at every point and the maximum reported; each stencil point
-    costs one fiber pass for both components.
+    costs one coefficient evaluation for both components.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = tau_push_01(form, points)
@@ -385,9 +381,10 @@ def penrose_transform_complex(form, sigma):
 
     On the real slice (sigma exactly of the form embed_M(x)) this delegates
     to tau_push_01 at x — the same code path as the real transform.  Off the
-    slice the form must carry a holomorphic matrix extension ``wz_matrix``;
-    the fiber moments are then taken of wz_matrix(z, sigma), the line over
-    sigma having constant base matrix sigma.  The point is first certified
+    slice the form must carry the holomorphic matrix extension
+    ``coeffs_matrix`` of its coefficients; the fiber moments are then
+    coeffs_matrix(sigma) times the form's moment table, the line over sigma
+    having constant base matrix sigma.  The point is first certified
     to lie in the hull of the form's domain (NotInHullError otherwise).
     """
     pt = _as_point(sigma, n=form.n)
@@ -401,11 +398,11 @@ def penrose_transform_complex(form, sigma):
     x = quat.decompose_matrix(mat)[0]
     if np.array_equal(quat.embed_M(x), mat):
         return tau_push_01(form, x)
-    if form.wz_matrix is None:
+    if form.coeffs_matrix is None:
         raise ValueError(
             "form has no holomorphic matrix extension; the complexified "
-            "transform off the real slice requires wz_matrix")
-    return _fiber_moments(form.wz_matrix, mat, -form.k - 1, point_ndim=2)
+            "transform off the real slice requires coeffs_matrix")
+    return form.coeffs_matrix(mat) @ form.moments[:, :-form.k - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -34,38 +34,52 @@ def test_lifted_forms_validate_clutching_and_decay():
     assert report["k"] == -3
 
 
+def _unit_coefficient(x):
+    return np.ones(np.shape(x)[:-1] + (1,))
+
+
 def test_base_independent_lift_returns_its_own_coefficients():
     a0, a1 = 0.7 - 0.3j, -1.1 + 0.25j
     w = cp1.harmonic_representative(a0, a1)
-    form = penrose.TwistorFormL(
-        1,
-        lambda z, x: w.h0(z) * np.ones(np.shape(z), dtype=complex),
-        wz_chart1=lambda z, x: w.h1(z) * np.ones(np.shape(z), dtype=complex))
+    form = penrose.TwistorFormL(1, _unit_coefficient, lambda z: w.h0(z)[None],
+                                basis_chart1=lambda z: w.h1(z)[None])
     got = penrose.tau_push_01(form, np.array([0.3, 0.8, -0.1, 0.2]))
     np.testing.assert_allclose(got, [a0, a1], atol=1e-10)
 
 
 def test_frame_fields_differentiate_the_coordinates():
-    # f = z*beta + conj(alpha) is built so the first frame field returns
-    # z^2 - 1 and the second returns 0
-    def f(zs, p):
-        return (p[..., 3, None] + 1j * p[..., 2, None]) * zs \
-            + (p[..., 0, None] - 1j * p[..., 1, None])
-
+    # f = z*beta + conj(alpha), the coefficients (beta, conj(alpha)) on the
+    # basis (z, 1), is built so the first frame field returns z^2 - 1 and the
+    # second returns 0; C_zi holds minus the frame fields on f
+    form = penrose.TwistorFormL(
+        1, lambda p: np.stack([p[..., 3] + 1j * p[..., 2],
+                               p[..., 0] - 1j * p[..., 1]], axis=-1),
+        lambda zs: np.stack([zs, np.ones_like(zs)]))
     zs = np.array([0.5 + 0.5j, 1.0 - 2.0j, -0.3j])
     x = np.array([0.8, -0.3, 0.5, 0.4])
-    rows = penrose.frame_apply(f, zs, x)
+    rows = -penrose.dbar_chart0(form, zs, x)["C_zi"]
     np.testing.assert_allclose(rows[0], zs ** 2 - 1.0, atol=1e-8)
     np.testing.assert_allclose(rows[1], np.zeros_like(zs), atol=1e-8)
+    # as the second K part, f gives C_ij[0, 1] = X^1 f - X^2 0 = z^2 - 1; it
+    # is holomorphic in z, so C_zi keeps the frame fields on wz alone
+    with_K = penrose.TwistorFormL(1, form.coeffs, form.basis,
+                                  K_parts=[None, (form.coeffs, form.basis)])
+    out = penrose.dbar_chart0(with_K, zs, x)
+    np.testing.assert_allclose(-out["C_zi"], rows, atol=1e-8)
+    np.testing.assert_allclose(out["C_ij"][0, 1], zs ** 2 - 1.0, atol=1e-8)
+    np.testing.assert_allclose(out["C_ij"][1, 0], 1.0 - zs ** 2, atol=1e-8)
 
 
 def test_antiholomorphic_fiber_derivative_in_the_k_part():
     # with no fiber component, C_zi reduces to the plain z-bar derivative of
     # the i-th coefficient; conj(z) has derivative 1
+    def zero(z):
+        return np.zeros((1,) + np.shape(z), dtype=complex)
+
     form = penrose.TwistorFormL(
-        1, lambda z, x: np.zeros(np.shape(z), dtype=complex),
-        K_parts=[lambda z, x: np.conj(z) * np.ones(np.shape(z), complex),
-                 lambda z, x: np.zeros(np.shape(z), dtype=complex)])
+        1, _unit_coefficient, zero,
+        K_parts=[(_unit_coefficient, lambda z: np.conj(z)[None]),
+                 (_unit_coefficient, zero)])
     out = penrose.dbar_chart0(form, np.array([0.3 + 0.1j, 1.2j]),
                               np.array([0.5, 0.1, -0.2, 0.3]))
     np.testing.assert_allclose(out["C_zi"][0], [1.0, 1.0], atol=1e-8)
@@ -288,9 +302,9 @@ def test_batched_frame_fields_match_single_points(case):
     n, x = case
     form = penrose.sharp(fields.get_field("nonmonogenic_quadratic", n))
     zs = np.array([0.5 + 0.5j, 1.0 - 2.0j, -0.3j])
-    rows = penrose.frame_apply(form.wz, zs, x)
+    rows = -penrose.dbar_chart0(form, zs, x)["C_zi"]
     assert rows.shape == (2 * n,) + x.shape[:-1] + zs.shape
-    each = _stacked(lambda p: penrose.frame_apply(form.wz, zs, p), x)
+    each = _stacked(lambda p: -penrose.dbar_chart0(form, zs, p)["C_zi"], x)
     _assert_rel(np.moveaxis(rows, 0, x.ndim - 1), each)
 
 
@@ -300,8 +314,7 @@ def test_base_independent_profiles_broadcast_over_the_batch(case):
     n, x = case
     a0, a1 = 0.7 - 0.3j, -1.1 + 0.25j
     w = cp1.harmonic_representative(a0, a1)
-    form = penrose.TwistorFormL(
-        n, lambda z, p: w.h0(z) * np.ones(np.shape(z), dtype=complex))
+    form = penrose.TwistorFormL(n, _unit_coefficient, lambda z: w.h0(z)[None])
     got = penrose.tau_push_01(form, x)
     assert got.shape == x.shape[:-1] + (2,)
     np.testing.assert_allclose(got, np.broadcast_to([a0, a1], got.shape),
@@ -312,12 +325,9 @@ def test_base_independent_profiles_broadcast_over_the_batch(case):
 
 
 @_BATCHED
-@given(st.sampled_from([1, 2]), st.integers(1, 25), st.integers(0, 2 ** 32 - 1))
-def test_transform_batches_across_chunks_match_single_points(n, extra, seed):
-    # more base points than one chunk holds, so the batch is split and
-    # restacked; every row must still be its own point's value
-    Z, _ = cp1.quadrature_nodes()
-    count = penrose._CHUNK_ELEMENTS // Z.size + extra
+@given(st.sampled_from([1, 2]), st.integers(6, 30), st.integers(0, 2 ** 32 - 1))
+def test_transform_batches_match_single_points(n, count, seed):
+    # every row of a batched transform must be its own point's value
     field = fields.get_field("linear_monogenic", n)
     form = penrose.sharp(field)
     points = _shell(np.random.default_rng(seed), count * n,
@@ -334,3 +344,191 @@ def test_transform_batches_across_chunks_match_single_points(n, extra, seed):
 def test_complex_transform_real_slice_stays_bitwise(seed):
     record = acceptance.criterion_8_complex_transform(seed=seed)
     assert record["details"]["real_slice_bitwise"] is True
+
+
+# ---------------------------------------------------------------------------
+# the moment table against brute-force fiber quadrature
+# ---------------------------------------------------------------------------
+
+def _reference_moments(form, x, count=2):
+    """sum_j W_j Z_j^ell wz(Z_j, x), ell < count, over the default nodes."""
+    Z, W = cp1.quadrature_nodes()
+    profile = form.wz(Z, x)
+    return np.stack([np.sum(W * Z ** ell * profile, axis=-1)
+                     for ell in range(count)], axis=-1)
+
+
+def _reference_closedness(form, x):
+    """sum_j W_j (-X^{A+1} wz)(Z_j, x), differencing the whole profile in x."""
+    Z, W = cp1.quadrature_nodes()
+    d = cf._partials(lambda p: form.wz(Z, p), x, penrose._FD)  # (..., 4n, nodes)
+    da, dab, db, dbb = cf._wirtinger(np.swapaxes(d, -1, -2))  # each (..., nodes, n)
+    rows = np.empty(da.shape[:-1] + (2 * da.shape[-1],), dtype=complex)
+    rows[..., 0::2] = Z[:, None] * db - dab
+    rows[..., 1::2] = Z[:, None] * da + dbb
+    return -np.sum(W[:, None] * rows, axis=-2)
+
+
+# The reference differences profile values already rounded to eps * |wz|
+# over a step of at least 1e-5, so it is itself no closer than this.
+_REFERENCE_FD_ROUNDING = np.finfo(float).eps / 1e-5
+
+
+@_BATCHED
+@given(_base_batch(), st.sampled_from(["nonmonogenic_quadratic",
+                                       "linear_monogenic"]))
+def test_pushforwards_match_brute_force_fiber_quadrature(case, name):
+    n, x = case
+    form = penrose.sharp(fields.get_field(name, n))
+    _assert_rel(penrose.tau_push_01(form, x), _reference_moments(form, x))
+    _assert_rel(penrose.tau_push_02(form, x), _reference_closedness(form, x),
+                _REFERENCE_FD_ROUNDING)
+
+
+@pytest.mark.parametrize("name,n", [("E", 1), ("linear_monogenic", 2)])
+def test_complexified_transform_matches_brute_force_fiber_quadrature(name, n):
+    field = fields.get_field(name, n)
+    form = penrose.sharp(field)
+    Z, W = cp1.quadrature_nodes()
+    rng = np.random.default_rng(59)
+    for _ in range(4):
+        sigma = quat.matrix_point(_shell(rng, n, 0.8, 1.6).ravel(),
+                                  0.2 * rng.normal(size=4 * n))
+        profile = cp1.harmonic_representative(*field.extension.pair(sigma)).h0(Z)
+        expected = [np.sum(W * Z ** ell * profile) for ell in range(2)]
+        _assert_rel(penrose.penrose_transform_complex(form, sigma), expected)
+
+
+def test_transform_evaluates_the_fiber_basis_once_per_form():
+    Z, _ = cp1.quadrature_nodes()
+    form = penrose.sharp(fields.get_field("E"))
+    on_nodes = []
+
+    def counted(label, fn):
+        def wrapped(z, *rest):
+            if np.shape(z) == Z.shape:
+                on_nodes.append(label)
+            return fn(z, *rest)
+        return wrapped
+
+    form.basis = counted("basis", form.basis)
+    form.wz = counted("wz", form.wz)
+    penrose.penrose_transform(form, _shell(np.random.default_rng(60), 40))
+    assert on_nodes == ["basis"]
+
+
+# ---------------------------------------------------------------------------
+# an exact form dbar(f) is invisible to the transform
+# ---------------------------------------------------------------------------
+
+def _wirtinger_monomial(powers, block):
+    """phi = alpha^p conj(alpha)^q beta^r conj(beta)^s of one block, with its
+    four Wirtinger derivatives (d_alpha, d_conj(alpha), d_beta,
+    d_conj(beta)) in closed form, each flat real (..., 4n) -> (...)."""
+    def monomial(e):
+        def f(x):
+            ab = quat.real_to_ab(x)
+            a, b = ab[..., 2 * block], ab[..., 2 * block + 1]
+            out = np.ones(x.shape[:-1], dtype=complex)
+            for base, k in zip((a, np.conj(a), b, np.conj(b)), e):
+                out = out * base ** k
+            return out
+        return f
+
+    def derivative(slot):
+        e = list(powers)
+        if e[slot] == 0:
+            return lambda x: np.zeros(np.shape(x)[:-1], dtype=complex)
+        k = e[slot]
+        e[slot] -= 1
+        g = monomial(e)
+        return lambda x: k * g(x)
+
+    return monomial(powers), [derivative(slot) for slot in range(4)]
+
+
+def _exact_form(phi, wirtinger, block, n, a):
+    """dbar(f) for f = phi(x) conj(z)^a/(1+|z|^2)^3, a section of Q_-3 for
+    a = 2, 3 (chart 1: phi conj(w)^(3-a)/(1+|w|^2)^3).
+
+    wz = d_conj(z) f = phi conj(z)^(a-1) (a + (a-3)|z|^2)/(1+|z|^2)^4 and
+    K_A = X^A f = (z P_A + Q_A) s(z) with s = conj(z)^a/(1+|z|^2)^3; phi
+    depends on one block, so only that block's two K parts are nonzero.
+    Returns the form's keyword arguments, chart-1 bases included.
+    """
+    d_a, d_ab, d_b, d_bb = wirtinger
+
+    def s(z):
+        return np.conj(z) ** a / (1.0 + np.abs(z) ** 2) ** 3
+
+    def t(w):  # chart 1 of s: w^3 t(w) = s(1/w)
+        return np.conj(w) ** (3 - a) / (1.0 + np.abs(w) ** 2) ** 3
+
+    def pair(p, q):
+        return lambda x: np.stack([p(x), q(x)], axis=-1)
+
+    def wz_basis(z):
+        r2 = np.abs(z) ** 2
+        return (np.conj(z) ** (a - 1) * (a + (a - 3) * r2)
+                / (1.0 + r2) ** 4)[None]
+
+    def wz_basis_chart1(w):
+        # -conj(w)^(2-a) (a - 3 + a|w|^2)/(1+|w|^2)^4, smooth at w = 0
+        r2 = np.abs(w) ** 2
+        return ((-3.0 * w if a == 3 else 1.0 - 2.0 * r2)
+                / (1.0 + r2) ** 4)[None]
+
+    def k_basis(z):
+        return np.stack([z * s(z), s(z)])
+
+    def k_basis_chart1(w):
+        return np.stack([t(w), w * t(w)])
+
+    K, K1 = [None] * (2 * n), [None] * (2 * n)
+    K[2 * block] = (pair(d_b, lambda x: -d_ab(x)), k_basis)
+    K[2 * block + 1] = (pair(d_a, d_bb), k_basis)
+    K1[2 * block] = K1[2 * block + 1] = k_basis_chart1
+    return {"coeffs": lambda x: phi(x)[..., None], "basis": wz_basis,
+            "basis_chart1": wz_basis_chart1, "K_parts": K,
+            "K_parts_chart1": K1}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2]), st.integers(0, 1), st.sampled_from([2, 3]),
+       st.tuples(*[st.integers(0, 2)] * 4), st.integers(0, 2 ** 32 - 1))
+def test_exact_forms_push_forward_to_zero(n, block, a, powers, seed):
+    # at a = 3 every fiber moment the pushforwards take vanishes by the
+    # angular integral alone; at a = 2 the integrands of the z-moment of wz
+    # and of the moment of d_conj(z) (z s) are nonzero and only their
+    # integrals vanish, as boundary terms
+    block = min(block, n - 1)
+    phi, wirtinger = _wirtinger_monomial(powers, block)
+    parts = _exact_form(phi, wirtinger, block, n, a)
+    coeffs, basis, K = parts["coeffs"], parts["basis"], parts["K_parts"]
+    form = penrose.TwistorFormL(n, **parts)
+    x = _shell(np.random.default_rng(seed), 3 * n, 0.6, 1.6).reshape(3, 4 * n)
+    scale = max(1.0, float(np.max(np.abs(phi(x)))))
+
+    # f is a section: dbar(f) clutches, decays and its K parts transition
+    report = form.validate(x[0])
+    assert report["clutching"]["ok"] and report["decay"]
+    assert report["K_transition_violation"] < 1e-12 * scale
+
+    # moments of an exact form vanish, and so does the (0,2)-part of dbar^2
+    assert np.abs(penrose.tau_push_01(form, x)).max() < 1e-13 * scale
+    assert np.abs(penrose.tau_push_02(form, x)).max() < 1e-12 * scale
+    zs = np.array([0.4 + 0.3j, -1.2 + 0.5j, 2.5j])
+    dd = penrose.dbar_chart0(form, zs, x)
+    assert np.abs(dd["C_zi"]).max() < 1e-8 * scale
+    assert np.abs(dd["C_ij"]).max() < 1e-8 * scale
+
+    # adding dbar(f) to a lift leaves its class, so its pushforward, unchanged
+    if n == 1:
+        E = fields.get_field("E")
+        lift = penrose.sharp(E)
+        shifted = penrose.TwistorFormL(
+            1, lambda p: np.concatenate([lift.coeffs(p), coeffs(p)], axis=-1),
+            lambda z: np.concatenate([lift.basis(z), basis(z)]), K_parts=K,
+            domain=E.domain)
+        got = penrose.tau_push_01(shifted, x)
+        _assert_rel(got, np.stack(E.pair(x), axis=-1), 1e-13 * scale)
