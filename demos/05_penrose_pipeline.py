@@ -80,7 +80,8 @@ print(f"  roundtrip error over 6 points: "
       f"{np.abs(res.values - exact).max():.3e}")
 print(f"  closedness certificate: {res.closedness:.3e} "
       f"(tolerance {res.closed_tol:.0e})")
-print(f"  output monogenicity residual: {res.cf_residual_max:.3e}")
+print(f"  output monogenicity residual: {res.cf_residual_max:.3e} "
+      f"(the same moments: minus the operator on the output)")
 
 print()
 print("=" * 72)

@@ -47,7 +47,7 @@ from .cf import (
     is_monogenic,
     residual_norm,
 )
-from .fields import ComplexField, ScalarField, field_names, get_field, make_pair
+from .fields import ComplexField, ScalarField, field_names, get_field
 from .hull import (
     HullQuery,
     NotInHullError,
@@ -117,7 +117,7 @@ __all__ = [
     "DomainError", "FDConfig", "cf_apply", "cf_residual_complex",
     "dC_apply", "is_monogenic", "residual_norm",
     # fields
-    "ComplexField", "ScalarField", "field_names", "get_field", "make_pair",
+    "ComplexField", "ScalarField", "field_names", "get_field",
     # hull
     "HullQuery", "NotInHullError",
     "fibonacci_imaginary_sphere", "hull_contains", "hull_distance",

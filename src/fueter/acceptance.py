@@ -124,14 +124,15 @@ _HULL_SCALES = {  # (x scale, y scale) giving a healthy verdict mix per domain
 }
 
 
-def criterion_3_hull_equivalence(seed=7, n_values=(1, 2), samples=1000):
+def criterion_3_hull_equivalence(seed=7, n_values=(1, 2)):
     """Definition-based and twistor-line hull membership agree.
 
-    >= 99.5% agreement over ``samples`` random points per domain, any
-    disagreement inside a declared indeterminate band; for n = 1 on the
-    punctured space both verdicts equal the nonvanishing-determinant test on
-    100% of points with |det| > 1e-3.
+    >= 99.5% agreement over 1000 random points per domain, any disagreement
+    inside a declared indeterminate band; for n = 1 on the punctured space
+    both verdicts equal the nonvanishing-determinant test on 100% of 1000
+    points with |det| > 1e-3.
     """
+    samples = 1000
     rng = np.random.default_rng(seed + 3)
     combos = []
     for n in n_values:
@@ -439,10 +440,22 @@ CRITERIA = [
 
 
 def run_all(seed=7, n_values=(1, 2), criteria=None):
-    """Run the (sub)set of criteria; returns the aggregate report dict."""
+    """Run the (sub)set of criteria; returns the aggregate report dict.
+
+    ValueError, before any runs, names unknown ids or an n criterion 3 lacks.
+    """
+    known = {cid for cid, _ in CRITERIA}
+    run = known if criteria is None else set(criteria)
+    if run - known:
+        raise ValueError("unknown criterion ids %s; known: 1-8"
+                         % sorted(run - known))
+    bad = sorted({n for n in n_values if ("ball", n) not in _HULL_SCALES})
+    if 3 in run and bad:
+        raise ValueError("criterion 3 runs at n = 1 and 2 only, not n = %s"
+                         % ", ".join(map(str, bad)))
     records = []
     for cid, fn in CRITERIA:
-        if criteria is not None and cid not in criteria:
+        if cid not in run:
             continue
         if cid == 3:
             records.append(fn(seed=seed, n_values=tuple(n_values)))

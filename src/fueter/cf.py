@@ -187,15 +187,7 @@ def cf_residual_complex(psi0, psi1, p, cfg=None, domain=None):
         return np.stack([np.asarray(psi0(v), dtype=complex),
                          np.asarray(psi1(v), dtype=complex)], axis=-1)
 
-    return _residual_of_pair(pair, p, cfg, domain)
-
-
-def _residual_of_pair(pair, p, cfg=None, domain=None):
-    """cf_residual_complex for one callable giving the stacked pair.
-
-    pair maps flat real points (..., 4n) to (psi0, psi1) stacked as (..., 2),
-    so each stencil point is evaluated once for both components.
-    """
+    # each stencil point is evaluated once for both components
     d = _partials(pair, p, cfg or FDConfig(), domain)  # (..., 4n, 2)
     da, dab, db, dbb = _wirtinger(np.moveaxis(d, -1, 0))  # each (2, ..., n)
     r1 = db[1] - dab[0]

@@ -65,13 +65,19 @@ def _emit(args, command, params, results, passed):
 
 def _parse_complex(s):
     try:
-        return complex(s.replace(" ", ""))
+        z = complex(s.replace(" ", ""))
     except ValueError:
         raise ValueError("cannot parse complex number from %r" % s)
+    if not np.isfinite(z):
+        raise ValueError("complex number %r is not finite" % s)
+    return z
 
 
 def _parse_matrix(obj):
     arr = np.asarray(obj, dtype=float)
+    if not np.all(np.isfinite(arr)):  # before 1j * inf makes a NaN
+        raise ValueError("non-finite point coordinates in the matrix %s"
+                         % arr.tolist())
     if arr.ndim == 3 and arr.shape[-1] == 2 and arr.shape[-2] == 2:
         return arr[..., 0] + 1j * arr[..., 1]
     if arr.ndim == 2 and arr.shape[-1] == 2:

@@ -55,8 +55,8 @@ class QuadratureConfig:
         self.n_angular = int(n_angular)
         self.target_tol = float(target_tol)
 
-    def refined(self, factor=2):
-        return QuadratureConfig(self.n_radial * factor, self.n_angular * factor,
+    def refined(self):
+        return QuadratureConfig(2 * self.n_radial, 2 * self.n_angular,
                                 self.target_tol)
 
     def __repr__(self):
@@ -195,57 +195,54 @@ class Form01:
         self.h1 = h1
 
 
-def _annulus_samples(count=200, rmin=0.1, rmax=10.0, seed=23):
-    rng = np.random.default_rng(seed)
-    r = np.exp(rng.uniform(np.log(rmin), np.log(rmax), size=count))
-    th = rng.uniform(0, 2 * np.pi, size=count)
+def _annulus_samples():
+    rng = np.random.default_rng(23)
+    r = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=200))
+    th = rng.uniform(0, 2 * np.pi, size=200)
     return r * np.exp(1j * th)
 
 
-def validate_section(s, samples=None, tol=1e-9):
-    """Max clutching violation of a section over an annulus sample."""
-    z = samples if samples is not None else _annulus_samples()
+def validate_section(s):
+    """Clutching violation of a section over an annulus sample; ok <= 1e-9."""
+    z = _annulus_samples()
     lhs = np.asarray(s.f1(1.0 / z), dtype=complex)
     rhs = z ** (-s.k) * np.asarray(s.f0(z), dtype=complex)
     viol = float(np.max(np.abs(lhs - rhs)))
     return {"kind": "section", "k": s.k, "samples": int(np.size(z)),
-            "max_violation": viol, "ok": bool(viol <= tol)}
+            "max_violation": viol, "ok": bool(viol <= 1e-9)}
 
 
-def validate_form(w, samples=None, tol=1e-9):
-    """Max clutching violation of a (0,1)-form over an annulus sample."""
-    z = samples if samples is not None else _annulus_samples()
+def validate_form(w):
+    """Clutching violation of a (0,1)-form on an annulus sample; ok <= 1e-9."""
+    z = _annulus_samples()
     lhs = np.asarray(w.h1(1.0 / z), dtype=complex)
     rhs = -z ** (-w.k) * np.conj(z) ** 2 * np.asarray(w.h0(z), dtype=complex)
     viol = float(np.max(np.abs(lhs - rhs)))
     return {"kind": "form", "k": w.k, "samples": int(np.size(z)),
-            "max_violation": viol, "ok": bool(viol <= tol)}
+            "max_violation": viol, "ok": bool(viol <= 1e-9)}
 
 
-def decay_check(obj, ell, n_exp=0, tol=1e-6):
-    """Certify the chart-boundary limit of z^ell [conj(z)^n_exp] f0 or h0.
+def decay_check(obj, ell):
+    """Certify the chart-boundary limit of z^ell f0 or z^ell h0.
 
     Sections of Q_k: z^ell f0(z) tends to 0 for ell < -k and stays finite at
-    ell = -k.  Forms: z^ell conj(z)^n_exp h0(z) tends to 0 for
-    ell + n_exp < -k + 2.  Sampled at |z| = 1e2, 1e3, 1e4 over angles;
-    returns False when growth is detected.
+    ell = -k.  Forms: z^ell h0(z) tends to 0 for ell < -k + 2.  Sampled at
+    |z| = 1e2, 1e3, 1e4 over angles; returns False when growth is detected
+    (a tail level at or below 1e-6 counts as decayed).
     """
     fn = obj.f0 if isinstance(obj, BundleSection) else obj.h0
-    strict = (ell < -obj.k) if isinstance(obj, BundleSection) \
-        else (ell + n_exp < -obj.k + 2)
+    strict = ell < -obj.k + (0 if isinstance(obj, BundleSection) else 2)
     th = np.linspace(0, 2 * np.pi, 13)[:-1]
     levels = []
     for R in (1e2, 1e3, 1e4):
         z = R * np.exp(1j * th)
-        v = z ** ell * np.conj(z) ** n_exp * np.asarray(fn(z), dtype=complex)
+        v = z ** ell * np.asarray(fn(z), dtype=complex)
         if not np.all(np.isfinite(v)):
             raise QuadratureError("non-finite values at |z| = %g" % R)
         levels.append(float(np.max(np.abs(v))))
     # log-slope over the two sampled decades: the power of |z| in the tail
     slope = (np.log(levels[2] + 1e-300) - np.log(levels[0] + 1e-300)) / np.log(1e2)
-    if strict:
-        return bool(levels[2] <= tol or slope < -0.1)
-    return bool(levels[2] <= tol or slope < 0.1)
+    return bool(levels[2] <= 1e-6 or slope < (-0.1 if strict else 0.1))
 
 
 def cohomology_coefficients(w, cfg=None, check=True):

@@ -21,7 +21,7 @@ import numpy as np
 from . import quat
 from .domains import PointComplement, WholeSpace, parse_domain
 
-__all__ = ["ScalarField", "ComplexField", "get_field", "field_names", "make_pair"]
+__all__ = ["ScalarField", "ComplexField", "get_field", "field_names"]
 
 
 class ScalarField:
@@ -44,14 +44,10 @@ class ScalarField:
         self.name = name or "custom"
         self.extension = extension  # optional ComplexField
 
-    def pair_ab(self, v):
-        """Evaluate the pair on interleaved complex points (..., 2n)."""
-        v = np.asarray(v, dtype=complex)
-        return self.pair0(v), self.pair1(v)
-
     def pair(self, p):
         """Evaluate the pair on flat real points (..., 4n)."""
-        return self.pair_ab(quat.real_to_ab(np.asarray(p, dtype=float)))
+        v = quat.real_to_ab(np.asarray(p, dtype=float))
+        return self.pair0(v), self.pair1(v)
 
     def eval_quat(self, p):
         """Evaluate psi as flat quaternion components (..., 4)."""
@@ -80,11 +76,6 @@ class ComplexField:
 
     def __repr__(self):
         return "ComplexField(%s, n=%d)" % (self.name, self.n)
-
-
-def make_pair(psi0, psi1, n=1, domain=None, name=None):
-    """Wrap plain pair callables (on interleaved complex points) as a ScalarField."""
-    return ScalarField(psi0, psi1, n=n, domain=domain, name=name)
 
 
 # ---------------------------------------------------------------------------

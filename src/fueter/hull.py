@@ -428,11 +428,14 @@ def hull_witness(sigma, U, count=_DEFAULT_COUNT):
     x0 = U.nearest_boundary(p), the witness is (x + w/2, y - w q*/2) where
     w = x0 - p.  Its own swept line passes through x0, so it lies outside the
     (open) hull, at C-distance ||w||/sqrt(2) = hull_distance(sigma), which
-    without ``sweep_inf`` is a local minimum (see hull_distance).
+    without ``sweep_inf`` is a local minimum (see hull_distance).  A domain
+    without a boundary has no witness: ValueError.
     """
     query = _hull_query(sigma, U, count, polish=True)
     if not query.verdict:
         raise NotInHullError("sigma is not in the monogenic hull of the domain")
+    if query.inf_value == np.inf:
+        raise ValueError("%r has no boundary, so no hull witness" % (U,))
     pt = query.sigma
     x = pt.x
     y = pt.y

@@ -172,10 +172,12 @@ def norm_C(x, y):
 # ---------------------------------------------------------------------------
 
 def _flat(a):
-    """A read-only float copy of a (4n,) point."""
+    """A read-only float copy of a (4n,) point; ValueError unless finite."""
     a = np.array(a, dtype=float).ravel()
     if a.size % 4:
         raise ValueError("flat length must be 4n")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite point coordinates %s" % a.tolist())
     a.flags.writeable = False
     return a
 
@@ -183,7 +185,7 @@ def _flat(a):
 class BiquaternionPoint:
     """A point Sigma = (x, y) of M_{2n x 2}(C), the ambient space of hulls.
 
-    x and y are read-only flat (4n,) float copies of the inputs.
+    x and y are read-only finite flat (4n,) float copies of the inputs.
     """
 
     __slots__ = ("x", "y")
@@ -196,8 +198,11 @@ class BiquaternionPoint:
 
     @classmethod
     def from_matrix(cls, z):
-        x, y = decompose_matrix(np.asarray(z, dtype=complex))
-        return cls(x, y)
+        z = np.asarray(z, dtype=complex)
+        if not np.all(np.isfinite(z)):  # decomposing inf warns, then gives NaN
+            raise ValueError("non-finite point coordinates in the matrix %s"
+                             % z.tolist())
+        return cls(*decompose_matrix(z))
 
     @property
     def n(self):

@@ -64,7 +64,7 @@ def test_quaternion_output_encodes_the_complex_residual_pair():
 def test_residual_is_linear_in_the_field():
     f = fields.get_field("nonmonogenic_quadratic")
     g = fields.get_field("nonmonogenic_linear")
-    combo = fields.make_pair(
+    combo = fields.ScalarField(
         lambda p: 2.5 * f.pair0(p) - 1.0j * g.pair0(p),
         lambda p: 2.5 * f.pair1(p) - 1.0j * g.pair1(p))
     cfg = cf.FDConfig(step=1e-4, scheme="central")
@@ -79,8 +79,8 @@ def test_central_differences_converge_at_second_order():
     # psi0 = x0^3 (x0 the real part of the first complex slot) has exact
     # residual (r1, r2) = (-1.5 x0^2, 0); the central scheme error is h^2 x0
     # so halving the step divides the error by 4
-    field = fields.make_pair(lambda v: np.real(v[..., 0]) ** 3 + 0j,
-                             lambda v: np.zeros(v.shape[:-1], dtype=complex))
+    field = fields.ScalarField(lambda v: np.real(v[..., 0]) ** 3 + 0j,
+                               lambda v: np.zeros(v.shape[:-1], dtype=complex))
     p = np.array([0.9, 0.3, -0.5, 0.7])
     exact = np.array([-1.5 * 0.9 ** 2, 0.0], dtype=complex)
 
@@ -105,9 +105,9 @@ def test_fdconfig_validation():
 
 
 def test_stencil_leaving_the_domain_raises():
-    field = fields.make_pair(lambda v: v[..., 0],
-                             lambda v: v[..., 1] ** 2,
-                             domain="ball:r=1")
+    field = fields.ScalarField(lambda v: v[..., 0],
+                               lambda v: v[..., 1] ** 2,
+                               domain="ball:r=1")
     inside = np.array([0.5, 0.0, 0.0, 0.0])
     cf.cf_apply(field, inside, cf.FDConfig(step=1e-3))
     near_edge = np.array([0.9995, 0.0, 0.0, 0.0])

@@ -237,3 +237,59 @@ def test_report_envelope_goes_to_stdout_without_a_path(capsys):
     assert abs(coeffs[0][0] - 1.0) < 1e-10 and abs(coeffs[0][1]) < 1e-10
     assert abs(coeffs[1][0]) < 1e-10 and abs(coeffs[1][1] + 0.5) < 1e-10
 
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--criteria", "9"], "unknown criterion ids [9]; known: 1-8"),
+    (["--criteria", "3,9"], "unknown criterion ids [9]; known: 1-8"),
+    (["--n", "3", "--criteria", "3"],
+     "criterion 3 runs at n = 1 and 2 only, not n = 3"),
+    (["--n", "3"], "criterion 3 runs at n = 1 and 2 only, not n = 3"),
+])
+def test_verify_rejects_criteria_it_cannot_run(args, message, capsys):
+    # nothing runs: no criterion line, no OVERALL verdict, no envelope
+    assert cli.main(["verify", "all"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: %s\n" % message
+
+
+@pytest.mark.parametrize("command,sigma", [
+    (["hull", "contains"], '{"x": [NaN, 0, 0, 0], "y": [0, 0.3, 0, 0]}'),
+    (["hull", "distance"], '{"x": [1, 0, 0, 0], "y": [0, -Infinity, 0, 0]}'),
+    (["twistor", "hull-lines"], '{"x": [Infinity, 0, 0, 0], "y": [0, 0.3, 0, 0]}'),
+    (["twistor", "sweep"], '[[NaN, 0], [0, 1]]'),
+    (["hull", "witness"], '{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, Infinity]]]}'),
+])
+def test_non_finite_points_are_config_errors(command, sigma, capsys):
+    domain = [] if command[-1] == "sweep" else ["--domain", "H*"]
+    assert cli.main(command + domain + ["--sigma", sigma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: non-finite point "
+                                   "coordinates")
+
+
+@pytest.mark.parametrize("args", [["harmonic", "--a0", "nan"],
+                                  ["harmonic", "--a1", "inf+1j"],
+                                  ["coeffs", "--form", "harmonic:a0=1:a1=nanj"]])
+def test_non_finite_coefficients_are_config_errors(args, capsys):
+    assert cli.main(["cp1"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not finite" in captured.err
+
+
+def test_whole_space_queries_report_infinity_but_have_no_witness(tmp_path,
+                                                                  capsys):
+    args = ["--domain", '{"type": "whole_space", "n": 1}',
+            "--sigma", '{"x": [1, 0, 0, 0], "y": [0, 0.3, 0, 0]}']
+    code, blob = _run_json(["hull", "contains"] + args, tmp_path)
+    assert code == 0 and blob["results"]["inf_value"] == float("inf")
+    code, blob = _run_json(["hull", "distance"] + args, tmp_path)
+    assert code == 0 and blob["results"]["distance"] == float("inf")
+    assert cli.main(["hull", "witness"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: WholeSpace(n=1) has no boundary, "
+                            "so no hull witness\n")

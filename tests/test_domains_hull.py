@@ -153,6 +153,22 @@ def test_distance_and_witness_require_hull_membership():
         hull.hull_witness(outside, ball)
 
 
+def test_a_domain_without_boundary_has_no_witness(monkeypatch):
+    # every point is in the hull of H^n and its distance is infinite, but
+    # there is no boundary point to build a witness from
+    whole = domains.WholeSpace(1)
+    sigma = _pt([1.0, 0, 0, 0], [0, 0.3, 0, 0])
+    assert hull.hull_distance(sigma, whole) == np.inf
+
+    def no_boundary(self, p):
+        raise AssertionError("nearest_boundary called")
+
+    monkeypatch.setattr(domains.WholeSpace, "nearest_boundary", no_boundary,
+                        raising=False)
+    with pytest.raises(ValueError, match="no boundary"):
+        hull.hull_witness(sigma, whole)
+
+
 def test_query_serialization():
     ball = domains.parse_domain("ball:r=1")
     query = hull.hull_contains(_pt([0.3, 0, 0, 0], [0.05, 0, 0, 0]), ball)

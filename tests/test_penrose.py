@@ -97,8 +97,8 @@ def test_closedness_stencil_leaving_the_domain_raises_before_evaluating():
             return fn(v)
         return wrapped
 
-    field = fields.make_pair(counted(E.pair0), counted(E.pair1),
-                             domain=E.domain)
+    field = fields.ScalarField(counted(E.pair0), counted(E.pair1),
+                               domain=E.domain)
     # the -h point along x0 is the origin, where E is singular
     with pytest.raises(cf.DomainError, match=r"\[0\.0, 0\.0, 0\.0, 0\.0\]"):
         penrose.tau_push_02(penrose.sharp(field), [1e-5, 0.0, 0.0, 0.0])
@@ -170,6 +170,61 @@ def test_transform_rejects_non_closed_integrands():
         penrose.penrose_transform(form, _shell(rng, 4))
 
 
+def test_closedness_is_certified_at_every_given_point():
+    # a kink far out at x0 = 5 spoils closedness at one point only; a strided
+    # sample of the twenty points that skips it would certify the output
+    rng = np.random.default_rng(61)
+    points = _shell(rng, 20, 1.0, 1.0)
+    points[1] = [6.0, 0.0, 0.0, 0.0]
+    field = fields.ScalarField(
+        lambda v: np.conj(v[..., 0]) + np.maximum(0.0, v[..., 0].real - 5) ** 3,
+        lambda v: v[..., 1])
+    with pytest.raises(penrose.ClosednessError, match="1.500e"):
+        penrose.penrose_transform(penrose.sharp(field), points)
+    # without the bad point the same field is certified
+    result = penrose.penrose_transform(penrose.sharp(field), points[2:])
+    assert result.closedness < 1e-8
+
+
+def _output_residual(form, points):
+    """The Cauchy-Fueter residual of the transform's output pair, differenced
+    through cf_residual_complex: the reference for the one-pass
+    cf_residual_max."""
+    def component(A):
+        return lambda v: penrose.tau_push_01(form, quat.ab_to_real(v))[..., A]
+
+    return cf.cf_residual_complex(component(0), component(1), points,
+                                  penrose._FD, form.domain)
+
+
+@pytest.mark.parametrize("name,n", [("E", 1), ("linear_monogenic", 1),
+                                    ("linear_monogenic", 2)])
+def test_reported_residual_is_the_residual_of_the_output(name, n):
+    form = penrose.sharp(fields.get_field(name, n))
+    rng = np.random.default_rng(62)
+    points = acceptance._shell_points(rng, 20, 0.6, 2.5, n=n)
+    result = penrose.penrose_transform(form, points)
+    reference = np.max(np.abs(_output_residual(form, points)))
+    scale = max(1.0, float(np.max(np.abs(result.values))))
+    assert abs(result.cf_residual_max - reference) <= 1e-14 * scale
+    assert result.closedness == result.cf_residual_max
+
+
+def test_transform_takes_one_finite_difference_pass(monkeypatch):
+    calls = []
+    partials = cf._partials
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return partials(*args, **kwargs)
+
+    for module in (cf, penrose):
+        monkeypatch.setattr(module, "_partials", counted)
+    points = _shell(np.random.default_rng(63), 12)
+    penrose.penrose_transform(penrose.sharp(fields.get_field("E")), points)
+    assert calls == [points.shape]
+
+
 def test_complexified_transform_matches_the_holomorphic_extension():
     rng = np.random.default_rng(56)
     form = penrose.sharp(fields.get_field("E"))
@@ -218,7 +273,7 @@ def test_complexified_transform_rejects_a_point_of_another_n():
 
 
 def test_complexified_transform_requires_an_extension_off_slice():
-    const = fields.make_pair(
+    const = fields.ScalarField(
         lambda v: np.full(v.shape[:-1], 0.7 + 0.2j),
         lambda v: np.full(v.shape[:-1], -0.1j))
     form = penrose.sharp(const)
@@ -245,7 +300,7 @@ def test_two_variable_splitting_identity():
     def pair1(v):
         return np.broadcast_to(vals[1] * np.ones((), complex), v.shape[:-1])
 
-    field = fields.make_pair(pair0, pair1, n=2)
+    field = fields.ScalarField(pair0, pair1, n=2)
     form = penrose.sharp(field)
     rng = np.random.default_rng(58)
     x = rng.normal(size=8)

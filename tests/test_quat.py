@@ -175,3 +175,13 @@ def test_biquaternion_point_owns_read_only_copies():
         quat.BiquaternionPoint(np.zeros(3))
     with pytest.raises(ValueError, match="same number of entries"):
         quat.BiquaternionPoint(np.zeros(4), np.zeros(8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_biquaternion_point_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="non-finite point coordinates"):
+        quat.BiquaternionPoint([1.0, bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite point coordinates"):
+        quat.BiquaternionPoint(np.zeros(4), [0.0, 0.0, bad, 0.0])
+    with pytest.raises(ValueError, match="non-finite point coordinates"):
+        quat.BiquaternionPoint.from_matrix([[bad, 0.0], [0.0, 1.0]])
