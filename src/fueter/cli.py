@@ -101,6 +101,17 @@ def _parse_sigma(s):
                      '{"matrix": [...]}, or a bare matrix list')
 
 
+def _finite_float(s):
+    """argparse type: a finite float, so a NaN or inf option fails by name."""
+    try:
+        v = float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % s)
+    if not np.isfinite(v):
+        raise argparse.ArgumentTypeError("not a finite number: %r" % s)
+    return v
+
+
 def _parse_kv_spec(s, kind):
     """Parse 'name:key=value:key=value' fixture specs for cp1 coeffs."""
     parts = s.split(":")
@@ -345,10 +356,10 @@ def _build_parser():
     ck.add_argument("--n", type=int, default=1)
     ck.add_argument("--points", type=int, default=200)
     ck.add_argument("--seed", type=int, default=7)
-    ck.add_argument("--tol", type=float, default=1e-5)
-    ck.add_argument("--rmin", type=float, default=0.2)
-    ck.add_argument("--rmax", type=float, default=5.0)
-    ck.add_argument("--step", type=float, default=None)
+    ck.add_argument("--tol", type=_finite_float, default=1e-5)
+    ck.add_argument("--rmin", type=_finite_float, default=0.2)
+    ck.add_argument("--rmax", type=_finite_float, default=5.0)
+    ck.add_argument("--step", type=_finite_float, default=None)
     ck.add_argument("--scheme", choices=("central", "richardson"),
                     default="central")
     common(ck)
@@ -399,7 +410,7 @@ def _build_parser():
     ha = cp.add_parser("harmonic", help="roundtrip check of the harmonic form")
     ha.add_argument("--a0", default="1")
     ha.add_argument("--a1", default="0")
-    ha.add_argument("--tol", type=float, default=1e-6)
+    ha.add_argument("--tol", type=_finite_float, default=1e-6)
     common(ha)
     ha.set_defaults(func=_cmd_cp1)
     dm = cp.add_parser("dim", help="print dim H^1 for degree k")
@@ -415,12 +426,12 @@ def _build_parser():
         pp = pe.add_parser(mode)
         pp.add_argument("--field", required=True, choices=field_names())
         pp.add_argument("--n", type=int, default=1)
-        pp.add_argument("--tol", type=float, default=1e-4)
+        pp.add_argument("--tol", type=_finite_float, default=1e-4)
         if samples:
             pp.add_argument("--seed", type=int, default=7)
             pp.add_argument("--points", type=int, default=10)
-            pp.add_argument("--rmin", type=float, default=0.6)
-            pp.add_argument("--rmax", type=float, default=2.5)
+            pp.add_argument("--rmin", type=_finite_float, default=0.6)
+            pp.add_argument("--rmax", type=_finite_float, default=2.5)
         else:
             pp.add_argument("--sigma", required=True)
         common(pp)

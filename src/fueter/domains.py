@@ -44,7 +44,7 @@ import json
 
 import numpy as np
 
-from .quat import qconj, qmul, qmul_right, qnorm
+from .quat import qconj, qmul, qnorm, right_line
 
 __all__ = [
     "DomainSpec", "Ball", "PointComplement", "HalfSpace", "Intersection",
@@ -87,7 +87,7 @@ class DomainSpec:
     def _sweep_at(self, x, y, u):
         """(ext_distance(x + y q), q) at q = (0, u), batched over leading axes."""
         q = np.concatenate([np.zeros(u.shape[:-1] + (1,)), u], axis=-1)
-        return self.ext_distance(x + qmul_right(y, q)), q
+        return self.ext_distance(right_line(x, y)(q)), q
 
     def to_json(self):
         raise NotImplementedError
@@ -107,11 +107,11 @@ class Ball(DomainSpec):
 
     def __init__(self, n, radius=1.0, center=None):
         super().__init__(n)
-        self.radius = float(radius)
+        self.radius = float(_finite(radius, "radius"))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         self.center = (np.zeros(self.dim) if center is None
-                       else np.asarray(center, dtype=float).reshape(self.dim))
+                       else _finite(center, "center").reshape(self.dim))
 
     def ext_distance(self, p):
         p = self._check(p)
@@ -143,7 +143,7 @@ class PointComplement(DomainSpec):
     def __init__(self, n, point=None):
         super().__init__(n)
         self.point = (np.zeros(self.dim) if point is None
-                      else np.asarray(point, dtype=float).reshape(self.dim))
+                      else _finite(point, "point").reshape(self.dim))
 
     def ext_distance(self, p):
         p = self._check(p)
@@ -168,12 +168,12 @@ class HalfSpace(DomainSpec):
 
     def __init__(self, n, normal, offset=0.0):
         super().__init__(n)
-        self.normal = np.asarray(normal, dtype=float).reshape(self.dim)
+        self.normal = _finite(normal, "normal").reshape(self.dim)
         nn = float(np.linalg.norm(self.normal))
         if nn == 0:
             raise ValueError("normal must be nonzero")
         self.normal = self.normal / nn
-        self.offset = float(offset) / nn
+        self.offset = float(_finite(offset, "offset")) / nn
 
     def ext_distance(self, p):
         p = self._check(p)
@@ -211,10 +211,17 @@ class Intersection(DomainSpec):
         return np.minimum.reduce([d.ext_distance(p) for d in self.parts])
 
     def nearest_boundary(self, p):
+        # the nearest part's nearest boundary point, among the parts that
+        # have a boundary: a part with ext_distance inf everywhere (the
+        # whole space) has no nearest_boundary oracle
         p = self._check(p)
-        dists = np.stack([d.ext_distance(p) for d in self.parts], axis=0)
-        which = np.argmin(dists, axis=0)
-        cands = np.stack([d.nearest_boundary(p) for d in self.parts], axis=0)
+        dists = [d.ext_distance(p) for d in self.parts]
+        parts = [(d, r) for d, r in zip(self.parts, dists)
+                 if np.isfinite(r).any()]
+        if not parts:
+            return DomainSpec.nearest_boundary(self, p)
+        which = np.argmin(np.stack([r for _, r in parts], axis=0), axis=0)
+        cands = np.stack([d.nearest_boundary(p) for d, _ in parts], axis=0)
         return np.take_along_axis(cands, which[None, ..., None], axis=0)[0]
 
     @property
@@ -263,6 +270,14 @@ class EmptySet(DomainSpec):
 
     def to_json(self):
         return {"type": "empty", "n": self.n}
+
+
+def _finite(a, name):
+    """a as a float array; ValueError naming the parameter unless finite."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("%s must be finite, got %s" % (name, a.tolist()))
+    return a
 
 
 def _axis_dir(dim, shape):

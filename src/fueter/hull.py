@@ -226,7 +226,7 @@ def _as_point(sigma, n=None):
 
 def _line_points(x, y, qs):
     """x + y*q for a batch of quaternions qs (K, 4) -> (K, 4n)."""
-    return x + quat.qmul_right(y, qs)
+    return quat.right_line(x, y)(qs)
 
 
 def hull_contains(sigma, U, count=_DEFAULT_COUNT):
@@ -360,8 +360,9 @@ def _sweep(pt, U, grid, polish=False):
     inside the band 2 ||y|| c (c the covering chord) goes to
     ``_branch_and_bound``, whose lower bound lb sets the band to
     inf_value - lb.  With polish, a query not found outside is then polished
-    by ``_local_min`` from the best point.  With y = 0 nothing is scanned
-    (count 0).
+    by ``_local_min`` from the best point.  The scan, the search and the
+    polish all evaluate one line map ``quat.right_line(x, y)``, built once
+    per query.  With y = 0 nothing is scanned (count 0).
     """
     if pt.n != U.n:
         raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
@@ -381,9 +382,10 @@ def _sweep(pt, U, grid, polish=False):
         count = 0
     else:
         qs, cover = grid[:2]
+        line = quat.right_line(x, y)
 
         def g(q):
-            return U.ext_distance(_line_points(x, y, q))
+            return U.ext_distance(line(q))
 
         vals = g(qs)
         i0 = int(np.argmin(vals))
@@ -440,7 +442,7 @@ def hull_witness(sigma, U, count=_DEFAULT_COUNT):
     x = pt.x
     y = pt.y
     qstar = query.argmin_q
-    p = _line_points(x, y, qstar[None, :])[0]
+    p = quat.right_line(x, y)(qstar)
     x0 = np.asarray(U.nearest_boundary(p), dtype=float)
     w = x0 - p
     n = pt.n

@@ -17,6 +17,17 @@ Array functions operate on trailing axes and broadcast over leading ones, so
 the same code serves scalar points and large sample batches.  A point of H^n
 is a flat (..., 4n) real array; BiquaternionPoint only pairs the two flat
 arrays x and y of a point Sigma and checks their shapes.
+
+The hull evaluates the twistor line map q -> x + y*q of one point many times
+(scan, search, polish).  ``right_line(x, y)`` builds that map once: it
+gathers y's signed coefficients, so that each call is one gather of q, one
+product and three sums.  Component k of a Hamilton product p*q is the sum
+over t of +-p_t q_(k xor t); the map adds those four terms in the order
+``qmul`` writes them, and a difference a - b is the sum a + (-b) exactly,
+so it equals x + qmul_right(y, q) bit for bit, signed zeros included.  Every
+row is computed alike whatever the batch, and the result has qmul_right's C
+layout, so an oracle that rounds by layout (a BLAS product) sees the same
+array.
 """
 
 import numpy as np
@@ -53,6 +64,38 @@ def qmul_right(x, q):
     return xq.reshape(xq.shape[:-2] + (-1,))
 
 
+# term t of component k of p*q is _SIGN[t, 0, k] * p_t * q_(_XOR[t, 0, k]);
+# the middle axis broadcasts over the n entries of a flat point
+_XOR = (np.arange(4)[:, None] ^ np.arange(4))[:, None, :]
+_SIGN = np.array([[[1.0, 1.0, 1.0, 1.0]],
+                  [[-1.0, 1.0, -1.0, 1.0]],
+                  [[-1.0, 1.0, 1.0, -1.0]],
+                  [[-1.0, -1.0, 1.0, 1.0]]])
+
+
+def right_line(x, y):
+    """The line map q (..., 4) -> x + y*q (..., 4n) of flat x, y (..., 4n).
+
+    Equal to x + qmul_right(y, q) bit for bit (see the module docstring);
+    y's coefficients are gathered once, here, not per call.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    # c[..., t, l, k] = _SIGN[t, k] * y_(l, t)
+    c = np.swapaxes(y.reshape(y.shape[:-1] + (-1, 4)), -1, -2)[..., None]
+    c = c * _SIGN
+
+    def line(q):
+        terms = np.asarray(q, dtype=float)[..., _XOR] * c
+        yq = (terms[..., 0, :, :] + terms[..., 1, :, :]
+              + terms[..., 2, :, :] + terms[..., 3, :, :])
+        # the gather leaves the batch axis innermost; order="C" restores
+        # qmul_right's layout (see the module docstring)
+        return np.add(x, yq.reshape(yq.shape[:-2] + (-1,)), order="C")
+
+    return line
+
+
 def qconj(q):
     """The quaternion conjugate on (..., 4) arrays."""
     q = np.asarray(q, dtype=float)
@@ -62,7 +105,7 @@ def qconj(q):
 def qnorm(x):
     """Euclidean norm of a flat real point (..., 4n) -> (...)."""
     x = np.asarray(x, dtype=float)
-    return np.sqrt(np.sum(x * x, axis=-1))
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def real_to_ab(x):

@@ -293,3 +293,52 @@ def test_whole_space_queries_report_infinity_but_have_no_witness(tmp_path,
     assert captured.out == ""
     assert captured.err == ("config error: WholeSpace(n=1) has no boundary, "
                             "so no hull witness\n")
+
+
+def test_non_finite_domain_parameters_are_config_errors(capsys):
+    sigma = '{"x": [0.1, 0, 0, 0], "y": [0, 0.1, 0, 0]}'
+    for domain in ("ball:r=nan",
+                   '{"type": "halfspace", "normal": [1, 0, 0, 0], '
+                   '"offset": Infinity}'):
+        assert cli.main(["hull", "contains", "--domain", domain,
+                         "--sigma", sigma]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "must be finite" in captured.err
+
+
+def test_intersection_witness_uses_the_part_with_a_boundary(tmp_path):
+    domain = ('{"type":"intersection","parts":[{"type":"whole_space","n":1},'
+              '{"type":"ball","n":1}]}')
+    sigma = '{"x":[0.1,0,0,0],"y":[0,0.1,0,0]}'
+    code, blob = _run_json(["hull", "witness", "--domain", domain,
+                            "--sigma", sigma], tmp_path)
+    assert code == 0 and blob["pass"] is True
+    _, ball = _run_json(["hull", "witness", "--domain", "ball", "--sigma",
+                         sigma], tmp_path, name="ball.json")
+    assert blob["results"] == ball["results"]
+    jsonschema.validate(blob, _schema())
+
+
+@pytest.mark.parametrize("command,option,value", [
+    (["cf", "check"], "--rmin", "nan"),
+    (["cf", "check"], "--rmax", "inf"),
+    (["cf", "check"], "--tol", "nan"),
+    (["cf", "check"], "--step", "inf"),
+    (["penrose", "forward"], "--rmin", "nan"),
+    (["penrose", "roundtrip"], "--rmax", "inf"),
+    (["penrose", "diagram"], "--tol", "nan"),
+    (["penrose", "complex", "--sigma",
+      '{"x": [1, 0, 0, 0], "y": [0, 0.1, 0, 0]}'], "--tol", "inf"),
+])
+def test_non_finite_float_options_are_rejected_by_name(command, option, value,
+                                                       capsys):
+    # the parser rejects the value before any point is sampled
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--field", "E", option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("argument %s: not a finite number: %r" % (option, value)
+            in captured.err)

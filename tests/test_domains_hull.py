@@ -480,6 +480,90 @@ class _Sampled(domains.DomainSpec):
         return self.U.ext_distance(p)
 
 
+class _SampledWithBoundary(_Sampled):
+    def nearest_boundary(self, p):
+        return self.U.nearest_boundary(p)
+
+
+# float.hex of (inf_value, band, argmin_q) of fixed sampled-path queries,
+# recorded with the swept points computed as x + qmul_right(y, q); any
+# change to how they are computed or consumed shows here
+_GOLDEN_QUERIES = {
+    # lattice scan then branch-and-bound
+    "lattice_ball": ("0x1.49c7dc1d498e0p-6", "0x1.464c7efbb6f6ap-6", (
+        "0x0.0p+0", "-0x1.ff966ee278981p-1", "-0x1.fc492af6b4d05p-6",
+        "0x1.a0fb2a34f63f7p-6")),
+    # n = 2 intersection, branch-and-bound on 200 nodes
+    "lattice_n2": ("0x1.862efa346f798p-4", "0x1.3115b5ff8a92cp-4", (
+        "0x0.0p+0", "-0x1.301b027efdc72p-4", "0x1.e7bc49971ff15p-1",
+        "0x1.2e147ae147ae2p-2")),
+    # Hopf grid, left indeterminate at the search's cap
+    "hopf_near": ("0x1.a36e2eb1c4000p-15", "0x1.a36e2eb1c4000p-15", (
+        "0x0.0p+0", "-0x1.0000000000000p+0", "0x0.0p+0",
+        "-0x0.0p+0")),
+    # Hopf grid, decided by the scan
+    "hopf_halfspace": ("0x1.8f3342f8f0e08p-3", "0x1.d3b2d3ba2dfb3p-4", (
+        "0x0.0p+0", "-0x1.5d1745d1745d0p-1", "0x1.4003731115b8dp-1",
+        "0x1.853581a90e178p-2")),
+}
+
+
+def _golden_queries():
+    ball = domains.Ball(1, 1.0)
+    n2 = domains.Intersection([
+        domains.Ball(2, 1.2, center=[0.1] * 8),
+        domains.HalfSpace(2, [1, 0, 0, 0, 0, 1, 0, 0], 0.7)])
+    half = domains.HalfSpace(1, [0.3, -0.5, 0.2, 0.8], 0.6)
+    return {
+        "lattice_ball": hull.hull_contains(
+            _pt([0.78, 0, 0, 0], [0, 0.2, 0, 0]), _Sampled(ball), count=64),
+        "lattice_n2": hull.hull_contains(
+            _pt([0.1, -0.2, 0.05, 0.3, 0.0, 0.15, -0.1, 0.2],
+                [0.2, 0.1, -0.3, 0.05, 0.1, -0.05, 0.15, 0.0]),
+            _Sampled(n2), count=200),
+        "hopf_near": twistor.hull_contains_via_lines(
+            _pt([0.78, 0, 0, 0], [0, 0.22 - 5e-5, 0, 0]), ball, count=64,
+            return_query=True),
+        "hopf_halfspace": twistor.hull_contains_via_lines(
+            _pt([0.2, 0.1, -0.3, 0.25], [0.1, 0.3, 0.0, -0.2]), half,
+            return_query=True),
+    }
+
+
+def _hex(a):
+    return tuple(float(v).hex() for v in np.ravel(a))
+
+
+def test_sampled_queries_are_pinned_bit_for_bit():
+    for name, query in _golden_queries().items():
+        inf_value, band, argmin_q = _GOLDEN_QUERIES[name]
+        assert float(query.inf_value).hex() == inf_value, name
+        assert float(query.band).hex() == band, name
+        assert _hex(query.argmin_q) == argmin_q, name
+    d = hull.hull_distance(
+        _pt([0.3, -0.2, 0.1, 0.4], [0.1, 0.2, -0.3, 0.1]),
+        _Sampled(domains.PointComplement(1, point=[0.1, 0.2, 0, 0])),
+        count=512)
+    assert float(d).hex() == "0x1.616fe23a6848dp-3"
+    w, query = hull.hull_witness(
+        _pt([0.1, 0.2, -0.1, 0.05], [0.2, -0.1, 0.3, 0.1]),
+        _SampledWithBoundary(domains.Intersection([
+            domains.Ball(1, 1.3),
+            domains.HalfSpace(1, [-0.3, -0.8, 0.1, 0.4], 0.5)])),
+        count=200)
+    assert _hex(w.x) == (
+        "0x1.792579806dacap-5", "0x1.cb9721df02548p-5", "-0x1.4feca55123588p-4",
+        "0x1.f3809deea5d15p-4")
+    assert _hex(w.y) == (
+        "0x1.37d455dd0c3ddp-2", "-0x1.bed3dfb317c30p-4", "0x1.ba2670ecd27ccp-2",
+        "0x1.04a4356ede281p-3")
+    assert (float(query.inf_value).hex(), float(query.band).hex(),
+            _hex(query.argmin_q)) == (
+        "0x1.5d795c7f72dd9p-2", "0x1.31a7a169702c7p-3", (
+            "0x0.0p+0", "-0x1.af2e895b0a44dp-1", "0x1.af2e88a3568f6p-2",
+            "-0x1.58f20879f894ep-2"))
+
+
 @st.composite
 def _near_boundary_case(draw):
     # scale y to the smallest positive exact sweep minimum along a ray of
@@ -675,3 +759,33 @@ def test_each_path_steps_by_its_own_grid_chord(count, monkeypatch):
         entry(sigma, U, count=count)
         assert len(grids) == 1 and grids[0] is grid
         assert steps == polish_steps
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_domain_parameters_must_be_finite(bad):
+    v = [0.0, bad, 0.0, 0.0]
+    for make, name in (
+            (lambda: domains.Ball(1, bad), "radius"),
+            (lambda: domains.Ball(1, 1.0, center=v), "center"),
+            (lambda: domains.PointComplement(1, point=v), "point"),
+            (lambda: domains.HalfSpace(1, v, 0.0), "normal"),
+            (lambda: domains.HalfSpace(1, [1, 0, 0, 0], bad), "offset"),
+            (lambda: domains.parse_domain("ball:r=%r" % bad), "radius")):
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            make()
+
+
+def test_intersection_boundary_skips_parts_without_one():
+    # the whole space has no boundary, so the ball part gives the witness
+    ball = domains.Ball(1, 1.0)
+    both = domains.Intersection([domains.WholeSpace(1), ball])
+    p = np.array([[0.1, 0.2, 0.0, 0.0], [0.0, 0.0, -0.5, 0.3]])
+    np.testing.assert_array_equal(both.nearest_boundary(p),
+                                  ball.nearest_boundary(p))
+    sigma = _pt([0.1, 0, 0, 0], [0, 0.1, 0, 0])
+    w, query = hull.hull_witness(sigma, both)
+    w_ball, query_ball = hull.hull_witness(sigma, ball)
+    assert w.tolist() == w_ball.tolist()
+    assert query.to_json() == query_ball.to_json()
+    with pytest.raises(NotImplementedError):
+        domains.Intersection([domains.WholeSpace(1)] * 2).nearest_boundary(p)

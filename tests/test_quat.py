@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fueter import quat
 
@@ -185,3 +188,46 @@ def test_biquaternion_point_rejects_non_finite_coordinates(bad):
         quat.BiquaternionPoint(np.zeros(4), [0.0, 0.0, bad, 0.0])
     with pytest.raises(ValueError, match="non-finite point coordinates"):
         quat.BiquaternionPoint.from_matrix([[bad, 0.0], [0.0, 1.0]])
+
+
+# finite coordinates with exact zeros of both signs mixed in
+_COORD = st.one_of(st.floats(-4.0, 4.0, allow_subnormal=False),
+                   st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _line_case(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.integers(1, 40))
+    batched = draw(st.booleans())
+    lead = (k,) if batched else ()
+    x = draw(hnp.arrays(np.float64, lead + (4 * n,), elements=_COORD))
+    y = draw(hnp.arrays(np.float64, lead + (4 * n,), elements=_COORD))
+    q = draw(hnp.arrays(np.float64, (k, 4), elements=_COORD))
+    if draw(st.booleans()):
+        q[:, 0] = draw(st.sampled_from([0.0, -0.0]))  # imaginary q
+    return x, y, q
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_line_case())
+def test_right_line_is_x_plus_y_q_bit_for_bit(case):
+    # the prebuilt line map adds qmul's terms in qmul's order, so it equals
+    # x + qmul_right(y, q) exactly, signed zeros included, and each row of
+    # a batch equals the one-row call
+    x, y, q = case
+    line = quat.right_line(x, y)
+    out = line(q)
+    assert _same_bits(out, x + quat.qmul_right(y, q))
+    assert out.flags.c_contiguous
+    for i in range(len(q)):
+        if x.ndim == 1:
+            row = line(q[i])
+        else:
+            row = quat.right_line(x[i], y[i])(q[i])
+        assert _same_bits(row, out[i])
