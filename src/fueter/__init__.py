@@ -89,6 +89,7 @@ from .cp1 import (
 from .penrose import (
     KAPPA,
     ClosednessError,
+    NoExtensionError,
     PenroseResult,
     TwistorFormL,
     calibrate_kappa,
@@ -132,8 +133,8 @@ __all__ = [
     "decay_check", "exact_form", "h1_dimension", "harmonic_representative",
     "quadrature_C", "validate_form", "validate_section",
     # penrose
-    "KAPPA", "ClosednessError", "PenroseResult", "TwistorFormL",
-    "calibrate_kappa", "dbar_chart0", "diagram_check",
+    "KAPPA", "ClosednessError", "NoExtensionError", "PenroseResult",
+    "TwistorFormL", "calibrate_kappa", "dbar_chart0", "diagram_check",
     "penrose_transform", "penrose_transform_complex", "sharp",
     "tau_push_01", "tau_push_02",
     # acceptance

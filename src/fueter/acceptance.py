@@ -34,7 +34,15 @@ __all__ = ["run_all", "format_line", "CRITERIA",
 
 
 def _shell_points(rng, count, rmin, rmax, n=1):
-    """Volume-uniform sample of the shell rmin < |p| < rmax in R^{4n}."""
+    """Volume-uniform sample of the shell rmin < |p| < rmax in R^{4n}.
+
+    ValueError, before any draw, unless count >= 1 and 0 <= rmin < rmax.
+    """
+    if count < 1:
+        raise ValueError("points must be >= 1, not %d" % count)
+    if not 0 <= rmin < rmax:
+        raise ValueError("the shell needs 0 <= rmin < rmax, not rmin = %r, "
+                         "rmax = %r" % (rmin, rmax))
     dim = 4 * n
     d = rng.normal(size=(count, dim))
     d /= np.linalg.norm(d, axis=1, keepdims=True)

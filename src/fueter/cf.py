@@ -25,9 +25,12 @@ The holomorphic operator D^C acts on matrix fields: component A is
 d_{z_{A 0'}} psi1^C - d_{z_{A 1'}} psi0^C, differenced along the complex
 coordinate axes.
 
-Every finite difference here and in ``penrose`` goes through ``_central``
-(along the 4n real axes, or one column's matrix units for D^C) and the
-scheme of ``_extrapolate``; all vectorize over a leading batch of points.
+Every finite difference here goes through ``_central`` (along the 4n real
+axes, or one column's matrix units for D^C) and the scheme of
+``_extrapolate``; all vectorize over a leading batch of points.  ``penrose``
+differences base coefficients through ``_partials`` too, but its fiber
+derivative ``penrose._dbar_fiber`` differences a basis by hand along the real
+and imaginary z axes and shares only ``_extrapolate``.
 """
 
 import numpy as np

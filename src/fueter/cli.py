@@ -3,9 +3,14 @@
 Every subcommand emits a single JSON envelope
 {"command", "params", "results", "pass", "version"} (schema in
 schemas/report.json), sorted keys, no timestamps — fixed inputs give
-byte-identical reports.  Exit codes: 0 all checks within tolerance (queries
-always exit 0, a negative verdict is a valid answer), 1 a tolerance check
-failed (the failing assertion is named on stderr), 2 configuration error.
+byte-identical reports; ``cp1 dim`` prints a bare integer and writes its
+envelope only to --report.  Exit codes: 0 all checks within tolerance
+(queries always exit 0, a negative verdict is a valid answer); 1 a tolerance
+check failed or the library refused the query (a point outside the hull, a
+failed closedness certificate, a form without a holomorphic extension) — the
+envelope is still emitted, with "pass" false, and stderr reads
+``check failed: <group> <mode>: <reason>``; 2 configuration error, with no
+envelope.
 """
 
 import argparse
@@ -17,20 +22,16 @@ import numpy as np
 from . import __version__, quat
 from .acceptance import run_all, format_line, _shell_points
 from .cf import FDConfig, is_monogenic
-from .cp1 import (BUMP_GRADE, QuadratureConfig, h1_dimension,
-                  harmonic_representative, cohomology_coefficients, exact_form)
+from .cp1 import (BUMP_GRADE, h1_dimension, harmonic_representative,
+                  cohomology_coefficients, exact_form)
 from .domains import parse_domain
 from .fields import get_field, field_names, ScalarField
 from .hull import hull_contains, hull_distance, hull_witness, NotInHullError
 from .penrose import (sharp, penrose_transform, penrose_transform_complex,
-                      diagram_check, ClosednessError)
+                      diagram_check, ClosednessError, NoExtensionError)
 from .twistor import line_sweep, hull_contains_via_lines, hopf_grid
 
 __all__ = ["main"]
-
-
-class CheckFailure(RuntimeError):
-    """A tolerance check failed; main() maps this to exit code 1."""
 
 
 def _jsonable(o):
@@ -51,16 +52,16 @@ def _jsonable(o):
     return o
 
 
-def _emit(args, command, params, results, passed):
-    env = _jsonable({"command": command, "params": params, "results": results,
-                     "pass": bool(passed), "version": __version__})
+def _emit(args, command, results, passed):
+    env = _jsonable({"command": command, "params": args.params,
+                     "results": results, "pass": bool(passed),
+                     "version": __version__})
     text = json.dumps(env, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "report", None):
+    if args.report:
         with open(args.report, "w") as f:
             f.write(text)
-    else:
+    elif command != "cp1 dim":  # dim prints its bare integer instead
         sys.stdout.write(text)
-    return env
 
 
 def _parse_complex(s):
@@ -126,7 +127,8 @@ def _parse_kv_spec(s, kind):
 
 
 # ---------------------------------------------------------------------------
-# handlers (return process exit code)
+# handlers: each records its resolved params on args before any library call
+# that may refuse, and returns (results, passed, why); main emits the envelope
 # ---------------------------------------------------------------------------
 
 def _pair_field(name, n):
@@ -142,93 +144,69 @@ def _cmd_cf_check(args):
     rng = np.random.default_rng(args.seed)
     pts = _shell_points(rng, args.points, args.rmin, args.rmax, n=args.n)
     cfg = FDConfig(step=args.step, scheme=args.scheme)
+    args.params = {"field": args.field, "n": args.n, "points": args.points,
+                   "seed": args.seed, "tol": args.tol, "rmin": args.rmin,
+                   "rmax": args.rmax, "scheme": args.scheme, "step": args.step}
     rep = is_monogenic(field, pts, tol=args.tol, cfg=cfg)
-    _emit(args, "cf check",
-          {"field": args.field, "n": args.n, "points": args.points,
-           "seed": args.seed, "tol": args.tol, "rmin": args.rmin,
-           "rmax": args.rmax, "scheme": args.scheme, "step": args.step},
-          rep, rep["verdict"])
-    if not rep["verdict"]:
-        raise CheckFailure("max residual %.3e exceeds tol %.3e at %s"
-                           % (rep["max_residual"], args.tol, rep["worst_point"]))
-    return 0
+    return rep, rep["verdict"], ("max residual %.3e exceeds tol %.3e at %s"
+                                 % (rep["max_residual"], args.tol,
+                                    rep["worst_point"]))
 
 
 def _cmd_hull(args):
     U = parse_domain(args.domain)
     pt = _parse_sigma(args.sigma)
     count_kw = {} if args.count is None else {"count": args.count}
-    params = {"domain": args.domain, "sigma": pt.tolist(), "count": args.count}
+    args.params = {"domain": args.domain, "sigma": pt.tolist(),
+                   "count": args.count}
     if args.mode == "contains":
-        q = hull_contains(pt, U, **count_kw)
-        _emit(args, "hull contains", params, q.to_json(), True)
-        return 0
+        return hull_contains(pt, U, **count_kw).to_json(), True, None
     if args.mode == "distance":
-        try:
-            d = hull_distance(pt, U, **count_kw)
-        except NotInHullError as e:
-            _emit(args, "hull distance", params, {"error": str(e)}, False)
-            raise CheckFailure("hull distance: %s" % e)
-        _emit(args, "hull distance", params, {"distance": d}, True)
-        return 0
-    try:
-        w, q = hull_witness(pt, U, **count_kw)
-    except NotInHullError as e:
-        _emit(args, "hull witness", params, {"error": str(e)}, False)
-        raise CheckFailure("hull witness: %s" % e)
-    _emit(args, "hull witness", params,
-          {"witness": w.tolist(), "distance": q.inf_value / np.sqrt(2.0),
-           "query": q.to_json()}, True)
-    return 0
+        return {"distance": hull_distance(pt, U, **count_kw)}, True, None
+    w, q = hull_witness(pt, U, **count_kw)
+    return ({"witness": w.tolist(), "distance": q.inf_value / np.sqrt(2.0),
+             "query": q.to_json()}, True, None)
 
 
 def _cmd_twistor(args):
     pt = _parse_sigma(args.sigma)
     if args.mode == "sweep":
         pts = line_sweep(pt, hopf_grid(args.nt, args.ntheta))
-        params = {"sigma": pt.tolist(), "nt": args.nt, "ntheta": args.ntheta}
-        if args.csv:
-            dim = pts.shape[1]
-            with open(args.csv, "w") as f:
-                f.write(",".join("x%d" % i for i in range(dim)) + "\n")
-                for row in pts:
-                    f.write(",".join("%.17g" % v for v in row) + "\n")
-            _emit(args, "twistor sweep", params,
-                  {"points": len(pts), "csv": args.csv}, True)
-        else:
-            _emit(args, "twistor sweep", params,
-                  {"points": len(pts), "sweep": pts.tolist()}, True)
-        return 0
+        args.params = {"sigma": pt.tolist(), "nt": args.nt,
+                       "ntheta": args.ntheta}
+        if not args.csv:
+            return {"points": len(pts), "sweep": pts.tolist()}, True, None
+        dim = pts.shape[1]
+        with open(args.csv, "w") as f:
+            f.write(",".join("x%d" % i for i in range(dim)) + "\n")
+            for row in pts:
+                f.write(",".join("%.17g" % v for v in row) + "\n")
+        return {"points": len(pts), "csv": args.csv}, True, None
     U = parse_domain(args.domain)
     count_kw = {} if args.count is None else {"count": args.count}
+    args.params = {"domain": args.domain, "sigma": pt.tolist(),
+                   "count": args.count}
     q = hull_contains_via_lines(pt, U, return_query=True, **count_kw)
-    _emit(args, "twistor hull-lines",
-          {"domain": args.domain, "sigma": pt.tolist(), "count": args.count},
-          q.to_json(), True)
-    return 0
+    return q.to_json(), True, None
 
 
 def _cmd_cp1(args):
     if args.mode == "dim":
+        args.params = {"k": args.k}
         d = h1_dimension(args.k)
         print(d)
-        if args.report:
-            _emit(args, "cp1 dim", {"k": args.k}, {"dimension": d}, True)
-        return 0
+        return {"dimension": d}, True, None
     if args.mode == "harmonic":
         a0 = _parse_complex(args.a0)
         a1 = _parse_complex(args.a1)
+        args.params = {"a0": a0, "a1": a1, "tol": args.tol}
         c = cohomology_coefficients(harmonic_representative(a0, a1))
         err = float(max(abs(c[0] - a0), abs(c[1] - a1)))
-        ok = err < args.tol
-        _emit(args, "cp1 harmonic",
-              {"a0": a0, "a1": a1, "tol": args.tol},
-              {"coefficients": list(c), "roundtrip_error": err}, ok)
-        if not ok:
-            raise CheckFailure("harmonic roundtrip error %.3e exceeds %.3e"
-                               % (err, args.tol))
-        return 0
+        return ({"coefficients": list(c), "roundtrip_error": err},
+                err < args.tol,
+                "harmonic roundtrip error %.3e exceeds %.3e" % (err, args.tol))
     # coeffs
+    args.params = {"k": args.k, "form": args.form}
     name, kv = _parse_kv_spec(args.form, "form")
     if name == "harmonic":
         w = harmonic_representative(_parse_complex(kv.get("a0", "1")),
@@ -245,73 +223,47 @@ def _cmd_cp1(args):
         raise ValueError("unknown form fixture %r (use harmonic:... or exact:...)"
                          % name)
     c = cohomology_coefficients(w, cfg, check=False)
-    _emit(args, "cp1 coeffs", {"k": args.k, "form": args.form},
-          {"coefficients": list(c)}, True)
-    return 0
+    return {"coefficients": list(c)}, True, None
 
 
 def _cmd_penrose(args):
-    if args.mode == "complex":
-        field = _pair_field(args.field, args.n)
-        form = sharp(field)
-        pt = _parse_sigma(args.sigma)
-        params = {"field": args.field, "n": args.n, "sigma": pt.tolist(),
-                  "tol": args.tol}
-        try:
-            out = penrose_transform_complex(form, pt)
-        except (NotInHullError, ClosednessError, ValueError) as e:
-            if isinstance(e, ValueError) and "extension" not in str(e):
-                raise
-            _emit(args, "penrose complex", params, {"error": str(e)}, False)
-            raise CheckFailure("penrose complex: %s" % e)
-        results = {"psi0": out[0], "psi1": out[1]}
-        passed = True
-        ext = getattr(field, "extension", None)
-        if ext is not None:
-            p0, p1 = ext.pair(pt.matrix)
-            err = float(max(abs(out[0] - p0), abs(out[1] - p1)))
-            results["extension_error"] = err
-            passed = err < args.tol
-        _emit(args, "penrose complex", params, results, passed)
-        if not passed:
-            raise CheckFailure("extension mismatch %.3e exceeds %.3e"
-                               % (results["extension_error"], args.tol))
-        return 0
-
     field = _pair_field(args.field, args.n)
+    if args.mode == "complex":
+        pt = _parse_sigma(args.sigma)
+        args.params = {"field": args.field, "n": args.n, "sigma": pt.tolist(),
+                       "tol": args.tol}
+        out = penrose_transform_complex(sharp(field), pt)
+        results = {"psi0": out[0], "psi1": out[1]}
+        if field.extension is None:
+            return results, True, None
+        p0, p1 = field.extension.pair(pt.matrix)
+        err = float(max(abs(out[0] - p0), abs(out[1] - p1)))
+        results["extension_error"] = err
+        return (results, err < args.tol,
+                "extension mismatch %.3e exceeds %.3e" % (err, args.tol))
+
     pts = _shell_points(np.random.default_rng(args.seed), args.points,
                         args.rmin, args.rmax, n=args.n)
-    params = {"field": args.field, "n": args.n, "points": args.points,
-              "seed": args.seed, "tol": args.tol, "rmin": args.rmin,
-              "rmax": args.rmax}
+    args.params = {"field": args.field, "n": args.n, "points": args.points,
+                   "seed": args.seed, "tol": args.tol, "rmin": args.rmin,
+                   "rmax": args.rmax}
     if args.mode == "diagram":
         rep = diagram_check(field, pts)
-        ok = rep["max_discrepancy"] < args.tol
-        _emit(args, "penrose diagram", params, rep, ok)
-        if not ok:
-            raise CheckFailure("diagram discrepancy %.3e exceeds %.3e"
-                               % (rep["max_discrepancy"], args.tol))
-        return 0
-    try:
-        res = penrose_transform(sharp(field), pts)
-    except ClosednessError as e:
-        _emit(args, "penrose %s" % args.mode, params, {"error": str(e)}, False)
-        raise CheckFailure("closedness certificate: %s" % e)
+        return (rep, rep["max_discrepancy"] < args.tol,
+                "diagram discrepancy %.3e exceeds %.3e"
+                % (rep["max_discrepancy"], args.tol))
+    res = penrose_transform(sharp(field), pts)
     results = res.to_json()
     if args.mode == "forward":
-        _emit(args, "penrose forward", params, results, True)
-        return 0
+        return results, True, None
     # roundtrip
     v = quat.real_to_ab(pts)
     exact = np.stack([np.asarray(field.pair0(v), dtype=complex),
                       np.asarray(field.pair1(v), dtype=complex)], axis=-1)
     err = float(np.max(np.abs(res.values - exact)))
     results["max_error"] = err
-    ok = err < args.tol
-    _emit(args, "penrose roundtrip", params, results, ok)
-    if not ok:
-        raise CheckFailure("roundtrip error %.3e exceeds %.3e" % (err, args.tol))
-    return 0
+    return (results, err < args.tol,
+            "roundtrip error %.3e exceeds %.3e" % (err, args.tol))
 
 
 def _cmd_verify(args):
@@ -319,17 +271,15 @@ def _cmd_verify(args):
     criteria = None
     if args.criteria:
         criteria = [int(c) for c in args.criteria.split(",")]
+    args.params = {"n": args.n, "seed": args.seed, "criteria": args.criteria}
     report = run_all(seed=args.seed, n_values=n_values, criteria=criteria)
     for rec in report["criteria"]:
         print(format_line(rec))
     print("OVERALL: %s" % ("PASS" if report["passed"] else "FAIL"))
-    _emit(args, "verify all",
-          {"n": args.n, "seed": args.seed, "criteria": args.criteria},
-          report, report["passed"])
-    if not report["passed"]:
-        first = next(r for r in report["criteria"] if not r["passed"])
-        raise CheckFailure("criterion %d: %s" % (first["id"], first["summary"]))
-    return 0
+    failed = [r for r in report["criteria"] if not r["passed"]]
+    why = failed and "criterion %d: %s" % (failed[0]["id"],
+                                           failed[0]["summary"])
+    return report, report["passed"], why
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +403,21 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = "%s %s" % (args.group, args.mode)
     try:
-        return args.func(args)
-    except CheckFailure as e:
-        print("check failed: %s" % e, file=sys.stderr)
-        return 1
-    except (NotInHullError, ClosednessError) as e:
-        print("check failed: %s" % e, file=sys.stderr)
-        return 1
+        try:
+            results, passed, why = args.func(args)
+        except (NotInHullError, ClosednessError, NoExtensionError) as e:
+            results, passed, why = {"error": str(e)}, False, str(e)
+        _emit(args, command, results, passed)
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2
+    if not passed:
+        print("check failed: %s: %s" % (command, why), file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

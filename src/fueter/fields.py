@@ -45,8 +45,12 @@ class ScalarField:
         self.extension = extension  # optional ComplexField
 
     def pair(self, p):
-        """Evaluate the pair on flat real points (..., 4n)."""
-        v = quat.real_to_ab(np.asarray(p, dtype=float))
+        """Evaluate the pair on flat real points (..., 4n); ValueError otherwise."""
+        p = np.asarray(p, dtype=float)
+        if p.shape[-1:] != (4 * self.n,):
+            raise ValueError("expected points of shape (..., %d), not %s"
+                             % (4 * self.n, p.shape))
+        v = quat.real_to_ab(p)
         return self.pair0(v), self.pair1(v)
 
     def eval_quat(self, p):

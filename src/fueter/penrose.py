@@ -68,7 +68,7 @@ from .fields import get_field
 from .hull import hull_contains, NotInHullError, _as_point
 
 __all__ = [
-    "KAPPA", "ClosednessError", "TwistorFormL", "sharp",
+    "KAPPA", "ClosednessError", "NoExtensionError", "TwistorFormL", "sharp",
     "tau_push_01", "tau_push_02", "dbar_chart0",
     "penrose_transform", "penrose_transform_complex", "PenroseResult",
     "diagram_check", "calibrate_kappa",
@@ -87,6 +87,10 @@ _FD = FDConfig()  # every base and fiber derivative of the transform
 
 class ClosednessError(RuntimeError):
     """The tau-level closedness certificate failed."""
+
+
+class NoExtensionError(ValueError):
+    """The form has no holomorphic matrix extension to evaluate off the slice."""
 
 
 def _on(coeffs, basis):
@@ -120,7 +124,7 @@ class TwistorFormL:
     """
 
     def __init__(self, n, coeffs, basis, K_parts=None, k=-3, basis_chart1=None,
-                 K_parts_chart1=None, coeffs_matrix=None, domain=None, name=None):
+                 K_parts_chart1=None, coeffs_matrix=None, domain=None):
         self.n = int(n)
         self.k = int(k)
         self.coeffs = coeffs
@@ -132,7 +136,6 @@ class TwistorFormL:
         self.K_parts_chart1 = K_parts_chart1
         self.coeffs_matrix = coeffs_matrix
         self.domain = domain
-        self.name = name or "form"
 
     @property
     def has_K(self):
@@ -149,30 +152,17 @@ class TwistorFormL:
         """
         return _on(self.coeffs(np.asarray(x, dtype=float)), self.basis(z))
 
-    def as_fiber_form(self, x):
-        """The fixed-x fiber profile as a cp1.Form01 (chart 1 by clutching)."""
-        x = np.asarray(x, dtype=float)
-        if self.basis_chart1 is not None:
-            return Form01(self.k, lambda z: self.wz(z, x),
-                          lambda w: _on(self.coeffs(x), self.basis_chart1(w)))
-
-        def h1(w):
-            w = np.asarray(w, dtype=complex)
-            out = np.zeros_like(w)
-            nz = w != 0
-            zz = 1.0 / w[nz]
-            out[nz] = -zz ** (-self.k) * np.conj(zz) ** 2 \
-                * np.asarray(self.wz(zz, x), dtype=complex)
-            return out
-
-        return Form01(self.k, lambda z: self.wz(z, x), h1)
-
     def validate(self, x):
-        """Clutching + decay report for the dconj(z)-part at base point x."""
+        """Clutching + decay report for the dconj(z)-part at base point x.
+
+        Clutching is checked only when the form carries ``basis_chart1``.
+        """
         x = np.asarray(x, dtype=float)
         report = {"n": self.n, "k": self.k}
-        fiber = self.as_fiber_form(x)
-        if self.basis_chart1 is not None:
+        c0, chart1 = self.coeffs(x), self.basis_chart1
+        fiber = Form01(self.k, lambda z: _on(c0, self.basis(z)),
+                       None if chart1 is None else lambda w: _on(c0, chart1(w)))
+        if chart1 is not None:
             report["clutching"] = validate_form(fiber)
         mref = -self.k - 2  # highest moment order used by the pushforward
         report["decay"] = all(decay_check(fiber, ell) for ell in range(mref + 1))
@@ -229,8 +219,7 @@ def sharp(field):
     # 2 (-p0 conj(w) - p1) / (1+|w|^2)^3 is the chart-1 profile of (p0, p1)
     return TwistorFormL(field.n, coeffs, _harmonic_basis, k=-3,
                         basis_chart1=lambda w: -_harmonic_basis(w)[::-1],
-                        coeffs_matrix=coeffs_matrix, domain=field.domain,
-                        name="sharp(%s)" % field.name)
+                        coeffs_matrix=coeffs_matrix, domain=field.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +365,9 @@ def penrose_transform_complex(form, sigma):
     slice the form must carry the holomorphic matrix extension
     ``coeffs_matrix`` of its coefficients; the fiber moments are then
     coeffs_matrix(sigma) times the form's moment table, the line over sigma
-    having constant base matrix sigma.  The point is first certified
-    to lie in the hull of the form's domain (NotInHullError otherwise).
+    having constant base matrix sigma (NoExtensionError without it).  The
+    point is first certified to lie in the hull of the form's domain
+    (NotInHullError otherwise).
     """
     pt = _as_point(sigma, n=form.n)
     if form.domain is not None and not isinstance(form.domain, WholeSpace):
@@ -391,7 +381,7 @@ def penrose_transform_complex(form, sigma):
     if np.array_equal(quat.embed_M(x), mat):
         return tau_push_01(form, x)
     if form.coeffs_matrix is None:
-        raise ValueError(
+        raise NoExtensionError(
             "form has no holomorphic matrix extension; the complexified "
             "transform off the real slice requires coeffs_matrix")
     return form.coeffs_matrix(mat) @ form.moments[:, :-form.k - 1]

@@ -5,6 +5,9 @@ prints its PASS/FAIL line outside pytest's capture so the per-criterion
 outcome is always visible in the console log, and asserts the verdict.
 """
 
+import numpy as np
+import pytest
+
 from fueter import acceptance
 
 
@@ -61,3 +64,15 @@ def test_criterion_8_complex_transform(capsys):
     record = _run(acceptance.criterion_8_complex_transform, capsys)
     assert record["details"]["value_error"] < 1e-4
     assert record["details"]["real_slice_bitwise"] is True
+
+
+def test_shell_points_reject_an_empty_or_inverted_shell():
+    rng = np.random.default_rng(0)
+    for count, rmin, rmax in ((0, 0.2, 5.0), (-3, 0.2, 5.0), (5, -1.0, 5.0),
+                              (5, 3.0, 1.0), (5, 2.0, 2.0)):
+        with pytest.raises(ValueError):
+            acceptance._shell_points(rng, count, rmin, rmax)
+    # nothing was drawn by the rejected calls
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    radii = np.linalg.norm(acceptance._shell_points(rng, 200, 0.0, 1.0), axis=1)
+    assert radii.min() >= 0.0 and radii.max() <= 1.0

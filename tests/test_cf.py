@@ -224,3 +224,14 @@ def test_restriction_of_extension_matches_the_real_field():
     for p in _shell(rng, 10):
         Z = quat.matrix_point(p, np.zeros(4))
         np.testing.assert_allclose(ext.pair(Z), base.pair(p), rtol=1e-12)
+
+
+def test_a_pair_field_rejects_points_of_another_dimension():
+    # the default WholeSpace domain does not see the dimension, the pair does
+    field = fields.get_field("linear_monogenic", 1)
+    with pytest.raises(ValueError, match=r"expected points of shape \(\.\.\., 4\)"):
+        cf.is_monogenic(field, np.full((2, 8), 0.5))
+    with pytest.raises(ValueError, match=r"not \(3,\)"):
+        field.pair(np.zeros(3))
+    p0, p1 = field.pair(np.full((2, 4), 0.5))
+    assert p0.shape == p1.shape == (2,)

@@ -342,3 +342,65 @@ def test_non_finite_float_options_are_rejected_by_name(command, option, value,
     assert captured.out == ""
     assert ("argument %s: not a finite number: %r" % (option, value)
             in captured.err)
+
+
+def test_penrose_complex_outside_the_hull_still_prints_its_envelope(capsys):
+    # (x, y) = (1, i) sweeps through the removed origin, so the point is not
+    # in the hull of E's domain and the transform refuses it
+    code = cli.main(["penrose", "complex", "--field", "E", "--sigma",
+                     '{"x": [1, 0, 0, 0], "y": [0, 1, 0, 0]}'])
+    assert code == 1
+    captured = capsys.readouterr()
+    blob = json.loads(captured.out)
+    jsonschema.validate(blob, _schema())
+    assert blob["command"] == "penrose complex"
+    assert blob["pass"] is False
+    assert "not in the monogenic hull" in blob["results"]["error"]
+    assert captured.err.startswith("check failed: penrose complex: point is "
+                                   "not in the monogenic hull")
+
+
+def test_penrose_complex_off_the_slice_needs_an_extension(tmp_path, capsys):
+    code, blob = _run_json(
+        ["penrose", "complex", "--field", "nonmonogenic_linear",
+         "--sigma", '{"x": [1.1, 0.2, -0.3, 0.5], "y": [0.1, 0, 0.2, -0.1]}'],
+        tmp_path)
+    assert code == 1
+    jsonschema.validate(blob, _schema())
+    assert blob["pass"] is False
+    assert blob["results"]["error"].startswith(
+        "form has no holomorphic matrix extension")
+    assert capsys.readouterr().err.startswith(
+        "check failed: penrose complex: form has no holomorphic")
+
+
+def test_a_failed_check_prints_its_envelope_and_names_the_command(capsys):
+    code = cli.main(["cf", "check", "--field", "nonmonogenic_absquare",
+                     "--points", "10", "--seed", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    blob = json.loads(captured.out)
+    jsonschema.validate(blob, _schema())
+    assert blob["pass"] is False and blob["results"]["verdict"] is False
+    assert captured.err.startswith("check failed: cf check: max residual ")
+
+
+@pytest.mark.parametrize("command", [["cf", "check"], ["penrose", "roundtrip"],
+                                     ["penrose", "forward"],
+                                     ["penrose", "diagram"]])
+@pytest.mark.parametrize("options,message", [
+    (["--rmin=-1"], "the shell needs 0 <= rmin < rmax, not rmin = -1.0"),
+    (["--rmin", "3", "--rmax", "1"],
+     "the shell needs 0 <= rmin < rmax, not rmin = 3.0, rmax = 1.0"),
+    (["--rmin", "2", "--rmax", "2"],
+     "the shell needs 0 <= rmin < rmax, not rmin = 2.0, rmax = 2.0"),
+    (["--points", "0"], "points must be >= 1, not 0"),
+    (["--points", "-3"], "points must be >= 1, not -3"),
+])
+def test_sampling_options_are_validated_by_name(command, options, message,
+                                                capsys):
+    # nothing is sampled or emitted; rmax defaults differ by command
+    assert cli.main(command + ["--field", "constant"] + options) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: %s" % message)

@@ -233,3 +233,32 @@ def test_quadrature_error_on_under_resolved_integrands():
     wild = lambda z: np.cos(40.0 * np.real(z)) / (1 + z * np.conj(z)) ** 3
     with pytest.raises(cp1.QuadratureError):
         cp1.quadrature_C(wild, cfg, check=True)
+
+
+def _harmonic_profile(z):
+    return 2.0 / (1.0 + np.abs(z) ** 2) ** 3
+
+
+def _aliased_profile(z):
+    # e^{64 i phi} is a constant on the default 64-node angular grid and
+    # integrates to zero on the doubled one
+    return np.exp(64j * np.angle(z)) * _harmonic_profile(z)
+
+
+def test_checked_quadrature_returns_the_refined_value():
+    cfg = cp1.QuadratureConfig()
+    Z2, W2 = cp1.quadrature_nodes(cfg.refined())
+    val = cp1.quadrature_C(_harmonic_profile, check=True)
+    assert val == complex(np.sum(W2 * _harmonic_profile(Z2)))
+    assert abs(val - 1.0) < 1e-12
+    with pytest.raises(cp1.QuadratureError, match="not converged"):
+        cp1.quadrature_C(_aliased_profile, check=True)
+
+
+def test_coefficients_raise_when_the_doubled_rule_disagrees():
+    w = cp1.Form01(-3, _aliased_profile, None)
+    coarse = cp1.cohomology_coefficients(w, check=False)
+    assert abs(coarse[0] - 1.0) < 1e-6  # the alias reads as the profile
+    with pytest.raises(cp1.QuadratureError, match="coefficient quadrature "
+                                                  "not converged"):
+        cp1.cohomology_coefficients(w)

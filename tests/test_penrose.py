@@ -587,3 +587,24 @@ def test_exact_forms_push_forward_to_zero(n, block, a, powers, seed):
             domain=E.domain)
         got = penrose.tau_push_01(shifted, x)
         _assert_rel(got, np.stack(E.pair(x), axis=-1), 1e-13 * scale)
+
+
+def test_the_transform_rejects_points_of_another_dimension():
+    field = fields.get_field("linear_monogenic", 2)
+    with pytest.raises(ValueError, match=r"expected points of shape \(\.\.\., 8\)"):
+        penrose.penrose_transform(penrose.sharp(field), np.full((2, 4), 0.5))
+    with pytest.raises(ValueError, match=r"expected points of shape \(\.\.\., 8\)"):
+        penrose.diagram_check(field, np.full((2, 4), 0.5))
+
+
+def test_the_complex_transform_off_the_slice_needs_an_extension():
+    form = penrose.sharp(fields.get_field("nonmonogenic_linear"))
+    x = np.array([1.1, 0.2, -0.3, 0.5])
+    # the real slice needs no extension
+    np.testing.assert_array_equal(
+        penrose.penrose_transform_complex(form, quat.BiquaternionPoint(x, 0 * x)),
+        penrose.tau_push_01(form, x))
+    off = quat.BiquaternionPoint(x, np.array([0.1, 0.0, 0.2, -0.1]))
+    with pytest.raises(penrose.NoExtensionError) as exc:
+        penrose.penrose_transform_complex(form, off)
+    assert isinstance(exc.value, ValueError)
