@@ -51,16 +51,12 @@ from .fields import ComplexField, ScalarField, field_names, get_field
 from .hull import (
     HullQuery,
     NotInHullError,
-    fibonacci_imaginary_sphere,
     hull_contains,
     hull_distance,
     hull_witness,
 )
 from .twistor import (
-    FiberPoint,
     OutsideChartsError,
-    TwistorLine,
-    TwistorPoint,
     eta,
     eta_inverse,
     hopf_grid,
@@ -120,12 +116,11 @@ __all__ = [
     # fields
     "ComplexField", "ScalarField", "field_names", "get_field",
     # hull
-    "HullQuery", "NotInHullError",
-    "fibonacci_imaginary_sphere", "hull_contains", "hull_distance",
+    "HullQuery", "NotInHullError", "hull_contains", "hull_distance",
     "hull_witness",
     # twistor
-    "FiberPoint", "OutsideChartsError", "TwistorLine", "TwistorPoint",
-    "eta", "eta_inverse", "hopf_grid", "hull_contains_via_lines",
+    "OutsideChartsError", "eta", "eta_inverse", "hopf_grid",
+    "hull_contains_via_lines",
     "line_base_points", "line_embed", "line_sweep", "sweep_quaternions",
     # cp1
     "BUMP_GRADE", "BundleSection", "Form01", "QuadratureConfig",

@@ -236,7 +236,7 @@ def is_monogenic(psi, points, tol=1e-5, cfg=None):
     points: (N, 4n) interior samples with stencil margin.  Returns the report
     dict {field, n, samples, tol, max_residual, worst_point, verdict}.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = psi.check_points(np.atleast_2d(points))
     if points.shape[0] == 0:
         raise ValueError("empty sample set")
     res = residual_norm(cf_apply(psi, points, cfg))

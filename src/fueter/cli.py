@@ -2,15 +2,14 @@
 
 Every subcommand emits a single JSON envelope
 {"command", "params", "results", "pass", "version"} (schema in
-schemas/report.json), sorted keys, no timestamps — fixed inputs give
-byte-identical reports; ``cp1 dim`` prints a bare integer and writes its
-envelope only to --report.  Exit codes: 0 all checks within tolerance
-(queries always exit 0, a negative verdict is a valid answer); 1 a tolerance
-check failed or the library refused the query (a point outside the hull, a
-failed closedness certificate, a form without a holomorphic extension) — the
-envelope is still emitted, with "pass" false, and stderr reads
-``check failed: <group> <mode>: <reason>``; 2 configuration error, with no
-envelope.
+schemas/report.json) to stdout, or to --report, sorted keys, no timestamps
+— fixed inputs give byte-identical reports.  Exit codes: 0 all checks within
+tolerance (queries always exit 0, a negative verdict is a valid answer); 1 a
+tolerance check failed or the library refused the query (a point outside
+the hull, a failed closedness certificate, a form without a holomorphic
+extension) — the envelope is still emitted, with "pass" false, and stderr
+reads ``check failed: <group> <mode>: <reason>``; 2 configuration error,
+with no envelope.
 """
 
 import argparse
@@ -60,7 +59,7 @@ def _emit(args, command, results, passed):
     if args.report:
         with open(args.report, "w") as f:
             f.write(text)
-    elif command != "cp1 dim":  # dim prints its bare integer instead
+    else:
         sys.stdout.write(text)
 
 
@@ -193,9 +192,7 @@ def _cmd_twistor(args):
 def _cmd_cp1(args):
     if args.mode == "dim":
         args.params = {"k": args.k}
-        d = h1_dimension(args.k)
-        print(d)
-        return {"dimension": d}, True, None
+        return {"dimension": h1_dimension(args.k)}, True, None
     if args.mode == "harmonic":
         a0 = _parse_complex(args.a0)
         a1 = _parse_complex(args.a1)
@@ -343,8 +340,8 @@ def _build_parser():
     hl.add_argument("--domain", required=True)
     hl.add_argument("--sigma", required=True)
     hl.add_argument("--count", type=int, default=None,
-                    help="sets the Hopf sweep grid size (about count "
-                         "nodes, at least 12)")
+                    help="nodes of the imaginary-sphere lattice the line's "
+                         "fibre is scanned at (at least 12)")
     common(hl)
     hl.set_defaults(func=_cmd_twistor)
 
@@ -363,7 +360,7 @@ def _build_parser():
     ha.add_argument("--tol", type=_finite_float, default=1e-6)
     common(ha)
     ha.set_defaults(func=_cmd_cp1)
-    dm = cp.add_parser("dim", help="print dim H^1 for degree k")
+    dm = cp.add_parser("dim", help="dim H^1 for degree k")
     dm.add_argument("--k", type=int, required=True)
     common(dm)
     dm.set_defaults(func=_cmd_cp1)

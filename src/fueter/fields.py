@@ -44,13 +44,17 @@ class ScalarField:
         self.name = name or "custom"
         self.extension = extension  # optional ComplexField
 
-    def pair(self, p):
-        """Evaluate the pair on flat real points (..., 4n); ValueError otherwise."""
+    def check_points(self, p):
+        """p as a float array of flat real points (..., 4n); ValueError otherwise."""
         p = np.asarray(p, dtype=float)
         if p.shape[-1:] != (4 * self.n,):
             raise ValueError("expected points of shape (..., %d), not %s"
                              % (4 * self.n, p.shape))
-        v = quat.real_to_ab(p)
+        return p
+
+    def pair(self, p):
+        """Evaluate the pair on flat real points (..., 4n); ValueError otherwise."""
+        v = quat.real_to_ab(self.check_points(p))
         return self.pair0(v), self.pair1(v)
 
     def eval_quat(self, p):

@@ -45,8 +45,9 @@ Points with y = 0 short-circuit to plain membership of x (the infimand is
 constant), which keeps the real slice exact.
 
 The twistor-line test (``fueter.twistor.hull_contains_via_lines``) runs the
-same sweep core on its Hopf grid of about ``count`` nodes, with that grid's
-own covering chord and triangles.
+same sweep core on the same lattice of ``count`` nodes, with its own line
+map: the real base points of sigma's twistor line, read through the
+homogeneous charts, in place of x + y*q.
 
 The distance of an interior point to the hull boundary is
 
@@ -66,9 +67,8 @@ from . import quat
 from .quat import BiquaternionPoint
 
 __all__ = [
-    "HullQuery", "NotInHullError", "covering_chord",
-    "fibonacci_imaginary_sphere", "hull_contains", "hull_distance",
-    "hull_witness",
+    "HullQuery", "NotInHullError", "covering_chord", "hull_contains",
+    "hull_distance", "hull_witness",
 ]
 
 # inf_value must exceed this (times the point's scale) for a True verdict
@@ -82,16 +82,21 @@ class NotInHullError(ValueError):
     pass
 
 
-def fibonacci_imaginary_sphere(count):
-    """count unit imaginary quaternions (0, u) from the golden-angle lattice.
-
-    Cached per count; the returned (count, 4) array is read-only.
-    """
-    return _fibonacci_lattice(int(count))
+def _grid_count(count):
+    """count as an int; every sampled grid needs at least 12 nodes."""
+    if count < 12:
+        raise ValueError("sampler count must be >= 12")
+    return int(count)
 
 
 @functools.lru_cache(maxsize=32)
-def _fibonacci_lattice(count):
+def _lattice(count):
+    """The Fibonacci lattice of count nodes as a sweep grid (see _grid).
+
+    The nodes are count unit imaginary quaternions (0, u) on the
+    golden-angle spiral, a read-only (count, 4) array.  Both sampled paths
+    scan this one cached tuple.
+    """
     i = np.arange(count)
     golden = (1 + np.sqrt(5.0)) / 2
     z = 1 - 2 * (i + 0.5) / count
@@ -102,20 +107,7 @@ def _fibonacci_lattice(count):
     q = np.zeros((count, 4))
     q[:, 1:] = u
     q.flags.writeable = False
-    return q
-
-
-def _grid_count(count):
-    """count as an int; every sampled grid needs at least 12 nodes."""
-    if count < 12:
-        raise ValueError("sampler count must be >= 12")
-    return int(count)
-
-
-@functools.lru_cache(maxsize=32)
-def _lattice(count):
-    """The Fibonacci lattice of count nodes as a sweep grid (see _grid)."""
-    return _grid(_fibonacci_lattice(count))
+    return _grid(q)
 
 
 def _grid(qs):
@@ -242,8 +234,10 @@ def hull_contains(sigma, U, count=_DEFAULT_COUNT):
 
 def _hull_query(sigma, U, count, polish):
     count = _grid_count(count)
-    grid = None if U.sweep_inf is not None else _lattice(count)
-    return _sweep(_as_point(sigma), U, grid, polish)
+    pt = _as_point(sigma)
+    if U.sweep_inf is not None:
+        return _sweep(pt, U, None, None, polish)
+    return _sweep(pt, U, _lattice(count), quat.right_line(pt.x, pt.y), polish)
 
 
 # pattern-search mesh neighbours in the chart: the axes and the diagonals
@@ -352,17 +346,20 @@ def _branch_and_bound(g, grid, vals, ynorm, tau):
     return float(f), q, max(0.0, float(lb))
 
 
-def _sweep(pt, U, grid, polish=False):
+def _sweep(pt, U, grid, line, polish=False):
     """Minimum of ext_distance over the swept set of pt, as a HullQuery.
 
-    grid None: the exact ``U.sweep_inf`` (band 0, count 0).  Otherwise grid
-    is a sweep grid (see _grid); its nodes are scanned, and a grid minimum
-    inside the band 2 ||y|| c (c the covering chord) goes to
+    grid None: the exact ``U.sweep_inf`` (band 0, count 0; line unused).
+    Otherwise grid is a sweep grid (see _grid) and line the caller's line
+    map q (K, 4) -> x + y q (K, 4n), built once per query:
+    ``quat.right_line(x, y)`` for hull_contains, the twistor charts for
+    ``twistor.hull_contains_via_lines``.  The nodes are scanned, and a grid
+    minimum inside the band 2 ||y|| c (c the covering chord) goes to
     ``_branch_and_bound``, whose lower bound lb sets the band to
     inf_value - lb.  With polish, a query not found outside is then polished
     by ``_local_min`` from the best point.  The scan, the search and the
-    polish all evaluate one line map ``quat.right_line(x, y)``, built once
-    per query.  With y = 0 nothing is scanned (count 0).
+    polish all evaluate the one line map.  With y = 0 nothing is scanned
+    (count 0).
     """
     if pt.n != U.n:
         raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
@@ -382,7 +379,6 @@ def _sweep(pt, U, grid, polish=False):
         count = 0
     else:
         qs, cover = grid[:2]
-        line = quat.right_line(x, y)
 
         def g(q):
             return U.ext_distance(line(q))

@@ -398,7 +398,7 @@ def diagram_check(field, points):
     componentwise discrepancy over the sample points.
     """
     form = sharp(field)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = field.check_points(np.atleast_2d(points))
     lhs = tau_push_02(form, points)
     rhs = cf_residual_complex(field.pair0, field.pair1, points, _FD,
                               field.domain)

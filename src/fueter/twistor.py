@@ -1,42 +1,47 @@
-"""The twistor correspondence over H^n: charts, lines, and sweeps.
+"""The twistor correspondence over H^n: homogeneous charts, lines, and sweeps.
 
-Points of CP^{2n+1} over the chart cover W0 = {first coordinate != 0},
-W1 = {second coordinate != 0} correspond to pairs (fiber coordinate, base
-point) through the chart maps
+A point of CP^{2n+1} is a homogeneous (..., 2n+2) complex array v and a
+fibre point a homogeneous pair pi = (pi0, pi1) of shape (..., 2); chart 0
+is the representative [1 : z] and chart 1 is [w : 1], so each map below is
+one formula on arrays for both charts.  With (a_i, b_i) the interleaved
+complex coordinates of a base point x (``quat.real_to_ab``),
 
-    eta(chart 0): (z, x) -> [1 : z : a1 - z*conj(b1) : b1 + z*conj(a1) : ...]
-    eta(chart 1): (w, x) -> [w : 1 : w*a1 - conj(b1) : w*b1 + conj(a1) : ...]
+    eta(pi, x)        = [pi0 : pi1 : ... : pi0 a_i - pi1 conj(b_i) :
+                                           pi0 b_i + pi1 conj(a_i) : ...]
+                      = [pi : M(x) pi],
+    line_embed(S, pi) = [pi : S pi]   for a (2n x 2) complex matrix S,
 
-where (a_i, b_i) are the interleaved complex coordinates of x.  The inverse
-maps divide out the fiber coordinate and solve the 2x2 systems per block:
+and eta_inverse solves the 2x2 system of each block: with v = [pi : zeta]
+and zeta_e, zeta_o the rows 2i-1 and 2i of zeta,
 
-    chart 0:  a_i = (z_{2i-1} + z0*conj(z_{2i})) / (1+|z0|^2)
-              b_i = (z_{2i}   - z0*conj(z_{2i-1})) / (1+|z0|^2)
-    chart 1:  a_i = (conj(w_{2i})  + conj(w0)*w_{2i-1}) / (1+|w0|^2)
-              b_i = (-conj(w_{2i-1}) + conj(w0)*w_{2i}) / (1+|w0|^2)
+    a_i = (conj(pi0) zeta_e + pi1 conj(zeta_o)) / (|pi0|^2 + |pi1|^2)
+    b_i = (conj(pi0) zeta_o - pi1 conj(zeta_e)) / (|pi0|^2 + |pi1|^2),
 
-A biquaternion matrix Sigma spans a projective line via
+defined off the line pi0 = pi1 = 0 (OutsideChartsError).  For a real point
+S = M(x) the line is the eta-image of the fibre over x.  For a complex
+point sigma = (x, y), S = M(x) + i M(y), and M(q) pi = i pi for the unit
+imaginary quaternion q = Hopf(pi) = (|pi0|^2 - |pi1|^2) i + 2 j conj(pi0) pi1
+(``sweep_quaternions``), so S pi = M(x + y q) pi and
 
-    line_embed(Sigma, [pi0 : pi1]) = [pi0 : pi1 : pi0*S_{A,0} + pi1*S_{A,1} ...]
+    eta_inverse(line_embed(S, pi)) = (pi, x + y q):
 
-and for real points Sigma = M(x) this line is exactly the eta-image of the
-fiber over x.  line_base_points recovers the base point seen from any fiber
-position of the line of an arbitrary complex Sigma, filling the conjugated
-chart slots with the formal conjugates read from the partner rows of Sigma
-(the holomorphic continuation of the genuine conjugates off the real slice);
-the result is constant along the line and equal to Sigma itself -- the
+the real base points of sigma's line L_sigma are the swept set
+{x + y q : q in S^2} that defines the monogenic hull.
+``hull_contains_via_lines`` decides membership that way: it scans the
+hull's Fibonacci lattice, each node q mapped to a unit fibre point with
+Hopf(pi) = q, through the charts of L_sigma, with the sweep core of
+``fueter.hull`` (band, branch-and-bound, verdict).
+
+line_base_points recovers the base point seen from any fiber position of
+the line of an arbitrary complex Sigma, filling the conjugated chart slots
+with the formal conjugates read from the partner rows of Sigma (the
+holomorphic continuation of the genuine conjugates off the real slice); the
+result is constant along the line and equal to Sigma itself -- the
 algebraic identity behind the transform over the hull.
 
-The proof-level sweep parametrizes the imaginary unit sphere by a complex
-pair (a, b) with |a|^2 + |b|^2 = 1:
-
-    q(a, b) = (|a|^2 - |b|^2) i + 2 j conj(a) b,
-
-covered by the Hopf-style grid a = sqrt(t), b = sqrt(1-t) e^{i theta}.
-hull_contains_via_lines scans that grid, sized by a node count, with the
-sweep core of ``fueter.hull`` (band from the grid's own exact covering
-chord, branch-and-bound over its own Delaunay triangles), so it decides the
-same infimum as hull_contains on another grid.
+``fueter twistor sweep`` prints the swept set on the Hopf-style grid
+a = sqrt(t), b = sqrt(1-t) e^{i theta} of the fibre (``hopf_grid``,
+``line_sweep``).
 """
 
 import functools
@@ -44,160 +49,88 @@ import functools
 import numpy as np
 
 from . import quat
-from .hull import (_DEFAULT_COUNT, _as_point, _grid, _grid_count,
+from .hull import (_DEFAULT_COUNT, _as_point, _grid_count, _lattice,
                    _line_points, _sweep)
 
 __all__ = [
-    "TwistorPoint", "FiberPoint", "TwistorLine", "OutsideChartsError",
-    "eta", "eta_inverse", "line_embed", "line_base_points",
-    "hopf_grid", "sweep_quaternions", "line_sweep", "hull_contains_via_lines",
+    "OutsideChartsError", "eta", "eta_inverse", "line_embed",
+    "line_base_points", "hopf_grid", "sweep_quaternions", "line_sweep",
+    "hull_contains_via_lines",
 ]
-
-_COORD_EPS = 1e-12
 
 
 class OutsideChartsError(ValueError):
     """Both of the first two homogeneous coordinates vanish."""
 
 
-class TwistorPoint:
-    """A point of CP^{2n+1} held as a normalized homogeneous tuple.
+def eta(pi, x):
+    """The chart map: fibre points pi (..., 2) over x (..., 4n) -> (..., 2n+2).
 
-    The representative is scaled to unit Euclidean norm with the first
-    coordinate of magnitude > 1e-12 made positive real, so projectively equal
-    tuples compare equal componentwise.
+    Returns [pi : M(x) pi], the point of CP^{2n+1} that pi names in the
+    fibre over the base point x.
     """
-
-    def __init__(self, homogeneous):
-        v = np.asarray(homogeneous, dtype=complex).ravel()
-        if v.size < 4 or v.size % 2:
-            raise ValueError("need 2n+2 homogeneous coordinates")
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValueError("homogeneous coordinates must not all vanish")
-        v = v / norm
-        lead = np.flatnonzero(np.abs(v) > _COORD_EPS)
-        if lead.size:
-            phase = v[lead[0]] / abs(v[lead[0]])
-            v = v / phase
-        self.v = v
-
-    @property
-    def n(self):
-        return (self.v.size - 2) // 2
-
-    def in_W0(self):
-        return abs(self.v[0]) > _COORD_EPS
-
-    def in_W1(self):
-        return abs(self.v[1]) > _COORD_EPS
-
-    def isclose(self, other, tol=1e-10):
-        return bool(np.max(np.abs(self.v - TwistorPoint(other.v).v)) <= tol)
-
-    def __repr__(self):
-        return "TwistorPoint(%r)" % (self.v.tolist(),)
+    return line_embed(quat.embed_M(x), pi)
 
 
-class FiberPoint:
-    """A chart pair (fiber coordinate, base point of H^n)."""
+def line_embed(S, pi):
+    """The points [pi : S pi] (..., 2n+2) of the lines of matrices S.
 
-    def __init__(self, chart, fiber, base):
-        if chart not in (0, 1):
-            raise ValueError("chart must be 0 or 1")
-        self.chart = int(chart)
-        self.fiber = complex(fiber)
-        self.base = np.asarray(base, dtype=float).ravel()
-        if self.base.size % 4:
-            raise ValueError("base must be a flat real point of H^n")
-
-    @property
-    def n(self):
-        return self.base.size // 4
-
-    def to_chart(self, chart):
-        if chart == self.chart:
-            return self
-        if self.fiber == 0:
-            raise ZeroDivisionError("fiber coordinate 0 is not on the overlap")
-        return FiberPoint(chart, 1.0 / self.fiber, self.base)
-
-    def isclose(self, other, tol=1e-10):
-        o = other.to_chart(self.chart)
-        return (abs(self.fiber - o.fiber) <= tol
-                and np.max(np.abs(self.base - o.base)) <= tol)
-
-    def __repr__(self):
-        return "FiberPoint(chart=%d, fiber=%r, base=%r)" % (
-            self.chart, self.fiber, self.base.tolist())
+    S is a (..., 2n, 2) complex matrix (``quat.matrix_point(x, y)``), pi a
+    homogeneous fibre point (..., 2).  A row with pi = (0, 0) is no point;
+    eta_inverse refuses it.  The result is coordinate-major in memory (each
+    coordinate one run over the batch), so eta_inverse's array operations
+    stream over the batch.
+    """
+    S = np.asarray(S, dtype=complex)
+    pi = np.asarray(pi, dtype=complex)
+    batch = np.broadcast(S[..., 0, 0], pi[..., 0]).shape
+    v = _coordinates_last(np.empty((S.shape[-2] + 2,) + batch, dtype=complex))
+    v[..., :2] = pi
+    rows = v[..., 2:]
+    np.multiply(S[..., 0], pi[..., :1], out=rows)
+    rows += np.multiply(S[..., 1], pi[..., 1:], out=np.empty_like(rows))
+    return v
 
 
-class TwistorLine:
-    """The projective line attached to a biquaternion matrix Sigma."""
+def eta_inverse(v):
+    """Fibre and base points (pi, x) of points v (..., 2n+2) of CP^{2n+1}.
 
-    def __init__(self, sigma):
-        pt = _as_point(sigma)
-        self.sigma = pt
-        self.matrix = pt.matrix
-
-    @property
-    def n(self):
-        return self.sigma.n
-
-
-def eta(fp):
-    """Chart map eta: FiberPoint -> TwistorPoint."""
-    v = quat.real_to_ab(fp.base)
-    a = v[0::2]
-    b = v[1::2]
-    t = fp.fiber
-    rows = np.empty(2 * fp.n, dtype=complex)
-    if fp.chart == 0:
-        rows[0::2] = a - t * np.conj(b)
-        rows[1::2] = b + t * np.conj(a)
-        head = [1.0, t]
-    else:
-        rows[0::2] = t * a - np.conj(b)
-        rows[1::2] = t * b + np.conj(a)
-        head = [t, 1.0]
-    return TwistorPoint(np.concatenate([head, rows]))
-
-
-def eta_inverse(tp):
-    """Invert eta on W0 (preferred when |v0| >= |v1|) or W1."""
-    v = tp.v
-    if not (tp.in_W0() or tp.in_W1()):
-        raise OutsideChartsError("point lies over the line at infinity")
-    use0 = abs(v[0]) >= abs(v[1])
-    if use0:
-        z = v[1] / v[0]
-        coords = v[2:] / v[0]
-        den = 1.0 + abs(z) ** 2
-        a = (coords[0::2] + z * np.conj(coords[1::2])) / den
-        b = (coords[1::2] - z * np.conj(coords[0::2])) / den
-        chart, fiber = 0, z
-    else:
-        w = v[0] / v[1]
-        coords = v[2:] / v[1]
-        den = 1.0 + abs(w) ** 2
-        a = (np.conj(coords[1::2]) + np.conj(w) * coords[0::2]) / den
-        b = (-np.conj(coords[0::2]) + np.conj(w) * coords[1::2]) / den
-        chart, fiber = 1, w
-    ab = np.empty(coords.size, dtype=complex)
-    ab[0::2] = a
-    ab[1::2] = b
-    return FiberPoint(chart, fiber, quat.ab_to_real(ab))
+    pi = v[..., :2] and x (..., 4n) is the block solve of the module
+    docstring, the same for every representative of v; x is
+    coordinate-major in memory, like line_embed's output.
+    OutsideChartsError if a row has v0 = v1 = 0.
+    """
+    v = np.asarray(v, dtype=complex)
+    vt = _coordinates_first(v)
+    pc = np.conj(vt[:2])
+    den = np.add.reduce((vt[:2] * pc).real)
+    if not den.all():
+        raise OutsideChartsError("a point lies over the line at infinity "
+                                 "(v0 = v1 = 0)")
+    # den (a, b) = (c0 zeta_e + c1 conj(zeta_o), c0 zeta_o - c1 conj(zeta_e))
+    # with (c0, c1) = (conj(pi0), pi1)
+    cz = pc[0] * vt[2:]
+    cw = vt[1] * np.conj(vt[2:])
+    a = cz[0::2] + cw[1::2]
+    b = cz[1::2] - cw[0::2]
+    # quat's order per quaternion: Re a, Im a, Im b, Re b
+    x = np.empty((a.shape[0], 4) + a.shape[1:])
+    x[:, 0] = a.real
+    x[:, 1] = a.imag
+    x[:, 2] = b.imag
+    x[:, 3] = b.real
+    x /= den
+    return v[..., :2], _coordinates_last(x.reshape((-1,) + a.shape[1:]))
 
 
-def line_embed(line, pi):
-    """Homogeneous coordinates of the line point at [pi0 : pi1]."""
-    if not isinstance(line, TwistorLine):
-        line = TwistorLine(line)
-    pi0, pi1 = complex(pi[0]), complex(pi[1])
-    if pi0 == 0 and pi1 == 0:
-        raise ValueError("[0 : 0] is not a projective point")
-    rows = pi0 * line.matrix[:, 0] + pi1 * line.matrix[:, 1]
-    return TwistorPoint(np.concatenate([[pi0, pi1], rows]))
+def _coordinates_first(a):
+    """a (..., m) as a (m, ...) view."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
+def _coordinates_last(a):
+    """a (m, ...) as a (..., m) view."""
+    return a.transpose(tuple(range(1, a.ndim)) + (0,))
 
 
 def line_base_points(sigma, zs):
@@ -272,25 +205,98 @@ def line_sweep(sigma, pairs=None):
     return _line_points(pt.x, pt.y, qs)
 
 
-def hull_contains_via_lines(sigma, U, count=_DEFAULT_COUNT, return_query=False):
-    """Line-containment test of hull membership (Hopf grid + branch-and-bound).
+def _fibre_points(q):
+    """Unit fibre points pi (..., 2) with Hopf(pi) = q, for unit imaginary q.
 
-    True iff every swept base point lies in U.  The grid is the Hopf grid of
-    about count nodes (at least 12), and the scan, band, branch-and-bound
-    and verdict are those of hull_contains (the sweep is the same set
-    {x + y q}), with the grid's own exact covering chord as the band's
-    radius and its own Delaunay triangles to split.  Returns the HullQuery
-    when return_query is set, else the verdict.
+    pi is (1 + u1, u2 - i u3) where u1 >= 0 and (u2 + i u3, 1 - u1)
+    elsewhere, for q = u1 i + u2 j + u3 k, divided by its norm
+    sqrt(2 (1 + |u1|)) >= sqrt(2).
     """
-    grid = _default_sweep(_grid_count(count))
-    query = _sweep(_as_point(sigma), U, grid)
-    return query if return_query else query.verdict
+    q = np.asarray(q, dtype=float)
+    u1, u2, u3 = q[..., 1], q[..., 2], q[..., 3]
+    north = u1 >= 0.0
+    c = 1.0 + np.abs(u1)
+    pi = np.empty((2,) + q.shape[:-1], dtype=complex)
+    pi[0] = np.where(north, c, u2 + 1j * u3)
+    pi[1] = np.where(north, u2 - 1j * u3, c)
+    pi /= np.sqrt(2.0 * c)
+    return _coordinates_last(pi)
+
+
+# S = M(x) + i M(y) on one quaternion block, as the real view
+# (Re S00, Im S00, Re S01, Im S01, Re S10, Im S10, Re S11, Im S11)
+# = (x0, x1, x2, x3, y0, y1, y2, y3) @ _S_MAP:
+#   S00 = (x0 - y1) + i (x1 + y0)     S01 = (-x3 - y2) + i (x2 - y3)
+#   S10 = (x3 - y2) + i (x2 + y3)     S11 = (x0 + y1) + i (y0 - x1)
+_S_MAP = np.array([
+    [1, 0, 0, 0, 0, 0, 1, 0],
+    [0, 1, 0, 0, 0, 0, 0, -1],
+    [0, 0, 0, 1, 0, 1, 0, 0],
+    [0, 0, -1, 0, 1, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0, 0, 1],
+    [-1, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, -1, 0, -1, 0, 0, 0],
+    [0, 0, 0, -1, 0, 1, 0, 0],
+], dtype=float)
+
+
+def _line_matrix(x, y):
+    """S = quat.matrix_point(x, y) (2n, 2) of flat (4n,) x and y.
+
+    One product with _S_MAP, whose entries are 0 and +-1, so each entry of
+    S is the one rounded sum matrix_point computes, up to the sign of a
+    zero entry (which moves no base point the charts return); it takes
+    about a tenth of the time of matrix_point's two embeddings.
+    """
+    blocks = np.concatenate((x.reshape(-1, 4), y.reshape(-1, 4)), axis=1)
+    return (blocks @ _S_MAP).view(complex).reshape(-1, 2)
 
 
 @functools.lru_cache(maxsize=32)
-def _default_sweep(count):
-    """The Hopf grid of about count nodes as a sweep grid (see hull._grid)."""
-    n_t = max(4, int(np.sqrt(count)))
-    qs = sweep_quaternions(hopf_grid(n_t, max(4, count // n_t)))
-    qs.flags.writeable = False
-    return _grid(qs)
+def _lattice_fibres(count):
+    """_fibre_points of the nodes of ``hull._lattice(count)``, read-only."""
+    pi = _fibre_points(_lattice(count)[0])
+    pi.flags.writeable = False
+    return pi
+
+
+def hull_contains_via_lines(sigma, U, count=_DEFAULT_COUNT, return_query=False):
+    """Hull membership through the real base points of sigma's twistor line.
+
+    True iff every real base point of L_sigma lies in U.  The fibre is
+    scanned at the unit fibre points over the nodes of the hull's
+    Fibonacci lattice of count nodes (at least 12), and g(q) is
+    ``U.ext_distance`` of ``eta_inverse(line_embed(S, pi(q)))`` (see
+    _chart_line); the band, branch-and-bound and verdict are those of
+    hull_contains on the same lattice tuple.  Each base point equals
+    x + y q within 32 eps max(1, ||sigma||_C): a forward count of the
+    roundings in pi(q), S, line_embed and eta_inverse gives about 12 eps,
+    and a Hypothesis property in tests/test_twistor.py checks 32 eps.  That
+    is 140 times below the verdict threshold tau = 1e-12 max(1,
+    ||sigma||_C), so g stays that close to the ||y||-Lipschitz
+    ext_distance(x + y q) and the branch-and-bound's bounds stay certified.
+    Returns the HullQuery when return_query is set, else the verdict.
+    """
+    count = _grid_count(count)
+    pt = _as_point(sigma)
+    query = _sweep(pt, U, _lattice(count), _chart_line(pt.x, pt.y, count))
+    return query if return_query else query.verdict
+
+
+def _chart_line(x, y, count):
+    """The line map q (K, 4) -> eta_inverse(line_embed(S, pi(q))) (K, 4n).
+
+    S is the matrix of sigma = (x, y) (flat (4n,) arrays).  The scan passes
+    the node array of ``hull._lattice(count)`` itself, which maps through
+    its cached fibre points; the branch-and-bound's midpoints map through
+    _fibre_points as they come.
+    """
+    nodes = _lattice(count)[0]
+    fibres = _lattice_fibres(count)
+    S = _line_matrix(x, y)
+
+    def line(q):
+        pi = fibres if q is nodes else _fibre_points(q)
+        return eta_inverse(line_embed(S, pi))[1]
+
+    return line

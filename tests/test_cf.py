@@ -235,3 +235,10 @@ def test_a_pair_field_rejects_points_of_another_dimension():
         field.pair(np.zeros(3))
     p0, p1 = field.pair(np.full((2, 4), 0.5))
     assert p0.shape == p1.shape == (2,)
+
+
+def test_is_monogenic_names_the_callers_point_shape():
+    # checked on entry, not on the stencil built from the points
+    field = fields.get_field("linear_monogenic", 1)
+    with pytest.raises(ValueError, match=r"not \(2, 8\)$"):
+        cf.is_monogenic(field, np.full((2, 8), 0.5))

@@ -1,5 +1,6 @@
 """Command-line interface: envelopes, exit codes, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -26,11 +27,15 @@ def _run_json(args, tmp_path, name="report.json"):
         return code, json.load(fh)
 
 
-def test_cohomology_dimension_prints_a_bare_integer(capsys):
+def test_cohomology_dimension_emits_its_envelope(capsys):
+    # like every subcommand: one envelope on stdout, nothing else
     assert cli.main(["cp1", "dim", "--k", "-3"]) == 0
-    assert capsys.readouterr().out.strip() == "2"
+    blob = json.loads(capsys.readouterr().out)
+    jsonschema.validate(blob, _schema())
+    assert blob["command"] == "cp1 dim"
+    assert blob["results"]["dimension"] == 2
     assert cli.main(["cp1", "dim", "--k", "1"]) == 0
-    assert capsys.readouterr().out.strip() == "0"
+    assert json.loads(capsys.readouterr().out)["results"]["dimension"] == 0
 
 
 def test_hull_contains_reports_verdicts(tmp_path):
@@ -169,6 +174,18 @@ def test_cf_check_rejects_a_stencil_across_the_puncture(capsys):
 def test_cf_check_rejects_matrix_only_fields(capsys):
     assert cli.main(["cf", "check", "--field", "E_ext"]) == 2
     capsys.readouterr()
+
+
+def test_twistor_sweep_bytes_are_pinned(capsys):
+    # the sweep prints x + y q over its own Hopf grid, a grid the hull no
+    # longer scans; its report must not move (sha256 of stdout, recorded
+    # before the hull query moved to the lattice)
+    assert cli.main(["twistor", "sweep",
+                     "--sigma", '{"x":[0.1,0,0,0],"y":[0,0.3,0,0]}',
+                     "--nt", "4", "--ntheta", "4"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "a479ada8017b39949f5899ee132902415ba38035a50fc4a6e41f7e30ae6fa0e7")
 
 
 def test_twistor_sweep_writes_csv(tmp_path):

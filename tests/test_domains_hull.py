@@ -185,7 +185,7 @@ def test_sampler_lattice_and_covering_budget():
         hull.hull_contains(_pt(np.zeros(4), np.ones(4)), _LatticeBall(1, 1.0),
                            count=6)
     for count in (128, 512):
-        lattice = hull.fibonacci_imaginary_sphere(count)
+        lattice = hull._lattice(count)[0]
         assert lattice.shape == (count, 4)
         assert np.abs(lattice[:, 0]).max() == 0.0  # purely imaginary units
         assert np.abs(np.linalg.norm(lattice, axis=1) - 1.0).max() < 1e-12
@@ -244,11 +244,15 @@ def test_certain_outside_verdict_is_not_indeterminate():
 
 
 def test_sampler_lattice_is_cached_and_read_only():
-    a = hull.fibonacci_imaginary_sphere(512)
-    assert hull.fibonacci_imaginary_sphere(512) is a
+    a = hull._lattice(512)[0]
     assert hull._lattice(512)[0] is a
     with pytest.raises(ValueError):
         a[0, 1] = 2.0
+    # so are the fibre points the twistor-line path maps the nodes through
+    pi = twistor._lattice_fibres(512)
+    assert twistor._lattice_fibres(512) is pi
+    with pytest.raises(ValueError):
+        pi[0, 1] = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +466,11 @@ def test_refined_arg_min_attains_the_reported_value(monkeypatch):
             if len(searches) == before:
                 continue
             x, y = sigma.x, sigma.y
+            q = query.argmin_q[None, :]
+            # the twistor path's evaluator is its chart map
             at_q = ball.ext_distance(
-                hull._line_points(x, y, query.argmin_q[None, :])[0])
+                twistor._chart_line(x, y, query.count)(q)[0] if k == 1
+                else hull._line_points(x, y, q)[0])
             assert at_q == query.inf_value
             checked[k] += 1
     assert min(checked) >= 10
@@ -486,8 +493,9 @@ class _SampledWithBoundary(_Sampled):
 
 
 # float.hex of (inf_value, band, argmin_q) of fixed sampled-path queries,
-# recorded with the swept points computed as x + qmul_right(y, q); any
-# change to how they are computed or consumed shows here
+# recorded with the swept points computed as x + qmul_right(y, q) (lattice)
+# and as eta_inverse(line_embed(S, pi(q))) (lines); any change to how they
+# are computed or consumed shows here
 _GOLDEN_QUERIES = {
     # lattice scan then branch-and-bound
     "lattice_ball": ("0x1.49c7dc1d498e0p-6", "0x1.464c7efbb6f6ap-6", (
@@ -497,14 +505,15 @@ _GOLDEN_QUERIES = {
     "lattice_n2": ("0x1.862efa346f798p-4", "0x1.3115b5ff8a92cp-4", (
         "0x0.0p+0", "-0x1.301b027efdc72p-4", "0x1.e7bc49971ff15p-1",
         "0x1.2e147ae147ae2p-2")),
-    # Hopf grid, left indeterminate at the search's cap
-    "hopf_near": ("0x1.a36e2eb1c4000p-15", "0x1.a36e2eb1c4000p-15", (
-        "0x0.0p+0", "-0x1.0000000000000p+0", "0x0.0p+0",
-        "-0x0.0p+0")),
-    # Hopf grid, decided by the scan
-    "hopf_halfspace": ("0x1.8f3342f8f0e08p-3", "0x1.d3b2d3ba2dfb3p-4", (
-        "0x0.0p+0", "-0x1.5d1745d1745d0p-1", "0x1.4003731115b8dp-1",
-        "0x1.853581a90e178p-2")),
+    # twistor line on the 64-node lattice, left indeterminate at the
+    # search's cap
+    "lines_near": ("0x1.a8349f1e9c000p-15", "0x1.a8349f1e9c000p-15", (
+        "0x0.0p+0", "-0x1.ffff90abdec78p-1", "0x1.4358c7d7a80f0p-9",
+        "0x1.84c94f272fac4p-11")),
+    # twistor line on the 512-node lattice, decided by the scan
+    "lines_halfspace": ("0x1.8e79f6e7a65f8p-3", "0x1.7162c52a30b74p-4", (
+        "0x0.0p+0", "-0x1.7b6701cec4aa6p-1", "0x1.31db885e4e9a3p-1",
+        "0x1.3a00000000001p-2")),
 }
 
 
@@ -521,10 +530,10 @@ def _golden_queries():
             _pt([0.1, -0.2, 0.05, 0.3, 0.0, 0.15, -0.1, 0.2],
                 [0.2, 0.1, -0.3, 0.05, 0.1, -0.05, 0.15, 0.0]),
             _Sampled(n2), count=200),
-        "hopf_near": twistor.hull_contains_via_lines(
+        "lines_near": twistor.hull_contains_via_lines(
             _pt([0.78, 0, 0, 0], [0, 0.22 - 5e-5, 0, 0]), ball, count=64,
             return_query=True),
-        "hopf_halfspace": twistor.hull_contains_via_lines(
+        "lines_halfspace": twistor.hull_contains_via_lines(
             _pt([0.2, 0.1, -0.3, 0.25], [0.1, 0.3, 0.0, -0.2]), half,
             return_query=True),
     }
@@ -608,13 +617,13 @@ def test_lattice_band_contains_the_exact_sweep_minimum(case):
 
 @_BAND_PROPERTY
 @given(_near_boundary_case())
-def test_hopf_band_contains_the_exact_sweep_minimum(case):
+def test_line_band_contains_the_exact_sweep_minimum(case):
     U, x, y, count = case
     query = twistor.hull_contains_via_lines(_pt(x, y), U, count=count,
                                             return_query=True)
-    qs = twistor._default_sweep(count)[0]
-    assert query.count == len(qs)
-    grid_min = U.ext_distance(hull._line_points(x, y, qs)).min()
+    qs = hull._lattice(count)[0]
+    assert query.count == len(qs) == count
+    grid_min = U.ext_distance(twistor._chart_line(x, y, count)(qs)).min()
     assert query.inf_value <= grid_min
     _check_certified(query, U, x, y)
 
@@ -743,16 +752,16 @@ def test_every_entry_point_rejects_a_count_below_12(entry, U):
 def test_each_path_steps_by_its_own_grid_chord(count, monkeypatch):
     # the branch-and-bound splits the triangles of the grid that was
     # scanned, and the polish of a distance starts with a mesh step of that
-    # grid's covering chord, not of the other path's grid
+    # grid's covering chord; every sampled path scans the one cached
+    # lattice of count nodes
     grids = _record(monkeypatch, "_branch_and_bound", 1)
     steps = _record(monkeypatch, "_local_min", 3)
     sigma = _pt([0.78, 0, 0, 0], [0.0, 0.2, 0, 0])
     lattice = hull._lattice(count)
-    hopf = twistor._default_sweep(count)
-    assert lattice[1] != hopf[1]
     runs = [(hull.hull_contains, _LatticeBall(1, 1.0), lattice, []),
             (hull.hull_distance, _LatticeBall(1, 1.0), lattice, [lattice[1]]),
-            (twistor.hull_contains_via_lines, domains.Ball(1, 1.0), hopf, [])]
+            (twistor.hull_contains_via_lines, domains.Ball(1, 1.0), lattice,
+             [])]
     for entry, U, grid, polish_steps in runs:
         grids.clear()
         steps.clear()

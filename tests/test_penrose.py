@@ -597,6 +597,16 @@ def test_the_transform_rejects_points_of_another_dimension():
         penrose.diagram_check(field, np.full((2, 4), 0.5))
 
 
+def test_diagram_check_names_the_callers_point_shape():
+    # checked on entry, not on the stencil built from the points, as the
+    # transform's own first evaluation does
+    field = fields.get_field("linear_monogenic", 2)
+    for check in (penrose.diagram_check,
+                  lambda f, p: penrose.penrose_transform(penrose.sharp(f), p)):
+        with pytest.raises(ValueError, match=r"not \(2, 4\)$"):
+            check(field, np.full((2, 4), 0.5))
+
+
 def test_the_complex_transform_off_the_slice_needs_an_extension():
     form = penrose.sharp(fields.get_field("nonmonogenic_linear"))
     x = np.array([1.1, 0.2, -0.3, 0.5])
