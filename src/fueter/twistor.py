@@ -102,15 +102,15 @@ def eta_inverse(v):
     """
     v = np.asarray(v, dtype=complex)
     vt = _coordinates_first(v)
-    pc = np.conj(vt[:2])
-    den = np.add.reduce((vt[:2] * pc).real)
+    vc = np.conj(vt)
+    den = np.add.reduce((vt[:2] * vc[:2]).real)
     if not den.all():
         raise OutsideChartsError("a point lies over the line at infinity "
                                  "(v0 = v1 = 0)")
     # den (a, b) = (c0 zeta_e + c1 conj(zeta_o), c0 zeta_o - c1 conj(zeta_e))
     # with (c0, c1) = (conj(pi0), pi1)
-    cz = pc[0] * vt[2:]
-    cw = vt[1] * np.conj(vt[2:])
+    cz = vc[0] * vt[2:]
+    cw = vt[1] * vc[2:]
     a = cz[0::2] + cw[1::2]
     b = cz[1::2] - cw[0::2]
     # quat's order per quaternion: Re a, Im a, Im b, Re b
