@@ -169,7 +169,8 @@ class HullQuery:
     unit imaginary quaternion attaining it; the true minimum lies in
     [inf_value - band, inf_value] (band 0 when exact).  verdict is
     inf_value > 1e-12 * max(1, ||sigma||_C), and indeterminate is
-    0 < inf_value <= band, the one case the band leaves the verdict open.
+    0 < inf_value <= band, the one case the band leaves the verdict open
+    (``twistor.hull_contains_via_lines`` answers False there).
     count is the number of grid nodes scanned (0 when exact or y = 0).
     """
 

@@ -158,9 +158,38 @@ def embed_M(x):
     return np.stack([col0, col1], axis=-1)
 
 
+# the 2x2 block of one quaternion entry of matrix_point, as the real view
+# (Re S00, Im S00, Re S01, Im S01, Re S10, Im S10, Re S11, Im S11)
+# = (x0, x1, x2, x3, y0, y1, y2, y3) @ _POINT_MAP:
+#   S00 = (x0 - y1) + i (x1 + y0)     S01 = (-x3 - y2) + i (x2 - y3)
+#   S10 = (x3 - y2) + i (x2 + y3)     S11 = (x0 + y1) + i (y0 - x1)
+_POINT_MAP = np.array([
+    [1, 0, 0, 0, 0, 0, 1, 0],
+    [0, 1, 0, 0, 0, 0, 0, -1],
+    [0, 0, 0, 1, 0, 1, 0, 0],
+    [0, 0, -1, 0, 1, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0, 0, 1],
+    [-1, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, -1, 0, -1, 0, 0, 0],
+    [0, 0, 0, -1, 0, 1, 0, 0],
+], dtype=float)
+
+
 def matrix_point(x, y):
-    """Matrix form embed_M(x) + 1j*embed_M(y) of a biquaternion point (x, y)."""
-    return embed_M(x) + 1j * embed_M(y)
+    """Matrix form embed_M(x) + 1j*embed_M(y) of a biquaternion point (x, y).
+
+    One product with _POINT_MAP, whose entries are 0 and +-1, so each entry
+    is the one rounded sum the definition gives, up to the sign of a zero.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    if x.shape[-1] % 4:
+        raise ValueError("last axis must have length 4n")
+    blocks = np.concatenate([x.reshape(x.shape[:-1] + (-1, 4)),
+                             y.reshape(y.shape[:-1] + (-1, 4))], axis=-1)
+    return (blocks @ _POINT_MAP).view(complex).reshape(x.shape[:-1] + (-1, 2))
 
 
 def decompose_matrix(z):

@@ -78,14 +78,15 @@ def line_embed(S, pi):
     S is a (..., 2n, 2) complex matrix (``quat.matrix_point(x, y)``), pi a
     homogeneous fibre point (..., 2).  A row with pi = (0, 0) is no point;
     eta_inverse refuses it.  The result is coordinate-major in memory (each
-    coordinate one run over the batch), so eta_inverse's array operations
-    stream over the batch.
+    coordinate one run over the batch), which eta_inverse and the domain
+    oracles after it stream over.
     """
     S = np.asarray(S, dtype=complex)
     pi = np.asarray(pi, dtype=complex)
     batch = np.broadcast(S[..., 0, 0], pi[..., 0]).shape
-    v = _coordinates_last(np.empty((S.shape[-2] + 2,) + batch, dtype=complex))
+    v = np.empty((S.shape[-2] + 2,) + batch[::-1], dtype=complex).T
     v[..., :2] = pi
+    # the products are written in v's layout, not in a C-ordered temporary
     rows = v[..., 2:]
     np.multiply(S[..., 0], pi[..., :1], out=rows)
     rows += np.multiply(S[..., 1], pi[..., 1:], out=np.empty_like(rows))
@@ -101,7 +102,9 @@ def eta_inverse(v):
     OutsideChartsError if a row has v0 = v1 = 0.
     """
     v = np.asarray(v, dtype=complex)
-    vt = _coordinates_first(v)
+    # .T puts the coordinates first (and the batch axes reversed, which
+    # elementwise work does not mind); the second .T undoes it
+    vt = v.T
     vc = np.conj(vt)
     den = np.add.reduce((vt[:2] * vc[:2]).real)
     if not den.all():
@@ -120,17 +123,7 @@ def eta_inverse(v):
     x[:, 2] = b.imag
     x[:, 3] = b.real
     x /= den
-    return v[..., :2], _coordinates_last(x.reshape((-1,) + a.shape[1:]))
-
-
-def _coordinates_first(a):
-    """a (..., m) as a (m, ...) view."""
-    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
-
-
-def _coordinates_last(a):
-    """a (m, ...) as a (..., m) view."""
-    return a.transpose(tuple(range(1, a.ndim)) + (0,))
+    return v[..., :2], x.reshape((-1,) + den.shape).T
 
 
 def line_base_points(sigma, zs):
@@ -216,40 +209,10 @@ def _fibre_points(q):
     u1, u2, u3 = q[..., 1], q[..., 2], q[..., 3]
     north = u1 >= 0.0
     c = 1.0 + np.abs(u1)
-    pi = np.empty((2,) + q.shape[:-1], dtype=complex)
-    pi[0] = np.where(north, c, u2 + 1j * u3)
-    pi[1] = np.where(north, u2 - 1j * u3, c)
-    pi /= np.sqrt(2.0 * c)
-    return _coordinates_last(pi)
-
-
-# S = M(x) + i M(y) on one quaternion block, as the real view
-# (Re S00, Im S00, Re S01, Im S01, Re S10, Im S10, Re S11, Im S11)
-# = (x0, x1, x2, x3, y0, y1, y2, y3) @ _S_MAP:
-#   S00 = (x0 - y1) + i (x1 + y0)     S01 = (-x3 - y2) + i (x2 - y3)
-#   S10 = (x3 - y2) + i (x2 + y3)     S11 = (x0 + y1) + i (y0 - x1)
-_S_MAP = np.array([
-    [1, 0, 0, 0, 0, 0, 1, 0],
-    [0, 1, 0, 0, 0, 0, 0, -1],
-    [0, 0, 0, 1, 0, 1, 0, 0],
-    [0, 0, -1, 0, 1, 0, 0, 0],
-    [0, 1, 0, 0, 0, 0, 0, 1],
-    [-1, 0, 0, 0, 0, 0, 1, 0],
-    [0, 0, -1, 0, -1, 0, 0, 0],
-    [0, 0, 0, -1, 0, 1, 0, 0],
-], dtype=float)
-
-
-def _line_matrix(x, y):
-    """S = quat.matrix_point(x, y) (2n, 2) of flat (4n,) x and y.
-
-    One product with _S_MAP, whose entries are 0 and +-1, so each entry of
-    S is the one rounded sum matrix_point computes, up to the sign of a
-    zero entry (which moves no base point the charts return); it takes
-    about a tenth of the time of matrix_point's two embeddings.
-    """
-    blocks = np.concatenate((x.reshape(-1, 4), y.reshape(-1, 4)), axis=1)
-    return (blocks @ _S_MAP).view(complex).reshape(-1, 2)
+    pi = np.stack([np.where(north, c, u2 + 1j * u3),
+                   np.where(north, u2 - 1j * u3, c)], axis=-1)
+    pi /= np.sqrt(2.0 * c)[..., None]
+    return pi
 
 
 @functools.lru_cache(maxsize=32)
@@ -267,19 +230,22 @@ def hull_contains_via_lines(sigma, U, count=_DEFAULT_COUNT, return_query=False):
     scanned at the unit fibre points over the nodes of the hull's
     Fibonacci lattice of count nodes (at least 12), and g(q) is
     ``U.ext_distance`` of ``eta_inverse(line_embed(S, pi(q)))`` (see
-    _chart_line); the band, branch-and-bound and verdict are those of
-    hull_contains on the same lattice tuple.  Each base point equals
-    x + y q within 32 eps max(1, ||sigma||_C): a forward count of the
-    roundings in pi(q), S, line_embed and eta_inverse gives about 12 eps,
-    and a Hypothesis property in tests/test_twistor.py checks 32 eps.  That
-    is 140 times below the verdict threshold tau = 1e-12 max(1,
-    ||sigma||_C), so g stays that close to the ||y||-Lipschitz
-    ext_distance(x + y q) and the branch-and-bound's bounds stay certified.
+    _chart_line); the band and branch-and-bound are those of hull_contains
+    on the same lattice tuple.  The verdict is True only when certified: an
+    indeterminate query, whose line the search could not keep away from U's
+    exterior, is False.  Each base point equals x + y q within
+    32 eps max(1, ||sigma||_C): a forward count of the roundings in pi(q),
+    S, line_embed and eta_inverse gives about 12 eps, and a Hypothesis
+    property in tests/test_twistor.py checks 32 eps.  That is 140 times
+    below the verdict threshold tau = 1e-12 max(1, ||sigma||_C), so g stays
+    that close to the ||y||-Lipschitz ext_distance(x + y q) and the
+    branch-and-bound's bounds stay certified.
     Returns the HullQuery when return_query is set, else the verdict.
     """
     count = _grid_count(count)
     pt = _as_point(sigma)
     query = _sweep(pt, U, _lattice(count), _chart_line(pt.x, pt.y, count))
+    query.verdict = query.verdict and not query.indeterminate
     return query if return_query else query.verdict
 
 
@@ -293,7 +259,7 @@ def _chart_line(x, y, count):
     """
     nodes = _lattice(count)[0]
     fibres = _lattice_fibres(count)
-    S = _line_matrix(x, y)
+    S = quat.matrix_point(x, y)
 
     def line(q):
         pi = fibres if q is nodes else _fibre_points(q)

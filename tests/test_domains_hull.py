@@ -472,6 +472,11 @@ def test_refined_arg_min_attains_the_reported_value(monkeypatch):
                 twistor._chart_line(x, y, query.count)(q)[0] if k == 1
                 else hull._line_points(x, y, q)[0])
             assert at_q == query.inf_value
+            # and the swept point x + y argmin_q itself is that far from U's
+            # exterior, up to the chart map's stated 32 eps max(1, ||sigma||_C)
+            swept = ball.ext_distance(hull._line_points(x, y, q)[0])
+            assert abs(swept - query.inf_value) <= (
+                32 * np.finfo(float).eps * max(1.0, sigma.norm_C()))
             checked[k] += 1
     assert min(checked) >= 10
 

@@ -109,6 +109,20 @@ def test_det_biquat_matches_closed_form_and_numpy():
         assert abs(np.linalg.det(Z) - expected) < 1e-12
 
 
+def test_matrix_point_is_its_definition():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3):
+        x = rng.normal(size=(5, 4 * n))
+        y = rng.normal(size=(5, 4 * n))
+        np.testing.assert_array_equal(
+            quat.matrix_point(x, y), quat.embed_M(x) + 1j * quat.embed_M(y))
+        # and it broadcasts x against y
+        np.testing.assert_array_equal(
+            quat.matrix_point(x, y[0]), quat.embed_M(x) + 1j * quat.embed_M(y[0]))
+    with pytest.raises(ValueError):
+        quat.matrix_point(np.ones(6), np.ones(6))
+
+
 def test_decompose_matrix_inverts_matrix_point():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
