@@ -89,7 +89,6 @@ from .penrose import (
     PenroseResult,
     TwistorFormL,
     calibrate_kappa,
-    dbar_chart0,
     diagram_check,
     penrose_transform,
     penrose_transform_complex,
@@ -129,7 +128,7 @@ __all__ = [
     "quadrature_C", "validate_form", "validate_section",
     # penrose
     "KAPPA", "ClosednessError", "NoExtensionError", "PenroseResult",
-    "TwistorFormL", "calibrate_kappa", "dbar_chart0", "diagram_check",
+    "TwistorFormL", "calibrate_kappa", "diagram_check",
     "penrose_transform", "penrose_transform_complex", "sharp",
     "tau_push_01", "tau_push_02",
     # acceptance

@@ -230,7 +230,7 @@ def criterion_4_distance_law(seed=7):
         x = rng.normal(scale=0.25, size=4)
         y = rng.normal(scale=0.12, size=4)
         q = hull_contains((x, y), U)
-        if q.verdict and not q.indeterminate:
+        if q.verdict:
             sigmas.append(quat.BiquaternionPoint(x, y))
     # exterior cloud
     exterior = []
@@ -249,7 +249,7 @@ def criterion_4_distance_law(seed=7):
         d = q.inf_value / np.sqrt(2.0)  # hull_distance(pt, U), same query
         witness_rel_err = max(witness_rel_err, abs((pt - w).norm_C() - d) / d)
         wq = hull_contains(w, U)
-        if wq.verdict and not wq.indeterminate:
+        if wq.verdict:
             witness_inside += 1
         band_d = q.band / np.sqrt(2.0)
         closest = quat.norm_C(pt.x - ext_x, pt.y - ext_y).min()

@@ -28,9 +28,7 @@ coordinate axes.
 Every finite difference here goes through ``_central`` (along the 4n real
 axes, or one column's matrix units for D^C) and the scheme of
 ``_extrapolate``; all vectorize over a leading batch of points.  ``penrose``
-differences base coefficients through ``_partials`` too, but its fiber
-derivative ``penrose._dbar_fiber`` differences a basis by hand along the real
-and imaginary z axes and shares only ``_extrapolate``.
+differences its base coefficients through ``_partials`` too.
 """
 
 import numpy as np

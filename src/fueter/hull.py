@@ -18,7 +18,7 @@ point of the sphere lies within the lattice's covering chord c of a node, so
 
     true min >= grid min - ||y|| * c.
 
-c is exact, not measured: ``covering_chord`` reads it off the convex hull of
+c is exact, not measured: ``_grid`` reads it off the convex hull of
 the nodes (the spherical Delaunay triangulation), whose outward facet normals
 are the spherical-Voronoi vertices.  A grid minimum above the band 2||y||c
 is a certain True, and a grid minimum of 0 a certain False.  One inside the
@@ -33,7 +33,8 @@ fixed cap on depth and live triangles (indeterminate).
 
 The band of a sampled query is a certified width: the true minimum lies in
 [inf_value - band, inf_value] (band inf_value - lb after a branch-and-bound),
-and the query is indeterminate exactly when 0 < inf_value <= band.  The
+and the query is indeterminate exactly when 0 < inf_value <= band; a
+membership query answers False then, being True only when certified.  The
 reported arg-min is a row the evaluator was called on, so it attains
 inf_value bit for bit.  hull_distance and hull_witness want a value, so
 their lattice queries are polished by a pattern search (Hooke & Jeeves 1961;
@@ -67,8 +68,8 @@ from . import quat
 from .quat import BiquaternionPoint
 
 __all__ = [
-    "HullQuery", "NotInHullError", "covering_chord", "hull_contains",
-    "hull_distance", "hull_witness",
+    "HullQuery", "NotInHullError", "hull_contains", "hull_distance",
+    "hull_witness",
 ]
 
 # inf_value must exceed this (times the point's scale) for a True verdict
@@ -115,7 +116,11 @@ def _grid(qs):
 
     The triangles are the spherical Delaunay triangles, rows of node
     indices (T, 3), and the radii their circumchords (T,), all from one
-    convex hull (see covering_chord).
+    convex hull.  The covering chord is the largest distance from a point
+    of S^2 to its nearest node.  It is attained at a spherical-Voronoi
+    vertex, which is the outward normal of a facet of the nodes' convex
+    hull; the chord from it to the facet's vertices is the radius of the
+    facet's empty cap.  The nodes must not all lie in one closed hemisphere.
     """
     # only the sampled grids get here, once per count: keep scipy off the
     # import path of the exact queries
@@ -127,18 +132,6 @@ def _grid(qs):
     tri = u[facets.simplices]
     chord = float(np.linalg.norm(normals - tri, axis=-1).max())
     return qs, chord, facets.simplices, _circumchord(tri)
-
-
-def covering_chord(qs):
-    """Covering radius (chord metric) of unit imaginary quaternions qs (K, 4).
-
-    The largest distance from a point of S^2 to its nearest node.  It is
-    attained at a spherical-Voronoi vertex, which is the outward normal of a
-    facet of the nodes' convex hull; the chord from it to the facet's
-    vertices is the radius of the facet's empty cap.  The nodes must not all
-    lie in one closed hemisphere.
-    """
-    return _grid(qs)[1]
 
 
 def _circumchord(tri):
@@ -167,10 +160,13 @@ class HullQuery:
 
     inf_value is the least swept exterior distance found and argmin_q the
     unit imaginary quaternion attaining it; the true minimum lies in
-    [inf_value - band, inf_value] (band 0 when exact).  verdict is
-    inf_value > 1e-12 * max(1, ||sigma||_C), and indeterminate is
-    0 < inf_value <= band, the one case the band leaves the verdict open
-    (``twistor.hull_contains_via_lines`` answers False there).
+    [inf_value - band, inf_value] (band 0 when exact).  indeterminate is
+    0 < inf_value <= band, the one case the band leaves the verdict open.
+    verdict is inf_value > 1e-12 * max(1, ||sigma||_C) and, for the
+    membership queries (``hull_contains`` and
+    ``twistor.hull_contains_via_lines``), not indeterminate: True only when
+    certified.  The queries behind hull_distance and hull_witness keep the
+    plain threshold, since they want a value.
     count is the number of grid nodes scanned (0 when exact or y = 0).
     """
 
@@ -217,18 +213,14 @@ def _as_point(sigma, n=None):
     return pt
 
 
-def _line_points(x, y, qs):
-    """x + y*q for a batch of quaternions qs (K, 4) -> (K, 4n)."""
-    return quat.right_line(x, y)(qs)
-
-
 def hull_contains(sigma, U, count=_DEFAULT_COUNT):
     """Decide sigma in H(U); returns a HullQuery.
 
     Exact when U has a closed-form ``sweep_inf``; count is then only
     checked.  Otherwise a Fibonacci lattice of count nodes is scanned, and a
     grid minimum inside the band goes to the branch-and-bound, which
-    certifies the verdict or, at its cap, leaves the query indeterminate.
+    certifies the verdict or, at its cap, leaves the query indeterminate
+    (verdict False).
     """
     return _hull_query(sigma, U, count, polish=False)
 
@@ -360,7 +352,8 @@ def _sweep(pt, U, grid, line, polish=False):
     inf_value - lb.  With polish, a query not found outside is then polished
     by ``_local_min`` from the best point.  The scan, the search and the
     polish all evaluate the one line map.  With y = 0 nothing is scanned
-    (count 0).
+    (count 0).  The verdict is inf_value > tau, and for a membership query
+    (no polish) also not indeterminate: certified, or False.
     """
     if pt.n != U.n:
         raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
@@ -398,9 +391,10 @@ def _sweep(pt, U, grid, line, polish=False):
         if lb is not None:
             band = inf_value - lb
 
-    verdict = inf_value > tau
-    return HullQuery(pt, verdict, inf_value, argmin, band,
-                     0.0 < inf_value <= band, count)
+    indeterminate = 0.0 < inf_value <= band
+    verdict = inf_value > tau and (polish or not indeterminate)
+    return HullQuery(pt, verdict, inf_value, argmin, band, indeterminate,
+                     count)
 
 
 def hull_distance(sigma, U, count=_DEFAULT_COUNT):

@@ -3,27 +3,30 @@ r"""The twistor integral transform and its contour back to the operator.
 Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
 
   * ``sharp`` lifts a pair (psi0, psi1) on U to a (0,1)-form on the twistor
-    space over U with values in the degree -3 fiber bundle, with vanishing
-    base-direction (K) components.  Its fiber profile is the harmonic
-    representative of ``cp1`` with (a0, a1) = (psi0(x), psi1(x)): the base
-    coefficients c(x) = (psi0(x), psi1(x)) times the fixed fiber basis
+    space over U with values in the degree -3 fiber bundle.  Only its
+    dconj(z)-part is stored: the pushforwards read a form through fiber
+    moments alone, and a base-direction (K) part has none (see
+    ``tau_push_02``).  Its fiber profile is the harmonic representative of
+    ``cp1`` with (a0, a1) = (psi0(x), psi1(x)): the base coefficients
+    c(x) = (psi0(x), psi1(x)) times the fixed fiber basis
     b(z) = (1, conj(z)) 2/(1+|z|^2)^3.
   * ``tau_push_01`` pushes a form down to a pair by the fiber moment
-    integrals a_A(x) = (1/2 pi i) \int z^A wz(z, x) dconj(z)^dz, A = 0, 1.
+    integrals a_A(x) = (1/2 pi i) \int z^A wz(z, x) dconj(z)^dz, A = 0, 1,
+    where wz(z, x) = c(x) b(z) is the dconj(z)-part.
     The integrals are linear, so they are c(x) times the form's moment table
     M[r, A] = sum_j W_j Z_j^A b_r(Z_j).  Because both moments of the harmonic
     profile are exactly 1, the composition with ``sharp`` is the identity
     (a genuine splitting).
-  * ``dbar_chart0`` evaluates the antiholomorphic exterior derivative in the
-    commuting frame (d/dconj(z), X^1..X^{2n}), where
+  * The antiholomorphic exterior derivative is taken in the commuting frame
+    (d/dconj(z), X^1..X^{2n}), where
     X^{2i-1} = z d/d(beta_i) - d/d(conj alpha_i) and
     X^{2i}   = z d/d(alpha_i) + d/d(conj beta_i).  The frame fields act on
     the coefficients alone, X^{A+1}(c b) = (z P_A + Q_A) b, with P_A and Q_A
-    finite differences of c through the Wirtinger combinations of ``cf``;
-    the d/dconj(z) of a K part differences its fiber basis.
+    finite differences of c through the Wirtinger combinations of ``cf``
+    (``_frame``).
   * ``tau_push_02`` pushes the mixed fiber/base (0,2)-components down by a
     single moment each (they live at degree -2, one coefficient per
-    direction): the same frame step, contracted with the columns of M.  On
+    direction): the frame step, contracted with the columns of M.  On
     ``sharp`` lifts this reproduces the Cauchy-Fueter residual up to the
     frozen constant ``KAPPA = -1``: component 2i-2 is minus the first
     residual of block i, component 2i-1 minus the second
@@ -60,16 +63,15 @@ import functools
 import numpy as np
 
 from . import quat
-from .cf import (FDConfig, _extrapolate, _partials, _wirtinger,
-                 cf_residual_complex)
-from .cp1 import validate_form, Form01, decay_check, _moments
+from .cf import FDConfig, _partials, _wirtinger, cf_residual_complex
+from .cp1 import _moments
 from .domains import WholeSpace
 from .fields import get_field
 from .hull import hull_contains, NotInHullError, _as_point
 
 __all__ = [
     "KAPPA", "ClosednessError", "NoExtensionError", "TwistorFormL", "sharp",
-    "tau_push_01", "tau_push_02", "dbar_chart0",
+    "tau_push_01", "tau_push_02",
     "penrose_transform", "penrose_transform_complex", "PenroseResult",
     "diagram_check", "calibrate_kappa",
 ]
@@ -93,95 +95,36 @@ class NoExtensionError(ValueError):
     """The form has no holomorphic matrix extension to evaluate off the slice."""
 
 
-def _on(coeffs, basis):
-    """sum_r coeffs[..., r] basis[r]: (..., R) with (R,) + S -> ... + S."""
-    return np.tensordot(coeffs, basis, axes=(-1, 0))
-
-
 class TwistorFormL:
-    """A (0,1)-form on the twistor space over U, valued in the degree-k bundle.
+    """A (0,1)-form on the twistor space over U, in the degree -3 bundle.
 
-    Every component is factored as base coefficients times a fixed fiber
-    basis.  Chart-0 data:
-      coeffs(x)       coefficients c of the dconj(z)-part at flat real base
-                      points x (..., 4n); returns x.shape[:-1] + (R,)
+    Only the dconj(z)-part is stored, factored as base coefficients times a
+    fixed fiber basis in chart 0:
+      coeffs(x)       coefficients c at flat real base points x (..., 4n);
+                      returns x.shape[:-1] + (R,)
       basis(z)        the fiber basis b at complex fiber points z; returns
                       (R,) + z.shape.  The dconj(z)-part is
                       wz(z, x) = sum_r c_r(x) b_r(z).
-      K_parts         list of 2n (coeffs, basis) pairs of the same kind for
-                      the base coframe directions, None for an identically
-                      zero part; or None when every part vanishes
-    Optional chart-1 data (used by validate): basis_chart1(w), the chart-1
-    basis over the same coefficients, and K_parts_chart1, the chart-1 bases
-    of the K parts.  Optional holomorphic extension coeffs_matrix(sigma) of
-    the coefficients to complex matrices sigma (..., 2n, 2), returning
-    sigma.shape[:-2] + (R,), required by the complexified transform off the
-    real slice.
+    Optional holomorphic extension coeffs_matrix(sigma) of the coefficients
+    to complex matrices sigma (..., 2n, 2), returning sigma.shape[:-2] +
+    (R,), required by the complexified transform off the real slice; and
+    the base domain, whose stencils the frame fields check.
 
-    ``moments`` is the table M[r, a] = sum_j W_j Z_j^a b_r(Z_j) on the
-    default nodes, a < max(2, -k-1), built on first use and kept: every
-    pushforward of the form is a product with it.
+    ``moments`` is the table M[r, a] = sum_j W_j Z_j^a b_r(Z_j), a = 0, 1,
+    on the default nodes, built on first use and kept: every pushforward of
+    the form is a product with it.
     """
 
-    def __init__(self, n, coeffs, basis, K_parts=None, k=-3, basis_chart1=None,
-                 K_parts_chart1=None, coeffs_matrix=None, domain=None):
+    def __init__(self, n, coeffs, basis, coeffs_matrix=None, domain=None):
         self.n = int(n)
-        self.k = int(k)
         self.coeffs = coeffs
         self.basis = basis
-        if K_parts is not None and len(K_parts) != 2 * self.n:
-            raise ValueError("need 2n K parts (or None)")
-        self.K_parts = K_parts
-        self.basis_chart1 = basis_chart1
-        self.K_parts_chart1 = K_parts_chart1
         self.coeffs_matrix = coeffs_matrix
         self.domain = domain
 
-    @property
-    def has_K(self):
-        return self.K_parts is not None and any(f is not None for f in self.K_parts)
-
     @functools.cached_property
     def moments(self):
-        return _moments(self.basis, max(2, -self.k - 1))
-
-    def wz(self, z, x):
-        """The dconj(z) coefficient at fiber points z over base points x.
-
-        Returns x.shape[:-1] + z.shape.
-        """
-        return _on(self.coeffs(np.asarray(x, dtype=float)), self.basis(z))
-
-    def validate(self, x):
-        """Clutching + decay report for the dconj(z)-part at base point x.
-
-        Clutching is checked only when the form carries ``basis_chart1``.
-        """
-        x = np.asarray(x, dtype=float)
-        report = {"n": self.n, "k": self.k}
-        c0, chart1 = self.coeffs(x), self.basis_chart1
-        fiber = Form01(self.k, lambda z: _on(c0, self.basis(z)),
-                       None if chart1 is None else lambda w: _on(c0, chart1(w)))
-        if chart1 is not None:
-            report["clutching"] = validate_form(fiber)
-        mref = -self.k - 2  # highest moment order used by the pushforward
-        report["decay"] = all(decay_check(fiber, ell) for ell in range(mref + 1))
-        if self.K_parts_chart1 is not None and self.K_parts is not None:
-            # coefficient transition for the base coframe: factor z^{-(k+1)}
-            rng = np.random.default_rng(71)
-            z = np.exp(rng.uniform(np.log(0.2), np.log(5.0), 40)) \
-                * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
-            worst = 0.0
-            for part, basis1 in zip(self.K_parts, self.K_parts_chart1):
-                if part is None:
-                    continue
-                c = part[0](x)
-                v0 = _on(c, part[1](z))
-                v1 = _on(c, basis1(1.0 / z))
-                worst = max(worst, float(np.max(np.abs(
-                    v1 - z ** (-(self.k + 1)) * v0))))
-            report["K_transition_violation"] = worst
-        return report
+        return _moments(self.basis, 2)
 
 
 def _harmonic_basis(z):
@@ -199,7 +142,7 @@ def _stacked_pair(pair, lead):
 
 
 def sharp(field):
-    """Lift a ScalarField to a twistor form of degree -3 with zero K parts.
+    """Lift a ScalarField to a twistor form of degree -3.
 
     The coefficients are the field's pair; when the field carries a
     holomorphic matrix extension the lift also carries ``coeffs_matrix``,
@@ -216,9 +159,7 @@ def sharp(field):
             sigma = np.asarray(sigma, dtype=complex)
             return _stacked_pair(ext.pair(sigma), sigma.shape[:-2])
 
-    # 2 (-p0 conj(w) - p1) / (1+|w|^2)^3 is the chart-1 profile of (p0, p1)
-    return TwistorFormL(field.n, coeffs, _harmonic_basis, k=-3,
-                        basis_chart1=lambda w: -_harmonic_basis(w)[::-1],
+    return TwistorFormL(field.n, coeffs, _harmonic_basis,
                         coeffs_matrix=coeffs_matrix, domain=field.domain)
 
 
@@ -229,12 +170,10 @@ def sharp(field):
 def tau_push_01(form, x):
     """Push a form down to the pair: A-th moment of the dconj(z)-part.
 
-    x (..., 4n) -> (..., -k-1): the coefficients at x times the moment table.
+    x (..., 4n) -> (..., 2): the coefficients at x times the moment table.
     """
-    if form.k > -2:
-        raise ValueError("degree %d has no pushforward coefficients" % form.k)
     x = np.asarray(x, dtype=float)
-    return form.coeffs(x) @ form.moments[:, :-form.k - 1]
+    return form.coeffs(x) @ form.moments
 
 
 def _frame(coeffs, x, domain=None):
@@ -255,57 +194,16 @@ def _frame(coeffs, x, domain=None):
     return np.swapaxes(P, -1, -2), np.swapaxes(Q, -1, -2)
 
 
-def _framed(P, Q, basis, z):
-    """(z P_A + Q_A) b(z) for every frame row A: (2n,) + batch + z.shape."""
-    b = basis(z)
-    return np.moveaxis(z * _on(P, b) + _on(Q, b), P.ndim - 2, 0)
-
-
-def _dbar_fiber(basis, z):
-    """d/dconj(z) of a fiber basis at z, (R,) + z.shape, by central differences."""
-    def deriv(step):
-        du = (basis(z + step) - basis(z - step)) / (2.0 * step)
-        dv = (basis(z + 1j * step) - basis(z - 1j * step)) / (2.0 * step)
-        return (du + 1j * dv) / 2.0
-
-    return _extrapolate(deriv, _FD.resolve_step(np.maximum(1.0, np.abs(z))),
-                        _FD.scheme)
-
-
-def dbar_chart0(form, z, x):
-    """(0,2)-components of the antiholomorphic derivative at (z, x).
-
-    Returns {"C_zi": (2n,) + B + shape(z), "C_ij": (2n, 2n) + B + shape(z)}
-    for base points x of shape B + (4n,), with C_zi[A] = d_conj(z) K_A -
-    X^{A+1} wz and C_ij[A, B] = X^{A+1} K_B - X^{B+1} K_A (antisymmetric).
-    Vectorized over fiber points and base points; cf.DomainError, before
-    any evaluation, if the base stencil leaves the form's domain.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=complex)
-    C_zi = -_framed(*_frame(form.coeffs, x, form.domain), form.basis, z)
-    C_ij = np.zeros((2 * form.n,) + C_zi.shape, dtype=complex)
-    if form.has_K:
-        XK = np.zeros_like(C_ij)  # XK[A, B] = X^{A+1} K_B
-        for B, part in enumerate(form.K_parts):
-            if part is None:
-                continue
-            coeffs, basis = part
-            C_zi[B] += _on(coeffs(x), _dbar_fiber(basis, z))
-            XK[:, B] = _framed(*_frame(coeffs, x, form.domain), basis, z)
-        C_ij = XK - np.swapaxes(XK, 0, 1)
-    return {"C_zi": C_zi, "C_ij": C_ij}
-
-
 def tau_push_02(form, x):
     """Push the (0,2)-part down: one moment per base direction.
 
     x (..., 4n) -> (..., 2n).  This is the tau-level closedness obstruction;
     on lifts of pairs it equals KAPPA times the interleaved Cauchy-Fueter
     residual.  Of C_zi[A] = d_conj(z) K_A - X^{A+1} wz only the second term
-    has a moment: K_A is a section of the degree k+1 <= -2 bundle, so
-    d_conj(z) K_A is exact on the fiber and its moment vanishes.  The moment
-    of -X^{A+1} wz is -(P_A M[:, 1] + Q_A M[:, 0]).
+    has a moment: a base-direction part K_A is a section of the degree -2
+    bundle, so d_conj(z) K_A is exact on the fiber and its moment vanishes
+    (which is why a TwistorFormL carries no K parts).  The moment of
+    -X^{A+1} wz is -(P_A M[:, 1] + Q_A M[:, 0]).
     """
     M = form.moments
     P, Q = _frame(form.coeffs, np.asarray(x, dtype=float), form.domain)
@@ -384,7 +282,7 @@ def penrose_transform_complex(form, sigma):
         raise NoExtensionError(
             "form has no holomorphic matrix extension; the complexified "
             "transform off the real slice requires coeffs_matrix")
-    return form.coeffs_matrix(mat) @ form.moments[:, :-form.k - 1]
+    return form.coeffs_matrix(mat) @ form.moments
 
 
 # ---------------------------------------------------------------------------

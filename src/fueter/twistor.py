@@ -49,8 +49,7 @@ import functools
 import numpy as np
 
 from . import quat
-from .hull import (_DEFAULT_COUNT, _as_point, _grid_count, _lattice,
-                   _line_points, _sweep)
+from .hull import _DEFAULT_COUNT, _as_point, _grid_count, _lattice, _sweep
 
 __all__ = [
     "OutsideChartsError", "eta", "eta_inverse", "line_embed",
@@ -195,7 +194,7 @@ def line_sweep(sigma, pairs=None):
     if pairs is None:
         pairs = hopf_grid()
     qs = sweep_quaternions(pairs)
-    return _line_points(pt.x, pt.y, qs)
+    return quat.right_line(pt.x, pt.y)(qs)
 
 
 def _fibre_points(q):
@@ -231,9 +230,9 @@ def hull_contains_via_lines(sigma, U, count=_DEFAULT_COUNT, return_query=False):
     Fibonacci lattice of count nodes (at least 12), and g(q) is
     ``U.ext_distance`` of ``eta_inverse(line_embed(S, pi(q)))`` (see
     _chart_line); the band and branch-and-bound are those of hull_contains
-    on the same lattice tuple.  The verdict is True only when certified: an
-    indeterminate query, whose line the search could not keep away from U's
-    exterior, is False.  Each base point equals x + y q within
+    on the same lattice tuple, and so is the verdict, True only when
+    certified: an indeterminate query, whose line the search could not keep
+    away from U's exterior, is False.  Each base point equals x + y q within
     32 eps max(1, ||sigma||_C): a forward count of the roundings in pi(q),
     S, line_embed and eta_inverse gives about 12 eps, and a Hypothesis
     property in tests/test_twistor.py checks 32 eps.  That is 140 times
@@ -245,7 +244,6 @@ def hull_contains_via_lines(sigma, U, count=_DEFAULT_COUNT, return_query=False):
     count = _grid_count(count)
     pt = _as_point(sigma)
     query = _sweep(pt, U, _lattice(count), _chart_line(pt.x, pt.y, count))
-    query.verdict = query.verdict and not query.indeterminate
     return query if return_query else query.verdict
 
 

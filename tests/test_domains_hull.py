@@ -196,7 +196,7 @@ def test_sampler_lattice_and_covering_budget():
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
         gaps = np.linalg.norm(probes[:, None, :] - lattice[None, :, 1:],
                               axis=2).min(axis=1)
-        assert gaps.max() < hull.covering_chord(lattice)
+        assert gaps.max() < hull._grid(lattice)[1]
 
 
 def test_near_boundary_query_is_flagged_indeterminate():
@@ -206,7 +206,7 @@ def test_near_boundary_query_is_flagged_indeterminate():
     sigma = _pt([0.78, 0, 0, 0], [0.0, 0.2, 0, 0])
     qs, chord = hull._lattice(64)[:2]
     grid_min = ball.ext_distance(
-        hull._line_points(sigma.x, sigma.y, qs)).min()
+        quat.right_line(sigma.x, sigma.y)(qs)).min()
     assert 0.0 < grid_min <= 2 * 0.2 * chord
     # a grid minimum in the band goes to the branch-and-bound, which
     # certifies this one inside with a band that holds the exact minimum
@@ -229,6 +229,34 @@ def test_near_boundary_query_is_flagged_indeterminate():
         exact = hull.hull_contains(pt, domains.parse_domain("ball:r=1"))
         assert exact.band == 0.0 and exact.indeterminate is False
         assert exact.verdict is True
+
+
+class _LatticePointComplement(domains.PointComplement):
+    """PointComplement's oracles without the closed-form sweep."""
+
+    sweep_inf = None
+
+
+def test_an_indeterminate_membership_query_answers_false_on_both_paths():
+    # sigma = (1, i) sweeps 1 + i q, which meets the puncture only at q = i:
+    # no lattice node or midpoint hits it, so the search stops at its cap
+    # 4.6e-12 from the exterior, inside its band.  Membership is claimed
+    # only when certified, by hull_contains as by the twistor lines
+    sigma = _pt([1.0, 0, 0, 0], [0.0, 1.0, 0, 0])
+    U = _LatticePointComplement(1)
+    lines = twistor.hull_contains_via_lines(sigma, U, return_query=True)
+    for query in (hull.hull_contains(sigma, U), lines):
+        assert query.indeterminate is True
+        assert query.verdict is False
+    # distance and witness want a value, and still return one in the band
+    near = _pt([0.78, 0, 0, 0], [0.0, 0.22 - 5e-5, 0, 0])
+    ball = _LatticeBall(1, 1.0)
+    member = hull.hull_contains(near, ball, count=64)
+    assert member.indeterminate is True and member.verdict is False
+    _, query = hull.hull_witness(near, ball, count=64)
+    assert query.indeterminate is True and query.verdict is True
+    assert hull.hull_distance(near, ball, count=64) == pytest.approx(
+        5e-5 / np.sqrt(2.0), rel=1e-6)
 
 
 def test_certain_outside_verdict_is_not_indeterminate():
@@ -304,10 +332,10 @@ def test_sweep_inf_is_the_minimum_over_the_imaginary_sphere(case):
     assert q.shape == (4,) and q[0] == 0.0
     assert abs(np.linalg.norm(q) - 1.0) < 1e-12
     # ext_distance at the returned arg-min is the returned value
-    at_q = U.ext_distance(hull._line_points(x, y, q[None, :])[0])
+    at_q = U.ext_distance(quat.right_line(x, y)(q[None, :])[0])
     assert at_q == pytest.approx(float(inf_value), rel=0, abs=1e-15)
     # below every node of a dense lattice, and within its Lipschitz band
-    grid = U.ext_distance(hull._line_points(x, y, _DENSE))
+    grid = U.ext_distance(quat.right_line(x, y)(_DENSE))
     assert inf_value <= grid.min() + 1e-12
     ynorm = np.linalg.norm(y)
     assert grid.min() - inf_value <= ynorm * _DENSE_CHORD + 1e-12
@@ -411,7 +439,7 @@ def test_covering_chord_of_the_octahedron():
     # the empty caps sit over the 8 faces, centred at (+-1, +-1, +-1)/sqrt 3
     q = np.zeros((6, 4))
     q[:, 1:] = np.concatenate([np.eye(3), -np.eye(3)])
-    assert hull.covering_chord(q) == pytest.approx(np.sqrt(2 - 2 / np.sqrt(3)),
+    assert hull._grid(q)[1] == pytest.approx(np.sqrt(2 - 2 / np.sqrt(3)),
                                                    rel=1e-14)
 
 
@@ -470,11 +498,11 @@ def test_refined_arg_min_attains_the_reported_value(monkeypatch):
             # the twistor path's evaluator is its chart map
             at_q = ball.ext_distance(
                 twistor._chart_line(x, y, query.count)(q)[0] if k == 1
-                else hull._line_points(x, y, q)[0])
+                else quat.right_line(x, y)(q)[0])
             assert at_q == query.inf_value
             # and the swept point x + y argmin_q itself is that far from U's
             # exterior, up to the chart map's stated 32 eps max(1, ||sigma||_C)
-            swept = ball.ext_distance(hull._line_points(x, y, q)[0])
+            swept = ball.ext_distance(quat.right_line(x, y)(q)[0])
             assert abs(swept - query.inf_value) <= (
                 32 * np.finfo(float).eps * max(1.0, sigma.norm_C()))
             checked[k] += 1
@@ -615,7 +643,7 @@ def test_lattice_band_contains_the_exact_sweep_minimum(case):
     query = hull.hull_contains(_pt(x, y), _Sampled(U), count=count)
     qs = hull._lattice(count)[0]
     assert query.count == count
-    grid_min = U.ext_distance(hull._line_points(x, y, qs)).min()
+    grid_min = U.ext_distance(quat.right_line(x, y)(qs)).min()
     assert query.inf_value <= grid_min
     _check_certified(query, U, x, y)
 
@@ -665,7 +693,7 @@ def test_triangle_bound_holds_inside_the_triangle(case, tri):
     def g(v):
         q = np.zeros((len(v), 4))
         q[:, 1:] = v
-        return U.ext_distance(hull._line_points(x, y, q))
+        return U.ext_distance(quat.right_line(x, y)(q))
 
     bound = g(tri).min() - np.linalg.norm(y) * rho
     assert g(u).min() >= bound - 1e-12

@@ -26,12 +26,20 @@ def test_splitting_identity_recovers_the_pair():
                 1.0, np.abs(expected).max()))
 
 
-def test_lifted_forms_validate_clutching_and_decay():
-    form = penrose.sharp(fields.get_field("E"))
-    report = form.validate(np.array([0.9, -0.2, 0.4, 0.3]))
-    assert report["clutching"]["ok"] is True
-    assert report["decay"] is True
-    assert report["k"] == -3
+def _profile(form, z, x):
+    """wz(z, x) = sum_r c_r(x) b_r(z), shape x.shape[:-1] + z.shape."""
+    return np.tensordot(form.coeffs(x), form.basis(z), axes=(-1, 0))
+
+
+def test_the_lifted_profile_is_the_harmonic_representative():
+    # over each base point the lift is cp1's harmonic form of the field's
+    # pair, whose clutching and decay tests/test_cp1.py checks
+    field = fields.get_field("E")
+    x = _shell(np.random.default_rng(64), 3)
+    z = np.array([0.4 + 0.3j, -1.2 + 0.5j, 2.5j, 30.0 - 4.0j])
+    expected = cp1.harmonic_representative(*field.pair(x)).h0(z)
+    np.testing.assert_allclose(_profile(penrose.sharp(field), z, x), expected,
+                               rtol=1e-14, atol=0)
 
 
 def _unit_coefficient(x):
@@ -41,8 +49,7 @@ def _unit_coefficient(x):
 def test_base_independent_lift_returns_its_own_coefficients():
     a0, a1 = 0.7 - 0.3j, -1.1 + 0.25j
     w = cp1.harmonic_representative(a0, a1)
-    form = penrose.TwistorFormL(1, _unit_coefficient, lambda z: w.h0(z)[None],
-                                basis_chart1=lambda z: w.h1(z)[None])
+    form = penrose.TwistorFormL(1, _unit_coefficient, lambda z: w.h0(z)[None])
     got = penrose.tau_push_01(form, np.array([0.3, 0.8, -0.1, 0.2]))
     np.testing.assert_allclose(got, [a0, a1], atol=1e-10)
 
@@ -50,41 +57,19 @@ def test_base_independent_lift_returns_its_own_coefficients():
 def test_frame_fields_differentiate_the_coordinates():
     # f = z*beta + conj(alpha), the coefficients (beta, conj(alpha)) on the
     # basis (z, 1), is built so the first frame field returns z^2 - 1 and the
-    # second returns 0; C_zi holds minus the frame fields on f
-    form = penrose.TwistorFormL(
-        1, lambda p: np.stack([p[..., 3] + 1j * p[..., 2],
-                               p[..., 0] - 1j * p[..., 1]], axis=-1),
-        lambda zs: np.stack([zs, np.ones_like(zs)]))
+    # second returns 0: X^{A+1} f = (z P_A + Q_A) (z, 1)
+    def coeffs(p):
+        return np.stack([p[..., 3] + 1j * p[..., 2],
+                         p[..., 0] - 1j * p[..., 1]], axis=-1)
+
+    P, Q = penrose._frame(coeffs, np.array([0.8, -0.3, 0.5, 0.4]))
+    np.testing.assert_allclose(P, [[1.0, 0.0], [0.0, 0.0]], atol=1e-8)
+    np.testing.assert_allclose(Q, [[0.0, -1.0], [0.0, 0.0]], atol=1e-8)
     zs = np.array([0.5 + 0.5j, 1.0 - 2.0j, -0.3j])
-    x = np.array([0.8, -0.3, 0.5, 0.4])
-    rows = -penrose.dbar_chart0(form, zs, x)["C_zi"]
+    basis = np.stack([zs, np.ones_like(zs)])
+    rows = zs * (P @ basis) + Q @ basis
     np.testing.assert_allclose(rows[0], zs ** 2 - 1.0, atol=1e-8)
     np.testing.assert_allclose(rows[1], np.zeros_like(zs), atol=1e-8)
-    # as the second K part, f gives C_ij[0, 1] = X^1 f - X^2 0 = z^2 - 1; it
-    # is holomorphic in z, so C_zi keeps the frame fields on wz alone
-    with_K = penrose.TwistorFormL(1, form.coeffs, form.basis,
-                                  K_parts=[None, (form.coeffs, form.basis)])
-    out = penrose.dbar_chart0(with_K, zs, x)
-    np.testing.assert_allclose(-out["C_zi"], rows, atol=1e-8)
-    np.testing.assert_allclose(out["C_ij"][0, 1], zs ** 2 - 1.0, atol=1e-8)
-    np.testing.assert_allclose(out["C_ij"][1, 0], 1.0 - zs ** 2, atol=1e-8)
-
-
-def test_antiholomorphic_fiber_derivative_in_the_k_part():
-    # with no fiber component, C_zi reduces to the plain z-bar derivative of
-    # the i-th coefficient; conj(z) has derivative 1
-    def zero(z):
-        return np.zeros((1,) + np.shape(z), dtype=complex)
-
-    form = penrose.TwistorFormL(
-        1, _unit_coefficient, zero,
-        K_parts=[(_unit_coefficient, lambda z: np.conj(z)[None]),
-                 (_unit_coefficient, zero)])
-    out = penrose.dbar_chart0(form, np.array([0.3 + 0.1j, 1.2j]),
-                              np.array([0.5, 0.1, -0.2, 0.3]))
-    np.testing.assert_allclose(out["C_zi"][0], [1.0, 1.0], atol=1e-8)
-    np.testing.assert_allclose(out["C_zi"][1], [0.0, 0.0], atol=1e-8)
-    assert np.abs(out["C_ij"]).max() < 1e-10
 
 
 def test_closedness_stencil_leaving_the_domain_raises_before_evaluating():
@@ -353,18 +338,6 @@ def test_batched_pushforwards_match_single_points(case):
 
 @_BATCHED
 @given(_base_batch())
-def test_batched_frame_fields_match_single_points(case):
-    n, x = case
-    form = penrose.sharp(fields.get_field("nonmonogenic_quadratic", n))
-    zs = np.array([0.5 + 0.5j, 1.0 - 2.0j, -0.3j])
-    rows = -penrose.dbar_chart0(form, zs, x)["C_zi"]
-    assert rows.shape == (2 * n,) + x.shape[:-1] + zs.shape
-    each = _stacked(lambda p: -penrose.dbar_chart0(form, zs, p)["C_zi"], x)
-    _assert_rel(np.moveaxis(rows, 0, x.ndim - 1), each)
-
-
-@_BATCHED
-@given(_base_batch())
 def test_base_independent_profiles_broadcast_over_the_batch(case):
     n, x = case
     a0, a1 = 0.7 - 0.3j, -1.1 + 0.25j
@@ -408,7 +381,7 @@ def test_complex_transform_real_slice_stays_bitwise(seed):
 def _reference_moments(form, x, count=2):
     """sum_j W_j Z_j^ell wz(Z_j, x), ell < count, over the default nodes."""
     Z, W = cp1.quadrature_nodes()
-    profile = form.wz(Z, x)
+    profile = _profile(form, Z, x)
     return np.stack([np.sum(W * Z ** ell * profile, axis=-1)
                      for ell in range(count)], axis=-1)
 
@@ -416,7 +389,8 @@ def _reference_moments(form, x, count=2):
 def _reference_closedness(form, x):
     """sum_j W_j (-X^{A+1} wz)(Z_j, x), differencing the whole profile in x."""
     Z, W = cp1.quadrature_nodes()
-    d = cf._partials(lambda p: form.wz(Z, p), x, penrose._FD)  # (..., 4n, nodes)
+    # (..., 4n, nodes)
+    d = cf._partials(lambda p: _profile(form, Z, p), x, penrose._FD)
     da, dab, db, dbb = cf._wirtinger(np.swapaxes(d, -1, -2))  # each (..., nodes, n)
     rows = np.empty(da.shape[:-1] + (2 * da.shape[-1],), dtype=complex)
     rows[..., 0::2] = Z[:, None] * db - dab
@@ -457,95 +431,56 @@ def test_complexified_transform_matches_brute_force_fiber_quadrature(name, n):
 def test_transform_evaluates_the_fiber_basis_once_per_form():
     Z, _ = cp1.quadrature_nodes()
     form = penrose.sharp(fields.get_field("E"))
-    on_nodes = []
+    basis, on_nodes = form.basis, []
 
-    def counted(label, fn):
-        def wrapped(z, *rest):
-            if np.shape(z) == Z.shape:
-                on_nodes.append(label)
-            return fn(z, *rest)
-        return wrapped
+    def counted(z):
+        if np.shape(z) == Z.shape:
+            on_nodes.append(z)
+        return basis(z)
 
-    form.basis = counted("basis", form.basis)
-    form.wz = counted("wz", form.wz)
+    form.basis = counted
     penrose.penrose_transform(form, _shell(np.random.default_rng(60), 40))
-    assert on_nodes == ["basis"]
+    assert len(on_nodes) == 1
 
 
 # ---------------------------------------------------------------------------
 # an exact form dbar(f) is invisible to the transform
 # ---------------------------------------------------------------------------
 
-def _wirtinger_monomial(powers, block):
-    """phi = alpha^p conj(alpha)^q beta^r conj(beta)^s of one block, with its
-    four Wirtinger derivatives (d_alpha, d_conj(alpha), d_beta,
-    d_conj(beta)) in closed form, each flat real (..., 4n) -> (...)."""
-    def monomial(e):
-        def f(x):
-            ab = quat.real_to_ab(x)
-            a, b = ab[..., 2 * block], ab[..., 2 * block + 1]
-            out = np.ones(x.shape[:-1], dtype=complex)
-            for base, k in zip((a, np.conj(a), b, np.conj(b)), e):
-                out = out * base ** k
-            return out
-        return f
-
-    def derivative(slot):
-        e = list(powers)
-        if e[slot] == 0:
-            return lambda x: np.zeros(np.shape(x)[:-1], dtype=complex)
-        k = e[slot]
-        e[slot] -= 1
-        g = monomial(e)
-        return lambda x: k * g(x)
-
-    return monomial(powers), [derivative(slot) for slot in range(4)]
+def _monomial(powers, block):
+    """phi = alpha^p conj(alpha)^q beta^r conj(beta)^s of one block, as a
+    function of flat real points (..., 4n) -> (...)."""
+    def phi(x):
+        ab = quat.real_to_ab(x)
+        a, b = ab[..., 2 * block], ab[..., 2 * block + 1]
+        out = np.ones(x.shape[:-1], dtype=complex)
+        for base, k in zip((a, np.conj(a), b, np.conj(b)), powers):
+            out = out * base ** k
+        return out
+    return phi
 
 
-def _exact_form(phi, wirtinger, block, n, a):
-    """dbar(f) for f = phi(x) conj(z)^a/(1+|z|^2)^3, a section of Q_-3 for
-    a = 2, 3 (chart 1: phi conj(w)^(3-a)/(1+|w|^2)^3).
+def _exact_profile(a):
+    """The fiber basis of wz = d_conj(z) f for f = phi(x) s(z),
+    s = conj(z)^a/(1+|z|^2)^3, a section of Q_-3 for a = 2, 3 (chart 1:
+    conj(w)^(3-a)/(1+|w|^2)^3), in both charts.
 
-    wz = d_conj(z) f = phi conj(z)^(a-1) (a + (a-3)|z|^2)/(1+|z|^2)^4 and
-    K_A = X^A f = (z P_A + Q_A) s(z) with s = conj(z)^a/(1+|z|^2)^3; phi
-    depends on one block, so only that block's two K parts are nonzero.
-    Returns the form's keyword arguments, chart-1 bases included.
+    wz = phi conj(z)^(a-1) (a + (a-3)|z|^2)/(1+|z|^2)^4.  The base-direction
+    parts X^A f of dbar(f) have no fiber moment (see tau_push_02), so the
+    form keeps only this part.
     """
-    d_a, d_ab, d_b, d_bb = wirtinger
-
-    def s(z):
-        return np.conj(z) ** a / (1.0 + np.abs(z) ** 2) ** 3
-
-    def t(w):  # chart 1 of s: w^3 t(w) = s(1/w)
-        return np.conj(w) ** (3 - a) / (1.0 + np.abs(w) ** 2) ** 3
-
-    def pair(p, q):
-        return lambda x: np.stack([p(x), q(x)], axis=-1)
-
-    def wz_basis(z):
+    def basis(z):
         r2 = np.abs(z) ** 2
         return (np.conj(z) ** (a - 1) * (a + (a - 3) * r2)
                 / (1.0 + r2) ** 4)[None]
 
-    def wz_basis_chart1(w):
+    def basis_chart1(w):
         # -conj(w)^(2-a) (a - 3 + a|w|^2)/(1+|w|^2)^4, smooth at w = 0
         r2 = np.abs(w) ** 2
         return ((-3.0 * w if a == 3 else 1.0 - 2.0 * r2)
                 / (1.0 + r2) ** 4)[None]
 
-    def k_basis(z):
-        return np.stack([z * s(z), s(z)])
-
-    def k_basis_chart1(w):
-        return np.stack([t(w), w * t(w)])
-
-    K, K1 = [None] * (2 * n), [None] * (2 * n)
-    K[2 * block] = (pair(d_b, lambda x: -d_ab(x)), k_basis)
-    K[2 * block + 1] = (pair(d_a, d_bb), k_basis)
-    K1[2 * block] = K1[2 * block + 1] = k_basis_chart1
-    return {"coeffs": lambda x: phi(x)[..., None], "basis": wz_basis,
-            "basis_chart1": wz_basis_chart1, "K_parts": K,
-            "K_parts_chart1": K1}
+    return basis, basis_chart1
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -553,29 +488,29 @@ def _exact_form(phi, wirtinger, block, n, a):
        st.tuples(*[st.integers(0, 2)] * 4), st.integers(0, 2 ** 32 - 1))
 def test_exact_forms_push_forward_to_zero(n, block, a, powers, seed):
     # at a = 3 every fiber moment the pushforwards take vanishes by the
-    # angular integral alone; at a = 2 the integrands of the z-moment of wz
-    # and of the moment of d_conj(z) (z s) are nonzero and only their
-    # integrals vanish, as boundary terms
+    # angular integral alone; at a = 2 the integrand of the z-moment of wz
+    # is nonzero and only its integral vanishes, as a boundary term
     block = min(block, n - 1)
-    phi, wirtinger = _wirtinger_monomial(powers, block)
-    parts = _exact_form(phi, wirtinger, block, n, a)
-    coeffs, basis, K = parts["coeffs"], parts["basis"], parts["K_parts"]
-    form = penrose.TwistorFormL(n, **parts)
+    phi = _monomial(powers, block)
+    basis, basis_chart1 = _exact_profile(a)
+
+    def coeffs(x):
+        return phi(x)[..., None]
+
+    form = penrose.TwistorFormL(n, coeffs, basis)
     x = _shell(np.random.default_rng(seed), 3 * n, 0.6, 1.6).reshape(3, 4 * n)
     scale = max(1.0, float(np.max(np.abs(phi(x)))))
 
-    # f is a section: dbar(f) clutches, decays and its K parts transition
-    report = form.validate(x[0])
-    assert report["clutching"]["ok"] and report["decay"]
-    assert report["K_transition_violation"] < 1e-12 * scale
+    # f is a section: the profile of dbar(f) clutches and decays
+    c = coeffs(x[0])
+    fiber = cp1.Form01(-3, lambda z: c @ basis(z),
+                       lambda w: c @ basis_chart1(w))
+    assert cp1.validate_form(fiber)["ok"]
+    assert all(cp1.decay_check(fiber, ell) for ell in range(2))
 
     # moments of an exact form vanish, and so does the (0,2)-part of dbar^2
     assert np.abs(penrose.tau_push_01(form, x)).max() < 1e-13 * scale
     assert np.abs(penrose.tau_push_02(form, x)).max() < 1e-12 * scale
-    zs = np.array([0.4 + 0.3j, -1.2 + 0.5j, 2.5j])
-    dd = penrose.dbar_chart0(form, zs, x)
-    assert np.abs(dd["C_zi"]).max() < 1e-8 * scale
-    assert np.abs(dd["C_ij"]).max() < 1e-8 * scale
 
     # adding dbar(f) to a lift leaves its class, so its pushforward, unchanged
     if n == 1:
@@ -583,7 +518,7 @@ def test_exact_forms_push_forward_to_zero(n, block, a, powers, seed):
         lift = penrose.sharp(E)
         shifted = penrose.TwistorFormL(
             1, lambda p: np.concatenate([lift.coeffs(p), coeffs(p)], axis=-1),
-            lambda z: np.concatenate([lift.basis(z), basis(z)]), K_parts=K,
+            lambda z: np.concatenate([lift.basis(z), basis(z)]),
             domain=E.domain)
         got = penrose.tau_push_01(shifted, x)
         _assert_rel(got, np.stack(E.pair(x), axis=-1), 1e-13 * scale)
