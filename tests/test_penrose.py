@@ -338,6 +338,25 @@ def test_batched_pushforwards_match_single_points(case):
 
 @_BATCHED
 @given(_base_batch())
+def test_batched_frame_fields_match_single_points(case):
+    # the frame fields X^{A+1} wz = (z P_A + Q_A) b(z) of a lift, on the batch
+    # and at each of its points
+    n, x = case
+    form = penrose.sharp(fields.get_field("nonmonogenic_quadratic", n))
+    zs = np.array([0.5 + 0.5j, 1.0 - 2.0j, -0.3j])
+    basis = form.basis(zs)
+
+    def rows(p):
+        P, Q = penrose._frame(form.coeffs, p)
+        return zs * (P @ basis) + Q @ basis
+
+    got = rows(x)
+    assert got.shape == x.shape[:-1] + (2 * n,) + zs.shape
+    _assert_rel(got, _stacked(rows, x))
+
+
+@_BATCHED
+@given(_base_batch())
 def test_base_independent_profiles_broadcast_over_the_batch(case):
     n, x = case
     a0, a1 = 0.7 - 0.3j, -1.1 + 0.25j
