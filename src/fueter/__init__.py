@@ -68,11 +68,9 @@ from .twistor import (
 )
 from .cp1 import (
     BUMP_GRADE,
-    BundleSection,
     Form01,
     QuadratureConfig,
     QuadratureError,
-    bump_section,
     cohomology_coefficients,
     decay_check,
     exact_form,
@@ -80,7 +78,6 @@ from .cp1 import (
     harmonic_representative,
     quadrature_C,
     validate_form,
-    validate_section,
 )
 from .penrose import (
     KAPPA,
@@ -122,10 +119,9 @@ __all__ = [
     "hull_contains_via_lines",
     "line_base_points", "line_embed", "line_sweep", "sweep_quaternions",
     # cp1
-    "BUMP_GRADE", "BundleSection", "Form01", "QuadratureConfig",
-    "QuadratureError", "bump_section", "cohomology_coefficients",
-    "decay_check", "exact_form", "h1_dimension", "harmonic_representative",
-    "quadrature_C", "validate_form", "validate_section",
+    "BUMP_GRADE", "Form01", "QuadratureConfig", "QuadratureError",
+    "cohomology_coefficients", "decay_check", "exact_form", "h1_dimension",
+    "harmonic_representative", "quadrature_C", "validate_form",
     # penrose
     "KAPPA", "ClosednessError", "NoExtensionError", "PenroseResult",
     "TwistorFormL", "calibrate_kappa", "diagram_check",

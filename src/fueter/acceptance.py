@@ -450,8 +450,11 @@ CRITERIA = [
 def run_all(seed=7, n_values=(1, 2), criteria=None):
     """Run the (sub)set of criteria; returns the aggregate report dict.
 
-    ValueError, before any runs, names unknown ids or an n criterion 3 lacks.
+    ValueError, before any runs, names unknown ids, an n below 1 or an n
+    criterion 3 lacks.
     """
+    if any(n < 1 for n in n_values):
+        raise ValueError("n must be >= 1")
     known = {cid for cid, _ in CRITERIA}
     run = known if criteria is None else set(criteria)
     if run - known:

@@ -264,7 +264,7 @@ def _cmd_penrose(args):
 
 
 def _cmd_verify(args):
-    n_values = (args.n,) if args.n else (1, 2)
+    n_values = (1, 2) if args.n is None else (args.n,)
     criteria = None
     if args.criteria:
         criteria = [int(c) for c in args.criteria.split(",")]

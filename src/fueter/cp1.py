@@ -7,7 +7,9 @@ C^{-k-1}, computed by the moment integrals
 
     a_ell = (1/2 pi i) \int_C  z^ell h0(z) dconj(z)^dz,   ell = 0..-k-2,
 
-which vanish on exact forms.  For k = -3 the harmonic representative
+which vanish on exact forms dbar(f).  Sections enter only as that f, so the
+module keeps forms alone: exact_form builds dbar(f) for a bump-supported f
+in closed form.  For k = -3 the harmonic representative
 
     h0(z) = 2 (a0 + a1 conj(z)) / (1+|z|^2)^3
 
@@ -22,7 +24,7 @@ three-term Legendre recurrence, started from Tricomi's asymptotic guess, in
 O(n^2) work and with weights accurate to a few ulps (Glaser, Liu & Rokhlin
 2007; Hale & Townsend 2013).  The default 96x64 rule is machine-precision for
 integrands with rational (1+|z|^2)^-3-type profiles; the 1536-radial "bump
-grade" handles the C-infinity-but-non-analytic bump fixtures, whose edge
+grade" handles the C-infinity-but-non-analytic exact forms, whose edge
 behavior defeats Gauss-Legendre at low node counts (errors ~1e-5 at 768 nodes
 drop below 1e-9 at 1536).  Do not lower these node counts without rechecking
 the exactness tests.
@@ -34,10 +36,9 @@ import numpy as np
 
 __all__ = [
     "QuadratureConfig", "QuadratureError", "BUMP_GRADE",
-    "quadrature_nodes", "moment_rule", "quadrature_C",
-    "BundleSection", "Form01", "validate_section", "validate_form",
+    "quadrature_nodes", "quadrature_C", "Form01", "validate_form",
     "decay_check", "cohomology_coefficients", "harmonic_representative",
-    "h1_dimension", "bump", "bump_section", "exact_form",
+    "h1_dimension", "bump", "exact_form",
 ]
 
 
@@ -80,27 +81,21 @@ def quadrature_nodes(cfg=None):
     return _nodes(cfg.n_radial, cfg.n_angular)
 
 
-def moment_rule(count, cfg=None):
-    """Nodes Z and the (nodes, count) matrix V = W Z^ell, ell < count.
+def _moments(h, count, cfg=None):
+    """The moments sum_j W_j Z_j^ell h(Z_j), ell < count, over h's last axis.
 
-    h(Z) @ V holds the moments sum_j W_j Z_j^ell h(Z_j) over h's last axis.
+    h maps fiber points to (..., points); the sum runs over consecutive
+    slices of at most _CHUNK_NODES nodes, so a batch of forms or a fine rule
+    never holds a (..., nodes) array for all nodes at once.  The matrix
+    V = W Z^ell is built whole and then sliced: forming it per slice cost
+    about 1000 more minor page faults per BUMP_GRADE form.
     """
     Z, W = quadrature_nodes(cfg)
     V = np.empty((count, Z.size), dtype=complex)
     V[0] = W
     for ell in range(1, count):
         np.multiply(V[ell - 1], Z, out=V[ell])
-    return Z, V.T
-
-
-def _moments(h, count, cfg=None):
-    """The moments sum_j W_j Z_j^ell h(Z_j), ell < count, over h's last axis.
-
-    h maps fiber points to (..., points); the sum runs over consecutive
-    slices of at most _CHUNK_NODES nodes, so a batch of forms or a fine rule
-    never holds a (..., nodes) array for all nodes at once.
-    """
-    Z, V = moment_rule(count, cfg)
+    V = V.T
     m = _CHUNK_NODES
     return sum(np.asarray(h(Z[s:s + m]), dtype=complex) @ V[s:s + m]
                for s in range(0, Z.size, m))
@@ -154,37 +149,19 @@ def _nodes(n_radial, n_angular):
     return Z, W
 
 
-def quadrature_C(g, cfg=None, check=False):
+def quadrature_C(g, cfg=None):
     r"""(1/2 pi i) \int_C g(z) dconj(z)^dz for decaying integrands.
 
-    check=True re-evaluates on a doubled rule and raises QuadratureError if
-    the two disagree by more than 10x the configured target tolerance.
+    Unchecked; cohomology_coefficients of a degree -2 form, whose one moment
+    is this integral, checks it against the doubled rule.
     """
-    cfg = cfg or QuadratureConfig()
     Z, W = quadrature_nodes(cfg)
-    val = np.sum(W * np.asarray(g(Z), dtype=complex))
-    if check:
-        Z2, W2 = quadrature_nodes(cfg.refined())
-        val2 = np.sum(W2 * np.asarray(g(Z2), dtype=complex))
-        if abs(val - val2) > 10 * cfg.target_tol * max(1.0, abs(val2)):
-            raise QuadratureError(
-                "quadrature not converged: %r vs %r on refinement" % (val, val2))
-        val = val2
-    return complex(val)
+    return complex(np.sum(W * np.asarray(g(Z), dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
-# bundles
+# (0,1)-forms
 # ---------------------------------------------------------------------------
-
-class BundleSection:
-    """A section of Q_k: chart functions f0, f1 with f1(1/z) = z^{-k} f0(z)."""
-
-    def __init__(self, k, f0, f1):
-        self.k = int(k)
-        self.f0 = f0
-        self.f1 = f1
-
 
 class Form01:
     """A (0,1)-form on Q_k: coefficients h0, h1 with h1(1/z) = -z^{-k} conj(z)^2 h0(z)."""
@@ -202,16 +179,6 @@ def _annulus_samples():
     return r * np.exp(1j * th)
 
 
-def validate_section(s):
-    """Clutching violation of a section over an annulus sample; ok <= 1e-9."""
-    z = _annulus_samples()
-    lhs = np.asarray(s.f1(1.0 / z), dtype=complex)
-    rhs = z ** (-s.k) * np.asarray(s.f0(z), dtype=complex)
-    viol = float(np.max(np.abs(lhs - rhs)))
-    return {"kind": "section", "k": s.k, "samples": int(np.size(z)),
-            "max_violation": viol, "ok": bool(viol <= 1e-9)}
-
-
 def validate_form(w):
     """Clutching violation of a (0,1)-form on an annulus sample; ok <= 1e-9."""
     z = _annulus_samples()
@@ -222,21 +189,20 @@ def validate_form(w):
             "max_violation": viol, "ok": bool(viol <= 1e-9)}
 
 
-def decay_check(obj, ell):
-    """Certify the chart-boundary limit of z^ell f0 or z^ell h0.
+def decay_check(w, ell):
+    """Certify the chart-boundary limit of z^ell h0 for a form w on Q_k.
 
-    Sections of Q_k: z^ell f0(z) tends to 0 for ell < -k and stays finite at
-    ell = -k.  Forms: z^ell h0(z) tends to 0 for ell < -k + 2.  Sampled at
-    |z| = 1e2, 1e3, 1e4 over angles; returns False when growth is detected
-    (a tail level at or below 1e-6 counts as decayed).
+    z^ell h0(z) tends to 0 for ell < -k + 2 and stays bounded at
+    ell = -k + 2.  Sampled at |z| = 1e2, 1e3, 1e4 over angles; returns False
+    when growth is detected (a tail level at or below 1e-6 counts as
+    decayed).
     """
-    fn = obj.f0 if isinstance(obj, BundleSection) else obj.h0
-    strict = ell < -obj.k + (0 if isinstance(obj, BundleSection) else 2)
+    strict = ell < -w.k + 2
     th = np.linspace(0, 2 * np.pi, 13)[:-1]
     levels = []
     for R in (1e2, 1e3, 1e4):
         z = R * np.exp(1j * th)
-        v = z ** ell * np.asarray(fn(z), dtype=complex)
+        v = z ** ell * np.asarray(w.h0(z), dtype=complex)
         if not np.all(np.isfinite(v)):
             raise QuadratureError("non-finite values at |z| = %g" % R)
         levels.append(float(np.max(np.abs(v))))
@@ -319,35 +285,19 @@ def _dbump(t):
     return out
 
 
-def bump_section(k, p=0, q=0, r_in=0.5, r_out=2.0):
-    """A global smooth section of Q_k supported in the annulus r_in < |z| < r_out.
+def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
+    """The exact (0,1)-form dbar(f) on Q_k; its H^1 class is zero.
 
-    Chart 0: f0(z) = phi(|z|) z^p conj(z)^q with phi an annulus bump; f1 is
-    defined by clutching (smooth on chart 1 because f0 vanishes near infinity).
+    f(z) = phi(|z|) z^p conj(z)^q on chart 0, with phi an annulus bump
+    supported in r_in < |z| < r_out, is a global smooth section; h0 is its
+    dconj(z)-derivative and h1 the clutching of h0.
     """
     mid = (r_out + r_in) / 2.0
     half = (r_out - r_in) / 2.0
 
-    def phi(r):
-        return bump((r - mid) / half)
-
-    def f0(z):
-        z = np.asarray(z, dtype=complex)
-        return phi(np.abs(z)) * z ** p * np.conj(z) ** q
-
-    def f1(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros_like(w)
-        nz = w != 0
-        zz = 1.0 / w[nz]
-        out[nz] = zz ** (-k) * f0(zz)
-        return out
-
-    sec = BundleSection(k, f0, f1)
-    sec.p, sec.q, sec.r_in, sec.r_out = p, q, r_in, r_out
-
-    def dbar_h0(z):
-        # d/dconj(z) of f0: phi'(|z|) * z/(2|z|) * z^p conj(z)^q + q * phi * z^p conj(z)^{q-1}
+    def h0(z):
+        # d/dconj(z) of f: phi'(|z|) * z/(2|z|) * z^p conj(z)^q
+        #                  + q * phi * z^p conj(z)^{q-1}
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
         out = np.zeros_like(z)
@@ -359,24 +309,17 @@ def bump_section(k, p=0, q=0, r_in=0.5, r_out=2.0):
         term = _dbump((rr - mid) / half) / half * zz / (2.0 * rr) \
             * zz ** p * np.conj(zz) ** q
         if q:
-            term = term + q * phi(rr) * zz ** p * np.conj(zz) ** (q - 1)
+            term = term + q * bump((rr - mid) / half) * zz ** p \
+                * np.conj(zz) ** (q - 1)
         out[nz] = term
         return out
-
-    sec.dbar_h0 = dbar_h0
-    return sec
-
-
-def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
-    """The exact (0,1)-form dbar(f) of a bump section of Q_k; H^1 class zero."""
-    sec = bump_section(k, p, q, r_in, r_out)
 
     def h1(w):
         w = np.asarray(w, dtype=complex)
         out = np.zeros_like(w)
         nz = w != 0
         zz = 1.0 / w[nz]
-        out[nz] = -zz ** (-k) * np.conj(zz) ** 2 * sec.dbar_h0(zz)
+        out[nz] = -zz ** (-k) * np.conj(zz) ** 2 * h0(zz)
         return out
 
-    return Form01(k, sec.dbar_h0, h1)
+    return Form01(k, h0, h1)

@@ -69,12 +69,11 @@ class ScalarField:
 class ComplexField:
     """A holomorphic pair on biquaternion matrices (..., 2n, 2) -> two (...)."""
 
-    def __init__(self, pair0, pair1, n=1, name=None, restriction=None):
+    def __init__(self, pair0, pair1, n=1, name=None):
         self.pair0 = pair0
         self.pair1 = pair1
         self.n = int(n)
         self.name = name or "custom"
-        self.restriction = restriction  # optional ScalarField
 
     def pair(self, z):
         z = np.asarray(z, dtype=complex)
@@ -103,10 +102,6 @@ def _zeros(v):
 def _rho2(v):
     """|alpha_1|^2 + |beta_1|^2 on interleaved points."""
     return (np.abs(v[..., 0]) ** 2 + np.abs(v[..., 1]) ** 2)
-
-
-def _det(z):
-    return z[..., 0, 0] * z[..., 1, 1] - z[..., 0, 1] * z[..., 1, 0]
 
 
 def _field_constant(n):
@@ -143,20 +138,18 @@ def _field_linear_monogenic(n):
 def _field_E(n):
     if n != 1:
         raise ValueError("the fundamental solution E is an n = 1 field")
-    E = ScalarField(lambda v: np.conj(v[..., 0]) / _rho2(v) ** 2,
-                    lambda v: -v[..., 1] / _rho2(v) ** 2,
-                    n=1, domain=PointComplement(1), name="E",
-                    extension=None)
-    E.extension = _field_E_ext(1, restriction=E)
-    return E
+    return ScalarField(lambda v: np.conj(v[..., 0]) / _rho2(v) ** 2,
+                       lambda v: -v[..., 1] / _rho2(v) ** 2,
+                       n=1, domain=PointComplement(1), name="E",
+                       extension=_field_E_ext(1))
 
 
-def _field_E_ext(n, restriction=None):
+def _field_E_ext(n):
     if n != 1:
         raise ValueError("E_ext is an n = 1 field")
-    return ComplexField(lambda z: z[..., 1, 1] / _det(z) ** 2,
-                        lambda z: -z[..., 1, 0] / _det(z) ** 2,
-                        n=1, name="E_ext", restriction=restriction)
+    return ComplexField(lambda z: z[..., 1, 1] / quat.det_biquat(z) ** 2,
+                        lambda z: -z[..., 1, 0] / quat.det_biquat(z) ** 2,
+                        n=1, name="E_ext")
 
 
 def _field_nonmonogenic_quadratic(n):

@@ -45,8 +45,8 @@ Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
     the identical code path, not merely an equal value.
 
 Batches: a form's coefficients take a whole batch of base points at once,
-x (..., 4n) -> (..., R), and its moment table is built once per form from
-the default nodes of ``cp1.moment_rule``.  The pushforwards,
+x (..., 4n) -> (..., R), and its moment table is built once per form by
+``cp1._moments`` on the default nodes.  The pushforwards,
 ``penrose_transform`` and ``diagram_check`` are then products of (..., R)
 coefficient arrays with the (R, moments) table; no array over base points
 and fiber nodes together is formed.

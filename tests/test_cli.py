@@ -188,6 +188,18 @@ def test_twistor_sweep_bytes_are_pinned(capsys):
         "a479ada8017b39949f5899ee132902415ba38035a50fc4a6e41f7e30ae6fa0e7")
 
 
+@pytest.mark.parametrize("options", [["--nt", "0"], ["--ntheta", "0"],
+                                     ["--nt", "-2", "--ntheta", "4"]])
+def test_twistor_sweep_refuses_an_empty_grid(options, capsys):
+    # a grid of no rings or no angles would print only the two poles
+    assert cli.main(["twistor", "sweep",
+                     "--sigma", '{"x":[0.1,0,0,0],"y":[0,0.3,0,0]}']
+                    + options) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: hopf_grid needs ")
+
+
 def test_twistor_sweep_writes_csv(tmp_path):
     csv_path = tmp_path / "sweep.csv"
     code = cli.main(["twistor", "sweep",
@@ -262,6 +274,12 @@ def test_report_envelope_goes_to_stdout_without_a_path(capsys):
     (["--n", "3", "--criteria", "3"],
      "criterion 3 runs at n = 1 and 2 only, not n = 3"),
     (["--n", "3"], "criterion 3 runs at n = 1 and 2 only, not n = 3"),
+    # 0 is an n like any other, not "run n = 1 and 2"; criteria that take
+    # no n refuse it too
+    (["--n", "0"], "n must be >= 1"),
+    (["--n", "-1"], "n must be >= 1"),
+    (["--n", "0", "--criteria", "3"], "n must be >= 1"),
+    (["--n", "-1", "--criteria", "6"], "n must be >= 1"),
 ])
 def test_verify_rejects_criteria_it_cannot_run(args, message, capsys):
     # nothing runs: no criterion line, no OVERALL verdict, no envelope

@@ -110,9 +110,11 @@ def test_quadrature_exact_moments_of_the_round_profile():
 
 
 def test_quadrature_doubling_check_flags_divergent_integrands():
+    # a degree -2 form has one moment, the plain integral, and the doubled
+    # rule of cohomology_coefficients checks it
     slow = lambda z: 1.0 / (1 + z * np.conj(z))  # log-divergent tail
     with pytest.raises(cp1.QuadratureError):
-        cp1.quadrature_C(slow, check=True)
+        cp1.cohomology_coefficients(cp1.Form01(-2, slow, None))
 
 
 def test_harmonic_representative_clutches_and_collapses():
@@ -185,20 +187,23 @@ def test_exact_forms_have_vanishing_coefficients():
 
 
 def test_bump_sections_clutch_and_differentiate():
-    s = cp1.bump_section(-3, p=1, q=1, r_in=0.4, r_out=2.2)
-    report = cp1.validate_section(s)
-    assert report["ok"] is True
-    w = cp1.exact_form(-3, p=1, q=1, r_in=0.4, r_out=2.2)
+    p, q, r_in, r_out = 1, 1, 0.4, 2.2
+    w = cp1.exact_form(-3, p=p, q=q, r_in=r_in, r_out=r_out)
     assert cp1.validate_form(w)["ok"] is True
     # chart-0 part of the exact form is the antiholomorphic derivative of
-    # the section's chart-0 part: check by central differences
+    # the section's chart-0 part f0: check by central differences
+    mid, half = (r_out + r_in) / 2.0, (r_out - r_in) / 2.0
+
+    def f0(z):
+        return cp1.bump((abs(z) - mid) / half) * z ** p * np.conj(z) ** q
+
     rng = np.random.default_rng(42)
     for _ in range(10):
         z = complex(rng.uniform(0.45, 2.1), 0) * np.exp(
             2j * np.pi * rng.uniform())
         h = 1e-5
-        d_real = (s.f0(z + h) - s.f0(z - h)) / (2 * h)
-        d_imag = (s.f0(z + 1j * h) - s.f0(z - 1j * h)) / (2 * h)
+        d_real = (f0(z + h) - f0(z - h)) / (2 * h)
+        d_imag = (f0(z + 1j * h) - f0(z - 1j * h)) / (2 * h)
         dbar = (d_real + 1j * d_imag) / 2.0
         assert abs(dbar - w.h0(z)) < 1e-7 * max(1.0, abs(w.h0(z)))
 
@@ -210,19 +215,18 @@ def test_validators_reject_wrong_weights():
     assert report["ok"] is False
     assert report["max_violation"] > 1e-3
 
-    s = cp1.bump_section(-3, p=0, q=1, r_in=0.4, r_out=2.0)
-    bad = cp1.BundleSection(-4, s.f0, s.f1)
-    assert cp1.validate_section(bad)["ok"] is False
-
 
 def test_decay_check_classifies_tails():
-    # a section with the generic chart-0 tail z^k passes: it decays at
-    # negative weight once the transition growth z^ell is discounted
+    # a form on Q_k with the generic chart-0 tail z^(k-2) passes: z^ell h0
+    # decays for ell < -k + 2 and stays bounded at ell = -k + 2
     k = -3
-    s = cp1.BundleSection(k, lambda z: z ** k, lambda z: np.ones_like(z))
-    assert cp1.decay_check(s, ell=0) is True
-    growing = cp1.BundleSection(k, lambda z: z ** 2, lambda z: np.ones_like(z))
+    tail = cp1.Form01(k, lambda z: z ** (k - 2), None)
+    assert cp1.decay_check(tail, ell=0) is True
+    assert cp1.decay_check(tail, ell=-k + 2) is True
+    growing = cp1.Form01(k, lambda z: z ** 2, None)
     assert cp1.decay_check(growing, ell=0) is False
+    short = cp1.Form01(k, lambda z: z ** (k - 1), None)
+    assert cp1.decay_check(short, ell=-k + 2) is False
     w = cp1.harmonic_representative(1.0, 1.0)
     assert cp1.decay_check(w, ell=0) is True
     assert cp1.decay_check(w, ell=1) is True
@@ -232,7 +236,7 @@ def test_quadrature_error_on_under_resolved_integrands():
     cfg = cp1.QuadratureConfig(16, 8, target_tol=1e-12)
     wild = lambda z: np.cos(40.0 * np.real(z)) / (1 + z * np.conj(z)) ** 3
     with pytest.raises(cp1.QuadratureError):
-        cp1.quadrature_C(wild, cfg, check=True)
+        cp1.cohomology_coefficients(cp1.Form01(-2, wild, None), cfg)
 
 
 def _harmonic_profile(z):
@@ -247,12 +251,15 @@ def _aliased_profile(z):
 
 def test_checked_quadrature_returns_the_refined_value():
     cfg = cp1.QuadratureConfig()
-    Z2, W2 = cp1.quadrature_nodes(cfg.refined())
-    val = cp1.quadrature_C(_harmonic_profile, check=True)
-    assert val == complex(np.sum(W2 * _harmonic_profile(Z2)))
+    w = cp1.Form01(-2, _harmonic_profile, None)
+    (val,) = cp1.cohomology_coefficients(w, cfg)
+    (refined,) = cp1.cohomology_coefficients(w, cfg.refined(), check=False)
+    assert val == refined
     assert abs(val - 1.0) < 1e-12
-    with pytest.raises(cp1.QuadratureError, match="not converged"):
-        cp1.quadrature_C(_aliased_profile, check=True)
+    # the one moment of a degree -2 form is the plain integral, up to the
+    # rounding of a sum in another order
+    assert abs(val - cp1.quadrature_C(_harmonic_profile, cfg.refined())) \
+        < 1e-13
 
 
 def test_coefficients_raise_when_the_doubled_rule_disagrees():

@@ -144,6 +144,13 @@ def test_sweep_quaternions_are_unit_imaginary():
     assert gaps.max() < 0.2
 
 
+@pytest.mark.parametrize("n_t,n_theta", [(0, 4), (4, 0), (-1, 4), (4, -3)])
+def test_hopf_grid_refuses_empty_grids(n_t, n_theta):
+    with pytest.raises(ValueError, match="n_t, n_theta >= 1"):
+        twistor.hopf_grid(n_t, n_theta)
+    assert twistor.hopf_grid(1, 1).shape == (3, 2)
+
+
 def test_line_sweep_is_the_quaternionic_orbit():
     rng = np.random.default_rng(34)
     x = rng.normal(size=4)
