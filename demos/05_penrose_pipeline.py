@@ -91,7 +91,7 @@ form = sharp(field)
 sigma = matrix_point(np.array([1.1, 0.2, -0.3, 0.5]),
                      np.array([0.1, 0.0, 0.2, -0.1]))
 got = penrose_transform_complex(form, sigma)
-expected = np.asarray(fields.get_field("E_ext").pair(sigma))
+expected = np.asarray(field.extension.pair(sigma))
 print(f"  at a complex matrix with |det| = "
       f"{abs(np.linalg.det(sigma)):.3f}:")
 print(f"    transform        = {np.round(got, 8)}")

@@ -9,7 +9,8 @@ tolerance check failed or the library refused the query (a point outside
 the hull, a failed closedness certificate, a form without a holomorphic
 extension) — the envelope is still emitted, with "pass" false, and stderr
 reads ``check failed: <group> <mode>: <reason>``; 2 configuration error,
-with no envelope.
+with no envelope.  ``verify all`` also prints one PASS/FAIL line per
+criterion and an OVERALL line, to stderr.
 """
 
 import argparse
@@ -24,8 +25,9 @@ from .cf import FDConfig, is_monogenic
 from .cp1 import (BUMP_GRADE, h1_dimension, harmonic_representative,
                   cohomology_coefficients, exact_form)
 from .domains import parse_domain
-from .fields import get_field, field_names, ScalarField
-from .hull import hull_contains, hull_distance, hull_witness, NotInHullError
+from .fields import get_field, field_names
+from .hull import (hull_contains, hull_distance, hull_witness,
+                   NotInHullError, _DEFAULT_COUNT)
 from .penrose import (sharp, penrose_transform, penrose_transform_complex,
                       diagram_check, ClosednessError, NoExtensionError)
 from .twistor import line_sweep, hull_contains_via_lines, hopf_grid
@@ -33,29 +35,21 @@ from .twistor import line_sweep, hull_contains_via_lines, hopf_grid
 __all__ = ["main"]
 
 
-def _jsonable(o):
-    if isinstance(o, dict):
-        return {k: _jsonable(v) for k, v in o.items()}
-    if isinstance(o, (list, tuple)):
-        return [_jsonable(v) for v in o]
-    if isinstance(o, np.ndarray):
-        return _jsonable(o.tolist())
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
+def _json_default(o):
+    """json.dumps hook: numpy arrays and scalars as lists and numbers, and a
+    complex number as [re, im]."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        return o.tolist()
     if isinstance(o, complex):
         return [o.real, o.imag]
-    return o
+    raise TypeError("%s is not JSON serializable" % type(o).__name__)
 
 
 def _emit(args, command, results, passed):
-    env = _jsonable({"command": command, "params": args.params,
-                     "results": results, "pass": bool(passed),
-                     "version": __version__})
-    text = json.dumps(env, sort_keys=True, indent=2) + "\n"
+    env = {"command": command, "params": args.params, "results": results,
+           "pass": bool(passed), "version": __version__}
+    text = json.dumps(env, sort_keys=True, indent=2,
+                      default=_json_default) + "\n"
     if args.report:
         with open(args.report, "w") as f:
             f.write(text)
@@ -112,16 +106,28 @@ def _finite_float(s):
     return v
 
 
-def _parse_kv_spec(s, kind):
-    """Parse 'name:key=value:key=value' fixture specs for cp1 coeffs."""
-    parts = s.split(":")
-    name, kvs = parts[0], parts[1:]
+_FORM_KEYS = {"harmonic": ("a0", "a1"), "exact": ("p", "q", "rin", "rout")}
+
+
+def _parse_form_spec(s):
+    """Parse a cp1 coeffs fixture spec 'name:key=value:key=value'.
+
+    ValueError for a name or key not in _FORM_KEYS.
+    """
+    name, *kvs = s.split(":")
+    if name not in _FORM_KEYS:
+        raise ValueError("unknown form fixture %r (use harmonic:... or "
+                         "exact:...)" % name)
     out = {}
     for kv in kvs:
-        if "=" not in kv:
-            raise ValueError("bad %s option %r (expected key=value)" % (kind, kv))
-        k, v = kv.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, eq, v = kv.partition("=")
+        k = k.strip()
+        if not eq:
+            raise ValueError("bad form option %r (expected key=value)" % kv)
+        if k not in _FORM_KEYS[name]:
+            raise ValueError("unknown %s form option %r; known: %s"
+                             % (name, k, ", ".join(_FORM_KEYS[name])))
+        out[k] = v.strip()
     return name, out
 
 
@@ -130,16 +136,8 @@ def _parse_kv_spec(s, kind):
 # that may refuse, and returns (results, passed, why); main emits the envelope
 # ---------------------------------------------------------------------------
 
-def _pair_field(name, n):
-    field = get_field(name, n)
-    if not isinstance(field, ScalarField):
-        raise ValueError("%r is a matrix-extension field; this command needs "
-                         "a pair field (see its restriction instead)" % name)
-    return field
-
-
 def _cmd_cf_check(args):
-    field = _pair_field(args.field, args.n)
+    field = get_field(args.field, args.n)
     rng = np.random.default_rng(args.seed)
     pts = _shell_points(rng, args.points, args.rmin, args.rmax, n=args.n)
     cfg = FDConfig(step=args.step, scheme=args.scheme)
@@ -155,14 +153,12 @@ def _cmd_cf_check(args):
 def _cmd_hull(args):
     U = parse_domain(args.domain)
     pt = _parse_sigma(args.sigma)
-    count_kw = {} if args.count is None else {"count": args.count}
-    args.params = {"domain": args.domain, "sigma": pt.tolist(),
-                   "count": args.count}
+    args.params = {"domain": args.domain, "sigma": pt.tolist()}
     if args.mode == "contains":
-        return hull_contains(pt, U, **count_kw).to_json(), True, None
+        return hull_contains(pt, U).to_json(), True, None
     if args.mode == "distance":
-        return {"distance": hull_distance(pt, U, **count_kw)}, True, None
-    w, q = hull_witness(pt, U, **count_kw)
+        return {"distance": hull_distance(pt, U)}, True, None
+    w, q = hull_witness(pt, U)
     return ({"witness": w.tolist(), "distance": q.inf_value / np.sqrt(2.0),
              "query": q.to_json()}, True, None)
 
@@ -175,17 +171,14 @@ def _cmd_twistor(args):
                        "ntheta": args.ntheta}
         if not args.csv:
             return {"points": len(pts), "sweep": pts.tolist()}, True, None
-        dim = pts.shape[1]
-        with open(args.csv, "w") as f:
-            f.write(",".join("x%d" % i for i in range(dim)) + "\n")
-            for row in pts:
-                f.write(",".join("%.17g" % v for v in row) + "\n")
+        np.savetxt(args.csv, pts, fmt="%.17g", delimiter=",", comments="",
+                   header=",".join("x%d" % i for i in range(pts.shape[1])))
         return {"points": len(pts), "csv": args.csv}, True, None
     U = parse_domain(args.domain)
-    count_kw = {} if args.count is None else {"count": args.count}
     args.params = {"domain": args.domain, "sigma": pt.tolist(),
                    "count": args.count}
-    q = hull_contains_via_lines(pt, U, return_query=True, **count_kw)
+    count = _DEFAULT_COUNT if args.count is None else args.count
+    q = hull_contains_via_lines(pt, U, count, return_query=True)
     return q.to_json(), True, None
 
 
@@ -204,27 +197,24 @@ def _cmd_cp1(args):
                 "harmonic roundtrip error %.3e exceeds %.3e" % (err, args.tol))
     # coeffs
     args.params = {"k": args.k, "form": args.form}
-    name, kv = _parse_kv_spec(args.form, "form")
+    name, kv = _parse_form_spec(args.form)
     if name == "harmonic":
         w = harmonic_representative(_parse_complex(kv.get("a0", "1")),
                                     _parse_complex(kv.get("a1", "0")))
         if args.k != -3:
             raise ValueError("the harmonic fixture is a degree -3 form")
         cfg = None
-    elif name == "exact":
+    else:
         w = exact_form(args.k, p=int(kv.get("p", "0")), q=int(kv.get("q", "0")),
                        r_in=float(kv.get("rin", "0.5")),
                        r_out=float(kv.get("rout", "2.0")))
         cfg = BUMP_GRADE
-    else:
-        raise ValueError("unknown form fixture %r (use harmonic:... or exact:...)"
-                         % name)
     c = cohomology_coefficients(w, cfg, check=False)
     return {"coefficients": list(c)}, True, None
 
 
 def _cmd_penrose(args):
-    field = _pair_field(args.field, args.n)
+    field = get_field(args.field, args.n)
     if args.mode == "complex":
         pt = _parse_sigma(args.sigma)
         args.params = {"field": args.field, "n": args.n, "sigma": pt.tolist(),
@@ -254,9 +244,7 @@ def _cmd_penrose(args):
     if args.mode == "forward":
         return results, True, None
     # roundtrip
-    v = quat.real_to_ab(pts)
-    exact = np.stack([np.asarray(field.pair0(v), dtype=complex),
-                      np.asarray(field.pair1(v), dtype=complex)], axis=-1)
+    exact = np.stack(field.pair(pts), axis=-1)
     err = float(np.max(np.abs(res.values - exact)))
     results["max_error"] = err
     return (results, err < args.tol,
@@ -271,8 +259,9 @@ def _cmd_verify(args):
     args.params = {"n": args.n, "seed": args.seed, "criteria": args.criteria}
     report = run_all(seed=args.seed, n_values=n_values, criteria=criteria)
     for rec in report["criteria"]:
-        print(format_line(rec))
-    print("OVERALL: %s" % ("PASS" if report["passed"] else "FAIL"))
+        print(format_line(rec), file=sys.stderr)
+    print("OVERALL: %s" % ("PASS" if report["passed"] else "FAIL"),
+          file=sys.stderr)
     failed = [r for r in report["criteria"] if not r["passed"]]
     why = failed and "criterion %d: %s" % (failed[0]["id"],
                                            failed[0]["summary"])
@@ -319,10 +308,6 @@ def _build_parser():
         hp = hull.add_parser(mode)
         hp.add_argument("--domain", required=True)
         hp.add_argument("--sigma", required=True)
-        hp.add_argument("--count", type=int, default=None,
-                        help="imaginary-sphere sample count (at least 12); "
-                             "every domain the CLI parses has a closed-form "
-                             "sweep, so it is only validated")
         common(hp)
         hp.set_defaults(func=_cmd_hull)
 

@@ -290,8 +290,12 @@ def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
 
     f(z) = phi(|z|) z^p conj(z)^q on chart 0, with phi an annulus bump
     supported in r_in < |z| < r_out, is a global smooth section; h0 is its
-    dconj(z)-derivative and h1 the clutching of h0.
+    dconj(z)-derivative and h1 the clutching of h0.  ValueError unless the
+    radii are finite with 0 <= r_in < r_out.
     """
+    if not 0.0 <= r_in < r_out < np.inf:
+        raise ValueError("exact_form needs finite radii 0 <= r_in < r_out, "
+                         "not r_in=%r, r_out=%r" % (r_in, r_out))
     mid = (r_out + r_in) / 2.0
     half = (r_out - r_in) / 2.0
 

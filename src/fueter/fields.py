@@ -13,13 +13,14 @@ biquaternion matrices of shape (..., 2n, 2), holomorphic in the matrix entries
 by contract.  A ScalarField may carry such an extension; this is what allows
 the transform over the hull to be evaluated (see the penrose module).
 
-The registry provides the named built-in fields used by tests and the CLI.
+The registry provides the named built-in fields used by tests and the CLI,
+each a ScalarField; a known extension is reached through its .extension.
 """
 
 import numpy as np
 
 from . import quat
-from .domains import PointComplement, WholeSpace, parse_domain
+from .domains import PointComplement, WholeSpace
 
 __all__ = ["ScalarField", "ComplexField", "get_field", "field_names"]
 
@@ -29,18 +30,15 @@ class ScalarField:
 
     pair0/pair1 map interleaved complex points (..., 2n) -> (...).  Evaluation
     in flat real coordinates (..., 4n) is provided for the FD operators, and
-    eval_quat packs the pair back into quaternion components.
+    eval_quat packs the pair back into quaternion components.  domain is a
+    DomainSpec, or None for the whole space.
     """
 
     def __init__(self, pair0, pair1, n=1, domain=None, name=None, extension=None):
         self.pair0 = pair0
         self.pair1 = pair1
         self.n = int(n)
-        if domain is None:
-            domain = WholeSpace(n)
-        elif isinstance(domain, (str, dict)):
-            domain = parse_domain(domain)
-        self.domain = domain
+        self.domain = WholeSpace(n) if domain is None else domain
         self.name = name or "custom"
         self.extension = extension  # optional ComplexField
 
@@ -138,18 +136,13 @@ def _field_linear_monogenic(n):
 def _field_E(n):
     if n != 1:
         raise ValueError("the fundamental solution E is an n = 1 field")
+    ext = ComplexField(lambda z: z[..., 1, 1] / quat.det_biquat(z) ** 2,
+                       lambda z: -z[..., 1, 0] / quat.det_biquat(z) ** 2,
+                       n=1, name="E_ext")
     return ScalarField(lambda v: np.conj(v[..., 0]) / _rho2(v) ** 2,
                        lambda v: -v[..., 1] / _rho2(v) ** 2,
                        n=1, domain=PointComplement(1), name="E",
-                       extension=_field_E_ext(1))
-
-
-def _field_E_ext(n):
-    if n != 1:
-        raise ValueError("E_ext is an n = 1 field")
-    return ComplexField(lambda z: z[..., 1, 1] / quat.det_biquat(z) ** 2,
-                        lambda z: -z[..., 1, 0] / quat.det_biquat(z) ** 2,
-                        n=1, name="E_ext")
+                       extension=ext)
 
 
 def _field_nonmonogenic_quadratic(n):
@@ -180,18 +173,16 @@ _REGISTRY = {
 
 
 def field_names():
-    return sorted(_REGISTRY) + ["E_ext"]
+    return sorted(_REGISTRY)
 
 
 def get_field(name, n=1):
     """Look up a built-in field by registry name.
 
-    "E_ext" returns the ComplexField extension; everything else returns a
-    ScalarField (with .extension attached where a holomorphic extension is
-    known in closed form).
+    Every name gives a ScalarField, with .extension attached where a
+    holomorphic extension is known in closed form (E's is
+    ``get_field("E").extension``).
     """
-    if name == "E_ext":
-        return _field_E(1).extension
     try:
         factory = _REGISTRY[name]
     except KeyError:

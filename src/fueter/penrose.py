@@ -62,7 +62,6 @@ import functools
 
 import numpy as np
 
-from . import quat
 from .cf import FDConfig, _partials, _wirtinger, cf_residual_complex
 from .cp1 import _moments
 from .domains import WholeSpace
@@ -274,15 +273,13 @@ def penrose_transform_complex(form, sigma):
             raise NotInHullError(
                 "point is not in the monogenic hull of %r (clearance %.3e)"
                 % (form.domain, q.inf_value))
-    mat = pt.matrix
-    x = quat.decompose_matrix(mat)[0]
-    if np.array_equal(quat.embed_M(x), mat):
-        return tau_push_01(form, x)
+    if not pt.y.any():
+        return tau_push_01(form, pt.x)
     if form.coeffs_matrix is None:
         raise NoExtensionError(
             "form has no holomorphic matrix extension; the complexified "
             "transform off the real slice requires coeffs_matrix")
-    return form.coeffs_matrix(mat) @ form.moments
+    return form.coeffs_matrix(pt.matrix) @ form.moments
 
 
 # ---------------------------------------------------------------------------

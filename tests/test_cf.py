@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fueter import cf, fields, quat
+from fueter import cf, domains, fields, quat
 
 
 def _shell(rng, count, rmin=0.5, rmax=2.0, n=1):
@@ -107,7 +107,7 @@ def test_fdconfig_validation():
 def test_stencil_leaving_the_domain_raises():
     field = fields.ScalarField(lambda v: v[..., 0],
                                lambda v: v[..., 1] ** 2,
-                               domain="ball:r=1")
+                               domain=domains.parse_domain("ball:r=1"))
     inside = np.array([0.5, 0.0, 0.0, 0.0])
     cf.cf_apply(field, inside, cf.FDConfig(step=1e-3))
     near_edge = np.array([0.9995, 0.0, 0.0, 0.0])
@@ -136,7 +136,7 @@ def test_is_monogenic_report_and_verdicts():
 
 
 def test_complexified_operator_annihilates_extended_fundamental_solution():
-    ext = fields.get_field("E_ext")
+    ext = fields.get_field("E").extension
     rng = np.random.default_rng(17)
     checked = 0
     while checked < 8:
@@ -171,7 +171,7 @@ def _dC_apply_via_pair(psiC, z, cfg):
 
 
 def test_complexified_operator_evaluates_each_component_once_per_stencil_point():
-    ext = fields.get_field("E_ext")
+    ext = fields.get_field("E").extension
     evaluated = {"pair0": 0, "pair1": 0}  # matrices, not calls
 
     def counted(name, fn):
@@ -195,7 +195,7 @@ def test_complexified_operator_evaluates_each_component_once_per_stencil_point()
 
 
 def test_complexified_operator_on_one_matrix_is_its_batched_row():
-    ext = fields.get_field("E_ext")
+    ext = fields.get_field("E").extension
     rng = np.random.default_rng(20)
     for scheme in ("central", "richardson"):
         cfg = cf.FDConfig(scheme=scheme)
@@ -218,7 +218,7 @@ def test_complexified_operator_detects_non_holomorphic_dependence():
 
 
 def test_restriction_of_extension_matches_the_real_field():
-    ext = fields.get_field("E_ext")
+    ext = fields.get_field("E").extension
     base = fields.get_field("E")
     rng = np.random.default_rng(18)
     for p in _shell(rng, 10):

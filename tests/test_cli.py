@@ -71,17 +71,28 @@ def test_config_errors_exit_with_two(capsys):
     assert "config error" in err
 
 
-@pytest.mark.parametrize("command", [["hull", "contains"],
-                                     ["twistor", "hull-lines"]])
 @pytest.mark.parametrize("count", ["0", "6", "-1"])
-def test_a_count_below_12_is_a_config_error(command, count, capsys):
+def test_a_count_below_12_is_a_config_error(count, capsys):
     # 0 is a count like any other, not "use the default"
-    assert cli.main(command + ["--domain", "H*", "--count", count,
-                               "--sigma", '{"x": [1, 0, 0, 0], '
-                                          '"y": [0, 0.3, 0, 0]}']) == 2
+    assert cli.main(["twistor", "hull-lines", "--domain", "H*",
+                     "--count", count,
+                     "--sigma", '{"x": [1, 0, 0, 0], "y": [0, 0.3, 0, 0]}']) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "config error: sampler count must be >= 12\n"
+
+
+@pytest.mark.parametrize("mode", ["contains", "distance", "witness"])
+def test_hull_queries_take_no_count(mode, capsys):
+    # every domain the CLI parses has a closed-form sweep, so no lattice
+    # count would be read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hull", mode, "--domain", "H*", "--count", "64",
+                  "--sigma", '{"x": [1, 0, 0, 0], "y": [0, 0.3, 0, 0]}'])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--count" in captured.err
 
 
 def test_penrose_complex_rejects_a_point_of_another_n(capsys):
@@ -172,7 +183,11 @@ def test_cf_check_rejects_a_stencil_across_the_puncture(capsys):
 
 
 def test_cf_check_rejects_matrix_only_fields(capsys):
-    assert cli.main(["cf", "check", "--field", "E_ext"]) == 2
+    # E's extension is E.extension, not a registry field
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cf", "check", "--field", "E_ext"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -234,14 +249,16 @@ def test_penrose_complex_command_agrees_with_the_extension(tmp_path):
     assert blob["pass"] is True
 
 
-def test_verify_subset_runs_and_validates(tmp_path, capsys):
-    code, blob = _run_json(
-        ["verify", "all", "--criteria", "5", "--seed", "7"], tmp_path)
-    out = capsys.readouterr().out
+def test_verify_subset_runs_and_validates(capsys):
+    # one envelope on stdout; the per-criterion lines go to stderr
+    code = cli.main(["verify", "all", "--criteria", "5", "--seed", "7"])
+    captured = capsys.readouterr()
+    blob = json.loads(captured.out)
+    err = captured.err
     assert code == 0
     assert blob["pass"] is True
-    assert "criterion 5" in out
-    assert "OVERALL: PASS" in out
+    assert "criterion 5" in err
+    assert "OVERALL: PASS" in err
     jsonschema.validate(blob, _schema())
 
 
@@ -313,6 +330,21 @@ def test_non_finite_coefficients_are_config_errors(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is not finite" in captured.err
+
+
+@pytest.mark.parametrize("form,message", [
+    ("exact:rin=2:rout=1", "0 <= r_in < r_out"),
+    ("exact:p=-1:rin=-1:rout=2", "0 <= r_in < r_out"),
+    ("exact:rim=0.3", "unknown exact form option 'rim'; known: p, q, rin, rout"),
+    ("harmonic:a0=1:a2=3", "unknown harmonic form option 'a2'; known: a0, a1"),
+    ("bump:r=1", "unknown form fixture 'bump'"),
+])
+def test_bad_form_specs_are_config_errors(form, message, capsys):
+    assert cli.main(["cp1", "coeffs", "--form", form]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert message in captured.err
 
 
 def test_whole_space_queries_report_infinity_but_have_no_witness(tmp_path,

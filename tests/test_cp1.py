@@ -186,6 +186,23 @@ def test_exact_forms_have_vanishing_coefficients():
         assert np.abs(np.asarray(coeffs)).max() < 1e-5
 
 
+@pytest.mark.parametrize("r_in,r_out", [(-1.0, 2.0), (2.0, 1.0), (1.0, 1.0),
+                                        (0.5, np.inf), (np.nan, 2.0),
+                                        (0.5, np.nan)])
+def test_exact_form_refuses_radii_outside_an_annulus(r_in, r_out):
+    # a negative r_in once gave a form with a_0 = -0.32, and r_in >= r_out
+    # the zero form
+    with pytest.raises(ValueError, match="0 <= r_in < r_out"):
+        cp1.exact_form(-3, r_in=r_in, r_out=r_out)
+
+
+def test_exact_form_takes_a_bump_from_the_origin():
+    w = cp1.exact_form(-3, p=1, q=1, r_in=0.0, r_out=2.0)
+    assert w.h0(np.array([0.0j]))[0] == 0
+    coeffs = cp1.cohomology_coefficients(w, cfg=cp1.BUMP_GRADE)
+    assert np.abs(np.asarray(coeffs)).max() < 1e-5
+
+
 def test_bump_sections_clutch_and_differentiate():
     p, q, r_in, r_out = 1, 1, 0.4, 2.2
     w = cp1.exact_form(-3, p=p, q=q, r_in=r_in, r_out=r_out)

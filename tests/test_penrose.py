@@ -213,7 +213,7 @@ def test_transform_takes_one_finite_difference_pass(monkeypatch):
 def test_complexified_transform_matches_the_holomorphic_extension():
     rng = np.random.default_rng(56)
     form = penrose.sharp(fields.get_field("E"))
-    ext = fields.get_field("E_ext")
+    ext = fields.get_field("E").extension
     checked = 0
     while checked < 6:
         x = rng.normal(size=4)
