@@ -7,7 +7,8 @@ schemas/report.json) to stdout, or to --report, sorted keys, no timestamps
 tolerance (queries always exit 0, a negative verdict is a valid answer); 1 a
 tolerance check failed or the library refused the query (a point outside
 the hull, a failed closedness certificate, a form without a holomorphic
-extension) — the envelope is still emitted, with "pass" false, and stderr
+extension, a quadrature that gives non-finite or unconverged coefficients)
+— the envelope is still emitted, with "pass" false, and stderr
 reads ``check failed: <group> <mode>: <reason>``; 2 configuration error,
 with no envelope.  ``verify all`` also prints one PASS/FAIL line per
 criterion and an OVERALL line, to stderr.
@@ -22,8 +23,8 @@ import numpy as np
 from . import __version__, quat
 from .acceptance import run_all, format_line, _shell_points
 from .cf import FDConfig, is_monogenic
-from .cp1 import (BUMP_GRADE, h1_dimension, harmonic_representative,
-                  cohomology_coefficients, exact_form)
+from .cp1 import (BUMP_GRADE, QuadratureError, h1_dimension,
+                  harmonic_representative, cohomology_coefficients, exact_form)
 from .domains import parse_domain
 from .fields import get_field, field_names
 from .hull import (hull_contains, hull_distance, hull_witness,
@@ -390,7 +391,8 @@ def main(argv=None):
     try:
         try:
             results, passed, why = args.func(args)
-        except (NotInHullError, ClosednessError, NoExtensionError) as e:
+        except (NotInHullError, ClosednessError, NoExtensionError,
+                QuadratureError) as e:
             results, passed, why = {"error": str(e)}, False, str(e)
         _emit(args, command, results, passed)
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as e:

@@ -215,18 +215,35 @@ def cohomology_coefficients(w, cfg=None, check=True):
     """The H^1 coefficients a_0..a_{-k-2} of a (0,1)-form on Q_k, k <= -2.
 
     Returns shape (-k-1,), or (..., -k-1) when w.h0 maps the nodes to a batch
-    of forms of shape (..., nodes).
+    of forms of shape (..., nodes).  QuadratureError when a coefficient is
+    not finite (z^ell overflows on the outer nodes when -k is large) or,
+    with check, when the doubled rule disagrees.
     """
     if w.k > -2:
         raise ValueError("H^1(Q_k) vanishes for k > -2; no coefficients")
     cfg = cfg or QuadratureConfig()
-    out = _moments(w.h0, -w.k - 1, cfg)
+    out = _finite_moments(w, cfg)
     if check:
-        out2 = _moments(w.h0, -w.k - 1, cfg.refined())
+        out2 = _finite_moments(w, cfg.refined())
         if np.max(np.abs(out - out2)) > 10 * cfg.target_tol:
             raise QuadratureError("coefficient quadrature not converged: %s vs %s"
                                   % (out, out2))
         out = out2
+    return out
+
+
+def _finite_moments(w, cfg):
+    """The coefficient moments of w on the rule cfg; QuadratureError unless finite.
+
+    For large ell, Z^ell overflows on the outer nodes; that shows as a
+    non-finite moment, refused here, not as a floating-point warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _moments(w.h0, -w.k - 1, cfg)
+    if not np.isfinite(out).all():
+        raise QuadratureError(
+            "non-finite coefficients of the degree %d form on the %r rule"
+            % (w.k, cfg))
     return out
 
 

@@ -24,7 +24,10 @@ Right multiplication by a unit q is an isometry of H^n, so for any w
 with q = (0, u), and <w, y q> = -v.u is linear in u on the unit sphere.  Its
 extremes sit at u = -+v/|v| (any u when v = 0), which settles balls (w = x minus
 the centre, largest norm), point complements (w = x minus the point, smallest
-norm) and half-spaces (w = the normal, largest <normal, y q>).  The value is
+norm) and half-spaces (w = the normal, largest <normal, y q>).  v is one
+gather of y's coefficients, their signed products with w and three sums in
+``qmul``'s term order (the trick of ``quat.right_line``), so it equals the
+sum of the quaternion products conj(w_l) y_l bit for bit.  The value is
 ``ext_distance`` evaluated at that arg-min, never the expanded square root,
 whose cancellation near a zero minimum (the hull boundary of H*) leaves
 ~1e-8 of rounding noise.  Intersections take the minimum over their parts;
@@ -44,7 +47,7 @@ import json
 
 import numpy as np
 
-from .quat import qconj, qmul, qnorm, right_line
+from .quat import qnorm, right_line
 
 __all__ = [
     "DomainSpec", "Ball", "PointComplement", "HalfSpace", "Intersection",
@@ -86,7 +89,8 @@ class DomainSpec:
 
     def _sweep_at(self, x, y, u):
         """(ext_distance(x + y q), q) at q = (0, u), batched over leading axes."""
-        q = np.concatenate([np.zeros(u.shape[:-1] + (1,)), u], axis=-1)
+        q = np.zeros(u.shape[:-1] + (4,))
+        q[..., 1:] = u
         return self.ext_distance(right_line(x, y)(q)), q
 
     def to_json(self):
@@ -280,6 +284,15 @@ def _finite(a, name):
     return a
 
 
+# components 1..3 of conj(w)*y: term t of component k is
+# _VSIGN[t, k] * w_t * y_(_VXOR[t, k]), qmul's signs with conj's folded in
+_VXOR = np.arange(4)[:, None] ^ np.arange(1, 4)
+_VSIGN = np.array([[1.0, 1.0, 1.0],
+                   [-1.0, 1.0, -1.0],
+                   [-1.0, -1.0, 1.0],
+                   [1.0, -1.0, -1.0]])
+
+
 def _axis_dir(dim, shape):
     e = np.zeros(shape[:-1] + (dim,))
     e[..., 0] = 1.0
@@ -287,15 +300,24 @@ def _axis_dir(dim, shape):
 
 
 def _sweep_vec(w, y):
-    """v = sum_l Vec(conj(w_l) y_l), so that <w, y*(0, u)> = -v.u; (..., 3)."""
-    w, y = np.broadcast_arrays(w, y)
-    shape = y.shape[:-1] + (-1, 4)
-    return qmul(qconj(w.reshape(shape)), y.reshape(shape)).sum(axis=-2)[..., 1:]
+    """v = sum_l Vec(conj(w_l) y_l), so that <w, y*(0, u)> = -v.u; (..., 3).
+
+    w and y broadcast.  Term t of component k is _VSIGN[t, k] w_t
+    y_(t xor k): one gather of y, the signed products and three sums in
+    ``qmul``'s order, then the sum over l, so v equals qmul(qconj(w_l), y_l)
+    summed over l bit for bit.
+    """
+    w = np.asarray(w, dtype=float)
+    y = np.asarray(y, dtype=float)
+    terms = (w.reshape(w.shape[:-1] + (-1, 4, 1)) * _VSIGN
+             * y.reshape(y.shape[:-1] + (-1, 4))[..., _VXOR])
+    v = terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
+    return np.add.reduce(v, axis=-2)
 
 
 def _unit(v):
     """v/|v| over the last axis; the i axis where v = 0 (every unit u is optimal)."""
-    r = np.linalg.norm(v, axis=-1, keepdims=True)
+    r = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     return np.where(r > 0, v / np.where(r > 0, r, 1.0), _axis_dir(3, v.shape))
 
 

@@ -29,7 +29,11 @@ verdict threshold are dropped and the others split 4-to-1 at their edge
 midpoints, all evaluated in one batched call per level.  It ends at a
 swept point outside U (certain False), with no triangle left (certain True,
 the least dropped bound lb being a lower bound of the minimum), or at a
-fixed cap on depth and live triangles (indeterminate).
+fixed cap on depth and live triangles (indeterminate).  The triangles are
+coordinate-major: vertex indices and values are (3, T) arrays, one row per
+vertex, so each step of a level is a numpy call streaming over the
+triangles, and vertex coordinates are gathered only at a level that splits
+(most searches stop at depth 0, on values and radii alone).
 
 The band of a sampled query is a certified width: the true minimum lies in
 [inf_value - band, inf_value] (band inf_value - lb after a branch-and-bound),
@@ -114,13 +118,14 @@ def _lattice(count):
 def _grid(qs):
     """Sweep grid of nodes qs (K, 4): (qs, covering chord, triangles, radii).
 
-    The triangles are the spherical Delaunay triangles, rows of node
-    indices (T, 3), and the radii their circumchords (T,), all from one
-    convex hull.  The covering chord is the largest distance from a point
-    of S^2 to its nearest node.  It is attained at a spherical-Voronoi
-    vertex, which is the outward normal of a facet of the nodes' convex
-    hull; the chord from it to the facet's vertices is the radius of the
-    facet's empty cap.  The nodes must not all lie in one closed hemisphere.
+    The triangles are the spherical Delaunay triangles, a (3, T) array of
+    node indices (row j: vertex j of each triangle), and the radii their
+    circumchords (T,), all from one convex hull.  The covering chord is the
+    largest distance from a point of S^2 to its nearest node.  It is
+    attained at a spherical-Voronoi vertex, which is the outward normal of a
+    facet of the nodes' convex hull; the chord from it to the facet's
+    vertices is the radius of the facet's empty cap.  The nodes must not all
+    lie in one closed hemisphere.
     """
     # only the sampled grids get here, once per count: keep scipy off the
     # import path of the exact queries
@@ -129,30 +134,40 @@ def _grid(qs):
     u = np.asarray(qs, dtype=float)[:, 1:]
     facets = ConvexHull(u)
     normals = facets.equations[:, None, :3]
-    tri = u[facets.simplices]
-    chord = float(np.linalg.norm(normals - tri, axis=-1).max())
-    return qs, chord, facets.simplices, _circumchord(tri)
+    chord = float(np.linalg.norm(normals - u[facets.simplices], axis=-1).max())
+    tris = np.ascontiguousarray(facets.simplices.T, dtype=np.intp)
+    return qs, chord, tris, _circumchord(u.T[:, tris])
 
 
 def _circumchord(tri):
-    """Chord radius of the circumcap of spherical triangles tri (..., 3, 3).
+    """Chord radius of the circumcap of spherical triangles tri (3, 3, ...).
 
-    The chord from the unit normal of a triangle's plane (oriented toward
-    it) to its vertices.  Every point of the spherical triangle lies within
-    this chord of one of its vertices.  With R the circumradius of the flat
-    triangle, the chord is R * sqrt(2 / (1 + sqrt(1 - R^2))).  R comes from
-    the edge vectors and their cross product, which stay accurate on tiny
-    triangles, where a normal from differences of nearly equal unit vectors
-    would lose most of its digits.
+    tri[c, j] is coordinate c of vertex j, batched over the trailing axes
+    (coordinate-major).  The chord runs from the unit normal of a triangle's plane
+    (oriented toward it) to its vertices.  Every point of the spherical
+    triangle lies within this chord of one of its vertices.  With R the
+    circumradius of the flat triangle, the chord is
+    R * sqrt(2 / (1 + sqrt(1 - R^2))).  R comes from the edge vectors and
+    their cross product, which stay accurate on tiny triangles, where a
+    normal from differences of nearly equal unit vectors would lose most of
+    its digits.
     """
-    u = tri[..., 1, :] - tri[..., 0, :]
-    w = tri[..., 2, :] - tri[..., 0, :]
-    area2 = np.linalg.norm(np.cross(u, w), axis=-1)
-    r = (np.linalg.norm(u, axis=-1) * np.linalg.norm(w, axis=-1)
-         * np.linalg.norm(u - w, axis=-1) / (2.0 * area2))
+    u = tri[:, 1] - tri[:, 0]
+    w = tri[:, 2] - tri[:, 0]
+    # |u x w|, the cross product's terms in np.cross's order
+    c0 = u[1] * w[2] - u[2] * w[1]
+    c1 = u[2] * w[0] - u[0] * w[2]
+    c2 = u[0] * w[1] - u[1] * w[0]
+    area2 = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    r = _norm(u) * _norm(w) * _norm(u - w) / (2.0 * area2)
     # R <= 1 on the unit sphere; rounding can push a flat triangle past it
     r = np.minimum(r, 1.0)
     return r * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 - r * r)))
+
+
+def _norm(v):
+    """Euclidean norm over the first axis, coordinate-major vectors (3, ...)."""
+    return np.sqrt(np.add.reduce(v * v, axis=0))
 
 
 class HullQuery:
@@ -307,35 +322,51 @@ def _branch_and_bound(g, grid, vals, ynorm, tau):
     stops at a value <= tau (outside), with no triangle left (inside: lb,
     the least dropped bound, is > tau), or at the _BB_DEPTH / _BB_LIVE cap
     (usually lb = 0: indeterminate).
+
+    The triangles are coordinate-major: a level holds the vertex values
+    (3, T), the radii (T,) and indices (3, T) into a table of points (3, P),
+    and gathers vertex coordinates (3, 3, T) only when it splits.  The
+    points are the grid's nodes at depth 0, and after a split the live
+    triangles' vertices and then their midpoints.  Triangles, midpoints and
+    children keep the row order of a triangle-major loop (each triangle's
+    children in turn), so every evaluation of g sees the same rows in the
+    same order.
     """
-    qs, _, tris, rho = grid
+    qs, _, ids, rho = grid
     i = int(np.argmin(vals))
     f, q = vals[i], qs[i]
-    tri = qs[tris][..., 1:]
-    tval = vals[tris]
+    pts = qs[:, 1:].T
+    tval = vals[ids]
     lb = np.inf
     for depth in range(_BB_DEPTH + 1):
-        bound = tval.min(axis=1) - ynorm * rho
+        bound = np.minimum.reduce(tval) - ynorm * rho
         live = bound <= tau
         nlive = np.count_nonzero(live)
         if f <= tau or not nlive or nlive > _BB_LIVE or depth == _BB_DEPTH:
             lb = min(lb, bound.min())
             break
         lb = min(lb, bound[~live].min(initial=np.inf))
-        tri, tval = tri[live], tval[live]
-        # mids[:, k] is the midpoint of the edge opposite vertex k
+        tval = tval[:, live]
+        # tri[c, j] is coordinate c of vertex j; mids[c, k] of the midpoint
+        # of the edge opposite vertex k
+        tri = pts[:, ids[:, live]]
         mids = tri[:, [1, 2, 0]] + tri[:, [2, 0, 1]]
-        mids /= np.linalg.norm(mids, axis=-1, keepdims=True)
-        mq = np.zeros((3 * len(tri), 4))
-        mq[:, 1:] = mids.reshape(-1, 3)
+        mids /= _norm(mids)
+        mq = np.zeros((nlive, 3, 4))
+        mq[..., 1:] = mids.T
+        mq = mq.reshape(-1, 4)
         mval = g(mq)
         k = int(np.argmin(mval))
         if mval[k] < f:
             f, q = mval[k], mq[k]
-        tri = np.concatenate([tri, mids], axis=1)[:, _CHILDREN]
-        tval = np.concatenate([tval, mval.reshape(-1, 3)], axis=1)[:, _CHILDREN]
-        tri, tval = tri.reshape(-1, 3, 3), tval.reshape(-1, 3)
-        rho = _circumchord(tri)
+        # the new table holds point j of live triangle t (vertex j, then
+        # midpoint j - 3, _CHILDREN's numbering) at j * nlive + t, and
+        # child c of t is triangle 4 t + c
+        pts = np.concatenate([tri, mids], axis=1).reshape(3, -1)
+        ids = (_CHILDREN.T[:, None, :] * nlive
+               + np.arange(nlive)[:, None]).reshape(3, -1)
+        tval = np.concatenate([tval, mval.reshape(-1, 3).T]).ravel()[ids]
+        rho = _circumchord(pts[:, ids])
     return float(f), q, max(0.0, float(lb))
 
 
@@ -359,8 +390,10 @@ def _sweep(pt, U, grid, line, polish=False):
         raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
     x = pt.x
     y = pt.y
-    ynorm = float(quat.qnorm(y))
-    tau = _TINY * max(1.0, pt.norm_C())
+    yn = quat.qnorm(y)
+    ynorm = float(yn)
+    # pt.norm_C() from the norm of y at hand
+    tau = _TINY * max(1.0, float(np.sqrt(quat.qnorm(x) ** 2 + yn ** 2)))
 
     if ynorm == 0.0:
         # the swept set is {x}: membership is exact

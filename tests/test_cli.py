@@ -427,6 +427,26 @@ def test_penrose_complex_outside_the_hull_still_prints_its_envelope(capsys):
                                    "not in the monogenic hull")
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and infinities, which JSON does not have."""
+    def refuse(name):
+        raise ValueError("not JSON: %s" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cp1_coeffs_refuses_non_finite_coefficients(capsys):
+    # z^ell overflows on the quadrature's outer nodes at this degree: a
+    # refusal (exit 1, "pass" false), never NaN coefficients
+    code = cli.main(["cp1", "coeffs", "--k", "-60", "--form", "exact"])
+    assert code == 1
+    captured = capsys.readouterr()
+    blob = _strict_json(captured.out)
+    jsonschema.validate(blob, _schema())
+    assert blob["pass"] is False
+    assert "non-finite coefficients" in blob["results"]["error"]
+    assert captured.err.startswith("check failed: cp1 coeffs: non-finite")
+
+
 def test_penrose_complex_off_the_slice_needs_an_extension(tmp_path, capsys):
     code, blob = _run_json(
         ["penrose", "complex", "--field", "nonmonogenic_linear",

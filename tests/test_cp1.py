@@ -286,3 +286,14 @@ def test_coefficients_raise_when_the_doubled_rule_disagrees():
     with pytest.raises(cp1.QuadratureError, match="coefficient quadrature "
                                                   "not converged"):
         cp1.cohomology_coefficients(w)
+
+
+def test_coefficients_refuse_an_overflowed_moment():
+    # z^ell overflows on the outer nodes of the bump grade before ell = 58;
+    # the coefficients are refused, not returned as NaN, and no overflow
+    # warning escapes (RuntimeWarnings fail the test)
+    w = cp1.exact_form(-60)
+    with pytest.raises(cp1.QuadratureError, match="non-finite coefficients"):
+        cp1.cohomology_coefficients(w, cp1.BUMP_GRADE, check=False)
+    with pytest.raises(cp1.QuadratureError, match="non-finite coefficients"):
+        cp1.cohomology_coefficients(w, cp1.BUMP_GRADE)

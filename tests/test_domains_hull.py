@@ -374,6 +374,100 @@ def test_sweep_inf_without_a_preferred_direction(n):
     assert abs(val - hs.ext_distance(c)) < 1e-15
 
 
+@st.composite
+def _sweep_vec_case(draw):
+    # w and y with exact zeros of both signs, batched or a single (4n,)
+    # row broadcast against a batch, as the half-space's normal is
+    n = draw(st.integers(1, 3))
+    batch = draw(st.integers(1, 4))
+    elements = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(
+        -2.0, 2.0, allow_nan=False, allow_subnormal=False))
+    shape_w, shape_y = draw(st.sampled_from([
+        ((batch, 4 * n), (batch, 4 * n)), ((4 * n,), (batch, 4 * n)),
+        ((batch, 4 * n), (4 * n,)), ((4 * n,), (4 * n,))]))
+    return (draw(hnp.arrays(np.float64, shape_w, elements=elements)),
+            draw(hnp.arrays(np.float64, shape_y, elements=elements)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sweep_vec_case())
+def test_sweep_vec_is_the_qmul_sum_bit_for_bit(case):
+    w, y = case
+    wb, yb = np.broadcast_arrays(w, y)
+    shape = yb.shape[:-1] + (-1, 4)
+    ref = quat.qmul(quat.qconj(wb.reshape(shape)),
+                    yb.reshape(shape)).sum(axis=-2)[..., 1:]
+    v = domains._sweep_vec(w, y)
+    assert v.shape == ref.shape
+    assert v.tobytes() == ref.tobytes()
+
+
+def _closed_form_queries():
+    x1, y1 = [0.3, -0.2, 0.1, 0.4], [0.1, 0.2, -0.3, 0.1]
+    x2 = [0.1, -0.2, 0.05, 0.3, 0.0, 0.15, -0.1, 0.2]
+    y2 = [0.2, 0.1, -0.3, 0.05, 0.1, -0.05, 0.15, 0.0]
+    out = {}
+    for n, x, y in ((1, x1, y1), (2, x2, y2)):
+        parts = {
+            "ball": domains.Ball(n, 1.2, center=[0.1] * 4 * n),
+            "point_complement": domains.PointComplement(
+                n, point=[0.05, -0.1] * 2 * n),
+            "halfspace": domains.HalfSpace(n, [0.3, -0.5, 0.2, 0.8] * n, 1.1),
+            "intersection": domains.Intersection([
+                domains.Ball(n, 1.3),
+                domains.HalfSpace(n, [-0.3, -0.8, 0.1, 0.4] * n, 0.9)]),
+        }
+        for name, U in parts.items():
+            out["%s_n%d" % (name, n)] = hull.hull_contains(_pt(x, y), U)
+    # v = 0 at the centre: the i axis
+    c = [0.1, 0.2, 0.0, -0.1]
+    out["ball_centre"] = hull.hull_contains(
+        _pt(c, [0.0, 0.3, 0.1, 0.0]), domains.Ball(1, 1.0, center=c))
+    return out
+
+
+# float.hex of (inf_value, argmin_q) of closed-form queries, recorded with
+# v computed as qmul(qconj(w), y) summed over the entries
+_GOLDEN_CLOSED = {
+    "ball_n1": ("0x1.603cc47418342p-2", (
+        "0x0.0p+0", "0x1.c3a3bb803d616p-4", "0x1.a7697fc8398b5p-1",
+        "0x1.1a465530265cdp-1")),
+    "point_complement_n1": ("0x1.9d43ca769edd7p-3", (
+        "0x0.0p+0", "-0x1.c0013db350862p-2", "-0x1.c0013db350863p-1",
+        "-0x1.a86cf715aa9a1p-3")),
+    "halfspace_n1": ("0x1.712dba35c2260p-3", (
+        "0x0.0p+0", "0x1.8bef24ad332edp-2", "0x1.a6546b6369cb8p-1",
+        "0x1.a6546b6369cb8p-2")),
+    "intersection_n1": ("0x1.6ea7dd27c2bd8p-2", (
+        "0x0.0p+0", "0x1.5fa820f246014p-2", "0x1.ff802fec08bc5p-3",
+        "0x1.cf8c2b6de7ea6p-1")),
+    "ball_n2": ("0x1.8c23d8326a758p-2", (
+        "0x0.0p+0", "-0x1.f0905f43ebbadp-4", "0x1.a9a051a7ee9f7p-4",
+        "0x1.f96e60f76b5d8p-1")),
+    "point_complement_n2": ("0x1.92f12089139bdp-2", (
+        "0x0.0p+0", "-0x1.8e6efe73d0d25p-2", "-0x1.9c2c335d539bfp-3",
+        "-0x1.cc426c8e9d5d0p-1")),
+    "halfspace_n2": ("0x1.c6951986a0ce4p-3", (
+        "0x0.0p+0", "-0x1.a82d629c0bc12p-4", "0x1.0189450350477p-1",
+        "0x1.b75393d879e34p-1")),
+    "intersection_n2": ("0x1.2d52986312fd3p-2", (
+        "0x0.0p+0", "-0x1.10e0926dff513p-1", "0x1.32fca4bbbf3b6p-3",
+        "0x1.aa5ee4cbdeeedp-1")),
+    "ball_centre": ("0x1.5e1764edbdb78p-1", (
+        "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
+}
+
+
+def test_closed_form_queries_are_pinned_bit_for_bit():
+    queries = _closed_form_queries()
+    assert sorted(queries) == sorted(_GOLDEN_CLOSED)
+    for name, query in queries.items():
+        inf_value, argmin_q = _GOLDEN_CLOSED[name]
+        assert query.verdict is True and query.band == 0.0, name
+        assert float(query.inf_value).hex() == inf_value, name
+        assert _hex(query.argmin_q) == argmin_q, name
+
+
 def test_constant_domains_have_constant_sweeps():
     x, y = np.ones(8), np.arange(8.0)
     assert domains.WholeSpace(2).sweep_inf(x, y)[0] == np.inf
@@ -682,7 +776,7 @@ def test_triangle_bound_holds_inside_the_triangle(case, tri):
     # every point of a spherical triangle is within its circumchord of a
     # vertex, so g over it stays above the branch-and-bound's vertex bound
     U, x, y = case
-    rho = hull._circumchord(tri)
+    rho = hull._circumchord(tri.T)
     w = np.random.default_rng(3).dirichlet(np.ones(3), size=500)
     w = np.concatenate([w, np.eye(3), [[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]]])
     u = w @ tri
@@ -720,6 +814,101 @@ def test_branch_and_bound_finds_a_narrow_cone(centre, count, depth):
             assert f == 0.0
         else:
             assert 1e-12 < lb <= depth <= f
+
+
+def _circumchord_rows(tri):
+    """Reference: hull._circumchord on row-major triangles (..., 3, 3)."""
+    u = tri[..., 1, :] - tri[..., 0, :]
+    w = tri[..., 2, :] - tri[..., 0, :]
+    area2 = np.linalg.norm(np.cross(u, w), axis=-1)
+    r = (np.linalg.norm(u, axis=-1) * np.linalg.norm(w, axis=-1)
+         * np.linalg.norm(u - w, axis=-1) / (2.0 * area2))
+    r = np.minimum(r, 1.0)
+    return r * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 - r * r)))
+
+
+def _branch_and_bound_rows(g, grid, vals, ynorm, tau):
+    """Reference: hull._branch_and_bound as a triangle-major loop.
+
+    Triangles are rows (T, 3) of vertex values and (T, 3, 3) of vertex
+    coordinates, gathered from the grid up front.
+    """
+    qs, _, tris, rho = grid
+    tris = tris.T
+    i = int(np.argmin(vals))
+    f, q = vals[i], qs[i]
+    tri = qs[tris][..., 1:]
+    tval = vals[tris]
+    lb = np.inf
+    for depth in range(hull._BB_DEPTH + 1):
+        bound = tval.min(axis=1) - ynorm * rho
+        live = bound <= tau
+        nlive = np.count_nonzero(live)
+        if (f <= tau or not nlive or nlive > hull._BB_LIVE
+                or depth == hull._BB_DEPTH):
+            lb = min(lb, bound.min())
+            break
+        lb = min(lb, bound[~live].min(initial=np.inf))
+        tri, tval = tri[live], tval[live]
+        mids = tri[:, [1, 2, 0]] + tri[:, [2, 0, 1]]
+        mids /= np.linalg.norm(mids, axis=-1, keepdims=True)
+        mq = np.zeros((3 * len(tri), 4))
+        mq[:, 1:] = mids.reshape(-1, 3)
+        mval = g(mq)
+        k = int(np.argmin(mval))
+        if mval[k] < f:
+            f, q = mval[k], mq[k]
+        tri = np.concatenate([tri, mids], axis=1)[:, hull._CHILDREN]
+        tval = np.concatenate([tval, mval.reshape(-1, 3)],
+                              axis=1)[:, hull._CHILDREN]
+        tri, tval = tri.reshape(-1, 3, 3), tval.reshape(-1, 3)
+        rho = _circumchord_rows(tri)
+    return float(f), q, max(0.0, float(lb))
+
+
+@pytest.mark.parametrize("count", [12, 64, 512, 5000])
+def test_grid_radii_match_the_row_major_reference(count):
+    qs, _, tris, rho = hull._lattice(count)
+    assert tris.shape == (3, len(rho))
+    assert rho.tobytes() == _circumchord_rows(qs[tris.T][..., 1:]).tobytes()
+
+
+@st.composite
+def _in_band_case(draw):
+    # a near-boundary sigma whose scanned minimum falls inside the band, on
+    # the lattice line map or the twistor charts, under the default caps or
+    # small ones that end the search early
+    U, x, y, _ = draw(_near_boundary_case())
+    count = draw(st.sampled_from([12, 64, 512]))
+    line = (twistor._chart_line(x, y, count) if draw(st.booleans())
+            else quat.right_line(x, y))
+    caps = draw(st.sampled_from([(hull._BB_DEPTH, hull._BB_LIVE), (1, 1024),
+                                 (3, 1024), (32, 8), (32, 64)]))
+    return U, x, y, count, line, caps
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_in_band_case())
+def test_branch_and_bound_matches_the_row_major_reference(case):
+    U, x, y, count, line, (depth_cap, live_cap) = case
+    grid = hull._lattice(count)
+
+    def g(q):
+        return U.ext_distance(line(q))
+
+    vals = g(grid[0])
+    ynorm = float(np.linalg.norm(y))
+    assume(0.0 < vals.min() <= 2.0 * ynorm * grid[1])
+    tau = hull._TINY * max(1.0, _pt(x, y).norm_C())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "_BB_DEPTH", depth_cap)
+        mp.setattr(hull, "_BB_LIVE", live_cap)
+        f, q, lb = hull._branch_and_bound(g, grid, vals, ynorm, tau)
+        f_ref, q_ref, lb_ref = _branch_and_bound_rows(g, grid, vals, ynorm,
+                                                      tau)
+    assert float(f).hex() == float(f_ref).hex()
+    assert float(lb).hex() == float(lb_ref).hex()
+    assert q.tobytes() == q_ref.tobytes()
 
 
 def test_distance_of_a_point_outside_the_hull_raises():
