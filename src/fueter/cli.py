@@ -27,8 +27,7 @@ from .cp1 import (BUMP_GRADE, QuadratureError, h1_dimension,
                   harmonic_representative, cohomology_coefficients, exact_form)
 from .domains import parse_domain
 from .fields import get_field, field_names
-from .hull import (hull_contains, hull_distance, hull_witness,
-                   NotInHullError, _DEFAULT_COUNT)
+from .hull import hull_contains, hull_distance, hull_witness, NotInHullError
 from .penrose import (sharp, penrose_transform, penrose_transform_complex,
                       diagram_check, ClosednessError, NoExtensionError)
 from .twistor import line_sweep, hull_contains_via_lines, hopf_grid
@@ -176,11 +175,8 @@ def _cmd_twistor(args):
                    header=",".join("x%d" % i for i in range(pts.shape[1])))
         return {"points": len(pts), "csv": args.csv}, True, None
     U = parse_domain(args.domain)
-    args.params = {"domain": args.domain, "sigma": pt.tolist(),
-                   "count": args.count}
-    count = _DEFAULT_COUNT if args.count is None else args.count
-    q = hull_contains_via_lines(pt, U, count, return_query=True)
-    return q.to_json(), True, None
+    args.params = {"domain": args.domain, "sigma": pt.tolist()}
+    return hull_contains_via_lines(pt, U, return_query=True).to_json(), True, None
 
 
 def _cmd_cp1(args):
@@ -325,9 +321,6 @@ def _build_parser():
     hl = tw.add_parser("hull-lines", help="hull membership via line containment")
     hl.add_argument("--domain", required=True)
     hl.add_argument("--sigma", required=True)
-    hl.add_argument("--count", type=int, default=None,
-                    help="nodes of the imaginary-sphere lattice the line's "
-                         "fibre is scanned at (at least 12)")
     common(hl)
     hl.set_defaults(func=_cmd_twistor)
 

@@ -38,6 +38,17 @@ to a lattice scan with a covering band.  A user domain opts in by defining a
 ``sweep_inf(x, y)`` method with the contract above; it must return the exact
 minimum, since the hull then reports no uncertainty band.
 
+A fifth, optional oracle decides the twistor-line test in closed form:
+``line_argmin(S)`` maps matrices S (..., 2n, 2) to unit fibre points
+(..., P, 2), over one of which the least ``ext_distance`` on the real base
+points of S's twistor line sits.  For unit pi over q = Hopf(pi),
+S pi = M(x + y q) pi and ||M(w) pi|| = ||w||, so ||x + y q - c||^2 =
+pi* A* A pi (A = S - M(c)) and <nu, x + y q> = pi* Herm(M(nu)* S) pi:
+balls take the top eigenvector of A* A, point complements the bottom one,
+half-spaces the top one of Herm(M(normal)* S); intersections pool their
+parts', and the whole space and the empty set give (1, 0).  ``None``: the
+twistor-line test is ``hull.hull_contains``.
+
 Built-ins: balls, complements of a point, half-spaces, finite intersections,
 the whole space and the empty set.  ``parse_domain`` builds these from JSON
 dicts or from shorthand strings such as ``"H*:n=1"`` (punctured H^n).
@@ -47,7 +58,7 @@ import json
 
 import numpy as np
 
-from .quat import qnorm, right_line
+from .quat import embed_M, qnorm, right_line
 
 __all__ = [
     "DomainSpec", "Ball", "PointComplement", "HalfSpace", "Intersection",
@@ -58,8 +69,9 @@ __all__ = [
 class DomainSpec:
     """Base class; subclasses fill in ext_distance (and usually nearest_boundary)."""
 
-    # closed-form hull sweep minimum (see the module docstring); None: none
+    # closed-form oracles of the hull sweep (see the module docstring)
     sweep_inf = None
+    line_argmin = None
 
     def __init__(self, n):
         self.n = int(n)
@@ -116,6 +128,7 @@ class Ball(DomainSpec):
             raise ValueError("radius must be positive")
         self.center = (np.zeros(self.dim) if center is None
                        else _finite(center, "center").reshape(self.dim))
+        self._M = embed_M(self.center)
 
     def ext_distance(self, p):
         p = self._check(p)
@@ -136,6 +149,11 @@ class Ball(DomainSpec):
         x, y = self._check(x), self._check(y)
         return self._sweep_at(x, y, _unit(-_sweep_vec(x - self.center, y)))
 
+    def line_argmin(self, S):
+        # farthest base point from the centre: top eigenvector of A* A
+        A = S - self._M
+        return _top_eigvec(np.conj(np.swapaxes(A, -1, -2)) @ A)
+
     def to_json(self):
         return {"type": "ball", "n": self.n, "radius": self.radius,
                 "center": self.center.tolist()}
@@ -148,6 +166,7 @@ class PointComplement(DomainSpec):
         super().__init__(n)
         self.point = (np.zeros(self.dim) if point is None
                       else _finite(point, "point").reshape(self.dim))
+        self._M = embed_M(self.point)
 
     def ext_distance(self, p):
         p = self._check(p)
@@ -161,6 +180,11 @@ class PointComplement(DomainSpec):
         # nearest swept point to the removed point
         x, y = self._check(x), self._check(y)
         return self._sweep_at(x, y, _unit(_sweep_vec(x - self.point, y)))
+
+    def line_argmin(self, S):
+        # nearest base point to the removed point: bottom eigenvector of A* A
+        A = S - self._M
+        return _top_eigvec(-np.conj(np.swapaxes(A, -1, -2)) @ A)
 
     def to_json(self):
         return {"type": "point_complement", "n": self.n,
@@ -178,6 +202,7 @@ class HalfSpace(DomainSpec):
             raise ValueError("normal must be nonzero")
         self.normal = self.normal / nn
         self.offset = float(_finite(offset, "offset")) / nn
+        self._M_adj = np.conj(embed_M(self.normal)).T  # M(normal)*
 
     def ext_distance(self, p):
         p = self._check(p)
@@ -192,6 +217,10 @@ class HalfSpace(DomainSpec):
         # swept point deepest along the normal
         x, y = self._check(x), self._check(y)
         return self._sweep_at(x, y, _unit(-_sweep_vec(self.normal, y)))
+
+    def line_argmin(self, S):
+        # base point deepest along the normal
+        return _top_eigvec(self._M_adj @ S)
 
     def to_json(self):
         return {"type": "halfspace", "n": self.n,
@@ -236,11 +265,21 @@ class Intersection(DomainSpec):
         return self._sweep_inf_parts
 
     def _sweep_inf_parts(self, x, y):
+        # the least part's value is the intersection's ext_distance at its q
         x, y = self._check(x), self._check(y)
-        vals, qs = zip(*(d.sweep_inf(x, y) for d in self.parts))
-        which = np.argmin(np.stack(vals), axis=0)
-        q = np.take_along_axis(np.stack(qs), which[None, ..., None], axis=0)[0]
-        return self._sweep_at(x, y, q[..., 1:])
+        vals, qs = map(np.stack, zip(*(d.sweep_inf(x, y) for d in self.parts)))
+        which = np.argmin(vals, axis=0)
+        q = np.take_along_axis(qs, which[None, ..., None], axis=0)[0]
+        return np.take_along_axis(vals, which[None], axis=0)[0], q
+
+    @property
+    def line_argmin(self):
+        # every part's candidates: the least part attains its minimum at one
+        return (None if any(d.line_argmin is None for d in self.parts)
+                else self._line_argmin_parts)
+
+    def _line_argmin_parts(self, S):
+        return np.concatenate([d.line_argmin(S) for d in self.parts], axis=-2)
 
     def to_json(self):
         return {"type": "intersection", "n": self.n,
@@ -259,6 +298,10 @@ class WholeSpace(DomainSpec):
         x, y = self._check(x), self._check(y)
         return self._sweep_at(x, y, _axis_dir(3, y.shape))
 
+    def line_argmin(self, S):
+        # constant: any fibre point attains it
+        return np.broadcast_to([1.0 + 0j, 0.0], np.shape(S)[:-2] + (1, 2))
+
     def to_json(self):
         return {"type": "whole_space", "n": self.n}
 
@@ -271,6 +314,7 @@ class EmptySet(DomainSpec):
         return np.zeros(p.shape[:-1])
 
     sweep_inf = WholeSpace.sweep_inf  # constant as well
+    line_argmin = WholeSpace.line_argmin
 
     def to_json(self):
         return {"type": "empty", "n": self.n}
@@ -313,6 +357,28 @@ def _sweep_vec(w, y):
              * y.reshape(y.shape[:-1] + (-1, 4))[..., _VXOR])
     v = terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
     return np.add.reduce(v, axis=-2)
+
+
+def _top_eigvec(H):
+    """Unit top eigenvectors (..., 1, 2) of Herm(H) = (H + H*)/2.
+
+    H is (..., 2, 2).  With s = H00 - H11, b = H01 + conj(H10) (twice
+    Herm(H)'s corner) and h = hypot(s, |b|), (s + h, conj(b)) and (b, h - s)
+    are top eigenvectors; the larger, of norm sqrt(2 h (h + |s|)), is taken,
+    and (1, 0) when h is subnormal (Herm(H) = a I up to 1e-308).
+    """
+    s = (H[..., 0, 0] - H[..., 1, 1]).real
+    b = H[..., 0, 1] + np.conj(H[..., 1, 0])
+    h = np.hypot(s, np.abs(b))
+    tied = h < np.finfo(float).tiny
+    s, h = s + tied, h + tied
+    big = h + np.abs(s)
+    north = s >= 0
+    v = np.empty(h.shape + (1, 2), dtype=complex)
+    v[..., 0, 0] = np.where(north, big, b)
+    v[..., 0, 1] = np.where(north, np.conj(b), big)
+    v /= (np.sqrt(2.0 * h) * np.sqrt(big))[..., None, None]
+    return v
 
 
 def _unit(v):

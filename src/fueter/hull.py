@@ -49,10 +49,9 @@ which rules out a point outside the hull and gives the polished value its lb.
 Points with y = 0 short-circuit to plain membership of x (the infimand is
 constant), which keeps the real slice exact.
 
-The twistor-line test (``fueter.twistor.hull_contains_via_lines``) runs the
-same sweep core on the same lattice of ``count`` nodes, with its own line
-map: the real base points of sigma's twistor line, read through the
-homogeneous charts, in place of x + y*q.
+The twistor-line test (``fueter.twistor.hull_contains_via_lines``) is exact
+on the built-in domains too, by the 2x2 spectrum of the line's fibre, and
+is hull_contains itself on the others.
 
 The distance of an interior point to the hull boundary is
 
@@ -87,20 +86,12 @@ class NotInHullError(ValueError):
     pass
 
 
-def _grid_count(count):
-    """count as an int; every sampled grid needs at least 12 nodes."""
-    if count < 12:
-        raise ValueError("sampler count must be >= 12")
-    return int(count)
-
-
 @functools.lru_cache(maxsize=32)
 def _lattice(count):
     """The Fibonacci lattice of count nodes as a sweep grid (see _grid).
 
     The nodes are count unit imaginary quaternions (0, u) on the
-    golden-angle spiral, a read-only (count, 4) array.  Both sampled paths
-    scan this one cached tuple.
+    golden-angle spiral, a read-only (count, 4) array.
     """
     i = np.arange(count)
     golden = (1 + np.sqrt(5.0)) / 2
@@ -174,9 +165,9 @@ class HullQuery:
     """Result of a hull membership query.
 
     inf_value is the least swept exterior distance found and argmin_q the
-    unit imaginary quaternion attaining it; the true minimum lies in
-    [inf_value - band, inf_value] (band 0 when exact).  indeterminate is
-    0 < inf_value <= band, the one case the band leaves the verdict open.
+    unit imaginary quaternion attaining it (through the charts, on the
+    twistor-line path); the true minimum lies in [inf_value - band,
+    inf_value] (band 0 when exact), and indeterminate is 0 < inf_value <= band.
     verdict is inf_value > 1e-12 * max(1, ||sigma||_C) and, for the
     membership queries (``hull_contains`` and
     ``twistor.hull_contains_via_lines``), not indeterminate: True only when
@@ -241,11 +232,14 @@ def hull_contains(sigma, U, count=_DEFAULT_COUNT):
 
 
 def _hull_query(sigma, U, count, polish):
-    count = _grid_count(count)
+    # checked for every domain; a sampled grid needs at least 12 nodes
+    if count < 12:
+        raise ValueError("sampler count must be >= 12")
     pt = _as_point(sigma)
     if U.sweep_inf is not None:
-        return _sweep(pt, U, None, None, polish)
-    return _sweep(pt, U, _lattice(count), quat.right_line(pt.x, pt.y), polish)
+        return _sweep(pt, U, None, U.sweep_inf, polish)
+    return _sweep(pt, U, _lattice(int(count)), quat.right_line(pt.x, pt.y),
+                  polish)
 
 
 # pattern-search mesh neighbours in the chart: the axes and the diagonals
@@ -373,18 +367,17 @@ def _branch_and_bound(g, grid, vals, ynorm, tau):
 def _sweep(pt, U, grid, line, polish=False):
     """Minimum of ext_distance over the swept set of pt, as a HullQuery.
 
-    grid None: the exact ``U.sweep_inf`` (band 0, count 0; line unused).
-    Otherwise grid is a sweep grid (see _grid) and line the caller's line
-    map q (K, 4) -> x + y q (K, 4n), built once per query:
-    ``quat.right_line(x, y)`` for hull_contains, the twistor charts for
-    ``twistor.hull_contains_via_lines``.  The nodes are scanned, and a grid
-    minimum inside the band 2 ||y|| c (c the covering chord) goes to
-    ``_branch_and_bound``, whose lower bound lb sets the band to
-    inf_value - lb.  With polish, a query not found outside is then polished
-    by ``_local_min`` from the best point.  The scan, the search and the
-    polish all evaluate the one line map.  With y = 0 nothing is scanned
-    (count 0).  The verdict is inf_value > tau, and for a membership query
-    (no polish) also not indeterminate: certified, or False.
+    grid None: line is an exact minimum (x, y) -> (inf_value, q*), band 0
+    and count 0 (``U.sweep_inf``, or the twistor fibre spectrum).
+    Otherwise grid is a sweep grid (see _grid) and line the line map
+    ``quat.right_line(x, y)``, q (K, 4) -> x + y q (K, 4n).  The nodes are
+    scanned, and a grid minimum inside the band 2 ||y|| c (c the covering
+    chord) goes to ``_branch_and_bound``, whose lower bound lb sets the band
+    to inf_value - lb.  With polish, a query not found outside is then
+    polished by ``_local_min`` from the best point.  The scan, the search
+    and the polish all evaluate the one line map.  With y = 0 nothing is
+    scanned (count 0).  The verdict is inf_value > tau, and for a membership
+    query (no polish) also not indeterminate: certified, or False.
     """
     if pt.n != U.n:
         raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
@@ -401,7 +394,7 @@ def _sweep(pt, U, grid, line, polish=False):
                          np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, 0)
 
     if grid is None:
-        inf_value, argmin = U.sweep_inf(x, y)
+        inf_value, argmin = line(x, y)
         band = 0.0
         count = 0
     else:

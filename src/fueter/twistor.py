@@ -26,11 +26,10 @@ imaginary quaternion q = Hopf(pi) = (|pi0|^2 - |pi1|^2) i + 2 j conj(pi0) pi1
     eta_inverse(line_embed(S, pi)) = (pi, x + y q):
 
 the real base points of sigma's line L_sigma are the swept set
-{x + y q : q in S^2} that defines the monogenic hull.
-``hull_contains_via_lines`` decides membership that way: it scans the
-hull's Fibonacci lattice, each node q mapped to a unit fibre point with
-Hopf(pi) = q, through the charts of L_sigma, with the sweep core of
-``fueter.hull`` (band, branch-and-bound, verdict).
+{x + y q : q in S^2} that defines the monogenic hull.  Since
+||M(w) pi|| = ||w|| ||pi||, a distance along them is a Hermitian form in pi,
+and ``hull_contains_via_lines`` reads the base points over its 2x2
+eigenvectors (``DomainSpec.line_argmin``) through the charts of L_sigma.
 
 line_base_points recovers the base point seen from any fiber position of
 the line of an arbitrary complex Sigma, filling the conjugated chart slots
@@ -44,12 +43,10 @@ a = sqrt(t), b = sqrt(1-t) e^{i theta} of the fibre (``hopf_grid``,
 ``line_sweep``).
 """
 
-import functools
-
 import numpy as np
 
 from . import quat
-from .hull import _DEFAULT_COUNT, _as_point, _grid_count, _lattice, _sweep
+from .hull import _as_point, _sweep, hull_contains
 
 __all__ = [
     "OutsideChartsError", "eta", "eta_inverse", "line_embed",
@@ -76,53 +73,43 @@ def line_embed(S, pi):
 
     S is a (..., 2n, 2) complex matrix (``quat.matrix_point(x, y)``), pi a
     homogeneous fibre point (..., 2).  A row with pi = (0, 0) is no point;
-    eta_inverse refuses it.  The result is coordinate-major in memory (each
-    coordinate one run over the batch), which eta_inverse and the domain
-    oracles after it stream over.
+    eta_inverse refuses it.
     """
     S = np.asarray(S, dtype=complex)
     pi = np.asarray(pi, dtype=complex)
-    batch = np.broadcast(S[..., 0, 0], pi[..., 0]).shape
-    v = np.empty((S.shape[-2] + 2,) + batch[::-1], dtype=complex).T
-    v[..., :2] = pi
-    # the products are written in v's layout, not in a C-ordered temporary
-    rows = v[..., 2:]
-    np.multiply(S[..., 0], pi[..., :1], out=rows)
-    rows += np.multiply(S[..., 1], pi[..., 1:], out=np.empty_like(rows))
-    return v
+    rows = S[..., 0] * pi[..., :1] + S[..., 1] * pi[..., 1:]
+    return np.concatenate([np.broadcast_to(pi, rows.shape[:-1] + (2,)), rows],
+                          axis=-1)
 
 
 def eta_inverse(v):
     """Fibre and base points (pi, x) of points v (..., 2n+2) of CP^{2n+1}.
 
     pi = v[..., :2] and x (..., 4n) is the block solve of the module
-    docstring, the same for every representative of v; x is
-    coordinate-major in memory, like line_embed's output.
+    docstring, the same for every representative of v.
     OutsideChartsError if a row has v0 = v1 = 0.
     """
     v = np.asarray(v, dtype=complex)
-    # .T puts the coordinates first (and the batch axes reversed, which
-    # elementwise work does not mind); the second .T undoes it
-    vt = v.T
-    vc = np.conj(vt)
-    den = np.add.reduce((vt[:2] * vc[:2]).real)
+    vc = np.conj(v)
+    p = (v[..., :2] * vc[..., :2]).real
+    den = p[..., :1] + p[..., 1:]
     if not den.all():
         raise OutsideChartsError("a point lies over the line at infinity "
                                  "(v0 = v1 = 0)")
     # den (a, b) = (c0 zeta_e + c1 conj(zeta_o), c0 zeta_o - c1 conj(zeta_e))
     # with (c0, c1) = (conj(pi0), pi1)
-    cz = vc[0] * vt[2:]
-    cw = vt[1] * vc[2:]
-    a = cz[0::2] + cw[1::2]
-    b = cz[1::2] - cw[0::2]
+    cz = vc[..., :1] * v[..., 2:]
+    cw = v[..., 1:2] * vc[..., 2:]
+    a = cz[..., 0::2] + cw[..., 1::2]
+    b = cz[..., 1::2] - cw[..., 0::2]
     # quat's order per quaternion: Re a, Im a, Im b, Re b
-    x = np.empty((a.shape[0], 4) + a.shape[1:])
-    x[:, 0] = a.real
-    x[:, 1] = a.imag
-    x[:, 2] = b.imag
-    x[:, 3] = b.real
-    x /= den
-    return v[..., :2], x.reshape((-1,) + den.shape).T
+    x = np.empty(a.shape + (4,))
+    x[..., 0] = a.real
+    x[..., 1] = a.imag
+    x[..., 2] = b.imag
+    x[..., 3] = b.real
+    x /= den[..., None]
+    return v[..., :2], x.reshape(x.shape[:-2] + (-1,))
 
 
 def line_base_points(sigma, zs):
@@ -186,8 +173,11 @@ def sweep_quaternions(pairs):
     a = pairs[..., 0]
     b = pairs[..., 1]
     c = np.conj(a) * b
-    q = np.stack([np.zeros_like(c.real), np.abs(a) ** 2 - np.abs(b) ** 2,
-                  2 * c.real, -2 * c.imag], axis=-1)
+    q = np.empty(c.shape + (4,))
+    q[..., 0] = 0.0
+    q[..., 1] = np.abs(a) ** 2 - np.abs(b) ** 2
+    q[..., 2] = 2 * c.real
+    q[..., 3] = -2 * c.imag
     return q
 
 
@@ -200,70 +190,28 @@ def line_sweep(sigma, pairs=None):
     return quat.right_line(pt.x, pt.y)(qs)
 
 
-def _fibre_points(q):
-    """Unit fibre points pi (..., 2) with Hopf(pi) = q, for unit imaginary q.
-
-    pi is (1 + u1, u2 - i u3) where u1 >= 0 and (u2 + i u3, 1 - u1)
-    elsewhere, for q = u1 i + u2 j + u3 k, divided by its norm
-    sqrt(2 (1 + |u1|)) >= sqrt(2).
-    """
-    q = np.asarray(q, dtype=float)
-    u1, u2, u3 = q[..., 1], q[..., 2], q[..., 3]
-    north = u1 >= 0.0
-    c = 1.0 + np.abs(u1)
-    pi = np.stack([np.where(north, c, u2 + 1j * u3),
-                   np.where(north, u2 - 1j * u3, c)], axis=-1)
-    pi /= np.sqrt(2.0 * c)[..., None]
-    return pi
-
-
-@functools.lru_cache(maxsize=32)
-def _lattice_fibres(count):
-    """_fibre_points of the nodes of ``hull._lattice(count)``, read-only."""
-    pi = _fibre_points(_lattice(count)[0])
-    pi.flags.writeable = False
-    return pi
-
-
-def hull_contains_via_lines(sigma, U, count=_DEFAULT_COUNT, return_query=False):
+def hull_contains_via_lines(sigma, U, return_query=False):
     """Hull membership through the real base points of sigma's twistor line.
 
-    True iff every real base point of L_sigma lies in U.  The fibre is
-    scanned at the unit fibre points over the nodes of the hull's
-    Fibonacci lattice of count nodes (at least 12), and g(q) is
-    ``U.ext_distance`` of ``eta_inverse(line_embed(S, pi(q)))`` (see
-    _chart_line); the band and branch-and-bound are those of hull_contains
-    on the same lattice tuple, and so is the verdict, True only when
-    certified: an indeterminate query, whose line the search could not keep
-    away from U's exterior, is False.  Each base point equals x + y q within
-    32 eps max(1, ||sigma||_C): a forward count of the roundings in pi(q),
-    S, line_embed and eta_inverse gives about 12 eps, and a Hypothesis
-    property in tests/test_twistor.py checks 32 eps.  That is 140 times
-    below the verdict threshold tau = 1e-12 max(1, ||sigma||_C), so g stays
-    that close to the ||y||-Lipschitz ext_distance(x + y q) and the
-    branch-and-bound's bounds stay certified.
+    True iff every real base point of L_sigma lies in U.  With
+    ``U.line_argmin`` the query is exact (band 0, count 0): inf_value is the
+    least ``U.ext_distance`` at the base points eta_inverse(line_embed(S,
+    pi)) of its candidates pi, and argmin_q is Hopf(pi*) of the least one;
+    each base point is x + y Hopf(pi) within 32 eps max(1, ||sigma||_C)
+    (tests/test_twistor.py), far below the verdict threshold.  Without it
+    U is known only through ext_distance: the query is hull_contains.
     Returns the HullQuery when return_query is set, else the verdict.
     """
-    count = _grid_count(count)
     pt = _as_point(sigma)
-    query = _sweep(pt, U, _lattice(count), _chart_line(pt.x, pt.y, count))
+    if U.line_argmin is None:
+        query = hull_contains(pt, U)
+    else:
+        def spectrum(x, y):
+            S = quat.matrix_point(x, y)
+            pi = U.line_argmin(S)
+            vals = U.ext_distance(eta_inverse(line_embed(S, pi))[1])
+            i = vals.argmin()
+            return vals[i], sweep_quaternions(pi[i])
+
+        query = _sweep(pt, U, None, spectrum)
     return query if return_query else query.verdict
-
-
-def _chart_line(x, y, count):
-    """The line map q (K, 4) -> eta_inverse(line_embed(S, pi(q))) (K, 4n).
-
-    S is the matrix of sigma = (x, y) (flat (4n,) arrays).  The scan passes
-    the node array of ``hull._lattice(count)`` itself, which maps through
-    its cached fibre points; the branch-and-bound's midpoints map through
-    _fibre_points as they come.
-    """
-    nodes = _lattice(count)[0]
-    fibres = _lattice_fibres(count)
-    S = quat.matrix_point(x, y)
-
-    def line(q):
-        pi = fibres if q is nodes else _fibre_points(q)
-        return eta_inverse(line_embed(S, pi))[1]
-
-    return line

@@ -71,24 +71,16 @@ def test_config_errors_exit_with_two(capsys):
     assert "config error" in err
 
 
-@pytest.mark.parametrize("count", ["0", "6", "-1"])
-def test_a_count_below_12_is_a_config_error(count, capsys):
-    # 0 is a count like any other, not "use the default"
-    assert cli.main(["twistor", "hull-lines", "--domain", "H*",
-                     "--count", count,
-                     "--sigma", '{"x": [1, 0, 0, 0], "y": [0, 0.3, 0, 0]}']) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "config error: sampler count must be >= 12\n"
-
-
-@pytest.mark.parametrize("mode", ["contains", "distance", "witness"])
-def test_hull_queries_take_no_count(mode, capsys):
-    # every domain the CLI parses has a closed-form sweep, so no lattice
-    # count would be read
+@pytest.mark.parametrize("command", [["hull", "contains"], ["hull", "distance"],
+                                     ["hull", "witness"],
+                                     ["twistor", "hull-lines"]],
+                         ids=lambda command: command[-1])
+def test_hull_queries_take_no_count(command, capsys):
+    # every domain the CLI parses has closed forms for both membership
+    # tests, so no lattice count would be read
     with pytest.raises(SystemExit) as exc:
-        cli.main(["hull", mode, "--domain", "H*", "--count", "64",
-                  "--sigma", '{"x": [1, 0, 0, 0], "y": [0, 0.3, 0, 0]}'])
+        cli.main(command + ["--domain", "H*", "--count", "64",
+                            "--sigma", '{"x": [1, 0, 0, 0], "y": [0, 0.3, 0, 0]}'])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -114,14 +106,17 @@ def test_penrose_complex_takes_no_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_twistor_hull_lines_records_the_count(tmp_path):
-    args = ["twistor", "hull-lines", "--domain", "H*",
-            "--sigma", '{"x": [1, 0, 0, 0], "y": [0, 0.3, 0, 0]}']
-    _, default = _run_json(args, tmp_path, "default.json")
-    _, counted = _run_json(args + ["--count", "64"], tmp_path, "64.json")
-    assert default["params"]["count"] is None
-    assert counted["params"]["count"] == 64
-    jsonschema.validate(counted, _schema())
+@pytest.mark.parametrize("domain", ["ball:r=1", "H*"])
+def test_twistor_hull_lines_is_exact_on_built_in_domains(domain, tmp_path):
+    code, blob = _run_json(["twistor", "hull-lines", "--domain", domain,
+                            "--sigma", '{"x": [1, 0, 0, 0], "y": [0, 0.3, 0, 0]}'],
+                           tmp_path)
+    assert code == 0
+    jsonschema.validate(blob, _schema())
+    assert sorted(blob["params"]) == ["domain", "sigma"]
+    results = blob["results"]
+    assert results["band"] == 0.0 and results["count"] == 0
+    assert results["indeterminate"] is False
 
 
 def test_built_in_queries_load_no_scipy():
@@ -134,6 +129,9 @@ from fueter import cli
 runs = [["hull", mode, "--domain", "ball:r=1",
          "--sigma", '{"x": [0.3, 0, 0, 0], "y": [0, 0.2, 0, 0]}']
         for mode in ("contains", "distance", "witness")]
+runs += [["twistor", "hull-lines", "--domain", domain,
+          "--sigma", '{"x": [0.3, 0, 0, 0], "y": [0, 0.2, 0, 0]}']
+         for domain in ("ball:r=1", "H*")]
 runs.append(["penrose", "complex", "--field", "E", "--sigma",
              '{"x": [0.8, 0.1, 0, 0], "y": [0, 0.1, 0, 0]}'])
 for argv in runs:

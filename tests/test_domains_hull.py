@@ -66,9 +66,10 @@ def test_whole_and_empty_spaces():
 
 
 class _LatticeBall(domains.Ball):
-    """Ball's oracles without the closed-form sweep: forces the lattice path."""
+    """Ball's oracles without the closed forms: forces the lattice path."""
 
     sweep_inf = None
+    line_argmin = None
 
 
 def test_real_slice_membership_is_exact():
@@ -219,11 +220,9 @@ def test_near_boundary_query_is_flagged_indeterminate():
     near = _pt([0.78, 0, 0, 0], [0.0, 0.22 - 5e-5, 0, 0])
     exact, _ = domains.Ball(1, 1.0).sweep_inf(near.x, near.y)
     assert exact == pytest.approx(5e-5, rel=1e-9)
-    for query in (hull.hull_contains(near, ball, count=64),
-                  twistor.hull_contains_via_lines(near, domains.Ball(1, 1.0),
-                                                  count=64, return_query=True)):
-        assert query.indeterminate is True
-        assert query.inf_value - query.band <= exact <= query.inf_value
+    query = hull.hull_contains(near, ball, count=64)
+    assert query.indeterminate is True
+    assert query.inf_value - query.band <= exact <= query.inf_value
     # the built-in ball decides the same queries exactly
     for pt in (sigma, near):
         exact = hull.hull_contains(pt, domains.parse_domain("ball:r=1"))
@@ -232,22 +231,26 @@ def test_near_boundary_query_is_flagged_indeterminate():
 
 
 class _LatticePointComplement(domains.PointComplement):
-    """PointComplement's oracles without the closed-form sweep."""
+    """PointComplement's oracles without the closed forms."""
 
     sweep_inf = None
+    line_argmin = None
 
 
 def test_an_indeterminate_membership_query_answers_false_on_both_paths():
     # sigma = (1, i) sweeps 1 + i q, which meets the puncture only at q = i:
     # no lattice node or midpoint hits it, so the search stops at its cap
     # 4.6e-12 from the exterior, inside its band.  Membership is claimed
-    # only when certified, by hull_contains as by the twistor lines
+    # only when certified; without closed forms the twistor lines are the
+    # same query
     sigma = _pt([1.0, 0, 0, 0], [0.0, 1.0, 0, 0])
     U = _LatticePointComplement(1)
+    query = hull.hull_contains(sigma, U)
+    assert query.indeterminate is True
+    assert query.verdict is False
     lines = twistor.hull_contains_via_lines(sigma, U, return_query=True)
-    for query in (hull.hull_contains(sigma, U), lines):
-        assert query.indeterminate is True
-        assert query.verdict is False
+    assert (lines.verdict, lines.inf_value, lines.band) == (
+        query.verdict, query.inf_value, query.band)
     # distance and witness want a value, and still return one in the band
     near = _pt([0.78, 0, 0, 0], [0.0, 0.22 - 5e-5, 0, 0])
     ball = _LatticeBall(1, 1.0)
@@ -261,13 +264,16 @@ def test_an_indeterminate_membership_query_answers_false_on_both_paths():
 
 def test_certain_outside_verdict_is_not_indeterminate():
     # the swept line leaves the ball, so lattice nodes land outside U and
-    # the grid minimum is exactly 0: a certain False, not an undecided one
+    # the grid minimum is exactly 0: a certain False, not an undecided one;
+    # the twistor line's farthest base point is outside U too
     sigma = _pt([0.9, 0, 0, 0], [0.0, 0.5, 0, 0])
     lattice = hull.hull_contains(sigma, _LatticeBall(1, 1.0))
+    assert lattice.band > 0.0
     lines = twistor.hull_contains_via_lines(sigma, domains.Ball(1, 1.0),
                                             return_query=True)
+    assert lines.band == 0.0
     for query in (lattice, lines):
-        assert query.band > 0.0 and query.inf_value == 0.0
+        assert query.inf_value == 0.0
         assert query.verdict is False and query.indeterminate is False
 
 
@@ -276,11 +282,6 @@ def test_sampler_lattice_is_cached_and_read_only():
     assert hull._lattice(512)[0] is a
     with pytest.raises(ValueError):
         a[0, 1] = 2.0
-    # so are the fibre points the twistor-line path maps the nodes through
-    pi = twistor._lattice_fibres(512)
-    assert twistor._lattice_fibres(512) is pi
-    with pytest.raises(ValueError):
-        pi[0, 1] = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +474,12 @@ def test_constant_domains_have_constant_sweeps():
     assert domains.WholeSpace(2).sweep_inf(x, y)[0] == np.inf
     assert domains.EmptySet(2).sweep_inf(x, y)[0] == 0.0
     sigma = _pt(x, y)
-    assert hull.hull_contains(sigma, domains.WholeSpace(2)).verdict is True
-    assert hull.hull_contains(sigma, domains.EmptySet(2)).verdict is False
+    for U, verdict in ((domains.WholeSpace(2), True),
+                       (domains.EmptySet(2), False)):
+        assert hull.hull_contains(sigma, U).verdict is verdict
+        lines = twistor.hull_contains_via_lines(sigma, U, return_query=True)
+        assert lines.verdict is verdict and lines.band == 0.0
+        assert lines.inf_value == U.sweep_inf(x, y)[0]
 
 
 def test_exact_query_reports_no_band_and_no_lattice():
@@ -526,6 +531,130 @@ def test_punctured_space_witness_is_outside_the_hull(n, data):
 
 
 # ---------------------------------------------------------------------------
+# the twistor-line test by the fibre's 2x2 spectrum (DomainSpec.line_argmin)
+# ---------------------------------------------------------------------------
+
+# the line query's distance to the closed-form sweep minimum, in units of
+# eps * max(1, ||sigma||_C): the charts' 32 eps and the eigenvector's own
+# rounding
+_SPECTRUM_EPS = 64
+
+
+def _spectrum_tol(x, y):
+    return _SPECTRUM_EPS * np.finfo(float).eps * max(1.0, _pt(x, y).norm_C())
+
+
+@st.composite
+def _line_case(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    scale = 10.0 ** draw(st.floats(-1.0, 1.0))
+    return (draw(_closed_form_domain(n)), scale * draw(_vec(n)),
+            scale * draw(_vec(n, -0.6, 0.6)))
+
+
+@_PROPERTY
+@given(_line_case())
+def test_line_query_is_the_closed_form_sweep_minimum(case):
+    U, x, y = case
+    query = twistor.hull_contains_via_lines(_pt(x, y), U, return_query=True)
+    assert query.band == 0.0 and query.count == 0
+    assert query.indeterminate is False
+    exact, _ = U.sweep_inf(x, y)
+    assert abs(query.inf_value - exact) <= _spectrum_tol(x, y)
+    if quat.qnorm(y) == 0.0:
+        return  # the real slice: the membership of x, as for hull_contains
+    # the candidates are unit fibre points, and the reported value is the
+    # exterior distance of the base point over the least of them, whose
+    # Hopf image is the reported arg-min
+    S = quat.matrix_point(x, y)
+    pi = U.line_argmin(S)
+    assert pi.ndim == 2 and pi.shape[-1] == 2
+    np.testing.assert_allclose(np.linalg.norm(pi, axis=-1), 1.0, atol=1e-15)
+    vals = U.ext_distance(twistor.eta_inverse(twistor.line_embed(S, pi))[1])
+    i = int(np.argmin(vals))
+    assert float(vals[i]).hex() == float(query.inf_value).hex()
+    assert (twistor.sweep_quaternions(pi[i]).tobytes()
+            == query.argmin_q.tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_line_query_edge_cases(n):
+    rng = np.random.default_rng(40 + n)
+    c = 0.3 * rng.normal(size=4 * n)
+    y = 0.2 * rng.normal(size=4 * n)
+    ball = domains.Ball(n, 1.0, center=c)
+    star = domains.PointComplement(n, point=c)
+
+    # y = 0: every base point of the line is x, and the query is the
+    # membership of x, as for hull_contains
+    x = c + 0.1 * rng.normal(size=4 * n)
+    for U in (ball, star):
+        pi = U.line_argmin(quat.matrix_point(x, np.zeros(4 * n)))
+        base = twistor.eta_inverse(
+            twistor.line_embed(quat.matrix_point(x, np.zeros(4 * n)), pi))[1]
+        assert np.abs(base - x).max() <= _spectrum_tol(x, 0 * x)
+        query = twistor.hull_contains_via_lines(_pt(x, np.zeros(4 * n)), U,
+                                                return_query=True)
+        assert query.inf_value == U.ext_distance(x)
+        assert query.verdict is hull.hull_contains(_pt(x, 0 * x), U).verdict
+
+    # x at the centre: A* A is ||y||^2 I up to rounding, so every fibre
+    # point is an eigenvector, and every base point is ||y|| from c
+    for U, exact in ((ball, 1.0 - np.linalg.norm(y)),
+                     (star, np.linalg.norm(y))):
+        query = twistor.hull_contains_via_lines(_pt(c, y), U,
+                                                return_query=True)
+        assert abs(query.inf_value - exact) <= _spectrum_tol(c, y)
+        assert query.verdict is True and query.band == 0.0
+
+    # S - M(a) of rank one: the line meets the removed point a at
+    # q0 = Hopf(pi0), pi0 spanning the kernel.  sigma is on the boundary
+    # of the hull of H^n minus a, so outside the open hull
+    u = rng.normal(size=3)
+    q0 = np.concatenate([[0.0], u / np.linalg.norm(u)])
+    a = rng.normal(size=4 * n)
+    x = a - quat.right_line(np.zeros(4 * n), y)(q0)
+    star = domains.PointComplement(n, point=a)
+    singular = np.linalg.svd(quat.matrix_point(x, y) - quat.embed_M(a),
+                             compute_uv=False)
+    assert singular[-1] <= 1e-15 * singular[0]
+    query = twistor.hull_contains_via_lines(_pt(x, y), star,
+                                            return_query=True)
+    assert query.verdict is False and query.indeterminate is False
+    assert query.inf_value <= _spectrum_tol(x, y)
+    assert hull.hull_contains(_pt(x, y), star).verdict is False
+
+
+# float.hex of (inf_value, argmin_q) of fixed line queries (band 0), read
+# at the base points eta_inverse(line_embed(S, pi)) of the fibre spectrum
+_GOLDEN_LINES = {
+    # 5e-5 inside the hull boundary of the unit ball
+    "lines_near": ("0x1.a36e2eb1c4000p-15", (
+        "0x0.0p+0", "-0x1.ffffffffffffep-1", "0x0.0p+0", "-0x0.0p+0")),
+    "lines_halfspace": ("0x1.8dea99246925ep-3", (
+        "0x0.0p+0", "-0x1.6b294954c815cp-1", "0x1.42cf5da0b1da8p-1",
+        "0x1.42cf5da0b1da8p-2")),
+}
+
+
+def test_line_queries_are_pinned_bit_for_bit():
+    queries = {
+        "lines_near": twistor.hull_contains_via_lines(
+            _pt([0.78, 0, 0, 0], [0, 0.22 - 5e-5, 0, 0]),
+            domains.Ball(1, 1.0), return_query=True),
+        "lines_halfspace": twistor.hull_contains_via_lines(
+            _pt([0.2, 0.1, -0.3, 0.25], [0.1, 0.3, 0.0, -0.2]),
+            domains.HalfSpace(1, [0.3, -0.5, 0.2, 0.8], 0.6),
+            return_query=True),
+    }
+    for name, query in queries.items():
+        inf_value, argmin_q = _GOLDEN_LINES[name]
+        assert query.verdict is True and query.band == 0.0, name
+        assert float(query.inf_value).hex() == inf_value, name
+        assert _hex(query.argmin_q) == argmin_q, name
+
+
+# ---------------------------------------------------------------------------
 # exact covering chords and the bands of both sampled sweep paths
 # ---------------------------------------------------------------------------
 
@@ -565,18 +694,17 @@ def _record(monkeypatch, name, arg):
 
 def test_refined_arg_min_attains_the_reported_value(monkeypatch):
     # after a branch-and-bound the arg-min is the best point it evaluated,
-    # not the grid node it started from, on both sampled paths and after a
+    # not the grid node it started from, on a membership query and after a
     # polish; scan, search and polish share one evaluator, so it attains the
     # reported value bit for bit
     ball = domains.Ball(1, 1.0)
     searches = _record(monkeypatch, "_branch_and_bound", 3)
     paths = (
         lambda s: hull.hull_contains(s, _LatticeBall(1, 1.0)),
-        lambda s: twistor.hull_contains_via_lines(s, ball, return_query=True),
         lambda s: hull.hull_witness(s, _LatticeBall(1, 1.0))[1],
     )
     rng = np.random.default_rng(1)
-    checked = [0, 0, 0]
+    checked = [0, 0]
     for _ in range(200):
         sigma = _pt(0.3 * rng.normal(size=4), 0.3 * rng.normal(size=4))
         for k, path in enumerate(paths):
@@ -587,18 +715,9 @@ def test_refined_arg_min_attains_the_reported_value(monkeypatch):
                 continue
             if len(searches) == before:
                 continue
-            x, y = sigma.x, sigma.y
             q = query.argmin_q[None, :]
-            # the twistor path's evaluator is its chart map
-            at_q = ball.ext_distance(
-                twistor._chart_line(x, y, query.count)(q)[0] if k == 1
-                else quat.right_line(x, y)(q)[0])
+            at_q = ball.ext_distance(quat.right_line(sigma.x, sigma.y)(q)[0])
             assert at_q == query.inf_value
-            # and the swept point x + y argmin_q itself is that far from U's
-            # exterior, up to the chart map's stated 32 eps max(1, ||sigma||_C)
-            swept = ball.ext_distance(quat.right_line(x, y)(q)[0])
-            assert abs(swept - query.inf_value) <= (
-                32 * np.finfo(float).eps * max(1.0, sigma.norm_C()))
             checked[k] += 1
     assert min(checked) >= 10
 
@@ -620,9 +739,8 @@ class _SampledWithBoundary(_Sampled):
 
 
 # float.hex of (inf_value, band, argmin_q) of fixed sampled-path queries,
-# recorded with the swept points computed as x + qmul_right(y, q) (lattice)
-# and as eta_inverse(line_embed(S, pi(q))) (lines); any change to how they
-# are computed or consumed shows here
+# recorded with the swept points computed as x + qmul_right(y, q); any
+# change to how they are computed or consumed shows here
 _GOLDEN_QUERIES = {
     # lattice scan then branch-and-bound
     "lattice_ball": ("0x1.49c7dc1d498e0p-6", "0x1.464c7efbb6f6ap-6", (
@@ -632,15 +750,6 @@ _GOLDEN_QUERIES = {
     "lattice_n2": ("0x1.862efa346f798p-4", "0x1.3115b5ff8a92cp-4", (
         "0x0.0p+0", "-0x1.301b027efdc72p-4", "0x1.e7bc49971ff15p-1",
         "0x1.2e147ae147ae2p-2")),
-    # twistor line on the 64-node lattice, left indeterminate at the
-    # search's cap
-    "lines_near": ("0x1.a8349f1e9c000p-15", "0x1.a8349f1e9c000p-15", (
-        "0x0.0p+0", "-0x1.ffff90abdec78p-1", "0x1.4358c7d7a80f0p-9",
-        "0x1.84c94f272fac4p-11")),
-    # twistor line on the 512-node lattice, decided by the scan
-    "lines_halfspace": ("0x1.8e79f6e7a65f8p-3", "0x1.7162c52a30b74p-4", (
-        "0x0.0p+0", "-0x1.7b6701cec4aa6p-1", "0x1.31db885e4e9a3p-1",
-        "0x1.3a00000000001p-2")),
 }
 
 
@@ -649,7 +758,6 @@ def _golden_queries():
     n2 = domains.Intersection([
         domains.Ball(2, 1.2, center=[0.1] * 8),
         domains.HalfSpace(2, [1, 0, 0, 0, 0, 1, 0, 0], 0.7)])
-    half = domains.HalfSpace(1, [0.3, -0.5, 0.2, 0.8], 0.6)
     return {
         "lattice_ball": hull.hull_contains(
             _pt([0.78, 0, 0, 0], [0, 0.2, 0, 0]), _Sampled(ball), count=64),
@@ -657,12 +765,6 @@ def _golden_queries():
             _pt([0.1, -0.2, 0.05, 0.3, 0.0, 0.15, -0.1, 0.2],
                 [0.2, 0.1, -0.3, 0.05, 0.1, -0.05, 0.15, 0.0]),
             _Sampled(n2), count=200),
-        "lines_near": twistor.hull_contains_via_lines(
-            _pt([0.78, 0, 0, 0], [0, 0.22 - 5e-5, 0, 0]), ball, count=64,
-            return_query=True),
-        "lines_halfspace": twistor.hull_contains_via_lines(
-            _pt([0.2, 0.1, -0.3, 0.25], [0.1, 0.3, 0.0, -0.2]), half,
-            return_query=True),
     }
 
 
@@ -744,14 +846,10 @@ def test_lattice_band_contains_the_exact_sweep_minimum(case):
 
 @_BAND_PROPERTY
 @given(_near_boundary_case())
-def test_line_band_contains_the_exact_sweep_minimum(case):
-    U, x, y, count = case
-    query = twistor.hull_contains_via_lines(_pt(x, y), U, count=count,
-                                            return_query=True)
-    qs = hull._lattice(count)[0]
-    assert query.count == len(qs) == count
-    grid_min = U.ext_distance(twistor._chart_line(x, y, count)(qs)).min()
-    assert query.inf_value <= grid_min
+def test_line_query_is_exact_near_the_hull_boundary(case):
+    U, x, y, _ = case
+    query = twistor.hull_contains_via_lines(_pt(x, y), U, return_query=True)
+    assert query.band == 0.0 and query.count == 0
     _check_certified(query, U, x, y)
 
 
@@ -875,16 +973,13 @@ def test_grid_radii_match_the_row_major_reference(count):
 
 @st.composite
 def _in_band_case(draw):
-    # a near-boundary sigma whose scanned minimum falls inside the band, on
-    # the lattice line map or the twistor charts, under the default caps or
-    # small ones that end the search early
+    # a near-boundary sigma whose scanned minimum falls inside the band,
+    # under the default caps or small ones that end the search early
     U, x, y, _ = draw(_near_boundary_case())
     count = draw(st.sampled_from([12, 64, 512]))
-    line = (twistor._chart_line(x, y, count) if draw(st.booleans())
-            else quat.right_line(x, y))
     caps = draw(st.sampled_from([(hull._BB_DEPTH, hull._BB_LIVE), (1, 1024),
                                  (3, 1024), (32, 8), (32, 64)]))
-    return U, x, y, count, line, caps
+    return U, x, y, count, quat.right_line(x, y), caps
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -954,7 +1049,6 @@ _ENTRY_POINTS = {
     "hull_contains": hull.hull_contains,
     "hull_distance": hull.hull_distance,
     "hull_witness": hull.hull_witness,
-    "hull_contains_via_lines": twistor.hull_contains_via_lines,
 }
 
 
@@ -974,16 +1068,13 @@ def test_every_entry_point_rejects_a_count_below_12(entry, U):
 def test_each_path_steps_by_its_own_grid_chord(count, monkeypatch):
     # the branch-and-bound splits the triangles of the grid that was
     # scanned, and the polish of a distance starts with a mesh step of that
-    # grid's covering chord; every sampled path scans the one cached
-    # lattice of count nodes
+    # grid's covering chord; both scan the one cached lattice of count nodes
     grids = _record(monkeypatch, "_branch_and_bound", 1)
     steps = _record(monkeypatch, "_local_min", 3)
     sigma = _pt([0.78, 0, 0, 0], [0.0, 0.2, 0, 0])
     lattice = hull._lattice(count)
     runs = [(hull.hull_contains, _LatticeBall(1, 1.0), lattice, []),
-            (hull.hull_distance, _LatticeBall(1, 1.0), lattice, [lattice[1]]),
-            (twistor.hull_contains_via_lines, domains.Ball(1, 1.0), lattice,
-             [])]
+            (hull.hull_distance, _LatticeBall(1, 1.0), lattice, [lattice[1]])]
     for entry, U, grid, polish_steps in runs:
         grids.clear()
         steps.clear()
