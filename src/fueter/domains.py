@@ -34,9 +34,9 @@ whose cancellation near a zero minimum (the hull boundary of H*) leaves
 the whole space and the empty set are constant.
 
 ``DomainSpec.sweep_inf`` is ``None``: no closed form, and the hull falls back
-to a lattice scan with a covering band.  A user domain opts in by defining a
-``sweep_inf(x, y)`` method with the contract above; it must return the exact
-minimum, since the hull then reports no uncertainty band.
+to a scan of a split icosahedron with a covering band.  A user domain opts
+in by defining a ``sweep_inf(x, y)`` method with the contract above; it must
+return the exact minimum, since the hull then reports no uncertainty band.
 
 A fifth, optional oracle decides the twistor-line test in closed form:
 ``line_argmin(S)`` maps matrices S (..., 2n, 2) to unit fibre points

@@ -9,31 +9,30 @@ g(q) = ext_distance(x + y*q) over the unit imaginary sphere.
 
 Every built-in domain knows that minimum in closed form
 (``DomainSpec.sweep_inf``, see ``fueter.domains``), so for them the query is
-exact: band 0, never indeterminate, no lattice (``count`` 0).
+exact: band 0, never indeterminate, no grid (``count`` 0).
 
 A domain without a closed form (a user-defined DomainSpec) falls back to a
-scan of a Fibonacci lattice of ``count`` nodes (default 512, at least 12).
-g is Lipschitz in q with constant exactly ||y|| (chord metric), and every
-point of the sphere lies within the lattice's covering chord c of a node, so
+scan of one grid, the icosahedron split twice 4-to-1 (``_icosphere``): 162
+nodes and 320 spherical triangles.  g is Lipschitz in q with constant
+exactly ||y|| (chord metric), and every point of a spherical triangle lies
+within its circumchord of a vertex, so with c the largest one (0.188)
 
     true min >= grid min - ||y|| * c.
 
-c is exact, not measured: ``_grid`` reads it off the convex hull of
-the nodes (the spherical Delaunay triangulation), whose outward facet normals
-are the spherical-Voronoi vertices.  A grid minimum above the band 2||y||c
-is a certain True, and a grid minimum of 0 a certain False.  One inside the
-band goes to a Lipschitz branch-and-bound (Piyavskii 1972; Shubert 1972) over
-the same Delaunay triangles: a triangle's lower bound is its least vertex
-value minus ||y|| times its circumchord; triangles whose bound exceeds the
-verdict threshold are dropped and the others split 4-to-1 at their edge
-midpoints, all evaluated in one batched call per level.  It ends at a
-swept point outside U (certain False), with no triangle left (certain True,
-the least dropped bound lb being a lower bound of the minimum), or at a
-fixed cap on depth and live triangles (indeterminate).  The triangles are
-coordinate-major: vertex indices and values are (3, T) arrays, one row per
-vertex, so each step of a level is a numpy call streaming over the
-triangles, and vertex coordinates are gathered only at a level that splits
-(most searches stop at depth 0, on values and radii alone).
+A grid minimum above the band 2||y||c is a certain True, and a grid minimum
+of 0 a certain False.  One inside the band goes to a Lipschitz
+branch-and-bound (Piyavskii 1972; Shubert 1972) over the same triangles: a
+triangle's lower bound is its least vertex value minus ||y|| times its
+circumchord; triangles whose bound exceeds the verdict threshold are dropped
+and the others split 4-to-1 at their edge midpoints, as the grid was, all
+evaluated in one batched call per level.  It ends at a swept point outside U
+(certain False), with no triangle left (certain True, the least dropped
+bound lb being a lower bound of the minimum), or at a fixed cap on depth and
+live triangles (indeterminate).  The triangles are coordinate-major: vertex
+indices and values are (3, T) arrays, one row per vertex, so each step of a
+level is a numpy call streaming over the triangles, and vertex coordinates
+are gathered only at a level that splits (most searches stop at depth 0, on
+values and radii alone).
 
 The band of a sampled query is a certified width: the true minimum lies in
 [inf_value - band, inf_value] (band inf_value - lb after a branch-and-bound),
@@ -41,7 +40,7 @@ and the query is indeterminate exactly when 0 < inf_value <= band; a
 membership query answers False then, being True only when certified.  The
 reported arg-min is a row the evaluator was called on, so it attains
 inf_value bit for bit.  hull_distance and hull_witness want a value, so
-their lattice queries are polished by a pattern search (Hooke & Jeeves 1961;
+their sampled queries are polished by a pattern search (Hooke & Jeeves 1961;
 Torczon 1997) in a 2D tangent chart at the best point, from a mesh step of
 one covering chord, each round evaluating the 8 mesh neighbours in one
 batched call; an in-band query is first run through the branch-and-bound,
@@ -64,6 +63,7 @@ boundary point of U seen from x + y*q*, and w = x0 - x - y*q*, the point
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -78,56 +78,59 @@ __all__ = [
 # inf_value must exceed this (times the point's scale) for a True verdict
 _TINY = 1e-12
 
-# nodes scanned on the unit imaginary sphere when a domain has no closed form
-_DEFAULT_COUNT = 512
+# added to every circumchord, which rounds by a few ulps of 1: without it a
+# minimum at a circumcentre (a face centre, say) can fall below the bound
+_SLACK = 4 * np.finfo(float).eps
+
+# the split level of the icosahedron scanned when a domain has no closed
+# form: 162 nodes, and its 320 triangles stay below _BB_LIVE at depth 0
+_LEVEL = 2
 
 
 class NotInHullError(ValueError):
     pass
 
 
-@functools.lru_cache(maxsize=32)
-def _lattice(count):
-    """The Fibonacci lattice of count nodes as a sweep grid (see _grid).
+# the 4-to-1 split, as rows of (vertex 0, 1, 2, midpoint opposite 0, 1, 2):
+# each corner keeps its vertex and the midpoints of its two edges, and the
+# middle child is the three midpoints
+_CHILDREN = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2], [3, 4, 5]])
 
-    The nodes are count unit imaginary quaternions (0, u) on the
-    golden-angle spiral, a read-only (count, 4) array.
+
+@functools.lru_cache(maxsize=None)
+def _icosphere(level):
+    """The icosahedron split level times 4-to-1, as a sweep grid.
+
+    Returns (qs, chord, tris, rho): read-only nodes qs (K, 4), unit
+    imaginary quaternions; triangles tris (3, T) of node indices (row j:
+    vertex j); their circumchords rho (T,); and the covering chord, the
+    largest of them, since every point of a spherical triangle lies within
+    its circumchord of a vertex.  Each split is ``_CHILDREN``'s, the
+    branch-and-bound's, with an edge's midpoint shared by its two triangles.
     """
-    i = np.arange(count)
-    golden = (1 + np.sqrt(5.0)) / 2
-    z = 1 - 2 * (i + 0.5) / count
-    theta = 2 * np.pi * i / golden
-    r = np.sqrt(np.maximum(0.0, 1 - z * z))
-    u = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    u = np.array([[0.0, a, b * phi] for a in (-1, 1) for b in (-1, 1)])
+    u = np.concatenate([u, np.roll(u, 1, axis=1), np.roll(u, 2, axis=1)])
+    # the faces are the triples of mutually adjacent vertices, at distance 2
+    adj = np.isclose(np.linalg.norm(u[:, None] - u[None], axis=-1), 2.0)
+    tris = np.array([t for t in itertools.combinations(range(12), 3)
+                     if adj[np.ix_(t, t)].sum() == 6])
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    q = np.zeros((count, 4))
-    q[:, 1:] = u
-    q.flags.writeable = False
-    return _grid(q)
-
-
-def _grid(qs):
-    """Sweep grid of nodes qs (K, 4): (qs, covering chord, triangles, radii).
-
-    The triangles are the spherical Delaunay triangles, a (3, T) array of
-    node indices (row j: vertex j of each triangle), and the radii their
-    circumchords (T,), all from one convex hull.  The covering chord is the
-    largest distance from a point of S^2 to its nearest node.  It is
-    attained at a spherical-Voronoi vertex, which is the outward normal of a
-    facet of the nodes' convex hull; the chord from it to the facet's
-    vertices is the radius of the facet's empty cap.  The nodes must not all
-    lie in one closed hemisphere.
-    """
-    # only the sampled grids get here, once per count: keep scipy off the
-    # import path of the exact queries
-    from scipy.spatial import ConvexHull
-
-    u = np.asarray(qs, dtype=float)[:, 1:]
-    facets = ConvexHull(u)
-    normals = facets.equations[:, None, :3]
-    chord = float(np.linalg.norm(normals - u[facets.simplices], axis=-1).max())
-    tris = np.ascontiguousarray(facets.simplices.T, dtype=np.intp)
-    return qs, chord, tris, _circumchord(u.T[:, tris])
+    for _ in range(level):
+        # edge k is the one opposite vertex k, as in _branch_and_bound
+        edges = np.sort(np.stack([tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]],
+                                 axis=-1), axis=-1)
+        pairs, mid = np.unique(edges.reshape(-1, 2), axis=0,
+                               return_inverse=True)
+        m = u[pairs[:, 0]] + u[pairs[:, 1]]
+        mid = len(u) + mid.reshape(-1, 3)
+        u = np.concatenate([u, m / np.linalg.norm(m, axis=1, keepdims=True)])
+        tris = np.concatenate([tris, mid], axis=1)[:, _CHILDREN].reshape(-1, 3)
+    qs = np.concatenate([np.zeros((len(u), 1)), u], axis=1)
+    qs.flags.writeable = False
+    tris = np.ascontiguousarray(tris.T, dtype=np.intp)
+    rho = _circumchord(u.T[:, tris])
+    return qs, float(rho.max()), tris, rho
 
 
 def _circumchord(tri):
@@ -153,7 +156,7 @@ def _circumchord(tri):
     r = _norm(u) * _norm(w) * _norm(u - w) / (2.0 * area2)
     # R <= 1 on the unit sphere; rounding can push a flat triangle past it
     r = np.minimum(r, 1.0)
-    return r * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 - r * r)))
+    return r * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 - r * r))) + _SLACK
 
 
 def _norm(v):
@@ -173,7 +176,7 @@ class HullQuery:
     ``twistor.hull_contains_via_lines``), not indeterminate: True only when
     certified.  The queries behind hull_distance and hull_witness keep the
     plain threshold, since they want a value.
-    count is the number of grid nodes scanned (0 when exact or y = 0).
+    count is the number of grid nodes scanned (162; 0 when exact or y = 0).
     """
 
     def __init__(self, sigma, verdict, inf_value, argmin_q, band, indeterminate,
@@ -219,26 +222,22 @@ def _as_point(sigma, n=None):
     return pt
 
 
-def hull_contains(sigma, U, count=_DEFAULT_COUNT):
+def hull_contains(sigma, U):
     """Decide sigma in H(U); returns a HullQuery.
 
-    Exact when U has a closed-form ``sweep_inf``; count is then only
-    checked.  Otherwise a Fibonacci lattice of count nodes is scanned, and a
-    grid minimum inside the band goes to the branch-and-bound, which
-    certifies the verdict or, at its cap, leaves the query indeterminate
-    (verdict False).
+    Exact when U has a closed-form ``sweep_inf``.  Otherwise the split
+    icosahedron's nodes are scanned, and a grid minimum inside the band goes
+    to the branch-and-bound, which certifies the verdict or, at its cap,
+    leaves the query indeterminate (verdict False).
     """
-    return _hull_query(sigma, U, count, polish=False)
+    return _hull_query(sigma, U, polish=False)
 
 
-def _hull_query(sigma, U, count, polish):
-    # checked for every domain; a sampled grid needs at least 12 nodes
-    if count < 12:
-        raise ValueError("sampler count must be >= 12")
+def _hull_query(sigma, U, polish):
     pt = _as_point(sigma)
     if U.sweep_inf is not None:
         return _sweep(pt, U, None, U.sweep_inf, polish)
-    return _sweep(pt, U, _lattice(int(count)), quat.right_line(pt.x, pt.y),
+    return _sweep(pt, U, _icosphere(_LEVEL), quat.right_line(pt.x, pt.y),
                   polish)
 
 
@@ -291,11 +290,6 @@ def _local_min(g, q0, f0, step):
 _BB_DEPTH = 32
 _BB_LIVE = 1024
 
-# the 4-to-1 split, as rows of (vertex 0, 1, 2, midpoint opposite 0, 1, 2):
-# each corner keeps its vertex and the midpoints of its two edges, and the
-# middle child is the three midpoints
-_CHILDREN = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2], [3, 4, 5]])
-
 
 def _branch_and_bound(g, grid, vals, ynorm, tau):
     """Certify min g > tau, or find a value <= tau, by Lipschitz bounds.
@@ -303,8 +297,8 @@ def _branch_and_bound(g, grid, vals, ynorm, tau):
     A branch-and-bound over spherical triangles (Piyavskii 1972; Shubert
     1972).  g maps unit imaginary quaternions (K, 4) to values (K,) and is
     ynorm-Lipschitz in the chord metric; grid is the scanned grid (see
-    _grid) and vals = g(grid nodes).  Every point of a spherical triangle T
-    lies within its circumchord rho_T of a vertex, so
+    _icosphere) and vals = g(grid nodes).  Every point of a spherical
+    triangle T lies within its circumchord rho_T of a vertex, so
 
         min over T of g >= min over T's vertices of g - ynorm * rho_T.
 
@@ -369,7 +363,7 @@ def _sweep(pt, U, grid, line, polish=False):
 
     grid None: line is an exact minimum (x, y) -> (inf_value, q*), band 0
     and count 0 (``U.sweep_inf``, or the twistor fibre spectrum).
-    Otherwise grid is a sweep grid (see _grid) and line the line map
+    Otherwise grid is a sweep grid (see _icosphere) and line the line map
     ``quat.right_line(x, y)``, q (K, 4) -> x + y q (K, 4n).  The nodes are
     scanned, and a grid minimum inside the band 2 ||y|| c (c the covering
     chord) goes to ``_branch_and_bound``, whose lower bound lb sets the band
@@ -388,8 +382,8 @@ def _sweep(pt, U, grid, line, polish=False):
     # pt.norm_C() from the norm of y at hand
     tau = _TINY * max(1.0, float(np.sqrt(quat.qnorm(x) ** 2 + yn ** 2)))
 
-    if ynorm == 0.0:
-        # the swept set is {x}: membership is exact
+    if ynorm == 0.0 and not y.any():
+        # the swept set is {x}: membership is exact (a tiny y's ynorm is 0 too)
         return HullQuery(pt, bool(U.contains(x)), float(U.ext_distance(x)),
                          np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, 0)
 
@@ -423,10 +417,10 @@ def _sweep(pt, U, grid, line, polish=False):
                      count)
 
 
-def hull_distance(sigma, U, count=_DEFAULT_COUNT):
+def hull_distance(sigma, U):
     """Distance (1/sqrt 2) * inf_q ext_distance(x + y q) to the hull boundary.
 
-    For a domain without a closed form (no ``sweep_inf``) every lattice
+    For a domain without a closed form (no ``sweep_inf``) every sampled
     query is polished by the local search, since a value is wanted, not just
     a sign; an in-band one first goes through the branch-and-bound, so a
     sigma with a swept point found outside U raises NotInHullError.  The
@@ -434,13 +428,13 @@ def hull_distance(sigma, U, count=_DEFAULT_COUNT):
     an ``Intersection``, say) by up to the query's band; it is certified
     only when the query of ``hull_witness`` is not indeterminate.
     """
-    query = _hull_query(sigma, U, count, polish=True)
+    query = _hull_query(sigma, U, polish=True)
     if not query.verdict:
         raise NotInHullError("sigma is not in the monogenic hull of the domain")
     return query.inf_value / np.sqrt(2.0)
 
 
-def hull_witness(sigma, U, count=_DEFAULT_COUNT):
+def hull_witness(sigma, U):
     """A hull-boundary point realizing hull_distance(sigma).
 
     Returns (witness, query): with q* the query's arg-min, p = x + y q*, and
@@ -450,7 +444,7 @@ def hull_witness(sigma, U, count=_DEFAULT_COUNT):
     without ``sweep_inf`` is a local minimum (see hull_distance).  A domain
     without a boundary has no witness: ValueError.
     """
-    query = _hull_query(sigma, U, count, polish=True)
+    query = _hull_query(sigma, U, polish=True)
     if not query.verdict:
         raise NotInHullError("sigma is not in the monogenic hull of the domain")
     if query.inf_value == np.inf:

@@ -257,7 +257,8 @@ def _flat(a):
 class BiquaternionPoint:
     """A point Sigma = (x, y) of M_{2n x 2}(C), the ambient space of hulls.
 
-    x and y are read-only finite flat (4n,) float copies of the inputs.
+    x and y are read-only finite flat (4n,) float copies of the inputs, and
+    the squared C-norm sum(x^2) + sum(y^2) is finite, so no norm overflows.
     """
 
     __slots__ = ("x", "y")
@@ -267,6 +268,10 @@ class BiquaternionPoint:
         self.y = _flat(np.zeros_like(self.x) if y is None else y)
         if self.y.size != self.x.size:
             raise ValueError("x and y must have the same number of entries")
+        # in Python floats, which overflow to inf without a warning
+        squares = sum(v * v for v in self.x.tolist() + self.y.tolist())
+        if squares == np.inf:
+            raise ValueError("squared C-norm overflows at %s" % self.tolist())
 
     @classmethod
     def from_matrix(cls, z):

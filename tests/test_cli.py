@@ -120,12 +120,29 @@ def test_twistor_hull_lines_is_exact_on_built_in_domains(domain, tmp_path):
 
 
 def test_built_in_queries_load_no_scipy():
-    # scipy is needed only to build a sampled grid's covering chord; with it
-    # made unimportable the exact paths must still run
+    # the package needs numpy alone: with scipy made unimportable the exact
+    # paths and the sampled ones of a user domain must still run
     script = """
 import sys
 sys.modules["scipy"] = None
-from fueter import cli
+from fueter import Ball, DomainSpec, cli, hull_contains, hull_distance
+from fueter import hull_contains_via_lines, hull_witness
+
+
+class Sampled(DomainSpec):
+    def ext_distance(self, p):
+        return Ball(1, 1.0).ext_distance(p)
+
+    def nearest_boundary(self, p):
+        return Ball(1, 1.0).nearest_boundary(p)
+
+
+sigma = ([0.3, 0, 0, 0], [0, 0.2, 0, 0])
+for query in (hull_contains(sigma, Sampled(1)),
+              hull_witness(sigma, Sampled(1))[1],
+              hull_contains_via_lines(sigma, Sampled(1), return_query=True)):
+    assert query.verdict and query.count == 162, query
+assert hull_distance(sigma, Sampled(1)) > 0.0
 runs = [["hull", mode, "--domain", "ball:r=1",
          "--sigma", '{"x": [0.3, 0, 0, 0], "y": [0, 0.2, 0, 0]}']
         for mode in ("contains", "distance", "witness")]
@@ -318,6 +335,20 @@ def test_non_finite_points_are_config_errors(command, sigma, capsys):
     assert captured.out == ""
     assert captured.err.startswith("config error: non-finite point "
                                    "coordinates")
+
+
+@pytest.mark.parametrize("mode,sigma", [
+    ("distance", '{"x": [1e200, 0, 0, 0], "y": [0, 0, 0, 0]}'),
+    ("witness", '{"x": [1e200, 0, 0, 0], "y": [0, 0, 0, 0]}'),
+    ("contains", '{"x": [1e160, 0, 0, 0], "y": [0, 1e160, 0, 0]}'),
+])
+def test_points_whose_c_norm_overflows_are_config_errors(mode, sigma, capsys):
+    # finite coordinates whose squares overflow: no Infinity or NaN
+    # envelope, and no RuntimeWarning (pytest makes one an error)
+    assert cli.main(["hull", mode, "--domain", "H*", "--sigma", sigma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: squared C-norm overflows")
 
 
 @pytest.mark.parametrize("args", [["harmonic", "--a0", "nan"],

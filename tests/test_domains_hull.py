@@ -66,10 +66,17 @@ def test_whole_and_empty_spaces():
 
 
 class _LatticeBall(domains.Ball):
-    """Ball's oracles without the closed forms: forces the lattice path."""
+    """Ball's oracles without the closed forms: forces the sampled path."""
 
     sweep_inf = None
     line_argmin = None
+
+
+def _sampled(sigma, U, level, polish=False):
+    """The sampled query of hull_contains (or, polished, of hull_distance and
+    hull_witness) on the icosphere of the given level."""
+    return hull._sweep(sigma, U, hull._icosphere(level),
+                       quat.right_line(sigma.x, sigma.y), polish)
 
 
 def test_real_slice_membership_is_exact():
@@ -103,9 +110,9 @@ def test_hull_of_intersection_is_intersection_of_hulls():
     agree = 0
     for _ in range(40):
         sigma = _pt(0.2 * rng.normal(size=4), 0.08 * rng.normal(size=4))
-        qa = hull.hull_contains(sigma, a, count=512)
-        qb = hull.hull_contains(sigma, b, count=512)
-        qi = hull.hull_contains(sigma, both, count=512)
+        qa = hull.hull_contains(sigma, a)
+        qb = hull.hull_contains(sigma, b)
+        qi = hull.hull_contains(sigma, both)
         if qa.indeterminate or qb.indeterminate or qi.indeterminate:
             continue
         assert qi.verdict == (qa.verdict and qb.verdict)
@@ -181,46 +188,33 @@ def test_query_serialization():
     assert blob["band"] >= 0.0
 
 
-def test_sampler_lattice_and_covering_budget():
-    with pytest.raises(ValueError):
-        hull.hull_contains(_pt(np.zeros(4), np.ones(4)), _LatticeBall(1, 1.0),
-                           count=6)
-    for count in (128, 512):
-        lattice = hull._lattice(count)[0]
-        assert lattice.shape == (count, 4)
-        assert np.abs(lattice[:, 0]).max() == 0.0  # purely imaginary units
-        assert np.abs(np.linalg.norm(lattice, axis=1) - 1.0).max() < 1e-12
-        # measured worst gap from random probes must sit under the
-        # advertised covering chord
-        rng = np.random.default_rng(22)
-        probes = rng.normal(size=(4000, 3))
-        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        gaps = np.linalg.norm(probes[:, None, :] - lattice[None, :, 1:],
-                              axis=2).min(axis=1)
-        assert gaps.max() < hull._grid(lattice)[1]
+# a unit imaginary direction off the coordinate axes, which are nodes of
+# every icosphere from level 1 on
+_OFF_AXIS = np.array([0.0, 0.6, 0.0, 0.8])
 
 
 def test_near_boundary_query_is_flagged_indeterminate():
-    # the lattice band only exists for domains without a closed-form sweep;
-    # along y = s*i from x = 0.78 the exact sweep minimum is 0.22 - s
+    # the grid band only exists for domains without a closed-form sweep;
+    # along y = s*u from x = 0.78 the exact sweep minimum is 0.22 - s, at
+    # q = -u, which is no node
     ball = _LatticeBall(1, 1.0)
-    sigma = _pt([0.78, 0, 0, 0], [0.0, 0.2, 0, 0])
-    qs, chord = hull._lattice(64)[:2]
+    sigma = _pt([0.78, 0, 0, 0], 0.2 * _OFF_AXIS)
+    qs, chord = hull._icosphere(1)[:2]
     grid_min = ball.ext_distance(
         quat.right_line(sigma.x, sigma.y)(qs)).min()
-    assert 0.0 < grid_min <= 2 * 0.2 * chord
+    assert 0.02 < grid_min <= 2 * 0.2 * chord
     # a grid minimum in the band goes to the branch-and-bound, which
     # certifies this one inside with a band that holds the exact minimum
-    coarse = hull.hull_contains(sigma, ball, count=64)
+    coarse = _sampled(sigma, ball, 1)
     assert coarse.verdict is True and coarse.indeterminate is False
     assert coarse.inf_value - coarse.band <= 0.02 <= coarse.inf_value
     assert coarse.inf_value <= grid_min
     # a minimum far below the finest resolution the search may reach stays
     # flagged, still with a band that holds it
-    near = _pt([0.78, 0, 0, 0], [0.0, 0.22 - 5e-5, 0, 0])
+    near = _pt([0.78, 0, 0, 0], (0.22 - 5e-5) * _OFF_AXIS)
     exact, _ = domains.Ball(1, 1.0).sweep_inf(near.x, near.y)
     assert exact == pytest.approx(5e-5, rel=1e-9)
-    query = hull.hull_contains(near, ball, count=64)
+    query = _sampled(near, ball, 1)
     assert query.indeterminate is True
     assert query.inf_value - query.band <= exact <= query.inf_value
     # the built-in ball decides the same queries exactly
@@ -238,12 +232,12 @@ class _LatticePointComplement(domains.PointComplement):
 
 
 def test_an_indeterminate_membership_query_answers_false_on_both_paths():
-    # sigma = (1, i) sweeps 1 + i q, which meets the puncture only at q = i:
-    # no lattice node or midpoint hits it, so the search stops at its cap
-    # 4.6e-12 from the exterior, inside its band.  Membership is claimed
+    # sigma = (1, u) sweeps 1 + u q, which meets the puncture only at q = u:
+    # off the axes, no node or midpoint hits it, so the search stops at its
+    # cap 1.5e-11 from the exterior, inside its band.  Membership is claimed
     # only when certified; without closed forms the twistor lines are the
     # same query
-    sigma = _pt([1.0, 0, 0, 0], [0.0, 1.0, 0, 0])
+    sigma = _pt([1.0, 0, 0, 0], _OFF_AXIS)
     U = _LatticePointComplement(1)
     query = hull.hull_contains(sigma, U)
     assert query.indeterminate is True
@@ -252,13 +246,13 @@ def test_an_indeterminate_membership_query_answers_false_on_both_paths():
     assert (lines.verdict, lines.inf_value, lines.band) == (
         query.verdict, query.inf_value, query.band)
     # distance and witness want a value, and still return one in the band
-    near = _pt([0.78, 0, 0, 0], [0.0, 0.22 - 5e-5, 0, 0])
+    near = _pt([0.78, 0, 0, 0], (0.22 - 5e-5) * _OFF_AXIS)
     ball = _LatticeBall(1, 1.0)
-    member = hull.hull_contains(near, ball, count=64)
+    member = hull.hull_contains(near, ball)
     assert member.indeterminate is True and member.verdict is False
-    _, query = hull.hull_witness(near, ball, count=64)
+    _, query = hull.hull_witness(near, ball)
     assert query.indeterminate is True and query.verdict is True
-    assert hull.hull_distance(near, ball, count=64) == pytest.approx(
+    assert hull.hull_distance(near, ball) == pytest.approx(
         5e-5 / np.sqrt(2.0), rel=1e-6)
 
 
@@ -277,18 +271,11 @@ def test_certain_outside_verdict_is_not_indeterminate():
         assert query.verdict is False and query.indeterminate is False
 
 
-def test_sampler_lattice_is_cached_and_read_only():
-    a = hull._lattice(512)[0]
-    assert hull._lattice(512)[0] is a
-    with pytest.raises(ValueError):
-        a[0, 1] = 2.0
-
-
 # ---------------------------------------------------------------------------
 # closed-form sweep minimum (DomainSpec.sweep_inf)
 # ---------------------------------------------------------------------------
 
-_DENSE, _DENSE_CHORD = hull._lattice(20000)[:2]
+_DENSE, _DENSE_CHORD = hull._icosphere(5)[:2]
 
 
 def _vec(n, lo=-1.0, hi=1.0):
@@ -335,7 +322,7 @@ def test_sweep_inf_is_the_minimum_over_the_imaginary_sphere(case):
     # ext_distance at the returned arg-min is the returned value
     at_q = U.ext_distance(quat.right_line(x, y)(q[None, :])[0])
     assert at_q == pytest.approx(float(inf_value), rel=0, abs=1e-15)
-    # below every node of a dense lattice, and within its Lipschitz band
+    # below every node of a dense grid, and within its Lipschitz band
     grid = U.ext_distance(quat.right_line(x, y)(_DENSE))
     assert inf_value <= grid.min() + 1e-12
     ynorm = np.linalg.norm(y)
@@ -485,7 +472,7 @@ def test_constant_domains_have_constant_sweeps():
 def test_exact_query_reports_no_band_and_no_lattice():
     ball = domains.parse_domain("ball:r=1")
     sigma = _pt([0.3, 0.1, 0, 0], [0.0, 0.2, 0.1, 0])
-    query = hull.hull_contains(sigma, ball, count=64)
+    query = hull.hull_contains(sigma, ball)
     assert query.verdict is True and query.indeterminate is False
     assert query.band == 0.0 and query.count == 0
 
@@ -508,9 +495,9 @@ def test_intersection_with_a_lattice_part_falls_back_to_the_lattice():
     exact = domains.Intersection([domains.Ball(1, 1.0), domains.Ball(1, 0.9)])
     assert exact.sweep_inf is not None
     sigma = _pt([0.2, 0, 0.1, 0], [0.0, 0.1, 0, 0.05])
-    lattice = hull.hull_contains(sigma, mixed, count=256)
-    assert lattice.count == 256 and lattice.band > 0.0
-    closed = hull.hull_contains(sigma, exact, count=256)
+    lattice = hull.hull_contains(sigma, mixed)
+    assert lattice.count == 162 and lattice.band > 0.0
+    closed = hull.hull_contains(sigma, exact)
     assert closed.count == 0 and closed.band == 0.0
     assert lattice.verdict is closed.verdict is True
     assert closed.inf_value <= lattice.inf_value <= closed.inf_value + lattice.band
@@ -561,7 +548,7 @@ def test_line_query_is_the_closed_form_sweep_minimum(case):
     assert query.indeterminate is False
     exact, _ = U.sweep_inf(x, y)
     assert abs(query.inf_value - exact) <= _spectrum_tol(x, y)
-    if quat.qnorm(y) == 0.0:
+    if not y.any():
         return  # the real slice: the membership of x, as for hull_contains
     # the candidates are unit fibre points, and the reported value is the
     # exterior distance of the base point over the least of them, whose
@@ -606,6 +593,31 @@ def test_line_query_edge_cases(n):
                                                 return_query=True)
         assert abs(query.inf_value - exact) <= _spectrum_tol(c, y)
         assert query.verdict is True and query.band == 0.0
+
+    # a tiny nonzero y, whose norm underflows to 0, is no real slice: it is
+    # swept, and the reported arg-min attains the reported value on both
+    # paths of hull_contains (a sampled query scans its grid); the line
+    # query reads it at the least candidate's base point, within its
+    # rounding of x + y q
+    tiny = 1e-303 * np.ones(4 * n)
+    assert quat.qnorm(tiny) == 0.0
+    sigma = _pt(x, tiny)
+    S = quat.matrix_point(x, tiny)
+    for U in (ball, star):
+        sampled = hull.hull_contains(sigma, _Sampled(U))
+        assert sampled.count == len(hull._icosphere(hull._LEVEL)[0])
+        lines = twistor.hull_contains_via_lines(sigma, U, return_query=True)
+        for query in (hull.hull_contains(sigma, U), sampled, lines):
+            at_q = U.ext_distance(
+                quat.right_line(x, tiny)(query.argmin_q[None, :])[0])
+            tol = _spectrum_tol(x, tiny) if query is lines else 0.0
+            assert abs(at_q - query.inf_value) <= tol
+        pi = U.line_argmin(S)
+        vals = U.ext_distance(twistor.eta_inverse(twistor.line_embed(S, pi))[1])
+        i = int(np.argmin(vals))
+        assert float(vals[i]).hex() == float(lines.inf_value).hex()
+        assert (twistor.sweep_quaternions(pi[i]).tobytes()
+                == lines.argmin_q.tobytes())
 
     # S - M(a) of rank one: the line meets the removed point a at
     # q0 = Hopf(pi0), pi0 spanning the kernel.  sigma is on the boundary
@@ -658,23 +670,45 @@ def test_line_queries_are_pinned_bit_for_bit():
 # exact covering chords and the bands of both sampled sweep paths
 # ---------------------------------------------------------------------------
 
-def test_covering_chord_of_the_octahedron():
-    # the empty caps sit over the 8 faces, centred at (+-1, +-1, +-1)/sqrt 3
-    q = np.zeros((6, 4))
-    q[:, 1:] = np.concatenate([np.eye(3), -np.eye(3)])
-    assert hull._grid(q)[1] == pytest.approx(np.sqrt(2 - 2 / np.sqrt(3)),
-                                                   rel=1e-14)
+_LEVELS = [0, 1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("count", [450, 5000])
-def test_covering_chord_is_not_beaten_by_a_dense_probe(count):
-    # counts outside the ranges (12-399, 512-4096) over which the old
-    # measured constant 2.8/sqrt(count) was checked
-    from scipy.spatial import cKDTree
-    lattice, chord = hull._lattice(count)[:2]
+@pytest.mark.parametrize("level", _LEVELS)
+def test_icosphere_is_a_closed_triangulated_sphere(level):
+    qs, chord, tris, rho = hull._icosphere(level)
+    assert qs.shape == (10 * 4 ** level + 2, 4)
+    assert tris.shape == (3, 20 * 4 ** level) and tris.dtype == np.intp
+    assert rho.shape == (tris.shape[1],) and chord == rho.max()
+    # every edge lies in exactly two triangles, and V - E + F = 2
+    edges = np.sort(np.stack([tris, tris[[1, 2, 0]]], axis=-1), axis=-1)
+    pairs, seen = np.unique(edges.reshape(-1, 2), axis=0, return_counts=True)
+    assert (seen == 2).all()
+    assert len(qs) - len(pairs) + tris.shape[1] == 2
+
+
+@pytest.mark.parametrize("level", _LEVELS)
+def test_icosphere_nodes_are_cached_read_only_unit_imaginaries(level):
+    qs = hull._icosphere(level)[0]
+    assert hull._icosphere(level)[0] is qs
+    assert np.abs(qs[:, 0]).max() == 0.0
+    assert np.abs(np.linalg.norm(qs, axis=1) - 1.0).max() < 1e-15
+    with pytest.raises(ValueError):
+        qs[0, 1] = 2.0
+
+
+@pytest.mark.parametrize("level", _LEVELS)
+def test_covering_chord_is_not_beaten_by_a_dense_probe(level):
+    # the chord is the largest circumchord, an upper bound of the distance
+    # from any point of the sphere to its nearest node; 200000 probes never
+    # pass it and come within 10% of it
+    qs, chord = hull._icosphere(level)[:2]
+    u = qs[:, 1:]
     probes = np.random.default_rng(24).normal(size=(200000, 3))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    gaps, _ = cKDTree(lattice[:, 1:]).query(probes)
+    # a probe's nearest node has the largest inner product with it
+    nearest = np.concatenate([np.argmax(block @ u.T, axis=1)
+                              for block in np.array_split(probes, 50)])
+    gaps = np.linalg.norm(probes - u[nearest], axis=1)
     assert gaps.max() <= chord
     assert gaps.max() > 0.9 * chord
 
@@ -742,14 +776,14 @@ class _SampledWithBoundary(_Sampled):
 # recorded with the swept points computed as x + qmul_right(y, q); any
 # change to how they are computed or consumed shows here
 _GOLDEN_QUERIES = {
-    # lattice scan then branch-and-bound
-    "lattice_ball": ("0x1.49c7dc1d498e0p-6", "0x1.464c7efbb6f6ap-6", (
-        "0x0.0p+0", "-0x1.ff966ee278981p-1", "-0x1.fc492af6b4d05p-6",
-        "0x1.a0fb2a34f63f7p-6")),
-    # n = 2 intersection, branch-and-bound on 200 nodes
-    "lattice_n2": ("0x1.862efa346f798p-4", "0x1.3115b5ff8a92cp-4", (
-        "0x0.0p+0", "-0x1.301b027efdc72p-4", "0x1.e7bc49971ff15p-1",
-        "0x1.2e147ae147ae2p-2")),
+    # grid scan then branch-and-bound, on the level-1 icosphere
+    "sampled_ball": ("0x1.51505762b8000p-6", "0x1.3f5d057fe105ap-6", (
+        "0x0.0p+0", "-0x1.3d900ae604d60p-1", "-0x1.4c5b65f0b6604p-4",
+        "-0x1.8f76f280cae1dp-1")),
+    # n = 2 intersection, branch-and-bound on the level-2 icosphere
+    "sampled_n2": ("0x1.90d6cbfd2b850p-4", "0x1.452b8e3e2c081p-4", (
+        "0x0.0p+0", "0x1.4cb7bfb4961aep-3", "0x1.e6f0e13445500p-1",
+        "0x1.0d2ca0da1530dp-2")),
 }
 
 
@@ -759,12 +793,12 @@ def _golden_queries():
         domains.Ball(2, 1.2, center=[0.1] * 8),
         domains.HalfSpace(2, [1, 0, 0, 0, 0, 1, 0, 0], 0.7)])
     return {
-        "lattice_ball": hull.hull_contains(
-            _pt([0.78, 0, 0, 0], [0, 0.2, 0, 0]), _Sampled(ball), count=64),
-        "lattice_n2": hull.hull_contains(
+        "sampled_ball": _sampled(
+            _pt([0.78, 0, 0, 0], 0.2 * _OFF_AXIS), _Sampled(ball), 1),
+        "sampled_n2": hull.hull_contains(
             _pt([0.1, -0.2, 0.05, 0.3, 0.0, 0.15, -0.1, 0.2],
                 [0.2, 0.1, -0.3, 0.05, 0.1, -0.05, 0.15, 0.0]),
-            _Sampled(n2), count=200),
+            _Sampled(n2)),
     }
 
 
@@ -780,26 +814,24 @@ def test_sampled_queries_are_pinned_bit_for_bit():
         assert _hex(query.argmin_q) == argmin_q, name
     d = hull.hull_distance(
         _pt([0.3, -0.2, 0.1, 0.4], [0.1, 0.2, -0.3, 0.1]),
-        _Sampled(domains.PointComplement(1, point=[0.1, 0.2, 0, 0])),
-        count=512)
-    assert float(d).hex() == "0x1.616fe23a6848dp-3"
+        _Sampled(domains.PointComplement(1, point=[0.1, 0.2, 0, 0])))
+    assert float(d).hex() == "0x1.616fe23a6848ep-3"
     w, query = hull.hull_witness(
         _pt([0.1, 0.2, -0.1, 0.05], [0.2, -0.1, 0.3, 0.1]),
         _SampledWithBoundary(domains.Intersection([
             domains.Ball(1, 1.3),
-            domains.HalfSpace(1, [-0.3, -0.8, 0.1, 0.4], 0.5)])),
-        count=200)
+            domains.HalfSpace(1, [-0.3, -0.8, 0.1, 0.4], 0.5)])))
     assert _hex(w.x) == (
-        "0x1.792579806dacap-5", "0x1.cb9721df02548p-5", "-0x1.4feca55123588p-4",
-        "0x1.f3809deea5d15p-4")
+        "0x1.792579806daccp-5", "0x1.cb9721df02550p-5", "-0x1.4feca55123588p-4",
+        "0x1.f3809deea5d13p-4")
     assert _hex(w.y) == (
-        "0x1.37d455dd0c3ddp-2", "-0x1.bed3dfb317c30p-4", "0x1.ba2670ecd27ccp-2",
-        "0x1.04a4356ede281p-3")
+        "0x1.37d455eda8830p-2", "-0x1.bed3df7cb739ap-4", "0x1.ba2670d744b69p-2",
+        "0x1.04a435c8effc6p-3")
     assert (float(query.inf_value).hex(), float(query.band).hex(),
             _hex(query.argmin_q)) == (
-        "0x1.5d795c7f72dd9p-2", "0x1.31a7a169702c7p-3", (
-            "0x0.0p+0", "-0x1.af2e895b0a44dp-1", "0x1.af2e88a3568f6p-2",
-            "-0x1.58f20879f894ep-2"))
+        "0x1.5d795c7f72dd8p-2", "0x1.2aebe5634ffdap-3", (
+            "0x0.0p+0", "-0x1.af2e894ef2c84p-1", "0x1.af2e8985cc5b2p-2",
+            "-0x1.58f2079b5ac50p-2"))
 
 
 @st.composite
@@ -815,7 +847,7 @@ def _near_boundary_case(draw):
     assume(np.any(vals > 0))
     s0 = s[np.argmin(np.where(vals > 0, vals, np.inf))]
     y = s0 * draw(st.floats(0.9, 1.1)) * y
-    return U, x, y, draw(st.integers(12, 5000))
+    return U, x, y, draw(st.sampled_from(_LEVELS))
 
 
 _BAND_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -835,10 +867,10 @@ def _check_certified(query, U, x, y):
 @_BAND_PROPERTY
 @given(_near_boundary_case())
 def test_lattice_band_contains_the_exact_sweep_minimum(case):
-    U, x, y, count = case
-    query = hull.hull_contains(_pt(x, y), _Sampled(U), count=count)
-    qs = hull._lattice(count)[0]
-    assert query.count == count
+    U, x, y, level = case
+    query = _sampled(_pt(x, y), _Sampled(U), level)
+    qs = hull._icosphere(level)[0]
+    assert query.count == len(qs)
     grid_min = U.ext_distance(quat.right_line(x, y)(qs)).min()
     assert query.inf_value <= grid_min
     _check_certified(query, U, x, y)
@@ -894,14 +926,14 @@ def test_triangle_bound_holds_inside_the_triangle(case, tri):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
            lambda v: np.linalg.norm(v) > 0.1),
-       st.sampled_from([12, 64, 512]), st.sampled_from([1e-3, 1e-2]))
-def test_branch_and_bound_finds_a_narrow_cone(centre, count, depth):
+       st.sampled_from([0, 1, 2]), st.sampled_from([1e-3, 1e-2]))
+def test_branch_and_bound_finds_a_narrow_cone(centre, level, depth):
     # g is the chord distance to a random point c shifted by -depth (a hole
     # of radius depth, clamped at 0) or by +depth (a positive minimum at c);
     # the search must find the hole and bracket the minimum, wherever c
     # falls in the grid's triangles
     c = centre / np.linalg.norm(centre)
-    grid = hull._lattice(count)
+    grid = hull._icosphere(level)
     for shift in (-depth, depth):
         def g(q):
             return np.maximum(0.0, np.linalg.norm(q[:, 1:] - c, axis=1) + shift)
@@ -922,7 +954,7 @@ def _circumchord_rows(tri):
     r = (np.linalg.norm(u, axis=-1) * np.linalg.norm(w, axis=-1)
          * np.linalg.norm(u - w, axis=-1) / (2.0 * area2))
     r = np.minimum(r, 1.0)
-    return r * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 - r * r)))
+    return r * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 - r * r))) + hull._SLACK
 
 
 def _branch_and_bound_rows(g, grid, vals, ynorm, tau):
@@ -964,9 +996,9 @@ def _branch_and_bound_rows(g, grid, vals, ynorm, tau):
     return float(f), q, max(0.0, float(lb))
 
 
-@pytest.mark.parametrize("count", [12, 64, 512, 5000])
-def test_grid_radii_match_the_row_major_reference(count):
-    qs, _, tris, rho = hull._lattice(count)
+@pytest.mark.parametrize("level", [0, 1, 2, 4])
+def test_grid_radii_match_the_row_major_reference(level):
+    qs, _, tris, rho = hull._icosphere(level)
     assert tris.shape == (3, len(rho))
     assert rho.tobytes() == _circumchord_rows(qs[tris.T][..., 1:]).tobytes()
 
@@ -976,17 +1008,17 @@ def _in_band_case(draw):
     # a near-boundary sigma whose scanned minimum falls inside the band,
     # under the default caps or small ones that end the search early
     U, x, y, _ = draw(_near_boundary_case())
-    count = draw(st.sampled_from([12, 64, 512]))
+    level = draw(st.sampled_from([0, 1, 2]))
     caps = draw(st.sampled_from([(hull._BB_DEPTH, hull._BB_LIVE), (1, 1024),
                                  (3, 1024), (32, 8), (32, 64)]))
-    return U, x, y, count, quat.right_line(x, y), caps
+    return U, x, y, level, quat.right_line(x, y), caps
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_in_band_case())
 def test_branch_and_bound_matches_the_row_major_reference(case):
-    U, x, y, count, line, (depth_cap, live_cap) = case
-    grid = hull._lattice(count)
+    U, x, y, level, line, (depth_cap, live_cap) = case
+    grid = hull._icosphere(level)
 
     def g(q):
         return U.ext_distance(line(q))
@@ -1007,20 +1039,29 @@ def test_branch_and_bound_matches_the_row_major_reference(case):
 
 
 def test_distance_of_a_point_outside_the_hull_raises():
-    # the local polish from the best of 12 nodes stops at a positive local
-    # minimum of this intersection's sweep; the exact minimum is 0, and the
-    # branch-and-bound finds a swept point outside U
+    # the local polish from the best of the 12 icosahedron vertices stops
+    # at a positive local minimum of this intersection's sweep; the exact
+    # minimum is 0, and the branch-and-bound finds a swept point outside U
     U = domains.Intersection([
         domains.Ball(1, 1.3),
-        domains.HalfSpace(1, [-0.296, -0.855, 0.007, 0.425], 0.343)])
-    sigma = _pt([-0.046, 0.353, 0.588, 0.177], [0.059, 0.264, -0.39, 0.338])
+        domains.HalfSpace(1, [-0.115, 0.131, 0.504, -0.14], 0.222)])
+    sigma = _pt([-0.18, -0.151, -0.303, 0.383], [0.366, -0.477, 0.345, -0.429])
     assert U.sweep_inf(sigma.x, sigma.y)[0] == 0.0
-    query = hull.hull_contains(sigma, _Sampled(U), count=12)
+    line = quat.right_line(sigma.x, sigma.y)
+    qs, chord = hull._icosphere(0)[:2]
+    vals = U.ext_distance(line(qs))
+    polished, _ = hull._local_min(lambda q: U.ext_distance(line(q)),
+                                  qs[vals.argmin()], vals.min(), chord)
+    assert polished > 0.0
+    for polish in (False, True):
+        query = _sampled(sigma, _Sampled(U), 0, polish)
+        assert query.verdict is False and query.indeterminate is False
+    query = hull.hull_contains(sigma, _Sampled(U))
     assert query.verdict is False and query.indeterminate is False
     with pytest.raises(hull.NotInHullError):
-        hull.hull_distance(sigma, _Sampled(U), count=12)
+        hull.hull_distance(sigma, _Sampled(U))
     with pytest.raises(hull.NotInHullError):
-        hull.hull_witness(sigma, _Sampled(U), count=12)
+        hull.hull_witness(sigma, _Sampled(U))
 
 
 @st.composite
@@ -1045,40 +1086,23 @@ def test_polished_lattice_distance_is_the_exact_distance(case):
     assert d == pytest.approx(exact, rel=0, abs=1e-9 * max(1.0, d))
 
 
-_ENTRY_POINTS = {
-    "hull_contains": hull.hull_contains,
-    "hull_distance": hull.hull_distance,
-    "hull_witness": hull.hull_witness,
-}
-
-
-@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
-@pytest.mark.parametrize("U", [domains.Ball(1, 1.0), _LatticeBall(1, 1.0)],
-                         ids=["built-in", "user"])
-def test_every_entry_point_rejects_a_count_below_12(entry, U):
-    # checked before the exact branch, so a built-in domain rejects it too
-    sigma = _pt([0.3, 0, 0, 0], [0.0, 0.1, 0, 0])
-    for count in (11, 6, 0, -3):
-        with pytest.raises(ValueError, match="sampler count must be >= 12"):
-            _ENTRY_POINTS[entry](sigma, U, count=count)
-    _ENTRY_POINTS[entry](sigma, U, count=12)
-
-
-@pytest.mark.parametrize("count", [200, 512])
-def test_each_path_steps_by_its_own_grid_chord(count, monkeypatch):
+@pytest.mark.parametrize("level", [1, 2])
+def test_each_path_steps_by_its_own_grid_chord(level, monkeypatch):
     # the branch-and-bound splits the triangles of the grid that was
     # scanned, and the polish of a distance starts with a mesh step of that
-    # grid's covering chord; both scan the one cached lattice of count nodes
+    # grid's covering chord; both scan the one cached icosphere of _LEVEL
+    monkeypatch.setattr(hull, "_LEVEL", level)
     grids = _record(monkeypatch, "_branch_and_bound", 1)
     steps = _record(monkeypatch, "_local_min", 3)
-    sigma = _pt([0.78, 0, 0, 0], [0.0, 0.2, 0, 0])
-    lattice = hull._lattice(count)
-    runs = [(hull.hull_contains, _LatticeBall(1, 1.0), lattice, []),
-            (hull.hull_distance, _LatticeBall(1, 1.0), lattice, [lattice[1]])]
+    sigma = _pt([0.78, 0, 0, 0], 0.2 * _OFF_AXIS)
+    icosphere = hull._icosphere(level)
+    runs = [(hull.hull_contains, _LatticeBall(1, 1.0), icosphere, []),
+            (hull.hull_distance, _LatticeBall(1, 1.0), icosphere,
+             [icosphere[1]])]
     for entry, U, grid, polish_steps in runs:
         grids.clear()
         steps.clear()
-        entry(sigma, U, count=count)
+        entry(sigma, U)
         assert len(grids) == 1 and grids[0] is grid
         assert steps == polish_steps
 

@@ -204,6 +204,20 @@ def test_biquaternion_point_rejects_non_finite_coordinates(bad):
         quat.BiquaternionPoint.from_matrix([[bad, 0.0], [0.0, 1.0]])
 
 
+def test_biquaternion_point_rejects_an_overflowing_c_norm():
+    # finite coordinates whose squares sum past the float range: the hull's
+    # norms of x and y would be inf or NaN
+    for x, y in (([1e200, 0, 0, 0], [0, 0, 0, 0]),
+                 ([1e160, 0, 0, 0], [0, 1e160, 0, 0]),
+                 ([0] * 7 + [1.5e154], [0] * 4 + [1e154, 0, 0, 0])):
+        with pytest.raises(ValueError, match="squared C-norm overflows"):
+            quat.BiquaternionPoint(x, y)
+    with pytest.raises(ValueError, match="squared C-norm overflows"):
+        quat.BiquaternionPoint.from_matrix([[1e200, 0.0], [0.0, 1.0]])
+    big = quat.BiquaternionPoint([1e150, 0, 0, 0], [0, 1e150, 0, 0])
+    assert big.norm_C() == pytest.approx(np.sqrt(2.0) * 1e150, rel=1e-15)
+
+
 # finite coordinates with exact zeros of both signs mixed in
 _COORD = st.one_of(st.floats(-4.0, 4.0, allow_subnormal=False),
                    st.sampled_from([0.0, -0.0]))
