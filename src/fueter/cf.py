@@ -41,9 +41,6 @@ __all__ = [
     "dC_apply", "is_monogenic", "residual_norm",
 ]
 
-_UNITS = np.eye(4)  # quaternion units 1, i, j, k as real 4-vectors
-
-
 class DomainError(ValueError):
     """An FD stencil point left the field's domain."""
 
@@ -145,10 +142,10 @@ def cf_apply(psi, p, cfg=None):
     dq = _partials(psi.eval_quat, p, cfg or FDConfig(), psi.domain)  # (..., 4n, 4)
     n = p.shape[-1] // 4
     blocks = dq.reshape(dq.shape[:-2] + (n, 4, 4))  # (..., n, coord u, quat comp)
-    out = np.zeros_like(blocks[..., 0, :])
-    for u in range(4):
-        out = out + quat.qmul(_UNITS[u], blocks[..., u, :])
-    return out
+    # component k of e_u * blocks[..., u, :] is _SIGN[u, 0, k] times entry
+    # u xor k; the four are summed in u order
+    terms = blocks[..., np.arange(4)[:, None], quat._XOR[:, 0]] * quat._SIGN[:, 0]
+    return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
 
 
 def residual_norm(res):

@@ -81,13 +81,14 @@ def _parse_matrix(obj):
 
 
 def _parse_sigma(s):
-    """A biquaternion point from JSON: {"x": [...], "y": [...]} or a matrix."""
+    """A biquaternion point from JSON: {"x": [...], "y": [...]} or a matrix;
+    an object with any other key set is refused, not read in part."""
     obj = json.loads(s)
-    if isinstance(obj, dict) and "x" in obj and "y" in obj:
+    if isinstance(obj, dict) and obj.keys() == {"x", "y"}:
         x = np.asarray(obj["x"], dtype=float)
         y = np.asarray(obj["y"], dtype=float)
         return quat.BiquaternionPoint(x, y)
-    if isinstance(obj, dict) and "matrix" in obj:
+    if isinstance(obj, dict) and obj.keys() == {"matrix"}:
         return quat.BiquaternionPoint.from_matrix(_parse_matrix(obj["matrix"]))
     if isinstance(obj, list):
         return quat.BiquaternionPoint.from_matrix(_parse_matrix(obj))

@@ -58,7 +58,7 @@ import json
 
 import numpy as np
 
-from .quat import embed_M, qnorm, right_line
+from .quat import CONJ_SIGNS, _SIGN, _XOR, embed_M, qnorm, right_line
 
 __all__ = [
     "DomainSpec", "Ball", "PointComplement", "HalfSpace", "Intersection",
@@ -330,11 +330,8 @@ def _finite(a, name):
 
 # components 1..3 of conj(w)*y: term t of component k is
 # _VSIGN[t, k] * w_t * y_(_VXOR[t, k]), qmul's signs with conj's folded in
-_VXOR = np.arange(4)[:, None] ^ np.arange(1, 4)
-_VSIGN = np.array([[1.0, 1.0, 1.0],
-                   [-1.0, 1.0, -1.0],
-                   [-1.0, -1.0, 1.0],
-                   [1.0, -1.0, -1.0]])
+_VXOR = _XOR[:, 0, 1:]
+_VSIGN = _SIGN[:, 0, 1:] * CONJ_SIGNS[:, None]
 
 
 def _axis_dir(dim, shape):
@@ -346,10 +343,10 @@ def _axis_dir(dim, shape):
 def _sweep_vec(w, y):
     """v = sum_l Vec(conj(w_l) y_l), so that <w, y*(0, u)> = -v.u; (..., 3).
 
-    w and y broadcast.  Term t of component k is _VSIGN[t, k] w_t
-    y_(t xor k): one gather of y, the signed products and three sums in
-    ``qmul``'s order, then the sum over l, so v equals qmul(qconj(w_l), y_l)
-    summed over l bit for bit.
+    w and y broadcast.  Term t of component k is _VSIGN[t, k] w_t y_(t xor
+    k), with qmul's signs (quat._SIGN) times qconj's: one gather of y, the
+    signed products and three sums in ``qmul``'s order, then the sum over
+    l, so v equals qmul(qconj(w_l), y_l) summed over l bit for bit.
     """
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)

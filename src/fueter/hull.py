@@ -456,7 +456,5 @@ def hull_witness(sigma, U):
     p = quat.right_line(x, y)(qstar)
     x0 = np.asarray(U.nearest_boundary(p), dtype=float)
     w = x0 - p
-    n = pt.n
-    wq = quat.qmul(w.reshape(n, 4), qstar).reshape(4 * n)
-    witness = BiquaternionPoint(x + w / 2.0, y - wq / 2.0)
+    witness = BiquaternionPoint(x + w / 2.0, y - quat.qmul_right(w, qstar) / 2.0)
     return witness, query

@@ -45,8 +45,8 @@ Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
     the identical code path, not merely an equal value.
 
 Batches: a form's coefficients take a whole batch of base points at once,
-x (..., 4n) -> (..., R), and its moment table is built once per form by
-``cp1._moments`` on the default nodes.  The pushforwards,
+x (..., 4n) -> (..., R), and its moment table is built once per fiber basis
+by ``cp1._moments`` on the default nodes.  The pushforwards,
 ``penrose_transform`` and ``diagram_check`` are then products of (..., R)
 coefficient arrays with the (R, moments) table; no array over base points
 and fiber nodes together is formed.
@@ -110,8 +110,9 @@ class TwistorFormL:
     the base domain, whose stencils the frame fields check.
 
     ``moments`` is the table M[r, a] = sum_j W_j Z_j^a b_r(Z_j), a = 0, 1,
-    on the default nodes, built on first use and kept: every pushforward of
-    the form is a product with it.
+    on the default nodes: every pushforward of the form is a product with
+    it.  It is built once per basis callable and shared, read-only, by the
+    forms with that basis (all ``sharp`` lifts).
     """
 
     def __init__(self, n, coeffs, basis, coeffs_matrix=None, domain=None):
@@ -121,9 +122,17 @@ class TwistorFormL:
         self.coeffs_matrix = coeffs_matrix
         self.domain = domain
 
-    @functools.cached_property
+    @property
     def moments(self):
-        return _moments(self.basis, 2)
+        return _moment_table(self.basis)
+
+
+@functools.lru_cache(maxsize=8)
+def _moment_table(basis):
+    """The read-only moment table of a fiber basis (see TwistorFormL)."""
+    table = _moments(basis, 2)
+    table.flags.writeable = False
+    return table
 
 
 def _harmonic_basis(z):

@@ -28,6 +28,12 @@ so it equals x + qmul_right(y, q) bit for bit, signed zeros included.  Every
 row is computed alike whatever the batch, and the result has qmul_right's C
 layout, so an oracle that rounds by layout (a BLAS product) sees the same
 array.
+
+``qmul`` and ``embed_M`` are the definitions; each table that restates
+them is read off them on the units: ``_SIGN`` (the +- above, which
+``domains`` and ``cf`` reuse) from qmul, and ``_POINT_MAP``, the real 8 x 8
+map of one entry's block that matrix_point and decompose_matrix use, from
+embed_M.
 """
 
 import numpy as np
@@ -64,13 +70,11 @@ def qmul_right(x, q):
     return xq.reshape(xq.shape[:-2] + (-1,))
 
 
-# term t of component k of p*q is _SIGN[t, 0, k] * p_t * q_(_XOR[t, 0, k]);
+# term t of component k of p*q is _SIGN[t, 0, k] * p_t * q_(_XOR[t, 0, k]),
+# its sign read off qmul on the units: e_t * e_(t xor k) = _SIGN[t, 0, k] e_k;
 # the middle axis broadcasts over the n entries of a flat point
 _XOR = (np.arange(4)[:, None] ^ np.arange(4))[:, None, :]
-_SIGN = np.array([[[1.0, 1.0, 1.0, 1.0]],
-                  [[-1.0, 1.0, -1.0, 1.0]],
-                  [[-1.0, 1.0, 1.0, -1.0]],
-                  [[-1.0, -1.0, 1.0, 1.0]]])
+_SIGN = np.sum(qmul(np.eye(4)[:, None, None], np.eye(4)[_XOR]) * np.eye(4), axis=-1)
 
 
 def right_line(x, y):
@@ -96,10 +100,13 @@ def right_line(x, y):
     return line
 
 
+CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])  # qconj's, on (x0, .., x3)
+
+
 def qconj(q):
     """The quaternion conjugate on (..., 4) arrays."""
     q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
+    return q * CONJ_SIGNS
 
 
 def qnorm(x):
@@ -160,19 +167,13 @@ def embed_M(x):
 
 # the 2x2 block of one quaternion entry of matrix_point, as the real view
 # (Re S00, Im S00, Re S01, Im S01, Re S10, Im S10, Re S11, Im S11)
-# = (x0, x1, x2, x3, y0, y1, y2, y3) @ _POINT_MAP:
+# = (x0, x1, x2, x3, y0, y1, y2, y3) @ _POINT_MAP: row c is the real view of
+# embed_M(e_c), row 4 + c that of 1j * embed_M(e_c) (+ 0.0 makes every zero
+# entry 0.0, not -0.0), so that
 #   S00 = (x0 - y1) + i (x1 + y0)     S01 = (-x3 - y2) + i (x2 - y3)
 #   S10 = (x3 - y2) + i (x2 + y3)     S11 = (x0 + y1) + i (y0 - x1)
-_POINT_MAP = np.array([
-    [1, 0, 0, 0, 0, 0, 1, 0],
-    [0, 1, 0, 0, 0, 0, 0, -1],
-    [0, 0, 0, 1, 0, 1, 0, 0],
-    [0, 0, -1, 0, 1, 0, 0, 0],
-    [0, 1, 0, 0, 0, 0, 0, 1],
-    [-1, 0, 0, 0, 0, 0, 1, 0],
-    [0, 0, -1, 0, -1, 0, 0, 0],
-    [0, 0, 0, -1, 0, 1, 0, 0],
-], dtype=float)
+_POINT_MAP = np.concatenate([embed_M(np.eye(4)), 1j * embed_M(np.eye(4))]
+                            ).reshape(8, 4).view(float) + 0.0
 
 
 def matrix_point(x, y):
@@ -201,26 +202,17 @@ def decompose_matrix(z):
         alpha = (z00 + conj(z11))/2      gamma = (z00 - conj(z11))/(2i)
         beta  = (z10 - conj(z01))/2      delta = (z10 + conj(z01))/(2i)
 
-    with x built from (alpha, beta) and y from (gamma, delta).
+    with x built from (alpha, beta) and y from (gamma, delta): one product
+    of each block's real view with _POINT_MAP.T / 2, _POINT_MAP's inverse.
+    Each entry sums two exact halves, rounded once like the formulas.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim < 2 or z.shape[-1] != 2 or z.shape[-2] % 2:
         raise ValueError("expected a (..., 2n, 2) matrix")
-    z00 = z[..., 0::2, 0]
-    z10 = z[..., 1::2, 0]
-    z01 = z[..., 0::2, 1]
-    z11 = z[..., 1::2, 1]
-    xa = (z00 + np.conj(z11)) / 2
-    ya = (z00 - np.conj(z11)) / 2j
-    xb = (z10 - np.conj(z01)) / 2
-    yb = (z10 + np.conj(z01)) / 2j
-    xab = np.empty(z.shape[:-2] + (z.shape[-2],), dtype=complex)
-    yab = np.empty_like(xab)
-    xab[..., 0::2] = xa
-    xab[..., 1::2] = xb
-    yab[..., 0::2] = ya
-    yab[..., 1::2] = yb
-    return ab_to_real(xab), ab_to_real(yab)
+    blocks = np.ascontiguousarray(z).reshape(z.shape[:-2] + (-1, 4)).view(float)
+    xy = blocks @ (_POINT_MAP.T / 2)
+    lead = z.shape[:-2] + (-1,)
+    return xy[..., :4].reshape(lead), xy[..., 4:].reshape(lead)
 
 
 def det_biquat(z):
@@ -245,7 +237,10 @@ def norm_C(x, y):
 
 def _flat(a):
     """A read-only float copy of a (4n,) point; ValueError unless finite."""
-    a = np.array(a, dtype=float).ravel()
+    a = np.array(a, dtype=float)
+    if a.ndim != 1:  # a nested list is refused, never flattened
+        raise ValueError("point coordinates must be flat, got shape %s"
+                         % (a.shape,))
     if a.size % 4:
         raise ValueError("flat length must be 4n")
     if not np.isfinite(a).all():

@@ -46,6 +46,34 @@ def test_linear_monogenic_field_is_in_the_kernel():
         assert cf.residual_norm(cf.cf_apply(field, p)) < 1e-8
 
 
+def _unit_product_sum(psi, p, cfg):
+    """D psi as sum_u qmul(e_u, d_u psi), the Hamilton products spelt out."""
+    dq = cf._partials(psi.eval_quat, p, cfg, psi.domain)
+    blocks = dq.reshape(dq.shape[:-2] + (psi.n, 4, 4))
+    out = np.zeros_like(blocks[..., 0, :])
+    for u in range(4):
+        out = out + quat.qmul(np.eye(4)[u], blocks[..., u, :])
+    return out
+
+
+@pytest.mark.parametrize("name,n", [
+    ("E", 1), ("constant", 1), ("conj_q", 2), ("linear_monogenic", 2),
+    ("nonmonogenic_quadratic", 1), ("nonmonogenic_absquare", 2)])
+def test_cf_apply_is_the_sum_of_unit_products(name, n):
+    # cf_apply gathers qmul's signed terms instead of multiplying by the
+    # units: the same sums in the same order, equal up to the sign of a
+    # zero, so the residual norm is the same bit for bit
+    field = fields.get_field(name, n)
+    pts = _shell(np.random.default_rng(15), 20, n=n)
+    for cfg in (cf.FDConfig(), cf.FDConfig(scheme="richardson")):
+        for p in (pts, pts[0]):
+            out = cf.cf_apply(field, p, cfg)
+            ref = _unit_product_sum(field, p, cfg)
+            np.testing.assert_array_equal(out, ref)
+            assert (cf.residual_norm(out).tobytes()
+                    == cf.residual_norm(ref).tobytes())
+
+
 def test_quaternion_output_encodes_the_complex_residual_pair():
     # block ell of the quaternion output is (-2 r1_ell, 2 r2_ell) as a
     # complex pair, with r interleaved (r1_1, r2_1, r1_2, r2_2, ...)

@@ -351,6 +351,29 @@ def test_points_whose_c_norm_overflows_are_config_errors(mode, sigma, capsys):
     assert captured.err.startswith("config error: squared C-norm overflows")
 
 
+@pytest.mark.parametrize("command,sigma,message", [
+    (["hull", "contains", "--domain", "ball:r=1"],
+     '{"x": [[0.1, 0], [0, 0]], "y": [0, 0.2, 0, 0]}', "must be flat"),
+    (["twistor", "sweep"],
+     '{"x": [0.1, 0, 0, 0], "y": [[0, 0.2, 0, 0]]}', "must be flat"),
+    (["hull", "contains", "--domain", "ball:r=1"],
+     '{"x": [0.1, 0, 0, 0], "y": [0, 0.2, 0, 0], "z": 5}', "sigma must be"),
+    (["hull", "distance", "--domain", "H*"],
+     '{"x": [1, 0, 0, 0], "y": [0, 0, 0, 0], "matrix": [[1, 0], [0, 1]]}',
+     "sigma must be"),
+    (["penrose", "complex", "--field", "E"],
+     '{"matrix": [[1, 0], [0, 1]], "n": 1}', "sigma must be"),
+])
+def test_sigma_input_the_parser_would_not_read_is_a_config_error(
+        command, sigma, message, capsys):
+    # a nested coordinate list is not flattened, and no key is ignored
+    assert cli.main(command + ["--sigma", sigma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("args", [["harmonic", "--a0", "nan"],
                                   ["harmonic", "--a1", "inf+1j"],
                                   ["coeffs", "--form", "harmonic:a0=1:a1=nanj"]])

@@ -462,6 +462,19 @@ def test_transform_evaluates_the_fiber_basis_once_per_form():
     assert len(on_nodes) == 1
 
 
+def test_sharp_forms_share_one_read_only_moment_table():
+    # the table depends on the fiber basis alone
+    form = penrose.sharp(fields.get_field("E"))
+    assert form.moments is penrose.sharp(
+        fields.get_field("linear_monogenic", 2)).moments
+    with pytest.raises(ValueError, match="read-only"):
+        form.moments[0, 0] = 0.0
+    # a form with a basis of its own gets a table of its own, built alike
+    own = penrose.TwistorFormL(1, form.coeffs, lambda z: form.basis(z))
+    assert own.moments is not form.moments
+    np.testing.assert_array_equal(own.moments, form.moments)
+
+
 # ---------------------------------------------------------------------------
 # an exact form dbar(f) is invisible to the transform
 # ---------------------------------------------------------------------------

@@ -135,6 +135,41 @@ def test_decompose_matrix_inverts_matrix_point():
         np.testing.assert_allclose(y2, y, rtol=0, atol=1e-14)
 
 
+def _decompose_by_formulas(z):
+    """decompose_matrix's docstring formulas, block by block."""
+    z00, z10 = z[..., 0::2, 0], z[..., 1::2, 0]
+    z01, z11 = z[..., 0::2, 1], z[..., 1::2, 1]
+    xab = np.empty(z.shape[:-1], dtype=complex)
+    yab = np.empty_like(xab)
+    xab[..., 0::2] = (z00 + np.conj(z11)) / 2
+    xab[..., 1::2] = (z10 - np.conj(z01)) / 2
+    yab[..., 0::2] = (z00 - np.conj(z11)) / 2j
+    yab[..., 1::2] = (z10 + np.conj(z01)) / 2j
+    return quat.ab_to_real(xab), quat.ab_to_real(yab)
+
+
+def test_decompose_matrix_is_its_formulas_bit_for_bit():
+    # one product with _POINT_MAP.T / 2 sums two exact halves per entry,
+    # rounded once, as the formulas do
+    P = quat._POINT_MAP
+    np.testing.assert_array_equal(P.T @ P, 2.0 * np.eye(8))
+    assert not np.signbit(P[P == 0]).any()  # no -0.0 entry
+    rng = np.random.default_rng(10)
+    for n in (1, 2, 3):
+        for lead in ((), (7,), (3, 2)):
+            shape = lead + (2 * n, 2)
+            z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for got, want in zip(quat.decompose_matrix(z),
+                                 _decompose_by_formulas(z)):
+                assert _same_bits(got, want)
+            # exact zeros of both signs: equal values
+            z = np.where(rng.random(shape) < 0.5, 0.0, z) * np.where(
+                rng.random(shape) < 0.5, 1.0, -1.0)
+            for got, want in zip(quat.decompose_matrix(z),
+                                 _decompose_by_formulas(z)):
+                np.testing.assert_array_equal(got, want)
+
+
 def test_embed_of_decompose_is_bitwise_identity_on_real_slice_matrices():
     rng = np.random.default_rng(8)
     for n in (1, 2):
@@ -192,6 +227,11 @@ def test_biquaternion_point_owns_read_only_copies():
         quat.BiquaternionPoint(np.zeros(3))
     with pytest.raises(ValueError, match="same number of entries"):
         quat.BiquaternionPoint(np.zeros(4), np.zeros(8))
+    # a nested array is no flat point: it is refused, not flattened
+    with pytest.raises(ValueError, match=r"must be flat, got shape \(2, 4\)"):
+        quat.BiquaternionPoint(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match=r"must be flat, got shape \(2, 2\)"):
+        quat.BiquaternionPoint([0.1, 0, 0, 0], [[0, 0.2], [0, 0]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
