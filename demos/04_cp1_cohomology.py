@@ -65,7 +65,7 @@ for p, q, r_in, r_out in ((0, 0, 0.5, 2.0), (1, 2, 0.3, 3.0), (2, 1, 0.6, 1.8)):
 
 print()
 print("=" * 72)
-print("5. Decay certificates at the chart boundary")
+print("5. Sampled decay checks at the chart boundary")
 print("=" * 72)
 w = harmonic_representative(1.0, 1.0)
 for ell in (0, 1):

@@ -133,8 +133,8 @@ def _parse_form_spec(s):
 
 
 # ---------------------------------------------------------------------------
-# handlers: each records its resolved params on args before any library call
-# that may refuse, and returns (results, passed, why); main emits the envelope
+# handlers: main records the parsed options as args.params, a handler only
+# overwrites those it normalises and returns (results, passed, why)
 # ---------------------------------------------------------------------------
 
 def _cmd_cf_check(args):
@@ -142,9 +142,6 @@ def _cmd_cf_check(args):
     rng = np.random.default_rng(args.seed)
     pts = _shell_points(rng, args.points, args.rmin, args.rmax, n=args.n)
     cfg = FDConfig(step=args.step, scheme=args.scheme)
-    args.params = {"field": args.field, "n": args.n, "points": args.points,
-                   "seed": args.seed, "tol": args.tol, "rmin": args.rmin,
-                   "rmax": args.rmax, "scheme": args.scheme, "step": args.step}
     rep = is_monogenic(field, pts, tol=args.tol, cfg=cfg)
     return rep, rep["verdict"], ("max residual %.3e exceeds tol %.3e at %s"
                                  % (rep["max_residual"], args.tol,
@@ -154,7 +151,7 @@ def _cmd_cf_check(args):
 def _cmd_hull(args):
     U = parse_domain(args.domain)
     pt = _parse_sigma(args.sigma)
-    args.params = {"domain": args.domain, "sigma": pt.tolist()}
+    args.params["sigma"] = pt.tolist()
     if args.mode == "contains":
         return hull_contains(pt, U).to_json(), True, None
     if args.mode == "distance":
@@ -166,35 +163,30 @@ def _cmd_hull(args):
 
 def _cmd_twistor(args):
     pt = _parse_sigma(args.sigma)
+    args.params["sigma"] = pt.tolist()
     if args.mode == "sweep":
         pts = line_sweep(pt, hopf_grid(args.nt, args.ntheta))
-        args.params = {"sigma": pt.tolist(), "nt": args.nt,
-                       "ntheta": args.ntheta}
         if not args.csv:
             return {"points": len(pts), "sweep": pts.tolist()}, True, None
         np.savetxt(args.csv, pts, fmt="%.17g", delimiter=",", comments="",
                    header=",".join("x%d" % i for i in range(pts.shape[1])))
         return {"points": len(pts), "csv": args.csv}, True, None
     U = parse_domain(args.domain)
-    args.params = {"domain": args.domain, "sigma": pt.tolist()}
     return hull_contains_via_lines(pt, U, return_query=True).to_json(), True, None
 
 
 def _cmd_cp1(args):
     if args.mode == "dim":
-        args.params = {"k": args.k}
         return {"dimension": h1_dimension(args.k)}, True, None
     if args.mode == "harmonic":
-        a0 = _parse_complex(args.a0)
-        a1 = _parse_complex(args.a1)
-        args.params = {"a0": a0, "a1": a1, "tol": args.tol}
+        a0 = args.params["a0"] = _parse_complex(args.a0)
+        a1 = args.params["a1"] = _parse_complex(args.a1)
         c = cohomology_coefficients(harmonic_representative(a0, a1))
         err = float(max(abs(c[0] - a0), abs(c[1] - a1)))
         return ({"coefficients": list(c), "roundtrip_error": err},
                 err < args.tol,
                 "harmonic roundtrip error %.3e exceeds %.3e" % (err, args.tol))
     # coeffs
-    args.params = {"k": args.k, "form": args.form}
     name, kv = _parse_form_spec(args.form)
     if name == "harmonic":
         w = harmonic_representative(_parse_complex(kv.get("a0", "1")),
@@ -215,8 +207,7 @@ def _cmd_penrose(args):
     field = get_field(args.field, args.n)
     if args.mode == "complex":
         pt = _parse_sigma(args.sigma)
-        args.params = {"field": args.field, "n": args.n, "sigma": pt.tolist(),
-                       "tol": args.tol}
+        args.params["sigma"] = pt.tolist()
         out = penrose_transform_complex(sharp(field), pt)
         results = {"psi0": out[0], "psi1": out[1]}
         if field.extension is None:
@@ -229,9 +220,6 @@ def _cmd_penrose(args):
 
     pts = _shell_points(np.random.default_rng(args.seed), args.points,
                         args.rmin, args.rmax, n=args.n)
-    args.params = {"field": args.field, "n": args.n, "points": args.points,
-                   "seed": args.seed, "tol": args.tol, "rmin": args.rmin,
-                   "rmax": args.rmax}
     if args.mode == "diagram":
         rep = diagram_check(field, pts)
         return (rep, rep["max_discrepancy"] < args.tol,
@@ -251,10 +239,12 @@ def _cmd_penrose(args):
 
 def _cmd_verify(args):
     n_values = (1, 2) if args.n is None else (args.n,)
-    criteria = None
-    if args.criteria:
-        criteria = [int(c) for c in args.criteria.split(",")]
-    args.params = {"n": args.n, "seed": args.seed, "criteria": args.criteria}
+    try:  # absent means all; an empty or blank list is refused
+        criteria = (None if args.criteria is None
+                    else [int(c) for c in args.criteria.split(",")])
+    except ValueError:
+        raise ValueError("--criteria takes comma-separated ids, not %r"
+                         % args.criteria) from None
     report = run_all(seed=args.seed, n_values=n_values, criteria=criteria)
     for rec in report["criteria"]:
         print(format_line(rec), file=sys.stderr)
@@ -382,6 +372,9 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     command = "%s %s" % (args.group, args.mode)
+    # --report and --csv only choose where output goes
+    args.params = {k: v for k, v in vars(args).items()
+                   if k not in ("func", "group", "mode", "report", "csv")}
     try:
         try:
             results, passed, why = args.func(args)

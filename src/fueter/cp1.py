@@ -190,12 +190,12 @@ def validate_form(w):
 
 
 def decay_check(w, ell):
-    """Certify the chart-boundary limit of z^ell h0 for a form w on Q_k.
+    """Check, by sampling, the chart-boundary limit of z^ell h0 on Q_k.
 
-    z^ell h0(z) tends to 0 for ell < -k + 2 and stays bounded at
-    ell = -k + 2.  Sampled at |z| = 1e2, 1e3, 1e4 over angles; returns False
-    when growth is detected (a tail level at or below 1e-6 counts as
-    decayed).
+    z^ell h0(z) tends to 0 for ell < -k + 2 and stays bounded at ell = -k + 2.
+    A heuristic, not a certificate: max |z^ell h0| at |z| = 1e2, 1e3, 1e4 over
+    12 angles, and a log-slope fit over those radii; False when that shows
+    growth (a tail level at or below 1e-6 counts as decayed).
     """
     strict = ell < -w.k + 2
     th = np.linspace(0, 2 * np.pi, 13)[:-1]

@@ -50,8 +50,9 @@ parts', and the whole space and the empty set give (1, 0).  ``None``: the
 twistor-line test is ``hull.hull_contains``.
 
 Built-ins: balls, complements of a point, half-spaces, finite intersections,
-the whole space and the empty set.  ``parse_domain`` builds these from JSON
-dicts or from shorthand strings such as ``"H*:n=1"`` (punctured H^n).
+the whole space and the empty set.  Each declares its JSON form once
+(``json_type``, ``json_keys``); ``to_json`` writes it and ``parse_domain``
+reads it, refusing other keys, or a shorthand such as ``"H*:n=1"``.
 """
 
 import json
@@ -72,8 +73,14 @@ class DomainSpec:
     # closed-form oracles of the hull sweep (see the module docstring)
     sweep_inf = None
     line_argmin = None
+    # a built-in's JSON "type" and keys after "n", each a constructor argument
+    # and the attribute that holds it; None: no JSON form
+    json_type = None
+    json_keys = ()
 
-    def __init__(self, n):
+    def __init__(self, n=1):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError("n must be an integer, got %r" % (n,))
         self.n = int(n)
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -106,28 +113,36 @@ class DomainSpec:
         return self.ext_distance(right_line(x, y)(q)), q
 
     def to_json(self):
-        raise NotImplementedError
+        if self.json_type is None:
+            raise NotImplementedError
+        blob = {"type": self.json_type, "n": self.n}
+        for key in self.json_keys:
+            v = getattr(self, key)
+            blob[key] = (v.tolist() if isinstance(v, np.ndarray)
+                         else [d.to_json() for d in v] if isinstance(v, list)
+                         else v)
+        return blob
 
     def __repr__(self):
         try:
             blob = self.to_json()
         except NotImplementedError:
-            return "%s(n=%d)" % (type(self).__name__, self.n)
-        args = ", ".join("%s=%r" % (k, v) for k, v in blob.items()
-                         if k != "type")
-        return "%s(%s)" % (type(self).__name__, args)
+            blob = {"n": self.n}
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % kv for kv in blob.items() if kv[0] != "type"))
 
 
 class Ball(DomainSpec):
     """Open ball {p : ||p - center|| < radius}."""
+    json_type, json_keys = "ball", ("radius", "center")
 
-    def __init__(self, n, radius=1.0, center=None):
+    def __init__(self, n=1, radius=1.0, center=None):
         super().__init__(n)
         self.radius = float(_finite(radius, "radius"))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         self.center = (np.zeros(self.dim) if center is None
-                       else _finite(center, "center").reshape(self.dim))
+                       else _finite(center, "center", (self.dim,)))
         self._M = embed_M(self.center)
 
     def ext_distance(self, p):
@@ -154,18 +169,15 @@ class Ball(DomainSpec):
         A = S - self._M
         return _top_eigvec(np.conj(np.swapaxes(A, -1, -2)) @ A)
 
-    def to_json(self):
-        return {"type": "ball", "n": self.n, "radius": self.radius,
-                "center": self.center.tolist()}
-
 
 class PointComplement(DomainSpec):
     """H^n minus one point; the default point is the origin (punctured H^n)."""
+    json_type, json_keys = "point_complement", ("point",)
 
-    def __init__(self, n, point=None):
+    def __init__(self, n=1, point=None):
         super().__init__(n)
         self.point = (np.zeros(self.dim) if point is None
-                      else _finite(point, "point").reshape(self.dim))
+                      else _finite(point, "point", (self.dim,)))
         self._M = embed_M(self.point)
 
     def ext_distance(self, p):
@@ -186,22 +198,28 @@ class PointComplement(DomainSpec):
         A = S - self._M
         return _top_eigvec(-np.conj(np.swapaxes(A, -1, -2)) @ A)
 
-    def to_json(self):
-        return {"type": "point_complement", "n": self.n,
-                "point": self.point.tolist()}
-
 
 class HalfSpace(DomainSpec):
-    """Open half-space {p : <normal, p> < offset}."""
+    """Open half-space {p : <normal, p> < offset}, held with a unit normal."""
+    json_type, json_keys = "halfspace", ("normal", "offset")
 
-    def __init__(self, n, normal, offset=0.0):
+    def __init__(self, n=1, normal=None, offset=0.0):
         super().__init__(n)
-        self.normal = _finite(normal, "normal").reshape(self.dim)
-        nn = float(np.linalg.norm(self.normal))
-        if nn == 0:
+        if normal is None:
+            raise ValueError("a half-space needs a normal")
+        normal = _finite(normal, "normal", (self.dim,))
+        with np.errstate(over="ignore"):
+            nn = np.linalg.norm(normal)
+        # where |normal|^2 overflows, or loses bits below 1e-300, divide by
+        # the largest entry first
+        scale = 1.0 if 1e-150 < nn < np.inf else float(np.max(np.abs(normal)))
+        if scale == 0:
             raise ValueError("normal must be nonzero")
-        self.normal = self.normal / nn
-        self.offset = float(_finite(offset, "offset")) / nn
+        nn = float(np.linalg.norm(normal / scale))
+        self.normal = normal / scale / nn
+        self.offset = float(_finite(offset, "offset")) / scale / nn
+        if not np.isfinite(self.offset):
+            raise ValueError("offset / |normal| must be finite")
         self._M_adj = np.conj(embed_M(self.normal)).T  # M(normal)*
 
     def ext_distance(self, p):
@@ -222,21 +240,19 @@ class HalfSpace(DomainSpec):
         # base point deepest along the normal
         return _top_eigvec(self._M_adj @ S)
 
-    def to_json(self):
-        return {"type": "halfspace", "n": self.n,
-                "normal": self.normal.tolist(), "offset": self.offset}
-
 
 class Intersection(DomainSpec):
-    """Finite intersection of domains over the same H^n."""
+    """Finite intersection of domains (or parse_domain specs) over one H^n."""
+    json_type, json_keys = "intersection", ("parts",)
 
-    def __init__(self, parts):
-        parts = list(parts)
+    def __init__(self, parts=(), n=None):
+        parts = [parse_domain(d) for d in parts]
         if not parts:
             raise ValueError("intersection of zero domains is not supported")
-        super().__init__(parts[0].n)
+        super().__init__(parts[0].n if n is None else n)
         if any(d.n != self.n for d in parts):
-            raise ValueError("all parts must share the same n")
+            raise ValueError("all parts must share the intersection's n = %d"
+                             % self.n)
         self.parts = parts
 
     def ext_distance(self, p):
@@ -281,13 +297,10 @@ class Intersection(DomainSpec):
     def _line_argmin_parts(self, S):
         return np.concatenate([d.line_argmin(S) for d in self.parts], axis=-2)
 
-    def to_json(self):
-        return {"type": "intersection", "n": self.n,
-                "parts": [d.to_json() for d in self.parts]}
-
 
 class WholeSpace(DomainSpec):
     """All of H^n; exterior distance is +inf."""
+    json_type = "whole_space"
 
     def ext_distance(self, p):
         p = self._check(p)
@@ -302,12 +315,10 @@ class WholeSpace(DomainSpec):
         # constant: any fibre point attains it
         return np.broadcast_to([1.0 + 0j, 0.0], np.shape(S)[:-2] + (1, 2))
 
-    def to_json(self):
-        return {"type": "whole_space", "n": self.n}
-
 
 class EmptySet(DomainSpec):
     """The empty open set."""
+    json_type = "empty"
 
     def ext_distance(self, p):
         p = self._check(p)
@@ -316,13 +327,17 @@ class EmptySet(DomainSpec):
     sweep_inf = WholeSpace.sweep_inf  # constant as well
     line_argmin = WholeSpace.line_argmin
 
-    def to_json(self):
-        return {"type": "empty", "n": self.n}
 
-
-def _finite(a, name):
-    """a as a float array; ValueError naming the parameter unless finite."""
-    a = np.asarray(a, dtype=float)
+def _finite(a, name, shape=()):
+    """a as a float array of the given shape (a number by default);
+    ValueError naming the parameter unless it has that shape and is finite."""
+    try:
+        a = np.asarray(a, dtype=float)
+    except TypeError:
+        raise ValueError("%s must be numeric, got %r" % (name, a))
+    if a.shape != shape:  # a nested list is refused, never flattened
+        raise ValueError("%s must have shape %s, got shape %s"
+                         % (name, shape, a.shape))
     if not np.isfinite(a).all():
         raise ValueError("%s must be finite, got %s" % (name, a.tolist()))
     return a
@@ -388,12 +403,17 @@ def _unit(v):
 # parsing
 # ---------------------------------------------------------------------------
 
-_SHORTHAND_HSTAR = "H*"
+_KINDS = {cls.json_type: cls for cls in (Ball, PointComplement, HalfSpace,
+                                         Intersection, WholeSpace, EmptySet)}
+# shorthand head -> JSON type and the JSON keys of its short option names
+_SHORTHANDS = {"H*": ("point_complement", {}),
+               "ball": ("ball", {"r": "radius"})}
 
 
 def parse_domain(spec):
     """Build a DomainSpec from a dict, a JSON string, or a shorthand string.
 
+    A dict holds "type", "n" (default 1) and the type's ``json_keys`` only.
     Shorthands: ``"H*"`` or ``"H*:n=2"`` for the punctured space, and
     ``"ball"`` / ``"ball:r=2:n=1"`` for origin-centered balls.
     """
@@ -403,47 +423,33 @@ def parse_domain(spec):
         s = spec.strip()
         if s.startswith("{"):
             return parse_domain(json.loads(s))
-        return _parse_shorthand(s)
+        return parse_domain(_shorthand_spec(s))
     if isinstance(spec, dict):
-        return _parse_dict(spec)
+        kind = spec.get("type")
+        cls = _KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ValueError("unknown domain type %r" % (kind,))
+        args = {k: v for k, v in spec.items() if k != "type"}
+        known = ("n",) + cls.json_keys
+        unknown = [k for k in args if k not in known]
+        if unknown:
+            raise ValueError("unknown %s domain key %r; known: %s"
+                             % (cls.json_type, unknown[0], ", ".join(known)))
+        return cls(**args)
     raise ValueError("cannot parse domain from %r" % (spec,))
 
 
-def _parse_shorthand(s):
-    head, _, rest = s.partition(":")
-    opts = {}
-    while rest:
-        item, _, rest = rest.partition(":")
+def _shorthand_spec(s):
+    """The JSON spec of a shorthand string, its options renamed and parsed."""
+    head, *items = s.split(":")
+    if head not in _SHORTHANDS:
+        raise ValueError("unknown domain shorthand %r" % (s,))
+    kind, keys = _SHORTHANDS[head]
+    spec = {"type": kind}
+    for item in items:
         key, _, val = item.partition("=")
         if not val:
             raise ValueError("bad domain shorthand option %r in %r" % (item, s))
-        opts[key.strip()] = val.strip()
-    n = int(opts.pop("n", 1))
-    if head == _SHORTHAND_HSTAR:
-        if opts:
-            raise ValueError("unknown options for H*: %r" % (opts,))
-        return PointComplement(n)
-    if head == "ball":
-        r = float(opts.pop("r", 1.0))
-        if opts:
-            raise ValueError("unknown options for ball: %r" % (opts,))
-        return Ball(n, radius=r)
-    raise ValueError("unknown domain shorthand %r" % (s,))
-
-
-def _parse_dict(d):
-    kind = d.get("type")
-    n = int(d.get("n", 1))
-    if kind == "ball":
-        return Ball(n, radius=d.get("radius", 1.0), center=d.get("center"))
-    if kind == "point_complement":
-        return PointComplement(n, point=d.get("point"))
-    if kind == "halfspace":
-        return HalfSpace(n, normal=d["normal"], offset=d.get("offset", 0.0))
-    if kind == "intersection":
-        return Intersection([parse_domain(p) for p in d["parts"]])
-    if kind == "whole_space":
-        return WholeSpace(n)
-    if kind == "empty":
-        return EmptySet(n)
-    raise ValueError("unknown domain type %r" % (kind,))
+        key = keys.get(key.strip(), key.strip())
+        spec[key] = int(val) if key == "n" else float(val)
+    return spec

@@ -543,3 +543,97 @@ def test_sampling_options_are_validated_by_name(command, options, message,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: %s" % message)
+
+
+_SIGMA = '{"x": [0.1, 0, 0, 0], "y": [0, 0.2, 0, 0]}'
+_SAMPLED = ["field", "n", "points", "rmax", "rmin", "seed", "tol"]
+
+
+@pytest.mark.parametrize("args,params", [
+    (["cf", "check", "--field", "E", "--points", "3"],
+     sorted(_SAMPLED + ["scheme", "step"])),
+    (["hull", "contains", "--domain", "H*", "--sigma", _SIGMA],
+     ["domain", "sigma"]),
+    (["hull", "distance", "--domain", "ball", "--sigma", _SIGMA],
+     ["domain", "sigma"]),
+    (["hull", "witness", "--domain", "ball", "--sigma", _SIGMA],
+     ["domain", "sigma"]),
+    (["twistor", "sweep", "--sigma", _SIGMA, "--nt", "2", "--ntheta", "2"],
+     ["nt", "ntheta", "sigma"]),
+    (["twistor", "hull-lines", "--domain", "H*", "--sigma", _SIGMA],
+     ["domain", "sigma"]),
+    (["cp1", "coeffs", "--form", "harmonic"], ["form", "k"]),
+    (["cp1", "harmonic", "--a1", "2j"], ["a0", "a1", "tol"]),
+    (["cp1", "dim", "--k", "-4"], ["k"]),
+    (["penrose", "roundtrip", "--field", "constant", "--points", "2"],
+     _SAMPLED),
+    (["penrose", "forward", "--field", "constant", "--points", "2"],
+     _SAMPLED),
+    (["penrose", "diagram", "--field", "constant", "--points", "2"],
+     _SAMPLED),
+    (["penrose", "complex", "--field", "E", "--sigma", _SIGMA],
+     ["field", "n", "sigma", "tol"]),
+    (["verify", "all", "--criteria", "7"], ["criteria", "n", "seed"]),
+])
+def test_every_subcommand_records_its_parsed_options(args, params, tmp_path,
+                                                     capsys):
+    # every option but the output ones (--report, --csv), as parsed, with
+    # sigma and the cp1 coefficients in their normalised form
+    code, blob = _run_json(args, tmp_path)
+    capsys.readouterr()
+    assert code == 0
+    assert sorted(blob["params"]) == params
+    if "sigma" in params:
+        assert blob["params"]["sigma"] == {"x": [0.1, 0.0, 0.0, 0.0],
+                                           "y": [0.0, 0.2, 0.0, 0.0]}
+    if "a1" in params:
+        assert blob["params"]["a0"] == [1.0, 0.0]
+        assert blob["params"]["a1"] == [0.0, 2.0]
+
+
+@pytest.mark.parametrize("domain,message", [
+    ('{"type": "ball", "radius": 1, "centre": [0.9, 0, 0, 0]}',
+     "unknown ball domain key 'centre'; known: n, radius, center"),
+    ('{"type": "point_complement", "pont": [1, 0, 0, 0]}',
+     "unknown point_complement domain key 'pont'; known: n, point"),
+    ('{"type": "ball", "n": 1.7}', "n must be an integer, got 1.7"),
+    ('{"type": "ball", "n": true}', "n must be an integer, got True"),
+    ('{"type": "intersection", "n": 2, "parts": [{"type": "ball", "n": 1}]}',
+     "all parts must share the intersection's n = 2"),
+    ('{"type": "ball", "center": [[0.5, 0], [0, 0]]}',
+     "center must have shape (4,), got shape (2, 2)"),
+    ('{"type": "halfspace", "normal": [[1, 0], [0, 0]]}',
+     "normal must have shape (4,), got shape (2, 2)"),
+    ('{"type": "torus"}', "unknown domain type 'torus'"),
+    ("ball:r=1:x=3", "unknown ball domain key 'x'; known: n, radius, center"),
+    ("H*:r=2", "unknown point_complement domain key 'r'; known: n, point"),
+    ('{"type": "halfspace", "normal": [1e-200, 0, 0, 0], "offset": 1e300}',
+     "offset / |normal| must be finite"),
+])
+@pytest.mark.parametrize("command", [["hull", "contains"],
+                                     ["twistor", "hull-lines"]])
+def test_domain_specs_the_reader_would_not_read_are_config_errors(
+        command, domain, message, capsys):
+    assert cli.main(command + ["--domain", domain, "--sigma", _SIGMA]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: %s\n" % message
+
+
+def test_half_space_with_a_huge_normal_contains_its_deep_side(tmp_path):
+    # |normal|^2 overflows; the normal is (1, 1, 0, 0) direction all the same
+    code, blob = _run_json(
+        ["hull", "contains", "--domain",
+         '{"type":"halfspace","normal":[1e200,1e200,0,0],"offset":0}',
+         "--sigma", '{"x":[-5,0,0,0],"y":[0,0,0,0]}'], tmp_path)
+    assert code == 0 and blob["results"]["verdict"] is True
+
+
+@pytest.mark.parametrize("criteria", ["", " ", "6,", "a"])
+def test_verify_refuses_an_empty_or_malformed_criteria_list(criteria, capsys):
+    # only an absent --criteria means all eight; nothing runs here
+    assert cli.main(["verify", "all", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: --criteria takes comma-separated "
+                            "ids, not %r\n" % criteria)

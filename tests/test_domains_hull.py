@@ -1,5 +1,7 @@
 """Domain algebra and the swept-line membership test for the hull."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -37,6 +39,126 @@ def test_parse_domain_json_roundtrip():
     assert not dom.contains(np.array([0.5, 0.0, 0.0, 0.0]))
     again = domains.parse_domain(dom.to_json())
     assert again.to_json() == dom.to_json()
+
+
+@pytest.mark.parametrize("dom,text", [
+    (domains.Ball(1, 1.5, [0.5, 0, 0, -0.25]),
+     "Ball(n=1, radius=1.5, center=[0.5, 0.0, 0.0, -0.25])"),
+    (domains.PointComplement(2, point=[1, 0, 0, 0, 0, 0, 0, 2]),
+     "PointComplement(n=2, point=[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0])"),
+    (domains.HalfSpace(1, [3, 4, 0, 0], 10),
+     "HalfSpace(n=1, normal=[0.6, 0.8, 0.0, 0.0], offset=2.0)"),
+    (domains.Intersection([domains.Ball(2), domains.WholeSpace(2)]),
+     "Intersection(n=2, parts=[{'type': 'ball', 'n': 2, 'radius': 1.0, "
+     "'center': [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}, "
+     "{'type': 'whole_space', 'n': 2}])"),
+    (domains.WholeSpace(2), "WholeSpace(n=2)"),
+    (domains.EmptySet(1), "EmptySet(n=1)"),
+    (domains.parse_domain("H*"),
+     "PointComplement(n=1, point=[0.0, 0.0, 0.0, 0.0])"),
+    (domains.parse_domain("ball:r=2:n=1"),
+     "Ball(n=1, radius=2.0, center=[0.0, 0.0, 0.0, 0.0])"),
+])
+def test_every_built_in_kind_round_trips_through_json(dom, text):
+    # type, n, then the declared keys; the JSON text parses back to the same
+    blob = dom.to_json()
+    assert list(blob)[:2] == ["type", "n"]
+    assert list(blob)[2:] == list(type(dom).json_keys)
+    again = domains.parse_domain(json.dumps(blob))
+    assert type(again) is type(dom)
+    assert again.to_json() == blob
+    assert repr(dom) == repr(again) == text
+
+
+def test_kinds_without_a_declaration_have_no_json_form():
+    class Outside(domains.DomainSpec):
+        def ext_distance(self, p):
+            return np.ones(np.shape(p)[:-1])
+
+    with pytest.raises(NotImplementedError):
+        Outside(2).to_json()
+    assert repr(Outside(2)) == "Outside(n=2)"
+    # a subclass of a built-in inherits its declaration
+    assert _LatticeBall(1, 1.0).to_json() == domains.Ball(1, 1.0).to_json()
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"type": "ball", "radius": 1, "centre": [0.9, 0, 0, 0]},
+     "unknown ball domain key 'centre'; known: n, radius, center"),
+    ({"type": "point_complement", "pont": [1, 0, 0, 0]},
+     "unknown point_complement domain key 'pont'; known: n, point"),
+    ({"type": "whole_space", "radius": 1}, "unknown whole_space domain key"),
+    ({"type": "ball", "n": 1.7}, "n must be an integer, got 1.7"),
+    ({"type": "ball", "n": True}, "n must be an integer, got True"),
+    ({"type": "empty", "n": "2"}, "n must be an integer, got '2'"),
+    ({"type": "intersection", "n": 2, "parts": [{"type": "ball", "n": 1}]},
+     "all parts must share the intersection's n = 2"),
+    ({"type": "ball", "center": [[0.5, 0], [0, 0]]},
+     "center must have shape (4,), got shape (2, 2)"),
+    ({"type": "point_complement", "point": [0, 0, 0, 0, 0]},
+     "point must have shape (4,), got shape (5,)"),
+    ({"type": "halfspace", "normal": [[1, 0], [0, 0]]},
+     "normal must have shape (4,), got shape (2, 2)"),
+    ({"type": "ball", "radius": [1.0]}, "radius must have shape (), got"),
+    ({"type": "ball", "radius": {"r": 1}}, "radius must be numeric"),
+    ({"type": "halfspace"}, "a half-space needs a normal"),
+    ({"type": "intersection"}, "intersection of zero domains"),
+    ({"type": "torus"}, "unknown domain type 'torus'"),
+    ({"type": ["ball"]}, "unknown domain type ['ball']"),
+    ({"radius": 1.0}, "unknown domain type None"),
+])
+def test_parse_domain_refuses_what_it_would_not_read(spec, message):
+    for form in (spec, json.dumps(spec)):
+        with pytest.raises(ValueError) as exc:
+            domains.parse_domain(form)
+        assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("ball:r=1:x=3", "unknown ball domain key 'x'; known: n, radius, center"),
+    ("H*:r=2", "unknown point_complement domain key 'r'; known: n, point"),
+    ("ball:r", "bad domain shorthand option 'r'"),
+    ("ball:n=1.5", "invalid literal for int()"),
+    ("torus:r=1", "unknown domain shorthand 'torus:r=1'"),
+])
+def test_shorthand_refusals(text, message):
+    with pytest.raises(ValueError) as exc:
+        domains.parse_domain(text)
+    assert message in str(exc.value)
+
+
+def test_shorthand_is_its_json_spec():
+    for text, spec in (("H*:n=2", {"type": "point_complement", "n": 2}),
+                       (" ball:r=2.5 ", {"type": "ball", "radius": 2.5}),
+                       ("ball:n=2:r=3",
+                        {"type": "ball", "n": 2, "radius": 3})):
+        assert (domains.parse_domain(text).to_json()
+                == domains.parse_domain(spec).to_json())
+
+
+def test_half_space_normals_whose_square_over_or_underflows():
+    # |normal|^2 overflows (1e200) or underflows (1e-200): the normal is
+    # divided by its largest entry first, so it is the unit normal of the
+    # rescaled one
+    big = domains.HalfSpace(1, [1e200, 1e200, 0, 0], 0.0)
+    unit = domains.HalfSpace(1, [1, 1, 0, 0]).normal
+    assert big.normal.tolist() == unit.tolist()
+    assert big.offset == 0.0
+    assert big.contains(np.array([-5.0, 0, 0, 0]))
+    tiny = domains.HalfSpace(1, [1e-200, 0, 0, 0], 3e-200)
+    assert tiny.normal.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert tiny.offset == 3.0
+    sigma = _pt([-5, 0, 0, 0], [0, 0, 0, 0])
+    assert hull.hull_contains(sigma, big).verdict is True
+    # an ordinary normal keeps the plain norm's bits
+    plain = np.array([0.3, -0.1, 0.7, 0.2])
+    half = domains.HalfSpace(1, plain, 0.37)
+    assert half.normal.tolist() == (plain / np.linalg.norm(plain)).tolist()
+    assert half.offset == 0.37 / float(np.linalg.norm(plain))
+    with pytest.raises(ValueError, match="normal must be nonzero"):
+        domains.HalfSpace(1, [0.0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"offset / \|normal\| must be"):
+        domains.HalfSpace(1, [1e-200, 0, 0, 0], 1e300)
 
 
 def test_ball_exit_distance_and_boundary():
