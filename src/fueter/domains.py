@@ -246,6 +246,9 @@ class Intersection(DomainSpec):
     json_type, json_keys = "intersection", ("parts",)
 
     def __init__(self, parts=(), n=None):
+        if not isinstance(parts, (list, tuple)):
+            raise ValueError("parts must be a list of domains, got %r"
+                             % (parts,))
         parts = [parse_domain(d) for d in parts]
         if not parts:
             raise ValueError("intersection of zero domains is not supported")
@@ -430,17 +433,26 @@ def parse_domain(spec):
         if cls is None:
             raise ValueError("unknown domain type %r" % (kind,))
         args = {k: v for k, v in spec.items() if k != "type"}
-        known = ("n",) + cls.json_keys
-        unknown = [k for k in args if k not in known]
-        if unknown:
-            raise ValueError("unknown %s domain key %r; known: %s"
-                             % (cls.json_type, unknown[0], ", ".join(known)))
+        for key in args:
+            _check_key(cls, key)
         return cls(**args)
     raise ValueError("cannot parse domain from %r" % (spec,))
 
 
+def _check_key(cls, key):
+    """ValueError naming key unless it is "n" or one of cls's json_keys."""
+    known = ("n",) + cls.json_keys
+    if key not in known:
+        raise ValueError("unknown %s domain key %r; known: %s"
+                         % (cls.json_type, key, ", ".join(known)))
+
+
 def _shorthand_spec(s):
-    """The JSON spec of a shorthand string, its options renamed and parsed."""
+    """The JSON spec of a shorthand string, its options renamed and parsed.
+
+    Each option's key is checked before its value is read, so an unknown key
+    is named even when its value is no number.
+    """
     head, *items = s.split(":")
     if head not in _SHORTHANDS:
         raise ValueError("unknown domain shorthand %r" % (s,))
@@ -451,5 +463,6 @@ def _shorthand_spec(s):
         if not val:
             raise ValueError("bad domain shorthand option %r in %r" % (item, s))
         key = keys.get(key.strip(), key.strip())
+        _check_key(_KINDS[kind], key)
         spec[key] = int(val) if key == "n" else float(val)
     return spec

@@ -606,6 +606,11 @@ def test_every_subcommand_records_its_parsed_options(args, params, tmp_path,
      "normal must have shape (4,), got shape (2, 2)"),
     ('{"type": "torus"}', "unknown domain type 'torus'"),
     ("ball:r=1:x=3", "unknown ball domain key 'x'; known: n, radius, center"),
+    ("ball:r=1:x=abc", "unknown ball domain key 'x'; known: n, radius, center"),
+    ('{"type": "intersection", "parts": 5}',
+     "parts must be a list of domains, got 5"),
+    ('{"type": "intersection", "parts": "ball"}',
+     "parts must be a list of domains, got 'ball'"),
     ("H*:r=2", "unknown point_complement domain key 'r'; known: n, point"),
     ('{"type": "halfspace", "normal": [1e-200, 0, 0, 0], "offset": 1e300}',
      "offset / |normal| must be finite"),

@@ -103,6 +103,10 @@ def test_kinds_without_a_declaration_have_no_json_form():
     ({"type": "ball", "radius": {"r": 1}}, "radius must be numeric"),
     ({"type": "halfspace"}, "a half-space needs a normal"),
     ({"type": "intersection"}, "intersection of zero domains"),
+    ({"type": "intersection", "parts": 5},
+     "parts must be a list of domains, got 5"),
+    ({"type": "intersection", "parts": "ball"},
+     "parts must be a list of domains, got 'ball'"),
     ({"type": "torus"}, "unknown domain type 'torus'"),
     ({"type": ["ball"]}, "unknown domain type ['ball']"),
     ({"radius": 1.0}, "unknown domain type None"),
@@ -116,6 +120,8 @@ def test_parse_domain_refuses_what_it_would_not_read(spec, message):
 
 @pytest.mark.parametrize("text,message", [
     ("ball:r=1:x=3", "unknown ball domain key 'x'; known: n, radius, center"),
+    # the key is checked before its value is read
+    ("ball:r=1:x=abc", "unknown ball domain key 'x'; known: n, radius, center"),
     ("H*:r=2", "unknown point_complement domain key 'r'; known: n, point"),
     ("ball:r", "bad domain shorthand option 'r'"),
     ("ball:n=1.5", "invalid literal for int()"),
@@ -944,16 +950,16 @@ def test_sampled_queries_are_pinned_bit_for_bit():
             domains.Ball(1, 1.3),
             domains.HalfSpace(1, [-0.3, -0.8, 0.1, 0.4], 0.5)])))
     assert _hex(w.x) == (
-        "0x1.792579806daccp-5", "0x1.cb9721df02550p-5", "-0x1.4feca55123588p-4",
-        "0x1.f3809deea5d13p-4")
+        "0x1.792579806dacap-5", "0x1.cb9721df02548p-5", "-0x1.4feca55123588p-4",
+        "0x1.f3809deea5d15p-4")
     assert _hex(w.y) == (
-        "0x1.37d455eda8830p-2", "-0x1.bed3df7cb739ap-4", "0x1.ba2670d744b69p-2",
-        "0x1.04a435c8effc6p-3")
+        "0x1.37d455f4c1b0ep-2", "-0x1.bed3dfb7222bap-4", "0x1.ba2670d57b132p-2",
+        "0x1.04a4359a0fa0ep-3")
     assert (float(query.inf_value).hex(), float(query.band).hex(),
             _hex(query.argmin_q)) == (
-        "0x1.5d795c7f72dd8p-2", "0x1.2aebe5634ffdap-3", (
-            "0x0.0p+0", "-0x1.af2e894ef2c84p-1", "0x1.af2e8985cc5b2p-2",
-            "-0x1.58f2079b5ac50p-2"))
+        "0x1.5d795c7f72ddap-2", "0x1.2aebe5634ffdap-3", (
+            "0x0.0p+0", "-0x1.af2e89730ced2p-1", "0x1.af2e88eef5307p-2",
+            "-0x1.58f207a36501bp-2"))
 
 
 @st.composite
@@ -1206,6 +1212,119 @@ def test_polished_lattice_distance_is_the_exact_distance(case):
         assert exact <= hull._TINY * max(1.0, _pt(x, y).norm_C()) / np.sqrt(2.0)
         return
     assert d == pytest.approx(exact, rel=0, abs=1e-9 * max(1.0, d))
+
+
+def _count_polish_calls(monkeypatch):
+    """Record the number of calls of g made by each hull._local_min."""
+    counts = []
+    local_min = hull._local_min
+
+    def counting(g, q0, f0, step):
+        calls = [0]
+
+        def counted(q):
+            calls[0] += 1
+            return g(q)
+
+        result = local_min(counted, q0, f0, step)
+        counts.append(calls[0])
+        return result
+
+    monkeypatch.setattr(hull, "_local_min", counting)
+    return counts
+
+
+_BALL = domains.Ball(1, 1.0)
+_POINT = domains.PointComplement(1, point=[0.1, 0.2, 0, 0])
+# (domain, x, y) of polished queries with a smooth minimum
+_SMOOTH_POLISHES = [
+    (_BALL, [0.3, -0.2, 0.1, 0.4], [0.1, 0.2, -0.3, 0.1]),
+    (_BALL, [0.1, 0.2, -0.1, 0.05], [0.2, -0.1, 0.3, 0.1]),
+    (_BALL, [0.5, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.1]),
+    (_BALL, [-0.2, 0.4, 0.0, 0.1], [0.1, 0.0, -0.2, 0.3]),
+    (_BALL, [0.78, 0.0, 0.0, 0.0], [0.0, 0.12, 0.0, 0.16]),
+    (_POINT, [0.3, -0.2, 0.1, 0.4], [0.1, 0.2, -0.3, 0.1]),
+    (_POINT, [0.1, 0.2, -0.1, 0.05], [0.2, -0.1, 0.3, 0.1]),
+    (_POINT, [-0.5, 0.3, 0.2, 0.0], [0.1, 0.1, 0.1, 0.1]),
+    (_POINT, [0.6, 0.6, 0.0, -0.3], [0.2, 0.0, -0.1, 0.4]),
+    # a constant sweep: the first mesh is flat
+    (_BALL, [0.0, 0.0, 0.0, 0.0], [0.3, 0.0, 0.4, 0.0]),
+    # the minimum is a node of the grid, where the model step is 0
+    (_POINT, [1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]),
+]
+
+
+def test_polish_of_a_smooth_minimum_takes_few_calls(monkeypatch):
+    # the model steps converge like Newton's method and the search stops
+    # once its mesh is flat to rounding: these polishes take 1 to 14 calls
+    # of g (the halving search alone took 38 to 61); the bound allows 6 more
+    counts = _count_polish_calls(monkeypatch)
+    for U, x, y in _SMOOTH_POLISHES:
+        counts.clear()
+        d = hull.hull_distance(_pt(x, y), _Sampled(U))
+        exact = float(U.sweep_inf(np.asarray(x, float),
+                                  np.asarray(y, float))[0]) / np.sqrt(2.0)
+        assert len(counts) == 1 and 1 <= counts[0] <= 20, (x, y, counts)
+        assert d == pytest.approx(exact, rel=1e-14, abs=0)
+
+
+def _polish_from_best_vertex(g):
+    """hull._local_min of g from the best icosahedron vertex, with every row
+    g was called on and its value: (f0, f, q, rows, values)."""
+    rows, values = [], []
+
+    def recording(q):
+        rows.append(q.copy())
+        values.append(g(q))
+        return values[-1]
+
+    qs, chord = hull._icosphere(0)[:2]
+    vals = g(qs)
+    f, q = hull._local_min(recording, qs[vals.argmin()], vals.min(), chord)
+    return vals.min(), f, q, np.concatenate(rows), np.concatenate(values)
+
+
+def _attained(q, f, rows, values):
+    hit = np.flatnonzero((rows == q).all(axis=1))
+    return len(hit) > 0 and values[hit[0]] == f
+
+
+def test_polish_without_a_model_step_halves_its_mesh(monkeypatch):
+    # this intersection's polish ends at f ~ 0.008 on its ball part, whose
+    # swept points have norm ~1.3: the mesh differences fall to rounding
+    # level there, the quadratic model has no usable step, and the search
+    # halves its mesh; it still ends at a value < f0, at a row g evaluated
+    U = domains.Intersection([
+        domains.Ball(1, 1.3),
+        domains.HalfSpace(1, [-0.115, 0.131, 0.504, -0.14], 0.222)])
+    sigma = _pt([-0.18, -0.151, -0.303, 0.383], [0.366, -0.477, 0.345, -0.429])
+    line = quat.right_line(sigma.x, sigma.y)
+    steps = []
+    model_step = hull._model_step
+
+    def recording(vals, f):
+        steps.append(model_step(vals, f))
+        return steps[-1]
+
+    monkeypatch.setattr(hull, "_model_step", recording)
+    f0, f, q, rows, values = _polish_from_best_vertex(
+        lambda q: U.ext_distance(line(q)))
+    assert any(t is None for t in steps)
+    assert 0.0 < f < f0
+    assert _attained(q, f, rows, values)
+
+
+def test_polish_reaches_a_kinked_minimum():
+    # g = 0.5 + |u.a| + 2 |u.b| has a V-shaped minimum 0.5 where u is
+    # orthogonal to a and b, which no quadratic fits: the model steps still
+    # cut the gap several-fold each, and the search ends within 1e-9 of the
+    # minimum, at a row g evaluated
+    a = np.array([0.6, 0.0, 0.8])
+    b = np.array([0.0, 1.0, 0.0])
+    f0, f, q, rows, values = _polish_from_best_vertex(
+        lambda q: 0.5 + np.abs(q[:, 1:] @ a) + 2.0 * np.abs(q[:, 1:] @ b))
+    assert 0.5 <= f < f0 and f - 0.5 < 1e-9
+    assert _attained(q, f, rows, values)
 
 
 @pytest.mark.parametrize("level", [1, 2])
