@@ -26,8 +26,11 @@ O(n^2) work and with weights accurate to a few ulps (Glaser, Liu & Rokhlin
 integrands with rational (1+|z|^2)^-3-type profiles; the 1536-radial "bump
 grade" handles the C-infinity-but-non-analytic exact forms, whose edge
 behavior defeats Gauss-Legendre at low node counts (errors ~1e-5 at 768 nodes
-drop below 1e-9 at 1536).  Do not lower these node counts without rechecking
-the exactness tests.
+drop below 1e-9 at 1536).  Both rules are fixed: a form with a support
+annulus (exact_form's) is summed over the rule's nodes in that annulus only:
+the sum loses only terms that are exactly zero.  Every coefficient carries a
+bound on the rounding of its sum (see _certified_moments); one the bound
+cannot certify to the rule's target_tol is refused, not returned.
 """
 
 import functools
@@ -68,7 +71,7 @@ class QuadratureConfig:
 BUMP_GRADE = QuadratureConfig(n_radial=1536, n_angular=96, target_tol=1e-5)
 
 # Most fiber nodes one moment sum evaluates at once (see _moments); the
-# default rule fits in one slice, BUMP_GRADE takes eighteen.
+# default rule fits in one slice, BUMP_GRADE's whole plane takes nineteen.
 _CHUNK_NODES = 1 << 13
 
 
@@ -81,24 +84,57 @@ def quadrature_nodes(cfg=None):
     return _nodes(cfg.n_radial, cfg.n_angular)
 
 
-def _moments(h, count, cfg=None):
+def _moments(h, count, cfg=None, rows=slice(None)):
     """The moments sum_j W_j Z_j^ell h(Z_j), ell < count, over h's last axis.
 
-    h maps fiber points to (..., points); the sum runs over consecutive
-    slices of at most _CHUNK_NODES nodes, so a batch of forms or a fine rule
-    never holds a (..., nodes) array for all nodes at once.  The matrix
-    V = W Z^ell is built whole and then sliced: forming it per slice cost
-    about 1000 more minor page faults per BUMP_GRADE form.
+    Returns them and the sums of their terms' magnitudes,
+    sum_j |W_j Z_j^ell h(Z_j)|, both (..., count).  h maps fiber points to
+    (..., points); the sums run over the nodes of the rule's radial rows
+    [rows] only, in consecutive slices of whole rows and at most
+    _CHUNK_NODES nodes, so a batch of forms or a fine rule never holds a
+    (..., nodes) array for all nodes at once.  V = W Z^ell is built once for
+    the summed nodes and then sliced.  W and |Z| are constant along a row
+    (see _nodes), so the magnitudes take one row sum of |h| per row against
+    W |Z|^ell of the row.
     """
+    cfg = cfg or QuadratureConfig()
+    n = cfg.n_angular
+    lo, hi, _ = rows.indices(cfg.n_radial)
     Z, W = quadrature_nodes(cfg)
+    Z, W = Z[lo * n:hi * n], W[lo * n:hi * n]
     V = np.empty((count, Z.size), dtype=complex)
     V[0] = W
     for ell in range(1, count):
         np.multiply(V[ell - 1], Z, out=V[ell])
-    V = V.T
-    m = _CHUNK_NODES
-    return sum(np.asarray(h(Z[s:s + m]), dtype=complex) @ V[s:s + m]
-               for s in range(0, Z.size, m))
+    # a row's first node lies on the positive real axis: its real part is |Z|
+    A = np.empty((count, hi - lo))
+    A[0] = W[::n]
+    for ell in range(1, count):
+        np.multiply(A[ell - 1], Z[::n].real, out=A[ell])
+    V, A = V.T, A.T
+    total = mags = 0.0
+    m = max(_CHUNK_NODES // n, 1)
+    for i in range(0, hi - lo, m):
+        hs = np.asarray(h(Z[i * n:(i + m) * n]), dtype=complex)
+        total = total + hs @ V[i * n:(i + m) * n]
+        a = np.abs(hs)
+        mags = mags + a.reshape(a.shape[:-1] + (-1, n)).sum(axis=-1) @ A[i:i + m]
+    return total, mags
+
+
+def _support_rows(support, cfg):
+    """The slice of cfg's radial rows in the annulus support, plus one each side.
+
+    _nodes lays the rule out radial-major with ascending radii, so row i
+    holds the n_angular nodes of radius Z[i * n_angular].real and the rows
+    strictly inside (r_in, r_out) are consecutive.  The extra row on each
+    side keeps a node whose |Z| rounds across a support radius.
+    """
+    Z, _ = quadrature_nodes(cfg)
+    r = Z[::cfg.n_angular].real
+    lo = max(int(np.searchsorted(r, support[0], side="right")) - 1, 0)
+    hi = min(int(np.searchsorted(r, support[1], side="left")) + 1, r.size)
+    return slice(lo, hi)
 
 
 def _legendre(n, x):
@@ -164,12 +200,26 @@ def quadrature_C(g, cfg=None):
 # ---------------------------------------------------------------------------
 
 class Form01:
-    """A (0,1)-form on Q_k: coefficients h0, h1 with h1(1/z) = -z^{-k} conj(z)^2 h0(z)."""
+    """A (0,1)-form on Q_k: coefficients h0, h1 with h1(1/z) = -z^{-k} conj(z)^2 h0(z).
 
-    def __init__(self, k, h0, h1):
+    support, when given, is an annulus (r_in, r_out), 0 <= r_in < r_out,
+    outside which h0 is zero; the coefficient moments then sum over the
+    nodes inside it only.
+    """
+
+    def __init__(self, k, h0, h1, support=None):
         self.k = int(k)
         self.h0 = h0
         self.h1 = h1
+        self.support = None if support is None else _annulus(*support)
+
+
+def _annulus(r_in, r_out):
+    """(r_in, r_out) as floats; ValueError unless finite with 0 <= r_in < r_out."""
+    if not 0.0 <= r_in < r_out < np.inf:
+        raise ValueError("an annulus needs finite radii 0 <= r_in < r_out, "
+                         "not r_in=%r, r_out=%r" % (r_in, r_out))
+    return float(r_in), float(r_out)
 
 
 def _annulus_samples():
@@ -215,16 +265,19 @@ def cohomology_coefficients(w, cfg=None, check=True):
     """The H^1 coefficients a_0..a_{-k-2} of a (0,1)-form on Q_k, k <= -2.
 
     Returns shape (-k-1,), or (..., -k-1) when w.h0 maps the nodes to a batch
-    of forms of shape (..., nodes).  QuadratureError when a coefficient is
-    not finite (z^ell overflows on the outer nodes when -k is large) or,
-    with check, when the doubled rule disagrees.
+    of forms of shape (..., nodes).  A form with a support sums over the
+    nodes in its annulus only.  QuadratureError when a coefficient is not
+    finite (z^ell overflows on the outer nodes when -k is large), when the
+    rounding bound of a coefficient's sum exceeds cfg.target_tol (the sum
+    cancels terms too large to leave that accuracy; checked with or without
+    check), or, with check, when the doubled rule disagrees.
     """
     if w.k > -2:
         raise ValueError("H^1(Q_k) vanishes for k > -2; no coefficients")
     cfg = cfg or QuadratureConfig()
-    out = _finite_moments(w, cfg)
+    out, _ = _certified_moments(w, cfg)
     if check:
-        out2 = _finite_moments(w, cfg.refined())
+        out2, _ = _certified_moments(w, cfg.refined())
         if np.max(np.abs(out - out2)) > 10 * cfg.target_tol:
             raise QuadratureError("coefficient quadrature not converged: %s vs %s"
                                   % (out, out2))
@@ -232,19 +285,44 @@ def cohomology_coefficients(w, cfg=None, check=True):
     return out
 
 
-def _finite_moments(w, cfg):
-    """The coefficient moments of w on the rule cfg; QuadratureError unless finite.
+def _certified_moments(w, cfg):
+    """The coefficient moments of w on the rule cfg and their rounding bounds.
 
-    For large ell, Z^ell overflows on the outer nodes; that shows as a
-    non-finite moment, refused here, not as a floating-point warning.
+    QuadratureError unless every moment is finite (for large ell Z^ell
+    overflows on the outer nodes; that shows here, not as a floating-point
+    warning) and every bound is at most cfg.target_tol.
+
+    The bound on moment ell is B = gamma_m * sum_j |W_j Z_j^ell h0(Z_j)|,
+    gamma_m = m u / (1 - m u), u = 2^-53, for the N nodes summed (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3-4).  Each term
+    takes ell + 1 complex products (ell for W Z^ell, one against h0), each
+    with relative error at most sqrt(2) gamma_2 <= gamma_3 (Lemma 3.5); the
+    N terms are summed in some order, which adds at most sqrt(2) gamma_{N-1}
+    <= gamma_{2N-2} times the sum of their magnitudes (the real and
+    imaginary parts are sums of N reals, Sec. 4.2).  By Lemma 3.3 the two
+    compose to m = 3(ell + 1) + 2(N - 1).  B bounds the error of the
+    computed moment against the exact sum of the same terms, to first order
+    in u (the magnitudes are themselves computed); h0's own rounding and the
+    rule's truncation are not in it.
     """
+    rows = slice(None) if w.support is None else _support_rows(w.support, cfg)
+    count = -w.k - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _moments(w.h0, -w.k - 1, cfg)
+        out, mags = _moments(w.h0, count, cfg, rows)
     if not np.isfinite(out).all():
         raise QuadratureError(
             "non-finite coefficients of the degree %d form on the %r rule"
             % (w.k, cfg))
-    return out
+    n_terms = len(range(*rows.indices(cfg.n_radial))) * cfg.n_angular
+    mu = (3.0 * np.arange(1, count + 1) + 2.0 * (n_terms - 1)) \
+        * np.finfo(float).eps / 2.0
+    bound = mu / (1.0 - mu) * mags
+    if not np.all(bound <= cfg.target_tol):
+        raise QuadratureError(
+            "coefficients of the degree %d form on the %r rule not certified: "
+            "rounding bound %.3g > target_tol %g"
+            % (w.k, cfg, np.max(bound), cfg.target_tol))
+    return out, bound
 
 
 def harmonic_representative(a0, a1):
@@ -293,12 +371,18 @@ def bump(t):
     return out
 
 
-def _dbump(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti)) * (-2.0 * ti) / (1.0 - ti * ti) ** 2
+def _monomial(z, p, q):
+    """z^p conj(z)^q by repeated products.
+
+    numpy's complex ** takes its general complex-power path even for small
+    integer exponents.
+    """
+    out = np.ones_like(z)
+    for _ in range(p):
+        out = out * z
+    zc = np.conj(z)
+    for _ in range(q):
+        out = out * zc
     return out
 
 
@@ -307,18 +391,20 @@ def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
 
     f(z) = phi(|z|) z^p conj(z)^q on chart 0, with phi an annulus bump
     supported in r_in < |z| < r_out, is a global smooth section; h0 is its
-    dconj(z)-derivative and h1 the clutching of h0.  ValueError unless the
-    radii are finite with 0 <= r_in < r_out.
+    dconj(z)-derivative and h1 the clutching of h0.  The form's support is
+    that annulus.  ValueError unless the radii are finite with
+    0 <= r_in < r_out.
     """
-    if not 0.0 <= r_in < r_out < np.inf:
-        raise ValueError("exact_form needs finite radii 0 <= r_in < r_out, "
-                         "not r_in=%r, r_out=%r" % (r_in, r_out))
+    r_in, r_out = _annulus(r_in, r_out)
     mid = (r_out + r_in) / 2.0
     half = (r_out - r_in) / 2.0
 
     def h0(z):
         # d/dconj(z) of f: phi'(|z|) * z/(2|z|) * z^p conj(z)^q
-        #                  + q * phi * z^p conj(z)^{q-1}
+        #                  + q * phi * z^p conj(z)^{q-1},
+        # phi(r) = bump(t) with t = (r - mid)/half, so phi' = bump(t) *
+        # (-2t/s^2)/half with s = 1 - t^2; with z conj(z) = |z|^2 both terms
+        # are one exp times a real factor times one monomial
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
         out = np.zeros_like(z)
@@ -327,12 +413,13 @@ def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
         nz = (r > 0) & (np.abs(r - mid) < half)
         zz = z[nz]
         rr = r[nz]
-        term = _dbump((rr - mid) / half) / half * zz / (2.0 * rr) \
-            * zz ** p * np.conj(zz) ** q
+        t = (rr - mid) / half
+        s = 1.0 - t * t
+        e = np.exp(-1.0 / s)
         if q:
-            term = term + q * bump((rr - mid) / half) * zz ** p \
-                * np.conj(zz) ** (q - 1)
-        out[nz] = term
+            out[nz] = e * (q - t * rr / (s * s * half)) * _monomial(zz, p, q - 1)
+        else:
+            out[nz] = e * (-t / (s * s * half * rr)) * _monomial(zz, p + 1, 0)
         return out
 
     def h1(w):
@@ -343,4 +430,4 @@ def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
         out[nz] = -zz ** (-k) * np.conj(zz) ** 2 * h0(zz)
         return out
 
-    return Form01(k, h0, h1)
+    return Form01(k, h0, h1, support=(r_in, r_out))

@@ -397,9 +397,21 @@ def _top_eigvec(H):
 
 
 def _unit(v):
-    """v/|v| over the last axis; the i axis where v = 0 (every unit u is optimal)."""
-    r = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
-    return np.where(r > 0, v / np.where(r > 0, r, 1.0), _axis_dir(3, v.shape))
+    """v/|v| over the last axis; the i axis where v = 0 (every unit u is optimal).
+
+    v is first scaled by the power of two that brings its largest entry into
+    [1/2, 1), so no square goes subnormal or overflows; the scaling is exact,
+    so for |v| in the normal range the result is unchanged bit for bit.
+    """
+    m = np.maximum.reduce(np.abs(v), axis=-1, keepdims=True)
+    _, e = np.frexp(m)
+    v = np.ldexp(v, -e)
+    if not m.all():  # a where costs about as much as the rest
+        v = np.where(m > 0, v, _I_AXIS)
+    return v / np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+
+
+_I_AXIS = np.array([1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ class TwistorFormL:
 @functools.lru_cache(maxsize=8)
 def _moment_table(basis):
     """The read-only moment table of a fiber basis (see TwistorFormL)."""
-    table = _moments(basis, 2)
+    table, _ = _moments(basis, 2)
     table.flags.writeable = False
     return table
 

@@ -9,7 +9,7 @@ import sys
 import jsonschema
 import pytest
 
-from fueter import cli
+from fueter import cli, cp1
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "schemas", "report.json")
@@ -486,9 +486,32 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def test_cp1_coeffs_refuses_non_finite_coefficients(capsys):
-    # z^ell overflows on the quadrature's outer nodes at this degree: a
-    # refusal (exit 1, "pass" false), never NaN coefficients
+@pytest.mark.parametrize("k,form", [("-60", "exact"),
+                                    ("-40", "exact:p=1:q=2:rin=0.3:rout=3")])
+def test_cp1_coeffs_refuses_uncertified_coefficients(k, form, capsys):
+    # the moments cancel terms as large as 3^38 (k = -40) or 2^58 (k = -60)
+    # on the support, so their rounding bound exceeds the tolerance: a
+    # refusal (exit 1, "pass" false), not coefficients of ~1e2
+    code = cli.main(["cp1", "coeffs", "--k", k, "--form", form])
+    assert code == 1
+    captured = capsys.readouterr()
+    blob = _strict_json(captured.out)
+    jsonschema.validate(blob, _schema())
+    assert blob["pass"] is False
+    assert "not certified: rounding bound" in blob["results"]["error"]
+    assert captured.err.startswith("check failed: cp1 coeffs: coefficients "
+                                   "of the degree %s form" % k)
+
+
+def test_cp1_coeffs_refuses_non_finite_coefficients(monkeypatch, capsys):
+    # the same form without its support sums the whole rule, where z^ell
+    # overflows on the outer nodes: a refusal (exit 1, "pass" false), never
+    # NaN coefficients
+    def whole_plane(*args, **kwargs):
+        w = cp1.exact_form(*args, **kwargs)
+        return cp1.Form01(w.k, w.h0, w.h1)
+
+    monkeypatch.setattr(cli, "exact_form", whole_plane)
     code = cli.main(["cp1", "coeffs", "--k", "-60", "--form", "exact"])
     assert code == 1
     captured = capsys.readouterr()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fueter import cp1
 
@@ -194,6 +196,8 @@ def test_exact_form_refuses_radii_outside_an_annulus(r_in, r_out):
     # the zero form
     with pytest.raises(ValueError, match="0 <= r_in < r_out"):
         cp1.exact_form(-3, r_in=r_in, r_out=r_out)
+    with pytest.raises(ValueError, match="0 <= r_in < r_out"):
+        cp1.Form01(-3, None, None, support=(r_in, r_out))
 
 
 def test_exact_form_takes_a_bump_from_the_origin():
@@ -288,12 +292,64 @@ def test_coefficients_raise_when_the_doubled_rule_disagrees():
         cp1.cohomology_coefficients(w)
 
 
+def test_coefficients_refuse_what_their_rounding_bound_cannot_certify():
+    # z^ell h0 is as large as 3^38 on the support at k = -40 and 2^58 at
+    # k = -60, so the cancelling sums keep rounding far above target_tol
+    # (k = -40 once passed with |a_38| = 666, where a = 0); they are refused
+    for w in (cp1.exact_form(-60),
+              cp1.exact_form(-40, p=1, q=2, r_in=0.3, r_out=3.0)):
+        for check in (False, True):
+            with pytest.raises(cp1.QuadratureError, match="not certified"):
+                cp1.cohomology_coefficients(w, cp1.BUMP_GRADE, check=check)
+
+
 def test_coefficients_refuse_an_overflowed_moment():
-    # z^ell overflows on the outer nodes of the bump grade before ell = 58;
-    # the coefficients are refused, not returned as NaN, and no overflow
-    # warning escapes (RuntimeWarnings fail the test)
+    # without a support the whole rule is summed, and z^ell overflows on the
+    # outer nodes of the bump grade before ell = 58; the coefficients are
+    # refused, not returned as NaN, and no overflow warning escapes
+    # (RuntimeWarnings fail the test)
     w = cp1.exact_form(-60)
-    with pytest.raises(cp1.QuadratureError, match="non-finite coefficients"):
-        cp1.cohomology_coefficients(w, cp1.BUMP_GRADE, check=False)
-    with pytest.raises(cp1.QuadratureError, match="non-finite coefficients"):
-        cp1.cohomology_coefficients(w, cp1.BUMP_GRADE)
+    whole = cp1.Form01(w.k, w.h0, w.h1)
+    for check in (False, True):
+        with pytest.raises(cp1.QuadratureError, match="non-finite coefficients"):
+            cp1.cohomology_coefficients(whole, cp1.BUMP_GRADE, check=check)
+
+
+def test_certified_coefficients_carry_small_bounds():
+    w = cp1.exact_form(-3, p=1, q=2, r_in=0.4, r_out=2.5)
+    out, bound = cp1._certified_moments(w, cp1.BUMP_GRADE)
+    assert bound.shape == out.shape == (2,)
+    assert np.all(bound < 1e-9)
+    w = cp1.harmonic_representative(np.array([1.0, 2j]), np.array([0.5, -1]))
+    out, bound = cp1._certified_moments(w, cp1.QuadratureConfig())
+    assert bound.shape == out.shape == (2, 2)
+    assert np.all(bound < 1e-11)
+
+
+# the bump grade's node radii, read as _nodes lays them out; a support
+# radius may fall exactly on one
+_BUMP_RADII = cp1.quadrature_nodes(cp1.BUMP_GRADE)[0][::cp1.BUMP_GRADE.n_angular].real
+_SUPPORT_RADII = st.one_of(st.just(0.0), st.floats(0.0, 3.0),
+                           st.sampled_from(_BUMP_RADII[_BUMP_RADII <= 3.0].tolist()))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(-8, -2),
+       _SUPPORT_RADII, _SUPPORT_RADII)
+def test_support_sums_match_the_whole_rule(p, q, k, a, b):
+    assume(a != b)
+    w = cp1.exact_form(k, p=p, q=q, r_in=min(a, b), r_out=max(a, b))
+    whole = cp1.Form01(k, w.h0, w.h1)
+    # the bump grade's nodes with no tolerance, so every bound is returned
+    cfg = cp1.QuadratureConfig(cp1.BUMP_GRADE.n_radial,
+                               cp1.BUMP_GRADE.n_angular, target_tol=np.inf)
+    got, bound = cp1._certified_moments(w, cfg)
+    ref, ref_bound = cp1._certified_moments(whole, cfg)
+    # both sum the same nonzero terms, in different orders
+    assert np.all(np.abs(got - ref) <= bound + ref_bound)
+    # and h0 is exactly zero on every node the support sum skips
+    Z, _ = cp1.quadrature_nodes(cfg)
+    lo, hi, _ = cp1._support_rows(w.support, cfg).indices(cfg.n_radial)
+    skipped = np.ones(Z.size, dtype=bool)
+    skipped[lo * cfg.n_angular:hi * cfg.n_angular] = False
+    assert not w.h0(Z)[skipped].any()

@@ -490,6 +490,29 @@ def test_sweep_inf_without_a_preferred_direction(n):
     assert abs(val - hs.ext_distance(c)) < 1e-15
 
 
+
+def test_sweep_inf_with_an_offset_whose_square_is_subnormal():
+    # |x - point| or |x - centre| near 1e-160: v * v goes subnormal unless v
+    # is scaled first; unscaled, the point complement read 0.20120 at
+    # |q| = 1.006 and the ball 0.7999989
+    x, y = np.zeros(4), np.full(4, 0.1)
+    val, q = domains.PointComplement(1, point=[0, 0, 1e-160, 0]).sweep_inf(x, y)
+    assert abs(val - 0.2) <= 1e-15
+    assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
+    val, q = domains.Ball(1, 1.0, center=[0, 0, 1e-159, 0]).sweep_inf(x, y)
+    assert abs(val - 0.8) <= 1e-15
+    assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-5, 1.0, 1e150, 1e300])
+def test_unit_is_scale_safe_and_unchanged_in_the_normal_range(scale):
+    v = scale * np.random.default_rng(5).normal(size=(50, 3))
+    u = domains._unit(v)
+    np.testing.assert_allclose(np.linalg.norm(u, axis=-1), 1.0, rtol=1e-15)
+    if 1e-150 < scale < 1e150:
+        naive = v / np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+        assert u.tobytes() == naive.tobytes()
+
 @st.composite
 def _sweep_vec_case(draw):
     # w and y with exact zeros of both signs, batched or a single (4n,)
