@@ -44,7 +44,7 @@ print("=" * 72)
 class SampledBall(Ball):
     """The unit ball as a user domain would see it: no closed-form sweep."""
 
-    sweep_inf = None
+    line_form = None
 
 
 sigma = BiquaternionPoint(np.array([0.78, 0.0, 0.0, 0.0]),

@@ -138,7 +138,9 @@ def criterion_3_hull_equivalence(seed=7, n_values=(1, 2)):
     >= 99.5% agreement over 1000 random points per domain, any disagreement
     inside a declared indeterminate band; for n = 1 on the punctured space
     both verdicts equal the nonvanishing-determinant test on 100% of 1000
-    points with |det| > 1e-3.
+    points with |det| > 1e-3.  Both halves take their candidates from the
+    domain's ``line_form``, so this checks the chart correspondence, not
+    the minimiser (the tests check that against the sampled path).
     """
     samples = 1000
     rng = np.random.default_rng(seed + 3)

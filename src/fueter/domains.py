@@ -10,56 +10,53 @@ A DomainSpec knows three things about an open set U:
 All oracles are vectorized: they accept flat real points of shape (..., 4n) and
 return shape (...).  ``ext_distance`` is 1-Lipschitz and positive exactly on U.
 
-A fourth, optional oracle gives the hull sweep in closed form:
+A fourth, optional oracle gives the hull sweep in closed form.  For a unit
+fibre point pi over q = Hopf(pi) (see ``fueter.twistor``), S pi =
+M(x + y q) pi with S = ``matrix_point(x, y)``, and ||M(w) pi|| = ||w||, so
+along the swept set {x + y q} a distance or a linear form is a Hermitian
+form in pi: ||x + y q - c||^2 = pi* A* A pi with A = S - M(c), and
+<nu, x + y q> = pi* Herm(M(nu)* S) pi.
 
-* ``sweep_inf(x, y)`` -- ``(inf_value, q_star)``, the minimum of
-  ``ext_distance(x + y q)`` over unit imaginary quaternions q and a q
-  attaining it, batched over leading axes: x, y of shape (..., 4n) give
-  shapes (...) and (..., 4).
+* ``line_form(S)`` maps matrices S (..., 2n, 2) to 2x2 forms H
+  (..., P, 2, 2) such that the least ``ext_distance(x + y q)`` over unit
+  imaginary q is attained over the top eigenvector of Herm(H) = (H + H*)/2
+  for one of the P forms: A* A for a ball (farthest from the centre), -A* A
+  for a point complement (nearest to the point), M(normal)* S for a
+  half-space (deepest along the normal), the parts' forms together for an
+  intersection, and zeros (any q) for the whole space and the empty set.
+  Where the trace of A* A leaves [2^-900, 2^900] (a square went subnormal
+  or overflowed), A is first scaled by a power of two, which is exact.
 
-Right multiplication by a unit q is an isometry of H^n, so for any w
+Two methods derive from it: ``line_argmin(S)``, the unit top eigenvectors
+(..., P, 2), the candidate fibre points of the twistor-line test; and
+``sweep_inf(x, y)``, ``(inf_value, q_star)``: the minimum of
+``ext_distance(x + y q)`` over unit imaginary q and a q attaining it,
+batched over leading axes (x, y (..., 4n) give (...) and (..., 4)).  It
+takes no eigenvector: with s = H00 - H11, b = H01 + conj(H10) and
+h = hypot(s, |b|), the top eigenvector's Hopf image is (0, s, Re b, Im b)/h
+(``_top_hopf``).  The value is ``ext_distance`` at the least candidate,
+never the form's expanded square root, whose cancellation near a zero
+minimum (the hull boundary of H*) leaves ~1e-8 of rounding noise.
 
-    ||w + y q||^2 = ||w||^2 + ||y||^2 - 2 v.u,   v = sum_l Vec(conj(w_l) y_l),
-
-with q = (0, u), and <w, y q> = -v.u is linear in u on the unit sphere.  Its
-extremes sit at u = -+v/|v| (any u when v = 0), which settles balls (w = x minus
-the centre, largest norm), point complements (w = x minus the point, smallest
-norm) and half-spaces (w = the normal, largest <normal, y q>).  v is one
-gather of y's coefficients, their signed products with w and three sums in
-``qmul``'s term order (the trick of ``quat.right_line``), so it equals the
-sum of the quaternion products conj(w_l) y_l bit for bit.  The value is
-``ext_distance`` evaluated at that arg-min, never the expanded square root,
-whose cancellation near a zero minimum (the hull boundary of H*) leaves
-~1e-8 of rounding noise.  Intersections take the minimum over their parts;
-the whole space and the empty set are constant.
-
-``DomainSpec.sweep_inf`` is ``None``: no closed form, and the hull falls back
-to a scan of a split icosahedron with a covering band.  A user domain opts
-in by defining a ``sweep_inf(x, y)`` method with the contract above; it must
-return the exact minimum, since the hull then reports no uncertainty band.
-
-A fifth, optional oracle decides the twistor-line test in closed form:
-``line_argmin(S)`` maps matrices S (..., 2n, 2) to unit fibre points
-(..., P, 2), over one of which the least ``ext_distance`` on the real base
-points of S's twistor line sits.  For unit pi over q = Hopf(pi),
-S pi = M(x + y q) pi and ||M(w) pi|| = ||w||, so ||x + y q - c||^2 =
-pi* A* A pi (A = S - M(c)) and <nu, x + y q> = pi* Herm(M(nu)* S) pi:
-balls take the top eigenvector of A* A, point complements the bottom one,
-half-spaces the top one of Herm(M(normal)* S); intersections pool their
-parts', and the whole space and the empty set give (1, 0).  ``None``: the
-twistor-line test is ``hull.hull_contains``.
+``DomainSpec.line_form`` is ``None``: no closed form, the hull falls back
+to a scan of a split icosahedron with a covering band, and the twistor-line
+test is ``hull.hull_contains``.  A user domain opts in by defining a
+``line_form(S)`` method with the contract above; it must name the exact
+minimiser, since the hull then reports no uncertainty band.
 
 Built-ins: balls, complements of a point, half-spaces, finite intersections,
 the whole space and the empty set.  Each declares its JSON form once
 (``json_type``, ``json_keys``); ``to_json`` writes it and ``parse_domain``
-reads it, refusing other keys, or a shorthand such as ``"H*:n=1"``.
+reads it, refusing other keys, or a shorthand such as ``"H*:n=1"``.  A
+ball's centre and a removed point must have a finite squared norm, as a
+``BiquaternionPoint`` must.
 """
 
 import json
 
 import numpy as np
 
-from .quat import CONJ_SIGNS, _SIGN, _XOR, embed_M, qnorm, right_line
+from .quat import embed_M, matrix_point, qnorm, right_line
 
 __all__ = [
     "DomainSpec", "Ball", "PointComplement", "HalfSpace", "Intersection",
@@ -70,9 +67,8 @@ __all__ = [
 class DomainSpec:
     """Base class; subclasses fill in ext_distance (and usually nearest_boundary)."""
 
-    # closed-form oracles of the hull sweep (see the module docstring)
-    sweep_inf = None
-    line_argmin = None
+    # the closed form of the hull sweep (see the module docstring)
+    line_form = None
     # a built-in's JSON "type" and keys after "n", each a constructor argument
     # and the attribute that holds it; None: no JSON form
     json_type = None
@@ -106,11 +102,22 @@ class DomainSpec:
         raise NotImplementedError(
             "%s has no nearest_boundary oracle" % type(self).__name__)
 
-    def _sweep_at(self, x, y, u):
-        """(ext_distance(x + y q), q) at q = (0, u), batched over leading axes."""
-        q = np.zeros(u.shape[:-1] + (4,))
-        q[..., 1:] = u
-        return self.ext_distance(right_line(x, y)(q)), q
+    def line_argmin(self, S):
+        """Candidate fibre points (..., P, 2) of the line of each S."""
+        return _top_eigvec(self.line_form(S))
+
+    def sweep_inf(self, x, y):
+        """(min of ext_distance(x + y q) over unit imaginary q, a q at it)."""
+        x, y = self._check(x), self._check(y)
+        q = _top_hopf(self.line_form(matrix_point(x, y)))
+        line = right_line(x[..., None, :], y[..., None, :])
+        vals = self.ext_distance(line(q))
+        if vals.ndim == 1:  # one (x, y): plain indexing is the cheaper gather
+            i = vals.argmin()
+            return vals[i], q[i]
+        i = np.argmin(vals, axis=-1)[..., None]
+        return (np.take_along_axis(vals, i, axis=-1)[..., 0],
+                np.take_along_axis(q, i[..., None], axis=-2)[..., 0, :])
 
     def to_json(self):
         if self.json_type is None:
@@ -141,8 +148,8 @@ class Ball(DomainSpec):
         self.radius = float(_finite(radius, "radius"))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        self.center = (np.zeros(self.dim) if center is None
-                       else _finite(center, "center", (self.dim,)))
+        self.center = (np.zeros(self.dim) if center is None else
+                       _finite(center, "center", (self.dim,), squares=True))
         self._M = embed_M(self.center)
 
     def ext_distance(self, p):
@@ -159,15 +166,9 @@ class Ball(DomainSpec):
             r = qnorm(d)
         return self.center + d * (self.radius / r)[..., None]
 
-    def sweep_inf(self, x, y):
-        # farthest swept point from the centre
-        x, y = self._check(x), self._check(y)
-        return self._sweep_at(x, y, _unit(-_sweep_vec(x - self.center, y)))
-
-    def line_argmin(self, S):
-        # farthest base point from the centre: top eigenvector of A* A
-        A = S - self._M
-        return _top_eigvec(np.conj(np.swapaxes(A, -1, -2)) @ A)
+    def line_form(self, S):
+        # farthest base point from the centre
+        return _gram(S - self._M)
 
 
 class PointComplement(DomainSpec):
@@ -176,8 +177,8 @@ class PointComplement(DomainSpec):
 
     def __init__(self, n=1, point=None):
         super().__init__(n)
-        self.point = (np.zeros(self.dim) if point is None
-                      else _finite(point, "point", (self.dim,)))
+        self.point = (np.zeros(self.dim) if point is None else
+                      _finite(point, "point", (self.dim,), squares=True))
         self._M = embed_M(self.point)
 
     def ext_distance(self, p):
@@ -188,15 +189,9 @@ class PointComplement(DomainSpec):
         p = self._check(p)
         return np.broadcast_to(self.point, p.shape).copy()
 
-    def sweep_inf(self, x, y):
-        # nearest swept point to the removed point
-        x, y = self._check(x), self._check(y)
-        return self._sweep_at(x, y, _unit(_sweep_vec(x - self.point, y)))
-
-    def line_argmin(self, S):
-        # nearest base point to the removed point: bottom eigenvector of A* A
-        A = S - self._M
-        return _top_eigvec(-np.conj(np.swapaxes(A, -1, -2)) @ A)
+    def line_form(self, S):
+        # nearest base point to the removed point
+        return -_gram(S - self._M)
 
 
 class HalfSpace(DomainSpec):
@@ -231,14 +226,9 @@ class HalfSpace(DomainSpec):
         gap = (self.offset - p @ self.normal)[..., None]
         return p + gap * self.normal
 
-    def sweep_inf(self, x, y):
-        # swept point deepest along the normal
-        x, y = self._check(x), self._check(y)
-        return self._sweep_at(x, y, _unit(-_sweep_vec(self.normal, y)))
-
-    def line_argmin(self, S):
+    def line_form(self, S):
         # base point deepest along the normal
-        return _top_eigvec(self._M_adj @ S)
+        return (self._M_adj @ S)[..., None, :, :]
 
 
 class Intersection(DomainSpec):
@@ -277,28 +267,13 @@ class Intersection(DomainSpec):
         return np.take_along_axis(cands, which[None, ..., None], axis=0)[0]
 
     @property
-    def sweep_inf(self):
-        # inf commutes with min, so the parts' closed forms combine
-        if any(d.sweep_inf is None for d in self.parts):
-            return None
-        return self._sweep_inf_parts
+    def line_form(self):
+        # every part's forms: the least part attains its minimum at one
+        return (None if any(d.line_form is None for d in self.parts)
+                else self._line_form_parts)
 
-    def _sweep_inf_parts(self, x, y):
-        # the least part's value is the intersection's ext_distance at its q
-        x, y = self._check(x), self._check(y)
-        vals, qs = map(np.stack, zip(*(d.sweep_inf(x, y) for d in self.parts)))
-        which = np.argmin(vals, axis=0)
-        q = np.take_along_axis(qs, which[None, ..., None], axis=0)[0]
-        return np.take_along_axis(vals, which[None], axis=0)[0], q
-
-    @property
-    def line_argmin(self):
-        # every part's candidates: the least part attains its minimum at one
-        return (None if any(d.line_argmin is None for d in self.parts)
-                else self._line_argmin_parts)
-
-    def _line_argmin_parts(self, S):
-        return np.concatenate([d.line_argmin(S) for d in self.parts], axis=-2)
+    def _line_form_parts(self, S):
+        return np.concatenate([d.line_form(S) for d in self.parts], axis=-3)
 
 
 class WholeSpace(DomainSpec):
@@ -309,14 +284,9 @@ class WholeSpace(DomainSpec):
         p = self._check(p)
         return np.full(p.shape[:-1], np.inf)
 
-    def sweep_inf(self, x, y):
-        # constant: any q attains it
-        x, y = self._check(x), self._check(y)
-        return self._sweep_at(x, y, _axis_dir(3, y.shape))
-
-    def line_argmin(self, S):
+    def line_form(self, S):
         # constant: any fibre point attains it
-        return np.broadcast_to([1.0 + 0j, 0.0], np.shape(S)[:-2] + (1, 2))
+        return np.zeros(np.shape(S)[:-2] + (1, 2, 2))
 
 
 class EmptySet(DomainSpec):
@@ -327,13 +297,13 @@ class EmptySet(DomainSpec):
         p = self._check(p)
         return np.zeros(p.shape[:-1])
 
-    sweep_inf = WholeSpace.sweep_inf  # constant as well
-    line_argmin = WholeSpace.line_argmin
+    line_form = WholeSpace.line_form  # constant as well
 
 
-def _finite(a, name, shape=()):
+def _finite(a, name, shape=(), squares=False):
     """a as a float array of the given shape (a number by default);
-    ValueError naming the parameter unless it has that shape and is finite."""
+    ValueError naming the parameter unless it has that shape and is finite,
+    and, with squares, unless its sum of squares is finite too."""
     try:
         a = np.asarray(a, dtype=float)
     except TypeError:
@@ -343,13 +313,11 @@ def _finite(a, name, shape=()):
                          % (name, shape, a.shape))
     if not np.isfinite(a).all():
         raise ValueError("%s must be finite, got %s" % (name, a.tolist()))
+    # in Python floats, which overflow to inf without a warning
+    if squares and sum(v * v for v in a.tolist()) == np.inf:
+        raise ValueError("%s's squared norm overflows at %s"
+                         % (name, a.tolist()))
     return a
-
-
-# components 1..3 of conj(w)*y: term t of component k is
-# _VSIGN[t, k] * w_t * y_(_VXOR[t, k]), qmul's signs with conj's folded in
-_VXOR = _XOR[:, 0, 1:]
-_VSIGN = _SIGN[:, 0, 1:] * CONJ_SIGNS[:, None]
 
 
 def _axis_dir(dim, shape):
@@ -358,60 +326,83 @@ def _axis_dir(dim, shape):
     return e
 
 
-def _sweep_vec(w, y):
-    """v = sum_l Vec(conj(w_l) y_l), so that <w, y*(0, u)> = -v.u; (..., 3).
+# A* A is formed again from A scaled by a power of two where its trace
+# leaves this range
+_GRAM_RANGE = (2.0 ** -900, 2.0 ** 900)
 
-    w and y broadcast.  Term t of component k is _VSIGN[t, k] w_t y_(t xor
-    k), with qmul's signs (quat._SIGN) times qconj's: one gather of y, the
-    signed products and three sums in ``qmul``'s order, then the sum over
-    l, so v equals qmul(qconj(w_l), y_l) summed over l bit for bit.
+# a form whose eigen-gap h is below this is read as a multiple of I
+_TINY = np.finfo(float).tiny
+
+
+def _gram(A):
+    """The forms A* A (..., 1, 2, 2) of matrices A (..., 2n, 2), scale-safe.
+
+    Where the trace is outside _GRAM_RANGE (a square went subnormal or
+    overflowed), A is first scaled by the power of two that brings its
+    largest real or imaginary part into [1/2, 1); the scaling is exact and
+    leaves the top eigenvector, so in range nothing changes.
     """
-    w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
-    terms = (w.reshape(w.shape[:-1] + (-1, 4, 1)) * _VSIGN
-             * y.reshape(y.shape[:-1] + (-1, 4))[..., _VXOR])
-    v = terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
-    return np.add.reduce(v, axis=-2)
+    G = np.conj(np.swapaxes(A, -1, -2)) @ A
+    trace = (G[..., 0, 0] + G[..., 1, 1]).real
+    off = (trace < _GRAM_RANGE[0]) | (trace > _GRAM_RANGE[1])
+    if np.count_nonzero(off):  # cheaper than any() on a scalar
+        m = np.maximum(np.abs(A.real), np.abs(A.imag)).max(axis=(-2, -1))
+        e = np.frexp(np.where(off, m, 1.0))[1][..., None, None]
+        A = np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e)
+        G = np.where(off[..., None, None],
+                     np.conj(np.swapaxes(A, -1, -2)) @ A, G)
+    return G[..., None, :, :]
 
 
 def _top_eigvec(H):
-    """Unit top eigenvectors (..., 1, 2) of Herm(H) = (H + H*)/2.
+    """Unit top eigenvectors (..., 2) of Herm(H) = (H + H*)/2.
 
     H is (..., 2, 2).  With s = H00 - H11, b = H01 + conj(H10) (twice
     Herm(H)'s corner) and h = hypot(s, |b|), (s + h, conj(b)) and (b, h - s)
     are top eigenvectors; the larger, of norm sqrt(2 h (h + |s|)), is taken,
-    and (1, 0) when h is subnormal (Herm(H) = a I up to 1e-308).
+    and (1, 0) when h is subnormal (Herm(H) = a I up to 1e-308): there s
+    and h are read as 1/2, so the norm is exactly 1.
     """
-    s = (H[..., 0, 0] - H[..., 1, 1]).real
-    b = H[..., 0, 1] + np.conj(H[..., 1, 0])
-    h = np.hypot(s, np.abs(b))
-    tied = h < np.finfo(float).tiny
+    s, b, h = _split(H)
+    tied = 0.5 * (h < _TINY)
     s, h = s + tied, h + tied
     big = h + np.abs(s)
     north = s >= 0
-    v = np.empty(h.shape + (1, 2), dtype=complex)
-    v[..., 0, 0] = np.where(north, big, b)
-    v[..., 0, 1] = np.where(north, np.conj(b), big)
-    v /= (np.sqrt(2.0 * h) * np.sqrt(big))[..., None, None]
+    v = np.empty(h.shape + (2,), dtype=complex)
+    v[..., 0] = np.where(north, big, b)
+    v[..., 1] = np.where(north, np.conj(b), big)
+    v /= (np.sqrt(2.0 * h) * np.sqrt(big))[..., None]
     return v
 
 
-def _unit(v):
-    """v/|v| over the last axis; the i axis where v = 0 (every unit u is optimal).
+def _top_hopf(H):
+    """Hopf images (..., 4) of the top eigenvectors of Herm(H), H (..., 2, 2).
 
-    v is first scaled by the power of two that brings its largest entry into
-    [1/2, 1), so no square goes subnormal or overflows; the scaling is exact,
-    so for |v| in the normal range the result is unchanged bit for bit.
+    For the top eigenvector v = (s + h, conj(b)) / sqrt(2 h (h + s)) (that
+    of ``_top_eigvec`` up to a phase), (|v0|^2 - |v1|^2, 2 Re(conj(v0) v1),
+    -2 Im(conj(v0) v1)) is exactly (s, Re b, Im b) / h, read here without
+    the eigenvector.
+    Where h is subnormal (every unit q is optimal) s and h are read as 1,
+    which gives the i axis to within 1e-308.
     """
-    m = np.maximum.reduce(np.abs(v), axis=-1, keepdims=True)
-    _, e = np.frexp(m)
-    v = np.ldexp(v, -e)
-    if not m.all():  # a where costs about as much as the rest
-        v = np.where(m > 0, v, _I_AXIS)
-    return v / np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    s, b, h = _split(H)
+    tied = h < _TINY
+    s, h = s + tied, h + tied
+    q = np.empty(h.shape + (4,))
+    q[..., 0] = 0.0
+    q[..., 1] = s
+    q[..., 2] = b.real
+    q[..., 3] = b.imag
+    q /= h[..., None]
+    return q
 
 
-_I_AXIS = np.array([1.0, 0.0, 0.0])
+def _split(H):
+    """(s, b, h) of forms H (..., 2, 2): s = H00 - H11, b = H01 + conj(H10)
+    (twice the corner of Herm(H)) and h = hypot(s, |b|), its eigen-gap."""
+    s = (H[..., 0, 0] - H[..., 1, 1]).real
+    b = H[..., 0, 1] + np.conj(H[..., 1, 0])
+    return s, b, np.hypot(s, np.abs(b))
 
 
 # ---------------------------------------------------------------------------

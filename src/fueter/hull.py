@@ -7,11 +7,13 @@ The hull of an open U in H^n is
 an open subset of M_{2n x 2}(C).  Membership is decided by the minimum of
 g(q) = ext_distance(x + y*q) over the unit imaginary sphere.
 
-Every built-in domain knows that minimum in closed form
-(``DomainSpec.sweep_inf``, see ``fueter.domains``), so for them the query is
-exact: band 0, never indeterminate, no grid (``count`` 0).
+Every built-in domain knows that minimum in closed form: its
+``DomainSpec.line_form`` gives 2x2 Hermitian forms along the twistor line
+whose top eigenvectors' Hopf images hold the arg-min, and
+``DomainSpec.sweep_inf`` reads it off them (see ``fueter.domains``).  So for
+them the query is exact: band 0, never indeterminate, no grid (``count`` 0).
 
-A domain without a closed form (a user-defined DomainSpec) falls back to a
+A domain without a line form (a user-defined DomainSpec) falls back to a
 scan of one grid, the icosahedron split twice 4-to-1 (``_icosphere``): 162
 nodes and 320 spherical triangles.  g is Lipschitz in q with constant
 exactly ||y|| (chord metric), and every point of a spherical triangle lies
@@ -55,7 +57,7 @@ Points with y = 0 short-circuit to plain membership of x (the infimand is
 constant), which keeps the real slice exact.
 
 The twistor-line test (``fueter.twistor.hull_contains_via_lines``) is exact
-on the built-in domains too, by the 2x2 spectrum of the line's fibre, and
+on the built-in domains too, by the top eigenvectors of the same forms, and
 is hull_contains itself on the others.
 
 The distance of an interior point to the hull boundary is
@@ -231,7 +233,7 @@ def _as_point(sigma, n=None):
 def hull_contains(sigma, U):
     """Decide sigma in H(U); returns a HullQuery.
 
-    Exact when U has a closed-form ``sweep_inf``.  Otherwise the split
+    Exact when U has a ``line_form`` (``U.sweep_inf``).  Otherwise the split
     icosahedron's nodes are scanned, and a grid minimum inside the band goes
     to the branch-and-bound, which certifies the verdict or, at its cap,
     leaves the query indeterminate (verdict False).
@@ -241,7 +243,7 @@ def hull_contains(sigma, U):
 
 def _hull_query(sigma, U, polish):
     pt = _as_point(sigma)
-    if U.sweep_inf is not None:
+    if U.line_form is not None:
         return _sweep(pt, U, None, U.sweep_inf, polish)
     return _sweep(pt, U, _icosphere(_LEVEL), quat.right_line(pt.x, pt.y),
                   polish)
@@ -429,7 +431,8 @@ def _sweep(pt, U, grid, line, polish=False):
     """Minimum of ext_distance over the swept set of pt, as a HullQuery.
 
     grid None: line is an exact minimum (x, y) -> (inf_value, q*), band 0
-    and count 0 (``U.sweep_inf``, or the twistor fibre spectrum).
+    and count 0: ``U.sweep_inf``, or the base points over the fibre points
+    ``U.line_argmin`` (the twistor-line test), both from ``U.line_form``.
     Otherwise grid is a sweep grid (see _icosphere) and line the line map
     ``quat.right_line(x, y)``, q (K, 4) -> x + y q (K, 4n).  The nodes are
     scanned, and a grid minimum inside the band 2 ||y|| c (c the covering
@@ -489,7 +492,7 @@ def _sweep(pt, U, grid, line, polish=False):
 def hull_distance(sigma, U):
     """Distance (1/sqrt 2) * inf_q ext_distance(x + y q) to the hull boundary.
 
-    For a domain without a closed form (no ``sweep_inf``) every sampled
+    For a domain without a closed form (no ``line_form``) every sampled
     query is polished by the local search (``_local_min``: a pattern search
     whose quadratic-model steps converge like Newton's method at a smooth
     minimum, stopping once its mesh is flat to rounding), since a value is
@@ -513,7 +516,7 @@ def hull_witness(sigma, U):
     x0 = U.nearest_boundary(p), the witness is (x + w/2, y - w q*/2) where
     w = x0 - p.  Its own swept line passes through x0, so it lies outside the
     (open) hull, at C-distance ||w||/sqrt(2) = hull_distance(sigma), which
-    without ``sweep_inf`` is a local minimum (see hull_distance).  A domain
+    without ``line_form`` is a local minimum (see hull_distance).  A domain
     without a boundary has no witness: ValueError.
     """
     query = _hull_query(sigma, U, polish=True)

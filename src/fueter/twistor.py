@@ -27,8 +27,9 @@ imaginary quaternion q = Hopf(pi) = (|pi0|^2 - |pi1|^2) i + 2 j conj(pi0) pi1
 
 the real base points of sigma's line L_sigma are the swept set
 {x + y q : q in S^2} that defines the monogenic hull.  Since
-||M(w) pi|| = ||w|| ||pi||, a distance along them is a Hermitian form in pi,
-and ``hull_contains_via_lines`` reads the base points over its 2x2
+||M(w) pi|| = ||w|| ||pi||, a distance or a linear form along them is a
+Hermitian form in pi, the 2x2 ``DomainSpec.line_form`` of a domain, and
+``hull_contains_via_lines`` reads the base points over the forms' top
 eigenvectors (``DomainSpec.line_argmin``) through the charts of L_sigma.
 
 line_base_points recovers the base point seen from any fiber position of
@@ -194,16 +195,17 @@ def hull_contains_via_lines(sigma, U, return_query=False):
     """Hull membership through the real base points of sigma's twistor line.
 
     True iff every real base point of L_sigma lies in U.  With
-    ``U.line_argmin`` the query is exact (band 0, count 0): inf_value is the
+    ``U.line_form`` the query is exact (band 0, count 0): inf_value is the
     least ``U.ext_distance`` at the base points eta_inverse(line_embed(S,
-    pi)) of its candidates pi, and argmin_q is Hopf(pi*) of the least one;
-    each base point is x + y Hopf(pi) within 32 eps max(1, ||sigma||_C)
+    pi)) of the candidates pi = ``U.line_argmin(S)``, the top eigenvectors
+    of the forms, and argmin_q is Hopf(pi*) of the least one; each base
+    point is x + y Hopf(pi) within 32 eps max(1, ||sigma||_C)
     (tests/test_twistor.py), far below the verdict threshold.  Without it
     U is known only through ext_distance: the query is hull_contains.
     Returns the HullQuery when return_query is set, else the verdict.
     """
     pt = _as_point(sigma)
-    if U.line_argmin is None:
+    if U.line_form is None:
         query = hull_contains(pt, U)
     else:
         def spectrum(x, y):

@@ -637,6 +637,12 @@ def test_every_subcommand_records_its_parsed_options(args, params, tmp_path,
     ("H*:r=2", "unknown point_complement domain key 'r'; known: n, point"),
     ('{"type": "halfspace", "normal": [1e-200, 0, 0, 0], "offset": 1e300}',
      "offset / |normal| must be finite"),
+    # a ball or a removed point whose squared norm overflows read a 0.0
+    # distance, a false verdict and an Infinity or NaN envelope
+    ('{"type": "ball", "radius": 2e160, "center": [1e160, 0, 0, 0]}',
+     "center's squared norm overflows at [1e+160, 0.0, 0.0, 0.0]"),
+    ('{"type": "point_complement", "point": [1e160, 0, 0, 0]}',
+     "point's squared norm overflows at [1e+160, 0.0, 0.0, 0.0]"),
 ])
 @pytest.mark.parametrize("command", [["hull", "contains"],
                                      ["twistor", "hull-lines"]])

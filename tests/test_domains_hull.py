@@ -1,5 +1,6 @@
 """Domain algebra and the swept-line membership test for the hull."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -100,6 +101,11 @@ def test_kinds_without_a_declaration_have_no_json_form():
     ({"type": "halfspace", "normal": [[1, 0], [0, 0]]},
      "normal must have shape (4,), got shape (2, 2)"),
     ({"type": "ball", "radius": [1.0]}, "radius must have shape (), got"),
+    # squares that overflow, as a BiquaternionPoint's may not
+    ({"type": "ball", "radius": 2e160, "center": [1e160, 0, 0, 0]},
+     "center's squared norm overflows at [1e+160, 0.0, 0.0, 0.0]"),
+    ({"type": "point_complement", "point": [0, 1e155, 0, 1e155]},
+     "point's squared norm overflows at [0.0, 1e+155, 0.0, 1e+155]"),
     ({"type": "ball", "radius": {"r": 1}}, "radius must be numeric"),
     ({"type": "halfspace"}, "a half-space needs a normal"),
     ({"type": "intersection"}, "intersection of zero domains"),
@@ -196,8 +202,7 @@ def test_whole_and_empty_spaces():
 class _LatticeBall(domains.Ball):
     """Ball's oracles without the closed forms: forces the sampled path."""
 
-    sweep_inf = None
-    line_argmin = None
+    line_form = None
 
 
 def _sampled(sigma, U, level, polish=False):
@@ -355,8 +360,7 @@ def test_near_boundary_query_is_flagged_indeterminate():
 class _LatticePointComplement(domains.PointComplement):
     """PointComplement's oracles without the closed forms."""
 
-    sweep_inf = None
-    line_argmin = None
+    line_form = None
 
 
 def test_an_indeterminate_membership_query_answers_false_on_both_paths():
@@ -479,11 +483,14 @@ def test_sweep_inf_without_a_preferred_direction(n):
     c = 0.3 * rng.normal(size=4 * n)
     y = 0.2 * rng.normal(size=4 * n)
     ynorm = np.linalg.norm(y)
-    val, q = domains.Ball(n, 1.0, center=c).sweep_inf(c, y)
-    assert abs(val - (1.0 - ynorm)) < 1e-15
-    np.testing.assert_array_equal(q, [0.0, 1.0, 0.0, 0.0])
-    val, q = domains.PointComplement(n, point=c).sweep_inf(c, y)
-    assert abs(val - ynorm) < 1e-15
+    for U, exact in ((domains.Ball(n, 1.0, center=c), 1.0 - ynorm),
+                     (domains.PointComplement(n, point=c), ynorm)):
+        val, q = U.sweep_inf(c, y)
+        assert abs(val - exact) < 1e-15
+        # the form's traceless part is rounding, so q is any unit imaginary
+        # quaternion, and the one returned attains the value
+        assert q[0] == 0.0 and abs(np.linalg.norm(q) - 1.0) <= 1e-15
+        assert U.ext_distance(quat.right_line(c, y)(q)) == val
     # a half-space whose normal is a real multiple of y: <normal, y q> = 0
     hs = domains.HalfSpace(n, y, 0.5)
     val, _ = hs.sweep_inf(c, -3.0 * y)
@@ -504,43 +511,6 @@ def test_sweep_inf_with_an_offset_whose_square_is_subnormal():
     assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-5, 1.0, 1e150, 1e300])
-def test_unit_is_scale_safe_and_unchanged_in_the_normal_range(scale):
-    v = scale * np.random.default_rng(5).normal(size=(50, 3))
-    u = domains._unit(v)
-    np.testing.assert_allclose(np.linalg.norm(u, axis=-1), 1.0, rtol=1e-15)
-    if 1e-150 < scale < 1e150:
-        naive = v / np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
-        assert u.tobytes() == naive.tobytes()
-
-@st.composite
-def _sweep_vec_case(draw):
-    # w and y with exact zeros of both signs, batched or a single (4n,)
-    # row broadcast against a batch, as the half-space's normal is
-    n = draw(st.integers(1, 3))
-    batch = draw(st.integers(1, 4))
-    elements = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(
-        -2.0, 2.0, allow_nan=False, allow_subnormal=False))
-    shape_w, shape_y = draw(st.sampled_from([
-        ((batch, 4 * n), (batch, 4 * n)), ((4 * n,), (batch, 4 * n)),
-        ((batch, 4 * n), (4 * n,)), ((4 * n,), (4 * n,))]))
-    return (draw(hnp.arrays(np.float64, shape_w, elements=elements)),
-            draw(hnp.arrays(np.float64, shape_y, elements=elements)))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_sweep_vec_case())
-def test_sweep_vec_is_the_qmul_sum_bit_for_bit(case):
-    w, y = case
-    wb, yb = np.broadcast_arrays(w, y)
-    shape = yb.shape[:-1] + (-1, 4)
-    ref = quat.qmul(quat.qconj(wb.reshape(shape)),
-                    yb.reshape(shape)).sum(axis=-2)[..., 1:]
-    v = domains._sweep_vec(w, y)
-    assert v.shape == ref.shape
-    assert v.tobytes() == ref.tobytes()
-
-
 def _closed_form_queries():
     x1, y1 = [0.3, -0.2, 0.1, 0.4], [0.1, 0.2, -0.3, 0.1]
     x2 = [0.1, -0.2, 0.05, 0.3, 0.0, 0.15, -0.1, 0.2]
@@ -558,7 +528,7 @@ def _closed_form_queries():
         }
         for name, U in parts.items():
             out["%s_n%d" % (name, n)] = hull.hull_contains(_pt(x, y), U)
-    # v = 0 at the centre: the i axis
+    # at the centre every q attains the value; the form's rounding picks one
     c = [0.1, 0.2, 0.0, -0.1]
     out["ball_centre"] = hull.hull_contains(
         _pt(c, [0.0, 0.3, 0.1, 0.0]), domains.Ball(1, 1.0, center=c))
@@ -566,34 +536,35 @@ def _closed_form_queries():
 
 
 # float.hex of (inf_value, argmin_q) of closed-form queries, recorded with
-# v computed as qmul(qconj(w), y) summed over the entries
+# q read off the domain's line form (domains._top_hopf)
 _GOLDEN_CLOSED = {
-    "ball_n1": ("0x1.603cc47418342p-2", (
-        "0x0.0p+0", "0x1.c3a3bb803d616p-4", "0x1.a7697fc8398b5p-1",
-        "0x1.1a465530265cdp-1")),
-    "point_complement_n1": ("0x1.9d43ca769edd7p-3", (
-        "0x0.0p+0", "-0x1.c0013db350862p-2", "-0x1.c0013db350863p-1",
+    "ball_n1": ("0x1.603cc47418340p-2", (
+        "0x0.0p+0", "0x1.c3a3bb803d613p-4", "0x1.a7697fc8398b5p-1",
+        "0x1.1a465530265cep-1")),
+    "point_complement_n1": ("0x1.9d43ca769edd9p-3", (
+        "0x0.0p+0", "-0x1.c0013db350860p-2", "-0x1.c0013db350862p-1",
         "-0x1.a86cf715aa9a1p-3")),
     "halfspace_n1": ("0x1.712dba35c2260p-3", (
-        "0x0.0p+0", "0x1.8bef24ad332edp-2", "0x1.a6546b6369cb8p-1",
+        "0x0.0p+0", "0x1.8bef24ad332ecp-2", "0x1.a6546b6369cb8p-1",
         "0x1.a6546b6369cb8p-2")),
-    "intersection_n1": ("0x1.6ea7dd27c2bd8p-2", (
-        "0x0.0p+0", "0x1.5fa820f246014p-2", "0x1.ff802fec08bc5p-3",
-        "0x1.cf8c2b6de7ea6p-1")),
-    "ball_n2": ("0x1.8c23d8326a758p-2", (
-        "0x0.0p+0", "-0x1.f0905f43ebbadp-4", "0x1.a9a051a7ee9f7p-4",
+    "intersection_n1": ("0x1.6ea7dd27c2bd6p-2", (
+        "0x0.0p+0", "0x1.5fa820f246015p-2", "0x1.ff802fec08bc7p-3",
+        "0x1.cf8c2b6de7ea8p-1")),
+    "ball_n2": ("0x1.8c23d8326a756p-2", (
+        "0x0.0p+0", "-0x1.f0905f43ebba5p-4", "0x1.a9a051a7ee9f9p-4",
         "0x1.f96e60f76b5d8p-1")),
-    "point_complement_n2": ("0x1.92f12089139bdp-2", (
-        "0x0.0p+0", "-0x1.8e6efe73d0d25p-2", "-0x1.9c2c335d539bfp-3",
+    "point_complement_n2": ("0x1.92f12089139bep-2", (
+        "0x0.0p+0", "-0x1.8e6efe73d0d20p-2", "-0x1.9c2c335d539c0p-3",
         "-0x1.cc426c8e9d5d0p-1")),
-    "halfspace_n2": ("0x1.c6951986a0ce4p-3", (
-        "0x0.0p+0", "-0x1.a82d629c0bc12p-4", "0x1.0189450350477p-1",
+    "halfspace_n2": ("0x1.c6951986a0ce8p-3", (
+        "0x0.0p+0", "-0x1.a82d629c0bc0ep-4", "0x1.0189450350476p-1",
         "0x1.b75393d879e34p-1")),
-    "intersection_n2": ("0x1.2d52986312fd3p-2", (
+    "intersection_n2": ("0x1.2d52986312fd2p-2", (
         "0x0.0p+0", "-0x1.10e0926dff513p-1", "0x1.32fca4bbbf3b6p-3",
         "0x1.aa5ee4cbdeeedp-1")),
     "ball_centre": ("0x1.5e1764edbdb78p-1", (
-        "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
+        "0x0.0p+0", "-0x1.e3c191f941d2dp-1", "-0x1.4f677d1a0b811p-2",
+        "0x0.0p+0")),
 }
 
 
@@ -642,9 +613,9 @@ def test_real_slice_stays_exact_membership_with_a_closed_form():
 
 def test_intersection_with_a_lattice_part_falls_back_to_the_lattice():
     mixed = domains.Intersection([domains.Ball(1, 1.0), _LatticeBall(1, 0.9)])
-    assert mixed.sweep_inf is None
+    assert mixed.line_form is None
     exact = domains.Intersection([domains.Ball(1, 1.0), domains.Ball(1, 0.9)])
-    assert exact.sweep_inf is not None
+    assert exact.line_form is not None
     sigma = _pt([0.2, 0, 0.1, 0], [0.0, 0.1, 0, 0.05])
     lattice = hull.hull_contains(sigma, mixed)
     assert lattice.count == 162 and lattice.band > 0.0
@@ -815,6 +786,100 @@ def test_line_queries_are_pinned_bit_for_bit():
         assert query.verdict is True and query.band == 0.0, name
         assert float(query.inf_value).hex() == inf_value, name
         assert _hex(query.argmin_q) == argmin_q, name
+
+
+def _line_query_sample():
+    """Line queries on every built-in kind at n = 1, 2, 12 sigma each."""
+    rng = np.random.default_rng(2718)
+    for n in (1, 2):
+        c = 0.2 * rng.normal(size=4 * n)
+        kinds = [
+            domains.Ball(n, 1.1, center=c),
+            domains.PointComplement(n, point=c),
+            domains.HalfSpace(n, rng.normal(size=4 * n), 0.4),
+            domains.Intersection([domains.Ball(n, 1.0),
+                                  domains.HalfSpace(n, c, 0.1),
+                                  domains.PointComplement(n, point=-c)]),
+            domains.WholeSpace(n), domains.EmptySet(n)]
+        for U in kinds:
+            for _ in range(12):
+                sigma = (0.4 * rng.normal(size=4 * n),
+                         0.25 * rng.normal(size=4 * n))
+                yield twistor.hull_contains_via_lines(sigma, U,
+                                                      return_query=True)
+
+
+def test_line_queries_keep_their_bits_on_a_fixed_sample():
+    # sha256 of (verdict, inf_value, argmin_q) of 144 line queries, recorded
+    # when each kind read its candidates off its own eigenvector formula;
+    # reading them off the kind's line form must not move a bit
+    h = hashlib.sha256()
+    for q in _line_query_sample():
+        h.update(("%r %s %s\n" % (q.verdict, float(q.inf_value).hex(),
+                                   " ".join(_hex(q.argmin_q)))).encode())
+    assert h.hexdigest() == (
+        "81d5c53d0edef28ff3deaead3b14e53f03eafd177143499e0022cb4a4c758ae9")
+
+
+@st.composite
+def _hermitian_case(draw):
+    # 2x2 complex H at scales 1e-300 to 1e300: generic, near a tie (a
+    # multiple of I plus a traceless part 1e-16 to 1e-4 as large) or an
+    # exact tie (a multiple of I plus an anti-Hermitian part)
+    entries = hnp.arrays(np.float64, 8, elements=st.floats(-1.0, 1.0))
+    H = draw(entries).view(complex).reshape(2, 2)
+    kind = draw(st.sampled_from(["generic", "near_tie", "tie"]))
+    a = draw(st.floats(-1.0, 1.0))
+    if kind == "near_tie":
+        H = a * np.eye(2) + 10.0 ** draw(st.floats(-16.0, -4.0)) * H
+    elif kind == "tie":
+        H = a * np.eye(2) + (H - np.conj(H.T)) / 2.0
+    return kind, 10.0 ** draw(st.floats(-300.0, 300.0)) * H
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_hermitian_case())
+def test_hopf_image_of_the_top_eigenvector_is_read_off_the_form(case):
+    # the identity that joins the two exact paths: Hopf(_top_eigvec(H)),
+    # the line query's arg-min, is _top_hopf(H), sweep_inf's
+    kind, H = case
+    q = domains._top_hopf(H)
+    via = twistor.sweep_quaternions(domains._top_eigvec(H))
+    assert q.shape == via.shape == (4,) and q[0] == 0.0
+    np.testing.assert_allclose(q, via, rtol=0, atol=4 * np.finfo(float).eps)
+    if kind == "tie":
+        # Herm(H) = a I exactly: both give the i axis
+        assert q.tolist() == via.tolist() == [0.0, 1.0, 0.0, 0.0]
+    else:
+        # and v is the top eigenvector: its Rayleigh quotient is at least
+        # that of the orthogonal unit vector w
+        v = domains._top_eigvec(H)
+        w = np.array([-np.conj(v[1]), np.conj(v[0])])
+        herm = (H + np.conj(H.T)) / 2.0
+        gap = (np.conj(v) @ herm @ v - np.conj(w) @ herm @ w).real
+        assert gap >= -8 * np.finfo(float).eps * np.abs(herm).max()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("power", [-560, -520, 500])
+def test_line_forms_of_a_ball_and_a_point_are_scale_safe(n, power):
+    # sigma and the centre scaled by 2^power, exactly: A* A's entries would
+    # go subnormal (or past 2^900) unscaled, and the top eigenvector is the
+    # same as at scale 1
+    rng = np.random.default_rng(60 + n)
+    x, y, c = 0.5 * rng.normal(size=(3, 4 * n))
+    t = 2.0 ** power
+    S, St = quat.matrix_point(x, y), quat.matrix_point(t * x, t * y)
+    for U, Ut in ((domains.Ball(n, 1.0, center=c),
+                   domains.Ball(n, t, center=t * c)),
+                  (domains.PointComplement(n, point=c),
+                   domains.PointComplement(n, point=t * c))):
+        H, Ht = U.line_form(S), Ut.line_form(St)
+        assert Ht.shape == H.shape == (1, 2, 2)
+        np.testing.assert_allclose(domains._top_hopf(Ht),
+                                   domains._top_hopf(H), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(Ut.line_argmin(St), U.line_argmin(S),
+                                   rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,6 +1099,73 @@ def test_line_query_is_exact_near_the_hull_boundary(case):
     query = twistor.hull_contains_via_lines(_pt(x, y), U, return_query=True)
     assert query.band == 0.0 and query.count == 0
     _check_certified(query, U, x, y)
+
+
+def _scaled(U, t):
+    """U scaled about the origin by t > 0."""
+    if isinstance(U, domains.Intersection):
+        return domains.Intersection([_scaled(d, t) for d in U.parts])
+    if isinstance(U, domains.Ball):
+        return domains.Ball(U.n, t * U.radius, t * U.center)
+    if isinstance(U, domains.PointComplement):
+        return domains.PointComplement(U.n, t * U.point)
+    if isinstance(U, domains.HalfSpace):
+        return domains.HalfSpace(U.n, U.normal, t * U.offset)
+    return U
+
+
+@st.composite
+def _minimiser_case(draw):
+    # every built-in kind at n = 1, 2; half the draws moved to the hull
+    # boundary along the ray of y, half scaled to 1e-158 to 1e-151, where
+    # A* A's entries go subnormal
+    n = draw(st.sampled_from([1, 2]))
+    which = draw(st.integers(0, 7))
+    if which < 2:
+        U = (domains.WholeSpace, domains.EmptySet)[which](n)
+    elif which < 5:
+        U = draw(_simple_domain(n))
+    else:
+        U = domains.Intersection(draw(st.lists(_simple_domain(n), min_size=2,
+                                               max_size=3)))
+    x = draw(_vec(n))
+    y = draw(_vec(n).filter(lambda v: np.linalg.norm(v) > 1e-2))
+    if draw(st.booleans()):
+        s = np.linspace(0.0, 3.0, 601)[1:]
+        vals, _ = U.sweep_inf(np.broadcast_to(x, (s.size, x.size)),
+                              s[:, None] * y)
+        inside = (vals > 0) & (vals < np.inf)
+        if inside.any():
+            s0 = s[np.argmin(np.where(inside, vals, np.inf))]
+            y = s0 * draw(st.floats(0.9, 1.1)) * y
+    t = 10.0 ** draw(st.floats(-158.0, -151.0)) if draw(st.booleans()) else 1.0
+    return _scaled(U, t), t * x, t * y, t
+
+
+@_PROPERTY
+@given(_minimiser_case())
+def test_sweep_inf_is_the_certified_sampled_minimum(case):
+    # the line form gives both exact paths their candidates, so the sampled
+    # path, which knows U only through ext_distance, checks the minimiser:
+    # the closed form attains its value, lies in every certified band and
+    # is no worse than the scan, the branch-and-bound or the polish.  The
+    # tolerance holds ext_distance's own rounding: its squares lose bits
+    # below 1e-154
+    U, x, y, t = case
+    exact, q = U.sweep_inf(x, y)
+    assert q.shape == (4,) and q[0] == 0.0
+    assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
+    at_q = U.ext_distance(quat.right_line(x, y)(q[None, :])[0])
+    assert at_q == pytest.approx(exact, rel=1e-15, abs=1e-15 * t)
+    sigma = _pt(x, y)
+    tol = 1e-10 * t + 1e-319 / t
+    member = hull.hull_contains(sigma, _Sampled(U))
+    for query in (member, _sampled(sigma, _Sampled(U), 2, polish=True)):
+        assert exact <= query.inf_value + tol
+        assert query.inf_value - query.band <= exact + tol
+    if not member.indeterminate:
+        tau = hull._TINY * max(1.0, sigma.norm_C())
+        assert member.verdict == (exact > tau)
 
 
 @st.composite
