@@ -19,7 +19,7 @@ from .cf import FDConfig, is_monogenic, dC_apply
 from .cp1 import (BUMP_GRADE, quadrature_C, cohomology_coefficients,
                   harmonic_representative, exact_form)
 from .domains import Ball, PointComplement
-from .fields import get_field, ComplexField
+from .fields import get_field, ComplexField, _shell_points
 from .hull import hull_contains, hull_distance, hull_witness
 from .penrose import (sharp, tau_push_01, penrose_transform,
                       penrose_transform_complex, diagram_check,
@@ -31,24 +31,6 @@ __all__ = ["run_all", "format_line", "CRITERIA",
            "criterion_3_hull_equivalence", "criterion_4_distance_law",
            "criterion_5_cp1_cohomology", "criterion_6_roundtrip",
            "criterion_7_diagram", "criterion_8_complex_transform"]
-
-
-def _shell_points(rng, count, rmin, rmax, n=1):
-    """Volume-uniform sample of the shell rmin < |p| < rmax in R^{4n}.
-
-    ValueError, before any draw, unless count >= 1 and 0 <= rmin < rmax.
-    """
-    if count < 1:
-        raise ValueError("points must be >= 1, not %d" % count)
-    if not 0 <= rmin < rmax:
-        raise ValueError("the shell needs 0 <= rmin < rmax, not rmin = %r, "
-                         "rmax = %r" % (rmin, rmax))
-    dim = 4 * n
-    d = rng.normal(size=(count, dim))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    u = rng.uniform(size=(count, 1))
-    r = (rmin ** dim + u * (rmax ** dim - rmin ** dim)) ** (1.0 / dim)
-    return r * d
 
 
 def _gl2_sample(rng, count, det_min):

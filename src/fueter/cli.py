@@ -12,6 +12,10 @@ extension, a quadrature that gives non-finite or unconverged coefficients)
 reads ``check failed: <group> <mode>: <reason>``; 2 configuration error,
 with no envelope.  ``verify all`` also prints one PASS/FAIL line per
 criterion and an OVERALL line, to stderr.
+
+Each subcommand imports the layers it runs when it runs: the parser needs
+only fields (for the field names), so ``hull contains`` never loads the
+transform or the acceptance suite, and ``verify all`` alone loads them all.
 """
 
 import argparse
@@ -21,16 +25,8 @@ import sys
 import numpy as np
 
 from . import __version__, quat
-from .acceptance import run_all, format_line, _shell_points
-from .cf import FDConfig, is_monogenic
-from .cp1 import (BUMP_GRADE, QuadratureError, h1_dimension,
-                  harmonic_representative, cohomology_coefficients, exact_form)
 from .domains import parse_domain
-from .fields import get_field, field_names
-from .hull import hull_contains, hull_distance, hull_witness, NotInHullError
-from .penrose import (sharp, penrose_transform, penrose_transform_complex,
-                      diagram_check, ClosednessError, NoExtensionError)
-from .twistor import line_sweep, hull_contains_via_lines, hopf_grid
+from .fields import _shell_points, field_names, get_field
 
 __all__ = ["main"]
 
@@ -138,6 +134,7 @@ def _parse_form_spec(s):
 # ---------------------------------------------------------------------------
 
 def _cmd_cf_check(args):
+    from .cf import FDConfig, is_monogenic
     field = get_field(args.field, args.n)
     rng = np.random.default_rng(args.seed)
     pts = _shell_points(rng, args.points, args.rmin, args.rmax, n=args.n)
@@ -149,6 +146,7 @@ def _cmd_cf_check(args):
 
 
 def _cmd_hull(args):
+    from .hull import hull_contains, hull_distance, hull_witness
     U = parse_domain(args.domain)
     pt = _parse_sigma(args.sigma)
     args.params["sigma"] = pt.tolist()
@@ -162,6 +160,7 @@ def _cmd_hull(args):
 
 
 def _cmd_twistor(args):
+    from .twistor import hopf_grid, hull_contains_via_lines, line_sweep
     pt = _parse_sigma(args.sigma)
     args.params["sigma"] = pt.tolist()
     if args.mode == "sweep":
@@ -176,6 +175,8 @@ def _cmd_twistor(args):
 
 
 def _cmd_cp1(args):
+    from .cp1 import (BUMP_GRADE, cohomology_coefficients, exact_form,
+                      h1_dimension, harmonic_representative)
     if args.mode == "dim":
         return {"dimension": h1_dimension(args.k)}, True, None
     if args.mode == "harmonic":
@@ -204,6 +205,8 @@ def _cmd_cp1(args):
 
 
 def _cmd_penrose(args):
+    from .penrose import (diagram_check, penrose_transform,
+                          penrose_transform_complex, sharp)
     field = get_field(args.field, args.n)
     if args.mode == "complex":
         pt = _parse_sigma(args.sigma)
@@ -238,6 +241,7 @@ def _cmd_penrose(args):
 
 
 def _cmd_verify(args):
+    from .acceptance import format_line, run_all
     n_values = (1, 2) if args.n is None else (args.n,)
     try:  # absent means all; an empty or blank list is refused
         criteria = (None if args.criteria is None
@@ -254,6 +258,14 @@ def _cmd_verify(args):
     why = failed and "criterion %d: %s" % (failed[0]["id"],
                                            failed[0]["summary"])
     return report, report["passed"], why
+
+
+def _refusals():
+    """The exceptions by which the library refuses a query (exit 1)."""
+    from .cp1 import QuadratureError
+    from .hull import NotInHullError
+    from .penrose import ClosednessError, NoExtensionError
+    return NotInHullError, ClosednessError, NoExtensionError, QuadratureError
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +390,7 @@ def main(argv=None):
     try:
         try:
             results, passed, why = args.func(args)
-        except (NotInHullError, ClosednessError, NoExtensionError,
-                QuadratureError) as e:
+        except _refusals() as e:  # evaluated only once an exception arrives
             results, passed, why = {"error": str(e)}, False, str(e)
         _emit(args, command, results, passed)
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as e:

@@ -52,8 +52,6 @@ ball's centre and a removed point must have a finite squared norm, as a
 ``BiquaternionPoint`` must.
 """
 
-import json
-
 import numpy as np
 
 from .quat import embed_M, matrix_point, qnorm, right_line
@@ -428,6 +426,7 @@ def parse_domain(spec):
     if isinstance(spec, str):
         s = spec.strip()
         if s.startswith("{"):
+            import json  # only a JSON spec needs the parser
             return parse_domain(json.loads(s))
         return parse_domain(_shorthand_spec(s))
     if isinstance(spec, dict):

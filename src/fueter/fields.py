@@ -15,6 +15,8 @@ the transform over the hull to be evaluated (see the penrose module).
 
 The registry provides the named built-in fields used by tests and the CLI,
 each a ScalarField; a known extension is reached through its .extension.
+``_shell_points`` draws the shell samples that the acceptance criteria and
+the CLI evaluate fields on.
 """
 
 import numpy as np
@@ -188,3 +190,21 @@ def get_field(name, n=1):
     except KeyError:
         raise KeyError("unknown field %r; known: %s" % (name, ", ".join(field_names())))
     return factory(n)
+
+
+def _shell_points(rng, count, rmin, rmax, n=1):
+    """Volume-uniform sample of the shell rmin < |p| < rmax in R^{4n}.
+
+    ValueError, before any draw, unless count >= 1 and 0 <= rmin < rmax.
+    """
+    if count < 1:
+        raise ValueError("points must be >= 1, not %d" % count)
+    if not 0 <= rmin < rmax:
+        raise ValueError("the shell needs 0 <= rmin < rmax, not rmin = %r, "
+                         "rmax = %r" % (rmin, rmax))
+    dim = 4 * n
+    d = rng.normal(size=(count, dim))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    u = rng.uniform(size=(count, 1))
+    r = (rmin ** dim + u * (rmax ** dim - rmin ** dim)) ** (1.0 / dim)
+    return r * d

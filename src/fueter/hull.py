@@ -454,10 +454,15 @@ def _sweep(pt, U, grid, line, polish=False):
     # pt.norm_C() from the norm of y at hand
     tau = _TINY * max(1.0, float(np.sqrt(quat.qnorm(x) ** 2 + yn ** 2)))
 
-    if ynorm == 0.0 and not y.any():
-        # the swept set is {x}: membership is exact (a tiny y's ynorm is 0 too)
-        return HullQuery(pt, bool(U.contains(x)), float(U.ext_distance(x)),
-                         np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, 0)
+    if ynorm == 0.0:
+        if not y.any():
+            # the swept set is {x}: membership is exact
+            return HullQuery(pt, bool(U.contains(x)), float(U.ext_distance(x)),
+                             np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, 0)
+        # ||y|| < ~1e-162 underflowed in the squares: take it from y scaled
+        # by the power of two that brings its largest entry into [1/2, 1)
+        e = int(np.frexp(np.abs(y).max())[1])
+        ynorm = float(np.ldexp(quat.qnorm(np.ldexp(y, -e)), e))
 
     if grid is None:
         inf_value, argmin = line(x, y)

@@ -507,11 +507,13 @@ def test_cp1_coeffs_refuses_non_finite_coefficients(monkeypatch, capsys):
     # the same form without its support sums the whole rule, where z^ell
     # overflows on the outer nodes: a refusal (exit 1, "pass" false), never
     # NaN coefficients
+    exact_form = cp1.exact_form
+
     def whole_plane(*args, **kwargs):
-        w = cp1.exact_form(*args, **kwargs)
+        w = exact_form(*args, **kwargs)
         return cp1.Form01(w.k, w.h0, w.h1)
 
-    monkeypatch.setattr(cli, "exact_form", whole_plane)
+    monkeypatch.setattr(cp1, "exact_form", whole_plane)
     code = cli.main(["cp1", "coeffs", "--k", "-60", "--form", "exact"])
     assert code == 1
     captured = capsys.readouterr()

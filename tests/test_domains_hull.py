@@ -771,6 +771,28 @@ _GOLDEN_LINES = {
 }
 
 
+def test_a_sampled_band_reads_the_true_norm_of_a_tiny_y(monkeypatch):
+    # ||y|| ~ 2e-166: its squares underflow, so qnorm(y) reads 0, yet the
+    # band 2 ||y|| c and the branch-and-bound's Lipschitz constant take the
+    # true norm, read from y scaled by a power of two
+    s = 1e-165
+    x = s * np.array([0.3, 0.0, 0.0, 0.0])
+    y = s * np.array([0.0, 0.2, 0.1, 0.0])
+    assert quat.qnorm(y) == 0.0
+    ynorm = s * np.sqrt(0.05)
+    nodes, chord = hull._icosphere(hull._LEVEL)[:2]
+    query = hull.hull_contains(_pt(x, y), _LatticeBall(1, s))
+    assert query.count == len(nodes)
+    assert query.band == pytest.approx(2.0 * ynorm * chord, rel=1e-12, abs=0.0)
+    assert query.verdict is False
+
+    # a grid value inside that band goes to the branch-and-bound
+    searches = _record(monkeypatch, "_branch_and_bound", 3)
+    query = hull.hull_contains(_pt(x, y), _LatticeBall(1, 1e-167))
+    assert searches == [pytest.approx(ynorm, rel=1e-12, abs=0.0)]
+    assert query.band > 0.0 and query.verdict is False
+
+
 def test_line_queries_are_pinned_bit_for_bit():
     queries = {
         "lines_near": twistor.hull_contains_via_lines(
