@@ -103,7 +103,10 @@ def _finite_float(s):
     return v
 
 
-_FORM_KEYS = {"harmonic": ("a0", "a1"), "exact": ("p", "q", "rin", "rout")}
+# exact option -> (exact_form keyword, type); exact_form owns the defaults
+_EXACT_KEYS = {"p": ("p", int), "q": ("q", int),
+               "rin": ("r_in", float), "rout": ("r_out", float)}
+_FORM_KEYS = {"harmonic": ("a0", "a1"), "exact": tuple(_EXACT_KEYS)}
 
 
 def _parse_form_spec(s):
@@ -196,9 +199,8 @@ def _cmd_cp1(args):
             raise ValueError("the harmonic fixture is a degree -3 form")
         cfg = None
     else:
-        w = exact_form(args.k, p=int(kv.get("p", "0")), q=int(kv.get("q", "0")),
-                       r_in=float(kv.get("rin", "0.5")),
-                       r_out=float(kv.get("rout", "2.0")))
+        w = exact_form(args.k, **{_EXACT_KEYS[k][0]: _EXACT_KEYS[k][1](v)
+                                  for k, v in kv.items()})
         cfg = BUMP_GRADE
     c = cohomology_coefficients(w, cfg, check=False)
     return {"coefficients": list(c)}, True, None

@@ -7,11 +7,15 @@ The hull of an open U in H^n is
 an open subset of M_{2n x 2}(C).  Membership is decided by the minimum of
 g(q) = ext_distance(x + y*q) over the unit imaginary sphere.
 
-Every built-in domain knows that minimum in closed form: its
-``DomainSpec.line_form`` gives 2x2 Hermitian forms along the twistor line
-whose top eigenvectors' Hopf images hold the arg-min, and
-``DomainSpec.sweep_inf`` reads it off them (see ``fueter.domains``).  So for
-them the query is exact: band 0, never indeterminate, no grid (``count`` 0).
+Every query (hull_contains, hull_distance, hull_witness and the twistor-line
+test ``fueter.twistor.hull_contains_via_lines``) is one call of ``_sweep``,
+which picks its path.  With y = 0 it is the membership of x (the infimand is
+constant), exact.  Every built-in domain knows the minimum in closed form:
+its ``DomainSpec.line_form`` gives 2x2 Hermitian forms along the twistor
+line whose top eigenvectors hold the arg-min, and the caller's readout takes
+it from them (``DomainSpec.sweep_inf``, or the twistor-line test's base
+points).  So for them the query is exact: band 0, never indeterminate, no
+grid (``count`` 0).
 
 A domain without a line form (a user-defined DomainSpec) falls back to a
 scan of one grid, the icosahedron split twice 4-to-1 (``_icosphere``): 162
@@ -53,12 +57,6 @@ own mesh in one call (Custodio & Vicente 2007; Conn, Scheinberg & Vicente
 the model gives no usable step; so it converges like Newton's method near a
 smooth minimum.  An in-band query is first run through the branch-and-bound,
 which rules out a point outside the hull and gives the polished value its lb.
-Points with y = 0 short-circuit to plain membership of x (the infimand is
-constant), which keeps the real slice exact.
-
-The twistor-line test (``fueter.twistor.hull_contains_via_lines``) is exact
-on the built-in domains too, by the top eigenvectors of the same forms, and
-is hull_contains itself on the others.
 
 The distance of an interior point to the hull boundary is
 
@@ -238,15 +236,7 @@ def hull_contains(sigma, U):
     to the branch-and-bound, which certifies the verdict or, at its cap,
     leaves the query indeterminate (verdict False).
     """
-    return _hull_query(sigma, U, polish=False)
-
-
-def _hull_query(sigma, U, polish):
-    pt = _as_point(sigma)
-    if U.line_form is not None:
-        return _sweep(pt, U, None, U.sweep_inf, polish)
-    return _sweep(pt, U, _icosphere(_LEVEL), quat.right_line(pt.x, pt.y),
-                  polish)
+    return _sweep(sigma, U, U.sweep_inf)
 
 
 # pattern-search mesh neighbours in the chart: the axes and the diagonals
@@ -427,57 +417,46 @@ def _branch_and_bound(g, grid, vals, ynorm, tau):
     return float(f), q, max(0.0, float(lb))
 
 
-def _sweep(pt, U, grid, line, polish=False):
-    """Minimum of ext_distance over the swept set of pt, as a HullQuery.
+def _sweep(sigma, U, readout, polish=False):
+    """The one hull query: least ext_distance over the swept set of sigma.
 
-    grid None: line is an exact minimum (x, y) -> (inf_value, q*), band 0
-    and count 0: ``U.sweep_inf``, or the base points over the fibre points
-    ``U.line_argmin`` (the twistor-line test), both from ``U.line_form``.
-    Otherwise grid is a sweep grid (see _icosphere) and line the line map
-    ``quat.right_line(x, y)``, q (K, 4) -> x + y q (K, 4n).  The nodes are
-    scanned, and a grid minimum inside the band 2 ||y|| c (c the covering
-    chord) goes to ``_branch_and_bound``, whose lower bound lb sets the band
-    to inf_value - lb.  With polish, a query not found outside is then
-    polished by ``_local_min`` from the best point, a pattern search with
-    quadratic-model (Newton) steps that stops once its mesh is flat to
-    rounding.  The scan, the search and the polish all evaluate the one
-    line map.  With y = 0 nothing is scanned (count 0).  The verdict is
-    inf_value > tau, and for a membership query (no polish) also not
-    indeterminate: certified, or False.
+    It alone picks the path.  y = 0: the membership of x, exact (count 0).
+    A domain with a ``line_form``: the caller's exact readout (x, y) ->
+    (inf_value, q*), band 0 and count 0.  Any other: the nodes of
+    ``_icosphere(_LEVEL)`` are scanned along the line map
+    ``quat.right_line(x, y)``, and a grid minimum inside the band 2 ||y|| c
+    (c the covering chord) goes to ``_branch_and_bound``, whose lower bound
+    lb sets the band to inf_value - lb; with polish, a query not found
+    outside is then polished by ``_local_min`` from the best point.  The
+    verdict is inf_value > tau, and for a membership query (no polish) also
+    not indeterminate: certified, or False.
     """
+    pt = _as_point(sigma)
     if pt.n != U.n:
         raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
-    x = pt.x
-    y = pt.y
-    yn = quat.qnorm(y)
-    ynorm = float(yn)
+    x, y = pt.x, pt.y
+    ynorm = float(quat.qnorm(y))
     # pt.norm_C() from the norm of y at hand
-    tau = _TINY * max(1.0, float(np.sqrt(quat.qnorm(x) ** 2 + yn ** 2)))
+    tau = _TINY * max(1.0, float(np.sqrt(quat.qnorm(x) ** 2 + ynorm ** 2)))
 
     if ynorm == 0.0:
-        if not y.any():
-            # the swept set is {x}: membership is exact
-            return HullQuery(pt, bool(U.contains(x)), float(U.ext_distance(x)),
-                             np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, 0)
-        # ||y|| < ~1e-162 underflowed in the squares: take it from y scaled
-        # by the power of two that brings its largest entry into [1/2, 1)
-        e = int(np.frexp(np.abs(y).max())[1])
-        ynorm = float(np.ldexp(quat.qnorm(np.ldexp(y, -e)), e))
-
-    if grid is None:
-        inf_value, argmin = line(x, y)
-        band = 0.0
-        count = 0
+        # the swept set is {x}: membership is exact
+        return HullQuery(pt, bool(U.contains(x)), float(U.ext_distance(x)),
+                         np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, 0)
+    if U.line_form is not None:
+        inf_value, argmin = readout(x, y)
+        band, count = 0.0, 0
     else:
+        grid = _icosphere(_LEVEL)
         qs, cover = grid[:2]
+        line = quat.right_line(x, y)
 
         def g(q):
             return U.ext_distance(line(q))
 
         vals = g(qs)
         i0 = int(np.argmin(vals))
-        inf_value = float(vals[i0])
-        argmin = qs[i0]
+        inf_value, argmin = float(vals[i0]), qs[i0]
         band = 2.0 * ynorm * cover
         count = len(qs)
         lb = None
@@ -494,6 +473,14 @@ def _sweep(pt, U, grid, line, polish=False):
                      count)
 
 
+def _polished(sigma, U):
+    """The polished query of hull_distance and hull_witness, in the hull."""
+    query = _sweep(sigma, U, U.sweep_inf, polish=True)
+    if not query.verdict:
+        raise NotInHullError("sigma is not in the monogenic hull of the domain")
+    return query
+
+
 def hull_distance(sigma, U):
     """Distance (1/sqrt 2) * inf_q ext_distance(x + y q) to the hull boundary.
 
@@ -508,10 +495,7 @@ def hull_distance(sigma, U):
     band; it is certified only when the query of ``hull_witness`` is not
     indeterminate.
     """
-    query = _hull_query(sigma, U, polish=True)
-    if not query.verdict:
-        raise NotInHullError("sigma is not in the monogenic hull of the domain")
-    return query.inf_value / np.sqrt(2.0)
+    return _polished(sigma, U).inf_value / np.sqrt(2.0)
 
 
 def hull_witness(sigma, U):
@@ -524,14 +508,10 @@ def hull_witness(sigma, U):
     without ``line_form`` is a local minimum (see hull_distance).  A domain
     without a boundary has no witness: ValueError.
     """
-    query = _hull_query(sigma, U, polish=True)
-    if not query.verdict:
-        raise NotInHullError("sigma is not in the monogenic hull of the domain")
+    query = _polished(sigma, U)
     if query.inf_value == np.inf:
         raise ValueError("%r has no boundary, so no hull witness" % (U,))
-    pt = query.sigma
-    x = pt.x
-    y = pt.y
+    x, y = query.sigma.x, query.sigma.y
     qstar = query.argmin_q
     p = quat.right_line(x, y)(qstar)
     x0 = np.asarray(U.nearest_boundary(p), dtype=float)

@@ -295,17 +295,21 @@ def penrose_transform_complex(form, sigma):
 # the commutative diagram
 # ---------------------------------------------------------------------------
 
+def _diagram_sides(field, points):
+    """The two sides, each on its own: tau_push_02 of the lift, CF residual."""
+    return (tau_push_02(sharp(field), points),
+            cf_residual_complex(field.pair0, field.pair1, points, _FD,
+                                field.domain))
+
+
 def diagram_check(field, points):
     """Compare tau_push_02 of the lifted pair against KAPPA * CF residual.
 
     Returns a report with the two sides' magnitudes and the maximum
     componentwise discrepancy over the sample points.
     """
-    form = sharp(field)
-    points = field.check_points(np.atleast_2d(points))
-    lhs = tau_push_02(form, points)
-    rhs = cf_residual_complex(field.pair0, field.pair1, points, _FD,
-                              field.domain)
+    lhs, rhs = _diagram_sides(field,
+                              field.check_points(np.atleast_2d(points)))
     disc = np.abs(lhs - KAPPA * rhs)
     return {
         "field": field.name,
@@ -328,10 +332,7 @@ def calibrate_kappa():
     """
     field = get_field("nonmonogenic_quadratic", 1)
     points = np.random.default_rng(11).normal(size=(5, 4))
-    form = sharp(field)
-    lhs = tau_push_02(form, points)
-    rhs = cf_residual_complex(field.pair0, field.pair1, points, _FD,
-                              field.domain)
+    lhs, rhs = _diagram_sides(field, points)
     denom = np.sum(np.abs(rhs) ** 2)
     if denom == 0:
         raise ValueError("calibration fixture has vanishing residual")

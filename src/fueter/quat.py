@@ -109,10 +109,28 @@ def qconj(q):
     return q * CONJ_SIGNS
 
 
+_NORMAL = np.finfo(float).tiny
+
+
 def qnorm(x):
-    """Euclidean norm of a flat real point (..., 4n) -> (...)."""
+    """Euclidean norm of a flat real point (..., 4n) -> (...).
+
+    sqrt(sum of squares), bit for bit where that sum is normal.  A row whose
+    sum is below 2^-1022 is first scaled by the power of two that brings its
+    largest entry into [1/2, 1) (Blue, ACM TOMS 4, 1978), so its norm is
+    true down to subnormal entries.  A norm past ~1.3e154 reads inf.
+    """
     x = np.asarray(x, dtype=float)
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    s = np.add.reduce(x * x, axis=-1)
+    # the least sum; argmin finds it at half a min reduction's cost
+    least = (s.flat[s.argmin()] if s.size else np.inf) if s.ndim else s
+    if least < _NORMAL and x.any():  # zero rows need no scaling
+        low = s < _NORMAL
+        e = np.frexp(np.where(low, np.abs(x).max(axis=-1), 1.0))[1]
+        z = np.ldexp(x, -e[..., None])
+        return np.where(low, np.ldexp(np.sqrt(np.add.reduce(z * z, axis=-1)),
+                                      e), np.sqrt(s))[()]
+    return np.sqrt(s)
 
 
 def real_to_ab(x):

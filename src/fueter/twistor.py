@@ -31,6 +31,8 @@ the real base points of sigma's line L_sigma are the swept set
 Hermitian form in pi, the 2x2 ``DomainSpec.line_form`` of a domain, and
 ``hull_contains_via_lines`` reads the base points over the forms' top
 eigenvectors (``DomainSpec.line_argmin``) through the charts of L_sigma.
+That is the exact readout of the hull's one query, ``hull._sweep``, which
+answers the real slice and a domain without a line form as hull_contains.
 
 line_base_points recovers the base point seen from any fiber position of
 the line of an arbitrary complex Sigma, filling the conjugated chart slots
@@ -47,7 +49,7 @@ a = sqrt(t), b = sqrt(1-t) e^{i theta} of the fibre (``hopf_grid``,
 import numpy as np
 
 from . import quat
-from .hull import _as_point, _sweep, hull_contains
+from .hull import _as_point, _sweep
 
 __all__ = [
     "OutsideChartsError", "eta", "eta_inverse", "line_embed",
@@ -91,18 +93,10 @@ def eta_inverse(v):
     OutsideChartsError if a row has v0 = v1 = 0.
     """
     v = np.asarray(v, dtype=complex)
-    vc = np.conj(v)
-    p = (v[..., :2] * vc[..., :2]).real
-    den = p[..., :1] + p[..., 1:]
+    a, b, den = _chart_solve(v, np.conj(v))
     if not den.all():
         raise OutsideChartsError("a point lies over the line at infinity "
                                  "(v0 = v1 = 0)")
-    # den (a, b) = (c0 zeta_e + c1 conj(zeta_o), c0 zeta_o - c1 conj(zeta_e))
-    # with (c0, c1) = (conj(pi0), pi1)
-    cz = vc[..., :1] * v[..., 2:]
-    cw = v[..., 1:2] * vc[..., 2:]
-    a = cz[..., 0::2] + cw[..., 1::2]
-    b = cz[..., 1::2] - cw[..., 0::2]
     # quat's order per quaternion: Re a, Im a, Im b, Re b
     x = np.empty(a.shape + (4,))
     x[..., 0] = a.real
@@ -113,6 +107,19 @@ def eta_inverse(v):
     return v[..., :2], x.reshape(x.shape[:-2] + (-1,))
 
 
+def _chart_solve(v, w):
+    """(den a, den b, den) of the block solve at line points v (..., 2n+2)
+    and their conjugate points w (conj(v), or formal conjugates): with
+    zeta_e, zeta_o the rows 2i-1, 2i of v past the fibre and w_e, w_o those
+    of w, den a = w0 zeta_e + v1 w_o, den b = w0 zeta_o - v1 w_e and
+    den = Re(v0 w0 + v1 w1).  Swapped, it gives (conj a, conj b)."""
+    p = (v[..., :2] * w[..., :2]).real
+    den = p[..., :1] + p[..., 1:]
+    cz = w[..., :1] * v[..., 2:]
+    cw = v[..., 1:2] * w[..., 2:]
+    return cz[..., 0::2] + cw[..., 1::2], cz[..., 1::2] - cw[..., 0::2], den
+
+
 def line_base_points(sigma, zs):
     """Base matrices seen along the line of sigma at chart-0 fiber values zs.
 
@@ -120,32 +127,27 @@ def line_base_points(sigma, zs):
     and the conjugated chart slots are filled with the formal conjugates
 
         row 2i-1:  S_{2i,1}   - conj(z)*S_{2i,0}
-        row 2i:   -S_{2i-1,1} + conj(z)*S_{2i-1,0}
+        row 2i:   -S_{2i-1,1} + conj(z)*S_{2i-1,0},
 
-    (these are the honest conjugates when sigma is real).  Feeding both
-    through the inverse-chart formulas reconstructs, for every z, the full
-    biquaternion matrix of the base point -- which collapses to sigma itself.
+    the line of the formal conjugate matrix at conj(z) (the honest
+    conjugates when sigma is real).  eta_inverse's block solve, once for
+    (a, b) and once for their conjugates, reconstructs, for every z, the
+    full biquaternion matrix of the base point -- which collapses to sigma.
     Returned as an array (len(zs), 2n, 2) so the identity is testable.
     """
-    pt = _as_point(sigma)
-    S = pt.matrix
+    S = _as_point(sigma).matrix
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    zc = np.conj(zs)[:, None]
-    z = zs[:, None]
-    zeta = S[None, :, 0] + z * S[None, :, 1]  # (K, 2n)
-    cj = np.empty_like(zeta)
-    cj[:, 0::2] = S[None, 1::2, 1] - zc * S[None, 1::2, 0]
-    cj[:, 1::2] = -S[None, 0::2, 1] + zc * S[None, 0::2, 0]
-    den = 1.0 + np.abs(z) ** 2
-    a_slot = (zeta[:, 0::2] + z * cj[:, 1::2]) / den
-    b_slot = (zeta[:, 1::2] - z * cj[:, 0::2]) / den
-    ac_slot = (cj[:, 0::2] + zc * zeta[:, 1::2]) / den
-    bc_slot = (cj[:, 1::2] - zc * zeta[:, 0::2]) / den
+    pi = np.stack([np.ones_like(zs), zs], axis=-1)
+    Sc = np.empty_like(S)
+    Sc[0::2] = S[1::2, ::-1] * [1, -1]
+    Sc[1::2] = S[0::2, ::-1] * [-1, 1]
+    v = line_embed(S, pi)
+    w = line_embed(Sc, np.conj(pi))
+    a, b, den = _chart_solve(v, w)
+    ac, bc, _ = _chart_solve(w, v)
     out = np.empty((zs.size, S.shape[0], 2), dtype=complex)
-    out[:, 0::2, 0] = a_slot
-    out[:, 1::2, 0] = b_slot
-    out[:, 0::2, 1] = -bc_slot
-    out[:, 1::2, 1] = ac_slot
+    out[:, 0::2] = np.stack([a, -bc], axis=-1) / den[..., None]
+    out[:, 1::2] = np.stack([b, ac], axis=-1) / den[..., None]
     return out
 
 
@@ -194,26 +196,22 @@ def line_sweep(sigma, pairs=None):
 def hull_contains_via_lines(sigma, U, return_query=False):
     """Hull membership through the real base points of sigma's twistor line.
 
-    True iff every real base point of L_sigma lies in U.  With
-    ``U.line_form`` the query is exact (band 0, count 0): inf_value is the
-    least ``U.ext_distance`` at the base points eta_inverse(line_embed(S,
-    pi)) of the candidates pi = ``U.line_argmin(S)``, the top eigenvectors
-    of the forms, and argmin_q is Hopf(pi*) of the least one; each base
-    point is x + y Hopf(pi) within 32 eps max(1, ||sigma||_C)
-    (tests/test_twistor.py), far below the verdict threshold.  Without it
-    U is known only through ext_distance: the query is hull_contains.
+    True iff every real base point of L_sigma lies in U.  The query is
+    ``hull._sweep``'s with this exact readout: inf_value is the least
+    ``U.ext_distance`` at the base points eta_inverse(line_embed(S, pi)) of
+    the candidates pi = ``U.line_argmin(S)``, the forms' top eigenvectors,
+    and argmin_q is Hopf(pi*) of the least one; each base point is
+    x + y Hopf(pi) within 32 eps max(1, ||sigma||_C) (tests/test_twistor.py),
+    far below the verdict threshold.  The real slice, and a domain without
+    ``line_form``, are answered as by hull_contains.
     Returns the HullQuery when return_query is set, else the verdict.
     """
-    pt = _as_point(sigma)
-    if U.line_form is None:
-        query = hull_contains(pt, U)
-    else:
-        def spectrum(x, y):
-            S = quat.matrix_point(x, y)
-            pi = U.line_argmin(S)
-            vals = U.ext_distance(eta_inverse(line_embed(S, pi))[1])
-            i = vals.argmin()
-            return vals[i], sweep_quaternions(pi[i])
+    def spectrum(x, y):
+        S = quat.matrix_point(x, y)
+        pi = U.line_argmin(S)
+        vals = U.ext_distance(eta_inverse(line_embed(S, pi))[1])
+        i = vals.argmin()
+        return vals[i], sweep_quaternions(pi[i])
 
-        query = _sweep(pt, U, None, spectrum)
+    query = _sweep(sigma, U, spectrum)
     return query if return_query else query.verdict

@@ -524,6 +524,16 @@ def test_cp1_coeffs_refuses_non_finite_coefficients(monkeypatch, capsys):
     assert captured.err.startswith("check failed: cp1 coeffs: non-finite")
 
 
+def test_cp1_coeffs_leaves_the_exact_form_defaults_to_exact_form(capsys):
+    # no option given: the coefficients of exact_form(-3), bit for bit
+    assert cli.main(["cp1", "coeffs", "--form", "exact"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["results"]["coefficients"]
+    want = cp1.cohomology_coefficients(cp1.exact_form(-3), cp1.BUMP_GRADE,
+                                       check=False)
+    assert [[float(v).hex() for v in c] for c in coeffs] == [
+        [float(c.real).hex(), float(c.imag).hex()] for c in want]
+
+
 def test_penrose_complex_off_the_slice_needs_an_extension(tmp_path, capsys):
     code, blob = _run_json(
         ["penrose", "complex", "--field", "nonmonogenic_linear",

@@ -207,9 +207,11 @@ class _LatticeBall(domains.Ball):
 
 def _sampled(sigma, U, level, polish=False):
     """The sampled query of hull_contains (or, polished, of hull_distance and
-    hull_witness) on the icosphere of the given level."""
-    return hull._sweep(sigma, U, hull._icosphere(level),
-                       quat.right_line(sigma.x, sigma.y), polish)
+    hull_witness) on the icosphere of the given level; U has no line form.
+    A context of its own, so Hypothesis tests may call it too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "_LEVEL", level)
+        return hull._sweep(sigma, U, U.sweep_inf, polish)
 
 
 def test_real_slice_membership_is_exact():
@@ -716,13 +718,14 @@ def test_line_query_edge_cases(n):
         assert abs(query.inf_value - exact) <= _spectrum_tol(c, y)
         assert query.verdict is True and query.band == 0.0
 
-    # a tiny nonzero y, whose norm underflows to 0, is no real slice: it is
-    # swept, and the reported arg-min attains the reported value on both
-    # paths of hull_contains (a sampled query scans its grid); the line
-    # query reads it at the least candidate's base point, within its
-    # rounding of x + y q
+    # a tiny nonzero y, whose squares underflow (its norm is still the true
+    # one), is no real slice: it is swept, and the reported arg-min attains
+    # the reported value on both paths of hull_contains (a sampled query
+    # scans its grid); the line query reads it at the least candidate's
+    # base point, within its rounding of x + y q
     tiny = 1e-303 * np.ones(4 * n)
-    assert quat.qnorm(tiny) == 0.0
+    assert quat.qnorm(tiny) == pytest.approx(1e-303 * np.sqrt(4 * n),
+                                             rel=1e-15, abs=0.0)
     sigma = _pt(x, tiny)
     S = quat.matrix_point(x, tiny)
     for U in (ball, star):
@@ -772,25 +775,47 @@ _GOLDEN_LINES = {
 
 
 def test_a_sampled_band_reads_the_true_norm_of_a_tiny_y(monkeypatch):
-    # ||y|| ~ 2e-166: its squares underflow, so qnorm(y) reads 0, yet the
-    # band 2 ||y|| c and the branch-and-bound's Lipschitz constant take the
-    # true norm, read from y scaled by a power of two
+    # ||y|| ~ 2e-166: its squares underflow, yet qnorm(y), the band
+    # 2 ||y|| c and the branch-and-bound's Lipschitz constant are the true
+    # norm, and so are the ball's distances
     s = 1e-165
     x = s * np.array([0.3, 0.0, 0.0, 0.0])
     y = s * np.array([0.0, 0.2, 0.1, 0.0])
-    assert quat.qnorm(y) == 0.0
     ynorm = s * np.sqrt(0.05)
+    assert quat.qnorm(y) == pytest.approx(ynorm, rel=1e-15, abs=0.0)
     nodes, chord = hull._icosphere(hull._LEVEL)[:2]
     query = hull.hull_contains(_pt(x, y), _LatticeBall(1, s))
     assert query.count == len(nodes)
     assert query.band == pytest.approx(2.0 * ynorm * chord, rel=1e-12, abs=0.0)
+    # the swept points lie within |x| + ||y|| of the centre, so the least
+    # distance is at least s - |x| - ||y||, far outside the band; below the
+    # verdict threshold all the same
+    assert query.inf_value >= s - 0.3 * s - ynorm > query.band
     assert query.verdict is False
 
-    # a grid value inside that band goes to the branch-and-bound
+    # the radius just above max_q |x + y q| = |x| + ||y|| puts the grid
+    # value inside that band, and it goes to the branch-and-bound
     searches = _record(monkeypatch, "_branch_and_bound", 3)
-    query = hull.hull_contains(_pt(x, y), _LatticeBall(1, 1e-167))
+    query = hull.hull_contains(_pt(x, y),
+                               _LatticeBall(1, 1.01 * (0.3 * s + ynorm)))
     assert searches == [pytest.approx(ynorm, rel=1e-12, abs=0.0)]
     assert query.band > 0.0 and query.verdict is False
+
+
+def test_tiny_points_keep_their_true_distances():
+    # coordinates near 1e-165 square to 0, yet the distances are the true
+    # ones: a point of H* lies in H*, and in its hull on the real slice by
+    # both membership tests, with the point's own norm as the value
+    x = np.array([1e-165, 0.0, 0.0, 0.0])
+    star = domains.PointComplement(1)
+    assert star.contains(x)
+    assert domains.Ball(1, 1e-165).ext_distance(
+        np.array([5e-166, 0.0, 0.0, 0.0])) == 5e-166
+    sigma = _pt(x, np.zeros(4))
+    for query in (hull.hull_contains(sigma, star),
+                  twistor.hull_contains_via_lines(sigma, star,
+                                                  return_query=True)):
+        assert query.verdict is True and query.inf_value == 1e-165
 
 
 def test_line_queries_are_pinned_bit_for_bit():

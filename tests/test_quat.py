@@ -1,8 +1,11 @@
 """Arithmetic of quaternions, complex coordinates, and matrix embeddings."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -299,3 +302,70 @@ def test_right_line_is_x_plus_y_q_bit_for_bit(case):
         else:
             row = quat.right_line(x[i], y[i])(q[i])
         assert _same_bits(row, out[i])
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _qnorm_quietly(x):
+    """quat.qnorm(x), failing on any RuntimeWarning (overflow, invalid)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return quat.qnorm(x)
+
+
+@st.composite
+def _norm_rows(draw, elements):
+    n = draw(st.sampled_from([1, 2, 4]))
+    lead = draw(st.sampled_from([(), (0,), (3,), (2, 5)]))
+    return draw(hnp.arrays(np.float64, lead + (4 * n,), elements=elements))
+
+
+# entries of at most 11 bits at exponents -20..20 (or 0): ldexp keeps them
+# exact far into the subnormal range, and their squares are normal
+_SHORT = st.one_of(st.builds(math.ldexp, st.integers(-1024, 1024),
+                             st.integers(-30, 10)),
+                   st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_norm_rows(_SHORT), st.integers(-1090, 0))
+def test_qnorm_scales_by_powers_of_two_exactly(x, k):
+    # qnorm(x 2^k) = qnorm(x) 2^k bit for bit wherever the result is
+    # normal, also where the squares of x 2^k underflow and it is scaled
+    # back.  Left out: a normal sum with subnormal squares in it, which is
+    # rounded twice and must equal the unscaled formula there (below)
+    z = np.ldexp(x, k)
+    assume(np.array_equal(np.ldexp(z, -k), x))
+    got = np.asarray(_qnorm_quietly(z))
+    want = np.ldexp(np.asarray(_qnorm_quietly(x)), k)
+    sq = z * z
+    rounded_twice = ((np.add.reduce(sq, axis=-1) >= _TINY)
+                     & ((sq > 0) & (sq < _TINY)).any(axis=-1))
+    keep = (want >= _TINY) & ~rounded_twice
+    assert np.array_equal(got[keep], want[keep])
+
+
+# any magnitude from 0 through the subnormals up to 2^500, whose squares
+# cannot overflow
+_ANY = st.one_of(st.builds(math.ldexp, st.floats(-1.0, 1.0),
+                           st.integers(-1080, 500)),
+                 st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_norm_rows(_ANY))
+def test_qnorm_is_the_plain_formula_where_the_sum_is_normal(x):
+    # bit for bit sqrt(add.reduce(x * x)) wherever that sum is normal; a
+    # row below it reads its true norm, within rounding (an ulp where the
+    # norm itself is subnormal), and is 0 only for a zero row
+    got = np.asarray(_qnorm_quietly(x))
+    s = np.add.reduce(x * x, axis=-1)
+    normal = s >= _TINY
+    assert np.array_equal(got[normal], np.sqrt(s)[normal])
+    m = np.abs(x).max(axis=-1)
+    low = ~normal
+    assert np.all((got[low] > 0) == (m[low] > 0))
+    scale = np.where(m > 0, m, 1.0)
+    true = np.linalg.norm(x / scale[..., None], axis=-1) * scale
+    assert np.allclose(got[low], true[low], rtol=4e-16, atol=5e-324)
