@@ -8,7 +8,6 @@ Run with `python3 demos/04_cp1_cohomology.py`.
 import numpy as np
 
 from fueter import (
-    BUMP_GRADE,
     cohomology_coefficients,
     decay_check,
     exact_form,
@@ -58,7 +57,7 @@ print("4. Exact forms have vanishing classes")
 print("=" * 72)
 for p, q, r_in, r_out in ((0, 0, 0.5, 2.0), (1, 2, 0.3, 3.0), (2, 1, 0.6, 1.8)):
     w = exact_form(-3, p=p, q=q, r_in=r_in, r_out=r_out)
-    coeffs = cohomology_coefficients(w, cfg=BUMP_GRADE)
+    coeffs = cohomology_coefficients(w)
     print(f"  bump derivative with (p, q, r_in, r_out) = "
           f"({p}, {q}, {r_in}, {r_out}): |coefficients| <= "
           f"{np.abs(coeffs).max():.3e}")

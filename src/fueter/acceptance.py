@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quat
 from .cf import FDConfig, is_monogenic, dC_apply
-from .cp1 import (BUMP_GRADE, quadrature_C, cohomology_coefficients,
+from .cp1 import (quadrature_C, cohomology_coefficients,
                   harmonic_representative, exact_form)
 from .domains import Ball, PointComplement
 from .fields import get_field, ComplexField, _shell_points
@@ -282,7 +282,7 @@ def criterion_5_cp1_cohomology(seed=7):
         r_in = float(rng.uniform(0.3, 0.6))
         r_out = float(rng.uniform(1.8, 3.0))
         w = exact_form(-3, p=p, q=q, r_in=r_in, r_out=r_out)
-        c = cohomology_coefficients(w, BUMP_GRADE, check=False)
+        c = cohomology_coefficients(w, check=False)
         exact_err = max(exact_err, float(np.max(np.abs(c))))
 
     norm_err = abs(quadrature_C(lambda z: 2.0 / (1.0 + z * np.conj(z)) ** 3) - 1.0)

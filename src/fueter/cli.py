@@ -178,8 +178,8 @@ def _cmd_twistor(args):
 
 
 def _cmd_cp1(args):
-    from .cp1 import (BUMP_GRADE, cohomology_coefficients, exact_form,
-                      h1_dimension, harmonic_representative)
+    from .cp1 import (cohomology_coefficients, exact_form, h1_dimension,
+                      harmonic_representative)
     if args.mode == "dim":
         return {"dimension": h1_dimension(args.k)}, True, None
     if args.mode == "harmonic":
@@ -197,12 +197,10 @@ def _cmd_cp1(args):
                                     _parse_complex(kv.get("a1", "0")))
         if args.k != -3:
             raise ValueError("the harmonic fixture is a degree -3 form")
-        cfg = None
     else:
         w = exact_form(args.k, **{_EXACT_KEYS[k][0]: _EXACT_KEYS[k][1](v)
                                   for k, v in kv.items()})
-        cfg = BUMP_GRADE
-    c = cohomology_coefficients(w, cfg, check=False)
+    c = cohomology_coefficients(w, check=False)
     return {"coefficients": list(c)}, True, None
 
 

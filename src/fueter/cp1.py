@@ -14,7 +14,8 @@ in closed form.  For k = -3 the harmonic representative
     h0(z) = 2 (a0 + a1 conj(z)) / (1+|z|^2)^3
 
 inverts the coefficient map exactly (the two moments of 2/(1+|z|^2)^3 and
-2 z conj(z)/(1+|z|^2)^3 both equal 1).
+2 z conj(z)/(1+|z|^2)^3 both equal 1); its h0 at a0, a1 = [1, 0], [0, 1]
+is the fiber basis of the twistor transform (penrose).
 
 The quadrature realizes (1/2 pi i) \int g dconj(z)^dz = (1/pi) \int g dA via
 the compactified substitution z = (rho/(1-rho)) e^{i phi}: Gauss-Legendre in
@@ -26,11 +27,13 @@ O(n^2) work and with weights accurate to a few ulps (Glaser, Liu & Rokhlin
 integrands with rational (1+|z|^2)^-3-type profiles; the 1536-radial "bump
 grade" handles the C-infinity-but-non-analytic exact forms, whose edge
 behavior defeats Gauss-Legendre at low node counts (errors ~1e-5 at 768 nodes
-drop below 1e-9 at 1536).  Both rules are fixed: a form with a support
-annulus (exact_form's) is summed over the rule's nodes in that annulus only:
-the sum loses only terms that are exactly zero.  Every coefficient carries a
-bound on the rounding of its sum (see _certified_moments); one the bound
-cannot certify to the rule's target_tol is refused, not returned.
+drop below 1e-9 at 1536).  The form picks its rule: the bump grade when it
+has a support annulus (exact_form's), the default otherwise.  Both rules are
+fixed: a form with a support is summed over the rule's nodes in that
+annulus only: the sum loses only terms that are exactly zero.  Every
+coefficient carries a bound on the rounding of its sum (see
+_certified_moments); one the bound cannot certify to the rule's target_tol
+is refused, not returned.
 """
 
 import functools
@@ -265,8 +268,9 @@ def cohomology_coefficients(w, cfg=None, check=True):
     """The H^1 coefficients a_0..a_{-k-2} of a (0,1)-form on Q_k, k <= -2.
 
     Returns shape (-k-1,), or (..., -k-1) when w.h0 maps the nodes to a batch
-    of forms of shape (..., nodes).  A form with a support sums over the
-    nodes in its annulus only.  QuadratureError when a coefficient is not
+    of forms of shape (..., nodes).  cfg defaults to BUMP_GRADE for a form
+    with a support, which sums over the nodes in its annulus only, and to
+    QuadratureConfig() otherwise.  QuadratureError when a coefficient is not
     finite (z^ell overflows on the outer nodes when -k is large), when the
     rounding bound of a coefficient's sum exceeds cfg.target_tol (the sum
     cancels terms too large to leave that accuracy; checked with or without
@@ -274,7 +278,7 @@ def cohomology_coefficients(w, cfg=None, check=True):
     """
     if w.k > -2:
         raise ValueError("H^1(Q_k) vanishes for k > -2; no coefficients")
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or (QuadratureConfig() if w.support is None else BUMP_GRADE)
     out, _ = _certified_moments(w, cfg)
     if check:
         out2, _ = _certified_moments(w, cfg.refined())
@@ -326,10 +330,11 @@ def _certified_moments(w, cfg):
 
 
 def harmonic_representative(a0, a1):
-    """The k = -3 form with h0 = 2(a0 + a1 conj z)/(1+|z|^2)^3; inverts the coefficients.
+    """The k = -3 form with h0 = (a0 + a1 conj z) 2/(1+|z|^2)^3; inverts the coefficients.
 
-    a0 and a1 are scalars or equal-shape arrays of pairs; h0 and h1 then map
-    z to a0.shape + z.shape.
+    Its clutching h1 is the same profile at (-a1, -a0).  a0 and a1 are
+    scalars or equal-shape arrays of pairs; h0 and h1 then map z to
+    a0.shape + z.shape.
     """
     a0 = np.asarray(a0, dtype=complex)
     a1 = np.asarray(a1, dtype=complex)
@@ -337,19 +342,15 @@ def harmonic_representative(a0, a1):
         raise ValueError("a0 and a1 differ in shape: %s vs %s"
                          % (a0.shape, a1.shape))
 
-    def h0(z):
-        z = np.asarray(z, dtype=complex)
-        lift = a0.shape + (1,) * z.ndim
-        return 2.0 * (a0.reshape(lift) + a1.reshape(lift) * np.conj(z)) \
-            / (1.0 + z * np.conj(z)) ** 3
+    def profile(c0, c1):
+        def h(z):
+            z = np.asarray(z, dtype=complex)
+            lift = a0.shape + (1,) * z.ndim
+            return (c0.reshape(lift) + c1.reshape(lift) * np.conj(z)) \
+                * (2.0 / (1.0 + (z.real ** 2 + z.imag ** 2)) ** 3)
+        return h
 
-    def h1(w):
-        w = np.asarray(w, dtype=complex)
-        lift = a0.shape + (1,) * w.ndim
-        return 2.0 * (-a0.reshape(lift) * np.conj(w) - a1.reshape(lift)) \
-            / (1.0 + w * np.conj(w)) ** 3
-
-    return Form01(-3, h0, h1)
+    return Form01(-3, profile(a0, a1), profile(-a1, -a0))
 
 
 def h1_dimension(k):

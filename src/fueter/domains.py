@@ -38,11 +38,12 @@ h = hypot(s, |b|), the top eigenvector's Hopf image is (0, s, Re b, Im b)/h
 never the form's expanded square root, whose cancellation near a zero
 minimum (the hull boundary of H*) leaves ~1e-8 of rounding noise.
 
-``DomainSpec.line_form`` is ``None``: no closed form, the hull falls back
-to a scan of a split icosahedron with a covering band, and the twistor-line
-test is ``hull.hull_contains``.  A user domain opts in by defining a
-``line_form(S)`` method with the contract above; it must name the exact
-minimiser, since the hull then reports no uncertainty band.
+``DomainSpec.line_form`` is ``None``: no closed form, and both membership
+tests (``hull.hull_contains`` and the twistor-line test) fall back to
+``hull._sweep``'s scan of a split icosahedron with a covering band.  A user
+domain opts in by defining a ``line_form(S)`` method with the contract
+above; it must name the exact minimiser, since the hull then reports no
+uncertainty band.
 
 Built-ins: balls, complements of a point, half-spaces, finite intersections,
 the whole space and the empty set.  Each declares its JSON form once

@@ -46,7 +46,7 @@ Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
 
 Batches: a form's coefficients take a whole batch of base points at once,
 x (..., 4n) -> (..., R), and its moment table is built once per fiber basis
-by ``cp1._moments`` on the default nodes.  The pushforwards,
+by ``cp1.cohomology_coefficients``.  The pushforwards,
 ``penrose_transform`` and ``diagram_check`` are then products of (..., R)
 coefficient arrays with the (R, moments) table; no array over base points
 and fiber nodes together is formed.
@@ -63,7 +63,7 @@ import functools
 import numpy as np
 
 from .cf import FDConfig, _partials, _wirtinger, cf_residual_complex
-from .cp1 import _moments
+from .cp1 import Form01, cohomology_coefficients, harmonic_representative
 from .domains import WholeSpace
 from .fields import get_field
 from .hull import hull_contains, NotInHullError, _as_point
@@ -111,8 +111,10 @@ class TwistorFormL:
 
     ``moments`` is the table M[r, a] = sum_j W_j Z_j^a b_r(Z_j), a = 0, 1,
     on the default nodes: every pushforward of the form is a product with
-    it.  It is built once per basis callable and shared, read-only, by the
-    forms with that basis (all ``sharp`` lifts).
+    it.  Row r is the H^1 coefficients of the form b_r dconj(z) on Q_-3, so
+    ``cp1.cohomology_coefficients`` certifies its rounding (QuadratureError
+    if it cannot).  It is built once per basis callable and shared,
+    read-only, by the forms with that basis (all ``sharp`` lifts).
     """
 
     def __init__(self, n, coeffs, basis, coeffs_matrix=None, domain=None):
@@ -130,16 +132,13 @@ class TwistorFormL:
 @functools.lru_cache(maxsize=8)
 def _moment_table(basis):
     """The read-only moment table of a fiber basis (see TwistorFormL)."""
-    table, _ = _moments(basis, 2)
+    table = cohomology_coefficients(Form01(-3, basis, None), check=False)
     table.flags.writeable = False
     return table
 
 
-def _harmonic_basis(z):
-    """(1, conj(z)) 2/(1+|z|^2)^3, the fiber basis of cp1's harmonic forms."""
-    z = np.asarray(z, dtype=complex)
-    weight = 2.0 / (1.0 + (z.real ** 2 + z.imag ** 2)) ** 3
-    return np.stack([weight, np.conj(z) * weight])
+# b(z) = (1, conj(z)) 2/(1+|z|^2)^3, the fiber basis of every sharp lift
+_HARMONIC_BASIS = harmonic_representative([1, 0], [0, 1]).h0
 
 
 def _stacked_pair(pair, lead):
@@ -167,7 +166,7 @@ def sharp(field):
             sigma = np.asarray(sigma, dtype=complex)
             return _stacked_pair(ext.pair(sigma), sigma.shape[:-2])
 
-    return TwistorFormL(field.n, coeffs, _harmonic_basis,
+    return TwistorFormL(field.n, coeffs, _HARMONIC_BASIS,
                         coeffs_matrix=coeffs_matrix, domain=field.domain)
 
 

@@ -504,9 +504,9 @@ def test_cp1_coeffs_refuses_uncertified_coefficients(k, form, capsys):
 
 
 def test_cp1_coeffs_refuses_non_finite_coefficients(monkeypatch, capsys):
-    # the same form without its support sums the whole rule, where z^ell
-    # overflows on the outer nodes: a refusal (exit 1, "pass" false), never
-    # NaN coefficients
+    # the same form without its support sums the whole default rule, whose
+    # outer nodes reach |z| = 6.4e3, so z^ell overflows from ell ~ 81: a
+    # refusal (exit 1, "pass" false), never NaN coefficients
     exact_form = cp1.exact_form
 
     def whole_plane(*args, **kwargs):
@@ -514,7 +514,7 @@ def test_cp1_coeffs_refuses_non_finite_coefficients(monkeypatch, capsys):
         return cp1.Form01(w.k, w.h0, w.h1)
 
     monkeypatch.setattr(cp1, "exact_form", whole_plane)
-    code = cli.main(["cp1", "coeffs", "--k", "-60", "--form", "exact"])
+    code = cli.main(["cp1", "coeffs", "--k", "-200", "--form", "exact"])
     assert code == 1
     captured = capsys.readouterr()
     blob = _strict_json(captured.out)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fueter import cp1
@@ -353,3 +353,23 @@ def test_support_sums_match_the_whole_rule(p, q, k, a, b):
     skipped = np.ones(Z.size, dtype=bool)
     skipped[lo * cfg.n_angular:hi * cfg.n_angular] = False
     assert not w.h0(Z)[skipped].any()
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.integers(-8, -3), st.integers(0, 2), st.integers(0, 2),
+       st.floats(0.3, 0.6), st.floats(1.8, 3.0))
+@example(-3, 1, 2, 0.45, 2.3)
+def test_forms_pick_their_own_rule(k, p, q, r_in, r_out):
+    # a form with a support gets the bump grade; the default 96x64 rule
+    # reads |a_0| = 0.26 for exact_form(-3, p=1, q=2, r_in=0.45, r_out=2.3)
+    w = cp1.exact_form(k, p=p, q=q, r_in=r_in, r_out=r_out)
+    got = cp1.cohomology_coefficients(w, check=False)
+    want = cp1.cohomology_coefficients(w, cp1.BUMP_GRADE, check=False)
+    assert got.tobytes() == want.tobytes()
+    assert np.abs(cp1.cohomology_coefficients(w)).max() < 1e-5
+    # the same form without a support gets the default rule
+    whole = cp1.Form01(k, w.h0, w.h1)
+    got = cp1.cohomology_coefficients(whole, check=False)
+    want = cp1.cohomology_coefficients(whole, cp1.QuadratureConfig(),
+                                       check=False)
+    assert got.tobytes() == want.tobytes()
