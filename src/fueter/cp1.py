@@ -20,10 +20,14 @@ is the fiber basis of the twistor transform (penrose).
 The quadrature realizes (1/2 pi i) \int g dconj(z)^dz = (1/pi) \int g dA via
 the compactified substitution z = (rho/(1-rho)) e^{i phi}: Gauss-Legendre in
 rho in [0,1), uniform trapezoid in phi (spectrally accurate in the periodic
-angle).  The Gauss-Legendre nodes come from Newton's method on the
-three-term Legendre recurrence, started from Tricomi's asymptotic guess, in
-O(n^2) work and with weights accurate to a few ulps (Glaser, Liu & Rokhlin
-2007; Hale & Townsend 2013).  The default 96x64 rule is machine-precision for
+angle).  The Gauss-Legendre nodes come from Newton's method in the angle
+theta = arccos(x), on Stieltjes' asymptotic series for P_n(cos theta)
+(Szegő, Orthogonal Polynomials, Thm 8.21.5) and, for the few nodes next to
+x = +-1 that the series cannot serve, on the Mehler-Dirichlet integral (DLMF
+14.12.1), in O(n) work (Hale & Townsend, SIAM J. Sci. Comput. 35, A652,
+2013).  The weights are 2 / (dP_n/dtheta)^2, within a few ulps even at the
+edge nodes, and the radii rho/(1-rho) = cot^2(theta/2) take no difference
+near rho = 1.  The default 96x64 rule is machine-precision for
 integrands with rational (1+|z|^2)^-3-type profiles; the 1536-radial "bump
 grade" handles the C-infinity-but-non-analytic exact forms, whose edge
 behavior defeats Gauss-Legendre at low node counts (errors ~1e-5 at 768 nodes
@@ -37,6 +41,7 @@ is refused, not returned.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -140,44 +145,198 @@ def _support_rows(support, cfg):
     return slice(lo, hi)
 
 
-def _legendre(n, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence, elementwise."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+# Terms of Stieltjes' series that _legendre_series sums.  _series_serves then
+# leaves six or seven nodes at each end of a rule to the integral; 25 terms
+# would serve about one node more per end, 15 about three fewer.
+_SERIES_TERMS = 20
+
+# floor(pi * 10^50): C_n below is then the correctly rounded value
+_PI_E50 = 314159265358979323846264338327950288419716939937510
+
+# a - sin(a) = a^3 sum_k (-a^2)^k / (2k+3)!, to double precision for a <= pi/4
+_SIN_TAIL = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(9))
+
+
+def _series_scale(n):
+    """C_n = (4/pi) (2^n n!)^2 / (2n+1)! = (4/pi) 4^n / ((2n+1) binom(2n, n)),
+    correctly rounded (int / int is)."""
+    return (4 * 10 ** 50 << 2 * n) / (_PI_E50 * (2 * n + 1) * math.comb(2 * n, n))
+
+
+def _legendre_series(n, theta):
+    """P_n(cos theta) / C_n and its theta-derivative by Stieltjes' series.
+
+    P_n(cos theta) = C_n sum_{m<M} h_m cos(a_m) / (2 sin theta)^(m+1/2), with
+    a_m = (n+m+1/2) theta - (m+1/2) pi/2 and
+    h_m = prod_{j<=m} (j-1/2)^2 / (j (n+j+1/2)) (Szegő, Orthogonal
+    Polynomials, Thm 8.21.5); the derivative is the series differentiated
+    term by term.  Each e^{i a_m} / (2 sin theta)^(m+1/2) is the one before
+    it times e^{i(theta - pi/2)} / (2 sin theta) = (1 - i cot theta) / 2.
+    """
+    nu = n + 0.5
+    j = np.arange(1, _SERIES_TERMS)
+    h = np.cumprod(np.concatenate([[1.0], (j - 0.5) ** 2 / (j * (nu + j))]))
+    s = np.sin(theta)
+    cot = np.cos(theta) / s
+    rot = 0.5 - 0.5j * cot
+    f = np.empty((_SERIES_TERMS, theta.size), dtype=complex)
+    f[0] = np.exp(1j * (nu * theta - np.pi / 4)) * np.sqrt(0.5 / s)
+    for i in j:
+        np.multiply(f[i - 1], rot, out=f[i])
+    f *= h[:, None]
+    # the terms fall off fast: summing the tail before adding the leading
+    # term leaves one rounding at the scale of the sum
+    re, im = f.real, f.imag
+    return (re[0] + re[1:].sum(axis=0),
+            -(nu * im[0] + (nu + j) @ im[1:])
+            - cot * (0.5 * re[0] + (j + 0.5) @ re[1:]))
+
+
+def _series_serves(n, theta):
+    """Where Stieltjes' series gives Newton's root and its weight to rounding.
+
+    The series' remainder after M terms is below C_n h_M 2 / (2 sin theta)^(M+1/2)
+    (Szegő Thm 8.21.5).  At a root |dP_n/dtheta| is about
+    C_n (n+1/2) / (2 sin theta)^(1/2), so Newton's root moves by at most
+    dtheta = 2 h_M / ((n+1/2) (2 sin theta)^M); the derivative's terms carry a
+    factor n+m+1/2 more, so dP_n/dtheta moves by (n+M+1/2) dtheta relative, a
+    factor (n+1/2) theta more than the root does.  The series serves where
+    that is below eps/4, so the weight 2/(dP_n/dtheta)^2 it sets is off by
+    under half an ulp.  The bound depends on (n+1/2) theta alone to leading
+    order: it leaves the roots below (n+1/2) theta = 20 to 23, six or seven
+    at each end, to _legendre_integral, and every root for n <= 13.
+    """
+    nu = n + 0.5
+    j = np.arange(1, _SERIES_TERMS + 1)
+    h = np.prod((j - 0.5) ** 2 / (j * (nu + j)))
+    change = (2.0 * h * (nu + _SERIES_TERMS)
+              / (nu * (2.0 * np.sin(theta)) ** _SERIES_TERMS))
+    return change <= np.finfo(float).eps / 4
+
+
+def _legendre_integral(n, theta):
+    """P_n(cos theta) and dP_n/dtheta by the Mehler-Dirichlet integral.
+
+    With sin(phi/2) = sin(theta/2) sin(t), DLMF 14.12.1 reads
+    P_n(cos theta) = (2/pi) int_0^{pi/2} cos((n+1/2) phi) / cos(phi/2) dt;
+    dP_n/dtheta is the integral of the integrand's theta-derivative.  Both
+    integrands extend to even, pi-periodic analytic functions of t, so the
+    trapezoid rule on N intervals converges geometrically.  To leading order
+    in sin(theta/2) the integrand is cos(A sin t), A <= (n+1/2) theta, whose
+    cosine coefficients in 2t are 2 J_2k(A); the rule misses the one at
+    k = 2N, below (A/2)^(4N) / (4N)! < 2^(-4N) once 4N >= e A.  The branch
+    points of arcsin, at sin t = 1/sin(theta/2), lie at |Im t| >= 0.88 for
+    theta <= pi/2, so their share falls as e^(-4N 0.88).  N >= 16 puts both
+    below 2^-64.  Each term is rounded at the integrand's scale n+1/2, while
+    dP_n/dtheta is about (n+1/2) (2 / pi A)^(1/2) at a root: averaged over
+    N terms, the rounding's share grows as (A/N)^(1/2), and N >= 4A keeps it
+    at its floor of a few ulps.  N is a power of two, so the weight 1/N is
+    exact.
+    """
+    top = (n + 0.5) * float(np.max(theta, initial=0.0))
+    intervals = 1 << max(4, math.ceil(math.log2(max(4.0 * top, 1.0))))
+    t = np.linspace(0.0, np.pi / 2, intervals + 1)
+    wt = np.full(intervals + 1, 1.0 / intervals)
+    wt[[0, -1]] = 0.5 / intervals
+    sin_t = np.sin(t)
+    s = np.sin(theta / 2)[:, None] * sin_t          # sin(phi/2)
+    c2 = 1.0 - s * s
+    c = np.sqrt(c2)                                  # cos(phi/2)
+    # the phase (n+1/2) phi = (2n+1) arcsin(s) to an ulp of 1, where rounding
+    # arcsin and the product would leave a few ulps of A: arcsin's error is
+    # (s - sin a) / cos a, with s - a exact (Sterbenz) and a - sin a by its
+    # Taylor series, and a is split so that (2n+1) a_hi is exact
+    a = np.arcsin(s)
+    a2 = a * a
+    tail = np.full_like(a, _SIN_TAIL[-1])
+    for coefficient in _SIN_TAIL[-2::-1]:
+        tail = tail * a2 + coefficient
+    a_fix = (s - a + a * a2 * tail) / c
+    scale = 2.0 ** (52 - math.frexp(max(top, 1.0))[1])
+    a_hi = np.round(a * scale) / scale
+    phase = (2 * n + 1) * a_hi
+    phase_lo = (2 * n + 1) * (a_fix + (a - a_hi))
+    cos_h, sin_h = np.cos(phase), np.sin(phase)
+    cos_p, sin_p = cos_h - sin_h * phase_lo, sin_h + cos_h * phase_lo
+    # d phi / d theta = cos(theta/2) sin(t) / cos(phi/2)
+    dp = ((0.5 * cos_p * s / c - (n + 0.5) * sin_p) * (sin_t / c2)) @ wt
+    return (cos_p / c) @ wt, np.cos(theta / 2) * dp
+
+
+def _gauss_legendre_angles(n):
+    """theta_k = arccos(x_k) of the nonnegative Gauss-Legendre nodes, ascending,
+    and their weights.
+
+    Newton's method runs in theta on P_n(cos theta), by Stieltjes' series
+    where it serves and by the Mehler-Dirichlet integral at the ends (Hale &
+    Townsend, SIAM J. Sci. Comput. 35, A652, 2013): each pass is a fixed
+    number of array operations, O(n) work in all.  The weights are
+    2 / (dP_n/dtheta)^2, since (1 - x^2) P_n'(x)^2 = (dP_n/dtheta)^2, with no
+    1 - x to round.
+    """
+    nu = n + 0.5
+    # start from theta ~ psi + (psi cot psi - 1) / (8 psi nu^2), psi = j_k / nu
+    # with j_k the k-th zero of J_0 (Szegő Thm 8.21.6 to next order), by
+    # McMahon's expansion (DLMF 10.21.19) but for the first zero, where that
+    # is worst; the start is then within 2e-6 of the root, relative, for
+    # n >= 4 (2.4e-4 at n = 2)
+    b = (np.arange(1, (n + 1) // 2 + 1) - 0.25) * np.pi
+    j0 = b + 1 / (8 * b) - 124 / (3 * (8 * b) ** 3) + 120928 / (15 * (8 * b) ** 5)
+    j0[0] = 2.404825557695773
+    psi = j0 / nu
+    theta = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * nu * nu)
+    # for odd n the last root is pi/2 (x = 0), where Newton does not move it
+    if n % 2:
+        theta[-1] = np.pi / 2
+    ends = int(np.count_nonzero(~_series_serves(n, theta)))
+    # a relative step below 1e-9 leaves an error below 1e-18 (Newton's
+    # constant in theta is cot(theta)/2 at a root), so the pass after it only
+    # refreshes dP_n/dtheta for the weights; from this start that is the
+    # third pass for n >= 4
+    step = np.inf
+    for _ in range(8):
+        p0, dp0 = _legendre_integral(n, theta[:ends])
+        p1, dp1 = _legendre_series(n, theta[ends:])
+        if step < 1e-9:
+            break
+        d = np.concatenate([p0 / dp0, p1 / dp1])
+        if n % 2:
+            d[-1] = 0.0
+        theta = theta - d
+        step = np.max(np.abs(d) / theta)
+    dp = np.concatenate([dp0, _series_scale(n) * dp1])
+    return theta, 2.0 / (dp * dp)
 
 
 def _gauss_legendre(n):
-    """Ascending Gauss-Legendre nodes and weights on [-1, 1], any n >= 1."""
-    # Tricomi's guess for the nonnegative nodes, largest first; for odd n the
-    # last one is exactly 0, where P_n vanishes exactly and Newton stays put
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = (1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)) \
-        * np.sin(np.pi * (n + 1 - 2 * k) / (2 * n + 1))
-    # a step below 1e-12 leaves an error below C * 1e-24 (C = P_n''/2P_n' is
-    # at most ~n^2), so the next pass only refreshes P_n' for the weights;
-    # from n = 8 to 6144 that takes three steps or fewer
-    step = np.inf
-    for _ in range(10):
-        p, dp = _legendre(n, x)
-        if step < 1e-12:
-            break
-        dx = p / dp
-        x = x - dx
-        step = np.abs(dx).max()
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    """Ascending Gauss-Legendre nodes and weights on [-1, 1], any n >= 1.
+
+    The nonnegative nodes are cos(theta) of _gauss_legendre_angles, built in
+    O(n); the others mirror them, and for odd n the middle one is exactly 0.
+    """
+    theta, w = _gauss_legendre_angles(n)
+    x = np.cos(theta)
+    if n % 2:
+        x[-1] = 0.0
     return (np.concatenate([-x[:n // 2], x[::-1]]),
             np.concatenate([w[:n // 2], w[::-1]]))
 
 
 @functools.lru_cache(maxsize=8)
 def _nodes(n_radial, n_angular):
-    t, wt = _gauss_legendre(n_radial)
-    rho = (t + 1.0) / 2.0
-    wr = wt / 2.0
-    r = rho / (1.0 - rho)
-    jac = 1.0 / (1.0 - rho) ** 2          # dr = jac * drho
+    theta, wt = _gauss_legendre_angles(n_radial)
+    # rho = (1 + x) / 2 is cos^2(theta/2) at the node x = cos(theta) and
+    # sin^2(theta/2) at its mirror -x, so r = rho / (1 - rho) is cot^2(theta/2)
+    # or tan^2(theta/2), with no difference taken, and the Jacobian
+    # dr/drho = 1 / (1 - rho)^2 is (1 + r)^2.  Radii ascend: the mirrors
+    # first, then the nodes from x = 0 or the smallest x > 0
+    half = n_radial // 2
+    t = np.tan(theta / 2)
+    if n_radial % 2:
+        t[-1] = 1.0                       # x = 0: r = 1
+    r = np.concatenate([t[:half], 1.0 / t[::-1]]) ** 2
+    wr = np.concatenate([wt[:half], wt[::-1]]) / 2.0
+    jac = (1.0 + r) ** 2                  # dr = jac * drho
     phi = 2.0 * np.pi * np.arange(n_angular) / n_angular
     Z = (r[:, None] * np.exp(1j * phi)[None, :]).ravel()
     # (1/pi) * r dr dphi; trapezoid weight 2*pi/n_angular, over pi -> 2/n

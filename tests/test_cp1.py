@@ -1,5 +1,7 @@
 """Line bundles on the sphere: clutching, quadrature, and cohomology."""
 
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -44,7 +46,7 @@ def test_quadrature_nodes_are_shared_and_read_only():
     assert cp1.quadrature_nodes(finer)[0] is Z
 
 
-@pytest.mark.parametrize("n", [9, 96, 1536])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 96, 1536])
 def test_gauss_legendre_is_exact_on_monomials_below_degree_2n(n):
     x, w = cp1._gauss_legendre(n)
     k = np.arange(2 * n)
@@ -58,7 +60,7 @@ def test_gauss_legendre_is_exact_on_monomials_below_degree_2n(n):
     assert np.all(np.abs(got - exact) <= bound)
 
 
-@pytest.mark.parametrize("n", [8, 9, 33, 96, 1536, 3072])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 33, 96, 1536, 3072])
 def test_gauss_legendre_nodes_and_weights_are_well_formed(n):
     x, w = cp1._gauss_legendre(n)
     assert x.shape == w.shape == (n,)
@@ -66,6 +68,69 @@ def test_gauss_legendre_nodes_and_weights_are_well_formed(n):
     assert -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0)
     np.testing.assert_array_equal(x, -x[::-1])
     np.testing.assert_array_equal(w, w[::-1])
+
+
+def test_small_gauss_legendre_rules_match_their_closed_forms():
+    eps = np.finfo(float).eps
+    rules = {1: ([0.0], [2.0]),
+             2: ([-1 / np.sqrt(3), 1 / np.sqrt(3)], [1.0, 1.0]),
+             3: ([-np.sqrt(0.6), 0.0, np.sqrt(0.6)], [5 / 9, 8 / 9, 5 / 9])}
+    for n, (nodes, weights) in rules.items():
+        x, w = cp1._gauss_legendre(n)
+        np.testing.assert_allclose(x, nodes, rtol=0, atol=2 * eps)
+        np.testing.assert_allclose(w, weights, rtol=8 * eps, atol=0)
+        if n % 2:
+            assert x[n // 2] == 0.0
+
+
+def _decimal_gauss_legendre_node(n, x0):
+    """The root of P_n next to x0, its weight and its radius (1+x)/(1-x).
+
+    To 50 digits, by Newton's method on the three-term recurrence in decimal
+    arithmetic.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = decimal.Decimal(x0)
+
+        def legendre(x):
+            p0, p1 = decimal.Decimal(1), x
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            return p1, n * (x * p1 - p0) / ((x - 1) * (x + 1))
+
+        for _ in range(8):
+            p, dp = legendre(x)
+            x -= p / dp
+            if abs(p / dp) < decimal.Decimal(10) ** -40:
+                break
+        _, dp = legendre(x)
+        return x, 2 / ((1 - x) * (1 + x) * dp * dp), (1 + x) / (1 - x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 96, 1536])
+def test_gauss_legendre_matches_a_50_digit_reference(n):
+    # the four outermost and the two innermost nonnegative nodes, and the
+    # radii the plane rule puts them at.  Newton's root theta of P_n(cos
+    # theta) is within about 2u theta of the true one (u = eps/2), as the
+    # phase (n+1/2) theta rounds to an ulp of its size: x = cos(theta) is
+    # then within 2 eps, absolute.  r = cot^2(theta/2) carries 2 dtheta /
+    # sin(theta) and three roundings: 4 eps relative at the outer radii.  The
+    # weight 2 / (dP/dtheta)^2 doubles the error of dP/dtheta, a sum of
+    # terms each rounded about four times, and adds the root's offset and
+    # two roundings: 8 eps relative.  The rule by the Legendre recurrence
+    # in x misses the outermost weight and radius by about 7e-11 at n = 1536
+    eps = np.finfo(float).eps
+    x, w = cp1._gauss_legendre(n)
+    r = cp1._nodes.__wrapped__(n, 8)[0][::8].real  # past the rule cache
+    outer = range(n - 1, max(n - 5, n // 2 - 1), -1)
+    inner = range(n // 2, min(n // 2 + 2, n))
+    for i in sorted(set(outer) | set(inner)):
+        x_ref, w_ref, r_ref = map(float, _decimal_gauss_legendre_node(n, x[i]))
+        assert abs(x[i] - x_ref) <= 2 * eps, (i, x[i], x_ref)
+        assert abs(w[i] - w_ref) <= 8 * eps * w_ref, (i, w[i], w_ref)
+        if i in outer:
+            assert abs(r[i] - r_ref) <= 4 * eps * r_ref, (i, r[i], r_ref)
 
 
 def test_gauss_legendre_nodes_match_numpy():
