@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 class DomainError(ValueError):
-    """An FD stencil point left the field's domain."""
+    """An FD stencil leaves the domain; ``point`` says where (``_partials``)."""
 
     def __init__(self, point):
         self.point = np.asarray(point, dtype=float)
@@ -106,26 +106,30 @@ def _extrapolate(diff, h, scheme):
 def _partials(fn, p, cfg, domain=None):
     """All 4n real partials of fn at p, (..., 4n[, extra]), by the cfg scheme.
 
-    With a domain, all stencil points are checked before fn runs; DomainError
-    names the first outside (batch-major; centre, +h, -h, +h/2, -h/2), or
-    else the first centre whose ext_distance is not above the step h.
+    With a domain, DomainError is raised before fn runs unless each stencil
+    stays inside.  Centres with c = ext_distance(p) > 2h (h the largest step)
+    need that one read: a stencil point lies within h plus the rounding
+    u(|p_i| + h) of p_i +- h of its centre, so (1-Lipschitz) its clearance
+    exceeds h - u(|p_i| + h), over 1e10 roundings at the default step.  Other
+    batches are swept: DomainError names the first point outside (batch-major;
+    centre, +h, -h, +h/2, -h/2), else the first centre with c <= h.
     """
     p = np.asarray(p, dtype=float)
-    h = cfg.resolve_step(quat.qnorm(p))
+    h = cfg.step if cfg.step is not None else cfg.resolve_step(quat.qnorm(p))
     axes = np.eye(p.shape[-1])
     if domain is not None and not isinstance(domain, WholeSpace):
-        pts = [p[..., None, :]]
-        for s in ([h, h / 2] if cfg.scheme == "richardson" else [h]):
-            pts.extend(_shifted(p, axes, s))
-        pts = np.concatenate(pts, axis=-2)
-        inside = domain.contains(pts)
-        if not np.all(inside):
-            raise DomainError(pts[~inside][0])
-        # a stencil can straddle a hole its points miss; ext_distance is
-        # 1-Lipschitz, so a clearance above the step keeps every segment in U
-        clear = np.broadcast_to(domain.ext_distance(p) > h, p.shape[:-1])
-        if not np.all(clear):
-            raise DomainError(p[~clear][0])
+        clearance = domain.ext_distance(p)
+        if not np.all(clearance > 2 * h):
+            pts = [p[..., None, :]]
+            for s in ([h, h / 2] if cfg.scheme == "richardson" else [h]):
+                pts.extend(_shifted(p, axes, s))
+            pts = np.concatenate(pts, axis=-2)
+            inside = domain.contains(pts)
+            if not np.all(inside):
+                raise DomainError(pts[~inside][0])
+            clear = np.broadcast_to(clearance > h, p.shape[:-1])
+            if not np.all(clear):
+                raise DomainError(p[~clear][0])
     return _extrapolate(lambda s: _central(fn, p, axes, s), h, cfg.scheme)
 
 
@@ -163,10 +167,7 @@ def _wirtinger(d):
 
     Returns (d_alpha, d_alphabar, d_beta, d_betabar), each (..., n, ...).
     """
-    d0 = d[..., 0::4]
-    d1 = d[..., 1::4]
-    d2 = d[..., 2::4]
-    d3 = d[..., 3::4]
+    d0, d1, d2, d3 = d[..., 0::4], d[..., 1::4], d[..., 2::4], d[..., 3::4]
     da = (d0 - 1j * d1) / 2
     dab = (d0 + 1j * d1) / 2
     db = (d3 - 1j * d2) / 2
@@ -191,8 +192,7 @@ def cf_residual_complex(psi0, psi1, p, cfg=None, domain=None):
     r1 = db[1] - dab[0]
     r2 = da[1] + dbb[0]
     out = np.empty(r1.shape[:-1] + (2 * r1.shape[-1],), dtype=complex)
-    out[..., 0::2] = r1
-    out[..., 1::2] = r2
+    out[..., 0::2], out[..., 1::2] = r1, r2
     return out
 
 

@@ -189,8 +189,8 @@ def _frame(coeffs, x, domain=None):
     X^{A+1}(c b) = (z P_A + Q_A) b, where row 2i-2 of (P, Q) is
     (d_beta_i c, -d_conj(alpha_i) c) and row 2i-1 is
     (d_alpha_i c, d_conj(beta_i) c).  Returns (P, Q), each
-    x.shape[:-1] + (2n, R).  With a domain the base stencil is checked
-    before c is evaluated (cf.DomainError).
+    x.shape[:-1] + (2n, R).  With a domain the base stencil is certified
+    inside it before c is evaluated (``cf._partials``, cf.DomainError).
     """
     d = _partials(coeffs, x, _FD, domain)  # (..., 4n, R)
     da, dab, db, dbb = _wirtinger(np.swapaxes(d, -1, -2))  # each (..., R, n)

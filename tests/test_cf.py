@@ -1,9 +1,13 @@
 """Finite-difference operator: exact identities, convergence, and guards."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from fueter import cf, domains, fields, quat
+from fueter import cf, domains, fields, penrose, quat
 
 
 def _shell(rng, count, rmin=0.5, rmax=2.0, n=1):
@@ -141,6 +145,119 @@ def test_stencil_leaving_the_domain_raises():
     near_edge = np.array([0.9995, 0.0, 0.0, 0.0])
     with pytest.raises(cf.DomainError):
         cf.cf_apply(field, near_edge, cf.FDConfig(step=1e-3))
+
+
+def _swept_partials(fn, p, cfg, domain):
+    """``_partials`` as it was before the clearance certificate: every
+    stencil point is checked, then every centre's clearance against h."""
+    p = np.asarray(p, dtype=float)
+    h = cfg.resolve_step(quat.qnorm(p))
+    axes = np.eye(p.shape[-1])
+    pts = [p[..., None, :]]
+    for s in ([h, h / 2] if cfg.scheme == "richardson" else [h]):
+        pts.extend(cf._shifted(p, axes, s))
+    pts = np.concatenate(pts, axis=-2)
+    inside = domain.contains(pts)
+    if not np.all(inside):
+        raise cf.DomainError(pts[~inside][0])
+    clear = np.broadcast_to(domain.ext_distance(p) > h, p.shape[:-1])
+    if not np.all(clear):
+        raise cf.DomainError(p[~clear][0])
+    return cf._extrapolate(lambda s: cf._central(fn, p, axes, s), h, cfg.scheme)
+
+
+def _probe(q):
+    """A smooth test function with two output components."""
+    return np.stack([np.sin(q).sum(-1), q[..., 0] * q[..., 3] - q[..., 1] ** 2],
+                    axis=-1)
+
+
+_OFF = np.array([1.0, -2.0, 0.5, 3.0])
+_HALF = domains.HalfSpace(1, normal=[1.0, 1.0, 0.0, -1.0], offset=0.7)
+# (domain, place): place(c, d, x) is a point at clearance c (up to rounding),
+# reached along the unit direction d, or from the free point x for a plane
+_PLACED = [
+    (domains.Ball(1, radius=2.0, center=_OFF),
+     lambda c, d, x: _OFF + (2.0 - c) * d),
+    (domains.PointComplement(1), lambda c, d, x: c * d),
+    (domains.PointComplement(1, point=_OFF), lambda c, d, x: _OFF + c * d),
+    (_HALF, lambda c, d, x: x + (_HALF.offset - x @ _HALF.normal - c) * _HALF.normal),
+    (domains.Intersection([domains.Ball(1, radius=3.0),
+                           domains.PointComplement(1, point=[0.5, 0, 0, 0]),
+                           domains.HalfSpace(1, normal=[0, 1, 0, 0], offset=2.0)]),
+     lambda c, d, x: np.array([0.5, 0, 0, 0]) + c * d),
+]
+_coords = st.lists(st.floats(-3, 3), min_size=4, max_size=4)
+# a clearance in units of the step, from 0 to 3h, or an absolute one far out
+_clearance = st.one_of(st.tuples(st.just("steps"), st.floats(0, 3)),
+                       st.tuples(st.just("far"), st.floats(0.05, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(range(len(_PLACED))),
+       scheme=st.sampled_from(["central", "richardson"]),
+       step=st.sampled_from([None, 1e-5, 1e-3]),
+       centres=st.lists(st.tuples(_clearance, _coords, _coords),
+                        min_size=1, max_size=4))
+@example(which=1, scheme="central", step=1e-5,
+         centres=[(("steps", 1.0), [1, 0, 0, 0], [0, 0, 0, 0])])
+@example(which=2, scheme="richardson", step=None,
+         centres=[(("far", 0.5), [0, 1, 0, 0], [0, 0, 0, 0]),
+                  (("steps", 2.0), [1, 0, 0, 0], [0, 0, 0, 0])])
+def test_partials_refuse_exactly_the_stencils_a_full_sweep_refuses(
+        which, scheme, step, centres):
+    domain, place = _PLACED[which]
+    cfg = cf.FDConfig(step=step, scheme=scheme)
+    pts = []
+    for (unit, c), d, x in centres:
+        d, x = np.array(d, dtype=float), np.array(x, dtype=float)
+        assume(np.linalg.norm(d) > 0.1)
+        d /= np.linalg.norm(d)
+        if unit == "steps":
+            c *= step or 1e-5 * max(1.0, np.linalg.norm(place(0.0, d, x)))
+        pts.append(place(c, d, x))
+    p = np.array(pts) if len(pts) > 1 else pts[0]
+    try:
+        want = _swept_partials(_probe, p, cfg, domain)
+    except cf.DomainError as swept:
+        with pytest.raises(cf.DomainError) as got:
+            cf._partials(_probe, p, cfg, domain)
+        np.testing.assert_array_equal(got.value.point, swept.point)
+    else:
+        np.testing.assert_array_equal(cf._partials(_probe, p, cfg, domain), want)
+
+
+def test_a_centre_just_over_the_step_from_a_removed_point_is_refused():
+    # the centre clears the step h, but its -h stencil point rounds onto the
+    # removed point; a certificate margin of h instead of 2h would miss it
+    h = 1e-5
+    p = np.array([1 + math.ceil(h * 2.0 ** 52) * 2.0 ** -52, 0, 0, 0])
+    domain = domains.PointComplement(1, point=[1.0, 0, 0, 0])
+    assert domain.ext_distance(p) > h and p[0] - h == 1.0
+    with pytest.raises(cf.DomainError) as err:
+        cf._partials(_probe, p, cf.FDConfig(step=h), domain)
+    np.testing.assert_array_equal(err.value.point, [1.0, 0, 0, 0])
+
+
+def test_centres_clear_of_twice_the_step_need_no_stencil_sweep(monkeypatch):
+    field = fields.get_field("E")
+    swept, contains = [], field.domain.contains
+
+    def spy(q):
+        swept.append(np.shape(q))
+        return contains(q)
+
+    monkeypatch.setattr(field.domain, "contains", spy)
+    pts = _shell(np.random.default_rng(21), 50, rmin=0.2, rmax=5.0)
+    for cfg in (cf.FDConfig(step=1e-5), cf.FDConfig(scheme="richardson")):
+        assert cf.is_monogenic(field, pts, cfg=cfg)["verdict"] is True
+        cf.cf_residual_complex(field.pair0, field.pair1, pts, cfg, field.domain)
+    penrose.tau_push_02(penrose.sharp(field), pts)
+    assert swept == []
+    # one centre within 2h of the puncture: the whole batch is swept
+    near = np.concatenate([pts, [[1.5e-5, 0, 0, 0]]])
+    cf.cf_apply(field, near, cf.FDConfig(step=1e-5))
+    assert swept == [(51, 9, 4)]
 
 
 def test_is_monogenic_report_and_verdicts():
