@@ -28,8 +28,15 @@ coordinate axes.
 Every finite difference here goes through ``_central`` (along the 4n real
 axes, or one column's matrix units for D^C) and the scheme of
 ``_extrapolate``; all vectorize over a leading batch of points.  ``penrose``
-differences its base coefficients through ``_partials`` too.
+differences its base coefficients through ``_partials`` too.  The stencil
+(``_shifted``) repeats the centre once per direction into a contiguous
+array and adds and subtracts the offsets h d cast to the operand's dtype,
+so no add broadcasts along the short direction axis or casts a real offset
+into a complex one; the quotient divides by 2h in the difference's dtype.
+Both give the bits of the broadcast forms.
 """
+
+import functools
 
 import numpy as np
 
@@ -60,8 +67,8 @@ class FDConfig:
     """
 
     def __init__(self, step=None, scheme="central"):
-        if step is not None and not step > 0:
-            raise ValueError("step must be positive")
+        if step is not None and not 0 < step < np.inf:
+            raise ValueError("step must be positive and finite, not %r" % (step,))
         if scheme not in ("central", "richardson"):
             raise ValueError("scheme must be 'central' or 'richardson'")
         self.step = step
@@ -76,11 +83,25 @@ class FDConfig:
         return "FDConfig(step=%r, scheme=%r)" % (self.step, self.scheme)
 
 
+@functools.lru_cache(maxsize=None)
+def _axes(dim):
+    """The dim real coordinate axes, (dim, dim): cached and read-only."""
+    axes = np.eye(dim)
+    axes.flags.writeable = False
+    return axes
+
+
 def _shifted(p, dirs, h):
-    """(p + h d, p - h d) for every direction d of dirs, each (..., k) + point."""
-    off = np.reshape(h, np.shape(h) + (1,) * dirs.ndim) * dirs
-    centre = np.expand_dims(p, -dirs.ndim)
-    return centre + off, centre - off
+    """(p + h d, p - h d) for every direction d of dirs, each (..., k) + point.
+
+    The centre repeated along k, and h d in p's dtype: both shifts are adds
+    of equal dtypes without a broadcast along k, and the minus stencil
+    takes the repeated centre's buffer.
+    """
+    centre = np.repeat(np.expand_dims(p, -dirs.ndim), len(dirs), axis=-dirs.ndim)
+    off = np.multiply.outer(h, dirs).astype(p.dtype, copy=False)
+    plus = centre + off
+    return plus, np.subtract(centre, off, out=centre)
 
 
 def _central(fn, p, dirs, h):
@@ -88,12 +109,16 @@ def _central(fn, p, dirs, h):
 
     p: (...,) + point; dirs: (k,) + point; h: (...) or a scalar.  fn maps
     (..., k) + point to (..., k[, extra]), which is the result's shape.
+    fp - fm is divided in place by 2h cast to the quotient's dtype.
     """
     plus, minus = _shifted(p, dirs, h)
     fp = fn(plus)
     fm = fn(minus)
+    diff = fp - fm
     denom = 2.0 * np.asarray(h)
-    return (fp - fm) / denom.reshape(denom.shape + (1,) * (fp.ndim - denom.ndim))
+    denom = denom.astype(np.result_type(diff, denom), copy=False).reshape(
+        denom.shape + (1,) * (diff.ndim - denom.ndim))
+    return np.divide(diff, denom, out=diff if diff.dtype == denom.dtype else None)
 
 
 def _extrapolate(diff, h, scheme):
@@ -106,8 +131,10 @@ def _extrapolate(diff, h, scheme):
 def _partials(fn, p, cfg, domain=None):
     """All 4n real partials of fn at p, (..., 4n[, extra]), by the cfg scheme.
 
-    With a domain, DomainError is raised before fn runs unless each stencil
-    stays inside.  Centres with c = ext_distance(p) > 2h (h the largest step)
+    DomainError is raised before fn runs when a centre is not finite, on
+    every domain including the whole space (it names the first such centre),
+    and, on a domain other than the whole space, unless each stencil stays
+    inside.  Centres with c = ext_distance(p) > 2h (h the largest step)
     need that one read: a stencil point lies within h plus the rounding
     u(|p_i| + h) of p_i +- h of its centre, so (1-Lipschitz) its clearance
     exceeds h - u(|p_i| + h), over 1e10 roundings at the default step.  Other
@@ -115,8 +142,10 @@ def _partials(fn, p, cfg, domain=None):
     centre, +h, -h, +h/2, -h/2), else the first centre with c <= h.
     """
     p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise DomainError(p[~np.isfinite(p).all(axis=-1)][0])
     h = cfg.step if cfg.step is not None else cfg.resolve_step(quat.qnorm(p))
-    axes = np.eye(p.shape[-1])
+    axes = _axes(p.shape[-1])
     if domain is not None and not isinstance(domain, WholeSpace):
         clearance = domain.ext_distance(p)
         if not np.all(clearance > 2 * h):

@@ -532,18 +532,13 @@ def bump(t):
 
 
 def _monomial(z, p, q):
-    """z^p conj(z)^q by repeated products.
+    """z^p conj(z)^q by repeated products from z (or conj(z)); 1.0 when p = q = 0.
 
     numpy's complex ** takes its general complex-power path even for small
     integer exponents.
     """
-    out = np.ones_like(z)
-    for _ in range(p):
-        out = out * z
-    zc = np.conj(z)
-    for _ in range(q):
-        out = out * zc
-    return out
+    factors = [z] * p + ([np.conj(z)] * q if q else [])
+    return functools.reduce(np.multiply, factors) if factors else 1.0
 
 
 def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
@@ -552,8 +547,11 @@ def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
     f(z) = phi(|z|) z^p conj(z)^q on chart 0, with phi an annulus bump
     supported in r_in < |z| < r_out, is a global smooth section; h0 is its
     dconj(z)-derivative and h1 the clutching of h0.  The form's support is
-    that annulus.  ValueError unless the radii are finite with
-    0 <= r_in < r_out.
+    that annulus.  h0 evaluates its closed form at every given node, with
+    no gather or scatter, and one np.where sets it to zero off the support,
+    where the closed form overflows or divides by zero; the floating-point
+    warnings of those thrown-away nodes are silenced.  ValueError unless the
+    radii are finite with 0 <= r_in < r_out.
     """
     r_in, r_out = _annulus(r_in, r_out)
     mid = (r_out + r_in) / 2.0
@@ -567,20 +565,23 @@ def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
         # are one exp times a real factor times one monomial
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
-        out = np.zeros_like(z)
-        # both terms vanish off the bump's support r_in < |z| < r_out, so
-        # only the support is evaluated
-        nz = (r > 0) & (np.abs(r - mid) < half)
-        zz = z[nz]
-        rr = r[nz]
-        t = (rr - mid) / half
-        s = 1.0 - t * t
-        e = np.exp(-1.0 / s)
-        if q:
-            out[nz] = e * (q - t * rr / (s * s * half)) * _monomial(zz, p, q - 1)
-        else:
-            out[nz] = e * (-t / (s * s * half * rr)) * _monomial(zz, p + 1, 0)
-        return out
+        # both terms vanish off the bump's support |r - mid| < half, which is
+        # where s > 0: t rounds below 1 in magnitude exactly there, and then
+        # s >= 2^-52.  Off it s <= 0 (or NaN) and, for q = 0, |z| may be 0
+        # (mid >= half keeps |z| = 0 off the support).  The closed form is
+        # evaluated at every node and set to zero off the support, and the
+        # divisions by zero and overflows of those thrown-away nodes are
+        # silenced; on the support |z| > 0 and s >= 2^-52, so its divisions
+        # and its exponent stay finite
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = (r - mid) / half
+            s = 1.0 - t * t
+            e = np.exp(-1.0 / s)
+            if q:
+                val = e * (q - t * r / (s * s * half)) * _monomial(z, p, q - 1)
+            else:
+                val = e * (-t / (s * s * half * r)) * _monomial(z, p + 1, 0)
+        return np.where(s > 0, val, 0j)
 
     def h1(w):
         w = np.asarray(w, dtype=complex)

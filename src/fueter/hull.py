@@ -117,10 +117,12 @@ def _icosphere(level):
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     u = np.array([[0.0, a, b * phi] for a in (-1, 1) for b in (-1, 1)])
     u = np.concatenate([u, np.roll(u, 1, axis=1), np.roll(u, 2, axis=1)])
-    # the faces are the triples of mutually adjacent vertices, at distance 2
+    # the faces are the triples of mutually adjacent vertices, at distance
+    # 2, in the lexicographic order of the 220 triples
     adj = np.isclose(np.linalg.norm(u[:, None] - u[None], axis=-1), 2.0)
-    tris = np.array([t for t in itertools.combinations(range(12), 3)
-                     if adj[np.ix_(t, t)].sum() == 6])
+    tris = np.array(list(itertools.combinations(range(12), 3)))
+    i, j, k = tris.T
+    tris = tris[adj[i, j] & adj[j, k] & adj[i, k]]
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     for _ in range(level):
         # edge k is the one opposite vertex k, as in _branch_and_bound

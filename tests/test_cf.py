@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fueter import cf, domains, fields, penrose, quat
 
@@ -130,10 +131,49 @@ def test_central_differences_converge_at_second_order():
 
 
 def test_fdconfig_validation():
-    with pytest.raises(ValueError):
-        cf.FDConfig(step=-1e-3)
+    for step in (-1e-3, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cf.FDConfig(step=step)
     with pytest.raises(ValueError):
         cf.FDConfig(scheme="upwind")
+
+
+_E = fields.get_field("E")
+
+
+@pytest.mark.parametrize("partials", [
+    # the whole space, through a field and with no domain at all
+    lambda p: cf.cf_apply(fields.get_field("identity_q"), p),
+    lambda p: cf.cf_residual_complex(_E.pair0, _E.pair1, p),
+    # a punctured space, whose clearance at an infinite centre is infinite
+    lambda p: cf.cf_apply(_E, p, cf.FDConfig(scheme="richardson")),
+    lambda p: cf.cf_apply(fields.ScalarField(_E.pair0, _E.pair1,
+                                             domain=domains.Ball(1, radius=9.0)), p),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_centre_is_refused_on_every_domain(partials, bad):
+    # the whole space once returned NaN partials for these
+    p = np.array([[1.0, 0.5, 0.0, 0.0], [0.5, 1.0, bad, 0.0], [bad, 0, 0, 0]])
+    with pytest.raises(cf.DomainError) as err:
+        partials(p)
+    np.testing.assert_array_equal(err.value.point, p[1])
+    with pytest.raises(cf.DomainError) as err:
+        partials(p[2])
+    np.testing.assert_array_equal(err.value.point, p[2])
+
+
+def test_finite_centres_of_the_whole_space_are_not_swept(monkeypatch):
+    def refuse(q):
+        raise AssertionError("the whole space was swept")
+
+    field = fields.get_field("identity_q")
+    monkeypatch.setattr(field.domain, "contains", refuse)
+    monkeypatch.setattr(field.domain, "ext_distance", refuse)
+    pts = _shell(np.random.default_rng(22), 30)
+    for cfg in (cf.FDConfig(step=1e-5), cf.FDConfig(scheme="richardson")):
+        np.testing.assert_allclose(cf.cf_apply(field, pts, cfg),
+                                   np.tile([[-2.0, 0, 0, 0]], (30, 1, 1)),
+                                   atol=1e-6)
 
 
 def test_stencil_leaving_the_domain_raises():
@@ -145,6 +185,67 @@ def test_stencil_leaving_the_domain_raises():
     near_edge = np.array([0.9995, 0.0, 0.0, 0.0])
     with pytest.raises(cf.DomainError):
         cf.cf_apply(field, near_edge, cf.FDConfig(step=1e-3))
+
+
+def _shifted_by_broadcast(p, dirs, h):
+    """``cf._shifted`` as it was: the offsets broadcast against the centre."""
+    off = np.reshape(h, np.shape(h) + (1,) * dirs.ndim) * dirs
+    centre = np.expand_dims(p, -dirs.ndim)
+    return centre + off, centre - off
+
+
+def _central_by_broadcast(fn, p, dirs, h):
+    """``cf._central`` as it was: 2h broadcast against fp - fm."""
+    plus, minus = _shifted_by_broadcast(p, dirs, h)
+    fp = fn(plus)
+    fm = fn(minus)
+    denom = 2.0 * np.asarray(h)
+    return (fp - fm) / denom.reshape(denom.shape + (1,) * (fp.ndim - denom.ndim))
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _det(z):
+    return z[..., 0, 0] * z[..., 1, 1] - z[..., 0, 1] * z[..., 1, 0]
+
+
+# coordinates with both signed zeros among them
+_signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3))
+_steps = st.floats(1e-8, 1.0)
+
+
+@st.composite
+def _stencils(draw):
+    """(fn, p, dirs, h): real points along the four axes, or complex 2x2
+    matrices along one column's matrix units as ``dC_apply`` differences
+    them; h is a scalar or one step per point."""
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    if draw(st.booleans()):
+        fn, point, dirs = _probe, (4,), np.eye(4)
+        p = draw(hnp.arrays(float, batch + point, elements=_signed))
+    else:
+        fn, point = _det, (2, 2)
+        dirs = np.eye(4).reshape(4, 2, 2)[draw(st.sampled_from([0, 1]))::2]
+        p = np.empty(batch + point, dtype=complex)
+        p.real = draw(hnp.arrays(float, batch + point, elements=_signed))
+        p.imag = draw(hnp.arrays(float, batch + point, elements=_signed))
+    h = draw(st.one_of(_steps, hnp.arrays(float, batch, elements=_steps)))
+    return fn, p, dirs, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_stencils())
+def test_stencils_and_quotients_keep_the_bits_of_broadcasting(case):
+    # the contiguous stencil and the quotient in the operand's dtype are
+    # the same additions and divisions, signed zeros included
+    fn, p, dirs, h = case
+    for got, want in zip(cf._shifted(p, dirs, h), _shifted_by_broadcast(p, dirs, h)):
+        assert _same_bits(got, want)
+    assert _same_bits(cf._central(fn, p, dirs, h),
+                      _central_by_broadcast(fn, p, dirs, h))
 
 
 def _swept_partials(fn, p, cfg, domain):

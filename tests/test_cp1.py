@@ -1,6 +1,7 @@
 """Line bundles on the sphere: clutching, quadrature, and cohomology."""
 
 import decimal
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,89 @@ def test_exact_form_takes_a_bump_from_the_origin():
     assert w.h0(np.array([0.0j]))[0] == 0
     coeffs = cp1.cohomology_coefficients(w, cfg=cp1.BUMP_GRADE)
     assert np.abs(np.asarray(coeffs)).max() < 1e-5
+
+
+def _exact_h0_by_mask(p, q, r_in, r_out):
+    """``exact_form``'s h0 as it was: the closed form on the gathered
+    support nodes, scattered into zeros."""
+    mid = (r_out + r_in) / 2.0
+    half = (r_out - r_in) / 2.0
+
+    def monomial(z, p, q):
+        out = np.ones_like(z)
+        for _ in range(p):
+            out = out * z
+        zc = np.conj(z)
+        for _ in range(q):
+            out = out * zc
+        return out
+
+    def h0(z):
+        z = np.asarray(z, dtype=complex)
+        r = np.abs(z)
+        out = np.zeros_like(z)
+        nz = (r > 0) & (np.abs(r - mid) < half)
+        zz = z[nz]
+        rr = r[nz]
+        t = (rr - mid) / half
+        s = 1.0 - t * t
+        e = np.exp(-1.0 / s)
+        if q:
+            out[nz] = e * (q - t * rr / (s * s * half)) * monomial(zz, p, q - 1)
+        else:
+            out[nz] = e * (-t / (s * s * half * rr)) * monomial(zz, p + 1, 0)
+        return out
+
+    return h0
+
+
+@st.composite
+def _annulus_nodes(draw):
+    """Radii 0 <= r_in < r_out and nodes inside, outside and on the edges
+    of their annulus: z = 0, |z| = r_in or r_out exactly (and one ulp
+    either side), on the axes with signed zeros, and at random angles."""
+    r_in = draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    r_out = r_in + draw(st.floats(1e-3, 3.0))
+    edges = [0.0, r_in, r_out, (r_in + r_out) / 2]
+    edges += [np.nextafter(r, s) for r in (r_in, r_out) for s in (0.0, np.inf)]
+    radius = st.one_of(st.sampled_from(edges), st.floats(0.0, 2 * r_out))
+    axis = st.tuples(radius, st.sampled_from([1.0, -1.0]), st.booleans()).map(
+        lambda t: complex(0.0 * t[1], t[0] * t[1]) if t[2]
+        else complex(t[0] * t[1], -0.0 * t[1]))
+    polar = st.tuples(radius, st.floats(0, 2 * np.pi)).map(
+        lambda t: t[0] * complex(np.cos(t[1]), np.sin(t[1])))
+    z = draw(st.lists(st.one_of(axis, polar), min_size=1, max_size=30))
+    return r_in, r_out, np.array(z, dtype=complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([0, 1, 2]), q=st.sampled_from([0, 1, 2]),
+       case=_annulus_nodes())
+def test_exact_form_h0_keeps_the_values_of_the_masked_evaluation(p, q, case):
+    # evaluated at every node and zeroed off the support, h0 equals the old
+    # gather-and-scatter form (up to the sign of a zero), and the warnings
+    # of the thrown-away nodes stay silenced
+    r_in, r_out, z = case
+    want = _exact_h0_by_mask(p, q, r_in, r_out)(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cp1.exact_form(-3, p=p, q=q, r_in=r_in, r_out=r_out).h0(z)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,q,r_in,r_out", [
+    (0, 0, 0.0, 1.5), (1, 2, 0.4, 2.5), (2, 0, 0.3, 0.6), (0, 1, 0.45, 2.3),
+    (2, 2, 0.5, 2.0)])
+def test_exact_form_coefficients_keep_the_bits_of_the_masked_evaluation(
+        p, q, r_in, r_out):
+    w = cp1.exact_form(-3, p=p, q=q, r_in=r_in, r_out=r_out)
+    old = cp1.Form01(-3, _exact_h0_by_mask(p, q, r_in, r_out), w.h1,
+                     support=w.support)
+    for check in (False, True):
+        got = cp1.cohomology_coefficients(w, check=check)
+        want = cp1.cohomology_coefficients(old, check=check)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_bump_sections_clutch_and_differentiate():

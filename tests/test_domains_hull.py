@@ -1,6 +1,7 @@
 """Domain algebra and the swept-line membership test for the hull."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -934,6 +935,44 @@ def test_line_forms_of_a_ball_and_a_point_are_scale_safe(n, power):
 # ---------------------------------------------------------------------------
 
 _LEVELS = [0, 1, 2, 3, 4]
+
+
+def _icosphere_by_triple_loop(level):
+    """``hull._icosphere`` as it was: one np.ix_ adjacency test per vertex
+    triple."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    u = np.array([[0.0, a, b * phi] for a in (-1, 1) for b in (-1, 1)])
+    u = np.concatenate([u, np.roll(u, 1, axis=1), np.roll(u, 2, axis=1)])
+    adj = np.isclose(np.linalg.norm(u[:, None] - u[None], axis=-1), 2.0)
+    tris = np.array([t for t in itertools.combinations(range(12), 3)
+                     if adj[np.ix_(t, t)].sum() == 6])
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    for _ in range(level):
+        edges = np.sort(np.stack([tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]],
+                                 axis=-1), axis=-1)
+        pairs, mid = np.unique(edges.reshape(-1, 2), axis=0,
+                               return_inverse=True)
+        m = u[pairs[:, 0]] + u[pairs[:, 1]]
+        mid = len(u) + mid.reshape(-1, 3)
+        u = np.concatenate([u, m / np.linalg.norm(m, axis=1, keepdims=True)])
+        tris = np.concatenate([tris, mid], axis=1)[:, hull._CHILDREN].reshape(-1, 3)
+    qs = np.concatenate([np.zeros((len(u), 1)), u], axis=1)
+    tris = np.ascontiguousarray(tris.T, dtype=np.intp)
+    rho = hull._circumchord(u.T[:, tris])
+    return qs, float(rho.max()), tris, rho
+
+
+@pytest.mark.parametrize("level", _LEVELS)
+def test_icosphere_faces_are_those_of_the_triple_loop(level):
+    # the vectorised adjacency test finds the same 20 faces in the same
+    # order, so every node, triangle and chord keeps its bits
+    got = hull._icosphere(level)
+    want = _icosphere_by_triple_loop(level)
+    assert len(got[2][0]) == 20 * 4 ** level
+    assert got[1] == want[1]
+    for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("level", _LEVELS)
