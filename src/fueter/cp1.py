@@ -11,11 +11,18 @@ which vanish on exact forms dbar(f).  Sections enter only as that f, so the
 module keeps forms alone: exact_form builds dbar(f) for a bump-supported f
 in closed form.  For k = -3 the harmonic representative
 
-    h0(z) = 2 (a0 + a1 conj(z)) / (1+|z|^2)^3
+    h0(z) = (a0, a1) . b(z),   b(z) = (1, conj(z)) 2/(1+|z|^2)^3,
 
 inverts the coefficient map exactly (the two moments of 2/(1+|z|^2)^3 and
-2 z conj(z)/(1+|z|^2)^3 both equal 1); its h0 at a0, a1 = [1, 0], [0, 1]
-is the fiber basis of the twistor transform (penrose).
+2 z conj(z)/(1+|z|^2)^3 both equal 1, those of the cross terms 0); b is
+harmonic_basis, also the fiber basis of the twistor transform (penrose).
+
+A form may carry such a factorisation, coefficients (..., R) times a basis
+b(z) -> (R,) + z.shape.  The map is linear, so its coefficients are the
+coefficients times the basis's moment table T (R, -k-1), which is summed
+over the nodes once per basis and rule and cached (moment_table); the form
+itself is never evaluated at the nodes.  Forms without one (exact_form's,
+a user's) are summed node by node.
 
 The quadrature realizes (1/2 pi i) \int g dconj(z)^dz = (1/pi) \int g dA via
 the compactified substitution z = (rho/(1-rho)) e^{i phi}: Gauss-Legendre in
@@ -35,9 +42,9 @@ drop below 1e-9 at 1536).  The form picks its rule: the bump grade when it
 has a support annulus (exact_form's), the default otherwise.  Both rules are
 fixed: a form with a support is summed over the rule's nodes in that
 annulus only: the sum loses only terms that are exactly zero.  Every
-coefficient carries a bound on the rounding of its sum (see
-_certified_moments); one the bound cannot certify to the rule's target_tol
-is refused, not returned.
+coefficient carries a bound on its rounding, of the node sum or of the
+table's and the product's (see _certified_moments); one the bound cannot
+certify to the rule's target_tol is refused, not returned.
 """
 
 import functools
@@ -49,7 +56,7 @@ __all__ = [
     "QuadratureConfig", "QuadratureError", "BUMP_GRADE",
     "quadrature_nodes", "quadrature_C", "Form01", "validate_form",
     "decay_check", "cohomology_coefficients", "harmonic_representative",
-    "h1_dimension", "bump", "exact_form",
+    "harmonic_basis", "moment_table", "h1_dimension", "bump", "exact_form",
 ]
 
 
@@ -57,14 +64,31 @@ class QuadratureError(RuntimeError):
     pass
 
 
+def _integer(v, name):
+    """v as an int; ValueError unless it is one (an int, a numpy integer, or
+    an integral float such as 3.0), so that nothing is truncated."""
+    try:
+        whole = int(v) == v
+    except (OverflowError, TypeError, ValueError):   # inf, NaN, not a number
+        whole = False
+    if not whole:
+        raise ValueError("%s must be an integer, not %r" % (name, v))
+    return int(v)
+
+
 class QuadratureConfig:
-    """Node counts for the compactified plane quadrature."""
+    """Node counts for the compactified plane quadrature, and the rounding
+    bound target_tol (finite and positive) every coefficient must meet."""
 
     def __init__(self, n_radial=96, n_angular=64, target_tol=1e-6):
-        if n_radial < 8 or n_angular < 8:
+        self.n_radial = _integer(n_radial, "n_radial")
+        self.n_angular = _integer(n_angular, "n_angular")
+        if self.n_radial < 8 or self.n_angular < 8:
             raise ValueError("need at least 8 nodes per direction")
-        self.n_radial = int(n_radial)
-        self.n_angular = int(n_angular)
+        # NaN would refuse every coefficient and inf pass any
+        if not 0.0 < target_tol < np.inf:
+            raise ValueError("target_tol must be finite and positive, not %r"
+                             % (target_tol,))
         self.target_tol = float(target_tol)
 
     def refined(self):
@@ -364,16 +388,26 @@ def quadrature_C(g, cfg=None):
 class Form01:
     """A (0,1)-form on Q_k: coefficients h0, h1 with h1(1/z) = -z^{-k} conj(z)^2 h0(z).
 
-    support, when given, is an annulus (r_in, r_out), 0 <= r_in < r_out,
-    outside which h0 is zero; the coefficient moments then sum over the
-    nodes inside it only.
+    k is an integer (ValueError otherwise).  support, when given, is an
+    annulus (r_in, r_out), 0 <= r_in < r_out, outside which h0 is zero; the
+    coefficient moments then sum over the nodes inside it only.  coeffs and
+    basis, when given, factor h0 as sum_r coeffs[..., r] basis(z)[r], with
+    coeffs (..., R) and basis(z) -> (R,) + z.shape; the coefficient moments
+    are then coeffs times the basis's moment table, and h0 is not evaluated
+    at the nodes.  A form has a support or a factorisation, not both.
     """
 
-    def __init__(self, k, h0, h1, support=None):
-        self.k = int(k)
+    def __init__(self, k, h0, h1, support=None, coeffs=None, basis=None):
+        self.k = _integer(k, "the degree k")
         self.h0 = h0
         self.h1 = h1
         self.support = None if support is None else _annulus(*support)
+        if (coeffs is None) != (basis is None) or (
+                basis is not None and support is not None):
+            raise ValueError("a factored form takes coeffs and basis, and no "
+                             "support")
+        self.coeffs = None if coeffs is None else np.asarray(coeffs, dtype=complex)
+        self.basis = basis
 
 
 def _annulus(r_in, r_out):
@@ -427,13 +461,16 @@ def cohomology_coefficients(w, cfg=None, check=True):
     """The H^1 coefficients a_0..a_{-k-2} of a (0,1)-form on Q_k, k <= -2.
 
     Returns shape (-k-1,), or (..., -k-1) when w.h0 maps the nodes to a batch
-    of forms of shape (..., nodes).  cfg defaults to BUMP_GRADE for a form
-    with a support, which sums over the nodes in its annulus only, and to
-    QuadratureConfig() otherwise.  QuadratureError when a coefficient is not
-    finite (z^ell overflows on the outer nodes when -k is large), when the
-    rounding bound of a coefficient's sum exceeds cfg.target_tol (the sum
-    cancels terms too large to leave that accuracy; checked with or without
-    check), or, with check, when the doubled rule disagrees.
+    of forms of shape (..., nodes) (for a factored form, when w.coeffs is
+    (..., R)).  cfg defaults to BUMP_GRADE for a form with a support, which
+    sums over the nodes in its annulus only, and to QuadratureConfig()
+    otherwise.  A factored form's coefficients are w.coeffs times its
+    basis's cached moment table on the rule (see _certified_moments).
+    QuadratureError when a coefficient is not finite (z^ell overflows on the
+    outer nodes when -k is large), when the rounding bound of a
+    coefficient exceeds cfg.target_tol (the sum cancels terms too large to
+    leave that accuracy; checked with or without check), or, with check,
+    when the doubled rule disagrees.
     """
     if w.k > -2:
         raise ValueError("H^1(Q_k) vanishes for k > -2; no coefficients")
@@ -448,14 +485,95 @@ def cohomology_coefficients(w, cfg=None, check=True):
     return out
 
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0   # u = 2^-53
+
+
+def _gamma(m):
+    """Higham's gamma_m = m u / (1 - m u) (m may be an array)."""
+    mu = m * _UNIT_ROUNDOFF
+    return mu / (1.0 - mu)
+
+
+def _node_moments(w, cfg):
+    """The coefficient moments of w summed over cfg's nodes, and their
+    rounding bounds (see _certified_moments); unchecked."""
+    rows = slice(None) if w.support is None else _support_rows(w.support, cfg)
+    count = -w.k - 1
+    out, mags = _moments(w.h0, count, cfg, rows)
+    n_terms = len(range(*rows.indices(cfg.n_radial))) * cfg.n_angular
+    return out, _gamma(3.0 * np.arange(1, count + 1) + 2.0 * (n_terms - 1)) * mags
+
+
+@functools.lru_cache(maxsize=8)
+def _basis_table(basis, k, n_radial, n_angular):
+    """(T, B): the moments (R, -k-1) of the R forms basis_r dconj(z) on Q_k,
+    summed over the nodes of the rule with these counts, and their rounding
+    bounds; read-only and unchecked.
+
+    Cached per basis and node counts, not per config: refined() builds a new
+    config on every call, and the target_tol is met where the table is used.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _node_moments(Form01(k, basis, None),
+                              QuadratureConfig(n_radial, n_angular))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _in_order(c, T):
+    """sum_r c[..., r] T[r] (..., -k-1), added in the order r = 0, 1, ...
+
+    Elementwise, so every row of a batch is summed alike and a batched
+    result is the scalar one bit for bit, which a BLAS product does not
+    promise.
+    """
+    out = c[..., 0, None] * T[0]
+    for r in range(1, len(T)):
+        out = out + c[..., r, None] * T[r]
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def moment_table(basis, k):
+    """The moment table T[r, ell] = sum_j W_j Z_j^ell basis(Z_j)[r] on the
+    default rule: row r is the H^1 coefficients of basis_r dconj(z) on Q_k.
+
+    The cached, read-only array that factored forms with this basis are
+    multiplied by, certified once per basis; QuadratureError when its node
+    sums are not finite or their rounding bounds exceed the rule's
+    target_tol.
+    """
+    cfg = QuadratureConfig()
+    table, bound = _basis_table(basis, k, cfg.n_radial, cfg.n_angular)
+    _certify(table, bound, k, cfg)
+    return table
+
+
+def _certify(out, bound, k, cfg):
+    """QuadratureError unless every moment is finite and every bound is at
+    most cfg.target_tol."""
+    if not np.isfinite(out).all():
+        raise QuadratureError(
+            "non-finite coefficients of the degree %d form on the %r rule"
+            % (k, cfg))
+    if not (bound <= cfg.target_tol).all():
+        raise QuadratureError(
+            "coefficients of the degree %d form on the %r rule not certified: "
+            "rounding bound %.3g > target_tol %g"
+            % (k, cfg, np.max(bound), cfg.target_tol))
+
+
 def _certified_moments(w, cfg):
     """The coefficient moments of w on the rule cfg and their rounding bounds.
 
     QuadratureError unless every moment is finite (for large ell Z^ell
-    overflows on the outer nodes; that shows here, not as a floating-point
-    warning) and every bound is at most cfg.target_tol.
+    overflows on the outer nodes, and a product with a table may overflow;
+    that shows here, not as a floating-point warning) and every bound is at
+    most cfg.target_tol.
 
-    The bound on moment ell is B = gamma_m * sum_j |W_j Z_j^ell h0(Z_j)|,
+    A form without a factorisation is summed over the nodes.  The bound on
+    moment ell is B = gamma_m * sum_j |W_j Z_j^ell h0(Z_j)|,
     gamma_m = m u / (1 - m u), u = 2^-53, for the N nodes summed (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 3-4).  Each term
     takes ell + 1 complex products (ell for W Z^ell, one against h0), each
@@ -467,32 +585,47 @@ def _certified_moments(w, cfg):
     computed moment against the exact sum of the same terms, to first order
     in u (the magnitudes are themselves computed); h0's own rounding and the
     rule's truncation are not in it.
+
+    A factored form's moments are c T, its coefficients c (..., R) times the
+    basis's table T (R, -k-1) on the rule, with node-sum bounds B (see
+    _basis_table).  The exact sums are c times T's exact sums, so T's
+    rounding contributes |c| B; the product is an R-term complex dot
+    product, whose R products and R - 1 additions compose, as above, to
+    gamma_{2R+1} |c| |T|.  The bound is |c| B + gamma_{2R+1} |c| |T|, taken
+    as |c| (B + gamma_{2R+1} |T|), to first order in u, with the basis's
+    rounding and the rule's truncation again not in it.
     """
-    rows = slice(None) if w.support is None else _support_rows(w.support, cfg)
-    count = -w.k - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        out, mags = _moments(w.h0, count, cfg, rows)
-    if not np.isfinite(out).all():
-        raise QuadratureError(
-            "non-finite coefficients of the degree %d form on the %r rule"
-            % (w.k, cfg))
-    n_terms = len(range(*rows.indices(cfg.n_radial))) * cfg.n_angular
-    mu = (3.0 * np.arange(1, count + 1) + 2.0 * (n_terms - 1)) \
-        * np.finfo(float).eps / 2.0
-    bound = mu / (1.0 - mu) * mags
-    if not np.all(bound <= cfg.target_tol):
-        raise QuadratureError(
-            "coefficients of the degree %d form on the %r rule not certified: "
-            "rounding bound %.3g > target_tol %g"
-            % (w.k, cfg, np.max(bound), cfg.target_tol))
+        if w.basis is None:
+            out, bound = _node_moments(w, cfg)
+        else:
+            table, table_bound = _basis_table(w.basis, w.k, cfg.n_radial,
+                                              cfg.n_angular)
+            out = _in_order(w.coeffs, table)
+            bound = _in_order(np.abs(w.coeffs), table_bound
+                              + _gamma(2 * len(table) + 1) * np.abs(table))
+    _certify(out, bound, w.k, cfg)
     return out, bound
+
+
+def harmonic_basis(z):
+    """b(z) = (1, conj z) 2/(1+|z|^2)^3, shape (2,) + z.shape.
+
+    The basis of the k = -3 forms whose moment table is the identity (see
+    harmonic_representative); the fiber basis of every sharp lift (penrose).
+    """
+    z = np.asarray(z, dtype=complex)
+    profile = 2.0 / (1.0 + (z.real ** 2 + z.imag ** 2)) ** 3
+    return np.stack([profile, np.conj(z) * profile])
 
 
 def harmonic_representative(a0, a1):
     """The k = -3 form with h0 = (a0 + a1 conj z) 2/(1+|z|^2)^3; inverts the coefficients.
 
-    Its clutching h1 is the same profile at (-a1, -a0).  a0 and a1 are
-    scalars or equal-shape arrays of pairs; h0 and h1 then map z to
+    The form is factored: coeffs (a0, a1) times harmonic_basis, so its
+    coefficients are one product with that basis's moment table.  Its
+    clutching h1 is the same profile at (-a1, -a0).  a0 and a1 are scalars
+    or equal-shape arrays of pairs; h0 and h1 then map z to
     a0.shape + z.shape.
     """
     a0 = np.asarray(a0, dtype=complex)
@@ -500,21 +633,18 @@ def harmonic_representative(a0, a1):
     if a0.shape != a1.shape:
         raise ValueError("a0 and a1 differ in shape: %s vs %s"
                          % (a0.shape, a1.shape))
+    coeffs = np.stack([a0, a1], axis=-1)
 
-    def profile(c0, c1):
-        def h(z):
-            z = np.asarray(z, dtype=complex)
-            lift = a0.shape + (1,) * z.ndim
-            return (c0.reshape(lift) + c1.reshape(lift) * np.conj(z)) \
-                * (2.0 / (1.0 + (z.real ** 2 + z.imag ** 2)) ** 3)
-        return h
+    def profile(c):
+        return lambda z: np.tensordot(c, harmonic_basis(z), axes=(-1, 0))
 
-    return Form01(-3, profile(a0, a1), profile(-a1, -a0))
+    return Form01(-3, profile(coeffs), profile(-coeffs[..., ::-1]),
+                  coeffs=coeffs, basis=harmonic_basis)
 
 
 def h1_dimension(k):
-    """dim H^1(CP^1, Q_k) = max(0, -k-1)."""
-    return max(0, -int(k) - 1)
+    """dim H^1(CP^1, Q_k) = max(0, -k-1); ValueError unless k is an integer."""
+    return max(0, -_integer(k, "the degree k") - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
     moments alone, and a base-direction (K) part has none (see
     ``tau_push_02``).  Its fiber profile is the harmonic representative of
     ``cp1`` with (a0, a1) = (psi0(x), psi1(x)): the base coefficients
-    c(x) = (psi0(x), psi1(x)) times the fixed fiber basis
+    c(x) = (psi0(x), psi1(x)) times ``cp1.harmonic_basis``,
     b(z) = (1, conj(z)) 2/(1+|z|^2)^3.
   * ``tau_push_01`` pushes a form down to a pair by the fiber moment
     integrals a_A(x) = (1/2 pi i) \int z^A wz(z, x) dconj(z)^dz, A = 0, 1,
@@ -45,8 +45,9 @@ Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
     the identical code path, not merely an equal value.
 
 Batches: a form's coefficients take a whole batch of base points at once,
-x (..., 4n) -> (..., R), and its moment table is built once per fiber basis
-by ``cp1.cohomology_coefficients``.  The pushforwards,
+x (..., 4n) -> (..., R), and its moment table is cp1's: ``cp1.moment_table``
+builds it once per fiber basis, the very table a factored ``cp1`` form
+with that basis is multiplied by.  The pushforwards,
 ``penrose_transform`` and ``diagram_check`` are then products of (..., R)
 coefficient arrays with the (R, moments) table; no array over base points
 and fiber nodes together is formed.
@@ -58,12 +59,10 @@ certificates and diagram residuals inherit, far below the 1e-4 tolerances;
 ``penrose_transform`` takes one finite-difference pass per call.
 """
 
-import functools
-
 import numpy as np
 
 from .cf import FDConfig, _partials, _wirtinger, cf_residual_complex
-from .cp1 import Form01, cohomology_coefficients, harmonic_representative
+from .cp1 import harmonic_basis, moment_table
 from .domains import WholeSpace
 from .fields import get_field
 from .hull import hull_contains, NotInHullError, _as_point
@@ -111,10 +110,11 @@ class TwistorFormL:
 
     ``moments`` is the table M[r, a] = sum_j W_j Z_j^a b_r(Z_j), a = 0, 1,
     on the default nodes: every pushforward of the form is a product with
-    it.  Row r is the H^1 coefficients of the form b_r dconj(z) on Q_-3, so
-    ``cp1.cohomology_coefficients`` certifies its rounding (QuadratureError
-    if it cannot).  It is built once per basis callable and shared,
-    read-only, by the forms with that basis (all ``sharp`` lifts).
+    it.  Row r is the H^1 coefficients of the form b_r dconj(z) on Q_-3.  It
+    is ``cp1.moment_table`` of the basis, which certifies its rounding
+    (QuadratureError if it cannot), builds it once per basis callable, and
+    shares it, read-only, with the forms with that basis (all ``sharp``
+    lifts) and with cp1's factored forms (``harmonic_representative``).
     """
 
     def __init__(self, n, coeffs, basis, coeffs_matrix=None, domain=None):
@@ -126,19 +126,7 @@ class TwistorFormL:
 
     @property
     def moments(self):
-        return _moment_table(self.basis)
-
-
-@functools.lru_cache(maxsize=8)
-def _moment_table(basis):
-    """The read-only moment table of a fiber basis (see TwistorFormL)."""
-    table = cohomology_coefficients(Form01(-3, basis, None), check=False)
-    table.flags.writeable = False
-    return table
-
-
-# b(z) = (1, conj(z)) 2/(1+|z|^2)^3, the fiber basis of every sharp lift
-_HARMONIC_BASIS = harmonic_representative([1, 0], [0, 1]).h0
+        return moment_table(self.basis, -3)
 
 
 def _stacked_pair(pair, lead):
@@ -166,7 +154,7 @@ def sharp(field):
             sigma = np.asarray(sigma, dtype=complex)
             return _stacked_pair(ext.pair(sigma), sigma.shape[:-2])
 
-    return TwistorFormL(field.n, coeffs, _HARMONIC_BASIS,
+    return TwistorFormL(field.n, coeffs, harmonic_basis,
                         coeffs_matrix=coeffs_matrix, domain=field.domain)
 
 

@@ -524,6 +524,28 @@ def test_cp1_coeffs_refuses_non_finite_coefficients(monkeypatch, capsys):
     assert captured.err.startswith("check failed: cp1 coeffs: non-finite")
 
 
+def test_cp1_harmonic_returns_subnormal_coefficients_as_given(capsys):
+    # the node sum once printed 1.53e-321 and 8.1e-322 with "pass" true;
+    # the product with the moment table returns the inputs
+    assert cli.main(["cp1", "harmonic", "--a0=1e-320", "--a1=1e-320"]) == 0
+    blob = _strict_json(capsys.readouterr().out)
+    assert blob["pass"] is True
+    assert blob["results"]["coefficients"] == [[1e-320, 0.0], [1e-320, 0.0]]
+    assert blob["results"]["roundtrip_error"] == 0.0
+
+
+@pytest.mark.parametrize("args", [["harmonic", "--a0=1e308", "--a1=1e308"],
+                                  ["coeffs", "--form", "harmonic:a0=1e300"]])
+def test_cp1_refuses_uncertified_harmonic_coefficients(args, capsys):
+    # the product with the table is finite, but its rounding bound is far
+    # above the tolerance: exit 1, strict JSON with "pass" false
+    assert cli.main(["cp1"] + args) == 1
+    blob = _strict_json(capsys.readouterr().out)
+    jsonschema.validate(blob, _schema())
+    assert blob["pass"] is False
+    assert "not certified: rounding bound" in blob["results"]["error"]
+
+
 def test_cp1_coeffs_leaves_the_exact_form_defaults_to_exact_form(capsys):
     # no option given: the coefficients of exact_form(-3), bit for bit
     assert cli.main(["cp1", "coeffs", "--form", "exact"]) == 0

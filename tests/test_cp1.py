@@ -33,6 +33,24 @@ def test_quadrature_config_validation():
     cfg = cp1.QuadratureConfig(32, 16)
     finer = cfg.refined()
     assert finer.n_radial > cfg.n_radial and finer.n_angular > cfg.n_angular
+    # a node count is an integer, never truncated (96.9 once became 96)
+    for counts in ((96.9, 64), (96, 64.5), (np.nan, 64), (96, np.inf)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            cp1.QuadratureConfig(*counts)
+    # NaN or a negative tolerance refused every coefficient, and inf
+    # certified anything
+    for tol in (np.nan, -1.0, 0.0, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            cp1.QuadratureConfig(target_tol=tol)
+    # numpy integers and integral floats are counts; the default rule and
+    # BUMP_GRADE's settings pass
+    cfg = cp1.QuadratureConfig(np.int64(96), 64.0, np.float32(1e-6))
+    assert (cfg.n_radial, cfg.n_angular) == (96, 64)
+    assert type(cfg.n_radial) is int and type(cfg.n_angular) is int
+    bump = cp1.BUMP_GRADE
+    again = cp1.QuadratureConfig(bump.n_radial, bump.n_angular, bump.target_tol)
+    assert repr(again) == repr(bump) and again.target_tol == bump.target_tol
+    assert repr(cp1.QuadratureConfig()) == "QuadratureConfig(96, 64)"
 
 
 def test_quadrature_nodes_are_shared_and_read_only():
@@ -210,7 +228,9 @@ def test_batched_harmonic_coefficients_match_the_scalar_ones():
     for i in np.ndindex(3, 4):
         one = cp1.cohomology_coefficients(cp1.harmonic_representative(*a[i]))
         assert one.shape == (2,)
-        np.testing.assert_allclose(c[i], one, rtol=0, atol=1e-14)
+        # bit for bit: the product with the table is elementwise, where a
+        # BLAS product of a batch and of one pair may round differently
+        assert c[i].tobytes() == one.tobytes()
     assert cp1.validate_form(w)["ok"] is True
     with pytest.raises(ValueError):
         cp1.harmonic_representative(np.ones(3), np.ones(2))
@@ -237,6 +257,7 @@ def test_coefficient_count_matches_the_weight():
     assert cp1.h1_dimension(-1) == 0
     assert cp1.h1_dimension(0) == 0
     assert cp1.h1_dimension(3) == 0
+    assert cp1.h1_dimension(np.int64(-3)) == cp1.h1_dimension(-3.0) == 2
     with pytest.raises(ValueError):
         cp1.cohomology_coefficients(cp1.Form01(-1, lambda z: 0 * z,
                                                lambda z: 0 * z))
@@ -489,9 +510,11 @@ def test_support_sums_match_the_whole_rule(p, q, k, a, b):
     assume(a != b)
     w = cp1.exact_form(k, p=p, q=q, r_in=min(a, b), r_out=max(a, b))
     whole = cp1.Form01(k, w.h0, w.h1)
-    # the bump grade's nodes with no tolerance, so every bound is returned
+    # the bump grade's nodes with the largest finite tolerance, so every
+    # bound is returned
     cfg = cp1.QuadratureConfig(cp1.BUMP_GRADE.n_radial,
-                               cp1.BUMP_GRADE.n_angular, target_tol=np.inf)
+                               cp1.BUMP_GRADE.n_angular,
+                               target_tol=np.finfo(float).max)
     got, bound = cp1._certified_moments(w, cfg)
     ref, ref_bound = cp1._certified_moments(whole, cfg)
     # both sum the same nonzero terms, in different orders
@@ -522,3 +545,103 @@ def test_forms_pick_their_own_rule(k, p, q, r_in, r_out):
     want = cp1.cohomology_coefficients(whole, cp1.QuadratureConfig(),
                                        check=False)
     assert got.tobytes() == want.tobytes()
+
+
+def test_a_non_integral_degree_is_refused():
+    # h1_dimension(-3.7) once read 2 and Form01(-3.5, ...) degree -3
+    for k in (-3.7, -3.5, 2.5, np.float64(-2.25), np.nan, np.inf):
+        with pytest.raises(ValueError, match="degree k must be an integer"):
+            cp1.h1_dimension(k)
+        with pytest.raises(ValueError, match="degree k must be an integer"):
+            cp1.Form01(k, _harmonic_profile, None)
+    for k in (np.int32(-3), np.int64(-3), -3.0):
+        w = cp1.Form01(k, _harmonic_profile, None)
+        assert w.k == -3 and type(w.k) is int
+
+
+def test_a_factored_form_takes_coeffs_and_basis_and_no_support():
+    for kwargs in ({"coeffs": [1.0, 0.0]}, {"basis": cp1.harmonic_basis},
+                   {"coeffs": [1.0, 0.0], "basis": cp1.harmonic_basis,
+                    "support": (0.5, 2.0)}):
+        with pytest.raises(ValueError, match="a factored form"):
+            cp1.Form01(-3, _harmonic_profile, None, **kwargs)
+
+
+def _pairs(size):
+    """Complex numbers of magnitude 1e-150 to 1e150 and any phase."""
+    one = st.builds(lambda e, t: 10.0 ** e * np.exp(1j * t),
+                    st.floats(-150, 150), st.floats(0, 2 * np.pi))
+    return st.lists(st.tuples(one, one), min_size=size, max_size=size)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(_pairs(1).map(lambda p: np.array(p[0])),
+                 st.integers(1, 5).flatmap(_pairs).map(np.array)))
+def test_factored_coefficients_match_the_node_sum_within_both_bounds(a):
+    w = cp1.harmonic_representative(a[..., 0], a[..., 1])
+    # the same profile with no factorisation is summed node by node
+    whole = cp1.Form01(-3, w.h0, w.h1)
+    # the largest finite tolerance, so every bound is returned
+    cfg = cp1.QuadratureConfig(target_tol=np.finfo(float).max)
+    got, bound = cp1._certified_moments(w, cfg)
+    ref, ref_bound = cp1._certified_moments(whole, cfg)
+    assert got.shape == ref.shape == a.shape
+    assert np.all(np.abs(got - ref) <= bound + ref_bound)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+       st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+       st.integers(-700, 40))
+def test_factored_coefficients_scale_exactly_by_powers_of_two(a0, a1, k):
+    assume(a0.real and a0.imag and a1.real and a1.imag)
+    try:
+        base = cp1.cohomology_coefficients(cp1.harmonic_representative(a0, a1))
+        scaled = cp1.cohomology_coefficients(
+            cp1.harmonic_representative(2.0 ** k * a0, 2.0 ** k * a1))
+    except cp1.QuadratureError:
+        # |a| 2^k beyond about 1e5: the rounding bound exceeds 1e-6
+        assume(False)
+    assert scaled.tobytes() == (2.0 ** k * base).tobytes()
+
+
+def test_factored_coefficients_refuse_what_they_cannot_certify():
+    # the product of (1e308, 1e308) with the table is finite, but its
+    # rounding bound (about 2e296) is not below 1e-6; nor is 1e300's
+    for a in ((1e308, 1e308), (1e300, 0.0)):
+        w = cp1.harmonic_representative(*a)
+        for check in (False, True):
+            with pytest.raises(cp1.QuadratureError, match="not certified"):
+                cp1.cohomology_coefficients(w, check=check)
+    # a product that overflows is refused as non-finite, after the product
+    # and with no overflow warning (RuntimeWarnings fail the test)
+    double = cp1.Form01(-3, None, None, coeffs=[1e308, 0.0],
+                        basis=lambda z: 2.0 * cp1.harmonic_basis(z))
+    for check in (False, True):
+        with pytest.raises(cp1.QuadratureError, match="non-finite coefficients"):
+            cp1.cohomology_coefficients(double, check=check)
+
+
+def test_factored_coefficients_read_one_cached_table_per_rule():
+    T, B = cp1._basis_table(cp1.harmonic_basis, -3, 96, 64)
+    assert cp1.moment_table(cp1.harmonic_basis, -3) is T
+    for arr in (T, B):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
+    # the table is the node sum of the basis read as a batch of two forms
+    basis = cp1.Form01(-3, cp1.harmonic_basis, None)
+    assert cp1.cohomology_coefficients(basis, check=False).tobytes() == T.tobytes()
+    # the checked coefficients read the doubled rule's table, built once
+    # however many refined() configs ask for it
+    cp1.cohomology_coefficients(cp1.harmonic_representative(1.0, 2.0j))
+    misses = cp1._basis_table.cache_info().misses
+    for a0 in (0.5, -1.0j, 3.0):
+        cp1.cohomology_coefficients(cp1.harmonic_representative(a0, 1.0))
+    assert cp1._basis_table.cache_info().misses == misses
+
+
+def test_subnormal_harmonic_coefficients_are_returned_as_given():
+    # the node sum once read 1.53e-321 and 8.1e-322 for 1e-320 and 1e-320
+    a = np.array([1e-320, 1e-320j])
+    c = cp1.cohomology_coefficients(cp1.harmonic_representative(*a))
+    assert c.tobytes() == a.tobytes()

@@ -476,15 +476,17 @@ def test_sharp_forms_share_one_read_only_moment_table():
 
 
 def test_moment_table_is_the_certified_cp1_coefficients_of_the_basis():
-    # row r holds the H^1 coefficients of the degree -3 form b_r dconj(z)
+    # the table is cp1's, the one its factored harmonic forms are multiplied
+    # by; row r holds the H^1 coefficients of the degree -3 form b_r dconj(z)
     table = penrose.sharp(fields.get_field("E")).moments
-    harmonic = cp1.harmonic_representative([1, 0], [0, 1])
-    want = cp1.cohomology_coefficients(harmonic, check=False)
+    assert table is cp1.moment_table(cp1.harmonic_basis, -3)
+    assert table is cp1._basis_table(cp1.harmonic_basis, -3, 96, 64)[0]
+    basis = cp1.Form01(-3, cp1.harmonic_basis, None)
+    want, bound = cp1._certified_moments(basis, cp1.QuadratureConfig())
     assert table.tobytes() == want.tobytes()
-    _, bound = cp1._certified_moments(harmonic, cp1.QuadratureConfig())
     assert np.all(np.abs(table - np.eye(2)) <= bound)
     # a basis whose terms are too large for the sums to certify is refused
-    big = penrose.TwistorFormL(1, None, lambda z: 1e12 * harmonic.h0(z))
+    big = penrose.TwistorFormL(1, None, lambda z: 1e12 * cp1.harmonic_basis(z))
     with pytest.raises(cp1.QuadratureError, match="not certified"):
         big.moments
 
