@@ -104,7 +104,8 @@ def _finite_float(s):
 
 
 # exact option -> (exact_form keyword, type); exact_form owns the defaults
-_EXACT_KEYS = {"p": ("p", int), "q": ("q", int),
+# and refuses a p or q that is not an integer >= 0, by name
+_EXACT_KEYS = {"p": ("p", float), "q": ("q", float),
                "rin": ("r_in", float), "rout": ("r_out", float)}
 _FORM_KEYS = {"harmonic": ("a0", "a1"), "exact": tuple(_EXACT_KEYS)}
 

@@ -21,8 +21,11 @@ A form may carry such a factorisation, coefficients (..., R) times a basis
 b(z) -> (R,) + z.shape.  The map is linear, so its coefficients are the
 coefficients times the basis's moment table T (R, -k-1), which is summed
 over the nodes once per basis and rule and cached (moment_table); the form
-itself is never evaluated at the nodes.  Forms without one (exact_form's,
-a user's) are summed node by node.
+itself is never evaluated at the nodes.  A form may instead declare
+h0 = radial(|z|) z^a conj(z)^b (polar, set by exact_form): the uniform
+angular sum of e^{i(ell+a-b) phi} is known in closed form, so its moments
+are one sum of radial over the rule's radii, with no node array.  Forms
+with neither (a user's) are summed node by node.
 
 The quadrature realizes (1/2 pi i) \int g dconj(z)^dz = (1/pi) \int g dA via
 the compactified substitution z = (rho/(1-rho)) e^{i phi}: Gauss-Legendre in
@@ -40,11 +43,11 @@ grade" handles the C-infinity-but-non-analytic exact forms, whose edge
 behavior defeats Gauss-Legendre at low node counts (errors ~1e-5 at 768 nodes
 drop below 1e-9 at 1536).  The form picks its rule: the bump grade when it
 has a support annulus (exact_form's), the default otherwise.  Both rules are
-fixed: a form with a support is summed over the rule's nodes in that
+fixed: a form with a support is summed over the rule's rows in that
 annulus only: the sum loses only terms that are exactly zero.  Every
-coefficient carries a bound on its rounding, of the node sum or of the
-table's and the product's (see _certified_moments); one the bound cannot
-certify to the rule's target_tol is refused, not returned.
+coefficient carries a bound on its rounding, of the node sum, of the row
+sum, or of the table's and the product's (see _certified_moments); one the
+bound cannot certify to the rule's target_tol is refused, not returned.
 """
 
 import functools
@@ -76,6 +79,14 @@ def _integer(v, name):
     return int(v)
 
 
+def _count(v, name):
+    """v as an int; ValueError unless it is an integer >= 0."""
+    v = _integer(v, name)
+    if v < 0:
+        raise ValueError("%s must be a nonnegative integer, not %r" % (name, v))
+    return v
+
+
 class QuadratureConfig:
     """Node counts for the compactified plane quadrature, and the rounding
     bound target_tol (finite and positive) every coefficient must meet."""
@@ -99,10 +110,12 @@ class QuadratureConfig:
         return "QuadratureConfig(%d, %d)" % (self.n_radial, self.n_angular)
 
 
-# quadrature node/weight grade for bump-function fixtures; see module docstring
+# quadrature grade for bump-function fixtures; see module docstring.  An
+# exact form reads its 1536 radii and row weights only (_radial_rule), not
+# the 1536 x 96 node grid
 BUMP_GRADE = QuadratureConfig(n_radial=1536, n_angular=96, target_tol=1e-5)
 
-# Most fiber nodes one moment sum evaluates at once (see _moments); the
+# Most fiber nodes one node sum evaluates at once (see _moments); the
 # default rule fits in one slice, BUMP_GRADE's whole plane takes nineteen.
 _CHUNK_NODES = 1 << 13
 
@@ -119,15 +132,17 @@ def quadrature_nodes(cfg=None):
 def _moments(h, count, cfg=None, rows=slice(None)):
     """The moments sum_j W_j Z_j^ell h(Z_j), ell < count, over h's last axis.
 
-    Returns them and the sums of their terms' magnitudes,
-    sum_j |W_j Z_j^ell h(Z_j)|, both (..., count).  h maps fiber points to
-    (..., points); the sums run over the nodes of the rule's radial rows
-    [rows] only, in consecutive slices of whole rows and at most
-    _CHUNK_NODES nodes, so a batch of forms or a fine rule never holds a
-    (..., nodes) array for all nodes at once.  V = W Z^ell is built once for
-    the summed nodes and then sliced.  W and |Z| are constant along a row
-    (see _nodes), so the magnitudes take one row sum of |h| per row against
-    W |Z|^ell of the row.
+    The node sum of forms that declare no structure: a user's, and a
+    basis read once for its moment table (_basis_table); exact forms are
+    summed by rows instead (see _node_moments).  Returns the moments and
+    the sums of their terms' magnitudes, sum_j |W_j Z_j^ell h(Z_j)|, both
+    (..., count).  h maps fiber points to (..., points); the sums run over
+    the nodes of the rule's radial rows [rows] only, in consecutive slices
+    of whole rows and at most _CHUNK_NODES nodes, so a batch of forms or a
+    fine rule never holds a (..., nodes) array for all nodes at once.
+    V = W Z^ell is built once per call for the summed nodes and then
+    sliced.  W and |Z| are constant along a row (see _nodes), so the
+    magnitudes take one row sum of |h| per row against W |Z|^ell of the row.
     """
     cfg = cfg or QuadratureConfig()
     n = cfg.n_angular
@@ -157,13 +172,13 @@ def _moments(h, count, cfg=None, rows=slice(None)):
 def _support_rows(support, cfg):
     """The slice of cfg's radial rows in the annulus support, plus one each side.
 
-    _nodes lays the rule out radial-major with ascending radii, so row i
-    holds the n_angular nodes of radius Z[i * n_angular].real and the rows
-    strictly inside (r_in, r_out) are consecutive.  The extra row on each
-    side keeps a node whose |Z| rounds across a support radius.
+    The radii of _radial_rule ascend, and _nodes lays the rule out
+    radial-major, so row i holds the n_angular nodes of radius r_i (exactly:
+    Z[i * n_angular] is r_i) and the rows strictly inside (r_in, r_out) are
+    consecutive.  The extra row on each side keeps a node whose |Z| rounds
+    across a support radius.  Only the radii are read, not the grid.
     """
-    Z, _ = quadrature_nodes(cfg)
-    r = Z[::cfg.n_angular].real
+    r, _ = _radial_rule(cfg.n_radial)
     lo = max(int(np.searchsorted(r, support[0], side="right")) - 1, 0)
     hi = min(int(np.searchsorted(r, support[1], side="left")) + 1, r.size)
     return slice(lo, hi)
@@ -347,7 +362,14 @@ def _gauss_legendre(n):
 
 
 @functools.lru_cache(maxsize=8)
-def _nodes(n_radial, n_angular):
+def _radial_rule(n_radial):
+    """Ascending radii r of the rule's rows and their weights c (the
+    Gauss-Legendre weight times dr/drho times r), with
+    sum_ij c_i (2/n_angular) g(r_i e^{i phi_j}) ~ (1/pi) int g dA; read-only.
+
+    A row's node weight W is c (2/n_angular), so a sum over whole rows (see
+    _node_moments) needs these n_radial numbers, not the grid of _nodes.
+    """
     theta, wt = _gauss_legendre_angles(n_radial)
     # rho = (1 + x) / 2 is cos^2(theta/2) at the node x = cos(theta) and
     # sin^2(theta/2) at its mirror -x, so r = rho / (1 - rho) is cot^2(theta/2)
@@ -361,11 +383,20 @@ def _nodes(n_radial, n_angular):
     r = np.concatenate([t[:half], 1.0 / t[::-1]]) ** 2
     wr = np.concatenate([wt[:half], wt[::-1]]) / 2.0
     jac = (1.0 + r) ** 2                  # dr = jac * drho
+    # (1/pi) * r dr dphi; the trapezoid weight 2*pi/n_angular, over pi, is
+    # the 2/n_angular of each node
+    c = wr * jac * r
+    r.flags.writeable = False
+    c.flags.writeable = False
+    return r, c
+
+
+@functools.lru_cache(maxsize=8)
+def _nodes(n_radial, n_angular):
+    r, c = _radial_rule(n_radial)
     phi = 2.0 * np.pi * np.arange(n_angular) / n_angular
     Z = (r[:, None] * np.exp(1j * phi)[None, :]).ravel()
-    # (1/pi) * r dr dphi; trapezoid weight 2*pi/n_angular, over pi -> 2/n
-    W = ((wr * jac * r)[:, None]
-         * np.full(n_angular, 2.0 / n_angular)[None, :]).ravel()
+    W = (c[:, None] * np.full(n_angular, 2.0 / n_angular)[None, :]).ravel()
     Z.flags.writeable = False
     W.flags.writeable = False
     return Z, W
@@ -394,20 +425,29 @@ class Form01:
     basis, when given, factor h0 as sum_r coeffs[..., r] basis(z)[r], with
     coeffs (..., R) and basis(z) -> (R,) + z.shape; the coefficient moments
     are then coeffs times the basis's moment table, and h0 is not evaluated
-    at the nodes.  A form has a support or a factorisation, not both.
+    at the nodes.  A factored form has no support and no polar declaration.
+    polar, when given, is (radial, a, b) with integers a, b >= 0 and
+    h0(z) = radial(|z|) z^a conj(z)^b, radial mapping radii to real values;
+    the coefficient moments are then one sum over the rule's radial rows
+    (see _node_moments), and h0 is not evaluated at the nodes.
     """
 
-    def __init__(self, k, h0, h1, support=None, coeffs=None, basis=None):
+    def __init__(self, k, h0, h1, support=None, coeffs=None, basis=None,
+                 polar=None):
         self.k = _integer(k, "the degree k")
         self.h0 = h0
         self.h1 = h1
         self.support = None if support is None else _annulus(*support)
-        if (coeffs is None) != (basis is None) or (
-                basis is not None and support is not None):
+        if (coeffs is None) != (basis is None) or (basis is not None and (
+                support is not None or polar is not None)):
             raise ValueError("a factored form takes coeffs and basis, and no "
-                             "support")
+                             "support or polar declaration")
         self.coeffs = None if coeffs is None else np.asarray(coeffs, dtype=complex)
         self.basis = basis
+        if polar is not None:
+            radial, a, b = polar
+            polar = radial, _count(a, "a"), _count(b, "b")
+        self.polar = polar
 
 
 def _annulus(r_in, r_out):
@@ -496,12 +536,39 @@ def _gamma(m):
 
 def _node_moments(w, cfg):
     """The coefficient moments of w summed over cfg's nodes, and their
-    rounding bounds (see _certified_moments); unchecked."""
+    rounding bounds (see _certified_moments); unchecked.
+
+    A polar form h0 = radial(|z|) z^a conj(z)^b is summed by rows: on row i
+    the terms W_i Z^ell h0(Z) are W_i r_i^(ell+a+b) radial(r_i) e^{i k phi_j},
+    k = ell + a - b, and the rule's trapezoid sum over the row's angles is
+    A_k = sum_j e^{i k phi_j} = n_angular when n_angular divides k, else 0,
+    so a_ell = A_k sum_i W_i r_i^(ell+a+b) radial(r_i): one radial value and
+    one weight per row, no node array.
+    """
     rows = slice(None) if w.support is None else _support_rows(w.support, cfg)
     count = -w.k - 1
-    out, mags = _moments(w.h0, count, cfg, rows)
-    n_terms = len(range(*rows.indices(cfg.n_radial))) * cfg.n_angular
-    return out, _gamma(3.0 * np.arange(1, count + 1) + 2.0 * (n_terms - 1)) * mags
+    ell = np.arange(count)
+    if w.polar is None:
+        out, mags = _moments(w.h0, count, cfg, rows)
+        n_terms = len(range(*rows.indices(cfg.n_radial))) * cfg.n_angular
+        return out, _gamma(3.0 * (ell + 1) + 2.0 * (n_terms - 1)) * mags
+    radial, a, b = w.polar
+    n = cfg.n_angular
+    r, c = _radial_rule(cfg.n_radial)
+    r = r[rows]
+    # W_i r_i^(ell+a+b) by repeated products, W_i as _nodes rounds it
+    P = np.empty((count, r.size))
+    P[0] = c[rows] * (2.0 / n)
+    for _ in range(a + b):
+        P[0] *= r
+    for i in range(1, count):
+        np.multiply(P[i - 1], r, out=P[i])
+    terms = np.asarray(radial(r), dtype=float)[..., None, :] * P
+    angular = np.where((ell + a - b) % n == 0, float(n), 0.0)
+    # + 0.0 turns the -0.0 of 0 times a negative sum into 0
+    out = (angular * terms.sum(axis=-1) + 0.0).astype(complex)
+    mags = n * np.abs(terms).sum(axis=-1)
+    return out, _gamma(ell + a + b + r.size + 1.0) * mags
 
 
 @functools.lru_cache(maxsize=8)
@@ -572,7 +639,8 @@ def _certified_moments(w, cfg):
     that shows here, not as a floating-point warning) and every bound is at
     most cfg.target_tol.
 
-    A form without a factorisation is summed over the nodes.  The bound on
+    A form with neither a factorisation nor a polar declaration is summed
+    over the nodes.  The bound on
     moment ell is B = gamma_m * sum_j |W_j Z_j^ell h0(Z_j)|,
     gamma_m = m u / (1 - m u), u = 2^-53, for the N nodes summed (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 3-4).  Each term
@@ -585,6 +653,21 @@ def _certified_moments(w, cfg):
     computed moment against the exact sum of the same terms, to first order
     in u (the magnitudes are themselves computed); h0's own rounding and the
     rule's truncation are not in it.
+
+    A polar form, h0 = radial(|z|) z^a conj(z)^b, is summed by rows (see
+    _node_moments): a_ell = A_k S with k = ell + a - b, A_k = n_angular or
+    0, and S = sum_i W_i r_i^(ell+a+b) radial(r_i) over the R rows summed.
+    Each of the R real terms takes ell + a + b + 1 products, relative error
+    at most gamma_{ell+a+b+1}; their sum in any order adds gamma_{R-1}
+    (Sec. 4.2), and the product with A_k one rounding more, so by Lemma 3.3
+    m = ell + a + b + R + 1: a few hundred on the bump grade, where the node
+    sum over the same support has m of about 77 000.  The bound takes
+    n_angular for |A_k|, which makes B = gamma_m sum_j |W_j Z_j^ell h0(Z_j)|
+    over the nodes, the node sum's magnitudes: a moment is not certified by
+    a closed-form zero alone, and terms too large to be summed to target_tol
+    (z^ell h0 reaches 2^58 on the support at k = -60) are refused as by the
+    node sum.  The exact sum is the rule's at the exact angles
+    2 pi j / n_angular; radial's rounding is again not in it.
 
     A factored form's moments are c T, its coefficients c (..., R) times the
     basis's table T (R, -k-1) on the rule, with node-sum bounds B (see
@@ -677,41 +760,52 @@ def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
     f(z) = phi(|z|) z^p conj(z)^q on chart 0, with phi an annulus bump
     supported in r_in < |z| < r_out, is a global smooth section; h0 is its
     dconj(z)-derivative and h1 the clutching of h0.  The form's support is
-    that annulus.  h0 evaluates its closed form at every given node, with
-    no gather or scatter, and one np.where sets it to zero off the support,
-    where the closed form overflows or divides by zero; the floating-point
-    warnings of those thrown-away nodes are silenced.  ValueError unless the
-    radii are finite with 0 <= r_in < r_out.
+    that annulus, and h0 = radial(|z|) z^a conj(z)^b is declared polar (see
+    Form01), so its coefficients are row sums of radial.  radial evaluates
+    its closed form at every given radius, with no gather or scatter, and
+    one np.where sets it to zero off the support, where the closed form
+    overflows or divides by zero; the floating-point warnings of those
+    thrown-away radii are silenced, and h0 is radial times the monomial.
+    ValueError unless p and q are integers >= 0 and the radii are finite
+    with 0 <= r_in < r_out.
     """
     r_in, r_out = _annulus(r_in, r_out)
+    p, q = _count(p, "p"), _count(q, "q")
     mid = (r_out + r_in) / 2.0
     half = (r_out - r_in) / 2.0
+    # d/dconj(z) of f: phi'(|z|) * z/(2|z|) * z^p conj(z)^q
+    #                  + q * phi * z^p conj(z)^{q-1},
+    # phi(r) = bump(t) with t = (r - mid)/half, so phi' = bump(t) *
+    # (-2t/s^2)/half with s = 1 - t^2; with z conj(z) = |z|^2 both terms are
+    # one exp times a real factor of |z| times one monomial z^a conj(z)^b
+    a, b = (p, q - 1) if q else (p + 1, 0)
 
-    def h0(z):
-        # d/dconj(z) of f: phi'(|z|) * z/(2|z|) * z^p conj(z)^q
-        #                  + q * phi * z^p conj(z)^{q-1},
-        # phi(r) = bump(t) with t = (r - mid)/half, so phi' = bump(t) *
-        # (-2t/s^2)/half with s = 1 - t^2; with z conj(z) = |z|^2 both terms
-        # are one exp times a real factor times one monomial
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
+    def radial(r):
         # both terms vanish off the bump's support |r - mid| < half, which is
         # where s > 0: t rounds below 1 in magnitude exactly there, and then
-        # s >= 2^-52.  Off it s <= 0 (or NaN) and, for q = 0, |z| may be 0
-        # (mid >= half keeps |z| = 0 off the support).  The closed form is
-        # evaluated at every node and set to zero off the support, and the
-        # divisions by zero and overflows of those thrown-away nodes are
-        # silenced; on the support |z| > 0 and s >= 2^-52, so its divisions
+        # s >= 2^-52.  Off it s <= 0 (or NaN) and, for q = 0, r may be 0
+        # (mid >= half keeps r = 0 off the support).  The closed form is
+        # evaluated at every radius and set to zero off the support, and the
+        # divisions by zero and overflows of those thrown-away radii are
+        # silenced; on the support r > 0 and s >= 2^-52, so its divisions
         # and its exponent stay finite
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = (r - mid) / half
             s = 1.0 - t * t
             e = np.exp(-1.0 / s)
             if q:
-                val = e * (q - t * r / (s * s * half)) * _monomial(z, p, q - 1)
+                val = e * (q - t * r / (s * s * half))
             else:
-                val = e * (-t / (s * s * half * r)) * _monomial(z, p + 1, 0)
-        return np.where(s > 0, val, 0j)
+                val = e * (-t / (s * s * half * r))
+        return np.where(s > 0, val, 0.0)
+
+    def h0(z):
+        z = np.asarray(z, dtype=complex)
+        rho = radial(np.abs(z))
+        # off the support rho is 0 and the monomial may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = rho * _monomial(z, a, b)
+        return np.where(rho != 0, val, 0j)
 
     def h1(w):
         w = np.asarray(w, dtype=complex)
@@ -721,4 +815,4 @@ def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
         out[nz] = -zz ** (-k) * np.conj(zz) ** 2 * h0(zz)
         return out
 
-    return Form01(k, h0, h1, support=(r_in, r_out))
+    return Form01(k, h0, h1, support=(r_in, r_out), polar=(radial, a, b))

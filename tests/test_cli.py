@@ -388,6 +388,11 @@ def test_non_finite_coefficients_are_config_errors(args, capsys):
     ("exact:rin=2:rout=1", "0 <= r_in < r_out"),
     ("exact:p=-1:rin=-1:rout=2", "0 <= r_in < r_out"),
     ("exact:rim=0.3", "unknown exact form option 'rim'; known: p, q, rin, rout"),
+    # exact:q=-1 once exited 0 with "pass" true and a_0 = -1.665
+    ("exact:q=-1", "q must be a nonnegative integer, not -1"),
+    ("exact:p=-2", "p must be a nonnegative integer, not -2"),
+    ("exact:p=1.5", "p must be an integer, not 1.5"),
+    ("exact:q=nan", "q must be an integer, not nan"),
     ("harmonic:a0=1:a2=3", "unknown harmonic form option 'a2'; known: a0, a1"),
     ("bump:r=1", "unknown form fixture 'bump'"),
 ])

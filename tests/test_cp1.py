@@ -363,18 +363,77 @@ def test_exact_form_h0_keeps_the_values_of_the_masked_evaluation(p, q, case):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("p,q,r_in,r_out", [
-    (0, 0, 0.0, 1.5), (1, 2, 0.4, 2.5), (2, 0, 0.3, 0.6), (0, 1, 0.45, 2.3),
-    (2, 2, 0.5, 2.0)])
-def test_exact_form_coefficients_keep_the_bits_of_the_masked_evaluation(
-        p, q, r_in, r_out):
-    w = cp1.exact_form(-3, p=p, q=q, r_in=r_in, r_out=r_out)
-    old = cp1.Form01(-3, _exact_h0_by_mask(p, q, r_in, r_out), w.h1,
-                     support=w.support)
+@st.composite
+def _polar_annulus(draw):
+    r_in = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.9)))
+    r_out = draw(st.floats(r_in, 3.0, exclude_min=True))
+    return r_in, r_out
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(-8, -2),
+       _polar_annulus())
+@example(0, 0, -3, (0.0, 1.5))
+@example(1, 2, -3, (0.4, 2.5))
+@example(2, 0, -3, (0.3, 0.6))
+@example(0, 1, -3, (0.45, 2.3))
+@example(2, 2, -3, (0.5, 2.0))
+def test_exact_form_row_sums_match_the_node_sum_within_both_bounds(
+        p, q, k, annulus):
+    # the polar row sum and the node sum of the same h0 (a form without
+    # the polar declaration) sum the same terms in different ways, on the
+    # bump grade and on its doubled rule; the row sum's bound is the
+    # tighter of the two
+    w = cp1.exact_form(k, p=p, q=q, r_in=annulus[0], r_out=annulus[1])
+    node = cp1.Form01(k, w.h0, w.h1, support=w.support)
+    assert w.polar is not None and node.polar is None
+    # the largest finite tolerance, so every bound is returned
+    cfg = cp1.QuadratureConfig(cp1.BUMP_GRADE.n_radial,
+                               cp1.BUMP_GRADE.n_angular,
+                               target_tol=np.finfo(float).max)
+    for rule in (cfg, cfg.refined()):
+        got, bound = cp1._certified_moments(w, rule)
+        ref, ref_bound = cp1._certified_moments(node, rule)
+        assert got.shape == ref.shape == (-k - 1,)
+        assert np.all(np.abs(got - ref) <= bound + ref_bound)
+        assert np.all(bound <= ref_bound)
+
+
+def test_exact_form_coefficients_never_build_the_node_grid():
+    # the row sums read the radial rule alone: neither the bump grade's
+    # 1536 x 96 grid nor its doubled 3072 x 192 one is built
+    w = cp1.exact_form(-3, p=1, q=2, r_in=0.45, r_out=2.3)
     for check in (False, True):
-        got = cp1.cohomology_coefficients(w, check=check)
-        want = cp1.cohomology_coefficients(old, check=check)
-        assert got.tobytes() == want.tobytes()
+        cp1._nodes.cache_clear()
+        cp1.cohomology_coefficients(w, cp1.BUMP_GRADE, check=check)
+        assert cp1._nodes.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("p", -2, "p must be a nonnegative integer, not -2"),
+    ("q", -1, "q must be a nonnegative integer, not -1"),
+    ("p", 1.5, "p must be an integer, not 1.5"),
+    ("q", np.nan, "q must be an integer, not nan"),
+    ("q", "1", "q must be an integer, not '1'")])
+def test_exact_form_refuses_a_negative_or_non_integral_power(key, value,
+                                                              message):
+    # q = -1 once gave a_0 = -1.665: _monomial read the negative count as
+    # an empty product, so h0 was not dbar(phi z^p conj(z)^q)
+    with pytest.raises(ValueError, match=message):
+        cp1.exact_form(-3, **{key: value})
+
+
+def test_a_polar_declaration_takes_nonnegative_integer_powers():
+    # exact_form's h0 = radial(|z|) z^p conj(z)^(q-1); numpy integers and
+    # integral floats are read as ints
+    w = cp1.exact_form(-3, p=np.int64(1), q=2.0)
+    assert w.polar[1:] == (1, 1) and type(w.polar[1]) is int
+    for a, b in ((-1, 0), (0, 1.5)):
+        with pytest.raises(ValueError, match="must be"):
+            cp1.Form01(-3, None, None, polar=(abs, a, b))
+    with pytest.raises(ValueError, match="a factored form"):
+        cp1.Form01(-3, None, None, coeffs=[1.0, 0.0],
+                   basis=cp1.harmonic_basis, polar=(abs, 0, 0))
 
 
 def test_bump_sections_clutch_and_differentiate():
