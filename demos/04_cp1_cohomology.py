@@ -8,13 +8,13 @@ Run with `python3 demos/04_cp1_cohomology.py`.
 import numpy as np
 
 from fueter import (
+    QuadratureConfig,
     cohomology_coefficients,
-    decay_check,
+    cp1,
     exact_form,
     h1_dimension,
     harmonic_representative,
     quadrature_C,
-    validate_form,
 )
 
 print("=" * 72)
@@ -47,9 +47,12 @@ for _ in range(5):
     print(f"  target ({a0:+.3f}, {a1:+.3f}) -> "
           f"recovered ({c0:+.3f}, {c1:+.3f})")
 print(f"  worst roundtrip error: {worst:.3e}")
-report = validate_form(harmonic_representative(1.0, -0.5j))
-print(f"  chart clutching violation of a representative: "
-      f"{report['max_violation']:.3e}")
+# the checked coefficients are the doubled rule's; each carries a bound on
+# its rounding, and one above the rule's target_tol would be refused
+_, bound = cp1._certified_moments(harmonic_representative(1.0, -0.5j),
+                                  QuadratureConfig().refined())
+print(f"  certified rounding bound of a representative's coefficients: "
+      f"{bound.max():.3e}")
 
 print()
 print("=" * 72)
@@ -61,12 +64,3 @@ for p, q, r_in, r_out in ((0, 0, 0.5, 2.0), (1, 2, 0.3, 3.0), (2, 1, 0.6, 1.8)):
     print(f"  bump derivative with (p, q, r_in, r_out) = "
           f"({p}, {q}, {r_in}, {r_out}): |coefficients| <= "
           f"{np.abs(coeffs).max():.3e}")
-
-print()
-print("=" * 72)
-print("5. Sampled decay checks at the chart boundary")
-print("=" * 72)
-w = harmonic_representative(1.0, 1.0)
-for ell in (0, 1):
-    print(f"  representative, moment weight {ell}: "
-          f"decay_check = {decay_check(w, ell=ell)}")

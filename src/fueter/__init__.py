@@ -49,9 +49,8 @@ _EXPORTS = {
     ),
     "cp1": (
         "BUMP_GRADE", "Form01", "QuadratureConfig", "QuadratureError",
-        "cohomology_coefficients", "decay_check", "exact_form",
-        "h1_dimension", "harmonic_representative", "quadrature_C",
-        "validate_form",
+        "cohomology_coefficients", "exact_form", "h1_dimension",
+        "harmonic_representative", "quadrature_C",
     ),
     "penrose": (
         "KAPPA", "ClosednessError", "NoExtensionError", "PenroseResult",

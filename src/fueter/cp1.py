@@ -2,7 +2,8 @@ r"""Line bundles Q_k over CP^1 and the plane quadrature used throughout.
 
 The bundle Q_k glues chart functions by f1(1/z) = z^{-k} f0(z); its
 (0,1)-forms (written h0 dconj(z) on chart 0, h1 dconj(w) on chart 1) glue by
-h1(1/z) = -z^{-k} conj(z)^2 h0(z).  For k <= -2 the cohomology H^1 is
+h1(1/z) = -z^{-k} conj(z)^2 h0(z).  The clutching fixes h1 from h0, so a
+form is held by h0 alone (Form01).  For k <= -2 the cohomology H^1 is
 C^{-k-1}, computed by the moment integrals
 
     a_ell = (1/2 pi i) \int_C  z^ell h0(z) dconj(z)^dz,   ell = 0..-k-2,
@@ -57,9 +58,9 @@ import numpy as np
 
 __all__ = [
     "QuadratureConfig", "QuadratureError", "BUMP_GRADE",
-    "quadrature_nodes", "quadrature_C", "Form01", "validate_form",
-    "decay_check", "cohomology_coefficients", "harmonic_representative",
-    "harmonic_basis", "moment_table", "h1_dimension", "bump", "exact_form",
+    "quadrature_nodes", "quadrature_C", "Form01", "cohomology_coefficients",
+    "harmonic_representative", "harmonic_basis", "moment_table",
+    "h1_dimension", "exact_form",
 ]
 
 
@@ -417,10 +418,12 @@ def quadrature_C(g, cfg=None):
 # ---------------------------------------------------------------------------
 
 class Form01:
-    """A (0,1)-form on Q_k: coefficients h0, h1 with h1(1/z) = -z^{-k} conj(z)^2 h0(z).
+    """A (0,1)-form h0 dconj(z) on Q_k, held by its chart-0 coefficient h0.
 
-    k is an integer (ValueError otherwise).  support, when given, is an
-    annulus (r_in, r_out), 0 <= r_in < r_out, outside which h0 is zero; the
+    The coefficient moments read h0 alone; the chart-1 coefficient is its
+    clutching (see the module docstring) and is not stored.  k is an integer
+    (ValueError otherwise).  support, when given, is an annulus
+    (r_in, r_out), 0 <= r_in < r_out, outside which h0 is zero; the
     coefficient moments then sum over the nodes inside it only.  coeffs and
     basis, when given, factor h0 as sum_r coeffs[..., r] basis(z)[r], with
     coeffs (..., R) and basis(z) -> (R,) + z.shape; the coefficient moments
@@ -432,11 +435,10 @@ class Form01:
     (see _node_moments), and h0 is not evaluated at the nodes.
     """
 
-    def __init__(self, k, h0, h1, support=None, coeffs=None, basis=None,
+    def __init__(self, k, h0, *, support=None, coeffs=None, basis=None,
                  polar=None):
         self.k = _integer(k, "the degree k")
         self.h0 = h0
-        self.h1 = h1
         self.support = None if support is None else _annulus(*support)
         if (coeffs is None) != (basis is None) or (basis is not None and (
                 support is not None or polar is not None)):
@@ -456,45 +458,6 @@ def _annulus(r_in, r_out):
         raise ValueError("an annulus needs finite radii 0 <= r_in < r_out, "
                          "not r_in=%r, r_out=%r" % (r_in, r_out))
     return float(r_in), float(r_out)
-
-
-def _annulus_samples():
-    rng = np.random.default_rng(23)
-    r = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=200))
-    th = rng.uniform(0, 2 * np.pi, size=200)
-    return r * np.exp(1j * th)
-
-
-def validate_form(w):
-    """Clutching violation of a (0,1)-form on an annulus sample; ok <= 1e-9."""
-    z = _annulus_samples()
-    lhs = np.asarray(w.h1(1.0 / z), dtype=complex)
-    rhs = -z ** (-w.k) * np.conj(z) ** 2 * np.asarray(w.h0(z), dtype=complex)
-    viol = float(np.max(np.abs(lhs - rhs)))
-    return {"kind": "form", "k": w.k, "samples": int(np.size(z)),
-            "max_violation": viol, "ok": bool(viol <= 1e-9)}
-
-
-def decay_check(w, ell):
-    """Check, by sampling, the chart-boundary limit of z^ell h0 on Q_k.
-
-    z^ell h0(z) tends to 0 for ell < -k + 2 and stays bounded at ell = -k + 2.
-    A heuristic, not a certificate: max |z^ell h0| at |z| = 1e2, 1e3, 1e4 over
-    12 angles, and a log-slope fit over those radii; False when that shows
-    growth (a tail level at or below 1e-6 counts as decayed).
-    """
-    strict = ell < -w.k + 2
-    th = np.linspace(0, 2 * np.pi, 13)[:-1]
-    levels = []
-    for R in (1e2, 1e3, 1e4):
-        z = R * np.exp(1j * th)
-        v = z ** ell * np.asarray(w.h0(z), dtype=complex)
-        if not np.all(np.isfinite(v)):
-            raise QuadratureError("non-finite values at |z| = %g" % R)
-        levels.append(float(np.max(np.abs(v))))
-    # log-slope over the two sampled decades: the power of |z| in the tail
-    slope = (np.log(levels[2] + 1e-300) - np.log(levels[0] + 1e-300)) / np.log(1e2)
-    return bool(levels[2] <= 1e-6 or slope < (-0.1 if strict else 0.1))
 
 
 def cohomology_coefficients(w, cfg=None, check=True):
@@ -581,7 +544,7 @@ def _basis_table(basis, k, n_radial, n_angular):
     config on every call, and the target_tol is met where the table is used.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        table = _node_moments(Form01(k, basis, None),
+        table = _node_moments(Form01(k, basis),
                               QuadratureConfig(n_radial, n_angular))
     for a in table:
         a.flags.writeable = False
@@ -706,9 +669,8 @@ def harmonic_representative(a0, a1):
     """The k = -3 form with h0 = (a0 + a1 conj z) 2/(1+|z|^2)^3; inverts the coefficients.
 
     The form is factored: coeffs (a0, a1) times harmonic_basis, so its
-    coefficients are one product with that basis's moment table.  Its
-    clutching h1 is the same profile at (-a1, -a0).  a0 and a1 are scalars
-    or equal-shape arrays of pairs; h0 and h1 then map z to
+    coefficients are one product with that basis's moment table.  a0 and a1
+    are scalars or equal-shape arrays of pairs; h0 then maps z to
     a0.shape + z.shape.
     """
     a0 = np.asarray(a0, dtype=complex)
@@ -717,31 +679,14 @@ def harmonic_representative(a0, a1):
         raise ValueError("a0 and a1 differ in shape: %s vs %s"
                          % (a0.shape, a1.shape))
     coeffs = np.stack([a0, a1], axis=-1)
-
-    def profile(c):
-        return lambda z: np.tensordot(c, harmonic_basis(z), axes=(-1, 0))
-
-    return Form01(-3, profile(coeffs), profile(-coeffs[..., ::-1]),
+    return Form01(-3, lambda z: np.tensordot(coeffs, harmonic_basis(z),
+                                             axes=(-1, 0)),
                   coeffs=coeffs, basis=harmonic_basis)
 
 
 def h1_dimension(k):
     """dim H^1(CP^1, Q_k) = max(0, -k-1); ValueError unless k is an integer."""
     return max(0, -_integer(k, "the degree k") - 1)
-
-
-# ---------------------------------------------------------------------------
-# bump fixtures (C-infinity, compactly supported in an annulus)
-# ---------------------------------------------------------------------------
-
-def bump(t):
-    """exp(-1/(1-t^2)) on |t| < 1, zero outside; C-infinity on R."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-    return out
 
 
 def _monomial(z, p, q):
@@ -757,15 +702,16 @@ def _monomial(z, p, q):
 def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
     """The exact (0,1)-form dbar(f) on Q_k; its H^1 class is zero.
 
-    f(z) = phi(|z|) z^p conj(z)^q on chart 0, with phi an annulus bump
-    supported in r_in < |z| < r_out, is a global smooth section; h0 is its
-    dconj(z)-derivative and h1 the clutching of h0.  The form's support is
-    that annulus, and h0 = radial(|z|) z^a conj(z)^b is declared polar (see
-    Form01), so its coefficients are row sums of radial.  radial evaluates
-    its closed form at every given radius, with no gather or scatter, and
-    one np.where sets it to zero off the support, where the closed form
-    overflows or divides by zero; the floating-point warnings of those
-    thrown-away radii are silenced, and h0 is radial times the monomial.
+    f(z) = phi(|z|) z^p conj(z)^q on chart 0, with phi the annulus bump
+    exp(-1/(1-t^2)), t = (|z| - mid)/half, supported in r_in < |z| < r_out,
+    is a global smooth section; h0 is its dconj(z)-derivative.  The form's
+    support is that annulus, and h0 = radial(|z|) z^a conj(z)^b is declared
+    polar (see Form01), so its coefficients are row sums of radial.  radial
+    evaluates its closed form at every given radius, with no gather or
+    scatter, and one np.where sets it to zero off the support, where the
+    closed form overflows or divides by zero; the floating-point warnings of
+    those thrown-away radii are silenced, and h0 is radial times the
+    monomial.
     ValueError unless p and q are integers >= 0 and the radii are finite
     with 0 <= r_in < r_out.
     """
@@ -775,9 +721,9 @@ def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
     half = (r_out - r_in) / 2.0
     # d/dconj(z) of f: phi'(|z|) * z/(2|z|) * z^p conj(z)^q
     #                  + q * phi * z^p conj(z)^{q-1},
-    # phi(r) = bump(t) with t = (r - mid)/half, so phi' = bump(t) *
-    # (-2t/s^2)/half with s = 1 - t^2; with z conj(z) = |z|^2 both terms are
-    # one exp times a real factor of |z| times one monomial z^a conj(z)^b
+    # phi(r) = exp(-1/s) with s = 1 - t^2, so phi' = exp(-1/s) *
+    # (-2t/s^2)/half; with z conj(z) = |z|^2 both terms are one exp times a
+    # real factor of |z| times one monomial z^a conj(z)^b
     a, b = (p, q - 1) if q else (p + 1, 0)
 
     def radial(r):
@@ -807,12 +753,4 @@ def exact_form(k, p=0, q=0, r_in=0.5, r_out=2.0):
             val = rho * _monomial(z, a, b)
         return np.where(rho != 0, val, 0j)
 
-    def h1(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros_like(w)
-        nz = w != 0
-        zz = 1.0 / w[nz]
-        out[nz] = -zz ** (-k) * np.conj(zz) ** 2 * h0(zz)
-        return out
-
-    return Form01(k, h0, h1, support=(r_in, r_out), polar=(radial, a, b))
+    return Form01(k, h0, support=(r_in, r_out), polar=(radial, a, b))

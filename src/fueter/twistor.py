@@ -156,10 +156,20 @@ def line_base_points(sigma, zs):
 # ---------------------------------------------------------------------------
 
 def hopf_grid(n_t=24, n_theta=24):
-    """Complex pairs (a, b), |a|^2+|b|^2 = 1, covering the unit sphere fiber."""
-    if n_t < 1 or n_theta < 1:
-        raise ValueError("hopf_grid needs n_t, n_theta >= 1, not %d, %d"
-                         % (n_t, n_theta))
+    """Complex pairs (a, b), |a|^2+|b|^2 = 1, covering the unit sphere fiber.
+
+    ValueError unless n_t and n_theta are integers >= 1 (an integral float
+    such as 3.0 counts): a fractional n_t would put a ring on a pole.
+    """
+    def whole(v):
+        try:
+            return int(v) == v >= 1
+        except (OverflowError, TypeError, ValueError):   # inf, NaN, not a number
+            return False
+
+    if not (whole(n_t) and whole(n_theta)):
+        raise ValueError("hopf_grid needs integers n_t, n_theta >= 1, "
+                         "not %r, %r" % (n_t, n_theta))
     t = (np.arange(n_t) + 0.5) / n_t
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
     a = np.sqrt(t)[:, None] * np.ones_like(theta)[None, :]

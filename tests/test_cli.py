@@ -516,7 +516,7 @@ def test_cp1_coeffs_refuses_non_finite_coefficients(monkeypatch, capsys):
 
     def whole_plane(*args, **kwargs):
         w = exact_form(*args, **kwargs)
-        return cp1.Form01(w.k, w.h0, w.h1)
+        return cp1.Form01(w.k, w.h0)
 
     monkeypatch.setattr(cp1, "exact_form", whole_plane)
     code = cli.main(["cp1", "coeffs", "--k", "-200", "--form", "exact"])

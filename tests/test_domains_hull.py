@@ -184,6 +184,30 @@ def test_ball_exit_distance_and_boundary():
     assert abs(np.linalg.norm(nb) - 2.0) < 1e-14
 
 
+@pytest.mark.parametrize("n,r,centre", [(1, 2.0, [1.0, 0, 0, 0]),
+                                        (2, 1.0, None)])
+def test_the_centre_of_a_ball(n, r, centre):
+    # every boundary point is nearest to the centre; one at distance r is
+    # picked, alone and in a batch with an off-centre row
+    ball = domains.Ball(n, r, centre)
+    c = ball.center
+    off = c + 0.3 * np.arange(1, 4 * n + 1) / (4 * n)
+    alone = ball.nearest_boundary(c)
+    assert abs(np.linalg.norm(alone - c) - r) < 1e-15
+    batch = ball.nearest_boundary(np.stack([c, off, c]))
+    np.testing.assert_allclose(np.linalg.norm(batch - c, axis=-1), r,
+                               rtol=1e-15)
+    np.testing.assert_array_equal(batch, [alone, ball.nearest_boundary(off),
+                                          alone])
+    # sigma = (c, 0) sweeps only the centre: its witness lies r/sqrt(2) away
+    sigma = _pt(c, np.zeros(4 * n))
+    witness, _ = hull.hull_witness(sigma, ball)
+    d = hull.hull_distance(sigma, ball)
+    assert abs(d - r / np.sqrt(2.0)) < 1e-15
+    assert abs((sigma - witness).norm_C() - d) < 1e-15
+    assert hull.hull_contains(witness, ball).verdict is False
+
+
 def test_point_complement_semantics():
     star = domains.parse_domain("H*")
     assert not star.contains(np.zeros(4))

@@ -1,5 +1,7 @@
 """Twistor space: homogeneous charts, lines, and line-containment membership."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +151,22 @@ def test_hopf_grid_refuses_empty_grids(n_t, n_theta):
     with pytest.raises(ValueError, match="n_t, n_theta >= 1"):
         twistor.hopf_grid(n_t, n_theta)
     assert twistor.hopf_grid(1, 1).shape == (3, 2)
+
+
+@pytest.mark.parametrize("n_t,n_theta", [(2.5, 1), (4, 0.5), (np.nan, 4),
+                                         (4, np.inf), ("4", 4), (None, 4)])
+def test_hopf_grid_refuses_non_integral_counts(n_t, n_theta):
+    # hopf_grid(2.5, 1) once gave 5 rows, its t = 1.0 ring a copy of the
+    # pole (1, 0); a NaN count reached numpy's arange
+    message = "integers n_t, n_theta >= 1, not %r, %r" % (n_t, n_theta)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        twistor.hopf_grid(n_t, n_theta)
+
+
+def test_hopf_grid_reads_integral_counts_of_any_type():
+    want = twistor.hopf_grid(3, 4)
+    for n_t, n_theta in ((3.0, 4.0), (np.int64(3), np.int32(4))):
+        assert twistor.hopf_grid(n_t, n_theta).tobytes() == want.tobytes()
 
 
 def test_line_sweep_is_the_quaternionic_orbit():
