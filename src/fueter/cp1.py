@@ -20,13 +20,13 @@ harmonic_basis, also the fiber basis of the twistor transform (penrose).
 
 A form may carry such a factorisation, coefficients (..., R) times a basis
 b(z) -> (R,) + z.shape.  The map is linear, so its coefficients are the
-coefficients times the basis's moment table T (R, -k-1), which is summed
-over the nodes once per basis and rule and cached (moment_table); the form
-itself is never evaluated at the nodes.  A form may instead declare
-h0 = radial(|z|) z^a conj(z)^b (polar, set by exact_form): the uniform
-angular sum of e^{i(ell+a-b) phi} is known in closed form, so its moments
-are one sum of radial over the rule's radii, with no node array.  Forms
-with neither (a user's) are summed node by node.
+coefficients times the basis's moment table T (R, -k-1), summed once per
+basis and rule and cached (moment_table).  Every moment is one sum over
+the rule's radial rows, a_ell = sum_i W_i r_i^ell S_i, of row i's angular
+sum S_i = sum_j e^{i ell phi_j} h0(r_i e^{i phi_j}).  A form may declare
+h0 = radial(|z|) z^a conj(z)^b (polar, set by exact_form): S_i is then
+known in closed form, with no node array; otherwise it sums the row's
+values of h0 against the rule's roots of unity.
 
 The quadrature realizes (1/2 pi i) \int g dconj(z)^dz = (1/pi) \int g dA via
 the compactified substitution z = (rho/(1-rho)) e^{i phi}: Gauss-Legendre in
@@ -46,9 +46,9 @@ drop below 1e-9 at 1536).  The form picks its rule: the bump grade when it
 has a support annulus (exact_form's), the default otherwise.  Both rules are
 fixed: a form with a support is summed over the rule's rows in that
 annulus only: the sum loses only terms that are exactly zero.  Every
-coefficient carries a bound on its rounding, of the node sum, of the row
-sum, or of the table's and the product's (see _certified_moments); one the
-bound cannot certify to the rule's target_tol is refused, not returned.
+coefficient carries a bound on its rounding, of the row sum, or of the
+table's and the product's (see _certified_moments); one the bound cannot
+certify to the rule's target_tol is refused, not returned.
 """
 
 import functools
@@ -116,8 +116,8 @@ class QuadratureConfig:
 # the 1536 x 96 node grid
 BUMP_GRADE = QuadratureConfig(n_radial=1536, n_angular=96, target_tol=1e-5)
 
-# Most fiber nodes one node sum evaluates at once (see _moments); the
-# default rule fits in one slice, BUMP_GRADE's whole plane takes nineteen.
+# Most fiber nodes h0 is evaluated at at once (see _node_moments): the
+# default rule is one block of rows, BUMP_GRADE's whole plane nineteen.
 _CHUNK_NODES = 1 << 13
 
 
@@ -128,46 +128,6 @@ def quadrature_nodes(cfg=None):
     """
     cfg = cfg or QuadratureConfig()
     return _nodes(cfg.n_radial, cfg.n_angular)
-
-
-def _moments(h, count, cfg=None, rows=slice(None)):
-    """The moments sum_j W_j Z_j^ell h(Z_j), ell < count, over h's last axis.
-
-    The node sum of forms that declare no structure: a user's, and a
-    basis read once for its moment table (_basis_table); exact forms are
-    summed by rows instead (see _node_moments).  Returns the moments and
-    the sums of their terms' magnitudes, sum_j |W_j Z_j^ell h(Z_j)|, both
-    (..., count).  h maps fiber points to (..., points); the sums run over
-    the nodes of the rule's radial rows [rows] only, in consecutive slices
-    of whole rows and at most _CHUNK_NODES nodes, so a batch of forms or a
-    fine rule never holds a (..., nodes) array for all nodes at once.
-    V = W Z^ell is built once per call for the summed nodes and then
-    sliced.  W and |Z| are constant along a row (see _nodes), so the
-    magnitudes take one row sum of |h| per row against W |Z|^ell of the row.
-    """
-    cfg = cfg or QuadratureConfig()
-    n = cfg.n_angular
-    lo, hi, _ = rows.indices(cfg.n_radial)
-    Z, W = quadrature_nodes(cfg)
-    Z, W = Z[lo * n:hi * n], W[lo * n:hi * n]
-    V = np.empty((count, Z.size), dtype=complex)
-    V[0] = W
-    for ell in range(1, count):
-        np.multiply(V[ell - 1], Z, out=V[ell])
-    # a row's first node lies on the positive real axis: its real part is |Z|
-    A = np.empty((count, hi - lo))
-    A[0] = W[::n]
-    for ell in range(1, count):
-        np.multiply(A[ell - 1], Z[::n].real, out=A[ell])
-    V, A = V.T, A.T
-    total = mags = 0.0
-    m = max(_CHUNK_NODES // n, 1)
-    for i in range(0, hi - lo, m):
-        hs = np.asarray(h(Z[i * n:(i + m) * n]), dtype=complex)
-        total = total + hs @ V[i * n:(i + m) * n]
-        a = np.abs(hs)
-        mags = mags + a.reshape(a.shape[:-1] + (-1, n)).sum(axis=-1) @ A[i:i + m]
-    return total, mags
 
 
 def _support_rows(support, cfg):
@@ -392,11 +352,15 @@ def _radial_rule(n_radial):
     return r, c
 
 
+def _roots(n_angular):
+    """The roots of unity e^{i phi_j}, phi_j = 2 pi j / n_angular, as rounded."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(n_angular) / n_angular))
+
+
 @functools.lru_cache(maxsize=8)
 def _nodes(n_radial, n_angular):
     r, c = _radial_rule(n_radial)
-    phi = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    Z = (r[:, None] * np.exp(1j * phi)[None, :]).ravel()
+    Z = (r[:, None] * _roots(n_angular)[None, :]).ravel()
     W = (c[:, None] * np.full(n_angular, 2.0 / n_angular)[None, :]).ravel()
     Z.flags.writeable = False
     W.flags.writeable = False
@@ -406,11 +370,12 @@ def _nodes(n_radial, n_angular):
 def quadrature_C(g, cfg=None):
     r"""(1/2 pi i) \int_C g(z) dconj(z)^dz for decaying integrands.
 
-    Unchecked; cohomology_coefficients of a degree -2 form, whose one moment
-    is this integral, checks it against the doubled rule.
+    The one moment of the degree -2 form g dconj(z), the ell = 0 row sum
+    (see _node_moments).  Unchecked; cohomology_coefficients of that form
+    checks it against the doubled rule.
     """
-    Z, W = quadrature_nodes(cfg)
-    return complex(np.sum(W * np.asarray(g(Z), dtype=complex)))
+    out, _ = _node_moments(Form01(-2, g), cfg or QuadratureConfig())
+    return complex(out[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +389,7 @@ class Form01:
     clutching (see the module docstring) and is not stored.  k is an integer
     (ValueError otherwise).  support, when given, is an annulus
     (r_in, r_out), 0 <= r_in < r_out, outside which h0 is zero; the
-    coefficient moments then sum over the nodes inside it only.  coeffs and
+    coefficient moments then sum the rule's rows inside it only.  coeffs and
     basis, when given, factor h0 as sum_r coeffs[..., r] basis(z)[r], with
     coeffs (..., R) and basis(z) -> (R,) + z.shape; the coefficient moments
     are then coeffs times the basis's moment table, and h0 is not evaluated
@@ -466,7 +431,7 @@ def cohomology_coefficients(w, cfg=None, check=True):
     Returns shape (-k-1,), or (..., -k-1) when w.h0 maps the nodes to a batch
     of forms of shape (..., nodes) (for a factored form, when w.coeffs is
     (..., R)).  cfg defaults to BUMP_GRADE for a form with a support, which
-    sums over the nodes in its annulus only, and to QuadratureConfig()
+    sums over the rows in its annulus only, and to QuadratureConfig()
     otherwise.  A factored form's coefficients are w.coeffs times its
     basis's cached moment table on the rule (see _certified_moments).
     QuadratureError when a coefficient is not finite (z^ell overflows on the
@@ -498,27 +463,25 @@ def _gamma(m):
 
 
 def _node_moments(w, cfg):
-    """The coefficient moments of w summed over cfg's nodes, and their
+    """The coefficient moments of w summed over cfg's radial rows, and their
     rounding bounds (see _certified_moments); unchecked.
 
-    A polar form h0 = radial(|z|) z^a conj(z)^b is summed by rows: on row i
-    the terms W_i Z^ell h0(Z) are W_i r_i^(ell+a+b) radial(r_i) e^{i k phi_j},
-    k = ell + a - b, and the rule's trapezoid sum over the row's angles is
-    A_k = sum_j e^{i k phi_j} = n_angular when n_angular divides k, else 0,
-    so a_ell = A_k sum_i W_i r_i^(ell+a+b) radial(r_i): one radial value and
-    one weight per row, no node array.
+    a_ell = sum_i W_i r_i^ell S_i, with W_i r_i^ell by repeated products and
+    S_i row i's angular sum of e^{i ell phi_j} h0(Z_ij).  For a polar form,
+    h0 = radial(|z|) z^a conj(z)^b, S_i = radial(r_i) r_i^(a+b) A_k with
+    A_k = sum_j e^{i k phi_j}, k = ell + a - b, n_angular when n_angular
+    divides k and 0 otherwise: one radial value per row, no node array.
+    Otherwise h0 is evaluated on blocks of whole rows of at most
+    _CHUNK_NODES nodes, so no (..., nodes) array is held, and each row is
+    summed against the roots of unity at index ell j mod n_angular.
     """
     rows = slice(None) if w.support is None else _support_rows(w.support, cfg)
     count = -w.k - 1
     ell = np.arange(count)
-    if w.polar is None:
-        out, mags = _moments(w.h0, count, cfg, rows)
-        n_terms = len(range(*rows.indices(cfg.n_radial))) * cfg.n_angular
-        return out, _gamma(3.0 * (ell + 1) + 2.0 * (n_terms - 1)) * mags
-    radial, a, b = w.polar
     n = cfg.n_angular
     r, c = _radial_rule(cfg.n_radial)
     r = r[rows]
+    radial, a, b = w.polar or (None, 0, 0)
     # W_i r_i^(ell+a+b) by repeated products, W_i as _nodes rounds it
     P = np.empty((count, r.size))
     P[0] = c[rows] * (2.0 / n)
@@ -526,6 +489,20 @@ def _node_moments(w, cfg):
         P[0] *= r
     for i in range(1, count):
         np.multiply(P[i - 1], r, out=P[i])
+    if radial is None:
+        Z, _ = quadrature_nodes(cfg)
+        phase = _roots(n)[np.outer(ell, np.arange(n)) % n]       # (count, n)
+        lo, hi, _ = rows.indices(cfg.n_radial)
+        step = max(_CHUNK_NODES // n, 1)
+        S, size = [], []
+        for i in range(lo, hi, step):
+            h = np.asarray(w.h0(Z[i * n:min(i + step, hi) * n]), dtype=complex)
+            h = h.reshape(h.shape[:-1] + (-1, n))                # (..., rows, n)
+            S.append((h[..., None, :, :] * phase[:, None, :]).sum(axis=-1))
+            size.append(np.abs(h).sum(axis=-1))
+        out = (np.concatenate(S, axis=-1) * P).sum(axis=-1)
+        mags = np.concatenate(size, axis=-1) @ P.T
+        return out, _gamma(ell + 2.0 * (n + r.size) + 21) * mags
     terms = np.asarray(radial(r), dtype=float)[..., None, :] * P
     angular = np.where((ell + a - b) % n == 0, float(n), 0.0)
     # + 0.0 turns the -0.0 of 0 times a negative sum into 0
@@ -537,8 +514,8 @@ def _node_moments(w, cfg):
 @functools.lru_cache(maxsize=8)
 def _basis_table(basis, k, n_radial, n_angular):
     """(T, B): the moments (R, -k-1) of the R forms basis_r dconj(z) on Q_k,
-    summed over the nodes of the rule with these counts, and their rounding
-    bounds; read-only and unchecked.
+    summed over the rows of the rule with these counts (_node_moments), and
+    their rounding bounds; read-only and unchecked.
 
     Cached per basis and node counts, not per config: refined() builds a new
     config on every call, and the target_tol is met where the table is used.
@@ -570,7 +547,7 @@ def moment_table(basis, k):
     default rule: row r is the H^1 coefficients of basis_r dconj(z) on Q_k.
 
     The cached, read-only array that factored forms with this basis are
-    multiplied by, certified once per basis; QuadratureError when its node
+    multiplied by, certified once per basis; QuadratureError when its row
     sums are not finite or their rounding bounds exceed the rule's
     target_tol.
     """
@@ -603,19 +580,29 @@ def _certified_moments(w, cfg):
     most cfg.target_tol.
 
     A form with neither a factorisation nor a polar declaration is summed
-    over the nodes.  The bound on
-    moment ell is B = gamma_m * sum_j |W_j Z_j^ell h0(Z_j)|,
-    gamma_m = m u / (1 - m u), u = 2^-53, for the N nodes summed (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 3-4).  Each term
-    takes ell + 1 complex products (ell for W Z^ell, one against h0), each
-    with relative error at most sqrt(2) gamma_2 <= gamma_3 (Lemma 3.5); the
-    N terms are summed in some order, which adds at most sqrt(2) gamma_{N-1}
-    <= gamma_{2N-2} times the sum of their magnitudes (the real and
-    imaginary parts are sums of N reals, Sec. 4.2).  By Lemma 3.3 the two
-    compose to m = 3(ell + 1) + 2(N - 1).  B bounds the error of the
-    computed moment against the exact sum of the same terms, to first order
-    in u (the magnitudes are themselves computed); h0's own rounding and the
-    rule's truncation are not in it.
+    by rows (see _node_moments): a_ell = sum_i P_i S_i over the R rows,
+    P_i = W_i r_i^ell, S_i = sum_j w_j h0(Z_ij) over the row's n = n_angular
+    nodes, w_j the rounded root of unity at index ell j mod n.  The bound on
+    moment ell is B = gamma_m sum_i P_i sum_j |h0(Z_ij)|, gamma_m =
+    m u / (1 - m u), u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3-4).  m adds the relative errors of five steps,
+    composed by Lemma 3.3:
+      - the phase: w_j is e^{i t}, t = 2 pi (ell j mod n) / n rounded thrice
+        (pi, the product, the quotient), so off by at most 2 pi gamma_3, and
+        cos and sin each within an ulp: (6 pi + 2) u <= gamma_21;
+      - the complex product with h0: sqrt(2) gamma_2 <= gamma_3 (Lemma 3.5);
+      - the n-term complex angular sum, in any order: sqrt(2) gamma_{n-1}
+        <= gamma_{2(n-1)}, the real and imaginary parts each a sum of n
+        reals (Sec. 4.2);
+      - the real weight product, ell products for P_i and one against S_i:
+        gamma_{ell+1};
+      - the R-term complex radial sum: gamma_{2(R-1)}.
+    So m = ell + 2(n + R) + 21, 341 + ell on the default rule, against
+    3(ell + 1) + 2(nR - 1), about 12 300, for a sum over single nodes.  B
+    bounds the error against the exact sum of the same values at the exact
+    angles, sum_ij P_i e^{2 pi i ell j / n} h0(Z_ij), to first order in u
+    (the magnitudes are themselves computed).  Not in it: h0's rounding,
+    that of the node Z_ij where h0 is evaluated, and the rule's truncation.
 
     A polar form, h0 = radial(|z|) z^a conj(z)^b, is summed by rows (see
     _node_moments): a_ell = A_k S with k = ell + a - b, A_k = n_angular or
@@ -623,17 +610,17 @@ def _certified_moments(w, cfg):
     Each of the R real terms takes ell + a + b + 1 products, relative error
     at most gamma_{ell+a+b+1}; their sum in any order adds gamma_{R-1}
     (Sec. 4.2), and the product with A_k one rounding more, so by Lemma 3.3
-    m = ell + a + b + R + 1: a few hundred on the bump grade, where the node
-    sum over the same support has m of about 77 000.  The bound takes
+    m = ell + a + b + R + 1: a few hundred on the bump grade, under half
+    the general row sum's m over the same support.  The bound takes
     n_angular for |A_k|, which makes B = gamma_m sum_j |W_j Z_j^ell h0(Z_j)|
-    over the nodes, the node sum's magnitudes: a moment is not certified by
-    a closed-form zero alone, and terms too large to be summed to target_tol
-    (z^ell h0 reaches 2^58 on the support at k = -60) are refused as by the
-    node sum.  The exact sum is the rule's at the exact angles
-    2 pi j / n_angular; radial's rounding is again not in it.
+    over the nodes, the general row sum's magnitudes: a moment is not
+    certified by a closed-form zero alone, and terms too large to be summed
+    to target_tol (z^ell h0 reaches 2^58 on the support at k = -60) are
+    refused as by the general row sum.  The exact sum is again the rule's at
+    the exact angles 2 pi j / n_angular; radial's rounding is not in it.
 
     A factored form's moments are c T, its coefficients c (..., R) times the
-    basis's table T (R, -k-1) on the rule, with node-sum bounds B (see
+    basis's table T (R, -k-1) on the rule, with row-sum bounds B (see
     _basis_table).  The exact sums are c times T's exact sums, so T's
     rounding contributes |c| B; the product is an R-term complex dot
     product, whose R products and R - 1 additions compose, as above, to

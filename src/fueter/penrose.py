@@ -209,6 +209,14 @@ def tau_push_02(form, x):
 # the transform
 # ---------------------------------------------------------------------------
 
+def _point_set(points):
+    """points as a float array (..., 4n); ValueError when it holds none."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if 0 in points.shape[:-1]:
+        raise ValueError("empty point set of shape %s" % (points.shape,))
+    return points
+
+
 class PenroseResult:
     """Transform output: pair values plus the certificates that license them."""
 
@@ -238,8 +246,9 @@ def penrose_transform(form, points):
     is also minus the Cauchy-Fueter residual of the output pair (the frame
     rows difference the coefficients the moment table maps to the output),
     so its maximum is both ``closedness`` and ``cf_residual_max``.
+    ValueError for an empty point set.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _point_set(points)
     values = tau_push_01(form, points)
     scale = max(1.0, float(np.max(np.abs(values))))
     cert = float(np.max(np.abs(tau_push_02(form, points))))
@@ -293,10 +302,10 @@ def diagram_check(field, points):
     """Compare tau_push_02 of the lifted pair against KAPPA * CF residual.
 
     Returns a report with the two sides' magnitudes and the maximum
-    componentwise discrepancy over the sample points.
+    componentwise discrepancy over the sample points; ValueError for an
+    empty point set.
     """
-    lhs, rhs = _diagram_sides(field,
-                              field.check_points(np.atleast_2d(points)))
+    lhs, rhs = _diagram_sides(field, field.check_points(_point_set(points)))
     disc = np.abs(lhs - KAPPA * rhs)
     return {
         "field": field.name,

@@ -551,6 +551,25 @@ def test_cp1_refuses_uncertified_harmonic_coefficients(args, capsys):
     assert "not certified: rounding bound" in blob["results"]["error"]
 
 
+def test_cp1_harmonic_certifies_a_coefficient_of_a_million(capsys):
+    # summed over single nodes the table's bound was 1.36e-12, so |a0| = 1e6
+    # was refused (bound 1.36e-06 > target_tol 1e-06); by rows it passes
+    assert cli.main(["cp1", "harmonic", "--a0=1e6", "--a1=0"]) == 0
+    blob = _strict_json(capsys.readouterr().out)
+    jsonschema.validate(blob, _schema())
+    assert blob["pass"] is True
+    assert blob["results"]["roundtrip_error"] < 1e-6
+
+
+def test_cp1_harmonic_still_refuses_a_coefficient_of_a_billion(capsys):
+    # target_tol is absolute: |a0| = 1e9 times the table's bound exceeds it
+    assert cli.main(["cp1", "harmonic", "--a0=1e9", "--a1=0"]) == 1
+    blob = _strict_json(capsys.readouterr().out)
+    jsonschema.validate(blob, _schema())
+    assert blob["pass"] is False
+    assert "not certified" in blob["results"]["error"]
+
+
 def test_cp1_coeffs_leaves_the_exact_form_defaults_to_exact_form(capsys):
     # no option given: the coefficients of exact_form(-3), bit for bit
     assert cli.main(["cp1", "coeffs", "--form", "exact"]) == 0

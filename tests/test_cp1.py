@@ -1,6 +1,8 @@
 """Line bundles on the sphere: clutching, quadrature, and cohomology."""
 
 import decimal
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -382,9 +384,9 @@ def _polar_annulus(draw):
 @example(2, 2, -3, (0.5, 2.0))
 def test_exact_form_row_sums_match_the_node_sum_within_both_bounds(
         p, q, k, annulus):
-    # the polar row sum and the node sum of the same h0 (a form without
-    # the polar declaration) sum the same terms in different ways, on the
-    # bump grade and on its doubled rule; the row sum's bound is the
+    # the polar row sum and the general row sum of the same h0 (a form
+    # without the polar declaration) sum the same terms in different ways,
+    # on the bump grade and on its doubled rule; the polar bound is the
     # tighter of the two
     w = cp1.exact_form(k, p=p, q=q, r_in=annulus[0], r_out=annulus[1])
     node = cp1.Form01(k, w.h0, support=w.support)
@@ -475,6 +477,71 @@ def _aliased_profile(z):
     # e^{64 i phi} is a constant on the default 64-node angular grid and
     # integrates to zero on the doubled one
     return np.exp(64j * np.angle(z)) * _harmonic_profile(z)
+
+
+def _batch_profile(z):
+    return np.stack([_harmonic_profile(z), _aliased_profile(z)])
+
+
+def _fsum_moments(h0, count, cfg):
+    """The moments sum_j W_j Z_j^ell h0(Z_j), ell < count, at the nodes of
+    quadrature_nodes(cfg): each term by ell + 1 products, W h0 and then
+    times Z_j, its real and imaginary parts summed by math.fsum; and the
+    sums of the terms' magnitudes.  Both (..., count)."""
+    Z, W = cp1.quadrature_nodes(cfg)
+    t = W * np.asarray(h0(Z), dtype=complex)
+    out = np.empty(t.shape[:-1] + (count,), dtype=complex)
+    size = np.empty(out.shape)
+    for ell in range(count):
+        for i in np.ndindex(t.shape[:-1]):
+            out[i + (ell,)] = complex(math.fsum(t[i].real), math.fsum(t[i].imag))
+            size[i + (ell,)] = math.fsum(np.abs(t[i]))
+        t = t * Z
+    return out, size
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(8, 40), st.integers(8, 40), st.integers(-8, -2),
+       st.sampled_from([_harmonic_profile, _aliased_profile, _batch_profile]))
+def test_row_sums_lie_within_their_bound_of_an_fsum_reference(
+        n_radial, n_angular, k, h0):
+    # the largest finite tolerance, so every bound is returned
+    cfg = cp1.QuadratureConfig(n_radial, n_angular,
+                               target_tol=np.finfo(float).max)
+    got, bound = cp1._certified_moments(cp1.Form01(k, h0), cfg)
+    ref, size = _fsum_moments(h0, -k - 1, cfg)
+    assert got.shape == bound.shape == ref.shape
+    # the bound is against the rule's sum at the exact angles.  The
+    # reference's own terms: W h0 rounds once and each product by Z_j is
+    # complex (Higham Lemma 3.5), gamma_{3 ell + 1} in all; and Z_j is
+    # r_j e^{i phi_j} with a rounded root and one rounded product, within
+    # gamma_22 relative (see cp1._certified_moments), so Z_j^ell is
+    # r_j^ell e^{i ell phi_j} within gamma_{22 ell}.  fsum rounds each part
+    # once.
+    ell = np.arange(-k - 1)
+    u = np.finfo(float).eps / 2
+    reference = cp1._gamma(25 * ell + 1) * size + 2 * u * np.abs(ref)
+    assert np.all(np.abs(got - ref) <= bound + reference)
+    # and it is below the bound of a sum over the rule's N single nodes
+    nodes = n_radial * n_angular
+    assert np.all(bound < cp1._gamma(3 * (ell + 1) + 2 * (nodes - 1)) * size)
+
+
+def test_a_row_sum_holds_no_array_over_moments_and_nodes():
+    # an array W Z^ell over the doubled bump grade's 589 824 nodes for the
+    # seven moments of k = -8 alone takes 63 MiB; the row sums evaluate h0
+    # on blocks of rows and keep one angular sum per moment and row
+    w = cp1.exact_form(-8, p=1, q=2, r_in=0.4, r_out=2.5)
+    whole = cp1.Form01(-8, w.h0)
+    for cfg in (cp1.BUMP_GRADE, cp1.BUMP_GRADE.refined()):
+        cp1.quadrature_nodes(cfg)
+    tracemalloc.start()
+    try:
+        cp1.cohomology_coefficients(whole, cp1.BUMP_GRADE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_checked_quadrature_returns_the_refined_value():
@@ -623,7 +690,7 @@ def _pairs(size):
                  st.integers(1, 5).flatmap(_pairs).map(np.array)))
 def test_factored_coefficients_match_the_node_sum_within_both_bounds(a):
     w = cp1.harmonic_representative(a[..., 0], a[..., 1])
-    # the same profile with no factorisation is summed node by node
+    # the same profile with no factorisation is summed row by row
     whole = cp1.Form01(-3, w.h0)
     # the largest finite tolerance, so every bound is returned
     cfg = cp1.QuadratureConfig(target_tol=np.finfo(float).max)
@@ -644,7 +711,7 @@ def test_factored_coefficients_scale_exactly_by_powers_of_two(a0, a1, k):
         scaled = cp1.cohomology_coefficients(
             cp1.harmonic_representative(2.0 ** k * a0, 2.0 ** k * a1))
     except cp1.QuadratureError:
-        # |a| 2^k beyond about 1e5: the rounding bound exceeds 1e-6
+        # |a| 2^k beyond about 1.4e7: the rounding bound exceeds 1e-6
         assume(False)
     assert scaled.tobytes() == (2.0 ** k * base).tobytes()
 
@@ -672,7 +739,7 @@ def test_factored_coefficients_read_one_cached_table_per_rule():
     for arr in (T, B):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 0.0
-    # the table is the node sum of the basis read as a batch of two forms
+    # the table is the row sum of the basis read as a batch of two forms
     basis = cp1.Form01(-3, cp1.harmonic_basis)
     assert cp1.cohomology_coefficients(basis, check=False).tobytes() == T.tobytes()
     # the checked coefficients read the doubled rule's table, built once

@@ -584,6 +584,22 @@ def test_the_transform_rejects_points_of_another_dimension():
         penrose.diagram_check(field, np.full((2, 4), 0.5))
 
 
+def test_an_empty_point_set_is_refused_before_any_evaluation():
+    # numpy's maximum of a zero-size array once failed inside the transform
+    # and the diagram check; now the point set is refused on entry, and
+    # neither the field nor the lift is evaluated
+    def untouched(*args):
+        raise AssertionError("evaluated on an empty point set")
+
+    field = fields.ScalarField(untouched, untouched, name="untouched")
+    form = penrose.TwistorFormL(1, untouched, untouched)
+    for points in (np.empty((0, 4)), np.empty((3, 0, 4))):
+        with pytest.raises(ValueError, match="empty point set"):
+            penrose.penrose_transform(form, points)
+        with pytest.raises(ValueError, match="empty point set"):
+            penrose.diagram_check(field, points)
+
+
 def test_diagram_check_names_the_callers_point_shape():
     # checked on entry, not on the stencil built from the points, as the
     # transform's own first evaluation does
