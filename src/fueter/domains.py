@@ -159,7 +159,7 @@ class Ball(DomainSpec):
         p = self._check(p)
         d = p - self.center
         r = qnorm(d)
-        if np.any(r == 0):
+        if (r == 0).any():
             # center itself: every boundary point is nearest, pick an axis one
             d = np.where((r == 0)[..., None], _axis_dir(self.dim, d.shape), d)
             r = qnorm(d)
@@ -186,7 +186,9 @@ class PointComplement(DomainSpec):
 
     def nearest_boundary(self, p):
         p = self._check(p)
-        return np.broadcast_to(self.point, p.shape).copy()
+        out = np.empty(p.shape)
+        out[...] = self.point
+        return out
 
     def line_form(self, S):
         # nearest base point to the removed point
@@ -341,7 +343,7 @@ def _gram(A):
     largest real or imaginary part into [1/2, 1); the scaling is exact and
     leaves the top eigenvector, so in range nothing changes.
     """
-    G = np.conj(np.swapaxes(A, -1, -2)) @ A
+    G = np.conj(A.swapaxes(-1, -2)) @ A
     trace = (G[..., 0, 0] + G[..., 1, 1]).real
     off = (trace < _GRAM_RANGE[0]) | (trace > _GRAM_RANGE[1])
     if np.count_nonzero(off):  # cheaper than any() on a scalar
@@ -349,7 +351,7 @@ def _gram(A):
         e = np.frexp(np.where(off, m, 1.0))[1][..., None, None]
         A = np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e)
         G = np.where(off[..., None, None],
-                     np.conj(np.swapaxes(A, -1, -2)) @ A, G)
+                     np.conj(A.swapaxes(-1, -2)) @ A, G)
     return G[..., None, :, :]
 
 
@@ -363,8 +365,10 @@ def _top_eigvec(H):
     and h are read as 1/2, so the norm is exactly 1.
     """
     s, b, h = _split(H)
-    tied = 0.5 * (h < _TINY)
-    s, h = s + tied, h + tied
+    tied = h < _TINY
+    if np.count_nonzero(tied):  # cheaper than any() on a scalar
+        tied = 0.5 * tied
+        s, h = s + tied, h + tied
     big = h + np.abs(s)
     north = s >= 0
     v = np.empty(h.shape + (2,), dtype=complex)
@@ -386,10 +390,12 @@ def _top_hopf(H):
     """
     s, b, h = _split(H)
     tied = h < _TINY
-    s, h = s + tied, h + tied
+    if np.count_nonzero(tied):
+        s, h = s + tied, h + tied
     q = np.empty(h.shape + (4,))
     q[..., 0] = 0.0
-    q[..., 1] = s
+    # s + 0.0, which reads a -0.0 as +0.0 whether or not a tie was shifted
+    np.add(s, 0.0, out=q[..., 1])
     q[..., 2] = b.real
     q[..., 3] = b.imag
     q /= h[..., None]

@@ -70,6 +70,7 @@ boundary point of U seen from x + y*q*, and w = x0 - x - y*q*, the point
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -281,8 +282,11 @@ def _local_min(g, q0, f0, step):
     if abs(u0 @ a) > 0.9:
         a = np.array([0.0, 1.0, 0.0])
     e1 = a - (a @ u0) * u0
-    e1 /= np.linalg.norm(e1)
-    basis = np.stack([e1, np.cross(u0, e1)])
+    e1 /= np.sqrt(e1 @ e1)
+    # u0 x e1, its terms in np.cross's order
+    basis = np.array([e1, [u0[1] * e1[2] - u0[2] * e1[1],
+                           u0[2] * e1[0] - u0[0] * e1[2],
+                           u0[0] * e1[1] - u0[1] * e1[0]]])
     f, q = f0, q0
     st = np.zeros(2)
     h = step
@@ -298,7 +302,8 @@ def _local_min(g, q0, f0, step):
             pts = np.concatenate([s[None], s + hs * _STENCIL])
         v = u0 + pts @ basis
         qs = np.zeros((len(pts), 4))
-        qs[:, 1:] = v / np.linalg.norm(v, axis=1, keepdims=True)
+        # np.linalg.norm's own formula
+        qs[:, 1:] = v / np.sqrt(np.add.reduce(v * v, axis=1))[:, None]
         vals = g(qs)
         if trial is not None:
             trial = None
@@ -308,7 +313,7 @@ def _local_min(g, q0, f0, step):
             # at s, whose mesh is the rest of the call
             f, q, st, h = vals[0], qs[0], s, hs
             pts, qs, vals = pts[1:], qs[1:], vals[1:]
-        i = int(np.argmin(vals))
+        i = int(vals.argmin())
         if vals[i] < f:
             f, q, st = vals[i], qs[i], pts[i]
             continue
@@ -382,7 +387,7 @@ def _branch_and_bound(g, grid, vals, ynorm, tau):
     same order.
     """
     qs, _, ids, rho = grid
-    i = int(np.argmin(vals))
+    i = int(vals.argmin())
     f, q = vals[i], qs[i]
     pts = qs[:, 1:].T
     tval = vals[ids]
@@ -405,7 +410,7 @@ def _branch_and_bound(g, grid, vals, ynorm, tau):
         mq[..., 1:] = mids.T
         mq = mq.reshape(-1, 4)
         mval = g(mq)
-        k = int(np.argmin(mval))
+        k = int(mval.argmin())
         if mval[k] < f:
             f, q = mval[k], mq[k]
         # the new table holds point j of live triangle t (vertex j, then
@@ -432,14 +437,19 @@ def _sweep(sigma, U, readout, polish=False):
     outside is then polished by ``_local_min`` from the best point.  The
     verdict is inf_value > tau, and for a membership query (no polish) also
     not indeterminate: certified, or False.
+
+    A BiquaternionPoint is taken as it is, already checked; any other sigma
+    is read by ``_as_point``.  ynorm, tau and an exact readout's inf_value
+    are Python floats: the same IEEE operations as on numpy scalars, each
+    at less cost.
     """
-    pt = _as_point(sigma)
-    if pt.n != U.n:
-        raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
+    pt = sigma if isinstance(sigma, BiquaternionPoint) else _as_point(sigma)
     x, y = pt.x, pt.y
+    if x.size != U.dim:
+        raise ValueError("sigma has n=%d but the domain has n=%d" % (pt.n, U.n))
     ynorm = float(quat.qnorm(y))
     # pt.norm_C() from the norm of y at hand
-    tau = _TINY * max(1.0, float(np.sqrt(quat.qnorm(x) ** 2 + ynorm ** 2)))
+    tau = _TINY * max(1.0, math.sqrt(float(quat.qnorm(x)) ** 2 + ynorm ** 2))
 
     if ynorm == 0.0:
         # the swept set is {x}: membership is exact
@@ -447,6 +457,7 @@ def _sweep(sigma, U, readout, polish=False):
                          np.array([0.0, 1.0, 0.0, 0.0]), 0.0, False, 0)
     if U.line_form is not None:
         inf_value, argmin = readout(x, y)
+        inf_value = float(inf_value)
         band, count = 0.0, 0
     else:
         grid = _icosphere(_LEVEL)
@@ -457,7 +468,7 @@ def _sweep(sigma, U, readout, polish=False):
             return U.ext_distance(line(q))
 
         vals = g(qs)
-        i0 = int(np.argmin(vals))
+        i0 = int(vals.argmin())
         inf_value, argmin = float(vals[i0]), qs[i0]
         band = 2.0 * ynorm * cover
         count = len(qs)

@@ -59,6 +59,8 @@ certificates and diagram residuals inherit, far below the 1e-4 tolerances;
 ``penrose_transform`` takes one finite-difference pass per call.
 """
 
+import math
+
 import numpy as np
 
 from .cf import FDConfig, _partials, _wirtinger, cf_residual_complex
@@ -301,17 +303,19 @@ def _diagram_sides(field, points):
 def diagram_check(field, points):
     """Compare tau_push_02 of the lifted pair against KAPPA * CF residual.
 
-    Returns a report with the two sides' magnitudes and the maximum
-    componentwise discrepancy over the sample points; ValueError for an
-    empty point set.
+    Returns a report with the two sides' magnitudes, the maximum
+    componentwise discrepancy over the sample points and their number, the
+    product of the lead shape of points (..., 4n); ValueError for an empty
+    point set.
     """
-    lhs, rhs = _diagram_sides(field, field.check_points(_point_set(points)))
+    points = field.check_points(_point_set(points))
+    lhs, rhs = _diagram_sides(field, points)
     disc = np.abs(lhs - KAPPA * rhs)
     return {
         "field": field.name,
         "n": field.n,
         "kappa": KAPPA,
-        "points": len(points),
+        "points": math.prod(points.shape[:-1]),
         "max_discrepancy": float(np.max(disc)),
         "lhs_max": float(np.max(np.abs(lhs))),
         "rhs_max": float(np.max(np.abs(rhs))),

@@ -36,6 +36,9 @@ map of one entry's block that matrix_point and decompose_matrix use, from
 embed_M.
 """
 
+import math
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -86,7 +89,7 @@ def right_line(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     # c[..., t, l, k] = _SIGN[t, k] * y_(l, t)
-    c = np.swapaxes(y.reshape(y.shape[:-1] + (-1, 4)), -1, -2)[..., None]
+    c = y.reshape(y.shape[:-1] + (-1, 4)).swapaxes(-1, -2)[..., None]
     c = c * _SIGN
 
     def line(q):
@@ -254,8 +257,7 @@ def norm_C(x, y):
 # ---------------------------------------------------------------------------
 
 def _flat(a):
-    """A read-only float copy of a (4n,) point; ValueError unless finite."""
-    a = np.array(a, dtype=float)
+    """ValueError unless the float array a is a finite flat (4n,) point."""
     if a.ndim != 1:  # a nested list is refused, never flattened
         raise ValueError("point coordinates must be flat, got shape %s"
                          % (a.shape,))
@@ -263,8 +265,17 @@ def _flat(a):
         raise ValueError("flat length must be 4n")
     if not np.isfinite(a).all():
         raise ValueError("non-finite point coordinates %s" % a.tolist())
-    a.flags.writeable = False
-    return a
+
+
+def _refuse(x, y):
+    """Raise the first refusal of a point (x, y) that fails a check: x's,
+    then y's (``_flat``), then a size mismatch, then an overflow."""
+    _flat(x)
+    _flat(y)
+    if y.size != x.size:
+        raise ValueError("x and y must have the same number of entries")
+    raise ValueError("squared C-norm overflows at %s"
+                     % {"x": x.tolist(), "y": y.tolist()})
 
 
 class BiquaternionPoint:
@@ -272,19 +283,31 @@ class BiquaternionPoint:
 
     x and y are read-only finite flat (4n,) float copies of the inputs, and
     the squared C-norm sum(x^2) + sum(y^2) is finite, so no norm overflows.
+    The checks take one pass: one copy of each input, one shape test, and
+    one sum of squares in Python floats, which is NaN or inf exactly when an
+    entry is non-finite or the sum overflows (without a warning).  Only a
+    point that fails goes through the checks one by one (``_refuse``), so
+    each refusal keeps its message and its order.
     """
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y=None):
-        self.x = _flat(x)
-        self.y = _flat(np.zeros_like(self.x) if y is None else y)
-        if self.y.size != self.x.size:
-            raise ValueError("x and y must have the same number of entries")
-        # in Python floats, which overflow to inf without a warning
-        squares = sum(v * v for v in self.x.tolist() + self.y.tolist())
-        if squares == np.inf:
-            raise ValueError("squared C-norm overflows at %s" % self.tolist())
+        x = np.array(x, dtype=float)
+        try:
+            y = np.zeros_like(x) if y is None else np.array(y, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            _flat(x)  # x's own refusal comes first
+            raise
+        if x.ndim != 1 or x.shape != y.shape or x.size % 4:
+            _refuse(x, y)
+        v = x.tolist() + y.tolist()
+        if not sum(map(operator.mul, v, v)) < math.inf:
+            _refuse(x, y)
+        x.flags.writeable = False
+        y.flags.writeable = False
+        self.x = x
+        self.y = y
 
     @classmethod
     def from_matrix(cls, z):

@@ -81,8 +81,9 @@ def line_embed(S, pi):
     S = np.asarray(S, dtype=complex)
     pi = np.asarray(pi, dtype=complex)
     rows = S[..., 0] * pi[..., :1] + S[..., 1] * pi[..., 1:]
-    return np.concatenate([np.broadcast_to(pi, rows.shape[:-1] + (2,)), rows],
-                          axis=-1)
+    if pi.shape[:-1] != rows.shape[:-1]:  # one pi over a batch of S
+        pi = np.broadcast_to(pi, rows.shape[:-1] + (2,))
+    return np.concatenate([pi, rows], axis=-1)
 
 
 def eta_inverse(v):

@@ -1641,3 +1641,71 @@ def test_intersection_boundary_skips_parts_without_one():
     assert query.to_json() == query_ball.to_json()
     with pytest.raises(NotImplementedError):
         domains.Intersection([domains.WholeSpace(1)] * 2).nearest_boundary(p)
+
+
+# multiples of 1/64 below 2: matrix_point and decompose_matrix add and halve
+# them exactly, so the matrix of sigma decomposes to sigma's own bits
+_DYADIC = st.integers(-127, 127).map(lambda k: k / 64.0)
+
+
+@st.composite
+def _sigma_forms_case(draw):
+    n = draw(st.sampled_from([1, 2]))
+    U = draw(_closed_form_domain(n))
+    if draw(st.integers(0, 3)) == 0:
+        U = _Sampled(U)  # a user domain: the sampled path
+    x = draw(hnp.arrays(np.float64, 4 * n, elements=_DYADIC))
+    y = draw(hnp.arrays(np.float64, 4 * n, elements=_DYADIC))
+    return U, x, y
+
+
+def _query_bits(q):
+    return (q.verdict, float(q.inf_value).hex(), q.argmin_q.tobytes(),
+            float(q.band).hex(), q.indeterminate, q.count)
+
+
+def _same_point_bits(a, b):
+    return all(np.array_equal(u, v) and np.array_equal(np.signbit(u),
+                                                       np.signbit(v))
+               for u, v in zip(a, b))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_sigma_forms_case())
+def test_every_form_of_sigma_gives_one_query(case):
+    # a tuple, a list, a BiquaternionPoint and the (2n, 2) matrix of one
+    # sigma give the same query, bit for bit, on both membership paths
+    U, x, y = case
+    z = quat.matrix_point(x, y)
+    back = quat.decompose_matrix(z)
+    assert _same_point_bits(back, (x, y))
+    forms = ((x, y), [x.tolist(), y.tolist()], quat.BiquaternionPoint(x, y), z)
+    for member in (hull.hull_contains,
+                   lambda s, U: twistor.hull_contains_via_lines(
+                       s, U, return_query=True)):
+        queries = [member(sigma, U) for sigma in forms]
+        assert len({_query_bits(q) for q in queries}) == 1
+        assert all(q.sigma.tolist() == {"x": x.tolist(), "y": y.tolist()}
+                   for q in queries)
+
+
+def test_a_negative_zero_gap_reads_as_positive_zero_in_the_hopf_image():
+    # s = H00 - H11 is -0.0 here while the gap h is 1: the Hopf image keeps
+    # the +0.0 that the tie shift by 0 gives, with or without a tie in the
+    # batch
+    H = np.array([[[-0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                 dtype=complex)
+    s = (H[0, 0, 0] - H[0, 1, 1]).real
+    assert s == 0.0 and np.signbit(s)
+    for forms in (H[:1], H):
+        q = domains._top_hopf(forms)
+        assert q[0].tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert not np.signbit(q[0, 1])
+    # and so through a half-space's sweep, whose form has that s
+    U = domains.HalfSpace(1, [-0.0, -0.0, -0.25, -0.0], 0.3)
+    x = np.array([1.0, -0.0, -0.0, -0.0])
+    y = np.array([-1.0, -1.0, -0.0, -0.0])
+    s = domains._split(U.line_form(quat.matrix_point(x, y)))[0]
+    assert s == 0.0 and np.signbit(s).all()
+    inf_value, q = U.sweep_inf(x, y)
+    assert q[1] == 0.0 and not np.signbit(q[1])

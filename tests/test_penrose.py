@@ -132,6 +132,21 @@ def test_diagram_check_reports_small_discrepancy():
     assert report["points"] == 5
 
 
+def test_diagram_check_counts_the_points_it_checked():
+    # the product of the lead shape: one (4,) point is one point, not 4,
+    # and a (3, 2, 4) batch is 6 points, not 3
+    field = fields.get_field("nonmonogenic_quadratic")
+    pts = _shell(np.random.default_rng(57), 6)
+    flat = penrose.diagram_check(field, pts)
+    batch = penrose.diagram_check(field, pts.reshape(3, 2, 4))
+    one = penrose.diagram_check(field, pts[0])
+    assert (flat["points"], batch["points"], one["points"]) == (6, 6, 1)
+    assert type(batch["points"]) is int
+    for key in ("max_discrepancy", "lhs_max", "rhs_max"):
+        assert batch[key] == pytest.approx(flat[key], rel=1e-12, abs=1e-300)
+    assert one["max_discrepancy"] < 1e-6 and one["rhs_max"] > 1e-2
+
+
 def test_transform_inverts_the_lift_on_monogenic_fields():
     rng = np.random.default_rng(54)
     field = fields.get_field("E")

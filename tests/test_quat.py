@@ -261,6 +261,142 @@ def test_biquaternion_point_rejects_an_overflowing_c_norm():
     assert big.norm_C() == pytest.approx(np.sqrt(2.0) * 1e150, rel=1e-15)
 
 
+def _checked_in_turn(x, y=None):
+    """The checks of a BiquaternionPoint one by one, in their order: x is
+    flat, 4n and finite, then y, then the sizes agree, then the squared
+    C-norm is finite; returns (x, y) or raises the first refusal."""
+    def flat(a):
+        a = np.array(a, dtype=float)
+        if a.ndim != 1:
+            raise ValueError("point coordinates must be flat, got shape %s"
+                             % (a.shape,))
+        if a.size % 4:
+            raise ValueError("flat length must be 4n")
+        if not np.isfinite(a).all():
+            raise ValueError("non-finite point coordinates %s" % a.tolist())
+        return a
+
+    x = flat(x)
+    y = flat(np.zeros_like(x) if y is None else y)
+    if y.size != x.size:
+        raise ValueError("x and y must have the same number of entries")
+    if sum(v * v for v in x.tolist() + y.tolist()) == math.inf:
+        raise ValueError("squared C-norm overflows at %s"
+                         % {"x": x.tolist(), "y": y.tolist()})
+    return x, y
+
+
+def _outcome(make, *args):
+    """What make(*args) gives: ("ok", x, y) or (exception type, message)."""
+    try:
+        out = make(*args)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+    if isinstance(out, quat.BiquaternionPoint):
+        out = out.x, out.y
+    return ("ok",) + tuple(a.tolist() for a in out)
+
+
+_NESTED = [[0.1, 0.0], [0.0, 0.2]]
+
+# (x, y, the refusal's message); each refusal comes before the later
+# checks the same input also fails
+_REFUSALS = [
+    (_NESTED, [0, 0.2, 0, 0], "point coordinates must be flat, got shape (2, 2)"),
+    ([0.1, 0, 0, 0], [_NESTED[0] * 2], "point coordinates must be flat, got shape (1, 4)"),
+    (_NESTED, [np.nan] * 3, "point coordinates must be flat, got shape (2, 2)"),
+    (_NESTED, [[1.0], [2.0, 3.0]], "point coordinates must be flat, got shape (2, 2)"),
+    (_NESTED, "abc", "point coordinates must be flat, got shape (2, 2)"),
+    (1.0, 2.0, "point coordinates must be flat, got shape ()"),
+    (np.float64(0.5), None, "point coordinates must be flat, got shape ()"),
+    ([0, 0, 0], [0, 0, 0], "flat length must be 4n"),
+    ([0, 0, 0], [np.nan, 0, 0, 0], "flat length must be 4n"),
+    ([0, 0, 0, 0], [0] * 8, "x and y must have the same number of entries"),
+    ([0] * 8, [0, 0, 0, 0], "x and y must have the same number of entries"),
+    ([np.nan, 0, 0, 0], [0, 0, 0, 0], "non-finite point coordinates [nan, 0.0, 0.0, 0.0]"),
+    ([0, np.inf, 0, 0], [0] * 8, "non-finite point coordinates [0.0, inf, 0.0, 0.0]"),
+    ([0, 0, -np.inf, 0], [0, 0, 0, 0], "non-finite point coordinates [0.0, 0.0, -inf, 0.0]"),
+    ([0, 0, 0, 0], [0, 0, 0, np.nan], "non-finite point coordinates [0.0, 0.0, 0.0, nan]"),
+    ([0, 0, 0, 0], [np.inf, 0, 0, 0, 0, 0, 0, 0],
+     "non-finite point coordinates [inf, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]"),
+    ([1e200, 0, 0, 0], [-np.inf, 0, 0, 0], "non-finite point coordinates [-inf, 0.0, 0.0, 0.0]"),
+    ([1e200, 0, 0, 0], [0, 0, 0, 0],
+     "squared C-norm overflows at {'x': [1e+200, 0.0, 0.0, 0.0], 'y': [0.0, 0.0, 0.0, 0.0]}"),
+    ([0, 0, 0, 0], [0, -1e200, 0, 0],
+     "squared C-norm overflows at {'x': [0.0, 0.0, 0.0, 0.0], 'y': [0.0, -1e+200, 0.0, 0.0]}"),
+    ([1e154, 1e154, 0, 0], [1e154, 0, 0, 0],
+     "squared C-norm overflows at {'x': [1e+154, 1e+154, 0.0, 0.0], 'y': [1e+154, 0.0, 0.0, 0.0]}"),
+]
+
+
+@pytest.mark.parametrize("x, y, message", _REFUSALS)
+def test_biquaternion_point_refuses_in_order_with_its_message(x, y, message):
+    # one pass over the coordinates finds a fault; the refusal is that of
+    # the checks in turn, with the same message, and nothing warns first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            quat.BiquaternionPoint(x, y)
+        assert str(exc.value) == message
+        assert _outcome(quat.BiquaternionPoint, x, y) == _outcome(
+            _checked_in_turn, x, y)
+
+
+def test_a_point_without_y_is_on_the_real_slice():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt = quat.BiquaternionPoint([1, 2, 3, 4])
+    assert pt.x.dtype == pt.y.dtype == np.float64
+    assert pt.tolist() == {"x": [1.0, 2.0, 3.0, 4.0], "y": [0.0] * 4}
+    assert not np.signbit(pt.y).any()
+    assert not np.shares_memory(pt.x, pt.y)
+    assert not (pt.x.flags.writeable or pt.y.flags.writeable)
+
+
+def test_a_hull_query_keeps_its_own_copy_of_sigma():
+    # the query's point is read-only copies: changing the caller's arrays
+    # after the query leaves query.sigma as it was
+    from fueter import domains, hull
+
+    x = np.array([0.1, 0.2, -0.1, 0.0])
+    y = np.array([0.0, 0.3, 0.0, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        query = hull.hull_contains((x, y), domains.Ball(1))
+    x[:] = 7.0
+    y[:] = np.nan
+    assert query.sigma.tolist() == {"x": [0.1, 0.2, -0.1, 0.0],
+                                    "y": [0.0, 0.3, 0.0, 0.1]}
+
+
+_FAULTY = st.one_of(
+    st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, np.nan, np.inf,
+                                           -np.inf, 1e154, -1e200]))
+
+
+@st.composite
+def _point_args(draw):
+    def coords():
+        shape = draw(st.sampled_from([(4,), (4,), (8,), (3,), (), (2, 4)]))
+        return draw(hnp.arrays(np.float64, shape, elements=_FAULTY))
+
+    x = coords()
+    y = coords() if draw(st.booleans()) else None
+    if draw(st.booleans()):
+        x = x.tolist()
+    return x, y
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_point_args())
+def test_biquaternion_point_is_its_checks_in_turn(args):
+    # any mix of faults: the same point, or the same first refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(quat.BiquaternionPoint, *args) == _outcome(
+            _checked_in_turn, *args)
+
+
 # finite coordinates with exact zeros of both signs mixed in
 _COORD = st.one_of(st.floats(-4.0, 4.0, allow_subnormal=False),
                    st.sampled_from([0.0, -0.0]))

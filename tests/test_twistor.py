@@ -109,6 +109,23 @@ def test_line_embed_broadcasts_matrices_and_fibre_points():
             np.testing.assert_array_equal(v[i, k, :2], pi[i, 0])
 
 
+def test_one_fibre_point_is_broadcast_over_a_batch_of_matrices():
+    # one pi (2,) over S (3, 2n, 2): each row is the one-matrix call, and
+    # the fibre columns are pi; pi with the lead shape is used as it is
+    rng = np.random.default_rng(38)
+    for n in (1, 2):
+        S = quat.matrix_point(rng.normal(size=(3, 4 * n)),
+                              rng.normal(size=(3, 4 * n)))
+        pi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v = twistor.line_embed(S, pi)
+        assert v.shape == (3, 2 * n + 2) and v.flags.c_contiguous
+        for k in range(3):
+            np.testing.assert_array_equal(v[k], twistor.line_embed(S[k], pi))
+            np.testing.assert_array_equal(v[k, :2], pi)
+        np.testing.assert_array_equal(
+            twistor.line_embed(S, np.broadcast_to(pi, (3, 2)).copy()), v)
+
+
 def test_line_base_points_collapse_to_the_matrix():
     rng = np.random.default_rng(32)
     zs = np.array([0.0, 0.5, -0.25 + 1.0j, 2.0 - 3.0j, 10.0j])
