@@ -216,7 +216,12 @@ def cf_residual_complex(psi0, psi1, p, cfg=None, domain=None):
                          np.asarray(psi1(v), dtype=complex)], axis=-1)
 
     # each stencil point is evaluated once for both components
-    d = _partials(pair, p, cfg or FDConfig(), domain)  # (..., 4n, 2)
+    return _pair_residual(_partials(pair, p, cfg or FDConfig(), domain))
+
+
+def _pair_residual(d):
+    """The interleaved residual pairs (..., 2n) from the real partials
+    (..., 4n, 2) of the stacked pair (psi0, psi1)."""
     da, dab, db, dbb = _wirtinger(np.moveaxis(d, -1, 0))  # each (2, ..., n)
     r1 = db[1] - dab[0]
     r2 = da[1] + dbb[0]
@@ -236,12 +241,18 @@ def dC_apply(psiC, sigma, cfg=None):
     differencing along the complex coordinate.  Defaults to Richardson
     extrapolation with h = 1e-4 * max(1, ||sigma||_F): the criterion-grade
     tolerance (1e-6 down to |det| = 0.1) needs the 4th-order scheme.
+    ValueError for a matrix shape other than (..., 2n, 2), and for a
+    non-finite entry (naming the first such matrix) before any difference.
     """
     cfg = cfg or FDConfig(scheme="richardson")
     z = np.asarray(getattr(sigma, "matrix", sigma), dtype=complex)
     rows = 2 * psiC.n
     if z.shape[-2:] != (rows, 2):
         raise ValueError("sigma must be a (..., %d, 2) matrix" % rows)
+    if not np.isfinite(z).all():
+        bad = ~np.isfinite(z).all(axis=(-2, -1))
+        raise ValueError("sigma holds a non-finite matrix %s"
+                         % (z[bad][0].tolist(),))
     h = cfg.resolve_step(np.sqrt(np.sum(np.abs(z) ** 2, axis=(-2, -1))), 1e-4)
     # the matrix units e_{A,col}, A = 0..2n-1, of each column
     units = np.eye(2 * rows).reshape(2 * rows, rows, 2)
@@ -257,10 +268,14 @@ def dC_apply(psiC, sigma, cfg=None):
 def is_monogenic(psi, points, tol=1e-5, cfg=None):
     """Max-residual certification of D psi = 0 over sample points.
 
-    points: (N, 4n) interior samples with stencil margin.  Returns the report
-    dict {field, n, samples, tol, max_residual, worst_point, verdict}.
+    points: (..., 4n) interior samples with stencil margin, read as the
+    flat batch of their lead shape.  Returns the report dict {field, n,
+    samples, tol, max_residual, worst_point, verdict}: ``samples`` is the
+    product of the lead shape and ``worst_point`` one flat point.
+    ValueError for an empty batch.
     """
     points = psi.check_points(np.atleast_2d(points))
+    points = points.reshape(-1, points.shape[-1])
     if points.shape[0] == 0:
         raise ValueError("empty sample set")
     res = residual_norm(cf_apply(psi, points, cfg))

@@ -35,7 +35,13 @@ Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
     (0,2)-part vanish; the pointwise components need not) at every given
     point and returns the pushed-down pair.  Differencing is linear, so the
     one ``tau_push_02`` array is also minus the Cauchy-Fueter residual of
-    that pair; ``diagram_check`` differences the field itself instead.
+    that pair.
+  * ``diagram_check`` compares the two sides of the commutative square from
+    one finite-difference pass: the partials of a lift's coefficients are
+    the partials of the stacked pair, bit for bit.  What is independent is
+    the algebra read from them: the frame rows contracted with the moment
+    table (``tau_push_02``) on one side, the Wirtinger residual of
+    ``cf.cf_residual_complex`` on the other.
   * ``penrose_transform_complex`` evaluates the same moments at a matrix
     point of the monogenic hull.  The integrand is the form's holomorphic
     matrix extension: the line over a hull point has constant base-point
@@ -56,14 +62,15 @@ Numerical notes: there are no settings.  Output values are quadrature sums
 over the default nodes of ``cp1.quadrature_nodes``; derivatives use the
 finite-difference core of ``cf`` at ``_FD``, whose error (~1e-8) closedness
 certificates and diagram residuals inherit, far below the 1e-4 tolerances;
-``penrose_transform`` takes one finite-difference pass per call.
+``penrose_transform`` and ``diagram_check`` each take one finite-difference
+pass per call.
 """
 
 import math
 
 import numpy as np
 
-from .cf import FDConfig, _partials, _wirtinger, cf_residual_complex
+from .cf import DomainError, FDConfig, _pair_residual, _partials, _wirtinger
 from .cp1 import harmonic_basis, moment_table
 from .domains import WholeSpace
 from .fields import get_field
@@ -182,7 +189,11 @@ def _frame(coeffs, x, domain=None):
     x.shape[:-1] + (2n, R).  With a domain the base stencil is certified
     inside it before c is evaluated (``cf._partials``, cf.DomainError).
     """
-    d = _partials(coeffs, x, _FD, domain)  # (..., 4n, R)
+    return _frame_rows(_partials(coeffs, x, _FD, domain))
+
+
+def _frame_rows(d):
+    """(P, Q) of ``_frame`` from the real partials d (..., 4n, R) of c."""
     da, dab, db, dbb = _wirtinger(np.swapaxes(d, -1, -2))  # each (..., R, n)
     P = np.empty(da.shape[:-1] + (2 * da.shape[-1],), dtype=complex)
     Q = np.empty_like(P)
@@ -203,7 +214,14 @@ def tau_push_02(form, x):
     -X^{A+1} wz is -(P_A M[:, 1] + Q_A M[:, 0]).
     """
     M = form.moments
-    P, Q = _frame(form.coeffs, np.asarray(x, dtype=float), form.domain)
+    return _push02(_partials(form.coeffs, np.asarray(x, dtype=float), _FD,
+                             form.domain), M)
+
+
+def _push02(d, M):
+    """tau_push_02 from the real partials d (..., 4n, R) of the coefficients
+    and the moment table M (R, 2): the frame rows contracted with M."""
+    P, Q = _frame_rows(d)
     return -(P @ M[:, 1] + Q @ M[:, 0])
 
 
@@ -212,10 +230,14 @@ def tau_push_02(form, x):
 # ---------------------------------------------------------------------------
 
 def _point_set(points):
-    """points as a float array (..., 4n); ValueError when it holds none."""
+    """points as a float array (..., 4n); ValueError when it holds none, and
+    cf.DomainError naming the first point with a non-finite coordinate, both
+    before anything is evaluated there."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if 0 in points.shape[:-1]:
         raise ValueError("empty point set of shape %s" % (points.shape,))
+    if not np.isfinite(points).all():
+        raise DomainError(points[~np.isfinite(points).all(axis=-1)][0])
     return points
 
 
@@ -248,7 +270,8 @@ def penrose_transform(form, points):
     is also minus the Cauchy-Fueter residual of the output pair (the frame
     rows difference the coefficients the moment table maps to the output),
     so its maximum is both ``closedness`` and ``cf_residual_max``.
-    ValueError for an empty point set.
+    ValueError for an empty point set, and cf.DomainError for a point with
+    a non-finite coordinate, both before the form is evaluated.
     """
     points = _point_set(points)
     values = tau_push_01(form, points)
@@ -294,10 +317,17 @@ def penrose_transform_complex(form, sigma):
 # ---------------------------------------------------------------------------
 
 def _diagram_sides(field, points):
-    """The two sides, each on its own: tau_push_02 of the lift, CF residual."""
-    return (tau_push_02(sharp(field), points),
-            cf_residual_complex(field.pair0, field.pair1, points, _FD,
-                                field.domain))
+    """The two sides from one differencing pass of the lift's coefficients.
+
+    The lift's coefficients are the stacked pair, so their partials are the
+    pair's: lhs is tau_push_02 of the lift (the frame rows contracted with
+    the moment table), rhs the interleaved Cauchy-Fueter residual of the
+    pair (its Wirtinger combinations), each bit for bit.
+    """
+    form = sharp(field)
+    M = form.moments
+    d = _partials(form.coeffs, points, _FD, form.domain)  # (..., 4n, 2)
+    return _push02(d, M), _pair_residual(d)
 
 
 def diagram_check(field, points):
@@ -306,7 +336,8 @@ def diagram_check(field, points):
     Returns a report with the two sides' magnitudes, the maximum
     componentwise discrepancy over the sample points and their number, the
     product of the lead shape of points (..., 4n); ValueError for an empty
-    point set.
+    point set and cf.DomainError for a non-finite point, as
+    ``penrose_transform`` refuses them.
     """
     points = field.check_points(_point_set(points))
     lhs, rhs = _diagram_sides(field, points)

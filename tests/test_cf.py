@@ -1,6 +1,7 @@
 """Finite-difference operator: exact identities, convergence, and guards."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -381,6 +382,20 @@ def test_is_monogenic_report_and_verdicts():
     assert loose["verdict"] is True
 
 
+def test_is_monogenic_reads_every_lead_axis_as_one_batch():
+    field = fields.get_field("nonmonogenic_absquare")
+    pts = _shell(np.random.default_rng(16), 12)
+    flat = cf.is_monogenic(field, pts)
+    batch = cf.is_monogenic(field, pts.reshape(3, 2, 2, 4))
+    assert batch == flat
+    assert batch["samples"] == 12 and len(batch["worst_point"]) == 4
+    ones = cf.is_monogenic(field, np.ones((2, 2, 4)))
+    assert ones["samples"] == 4 and ones["worst_point"] == [1.0] * 4
+    for empty in (np.empty((0, 4)), np.empty((3, 0, 4)), np.empty((0, 2, 4))):
+        with pytest.raises(ValueError, match="empty sample set"):
+            cf.is_monogenic(field, empty)
+
+
 def test_complexified_operator_annihilates_extended_fundamental_solution():
     ext = fields.get_field("E").extension
     rng = np.random.default_rng(17)
@@ -438,6 +453,29 @@ def test_complexified_operator_evaluates_each_component_once_per_stencil_point()
     np.testing.assert_array_equal(out, ref)
     with pytest.raises(ValueError):
         cf.dC_apply(probe, np.zeros((5, 4, 2), dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_complexified_operator_refuses_a_non_finite_matrix(bad):
+    # a non-finite entry once ran into the differences, warning and
+    # returning NaN; now it is refused before the step is read
+    def untouched(z):
+        raise AssertionError("evaluated at a non-finite matrix")
+
+    probe = fields.ComplexField(untouched, untouched, n=1)
+    Z = np.tile(quat.matrix_point(np.array([1.0, 0.2, -0.3, 0.5]),
+                                  np.zeros(4)), (3, 1, 1))
+    Z[1, 1, 0] = bad
+    Z[2, 0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"non-finite matrix \[\[\(1"):
+            cf.dC_apply(probe, Z)
+        with pytest.raises(ValueError, match="non-finite matrix"):
+            cf.dC_apply(probe, Z[2])
+    # the shape is checked first
+    with pytest.raises(ValueError, match="must be a"):
+        cf.dC_apply(probe, np.full((5, 4, 2), bad))
 
 
 def test_complexified_operator_on_one_matrix_is_its_batched_row():

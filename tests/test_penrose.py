@@ -1,5 +1,7 @@
 """Integral transform: splitting, pushforwards, and the commuting square."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,53 @@ def test_diagram_check_counts_the_points_it_checked():
     for key in ("max_discrepancy", "lhs_max", "rhs_max"):
         assert batch[key] == pytest.approx(flat[key], rel=1e-12, abs=1e-300)
     assert one["max_discrepancy"] < 1e-6 and one["rhs_max"] > 1e-2
+
+
+@pytest.mark.parametrize("name,n", [
+    ("nonmonogenic_quadratic", 1), ("nonmonogenic_linear", 1),
+    ("nonmonogenic_absquare", 1), ("E", 1), ("linear_monogenic", 2)])
+def test_diagram_sides_are_the_two_public_functions_bit_for_bit(name, n):
+    # one differencing pass of the lift gives both sides: each equals the
+    # public function that differences on its own
+    field = fields.get_field(name, n)
+    points = acceptance._shell_points(np.random.default_rng(65), 10, 0.6, 2.5,
+                                      n=n)
+    lhs, rhs = penrose._diagram_sides(field, points)
+    np.testing.assert_array_equal(
+        lhs, penrose.tau_push_02(penrose.sharp(field), points))
+    np.testing.assert_array_equal(
+        rhs, cf.cf_residual_complex(field.pair0, field.pair1, points,
+                                    penrose._FD, field.domain))
+
+
+@pytest.mark.parametrize("check", [
+    lambda: penrose.diagram_check(fields.get_field("nonmonogenic_linear"),
+                                  _shell(np.random.default_rng(66), 7)),
+    penrose.calibrate_kappa])
+def test_the_diagram_takes_one_finite_difference_pass(monkeypatch, check):
+    calls = []
+    partials = cf._partials
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return partials(*args, **kwargs)
+
+    for module in (cf, penrose):
+        monkeypatch.setattr(module, "_partials", counted)
+    check()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name,n", [
+    (name, n) for name in fields.field_names() for n in (1, 2)
+    if (name, n) != ("E", 2)])  # E is an n = 1 field
+def test_the_lift_coefficients_are_the_stacked_pair_bit_for_bit(name, n):
+    # the identity that lets the diagram difference the lift alone
+    field = fields.get_field(name, n)
+    x = acceptance._shell_points(np.random.default_rng(67), 8, 0.6, 2.5, n=n)
+    x = x.reshape(2, 4, 4 * n)
+    np.testing.assert_array_equal(penrose.sharp(field).coeffs(x),
+                                  np.stack(field.pair(x), axis=-1))
 
 
 def test_transform_inverts_the_lift_on_monogenic_fields():
@@ -613,6 +662,30 @@ def test_an_empty_point_set_is_refused_before_any_evaluation():
             penrose.penrose_transform(form, points)
         with pytest.raises(ValueError, match="empty point set"):
             penrose.diagram_check(field, points)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_point_is_refused_before_any_evaluation(bad):
+    # the transform once evaluated E at a NaN point, warning, before its
+    # stencil was refused; now the point set is refused on entry
+    def untouched(*args):
+        raise AssertionError("evaluated at a non-finite point")
+
+    field = fields.ScalarField(untouched, untouched, name="untouched")
+    form = penrose.TwistorFormL(1, untouched, untouched)
+    points = np.array([[1.0, 0.5, 0.0, 0.0], [0.5, bad, 1.0, 0.0],
+                       [bad, 0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (lambda p: penrose.penrose_transform(form, p),
+                      lambda p: penrose.diagram_check(field, p)):
+            with pytest.raises(cf.DomainError) as err:
+                check(points)
+            np.testing.assert_array_equal(err.value.point, points[1])
+        with pytest.raises(cf.DomainError) as err:
+            penrose.penrose_transform(penrose.sharp(fields.get_field("E")),
+                                      points[2])
+        np.testing.assert_array_equal(err.value.point, points[2])
 
 
 def test_diagram_check_names_the_callers_point_shape():
