@@ -4,8 +4,8 @@ Layers, bottom up:
 
 * quat      -- array kernels on flat (..., 4n) points and matrix embeddings
 * domains   -- open subsets of H^n with exact exit distances
+* fields    -- fields as stacked pairs, named fixtures, and extensions
 * cf        -- the finite-difference operator, residuals, and verdicts
-* fields    -- named field fixtures and their holomorphic extensions
 * hull      -- swept-line membership, distance, and witnesses for the hull
 * twistor   -- the double fibration: charts, lines, and sweeps
 * cp1       -- line bundles on the sphere: quadrature and cohomology
@@ -33,11 +33,11 @@ _EXPORTS = {
         "Ball", "DomainSpec", "EmptySet", "HalfSpace", "Intersection",
         "PointComplement", "WholeSpace", "parse_domain",
     ),
+    "fields": ("ComplexField", "ScalarField", "field_names", "get_field"),
     "cf": (
         "DomainError", "FDConfig", "cf_apply", "cf_residual_complex",
         "dC_apply", "is_monogenic", "residual_norm",
     ),
-    "fields": ("ComplexField", "ScalarField", "field_names", "get_field"),
     "hull": (
         "HullQuery", "NotInHullError", "hull_contains", "hull_distance",
         "hull_witness",

@@ -310,7 +310,7 @@ def criterion_6_roundtrip(seed=7):
         field = get_field(name, 1)
         pts = _shell_points(rng, 20, 0.6, 2.5)
         res = penrose_transform(sharp(field), pts)
-        exact = np.stack(field.pair(pts), axis=-1)
+        exact = field.stacked(pts)
         err = float(np.max(np.abs(res.values - exact)))
         ok = err < 1e-4
         passed = passed and ok
@@ -432,28 +432,27 @@ CRITERIA = [
 def run_all(seed=7, n_values=(1, 2), criteria=None):
     """Run the (sub)set of criteria; returns the aggregate report dict.
 
-    ValueError, before any runs, names unknown ids, an n below 1 or an n
-    criterion 3 lacks.
+    ValueError, before any runs, for an empty criteria list (it would pass
+    having run nothing), and names unknown ids, an n below 1, and an empty
+    n_values or an n criterion 3 lacks when it runs.
     """
     if any(n < 1 for n in n_values):
         raise ValueError("n must be >= 1")
     known = {cid for cid, _ in CRITERIA}
     run = known if criteria is None else set(criteria)
+    if not run:
+        raise ValueError("no criterion ids given; known: 1-8")
     if run - known:
         raise ValueError("unknown criterion ids %s; known: 1-8"
                          % sorted(run - known))
+    if 3 in run and not n_values:
+        raise ValueError("criterion 3 needs at least one n")
     bad = sorted({n for n in n_values if ("ball", n) not in _HULL_SCALES})
     if 3 in run and bad:
         raise ValueError("criterion 3 runs at n = 1 and 2 only, not n = %s"
                          % ", ".join(map(str, bad)))
-    records = []
-    for cid, fn in CRITERIA:
-        if cid not in run:
-            continue
-        if cid == 3:
-            records.append(fn(seed=seed, n_values=tuple(n_values)))
-        else:
-            records.append(fn(seed=seed))
+    records = [fn(seed=seed, n_values=tuple(n_values)) if cid == 3
+               else fn(seed=seed) for cid, fn in CRITERIA if cid in run]
     return {
         "suite": "acceptance",
         "seed": seed,

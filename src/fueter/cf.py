@@ -5,21 +5,26 @@ Per quaternionic variable block ell the operator is
     dbar_{q_ell} psi = d/dx0 psi + i d/dx1 psi + j d/dx2 psi + k d/dx3 psi
 
 with the units multiplying the derivative values from the LEFT.  D psi is the
-n-tuple of these.  In the complex pair picture psi = psi0 + k*psi1 the same
-system reads, per block,
+n-tuple of these.  It is computed one way, by this definition
+(``_unit_products``): the signed terms of the Hamilton products e_u d_u psi,
+gathered from the partials of one evaluation of the field, the float view
+of its stacked pair (``fields``), whose slots (Re psi0, Im psi0, Re psi1,
+Im psi1) are the quaternion components (x0, x1, x3, x2).
+
+In the complex pair picture psi = psi0 + k*psi1 the same system reads, per
+block,
 
     r1_ell = d_{beta_ell} psi1 - d_{conj(alpha_ell)} psi0
     r2_ell = d_{alpha_ell} psi1 + d_{conj(beta_ell)} psi0
 
-and the exact dictionary between the two forms is
+with Wirtinger derivatives along alpha = x0 + i x1, beta = x3 + i x2, and
+the exact dictionary between the two forms is
 
-    dbar_{q_ell} psi = -2*r1_ell + 2*k*r2_ell,
+    dbar_{q_ell} psi = -2*r1_ell + 2*k*r2_ell.
 
-equivalently dbar_q = 2(d_conj(alpha) + k d_conj(beta)).  Wirtinger
-derivatives follow alpha = x0 + i x1, beta = x3 + i x2:
-
-    d_alpha = (d_x0 - i d_x1)/2        d_conj(alpha) = (d_x0 + i d_x1)/2
-    d_beta  = (d_x3 - i d_x2)/2        d_conj(beta)  = (d_x3 + i d_x2)/2
+So the pair residual (``cf_residual_complex``) is (-1/2, 1/2) times the
+(alpha, beta) of D psi: exact scalings of the same sums, not a second
+algebra.
 
 The holomorphic operator D^C acts on matrix fields: component A is
 d_{z_{A 0'}} psi1^C - d_{z_{A 1'}} psi0^C, differenced along the complex
@@ -42,6 +47,7 @@ import numpy as np
 
 from . import quat
 from .domains import WholeSpace
+from .fields import ScalarField
 
 __all__ = [
     "FDConfig", "DomainError", "cf_apply", "cf_residual_complex",
@@ -166,19 +172,31 @@ def _partials(fn, p, cfg, domain=None):
 # quaternionic form
 # ---------------------------------------------------------------------------
 
+# quaternion component c of a stacked pair's float view sits in slot
+# _SLOT[c]: real_to_ab on the units, read as floats, places each unit once;
+# _GATHER[u, k] is the slot of component u xor k, the factor of term u of
+# component k of a Hamilton product (see quat._SIGN)
+_SLOT = np.argmax(quat.real_to_ab(np.eye(4)).view(float), axis=-1)
+_GATHER = _SLOT[quat._XOR[:, 0]]
+
+
+def _unit_products(dv):
+    """D psi (..., n, 4) from the partials dv (..., 4n, 4) of the float view
+    of psi's stacked pair: component k of block ell sums the terms
+    _SIGN[u, 0, k] d_u psi_(u xor k) of e_u d_u psi in u order, as qmul
+    writes them."""
+    blocks = dv.reshape(dv.shape[:-2] + (dv.shape[-2] // 4, 4, 4))
+    terms = blocks[..., np.arange(4)[:, None], _GATHER] * quat._SIGN[:, 0]
+    return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
+
+
 def cf_apply(psi, p, cfg=None):
     """D psi at p: returns (..., n, 4) quaternion components per block.
 
     psi is a ScalarField; p is flat real (..., 4n).
     """
-    p = np.asarray(p, dtype=float)
-    dq = _partials(psi.eval_quat, p, cfg or FDConfig(), psi.domain)  # (..., 4n, 4)
-    n = p.shape[-1] // 4
-    blocks = dq.reshape(dq.shape[:-2] + (n, 4, 4))  # (..., n, coord u, quat comp)
-    # component k of e_u * blocks[..., u, :] is _SIGN[u, 0, k] times entry
-    # u xor k; the four are summed in u order
-    terms = blocks[..., np.arange(4)[:, None], quat._XOR[:, 0]] * quat._SIGN[:, 0]
-    return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
+    return _unit_products(_partials(lambda q: psi.stacked(q).view(float),
+                                    p, cfg or FDConfig(), psi.domain))
 
 
 def residual_norm(res):
@@ -191,43 +209,29 @@ def residual_norm(res):
 # complex pair form
 # ---------------------------------------------------------------------------
 
-def _wirtinger(d):
-    """From real partials (..., 4n, ...) to the four Wirtinger combos per block.
-
-    Returns (d_alpha, d_alphabar, d_beta, d_betabar), each (..., n, ...).
-    """
-    d0, d1, d2, d3 = d[..., 0::4], d[..., 1::4], d[..., 2::4], d[..., 3::4]
-    da = (d0 - 1j * d1) / 2
-    dab = (d0 + 1j * d1) / 2
-    db = (d3 - 1j * d2) / 2
-    dbb = (d3 + 1j * d2) / 2
-    return da, dab, db, dbb
-
-
 def cf_residual_complex(psi0, psi1, p, cfg=None, domain=None):
     """Interleaved residual pairs (r1_1, r2_1, ..., r1_n, r2_n) at p.
 
     psi0, psi1: callables on interleaved complex points (..., 2n), or pass a
     ScalarField's pair0/pair1.  p is flat real (..., 4n).
     """
-    def pair(pts):
-        v = quat.real_to_ab(pts)
-        return np.stack([np.asarray(psi0(v), dtype=complex),
-                         np.asarray(psi1(v), dtype=complex)], axis=-1)
-
+    field = ScalarField(psi0, psi1, n=np.shape(p)[-1] // 4, domain=domain)
     # each stencil point is evaluated once for both components
-    return _pair_residual(_partials(pair, p, cfg or FDConfig(), domain))
+    return _pair_residual(_partials(field.stacked, p, cfg or FDConfig(),
+                                    field.domain))
+
+
+# D psi = -2 r1 + 2 k r2 per block: r1 is -1/2 times D psi's alpha
+# components (x0, x1), r2 is 1/2 times its beta components (x3, x2)
+_PAIR_SCALE = np.array([-0.5, -0.5, 0.5, 0.5])
 
 
 def _pair_residual(d):
-    """The interleaved residual pairs (..., 2n) from the real partials
-    (..., 4n, 2) of the stacked pair (psi0, psi1)."""
-    da, dab, db, dbb = _wirtinger(np.moveaxis(d, -1, 0))  # each (2, ..., n)
-    r1 = db[1] - dab[0]
-    r2 = da[1] + dbb[0]
-    out = np.empty(r1.shape[:-1] + (2 * r1.shape[-1],), dtype=complex)
-    out[..., 0::2], out[..., 1::2] = r1, r2
-    return out
+    """The interleaved residual pairs (..., 2n) from the partials
+    (..., 4n, 2) of the stacked pair (psi0, psi1): (-1/2, 1/2) times the
+    (alpha, beta) of D psi, both scalings exact."""
+    dq = _unit_products(d.view(float)) * _PAIR_SCALE
+    return quat.real_to_ab(dq.reshape(dq.shape[:-2] + (4 * dq.shape[-2],)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +276,11 @@ def is_monogenic(psi, points, tol=1e-5, cfg=None):
     flat batch of their lead shape.  Returns the report dict {field, n,
     samples, tol, max_residual, worst_point, verdict}: ``samples`` is the
     product of the lead shape and ``worst_point`` one flat point.
-    ValueError for an empty batch.
+    ValueError for an empty batch, and for a tol that is not positive and
+    finite, before any evaluation.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite, not %r" % (tol,))
     points = psi.check_points(np.atleast_2d(points))
     points = points.reshape(-1, points.shape[-1])
     if points.shape[0] == 0:

@@ -103,6 +103,14 @@ def _finite_float(s):
     return v
 
 
+def _positive_float(s):
+    """argparse type: a finite float > 0, so a tolerance of 0 or below fails
+    by name instead of failing every check."""
+    if not _finite_float(s) > 0:
+        raise argparse.ArgumentTypeError("not a positive number: %r" % s)
+    return float(s)
+
+
 # exact option -> (exact_form keyword, type); exact_form owns the defaults
 # and refuses a p or q that is not an integer >= 0, by name
 _EXACT_KEYS = {"p": ("p", float), "q": ("q", float),
@@ -234,7 +242,7 @@ def _cmd_penrose(args):
     if args.mode == "forward":
         return results, True, None
     # roundtrip
-    exact = np.stack(field.pair(pts), axis=-1)
+    exact = field.stacked(pts)
     err = float(np.max(np.abs(res.values - exact)))
     results["max_error"] = err
     return (results, err < args.tol,
@@ -293,7 +301,7 @@ def _build_parser():
     ck.add_argument("--n", type=int, default=1)
     ck.add_argument("--points", type=int, default=200)
     ck.add_argument("--seed", type=int, default=7)
-    ck.add_argument("--tol", type=_finite_float, default=1e-5)
+    ck.add_argument("--tol", type=_positive_float, default=1e-5)
     ck.add_argument("--rmin", type=_finite_float, default=0.2)
     ck.add_argument("--rmax", type=_finite_float, default=5.0)
     ck.add_argument("--step", type=_finite_float, default=None)
@@ -340,7 +348,7 @@ def _build_parser():
     ha = cp.add_parser("harmonic", help="roundtrip check of the harmonic form")
     ha.add_argument("--a0", default="1")
     ha.add_argument("--a1", default="0")
-    ha.add_argument("--tol", type=_finite_float, default=1e-6)
+    ha.add_argument("--tol", type=_positive_float, default=1e-6)
     common(ha)
     ha.set_defaults(func=_cmd_cp1)
     dm = cp.add_parser("dim", help="dim H^1 for degree k")
@@ -356,7 +364,7 @@ def _build_parser():
         pp = pe.add_parser(mode)
         pp.add_argument("--field", required=True, choices=field_names())
         pp.add_argument("--n", type=int, default=1)
-        pp.add_argument("--tol", type=_finite_float, default=1e-4)
+        pp.add_argument("--tol", type=_positive_float, default=1e-4)
         if samples:
             pp.add_argument("--seed", type=int, default=7)
             pp.add_argument("--points", type=int, default=10)

@@ -13,6 +13,13 @@ biquaternion matrices of shape (..., 2n, 2), holomorphic in the matrix entries
 by contract.  A ScalarField may carry such an extension; this is what allows
 the transform over the hull to be evaluated (see the penrose module).
 
+Both evaluate the pair one way, ``stacked``: one complex array (..., 2)
+holding (psi0, psi1).  It is the only place a pair is stacked.  The
+operator of ``cf`` differences its float view, whose four slots
+(Re psi0, Im psi0, Re psi1, Im psi1) are the quaternion components
+(x0, x1, x3, x2) of psi; a ``penrose`` lift's coefficients are the stacked
+pair itself.
+
 The registry provides the named built-in fields used by tests and the CLI,
 each a ScalarField; a known extension is reached through its .extension.
 ``_shell_points`` draws the shell samples that the acceptance criteria and
@@ -27,13 +34,19 @@ from .domains import PointComplement, WholeSpace
 __all__ = ["ScalarField", "ComplexField", "get_field", "field_names"]
 
 
+def _stack(pair, lead):
+    """The pair (p0, p1) as one complex array lead + (2,)."""
+    out = np.empty(lead + (2,), dtype=complex)
+    out[..., 0], out[..., 1] = pair
+    return out
+
+
 class ScalarField:
     """A field psi = psi0 + k*psi1 given by vectorized pair callables.
 
-    pair0/pair1 map interleaved complex points (..., 2n) -> (...).  Evaluation
-    in flat real coordinates (..., 4n) is provided for the FD operators, and
-    eval_quat packs the pair back into quaternion components.  domain is a
-    DomainSpec, or None for the whole space.
+    pair0/pair1 map interleaved complex points (..., 2n) -> (...).  ``pair``
+    and ``stacked`` evaluate them on flat real points (..., 4n).  domain is
+    a DomainSpec, or None for the whole space.
     """
 
     def __init__(self, pair0, pair1, n=1, domain=None, name=None, extension=None):
@@ -57,10 +70,9 @@ class ScalarField:
         v = quat.real_to_ab(self.check_points(p))
         return self.pair0(v), self.pair1(v)
 
-    def eval_quat(self, p):
-        """Evaluate psi as flat quaternion components (..., 4)."""
-        p0, p1 = self.pair(p)
-        return quat.ab_to_real(np.stack([p0, p1], axis=-1))
+    def stacked(self, p):
+        """The pair on flat real points (..., 4n) as one array (..., 2)."""
+        return _stack(self.pair(p), np.shape(p)[:-1])
 
     def __repr__(self):
         return "ScalarField(%s, n=%d)" % (self.name, self.n)
@@ -80,6 +92,10 @@ class ComplexField:
         if z.shape[-2:] != (2 * self.n, 2):
             raise ValueError("expected matrices of shape (..., %d, 2)" % (2 * self.n,))
         return self.pair0(z), self.pair1(z)
+
+    def stacked(self, z):
+        """The pair on matrices (..., 2n, 2) as one array (..., 2)."""
+        return _stack(self.pair(z), np.shape(z)[:-2])
 
     def __repr__(self):
         return "ComplexField(%s, n=%d)" % (self.name, self.n)

@@ -22,8 +22,9 @@ Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
     X^{2i-1} = z d/d(beta_i) - d/d(conj alpha_i) and
     X^{2i}   = z d/d(alpha_i) + d/d(conj beta_i).  The frame fields act on
     the coefficients alone, X^{A+1}(c b) = (z P_A + Q_A) b, with P_A and Q_A
-    finite differences of c through the Wirtinger combinations of ``cf``
-    (``_frame``).
+    the Wirtinger combinations (``_wirtinger``) of the finite differences
+    of c (``_frame_rows``).  They are this module's own: ``cf`` computes
+    the operator from its definition alone.
   * ``tau_push_02`` pushes the mixed fiber/base (0,2)-components down by a
     single moment each (they live at degree -2, one coefficient per
     direction): the frame step, contracted with the columns of M.  On
@@ -37,11 +38,12 @@ Pipeline, all in the chart-0 trivialization over a base domain U in H^n:
     one ``tau_push_02`` array is also minus the Cauchy-Fueter residual of
     that pair.
   * ``diagram_check`` compares the two sides of the commutative square from
-    one finite-difference pass: the partials of a lift's coefficients are
-    the partials of the stacked pair, bit for bit.  What is independent is
-    the algebra read from them: the frame rows contracted with the moment
-    table (``tau_push_02``) on one side, the Wirtinger residual of
-    ``cf.cf_residual_complex`` on the other.
+    one finite-difference pass: a lift's coefficients are the field's
+    stacked pair (``fields``), so their partials are the pair's, bit for
+    bit.  What is independent is the algebra read from them: the frame rows
+    contracted with the moment table (``tau_push_02``) on one side, the
+    operator's definition, the unit products of ``cf`` read as the pair
+    residual of ``cf.cf_residual_complex``, on the other.
   * ``penrose_transform_complex`` evaluates the same moments at a matrix
     point of the monogenic hull.  The integrand is the form's holomorphic
     matrix extension: the line over a hull point has constant base-point
@@ -70,7 +72,7 @@ import math
 
 import numpy as np
 
-from .cf import DomainError, FDConfig, _pair_residual, _partials, _wirtinger
+from .cf import DomainError, FDConfig, _pair_residual, _partials
 from .cp1 import harmonic_basis, moment_table
 from .domains import WholeSpace
 from .fields import get_field
@@ -138,33 +140,16 @@ class TwistorFormL:
         return moment_table(self.basis, -3)
 
 
-def _stacked_pair(pair, lead):
-    """The pair (p0, p1) as one coefficient array lead + (2,)."""
-    out = np.empty(lead + (2,), dtype=complex)
-    out[..., 0], out[..., 1] = pair
-    return out
-
-
 def sharp(field):
     """Lift a ScalarField to a twistor form of degree -3.
 
-    The coefficients are the field's pair; when the field carries a
+    The coefficients are the field's stacked pair; when the field carries a
     holomorphic matrix extension the lift also carries ``coeffs_matrix``,
-    the extension's pair, for the complexified transform.
+    the extension's stacked pair, for the complexified transform.
     """
-    def coeffs(x):
-        x = np.asarray(x, dtype=float)
-        return _stacked_pair(field.pair(x), x.shape[:-1])
-
-    coeffs_matrix = None
     ext = getattr(field, "extension", None)
-    if ext is not None:
-        def coeffs_matrix(sigma):
-            sigma = np.asarray(sigma, dtype=complex)
-            return _stacked_pair(ext.pair(sigma), sigma.shape[:-2])
-
-    return TwistorFormL(field.n, coeffs, harmonic_basis,
-                        coeffs_matrix=coeffs_matrix, domain=field.domain)
+    return TwistorFormL(field.n, field.stacked, harmonic_basis,
+                        None if ext is None else ext.stacked, field.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +165,22 @@ def tau_push_01(form, x):
     return form.coeffs(x) @ form.moments
 
 
-def _frame(coeffs, x, domain=None):
+def _wirtinger(d):
+    """From real partials (..., 4n) to the four Wirtinger combinations per
+    block, (d_alpha, d_conj(alpha), d_beta, d_conj(beta)), each (..., n)."""
+    d0, d1, d2, d3 = d[..., 0::4], d[..., 1::4], d[..., 2::4], d[..., 3::4]
+    return ((d0 - 1j * d1) / 2, (d0 + 1j * d1) / 2,
+            (d3 - 1j * d2) / 2, (d3 + 1j * d2) / 2)
+
+
+def _frame_rows(d):
     """The base frame fields on a factored part c(x) b(z), as coefficients.
 
     X^{A+1}(c b) = (z P_A + Q_A) b, where row 2i-2 of (P, Q) is
     (d_beta_i c, -d_conj(alpha_i) c) and row 2i-1 is
-    (d_alpha_i c, d_conj(beta_i) c).  Returns (P, Q), each
-    x.shape[:-1] + (2n, R).  With a domain the base stencil is certified
-    inside it before c is evaluated (``cf._partials``, cf.DomainError).
+    (d_alpha_i c, d_conj(beta_i) c).  From the real partials d (..., 4n, R)
+    of c (``cf._partials``) returns (P, Q), each (..., 2n, R).
     """
-    return _frame_rows(_partials(coeffs, x, _FD, domain))
-
-
-def _frame_rows(d):
-    """(P, Q) of ``_frame`` from the real partials d (..., 4n, R) of c."""
     da, dab, db, dbb = _wirtinger(np.swapaxes(d, -1, -2))  # each (..., R, n)
     P = np.empty(da.shape[:-1] + (2 * da.shape[-1],), dtype=complex)
     Q = np.empty_like(P)
@@ -322,7 +309,8 @@ def _diagram_sides(field, points):
     The lift's coefficients are the stacked pair, so their partials are the
     pair's: lhs is tau_push_02 of the lift (the frame rows contracted with
     the moment table), rhs the interleaved Cauchy-Fueter residual of the
-    pair (its Wirtinger combinations), each bit for bit.
+    pair (the operator's unit products, ``cf._pair_residual``), each bit
+    for bit.
     """
     form = sharp(field)
     M = form.moments

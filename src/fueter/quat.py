@@ -14,7 +14,9 @@ Conventions used throughout the package:
   "biquaternion point" (x, y) is the matrix embed_M(x) + 1j*embed_M(y).
 
 Array functions operate on trailing axes and broadcast over leading ones, so
-the same code serves scalar points and large sample batches.  A point of H^n
+the same code serves scalar points and large sample batches.  They reshape
+by their trailing sizes, never by -1, so a batch with no rows gives a
+result with no rows.  A point of H^n
 is a flat (..., 4n) real array; BiquaternionPoint only pairs the two flat
 arrays x and y of a point Sigma and checks their shapes.
 
@@ -69,8 +71,9 @@ def qmul(p, q):
 def qmul_right(x, q):
     """x*q for flat points x (..., 4n) and quaternions q (..., 4) -> (..., 4n)."""
     x = np.asarray(x, dtype=float)
-    xq = qmul(x.reshape(x.shape[:-1] + (-1, 4)), np.asarray(q)[..., None, :])
-    return xq.reshape(xq.shape[:-2] + (-1,))
+    xq = qmul(x.reshape(x.shape[:-1] + (x.shape[-1] // 4, 4)),
+              np.asarray(q)[..., None, :])
+    return xq.reshape(xq.shape[:-2] + x.shape[-1:])
 
 
 # term t of component k of p*q is _SIGN[t, 0, k] * p_t * q_(_XOR[t, 0, k]),
@@ -89,8 +92,8 @@ def right_line(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     # c[..., t, l, k] = _SIGN[t, k] * y_(l, t)
-    c = y.reshape(y.shape[:-1] + (-1, 4)).swapaxes(-1, -2)[..., None]
-    c = c * _SIGN
+    c = y.reshape(y.shape[:-1] + (y.shape[-1] // 4, 4)).swapaxes(-1, -2)
+    c = c[..., None] * _SIGN
 
     def line(q):
         terms = np.asarray(q, dtype=float)[..., _XOR] * c
@@ -98,7 +101,7 @@ def right_line(x, y):
               + terms[..., 2, :, :] + terms[..., 3, :, :])
         # the gather leaves the batch axis innermost; order="C" restores
         # qmul_right's layout (see the module docstring)
-        return np.add(x, yq.reshape(yq.shape[:-2] + (-1,)), order="C")
+        return np.add(x, yq.reshape(yq.shape[:-2] + x.shape[-1:]), order="C")
 
     return line
 
@@ -196,6 +199,8 @@ def embed_M(x):
 _POINT_MAP = np.concatenate([embed_M(np.eye(4)), 1j * embed_M(np.eye(4))]
                             ).reshape(8, 4).view(float) + 0.0
 
+_POINT_INVERSE = _POINT_MAP.T / 2  # see decompose_matrix
+
 
 def matrix_point(x, y):
     """Matrix form embed_M(x) + 1j*embed_M(y) of a biquaternion point (x, y).
@@ -209,9 +214,10 @@ def matrix_point(x, y):
         x, y = np.broadcast_arrays(x, y)
     if x.shape[-1] % 4:
         raise ValueError("last axis must have length 4n")
-    blocks = np.concatenate([x.reshape(x.shape[:-1] + (-1, 4)),
-                             y.reshape(y.shape[:-1] + (-1, 4))], axis=-1)
-    return (blocks @ _POINT_MAP).view(complex).reshape(x.shape[:-1] + (-1, 2))
+    lead, n = x.shape[:-1], x.shape[-1] // 4
+    blocks = np.concatenate([x.reshape(lead + (n, 4)), y.reshape(lead + (n, 4))],
+                            axis=-1)
+    return (blocks @ _POINT_MAP).view(complex).reshape(lead + (2 * n, 2))
 
 
 def decompose_matrix(z):
@@ -224,16 +230,17 @@ def decompose_matrix(z):
         beta  = (z10 - conj(z01))/2      delta = (z10 + conj(z01))/(2i)
 
     with x built from (alpha, beta) and y from (gamma, delta): one product
-    of each block's real view with _POINT_MAP.T / 2, _POINT_MAP's inverse.
+    of each block's real view with _POINT_INVERSE = _POINT_MAP.T / 2,
+    _POINT_MAP's inverse.
     Each entry sums two exact halves, rounded once like the formulas.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim < 2 or z.shape[-1] != 2 or z.shape[-2] % 2:
         raise ValueError("expected a (..., 2n, 2) matrix")
-    blocks = np.ascontiguousarray(z).reshape(z.shape[:-2] + (-1, 4)).view(float)
-    xy = blocks @ (_POINT_MAP.T / 2)
-    lead = z.shape[:-2] + (-1,)
-    return xy[..., :4].reshape(lead), xy[..., 4:].reshape(lead)
+    lead, n = z.shape[:-2], z.shape[-2] // 2
+    xy = np.ascontiguousarray(z).reshape(lead + (n, 4)).view(float) @ _POINT_INVERSE
+    flat = lead + (4 * n,)
+    return xy[..., :4].reshape(flat), xy[..., 4:].reshape(flat)
 
 
 def det_biquat(z):

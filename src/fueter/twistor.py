@@ -105,7 +105,7 @@ def eta_inverse(v):
     x[..., 2] = b.imag
     x[..., 3] = b.real
     x /= den[..., None]
-    return v[..., :2], x.reshape(x.shape[:-2] + (-1,))
+    return v[..., :2], x.reshape(x.shape[:-2] + (4 * x.shape[-2],))
 
 
 def _chart_solve(v, w):

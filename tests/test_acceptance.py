@@ -76,3 +76,22 @@ def test_shell_points_reject_an_empty_or_inverted_shell():
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
     radii = np.linalg.norm(acceptance._shell_points(rng, 200, 0.0, 1.0), axis=1)
     assert radii.min() >= 0.0 and radii.max() <= 1.0
+
+
+@pytest.mark.parametrize("kwargs,reason", [
+    ({"criteria": []}, "no criterion ids"),
+    ({"criteria": set()}, "no criterion ids"),
+    ({"n_values": (), "criteria": [3]}, "at least one n"),
+    ({"n_values": ()}, "at least one n"),
+])
+def test_run_all_refuses_a_run_that_would_check_nothing(kwargs, reason,
+                                                        monkeypatch):
+    # an empty criteria list passed having run nothing, and criterion 3 over
+    # no n passed with no domain checked; both are refused before any runs
+    def never(**_):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [(cid, never) for cid, _ in acceptance.CRITERIA])
+    with pytest.raises(ValueError, match=reason):
+        acceptance.run_all(**kwargs)

@@ -54,7 +54,8 @@ def test_linear_monogenic_field_is_in_the_kernel():
 
 def _unit_product_sum(psi, p, cfg):
     """D psi as sum_u qmul(e_u, d_u psi), the Hamilton products spelt out."""
-    dq = cf._partials(psi.eval_quat, p, cfg, psi.domain)
+    dq = cf._partials(lambda q: quat.ab_to_real(psi.stacked(q)), p, cfg,
+                      psi.domain)
     blocks = dq.reshape(dq.shape[:-2] + (psi.n, 4, 4))
     out = np.zeros_like(blocks[..., 0, :])
     for u in range(4):
@@ -396,6 +397,18 @@ def test_is_monogenic_reads_every_lead_axis_as_one_batch():
             cf.is_monogenic(field, empty)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, -0.0, math.nan, math.inf])
+def test_is_monogenic_refuses_a_tolerance_that_is_not_positive(tol):
+    # a tol of 0 or below fails every field, a NaN passes none and an inf
+    # passes all: each is refused before the field is evaluated
+    def never(v):
+        raise AssertionError("the field was evaluated")
+
+    field = fields.ScalarField(never, never)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        cf.is_monogenic(field, np.ones((3, 4)), tol=tol)
+
+
 def test_complexified_operator_annihilates_extended_fundamental_solution():
     ext = fields.get_field("E").extension
     rng = np.random.default_rng(17)
@@ -526,3 +539,4 @@ def test_is_monogenic_names_the_callers_point_shape():
     field = fields.get_field("linear_monogenic", 1)
     with pytest.raises(ValueError, match=r"not \(2, 8\)$"):
         cf.is_monogenic(field, np.full((2, 8), 0.5))
+

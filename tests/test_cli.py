@@ -455,17 +455,22 @@ def test_intersection_witness_uses_the_part_with_a_boundary(tmp_path):
     (["penrose", "diagram"], "--tol", "nan"),
     (["penrose", "complex", "--sigma",
       '{"x": [1, 0, 0, 0], "y": [0, 0.1, 0, 0]}'], "--tol", "inf"),
+    (["cf", "check"], "--tol", "-1"),
+    (["penrose", "roundtrip"], "--tol", "0"),
 ])
 def test_non_finite_float_options_are_rejected_by_name(command, option, value,
                                                        capsys):
-    # the parser rejects the value before any point is sampled
+    # the parser rejects the value before any point is sampled; a --tol
+    # must also be positive, or every check would fail: a config error,
+    # not a failed check
     with pytest.raises(SystemExit) as exc:
         cli.main(command + ["--field", "E", option, value])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("argument %s: not a finite number: %r" % (option, value)
-            in captured.err)
+    reason = ("not a finite number" if value in ("nan", "inf")
+              else "not a positive number")
+    assert "argument %s: %s: %r" % (option, reason, value) in captured.err
 
 
 def test_penrose_complex_outside_the_hull_still_prints_its_envelope(capsys):

@@ -1,5 +1,6 @@
 """Integral transform: splitting, pushforwards, and the commuting square."""
 
+import math
 import warnings
 
 import numpy as np
@@ -64,7 +65,8 @@ def test_frame_fields_differentiate_the_coordinates():
         return np.stack([p[..., 3] + 1j * p[..., 2],
                          p[..., 0] - 1j * p[..., 1]], axis=-1)
 
-    P, Q = penrose._frame(coeffs, np.array([0.8, -0.3, 0.5, 0.4]))
+    x = np.array([0.8, -0.3, 0.5, 0.4])
+    P, Q = penrose._frame_rows(cf._partials(coeffs, x, penrose._FD))
     np.testing.assert_allclose(P, [[1.0, 0.0], [0.0, 0.0]], atol=1e-8)
     np.testing.assert_allclose(Q, [[0.0, -1.0], [0.0, 0.0]], atol=1e-8)
     zs = np.array([0.5 + 0.5j, 1.0 - 2.0j, -0.3j])
@@ -166,6 +168,26 @@ def test_diagram_sides_are_the_two_public_functions_bit_for_bit(name, n):
                                     penrose._FD, field.domain))
 
 
+def _wirtinger_with_a_sign_flipped(d):
+    """The Wirtinger combinations with the sign of i d_x1 in d_alpha and
+    d_conj(alpha) flipped: a broken frame algebra."""
+    d0, d1, d2, d3 = d[..., 0::4], d[..., 1::4], d[..., 2::4], d[..., 3::4]
+    return ((d0 + 1j * d1) / 2, (d0 - 1j * d1) / 2,
+            (d3 - 1j * d2) / 2, (d3 + 1j * d2) / 2)
+
+
+def test_the_diagram_catches_a_broken_frame_algebra(monkeypatch):
+    # the two sides of the square must come from independent algebras: with
+    # the frame's Wirtinger helper broken, wherever it lives, the
+    # discrepancy of a non-monogenic field must show it
+    for module in (cf, penrose):
+        monkeypatch.setattr(module, "_wirtinger",
+                            _wirtinger_with_a_sign_flipped, raising=False)
+    report = penrose.diagram_check(fields.get_field("nonmonogenic_quadratic"),
+                                   _shell(np.random.default_rng(68), 10))
+    assert report["max_discrepancy"] > 1e-2
+
+
 @pytest.mark.parametrize("check", [
     lambda: penrose.diagram_check(fields.get_field("nonmonogenic_linear"),
                                   _shell(np.random.default_rng(66), 7)),
@@ -188,12 +210,29 @@ def test_the_diagram_takes_one_finite_difference_pass(monkeypatch, check):
     (name, n) for name in fields.field_names() for n in (1, 2)
     if (name, n) != ("E", 2)])  # E is an n = 1 field
 def test_the_lift_coefficients_are_the_stacked_pair_bit_for_bit(name, n):
-    # the identity that lets the diagram difference the lift alone
+    # the identity that lets the diagram difference the lift alone: a lift's
+    # coefficients are the field's one evaluation, ScalarField.stacked, and
+    # its matrix coefficients the extension's ComplexField.stacked, each the
+    # bits of the stacked pair
     field = fields.get_field(name, n)
+    form = penrose.sharp(field)
+    assert form.coeffs == field.stacked
     x = acceptance._shell_points(np.random.default_rng(67), 8, 0.6, 2.5, n=n)
-    x = x.reshape(2, 4, 4 * n)
-    np.testing.assert_array_equal(penrose.sharp(field).coeffs(x),
-                                  np.stack(field.pair(x), axis=-1))
+    z = quat.matrix_point(x, 0.1 * x[::-1])
+
+    def same_bits(got, pair, lead):
+        expected = np.stack(pair, axis=-1)
+        assert got.dtype == expected.dtype == complex
+        assert got.shape == expected.shape == lead + (2,)
+        assert got.tobytes() == expected.tobytes()
+
+    for lead in ((), (3,), (2, 3), (2, 4)):
+        p = x[:math.prod(lead)].reshape(lead + (4 * n,))
+        same_bits(form.coeffs(p), field.pair(p), lead)
+        if field.extension is not None:
+            assert form.coeffs_matrix == field.extension.stacked
+            m = z[:math.prod(lead)].reshape(lead + (2 * n, 2))
+            same_bits(form.coeffs_matrix(m), field.extension.pair(m), lead)
 
 
 def test_transform_inverts_the_lift_on_monogenic_fields():
@@ -411,7 +450,7 @@ def test_batched_frame_fields_match_single_points(case):
     basis = form.basis(zs)
 
     def rows(p):
-        P, Q = penrose._frame(form.coeffs, p)
+        P, Q = penrose._frame_rows(cf._partials(form.coeffs, p, penrose._FD))
         return zs * (P @ basis) + Q @ basis
 
     got = rows(x)
@@ -474,7 +513,7 @@ def _reference_closedness(form, x):
     Z, W = cp1.quadrature_nodes()
     # (..., 4n, nodes)
     d = cf._partials(lambda p: _profile(form, Z, p), x, penrose._FD)
-    da, dab, db, dbb = cf._wirtinger(np.swapaxes(d, -1, -2))  # each (..., nodes, n)
+    da, dab, db, dbb = penrose._wirtinger(np.swapaxes(d, -1, -2))  # each (..., nodes, n)
     rows = np.empty(da.shape[:-1] + (2 * da.shape[-1],), dtype=complex)
     rows[..., 0::2] = Z[:, None] * db - dab
     rows[..., 1::2] = Z[:, None] * da + dbb

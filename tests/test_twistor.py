@@ -317,3 +317,51 @@ def test_sweep_membership_returns_full_query_on_request():
     assert query.verdict is True
     assert query.band == 0.0 and query.indeterminate is False
     assert query.count == 0
+
+
+def _empty_batch_cases():
+    """(call, expected shapes), by name, of each hull-path kernel on a batch
+    with no rows, at n = 1 and 2 and the lead shapes (0,) and (2, 0)."""
+    cases = []
+    for n in (1, 2):
+        for lead in ((0,), (2, 0)):
+            x = np.empty(lead + (4 * n,))
+            z = np.empty(lead + (2 * n, 2), dtype=complex)
+            pt = quat.BiquaternionPoint(np.full(4 * n, 0.1), np.full(4 * n, 0.2))
+            tag = "n%d-%s" % (n, "x".join(map(str, lead)))
+            cases += [
+                ("qmul_right-" + tag, lambda x=x: quat.qmul_right(x, x[..., :4]),
+                 [x.shape]),
+                ("right_line-" + tag, lambda x=x: quat.right_line(x, x)(x[..., :4]),
+                 [x.shape]),
+                ("right_line_map-" + tag,
+                 lambda n=n, x=x: quat.right_line(np.ones(4 * n), np.ones(4 * n))(
+                     x[..., :4]), [x.shape]),
+                ("matrix_point-" + tag, lambda x=x: quat.matrix_point(x, x),
+                 [z.shape]),
+                ("decompose_matrix-" + tag, lambda z=z: quat.decompose_matrix(z),
+                 [x.shape, x.shape]),
+                ("eta_inverse-" + tag,
+                 lambda n=n, lead=lead: twistor.eta_inverse(
+                     np.empty(lead + (2 * n + 2,), dtype=complex)),
+                 [lead + (2,), x.shape]),
+                ("line_sweep-" + tag,
+                 lambda pt=pt, lead=lead: twistor.line_sweep(
+                     pt, np.empty(lead + (2,), dtype=complex)), [x.shape]),
+            ]
+            for domain in (domains.Ball(n), domains.PointComplement(n),
+                           domains.Intersection([domains.Ball(n),
+                                                 domains.PointComplement(n)])):
+                cases.append(("sweep_inf-%s-%s" % (type(domain).__name__, tag),
+                              lambda d=domain, x=x: d.sweep_inf(x, x),
+                              [lead, lead + (4,)]))
+    return [pytest.param(call, shapes, id=name) for name, call, shapes in cases]
+
+
+@pytest.mark.parametrize("call,shapes", _empty_batch_cases())
+def test_hull_kernels_map_an_empty_batch_to_an_empty_result(call, shapes):
+    # the kernels reshape by their trailing sizes, so a batch with no rows
+    # is no error: its result has the batch's lead shape and no entries
+    out = call()
+    out = out if isinstance(out, tuple) else (out,)
+    assert [o.shape for o in out] == shapes
